@@ -20,7 +20,7 @@ use xorbas_gf::slice_ops::{
 };
 use xorbas_gf::{Field, Gf256, Gf65536};
 
-const BLOCK: usize = 1 << 20; // 1 MiB payloads, matching codec_throughput
+const BLOCK: usize = 1 << 20; // 1 MiB payloads, the benchmark's lane size
 
 fn bench_xor(c: &mut Criterion) {
     let mut g = c.benchmark_group("gf_kernels_xor");

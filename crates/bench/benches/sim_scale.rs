@@ -2,8 +2,9 @@
 //! on clusters far beyond the paper's 50-node EC2 testbed.
 //!
 //! Two fixed "repair storm" lanes (300 and 1000 nodes) are directly
-//! comparable across PRs and are the before/after evidence recorded in
-//! `BENCH_PR4.json`. The warehouse lane exercises the `ClusterScale`
+//! comparable across PRs (the whole-stack `benchmark/` has no storm
+//! lane; its `sim_warehouse` workload times the year scenario). The
+//! warehouse lane exercises the `ClusterScale`
 //! Facebook preset (3000 nodes / 30 PB-equivalent) over a short horizon;
 //! the full simulated-year acceptance run lives in
 //! `examples/warehouse_year.rs` so this bench stays quick.

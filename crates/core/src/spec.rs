@@ -8,6 +8,10 @@
 
 use crate::error::{CodeError, Result};
 
+/// The widest stripe any codec here can carry: GF(2^16) has 65 535
+/// nonzero evaluation points.
+const MAX_LANES: usize = (1 << 16) - 1;
+
 /// Geometry of an LRC: which blocks exist and how they are grouped.
 ///
 /// Using the paper's notation, this describes a `(k, n - k, r)` code
@@ -173,6 +177,39 @@ impl CodeSpec {
     /// single-data-loss repair bytes.
     pub const PB_200_60: CodeSpec = CodeSpec::Piggyback { k: 200, m: 60 };
 
+    /// Validates the parameters: whether a codec can exist for this
+    /// spec. [`crate::Codec::build`] and every decoder of an externally
+    /// supplied spec (the node's manifest) share this one definition.
+    ///
+    /// Replication needs a second copy to repair from, RS a data and a
+    /// parity block, the piggyback a clean parity plus a piggybacked
+    /// one, an LRC its [`LrcSpec::validate`] structure; and no stripe
+    /// may be wider than GF(2^16)'s 65 535 lanes.
+    pub fn validate(&self) -> Result<()> {
+        let repairable = match *self {
+            CodeSpec::Replication { replicas } => replicas >= 2,
+            CodeSpec::ReedSolomon { k, m } => k >= 1 && m >= 1,
+            CodeSpec::Lrc(spec) => {
+                spec.validate()?;
+                true
+            }
+            CodeSpec::Piggyback { k, m } => k >= 1 && m >= 2,
+        };
+        if !repairable {
+            return Err(CodeError::InvalidParameters(format!(
+                "{} has too few blocks to repair from",
+                self.name()
+            )));
+        }
+        if self.total_blocks() > MAX_LANES {
+            return Err(CodeError::InvalidParameters(format!(
+                "{} is wider than the {MAX_LANES} lanes GF(2^16) carries",
+                self.name()
+            )));
+        }
+        Ok(())
+    }
+
     /// Data blocks per stripe (`k`).
     pub fn data_blocks(&self) -> usize {
         match *self {
@@ -239,6 +276,47 @@ impl CodeSpec {
                 n - k.div_ceil(r) - k + 2
             }
         }
+    }
+
+    /// Which positions of a stripe with `real_data` data blocks are
+    /// structurally zero and therefore not stored (§3.1.1 zero padding),
+    /// written into a caller-reused buffer (cleared first) so a
+    /// namespace load allocates nothing per stripe.
+    ///
+    /// Data positions beyond `real_data` are virtual; a local parity is
+    /// virtual when its whole group is virtual (its XOR would be the
+    /// zero block); global parities are always stored.
+    pub fn virtual_mask_into(&self, real_data: usize, out: &mut Vec<bool>) {
+        out.clear();
+        match *self {
+            CodeSpec::Replication { replicas } => out.resize(replicas, false),
+            // The piggybacked RS shares the RS lane layout; its parities
+            // are always stored (a piggyback of virtual zero lanes is
+            // just the clean RS parity).
+            CodeSpec::ReedSolomon { k, m } | CodeSpec::Piggyback { k, m } => {
+                out.extend((0..k + m).map(|p| p < k && p >= real_data));
+            }
+            CodeSpec::Lrc(spec) => {
+                let locals = spec.k + spec.global_parities;
+                out.extend((0..spec.total_blocks()).map(|p| {
+                    if p < spec.k {
+                        p >= real_data
+                    } else if (locals..locals + spec.data_groups()).contains(&p) {
+                        // S_t is zero when its group holds no real data.
+                        (p - locals) * spec.group_size >= real_data
+                    } else {
+                        false // global and stored parity-group parities
+                    }
+                }));
+            }
+        }
+    }
+
+    /// Whether stripe position `pos` holds a local (repair-group) parity
+    /// rather than data or a global parity. Only LRCs have any; their
+    /// layout puts them after the global parities.
+    pub fn is_local_parity(&self, pos: usize) -> bool {
+        matches!(*self, CodeSpec::Lrc(spec) if pos >= spec.k + spec.global_parities)
     }
 
     /// Human-readable name in the paper's style.
@@ -354,6 +432,86 @@ mod tests {
             CodeSpec::RS_200_60.storage_overhead()
         );
         assert_eq!(CodeSpec::PB_200_60.total_blocks(), 260);
+    }
+
+    fn mask(spec: CodeSpec, real_data: usize) -> Vec<bool> {
+        let mut out = vec![true; 3]; // stale contents must be cleared
+        spec.virtual_mask_into(real_data, &mut out);
+        out
+    }
+
+    #[test]
+    fn masks_for_full_stripes_are_all_real() {
+        for spec in [CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5] {
+            assert!(mask(spec, 10).iter().all(|&v| !v));
+        }
+        assert_eq!(mask(CodeSpec::REPLICATION_3, 1), vec![false; 3]);
+    }
+
+    #[test]
+    fn rs_mask_pads_missing_data_only() {
+        let mask3 = mask(CodeSpec::RS_10_4, 3);
+        assert_eq!(mask3.iter().filter(|&&v| v).count(), 7);
+        assert!(!mask3[0] && !mask3[2]);
+        assert!(mask3[3] && mask3[9]);
+        assert!(!mask3[10] && !mask3[13], "parities are stored");
+        // The piggyback shares the RS lane layout.
+        assert_eq!(mask(CodeSpec::PB_10_4, 3), mask3);
+    }
+
+    #[test]
+    fn lrc_mask_drops_empty_group_local_parity() {
+        // 3 real data blocks: group 2 (positions 5..10) is entirely
+        // virtual, so S2 (position 15) is virtual too.
+        let mask3 = mask(CodeSpec::LRC_10_6_5, 3);
+        assert!(!mask3[14], "S1 has real members");
+        assert!(mask3[15], "S2 covers only padding");
+        assert!(mask3[4] && mask3[9]);
+        assert!(!mask3[10] && !mask3[13]);
+        // 6 real data groups -> both locals real.
+        let mask6 = mask(CodeSpec::LRC_10_6_5, 6);
+        assert!(!mask6[14] && !mask6[15]);
+        // A stored parity-group parity (position 16) is never virtual.
+        let stored = CodeSpec::Lrc(LrcSpec {
+            implied_parity: false,
+            ..LrcSpec::XORBAS
+        });
+        assert_eq!(mask(stored, 3).len(), 17);
+        assert!(!mask(stored, 3)[16]);
+    }
+
+    #[test]
+    fn local_parities_follow_the_globals() {
+        let lrc = CodeSpec::LRC_10_6_5;
+        assert!(!lrc.is_local_parity(9) && !lrc.is_local_parity(13));
+        assert!(lrc.is_local_parity(14) && lrc.is_local_parity(15));
+        assert!(!CodeSpec::RS_10_4.is_local_parity(13));
+    }
+
+    #[test]
+    fn validate_is_the_single_definition_of_a_buildable_spec() {
+        for spec in [
+            CodeSpec::REPLICATION_3,
+            CodeSpec::RS_10_4,
+            CodeSpec::LRC_10_6_5,
+            CodeSpec::PB_10_4,
+            CodeSpec::PB_200_60,
+        ] {
+            spec.validate().unwrap();
+        }
+        for bad in [
+            CodeSpec::Replication { replicas: 1 },
+            CodeSpec::ReedSolomon { k: 0, m: 4 },
+            CodeSpec::ReedSolomon { k: 10, m: 0 },
+            CodeSpec::Piggyback { k: 10, m: 1 },
+            CodeSpec::ReedSolomon { k: 65_000, m: 600 },
+            CodeSpec::Lrc(LrcSpec {
+                group_size: 3,
+                ..LrcSpec::XORBAS
+            }),
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

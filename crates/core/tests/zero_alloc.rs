@@ -11,7 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xorbas_core::{
-    decode_solve_count, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon, StripeViewMut,
+    decode_solve_count, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon, Replication,
+    StripeViewMut,
 };
 use xorbas_gf::{Gf256, Gf65536};
 
@@ -288,30 +289,49 @@ fn piggyback_session_repair_is_allocation_free_and_solve_free() {
     assert_piggyback_replay_is_free(&pb, &stripe, &[0, 12], "general path");
 }
 
-#[test]
-fn light_lrc_session_compiles_without_any_solve() {
-    let lrc = Lrc::xorbas_10_6_5().unwrap();
+/// Compiles a session that must need no linear solve (a light LRC
+/// pattern, a replica copy), replays it 25 times, and asserts neither
+/// the compile nor the steady state solves or allocates.
+fn assert_solve_free_replay<C: ErasureCodec>(codec: &C, missing: &[usize], label: &str) {
     let before = decode_solve_count();
-    let session = lrc.repair_session(&[2]).unwrap();
-    assert_eq!(session.solve_count(), 0);
-    assert_eq!(decode_solve_count(), before);
+    let session = codec.repair_session(missing).unwrap();
+    assert_eq!(session.solve_count(), 0, "{label}");
+    assert_eq!(decode_solve_count(), before, "{label}");
 
     const LEN: usize = 1024;
-    let stripe = lrc.encode_stripe(&sample_data(10, LEN)).unwrap();
+    let stripe = codec
+        .encode_stripe(&sample_data(codec.data_blocks(), LEN))
+        .unwrap();
     let mut lanes = stripe.clone();
-    lanes[2].fill(0xEE);
+    for &e in missing {
+        lanes[e].fill(0xEE);
+    }
     let mut lane_refs: Vec<&mut [u8]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
     {
-        let mut view = StripeViewMut::new(&mut lane_refs, &[2]).unwrap();
+        let mut view = StripeViewMut::new(&mut lane_refs, missing).unwrap();
         session.repair(&mut view).unwrap();
     }
     let allocs_before = allocs_now();
     for _ in 0..25 {
-        let mut view = StripeViewMut::new(&mut lane_refs, &[2]).unwrap();
+        let mut view = StripeViewMut::new(&mut lane_refs, missing).unwrap();
         session.repair(&mut view).unwrap();
     }
-    assert_eq!(allocs_now() - allocs_before, 0);
+    assert_eq!(allocs_now() - allocs_before, 0, "{label}");
     drop(lane_refs);
-    assert_eq!(lanes[2], stripe[2]);
-    assert_eq!(decode_solve_count(), before, "light repair never solves");
+    assert_eq!(lanes, stripe, "{label}");
+    assert_eq!(decode_solve_count(), before, "{label}: never solves");
+}
+
+#[test]
+fn light_lrc_session_compiles_without_any_solve() {
+    assert_solve_free_replay(&Lrc::xorbas_10_6_5().unwrap(), &[2], "lrc light");
+}
+
+#[test]
+fn replication_encode_and_replay_are_allocation_free() {
+    // Replication rides the same session machinery as the real codes:
+    // a copy is the step `target = 1 · survivor`.
+    let rep = Replication::new(3).unwrap();
+    assert_encode_into_allocates_nothing(&rep, "3-replication");
+    assert_solve_free_replay(&rep, &[0, 2], "3-replication");
 }

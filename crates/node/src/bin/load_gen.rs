@@ -11,8 +11,12 @@
 //! ```text
 //! cargo run --release -p xorbas_node --bin load_gen -- \
 //!     --servers 5 --spec both --chunk-kib 1024 --files 2 \
-//!     --file-mib 64 --ops 400 --json BENCH_PR7.json
+//!     --file-mib 64 --ops 400 --json load_gen.json
 //! ```
+//!
+//! This is an acceptance driver, not the performance record: throughput
+//! and latency are measured by the `put_stream`, `read_mix` and
+//! `repair_drain` workloads of `benchmark/` (see `benchmark/README.md`).
 //!
 //! Exit code 0 means every acceptance check passed: zero failed reads
 //! across the kill, bit-identical files after repair, and full
@@ -24,14 +28,13 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xorbas_core::{CodeSpec, LrcSpec};
+use xorbas_core::{CodeSpec, Codec, LrcSpec};
 use xorbas_node::client::ReadKind;
 use xorbas_node::repair::ScrubConfig;
 use xorbas_node::{
     fault, ChunkServer, ClusterClient, Directory, FaultPlan, Manifest, NodeError, RepairAgent,
     RepairAgentConfig, RepairStatsSnapshot, RetryPolicy, ServerConfig, Site,
 };
-use xorbas_sim::codecs::CodecInstance;
 use xorbas_sim::{PercentileSummary, Percentiles};
 
 type AnyError = Box<dyn Error>;
@@ -222,7 +225,8 @@ struct SpecResult {
     write_latency_us: PercentileSummary,
     killed_server: Option<usize>,
     repair_converged: bool,
-    repair_secs: f64,
+    /// Kill instant → full redundancy restored; `None` without `--kill`.
+    repair_secs: Option<f64>,
     repair: RepairStatsSnapshot,
     bit_identical: bool,
     single_loss_bytes_fetched: u64,
@@ -258,7 +262,7 @@ fn run_spec(args: &Args, choice: SpecChoice) -> Result<SpecResult, AnyError> {
     let cluster = boot_cluster(args, name)?;
     let sessions = xorbas_node::client::SessionCache::default();
     let mut client = ClusterClient::new(
-        CodecInstance::build(spec)?,
+        Codec::build(spec)?,
         chunk_bytes,
         Arc::clone(&cluster.directory),
         RetryPolicy::default(),
@@ -292,7 +296,7 @@ fn run_spec(args: &Args, choice: SpecChoice) -> Result<SpecResult, AnyError> {
 
     // ---- Read phase with mid-run kill and a write mix. -------------
     let agent = RepairAgent::start(
-        CodecInstance::build(spec)?,
+        Codec::build(spec)?,
         Arc::clone(&cluster.directory),
         sessions.clone(),
         RepairAgentConfig::new(chunk_bytes),
@@ -308,10 +312,14 @@ fn run_spec(args: &Args, choice: SpecChoice) -> Result<SpecResult, AnyError> {
     let mut buf = Vec::new();
     let kill_at = if args.kill { args.ops / 2 } else { usize::MAX };
     let victim = args.servers - 1;
+    // The agent starts repairing the moment it sees the dead server,
+    // while reads are still running: its clock starts at the kill.
+    let mut killed_at = None;
 
     for op in 0..args.ops {
         if op == kill_at {
             cluster.servers[victim].kill();
+            killed_at = Some(Instant::now());
             result.killed_server = Some(victim);
         }
         let is_write =
@@ -349,9 +357,8 @@ fn run_spec(args: &Args, choice: SpecChoice) -> Result<SpecResult, AnyError> {
     result.write_latency_us = write_lat.summary();
 
     // ---- Repair convergence. ---------------------------------------
-    let repair_start = Instant::now();
     result.repair_converged = agent.wait_until_repaired(Duration::from_secs(120));
-    result.repair_secs = repair_start.elapsed().as_secs_f64();
+    result.repair_secs = killed_at.map(|t| t.elapsed().as_secs_f64());
 
     // ---- Bit-identity: every file reads back exactly. --------------
     let mut expected = Vec::new();
@@ -508,7 +515,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
 
     let sessions = xorbas_node::client::SessionCache::default();
     let mut client = ClusterClient::new(
-        CodecInstance::build(spec)?,
+        Codec::build(spec)?,
         chunk_bytes,
         Arc::clone(&directory),
         RetryPolicy::default(),
@@ -541,7 +548,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
         dirs.iter().cloned().enumerate().collect::<Vec<_>>(),
     ));
     let agent = RepairAgent::start(
-        CodecInstance::build(spec)?,
+        Codec::build(spec)?,
         Arc::clone(&directory),
         sessions.clone(),
         agent_cfg,
@@ -860,14 +867,16 @@ fn spec_json(r: &SpecResult) -> String {
     let killed = r
         .killed_server
         .map_or("null".to_string(), |v| v.to_string());
+    let repair_secs = r
+        .repair_secs
+        .map_or("null".to_string(), |s| format!("{s:.3}"));
     let _ = write!(
         j,
-        ",\"killed_server\":{killed},\"repair_converged\":{},\"repair_secs\":{:.3},\
+        ",\"killed_server\":{killed},\"repair_converged\":{},\"repair_secs\":{repair_secs},\
          \"chunks_repaired\":{},\"light_repairs\":{},\"heavy_repairs\":{},\
          \"repair_bytes_fetched\":{},\"repair_bytes_written\":{},\"failed_repair_attempts\":{},\
          \"bit_identical\":{},\"single_loss_bytes_fetched\":{},\"single_loss_light\":{}}}",
         r.repair_converged,
-        r.repair_secs,
         r.repair.chunks_repaired,
         r.repair.light_repairs,
         r.repair.heavy_repairs,
@@ -903,12 +912,11 @@ fn print_summary(r: &SpecResult) {
         r.read_latency_us.p99,
         r.read_latency_us.p999
     );
-    if let Some(v) = r.killed_server {
+    if let (Some(v), Some(secs)) = (r.killed_server, r.repair_secs) {
         println!(
-            "  kill: server {v} mid-run; repair converged={} in {:.2}s \
+            "  kill: server {v} mid-run; repair converged={} {secs:.2}s after the kill \
              ({} chunks, {} light / {} heavy stripe repairs, {:.1} MiB fetched)",
             r.repair_converged,
-            r.repair_secs,
             r.repair.chunks_repaired,
             r.repair.light_repairs,
             r.repair.heavy_repairs,

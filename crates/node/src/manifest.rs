@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! magic "XBMF" | version u32
-//! spec: tag u8 (0 replication | 1 reed-solomon | 2 lrc) + fields (u16 each;
-//!       lrc adds an implied-parity flag byte)
+//! spec: tag u8 (0 replication | 1 reed-solomon | 2 lrc | 3 piggyback) + fields
+//!       (u16 each; lrc adds an implied-parity flag byte)
 //! chunk_bytes u64 | file_len u64 | stripe_count u32
 //! per stripe: id u64 | lane_count u16 | server u32 × lane_count
 //! ```
@@ -135,14 +135,9 @@ impl Manifest {
         };
         // A hostile spec or chunk size must die here, not downstream:
         // stripe_payload() and scratch sizing multiply these together.
-        let spec_ok = match spec {
-            CodeSpec::Replication { replicas } => replicas >= 1,
-            CodeSpec::ReedSolomon { k, m } => k >= 1 && m >= 1,
-            CodeSpec::Lrc(lrc) => lrc.validate().is_ok(),
-            // The piggyback needs a clean parity plus >= 1 piggybacked.
-            CodeSpec::Piggyback { k, m } => k >= 1 && m >= 2,
-        };
-        if !spec_ok {
+        // The rule is the one `Codec::build` applies, so every manifest
+        // that decodes names a codec that can be built.
+        if spec.validate().is_err() {
             return Err(NodeError::Malformed("invalid code spec parameters"));
         }
         let chunk_bytes = c.u64()?;
@@ -353,12 +348,28 @@ mod tests {
         ));
 
         // A piggyback without its clean parity 0 plus one piggybacked
-        // parity cannot build its fast repair path.
-        let m = sample(CodeSpec::Piggyback { k: 10, m: 1 });
-        assert!(matches!(
-            Manifest::decode(&m.encode()).unwrap_err(),
-            NodeError::Malformed("invalid code spec parameters")
-        ));
+        // parity cannot build its fast repair path; a single "replica"
+        // has nothing to repair from; and no field carries a stripe of
+        // 2 × 65 535 lanes. None of them names a buildable codec.
+        for spec in [
+            CodeSpec::Piggyback { k: 10, m: 1 },
+            CodeSpec::Replication { replicas: 1 },
+            CodeSpec::ReedSolomon {
+                k: 65_535,
+                m: 65_535,
+            },
+        ] {
+            assert!(xorbas_core::Codec::build(spec).is_err());
+            let m = Manifest {
+                spec,
+                stripes: Vec::new(), // the spec must be refused on its own
+                ..sample(CodeSpec::REPLICATION_3)
+            };
+            assert!(matches!(
+                Manifest::decode(&m.encode()).unwrap_err(),
+                NodeError::Malformed("invalid code spec parameters")
+            ));
+        }
 
         // A stripe whose lane count disagrees with the spec's geometry.
         let mut m = sample(CodeSpec::ReedSolomon { k: 10, m: 4 });

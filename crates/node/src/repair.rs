@@ -28,8 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xorbas_core::{CodeSpec, StripeViewMut};
-use xorbas_sim::codecs::CodecInstance;
+use xorbas_core::{Codec, StripeViewMut};
 
 /// Tunables for the agent.
 #[derive(Debug, Clone)]
@@ -160,7 +159,7 @@ impl RepairAgent {
     /// and connections; it shares only the directory and the session
     /// cache with the clients.
     pub fn start(
-        codec: CodecInstance,
+        codec: Codec,
         directory: Arc<Mutex<Directory>>,
         sessions: SessionCache,
         cfg: RepairAgentConfig,
@@ -268,7 +267,7 @@ impl Drop for RepairAgent {
 }
 
 fn agent_loop(
-    codec: &CodecInstance,
+    codec: &Codec,
     dir: &Arc<Mutex<Directory>>,
     sessions: &SessionCache,
     cfg: &RepairAgentConfig,
@@ -472,7 +471,7 @@ struct RepairOutcome {
 
 /// Per-stripe repair executor (one per in-flight repair).
 struct RepairWorker<'a> {
-    codec: &'a CodecInstance,
+    codec: &'a Codec,
     dir: &'a Arc<Mutex<Directory>>,
     sessions: &'a SessionCache,
     cfg: &'a RepairAgentConfig,
@@ -491,12 +490,6 @@ impl RepairWorker<'_> {
         if unavailable.is_empty() {
             self.unavailable = unavailable;
             return Ok(None);
-        }
-
-        if matches!(self.codec.spec(), CodeSpec::Replication { .. }) {
-            let out = self.repair_replicated(stripe, n, &unavailable);
-            self.unavailable = unavailable;
-            return out;
         }
 
         let session = match self.sessions.get_or_compile(self.codec, &unavailable)? {
@@ -573,64 +566,6 @@ impl RepairWorker<'_> {
             bytes_fetched: fetched,
             bytes_written: written,
             light: session.plan().is_light(),
-        }))
-    }
-
-    /// Replication repair: copy a surviving replica onto replacements.
-    fn repair_replicated(
-        &mut self,
-        stripe: u64,
-        n: usize,
-        unavailable: &[usize],
-    ) -> Result<Option<RepairOutcome>> {
-        self.scratch.resize_with(1, Vec::new);
-        let mut buf = std::mem::take(&mut self.scratch[0]);
-        let mut source: Option<u64> = None;
-        for lane in 0..n {
-            if unavailable.contains(&lane) {
-                continue;
-            }
-            if let Ok(()) = self.fetch_lane(stripe, lane as u32, &mut buf) {
-                source = Some(self.cfg.chunk_bytes as u64);
-                break;
-            }
-        }
-        let fetched = match source {
-            Some(f) => f,
-            None => {
-                self.scratch[0] = buf;
-                return Err(NodeError::Malformed("no surviving replica to copy"));
-            }
-        };
-        let digest = chunk_digest(&buf);
-        let mut written = 0u64;
-        let mut repaired = 0u64;
-        for &lane in unavailable {
-            let new_sid = {
-                let mut d = lock(self.dir);
-                d.choose_replacement(stripe)?
-            };
-            let addr = {
-                lock(self.dir)
-                    .addr_of(new_sid)
-                    .ok_or(NodeError::Malformed("server id out of roster"))?
-            };
-            crate::client::ensure_conn(&mut self.conns, new_sid, addr, &self.cfg.retry)?.put(
-                stripe,
-                lane as u32,
-                digest,
-                &buf,
-            )?;
-            lock(self.dir).reassign(stripe, lane as u32, new_sid)?;
-            written += self.cfg.chunk_bytes as u64;
-            repaired += 1;
-        }
-        self.scratch[0] = buf;
-        Ok(Some(RepairOutcome {
-            chunks: repaired,
-            bytes_fetched: fetched,
-            bytes_written: written,
-            light: true,
         }))
     }
 

@@ -9,14 +9,13 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, Codec};
 use xorbas_node::client::SessionCache;
 use xorbas_node::repair::ScrubConfig;
 use xorbas_node::{
     fault, ChunkServer, ClusterClient, Directory, FaultPlan, RepairAgent, RepairAgentConfig,
     RetryPolicy, ServerConfig, Site,
 };
-use xorbas_sim::codecs::CodecInstance;
 
 const CHUNK: usize = 64 * 1024;
 
@@ -63,7 +62,7 @@ impl Cluster {
 
     fn client(&self, spec: CodeSpec) -> ClusterClient {
         ClusterClient::new(
-            CodecInstance::build(spec).unwrap(),
+            Codec::build(spec).unwrap(),
             CHUNK,
             Arc::clone(&self.directory),
             RetryPolicy::default(),
@@ -77,7 +76,7 @@ impl Cluster {
             self.dirs.iter().cloned().enumerate().collect(),
         ));
         RepairAgent::start(
-            CodecInstance::build(spec).unwrap(),
+            Codec::build(spec).unwrap(),
             Arc::clone(&self.directory),
             self.sessions.clone(),
             cfg,

@@ -8,13 +8,12 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, Codec};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{
     ChunkServer, ClusterClient, Directory, NodeConn, NodeError, RepairAgent, RepairAgentConfig,
     RetryPolicy, ServerConfig,
 };
-use xorbas_sim::codecs::CodecInstance;
 
 const CHUNK: usize = 64 * 1024;
 
@@ -49,7 +48,7 @@ impl Cluster {
 
     fn client(&self, spec: CodeSpec) -> ClusterClient {
         ClusterClient::new(
-            CodecInstance::build(spec).unwrap(),
+            Codec::build(spec).unwrap(),
             CHUNK,
             Arc::clone(&self.directory),
             RetryPolicy::default(),
@@ -59,7 +58,7 @@ impl Cluster {
 
     fn agent(&self, spec: CodeSpec) -> RepairAgent {
         RepairAgent::start(
-            CodecInstance::build(spec).unwrap(),
+            Codec::build(spec).unwrap(),
             Arc::clone(&self.directory),
             self.sessions.clone(),
             RepairAgentConfig::new(CHUNK),
@@ -94,11 +93,13 @@ fn test_file(len: usize) -> Vec<u8> {
         .collect()
 }
 
-#[test]
-fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
-    let cluster = Cluster::boot(5, "kill");
-    let mut client = cluster.client(CodeSpec::LRC_10_6_5);
-    let k = CodeSpec::LRC_10_6_5.data_blocks();
+/// Kill → degraded reads → repair convergence for one code. Every
+/// family goes through the same plan → session → replay path on both
+/// the client and the repair agent.
+fn kill_one_server_round_trip(spec: CodeSpec, tag: &str) {
+    let cluster = Cluster::boot(5, tag);
+    let mut client = cluster.client(spec);
+    let k = spec.data_blocks();
 
     // Three stripes exactly, plus a ragged tail on a fourth.
     let data = test_file(3 * k * CHUNK + 12345);
@@ -112,9 +113,10 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
     assert_eq!(buf, data);
     assert_eq!(report.degraded_stripes, 0);
 
-    // Kill one server mid-life. Every read must still succeed — direct
-    // where the lane survived, degraded where it did not.
-    cluster.servers[4].kill();
+    // Kill one server mid-life (one that holds a data lane, whatever
+    // the code's width). Every read must still succeed — direct where
+    // the lane survived, degraded where it did not.
+    cluster.servers[manifest.stripes[0].servers[0]].kill();
     let mut direct = 0usize;
     let mut degraded = 0usize;
     for stripe in &manifest.stripes {
@@ -137,7 +139,7 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
     assert!(report.degraded_stripes > 0);
 
     // The repair agent restores full redundancy onto the survivors.
-    let agent = cluster.agent(CodeSpec::LRC_10_6_5);
+    let agent = cluster.agent(spec);
     assert!(
         agent.wait_until_repaired(Duration::from_secs(60)),
         "repair must converge"
@@ -155,7 +157,7 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
 
     // After repair every chunk reads directly again (new client so no
     // stale dead-server connections linger).
-    let mut fresh = cluster.client(CodeSpec::LRC_10_6_5);
+    let mut fresh = cluster.client(spec);
     for stripe in &manifest.stripes {
         for lane in 0..k as u32 {
             let kind = fresh.read_data_chunk(stripe.id, lane, &mut buf).unwrap();
@@ -169,6 +171,21 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
     assert_eq!(buf, data, "bit-identical after repair");
 
     cluster.teardown();
+}
+
+#[test]
+fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
+    kill_one_server_round_trip(CodeSpec::LRC_10_6_5, "kill");
+}
+
+#[test]
+fn kill_one_server_round_trips_under_replication() {
+    kill_one_server_round_trip(CodeSpec::REPLICATION_3, "kill_rep");
+}
+
+#[test]
+fn kill_one_server_round_trips_under_piggybacked_rs() {
+    kill_one_server_round_trip(CodeSpec::PB_10_4, "kill_pb");
 }
 
 /// User-byte offset of `(stripe, lane)` within the original file.
@@ -227,7 +244,12 @@ fn checksum_mismatch_routes_into_degraded_read() {
 #[test]
 fn lrc_light_repair_moves_fewer_bytes_than_rs() {
     let mut fetched = Vec::new();
-    for (spec, tag) in [(CodeSpec::LRC_10_6_5, "lrc"), (CodeSpec::RS_10_4, "rs")] {
+    for (spec, tag) in [
+        (CodeSpec::LRC_10_6_5, "lrc"),
+        (CodeSpec::RS_10_4, "rs"),
+        (CodeSpec::REPLICATION_3, "rep"),
+        (CodeSpec::PB_10_4, "pb"),
+    ] {
         let cluster = Cluster::boot(5, tag);
         let mut client = cluster.client(spec);
         let data = test_file(spec.data_blocks() * CHUNK);
@@ -240,6 +262,14 @@ fn lrc_light_repair_moves_fewer_bytes_than_rs() {
         let stats = agent.stats();
         assert_eq!(stats.chunks_repaired, 1);
         agent.shutdown();
+        // The wire moves exactly the lanes the plan names, whole.
+        let plan = client.codec().repair_plan_for(&[0], &[0]).unwrap();
+        assert_eq!(
+            stats.bytes_fetched,
+            (plan.blocks_read() * CHUNK) as u64,
+            "{}",
+            spec.name()
+        );
         fetched.push(stats.bytes_fetched);
 
         let mut buf = Vec::new();
@@ -260,6 +290,12 @@ fn lrc_light_repair_moves_fewer_bytes_than_rs() {
         "RS repair reads k = 10 chunks"
     );
     assert!(fetched[0] < fetched[1]);
+    // Replication copies one surviving replica.
+    assert_eq!(fetched[2], CHUNK as u64);
+    // The piggyback's plan halves most of its k + 1 = 11 reads, but the
+    // node fetches whole chunks: on the wire it costs one lane *more*
+    // than RS until the protocol learns sub-chunk reads.
+    assert_eq!(fetched[3], 11 * CHUNK as u64);
 }
 
 /// Regression: a light degraded repair only *reads* the failed lane's
@@ -322,7 +358,7 @@ fn mismatched_manifest_is_refused_up_front() {
 
     // …or a different chunk size is refused too.
     let mut small = ClusterClient::new(
-        CodecInstance::build(CodeSpec::LRC_10_6_5).unwrap(),
+        Codec::build(CodeSpec::LRC_10_6_5).unwrap(),
         CHUNK / 2,
         Arc::clone(&cluster.directory),
         RetryPolicy::default(),

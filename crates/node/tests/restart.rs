@@ -9,10 +9,9 @@
 use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, Codec};
 use xorbas_node::client::SessionCache;
 use xorbas_node::{ChunkServer, ClusterClient, Directory, RetryPolicy, ServerConfig};
-use xorbas_sim::codecs::CodecInstance;
 
 const CHUNK: usize = 64 * 1024;
 const N: usize = 5;
@@ -25,7 +24,7 @@ fn test_file(len: usize, salt: u8) -> Vec<u8> {
 
 fn client_for(dir: &Arc<Mutex<Directory>>, sessions: &SessionCache) -> ClusterClient {
     ClusterClient::new(
-        CodecInstance::build(CodeSpec::LRC_10_6_5).unwrap(),
+        Codec::build(CodeSpec::LRC_10_6_5).unwrap(),
         CHUNK,
         Arc::clone(dir),
         RetryPolicy::default(),

@@ -9,10 +9,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, Codec};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{ChunkServer, ClusterClient, Directory, RetryPolicy, ServerConfig};
-use xorbas_sim::codecs::CodecInstance;
 use xorbas_sim::{Percentiles, ZipfSampler};
 
 use rand::rngs::StdRng;
@@ -53,7 +52,7 @@ fn zipf_read_mix_survives_a_dead_server_within_deadline() {
     let spec = CodeSpec::LRC_10_6_5;
     let k = spec.data_blocks();
     let mut client = ClusterClient::new(
-        CodecInstance::build(spec).unwrap(),
+        Codec::build(spec).unwrap(),
         CHUNK,
         Arc::clone(&directory),
         RetryPolicy::default(),

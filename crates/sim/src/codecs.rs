@@ -1,424 +1,5 @@
-//! Bridges [`CodeSpec`] to concrete codec behaviour for the simulator:
-//! repair planning over stripe positions, zero-padding masks, and
-//! verify-mode payload reconstruction.
+//! The simulator's historical name for [`xorbas_core::Codec`]. The codec
+//! object lives in core now; this path stays because the frozen
+//! `benchmark/` harness imports it.
 
-use xorbas_core::{
-    CodeError, CodeSpec, ErasureCodec, Lrc, PiggybackRs, ReedSolomon, RepairPlan, RepairSession,
-    RepairTask, WideLrc, WidePiggyback, WideReedSolomon,
-};
-
-/// Highest stripe blocklength GF(2^8) supports (`q - 1`); wider specs
-/// build over GF(2^16).
-const GF256_MAX_LANES: usize = 255;
-
-/// A concrete redundancy implementation for one [`CodeSpec`].
-///
-/// [`CodecInstance::build`] picks the field from the geometry: specs
-/// whose base code fits GF(2^8) use it (one-byte symbols, the paper's
-/// deployment); wider stripes — e.g. [`CodeSpec::RS_200_60`] or the
-/// [`CodeSpec::LRC_WIDE`] layout at 260 lanes — build over GF(2^16).
-#[derive(Debug, Clone)]
-pub enum CodecInstance {
-    /// Plain replication: repair = copy a surviving replica.
-    Replication {
-        /// Number of copies.
-        replicas: usize,
-    },
-    /// Reed-Solomon ("HDFS-RS").
-    Rs(ReedSolomon),
-    /// Locally repairable code ("HDFS-Xorbas").
-    Lrc(Lrc),
-    /// Reed-Solomon over GF(2^16) (wide stripes).
-    RsWide(WideReedSolomon),
-    /// Locally repairable code over GF(2^16) (wide stripes).
-    LrcWide(WideLrc),
-    /// Piggybacked Reed-Solomon (repair-bandwidth-optimal RS).
-    Piggyback(PiggybackRs),
-    /// Piggybacked Reed-Solomon over GF(2^16) (wide stripes).
-    PiggybackWide(WidePiggyback),
-}
-
-impl CodecInstance {
-    /// Builds the codec for a spec (Appendix-D constructions), choosing
-    /// GF(2^8) or GF(2^16) by the spec's base-code blocklength.
-    pub fn build(spec: CodeSpec) -> Result<Self, CodeError> {
-        match spec {
-            CodeSpec::Replication { replicas } => {
-                if replicas < 2 {
-                    return Err(CodeError::InvalidParameters(
-                        "replication needs at least 2 copies".into(),
-                    ));
-                }
-                Ok(CodecInstance::Replication { replicas })
-            }
-            CodeSpec::ReedSolomon { k, m } if k + m <= GF256_MAX_LANES => {
-                Ok(CodecInstance::Rs(ReedSolomon::new(k, m)?))
-            }
-            CodeSpec::ReedSolomon { k, m } => {
-                Ok(CodecInstance::RsWide(WideReedSolomon::new(k, m)?))
-            }
-            CodeSpec::Lrc(spec) if spec.total_blocks() <= GF256_MAX_LANES => {
-                Ok(CodecInstance::Lrc(Lrc::new(spec)?))
-            }
-            CodeSpec::Lrc(spec) => Ok(CodecInstance::LrcWide(WideLrc::new(spec)?)),
-            CodeSpec::Piggyback { k, m } if k + m <= GF256_MAX_LANES => {
-                Ok(CodecInstance::Piggyback(PiggybackRs::new(k, m)?))
-            }
-            CodeSpec::Piggyback { k, m } => {
-                Ok(CodecInstance::PiggybackWide(WidePiggyback::new(k, m)?))
-            }
-        }
-    }
-
-    /// The spec this instance implements.
-    pub fn spec(&self) -> CodeSpec {
-        match self {
-            CodecInstance::Replication { replicas } => CodeSpec::Replication {
-                replicas: *replicas,
-            },
-            CodecInstance::Rs(rs) => rs.spec(),
-            CodecInstance::Lrc(lrc) => lrc.spec(),
-            CodecInstance::RsWide(rs) => rs.spec(),
-            CodecInstance::LrcWide(lrc) => lrc.spec(),
-            CodecInstance::Piggyback(pb) => pb.spec(),
-            CodecInstance::PiggybackWide(pb) => pb.spec(),
-        }
-    }
-
-    /// Stripe blocklength `n`.
-    pub fn total_blocks(&self) -> usize {
-        self.spec().total_blocks()
-    }
-
-    /// Plans reconstruction of `targets` given `unavailable` positions.
-    pub fn repair_plan_for(
-        &self,
-        unavailable: &[usize],
-        targets: &[usize],
-    ) -> Result<RepairPlan, CodeError> {
-        match self {
-            CodecInstance::Replication { replicas } => {
-                let survivor = (0..*replicas).find(|p| !unavailable.contains(p));
-                let Some(survivor) = survivor else {
-                    return Err(CodeError::Unrecoverable {
-                        erased: unavailable.to_vec(),
-                    });
-                };
-                Ok(RepairPlan {
-                    missing: targets.to_vec(),
-                    tasks: targets
-                        .iter()
-                        .map(|&t| RepairTask {
-                            repairs: vec![t],
-                            reads: vec![survivor],
-                            half_reads: vec![],
-                            light: true,
-                        })
-                        .collect(),
-                })
-            }
-            CodecInstance::Rs(rs) => rs.repair_plan_for(unavailable, targets),
-            CodecInstance::Lrc(lrc) => lrc.repair_plan_for(unavailable, targets),
-            CodecInstance::RsWide(rs) => rs.repair_plan_for(unavailable, targets),
-            CodecInstance::LrcWide(lrc) => lrc.repair_plan_for(unavailable, targets),
-            CodecInstance::Piggyback(pb) => pb.repair_plan_for(unavailable, targets),
-            CodecInstance::PiggybackWide(pb) => pb.repair_plan_for(unavailable, targets),
-        }
-    }
-
-    /// Compiles a reusable [`RepairSession`] for one failure pattern
-    /// (see [`ErasureCodec::repair_session`]). Sessions cache the decode
-    /// solve, so the BlockFixer's repeated same-pattern repairs stay
-    /// solve-free and allocation-free; `None` for replication, whose
-    /// "repair" is a plain replica copy with no codec state to compile.
-    pub fn repair_session(
-        &self,
-        unavailable: &[usize],
-    ) -> Option<Result<RepairSession, CodeError>> {
-        match self {
-            CodecInstance::Replication { .. } => None,
-            CodecInstance::Rs(rs) => Some(rs.repair_session(unavailable)),
-            CodecInstance::Lrc(lrc) => Some(lrc.repair_session(unavailable)),
-            CodecInstance::RsWide(rs) => Some(rs.repair_session(unavailable)),
-            CodecInstance::LrcWide(lrc) => Some(lrc.repair_session(unavailable)),
-            CodecInstance::Piggyback(pb) => Some(pb.repair_session(unavailable)),
-            CodecInstance::PiggybackWide(pb) => Some(pb.repair_session(unavailable)),
-        }
-    }
-
-    /// Zero-copy encode into caller-owned parity lanes (see
-    /// [`ErasureCodec::encode_into`]). For replication, every "parity"
-    /// lane is a copy of the single data lane.
-    pub fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        match self {
-            CodecInstance::Replication { replicas } => {
-                if data.len() != 1 || parity.len() != replicas - 1 {
-                    return Err(CodeError::ShardCountMismatch {
-                        expected: *replicas,
-                        got: data.len() + parity.len(),
-                    });
-                }
-                for lane in parity.iter_mut() {
-                    if lane.len() != data[0].len() {
-                        return Err(CodeError::ShardSizeMismatch);
-                    }
-                    lane.copy_from_slice(data[0]);
-                }
-                Ok(())
-            }
-            CodecInstance::Rs(rs) => rs.encode_into(data, parity),
-            CodecInstance::Lrc(lrc) => lrc.encode_into(data, parity),
-            CodecInstance::RsWide(rs) => rs.encode_into(data, parity),
-            CodecInstance::LrcWide(lrc) => lrc.encode_into(data, parity),
-            CodecInstance::Piggyback(pb) => pb.encode_into(data, parity),
-            CodecInstance::PiggybackWide(pb) => pb.encode_into(data, parity),
-        }
-    }
-
-    /// Which positions of a stripe with `real_data` data blocks are
-    /// structurally zero and therefore not stored (§3.1.1 zero padding).
-    ///
-    /// Data positions beyond `real_data` are virtual; a local parity is
-    /// virtual when its whole group is virtual (its XOR would be the
-    /// zero block); global parities are always stored.
-    pub fn virtual_mask(&self, real_data: usize) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.virtual_mask_into(real_data, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CodecInstance::virtual_mask`]: fills
-    /// a caller-reused buffer (cleared first). The namespace loader
-    /// calls this once per stripe, so warehouse-scale loads stay free of
-    /// per-stripe allocation.
-    pub fn virtual_mask_into(&self, real_data: usize, out: &mut Vec<bool>) {
-        out.clear();
-        // The mask depends only on the geometry, never the field, so it
-        // is derived from the spec — both field instantiations of one
-        // layout share it.
-        match self.spec() {
-            CodeSpec::Replication { replicas } => out.resize(replicas, false),
-            // The piggybacked RS shares the RS lane layout; its parities
-            // are always stored (a piggyback of virtual zero lanes is
-            // just the clean RS parity).
-            CodeSpec::ReedSolomon { k, m } | CodeSpec::Piggyback { k, m } => {
-                out.extend((0..k + m).map(|p| p < k && p >= real_data));
-            }
-            CodeSpec::Lrc(spec) => {
-                let k = spec.k;
-                let g = spec.global_parities;
-                let n = spec.total_blocks();
-                out.extend((0..n).map(|p| {
-                    if p < k {
-                        p >= real_data
-                    } else if p < k + g {
-                        false // global parities
-                    } else if p < k + g + spec.data_groups() {
-                        // S_t is zero when its group holds no real data.
-                        let t = p - k - g;
-                        t * spec.group_size >= real_data
-                    } else {
-                        false // stored parity-group parity
-                    }
-                }));
-            }
-        }
-    }
-
-    /// Verify-mode encoding: produces all `n` position payloads from `k`
-    /// data payloads. A thin owned-`Vec` wrapper over
-    /// [`CodecInstance::encode_into`], mirroring the core trait's
-    /// wrapper so the two paths cannot diverge.
-    pub fn encode_payloads(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let len = data.first().map_or(0, Vec::len);
-        let parity_lanes = self.total_blocks().saturating_sub(data.len());
-        let mut stripe = data.to_vec();
-        let mut parity = vec![vec![0u8; len]; parity_lanes];
-        {
-            let data_refs: Vec<&[u8]> = stripe.iter().map(Vec::as_slice).collect();
-            let mut parity_refs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
-            self.encode_into(&data_refs, &mut parity_refs)?;
-        }
-        stripe.extend(parity);
-        Ok(stripe)
-    }
-
-    /// Verify-mode reconstruction of every `None` shard in place. A thin
-    /// owned-`Vec` wrapper over the session path ([`ErasureCodec`
-    /// default semantics](xorbas_core::ErasureCodec::reconstruct));
-    /// replication copies a surviving replica.
-    pub fn reconstruct_payloads(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
-        match self {
-            CodecInstance::Replication { .. } => {
-                let survivor = shards
-                    .iter()
-                    .flatten()
-                    .next()
-                    .cloned()
-                    .ok_or(CodeError::Unrecoverable { erased: vec![] })?;
-                for s in shards.iter_mut() {
-                    if s.is_none() {
-                        *s = Some(survivor.clone());
-                    }
-                }
-                Ok(())
-            }
-            CodecInstance::Rs(rs) => rs.reconstruct(shards).map(|_| ()),
-            CodecInstance::Lrc(lrc) => lrc.reconstruct(shards).map(|_| ()),
-            CodecInstance::RsWide(rs) => rs.reconstruct(shards).map(|_| ()),
-            CodecInstance::LrcWide(lrc) => lrc.reconstruct(shards).map(|_| ()),
-            CodecInstance::Piggyback(pb) => pb.reconstruct(shards).map(|_| ()),
-            CodecInstance::PiggybackWide(pb) => pb.reconstruct(shards).map(|_| ()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn replication_plan_copies_one_survivor() {
-        let c = CodecInstance::build(CodeSpec::REPLICATION_3).unwrap();
-        let plan = c.repair_plan_for(&[0, 2], &[0, 2]).unwrap();
-        assert_eq!(plan.tasks.len(), 2);
-        for t in &plan.tasks {
-            assert_eq!(t.reads, vec![1]);
-            assert!(t.light);
-        }
-        assert!(c.repair_plan_for(&[0, 1, 2], &[0]).is_err());
-    }
-
-    #[test]
-    fn masks_for_full_stripes_are_all_real() {
-        for spec in [CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5] {
-            let c = CodecInstance::build(spec).unwrap();
-            assert!(c.virtual_mask(10).iter().all(|&v| !v));
-        }
-    }
-
-    #[test]
-    fn rs_mask_pads_missing_data_only() {
-        let c = CodecInstance::build(CodeSpec::RS_10_4).unwrap();
-        let mask = c.virtual_mask(3);
-        assert_eq!(mask.iter().filter(|&&v| v).count(), 7);
-        assert!(!mask[0] && !mask[2]);
-        assert!(mask[3] && mask[9]);
-        assert!(!mask[10] && !mask[13]); // parities stored
-    }
-
-    #[test]
-    fn lrc_mask_drops_empty_group_local_parity() {
-        // 3 real data blocks: group 2 (positions 5..10) is entirely
-        // virtual, so S2 (position 15) is virtual too.
-        let c = CodecInstance::build(CodeSpec::LRC_10_6_5).unwrap();
-        let mask = c.virtual_mask(3);
-        assert!(!mask[14], "S1 has real members");
-        assert!(mask[15], "S2 covers only padding");
-        assert!(mask[4] && mask[9]);
-        assert!(!mask[10] && !mask[13]);
-        // 6 real data groups -> both locals real.
-        let mask6 = c.virtual_mask(6);
-        assert!(!mask6[14] && !mask6[15]);
-    }
-
-    #[test]
-    fn payload_round_trip_all_schemes() {
-        let data: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8 + 1; 16]).collect();
-        for spec in [CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5] {
-            let c = CodecInstance::build(spec).unwrap();
-            let stripe = c.encode_payloads(&data).unwrap();
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            shards[0] = None;
-            shards[11] = None;
-            c.reconstruct_payloads(&mut shards).unwrap();
-            assert_eq!(shards[0].as_ref().unwrap(), &stripe[0]);
-            assert_eq!(shards[11].as_ref().unwrap(), &stripe[11]);
-        }
-        let c = CodecInstance::build(CodeSpec::REPLICATION_3).unwrap();
-        let stripe = c.encode_payloads(&data[..1]).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[2] = None;
-        c.reconstruct_payloads(&mut shards).unwrap();
-        assert_eq!(shards[2].as_ref().unwrap(), &stripe[0]);
-    }
-
-    #[test]
-    fn build_rejects_degenerate_replication() {
-        assert!(CodecInstance::build(CodeSpec::Replication { replicas: 1 }).is_err());
-    }
-
-    #[test]
-    fn wide_specs_build_over_gf65536_and_keep_repair_local() {
-        // 260-lane stripes exceed GF(2^8); build must pick the wide
-        // field automatically and plan with the real wide codecs.
-        let lrc = CodecInstance::build(CodeSpec::LRC_WIDE).unwrap();
-        assert!(matches!(lrc, CodecInstance::LrcWide(_)));
-        assert_eq!(lrc.total_blocks(), 260);
-        let plan = lrc.repair_plan_for(&[3], &[3]).unwrap();
-        assert!(plan.is_light());
-        assert_eq!(plan.blocks_read(), 10);
-
-        let rs = CodecInstance::build(CodeSpec::RS_200_60).unwrap();
-        assert!(matches!(rs, CodecInstance::RsWide(_)));
-        let plan = rs.repair_plan_for(&[3], &[3]).unwrap();
-        assert!(!plan.is_light());
-        assert_eq!(plan.blocks_read(), 200);
-
-        // Narrow specs keep the GF(2^8) instantiation.
-        assert!(matches!(
-            CodecInstance::build(CodeSpec::RS_10_4).unwrap(),
-            CodecInstance::Rs(_)
-        ));
-    }
-
-    #[test]
-    fn piggyback_builds_both_fields_and_reads_fewer_bytes() {
-        let pb = CodecInstance::build(CodeSpec::PB_10_4).unwrap();
-        assert!(matches!(pb, CodecInstance::Piggyback(_)));
-        let plan = pb.repair_plan_for(&[3], &[3]).unwrap();
-        assert!(!plan.is_light());
-        assert_eq!(plan.blocks_read(), 11);
-        assert!(plan.read_volume() <= 7.0);
-
-        let wide = CodecInstance::build(CodeSpec::PB_200_60).unwrap();
-        assert!(matches!(wide, CodecInstance::PiggybackWide(_)));
-        assert_eq!(wide.total_blocks(), 260);
-        let plan = wide.repair_plan_for(&[3], &[3]).unwrap();
-        // (k + group)/2 with groups of 200/59 rounded: far below k=200.
-        assert!(plan.read_volume() < 0.52 * 200.0, "{}", plan.read_volume());
-
-        // Same zero-padding mask as RS, and payload round-trip.
-        assert_eq!(
-            pb.virtual_mask(3),
-            CodecInstance::build(CodeSpec::RS_10_4)
-                .unwrap()
-                .virtual_mask(3)
-        );
-        let data: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8 + 1; 16]).collect();
-        let stripe = pb.encode_payloads(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[11] = None;
-        pb.reconstruct_payloads(&mut shards).unwrap();
-        assert_eq!(shards[0].as_ref().unwrap(), &stripe[0]);
-        assert_eq!(shards[11].as_ref().unwrap(), &stripe[11]);
-    }
-
-    #[test]
-    fn wide_lrc_payload_round_trip() {
-        // Verify-mode arithmetic through the GF(2^16) codec: encode all
-        // 260 lanes from 200 data payloads and restore a mixed failure.
-        let c = CodecInstance::build(CodeSpec::LRC_WIDE).unwrap();
-        let data: Vec<Vec<u8>> = (0..200).map(|i| vec![(i % 251) as u8 + 1; 16]).collect();
-        let stripe = c.encode_payloads(&data).unwrap();
-        assert_eq!(stripe.len(), 260);
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[0] = None; // data lane
-        shards[230] = None; // global parity lane
-        c.reconstruct_payloads(&mut shards).unwrap();
-        assert_eq!(shards[0].as_ref().unwrap(), &stripe[0]);
-        assert_eq!(shards[230].as_ref().unwrap(), &stripe[230]);
-    }
-}
+pub use xorbas_core::Codec as CodecInstance;

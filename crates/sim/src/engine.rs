@@ -42,10 +42,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use xorbas_core::{CodeError, RepairPlan, RepairSession, StripeViewMut};
+use xorbas_core::{CodeError, Codec, RepairPlan, RepairSession, StripeViewMut};
 
 use crate::arena::StripeArena;
-use crate::codecs::CodecInstance;
 use crate::config::{ReadPolicy, SimConfig};
 use crate::fasthash::{FastMap, FastSet};
 use crate::hdfs::{BlockId, FileId, Hdfs, NodeId, Placement, Position, StripeId};
@@ -250,7 +249,7 @@ pub struct Simulation {
     /// Current simulated time.
     pub clock: SimTime,
     cfg: SimConfig,
-    codec: CodecInstance,
+    codec: Codec,
     /// The namespace (public for inspection by drivers and tests).
     pub hdfs: Hdfs,
     placement: Placement,
@@ -333,7 +332,7 @@ pub struct Simulation {
 impl Simulation {
     /// A fresh simulation for the given configuration.
     pub fn new(cfg: SimConfig) -> Self {
-        let codec = CodecInstance::build(cfg.code).expect("valid code spec");
+        let codec = Codec::build(cfg.code).expect("valid code spec");
         let nodes = cfg.cluster.nodes;
         let slots = cfg.cluster.map_slots_per_node;
         let mut free_slot_index = vec![BTreeSet::new(); slots + 1];
@@ -380,7 +379,7 @@ impl Simulation {
         }
     }
 
-    /// [`CodecInstance::repair_plan_for`] through the pattern memo:
+    /// [`Codec::repair_plan_for`] through the pattern memo:
     /// recoverable plans are cached once and shared out by `Rc`;
     /// unrecoverable patterns stay uncached (they abandon the stripe
     /// exactly once). Hits allocate nothing: the key is encoded into a
@@ -434,7 +433,7 @@ impl Simulation {
     }
 
     /// The codec instance in use.
-    pub fn codec(&self) -> &CodecInstance {
+    pub fn codec(&self) -> &Codec {
         &self.codec
     }
 
@@ -517,7 +516,7 @@ impl Simulation {
             while remaining > 0 || j == 0 {
                 let real = remaining.min(k);
                 remaining -= real;
-                let data: Vec<Vec<u8>> = (0..k)
+                let mut stripe: Vec<Vec<u8>> = (0..code.total_blocks())
                     .map(|i| {
                         if i < real {
                             deterministic_payload(base + j, i, self.cfg.payload_bytes)
@@ -526,8 +525,11 @@ impl Simulation {
                         }
                     })
                     .collect();
-                match self.codec.encode_payloads(&data) {
-                    Ok(stripe) => {
+                let (data, parity) = stripe.split_at_mut(k);
+                let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                let mut parity: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+                match self.codec.encode_into(&data, &mut parity) {
+                    Ok(()) => {
                         payload_table.insert(base + j, stripe);
                     }
                     // Unencodable data would only mean this constructor
@@ -541,7 +543,6 @@ impl Simulation {
                 }
             }
         }
-        let codec = self.codec.clone();
         let verify = self.cfg.verify_payloads;
         let pad_locals = self.cfg.pad_local_parities;
         self.hdfs
@@ -554,7 +555,7 @@ impl Simulation {
                 &self.alive,
                 &mut self.rng,
                 |real, mask| {
-                    codec.virtual_mask_into(real, mask);
+                    code.virtual_mask_into(real, mask);
                     if pad_locals {
                         // Deployed HDFS-Xorbas stored all-zero local
                         // parities; only data padding stays virtual.
@@ -1859,30 +1860,6 @@ impl Simulation {
             debug_assert!(false, "verify mode stores payloads");
             return;
         };
-        if let CodecInstance::Replication { .. } = codec {
-            // Replication repair is a replica copy; verify against any
-            // surviving replica's payload.
-            let survivor = positions.iter().enumerate().find_map(|(pos, p)| match p {
-                Position::Real(b) if pos != target_pos => {
-                    let bm = hdfs.block(*b);
-                    if bm.location.is_some() {
-                        hdfs.payload(*b)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            });
-            let Some(survivor) = survivor else {
-                debug_assert!(false, "a replica survives any repaired loss");
-                return;
-            };
-            assert_eq!(
-                survivor, want,
-                "repair of block {block} corrupted its payload"
-            );
-            return;
-        }
         let n = positions.len();
         let len = this.cfg.payload_bytes;
         let lanes = this.stripe_arena.lanes(n, len);
@@ -1912,9 +1889,9 @@ impl Simulation {
         let session = match this.session_cache.entry(missing.clone()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(slot) => {
-                // Replication was handled above and a block was just
-                // repaired, so this pattern must compile; if it does
-                // not, skip verification rather than poison the cache.
+                // A block was just repaired, so this pattern must
+                // compile; if it does not, skip verification rather
+                // than poison the cache.
                 let Some(Ok(session)) = codec.repair_session(&missing) else {
                     debug_assert!(false, "repaired erasure patterns compile to sessions");
                     return;
@@ -2138,19 +2115,28 @@ mod tests {
 
     #[test]
     fn replication_repairs_with_single_copy_reads() {
-        let mut cfg = small_cfg(CodeSpec::REPLICATION_3);
-        cfg.verify_payloads = false; // replicated loader stores no payloads
-        let mut sim = Simulation::new(cfg);
-        sim.load_replicated_file("r", 30, 3);
-        let victim = sim.node_with_block_count_near(5).unwrap();
-        let lost = sim.hdfs.blocks_on(victim).len();
-        assert!(lost > 0);
-        sim.kill_node_at(SimTime::from_secs(1), victim);
-        sim.run_until_idle(SimTime::from_mins(600));
-        assert!(sim.hdfs.lost_blocks().is_empty());
-        let per_block = sim.metrics.snapshot().hdfs_bytes_read
-            / (lost as f64 * sim.config().cluster.block_bytes as f64);
-        assert!((per_block - 1.0).abs() < 1e-9);
+        for verify in [false, true] {
+            let mut cfg = small_cfg(CodeSpec::REPLICATION_3);
+            cfg.verify_payloads = verify;
+            let mut sim = Simulation::new(cfg);
+            if verify {
+                // Through the RAID loader replication is the [3,1] code:
+                // every replica carries the payload, and each repair is
+                // replayed through a compiled session and compared.
+                sim.load_raided_file("r", 30);
+            } else {
+                sim.load_replicated_file("r", 30, 3); // stores no payloads
+            }
+            let victim = sim.node_with_block_count_near(5).unwrap();
+            let lost = sim.hdfs.blocks_on(victim).len();
+            assert!(lost > 0);
+            sim.kill_node_at(SimTime::from_secs(1), victim);
+            sim.run_until_idle(SimTime::from_mins(600));
+            assert!(sim.hdfs.lost_blocks().is_empty());
+            let per_block = sim.metrics.snapshot().hdfs_bytes_read
+                / (lost as f64 * sim.config().cluster.block_bytes as f64);
+            assert!((per_block - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xorbas_core::{CodeError, CodeSpec};
+use xorbas_core::{CodeError, CodeSpec, Codec};
 
-use crate::codecs::CodecInstance;
 use crate::config::{ClusterScale, ReadPolicy, SimConfig};
 use crate::engine::Simulation;
 use crate::failures::{sample_day_failures, TraceConfig};
@@ -742,7 +741,7 @@ pub struct CodeComparisonRow {
 /// out-of-group lanes contribute a single substripe half. Errors if
 /// the spec cannot build or cannot survive a single data loss.
 pub fn single_data_loss_cost(spec: CodeSpec) -> Result<(f64, f64), CodeError> {
-    let codec = CodecInstance::build(spec)?;
+    let codec = Codec::build(spec)?;
     let k = spec.data_blocks();
     let mut volume = 0.0;
     let mut blocks = 0.0;

@@ -319,19 +319,15 @@ impl Hdfs {
                     self.position_arena.push(Position::Virtual);
                     continue;
                 }
+                // Positions `k..n` are parities (replication's copies
+                // included): globals right after the data, an LRC's
+                // local parities after those.
                 let kind = if pos < k {
                     BlockKind::Data
+                } else if code.is_local_parity(pos) {
+                    BlockKind::LocalParity
                 } else {
-                    // Positions `k..n` are parities: the codec layout
-                    // puts global parities right after data, local
-                    // parities after that. Replication never reaches
-                    // this branch, and the loop bound keeps `pos < n`.
-                    match code {
-                        CodeSpec::Lrc(spec) if pos >= k + spec.global_parities => {
-                            BlockKind::LocalParity
-                        }
-                        _ => BlockKind::GlobalParity,
-                    }
+                    BlockKind::GlobalParity
                 };
                 let node = nodes[node_iter];
                 node_iter += 1;

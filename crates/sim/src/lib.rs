@@ -22,7 +22,7 @@
 //! | §5.1 metrics | [`metrics`] | bytes read / network traffic / repair duration, Fig.-5 series |
 //! | §5.2–5.3 experiments | [`experiment`] | Figs. 4–7, Table 2/3 drivers, warehouse Monte-Carlo |
 //! | Fig. 1 failure trace | [`failures`] | overdispersed node-failure process |
-//! | §2.1 / §3.1.2 codecs | [`codecs`] | bridge to `xorbas_core` repair planning |
+//! | §2.1 / §3.1.2 codecs | [`xorbas_core::Codec`] | the real planners and decoders ([`codecs`] keeps the old `CodecInstance` name) |
 //! | §5.2.4 degraded reads | [`workload`] | Zipf/hot-spot client reads, serve policies, Rashmi et al. pin |
 //! | — | [`config`] | cluster presets incl. the 3000-node [`config::ClusterScale`] |
 //! | — | [`time`], [`arena`], [`fasthash`] | µs clock, lane reuse, hot-map hashing |

@@ -8,8 +8,8 @@
 //! the in-process determinism test plus the second invocation prove the
 //! whole gate reproducible within and across processes.
 //!
-//! The committed `BENCH_PR10.json` table is emitted by
-//! `examples/three_way.rs` from the same scenario and seeds.
+//! `examples/three_way.rs` prints the full table from the same scenario
+//! and seeds.
 
 use xorbas_core::CodeSpec;
 use xorbas_sim::{

@@ -18,8 +18,7 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xorbas::codes::CodeSpec;
-use xorbas::sim::codecs::CodecInstance;
+use xorbas::codes::{CodeSpec, Codec};
 use xorbas::sim::{
     run_scale_scenario, PercentileSummary, ScaleScenario, ServePolicy, ServingSummary,
     RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION,
@@ -32,7 +31,7 @@ const CHUNK_BYTES: usize = 256 * 1024;
 const FILE_BYTES: usize = 24 << 20; // 24 MiB -> ~10 stripes at k=10
 
 struct Outcome {
-    name: &'static str,
+    name: String,
     direct: usize,
     degraded: usize,
     light: usize,
@@ -60,7 +59,7 @@ fn run_spec(spec: CodeSpec) -> Outcome {
     let directory = Arc::new(Mutex::new(Directory::new(&addrs, SERVERS, 42)));
     let sessions = SessionCache::default();
     let mut client = ClusterClient::new(
-        CodecInstance::build(spec).expect("build codec"),
+        Codec::build(spec).expect("build codec"),
         CHUNK_BYTES,
         Arc::clone(&directory),
         RetryPolicy::default(),
@@ -78,7 +77,7 @@ fn run_spec(spec: CodeSpec) -> Outcome {
     // pays the session compile; the cache serves the rest.
     let k = spec.data_blocks();
     let mut out = Outcome {
-        name: spec.name_static(),
+        name: spec.name(),
         direct: 0,
         degraded: 0,
         light: 0,
@@ -115,21 +114,7 @@ fn run_spec(spec: CodeSpec) -> Outcome {
     out
 }
 
-trait SpecName {
-    fn name_static(&self) -> &'static str;
-}
-
-impl SpecName for CodeSpec {
-    fn name_static(&self) -> &'static str {
-        match self {
-            CodeSpec::Lrc(_) => "Xorbas LRC (10,6,5)",
-            CodeSpec::ReedSolomon { .. } => "RS (10,4)",
-            _ => "replication",
-        }
-    }
-}
-
-/// Renders one latency tail as the JSON fragment the bench file keeps.
+/// Renders one latency tail as a JSON fragment.
 fn tail_json(p: &PercentileSummary) -> String {
     format!(
         r#"{{"count":{},"p50_ms":{:.3},"p99_ms":{:.3},"p999_ms":{:.3}}}"#,
@@ -158,8 +143,9 @@ fn serving_run_json(seed: u64, s: &ServingSummary) -> String {
 
 /// The simulated serving plane: a week of Zipf reads against the
 /// 60-node trace-driven cluster, unavailable blocks served degraded
-/// (or, in the last run, parked on the BlockFixer). Prints the
-/// BENCH_PR9 JSON line the repo pins in CI.
+/// (or, in the last run, parked on the BlockFixer). The same scenario is
+/// pinned by `crates/sim/tests/serving_scenario.rs` and timed by the
+/// benchmark's `sim_serving` workload (`benchmark/README.md`).
 fn serving_plane() {
     println!("\nsimulated serving plane: 7-day Zipf workload, 60 nodes, LRC (10,6,5)\n");
     println!("policy         seed  reads    degraded%  1-loss%  deg p50/p99/p999 ms");
@@ -206,7 +192,7 @@ fn serving_plane() {
         RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION * 100.0
     );
     println!(
-        r#"BENCH_PR9 {{"bench":"sim serving plane","scenario":"serving_mode","code":"LRC(10,6,5)","days":7,"nodes":60,"reads_per_sec":1.0,"zipf_s":1.1,"rashmi_single_loss_fraction":{RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION},"runs":[{}]}}"#,
+        r#"serving_plane {{"bench":"sim serving plane","scenario":"serving_mode","code":"LRC(10,6,5)","days":7,"nodes":60,"reads_per_sec":1.0,"zipf_s":1.1,"rashmi_single_loss_fraction":{RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION},"runs":[{}]}}"#,
         runs.join(",")
     );
 }

@@ -4,8 +4,8 @@
 //! Prints the comparison table — storage overhead, distance bound,
 //! plan-level single-data-loss cost (volume and touched blocks), and
 //! the cluster-measured repair traffic per lost block — then the
-//! `BENCH_PR10` JSON line the repo commits as `BENCH_PR10.json`. The
-//! same scenario and seeds are pinned in CI by
+//! same table as one `three_way` JSON line. The same scenario and seeds
+//! are pinned in CI by
 //! `crates/sim/tests/three_way_scenario.rs`.
 //!
 //! Run with: `cargo run --release --example three_way`
@@ -93,7 +93,7 @@ fn main() {
 
     let row_lines: Vec<String> = rows.iter().map(row_json).collect();
     println!(
-        r#"BENCH_PR10 {{"bench":"three-way codec comparison","scenario":"fast_mode","days":14,"nodes":60,"seeds":[5,17,23],"gate":{{"metric":"piggyback_over_rs_single_data_loss_volume","max":0.75,"measured":{:.4}}},"cluster_ratio_piggyback_over_rs":{:.4},"rows":[{}]}}"#,
+        r#"three_way {{"bench":"three-way codec comparison","scenario":"fast_mode","days":14,"nodes":60,"seeds":[5,17,23],"gate":{{"metric":"piggyback_over_rs_single_data_loss_volume","max":0.75,"measured":{:.4}}},"cluster_ratio_piggyback_over_rs":{:.4},"rows":[{}]}}"#,
         plan_ratio,
         cluster_ratio,
         row_lines.join(","),

@@ -1,6 +1,7 @@
 //! Cross-codec differential harness (PR 10): one generic suite driving
-//! all three codec families — RS (10,4), LRC (10,6,5), and piggybacked
-//! RS (10,4) — through the identical checks:
+//! all four codec families — RS (10,4), LRC (10,6,5), piggybacked
+//! RS (10,4), and 3-replication as the `[3, 1]` repetition code — through
+//! the identical checks:
 //!
 //! * roundtrip at assorted symbol-aligned lengths (including the
 //!   byte-scale odd tails the serial fallback handles);
@@ -10,16 +11,16 @@
 //!   `encode_into`, and `encode_into_parallel`;
 //! * repair-read costs asserted *exactly* per family: RS always reads
 //!   `k` lanes, the LRC light decoder reads its 5-lane local group,
-//!   and a piggyback single-data-lane repair moves strictly fewer than
+//!   a piggyback single-data-lane repair moves strictly fewer than
 //!   `k` lane-volumes (the ISSUE's ~30% byte saving) while touching
-//!   `k + 1` lanes.
+//!   `k + 1` lanes, and replication copies one surviving replica.
 //!
 //! CI runs this harness under both native kernel dispatch and
 //! `XORBAS_FORCE_SCALAR=1`, so a SIMD-only or scalar-only regression in
 //! any family cannot hide.
 
 use xorbas::codes::{
-    encode_into_parallel, ErasureCodec, Lrc, PiggybackRs, ReedSolomon, StripeViewMut,
+    encode_into_parallel, ErasureCodec, Lrc, PiggybackRs, ReedSolomon, Replication, StripeViewMut,
 };
 
 /// Deterministic pseudo-random payloads from a seed.
@@ -115,8 +116,9 @@ fn differential_suite<C: ErasureCodec + Sync>(codec: &C, name: &str) {
         assert_all_paths_agree(codec, name, &data, &[i % n], 3);
     }
 
-    // Every single- and double-erasure pattern (all three families
-    // have distance 5, so every such pattern must recover).
+    // Every single- and double-erasure pattern (the coded families
+    // have distance 5 and 3-replication distance 3, so every such
+    // pattern must recover).
     let len = 32 * sb;
     let data = seeded_data(k, len, 0xD1F);
     for a in 0..n {
@@ -145,6 +147,12 @@ fn piggyback_passes_the_differential_suite() {
     differential_suite(&pb, "pb(10,4)");
 }
 
+#[test]
+fn replication_passes_the_differential_suite() {
+    let rep = Replication::new(3).unwrap();
+    differential_suite(&rep, "3-replication");
+}
+
 /// Repair-read costs pinned exactly, per family, for every lane.
 #[test]
 fn repair_read_costs_are_exact_per_family() {
@@ -164,6 +172,15 @@ fn repair_read_costs_are_exact_per_family() {
         assert_eq!(plan.blocks_read(), 5, "lrc lane {lost}");
         assert_eq!(plan.read_volume(), 5.0, "lrc lane {lost}");
         assert!(plan.tasks[0].light, "lrc lane {lost}");
+    }
+
+    // Replication: every loss copies one surviving replica, light.
+    let rep = Replication::new(3).unwrap();
+    for lost in 0..rep.total_blocks() {
+        let plan = rep.repair_plan(&[lost]).unwrap();
+        assert_eq!(plan.blocks_read(), 1, "replica {lost}");
+        assert_eq!(plan.read_volume(), 1.0, "replica {lost}");
+        assert!(plan.tasks[0].light, "replica {lost}");
     }
 
     // Piggyback: a lost data lane touches k+1 = 11 lanes but moves
