@@ -2,8 +2,8 @@
 
 pub struct KernelSuite {
     pub backend: KernelBackend,
-    pub xor: fn(),
-    pub mul: fn(),
+    pub xor_multi: fn(),
+    pub mul_multi: fn(),
 }
 
 pub enum KernelBackend {
@@ -19,26 +19,26 @@ impl KernelBackend {
     ];
 }
 
-fn scalar_xor() {}
-fn scalar_mul() {}
-fn ssse3_xor() {}
-fn avx2_xor() {}
-fn avx2_mul() {}
+fn scalar_xor_multi() {}
+fn scalar_mul_multi() {}
+fn ssse3_xor_multi() {}
+fn avx2_xor_multi() {}
+fn avx2_mul_multi() {}
 
 static SCALAR_SUITE: KernelSuite = KernelSuite {
     backend: KernelBackend::Scalar,
-    xor: scalar_xor,
-    mul: scalar_mul,
+    xor_multi: scalar_xor_multi,
+    mul_multi: scalar_mul_multi,
 };
 
 static SSSE3_SUITE: KernelSuite = KernelSuite {
     backend: KernelBackend::Ssse3,
-    xor: ssse3_xor,
-    mul: avx2_mul,
+    xor_multi: ssse3_xor_multi,
+    mul_multi: avx2_mul_multi,
 };
 
 static AVX2_SUITE: KernelSuite = KernelSuite {
     backend: KernelBackend::Avx2,
-    xor: avx2_xor,
+    xor_multi: avx2_xor_multi,
     ..SCALAR_SUITE
 };

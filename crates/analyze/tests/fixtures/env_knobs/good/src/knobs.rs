@@ -1,5 +1,5 @@
 //! Fixture: every knob read is documented.
 
-pub fn force_scalar() -> bool {
-    std::env::var("XORBAS_FORCE_SCALAR").is_ok()
+pub fn backend_pinned() -> bool {
+    std::env::var("XORBAS_KERNEL_BACKEND").is_ok()
 }

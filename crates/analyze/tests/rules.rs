@@ -125,7 +125,7 @@ fn dispatch_flags_miswired_and_incomplete_tables() {
     assert!(at_40.iter().any(|m| m.contains("functional update")));
     assert!(at_40
         .iter()
-        .any(|m| m.contains("does not assign `KernelSuite` field `mul`")));
+        .any(|m| m.contains("does not assign `KernelSuite` field `mul_multi`")));
 }
 
 // ----- hot-path-no-alloc --------------------------------------------

@@ -1,79 +1,30 @@
 //! Ablation A5 — GF(2^m) byte-slice kernel throughput.
 //!
-//! The hot path of every encode and repair is a handful of slice
-//! kernels: pure XOR (what the LRC light decoder runs), GF(2^8)
-//! multiply (what RS encode and heavy decode run), the fused
-//! multi-source row kernels (one `dst` pass per output lane), and the
-//! GF(2^16) split-table kernels for wider fields. Each single-source
-//! kernel is measured on every backend the CPU supports *and* through
-//! the process-wide dispatched entry point, so a dispatch regression and
-//! a kernel regression are distinguishable; the fused lanes measure the
-//! row shapes the codecs actually issue (cf. Uezato, "Accelerating
-//! XOR-based Erasure Coding", SC 2021).
+//! The hot path of every encode and repair is the fused multi-source
+//! row (one `dst` pass per output lane): pure XOR rows (what the LRC
+//! light decoder runs), GF(2^8) rows (what RS encode and heavy decode
+//! run), and GF(2^16) rows for wider fields. Each row shape is measured
+//! on every backend the CPU supports *and* through the process-wide
+//! dispatched entry point, so a dispatch regression and a kernel
+//! regression are distinguishable; the `looped_` lanes issue the same
+//! row as n one-source calls — one `dst` pass per source — which is
+//! what fusion saves (cf. Uezato, "Accelerating XOR-based Erasure
+//! Coding", SC 2021).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use xorbas_core::{ErasureCodec, Lrc};
 use xorbas_gf::slice_ops::{
-    mul_acc, mul_acc_multi, mul_into, payload_mul_acc, payload_mul_acc_multi, scale, xor_into,
-    xor_into_multi, KernelBackend,
+    mul_acc, mul_acc_multi, payload_mul_acc_multi, xor_into, xor_into_multi, KernelBackend,
 };
 use xorbas_gf::{Field, Gf256, Gf65536};
 
 const BLOCK: usize = 1 << 20; // 1 MiB payloads, the benchmark's lane size
 
-fn bench_xor(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gf_kernels_xor");
-    g.throughput(Throughput::Bytes(BLOCK as u64));
-    let src = vec![0x3Cu8; BLOCK];
-    let mut dst = vec![0xC3u8; BLOCK];
-    for backend in KernelBackend::supported() {
-        g.bench_function(format!("{}_xor_into_1MiB", backend.name()), |b| {
-            b.iter(|| backend.xor_into(black_box(&mut dst), black_box(&src)))
-        });
-    }
-    g.bench_function("xor_into_1MiB", |b| {
-        b.iter(|| xor_into(black_box(&mut dst), black_box(&src)))
-    });
-    g.finish();
-}
-
-fn bench_gf256(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gf_kernels_gf256");
-    g.throughput(Throughput::Bytes(BLOCK as u64));
-    let src = vec![0xA5u8; BLOCK];
-    let mut dst = vec![0x5Au8; BLOCK];
-    let coeff = Gf256::from_index(0x1D);
-    for backend in KernelBackend::supported() {
-        let name = backend.name();
-        g.bench_function(format!("{name}_mul_into_1MiB"), |b| {
-            b.iter(|| backend.mul_into(black_box(&mut dst), black_box(&src), coeff))
-        });
-        g.bench_function(format!("{name}_mul_acc_1MiB"), |b| {
-            b.iter(|| backend.mul_acc(black_box(&mut dst), black_box(&src), coeff))
-        });
-        g.bench_function(format!("{name}_scale_1MiB"), |b| {
-            b.iter(|| backend.scale(black_box(&mut dst), coeff))
-        });
-    }
-    // Dispatched entry points (what the codecs call).
-    g.bench_function("mul_into_1MiB", |b| {
-        b.iter(|| mul_into(black_box(&mut dst), black_box(&src), coeff))
-    });
-    g.bench_function("mul_acc_1MiB", |b| {
-        b.iter(|| mul_acc(black_box(&mut dst), black_box(&src), coeff))
-    });
-    g.bench_function("scale_1MiB", |b| {
-        b.iter(|| scale(black_box(&mut dst), coeff))
-    });
-    g.finish();
-}
-
 fn bench_fused_rows(c: &mut Criterion) {
     // The row shapes the codecs issue: a heavy RS row combines k = 10
     // coefficient streams into one output lane; an LRC light repair
-    // XORs r = 5 streams. Fused lanes make one pass over dst; the
-    // `looped_` lanes are the pre-fusion behavior (one pass per source).
+    // XORs r = 5 streams.
     let srcs: Vec<Vec<u8>> = (0..10)
         .map(|i| {
             (0..BLOCK)
@@ -94,7 +45,7 @@ fn bench_fused_rows(c: &mut Criterion) {
     g.throughput(Throughput::Bytes((10 * BLOCK) as u64));
     for backend in KernelBackend::supported() {
         g.bench_function(format!("{}_mul_acc_multi_10x1MiB", backend.name()), |b| {
-            b.iter(|| backend.mul_acc_multi(black_box(&mut dst), black_box(&pairs)))
+            b.iter(|| backend.payload_mul_acc_multi(black_box(&mut dst), black_box(&pairs)))
         });
     }
     g.bench_function("mul_acc_multi_10x1MiB", |b| {
@@ -111,6 +62,11 @@ fn bench_fused_rows(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("gf_kernels_fused_xor");
     g.throughput(Throughput::Bytes((5 * BLOCK) as u64));
+    for backend in KernelBackend::supported() {
+        g.bench_function(format!("{}_xor_into_multi_5x1MiB", backend.name()), |b| {
+            b.iter(|| backend.xor_into_multi(black_box(&mut dst), black_box(&xor_refs)))
+        });
+    }
     g.bench_function("xor_into_multi_5x1MiB", |b| {
         b.iter(|| xor_into_multi(black_box(&mut dst), black_box(&xor_refs)))
     });
@@ -125,34 +81,10 @@ fn bench_fused_rows(c: &mut Criterion) {
 }
 
 fn bench_gf65536(c: &mut Criterion) {
-    // GF(2^16) two-byte-symbol kernels: the scalar backend is the PR-3
-    // split-table baseline; ssse3/avx2 run the eight-table nibble
-    // `PSHUFB` path. Varied payload bytes so products light every table.
-    let mut g = c.benchmark_group("gf_kernels_gf65536");
-    g.throughput(Throughput::Bytes(BLOCK as u64));
-    let src: Vec<u8> = (0..BLOCK).map(|j| ((j * 7 + 13) % 256) as u8).collect();
-    let mut dst = vec![0xE7u8; BLOCK];
-    let coeff = Gf65536::from_index(0x1021);
-    for backend in KernelBackend::supported() {
-        let name = backend.name();
-        g.bench_function(format!("{name}_payload_mul_acc_1MiB"), |b| {
-            b.iter(|| backend.payload_mul_acc(black_box(&mut dst), black_box(&src), coeff))
-        });
-        g.bench_function(format!("{name}_payload_mul_into_1MiB"), |b| {
-            b.iter(|| backend.payload_mul_into(black_box(&mut dst), black_box(&src), coeff))
-        });
-        g.bench_function(format!("{name}_payload_scale_1MiB"), |b| {
-            b.iter(|| backend.payload_scale(black_box(&mut dst), coeff))
-        });
-    }
-    // Dispatched entry points (what the wide codecs call).
-    g.bench_function("payload_mul_acc_1MiB", |b| {
-        b.iter(|| payload_mul_acc(black_box(&mut dst), black_box(&src), coeff))
-    });
-    g.finish();
-
     // The fused wide row: a wide LRC heavy step or RS(200, 60) encode
-    // column batches 8 general coefficients per fused call.
+    // column batches 8 general coefficients per fused call. The scalar
+    // backend streams split `u16` tables; ssse3/avx2 run the eight-table
+    // nibble `PSHUFB` path. Varied payload bytes light every table.
     let srcs: Vec<Vec<u8>> = (0..8)
         .map(|i| {
             (0..BLOCK)
@@ -165,6 +97,7 @@ fn bench_gf65536(c: &mut Criterion) {
         .enumerate()
         .map(|(i, s)| (Gf65536::from_index(i as u32 * 8191 + 3), s.as_slice()))
         .collect();
+    let mut dst = vec![0xE7u8; BLOCK];
     let mut g = c.benchmark_group("gf_kernels_gf65536_fused");
     g.throughput(Throughput::Bytes((8 * BLOCK) as u64));
     for backend in KernelBackend::supported() {
@@ -209,8 +142,6 @@ fn bench_encode_into_e2e(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_xor,
-    bench_gf256,
     bench_fused_rows,
     bench_gf65536,
     bench_encode_into_e2e

@@ -198,9 +198,8 @@ pub(crate) fn encode_row<F: Field>(out: &mut [u8], data: &[&[u8]], coeff: impl F
 ///
 /// Gathers the row on the stack in [`ENC_FUSE`] batches and issues the
 /// fused multi-source kernels, so `out` is overwritten exactly once and
-/// streamed through memory once — instead of once per source as the old
-/// `mul_into` + `k-1 × mul_acc` loop did. Allocation-free; zero-fills
-/// `out` when the stream is empty.
+/// streamed through memory once, not once per source. Allocation-free;
+/// zero-fills `out` when the stream is empty.
 pub(crate) fn encode_row_iter<'a, F: Field>(
     out: &mut [u8],
     srcs: impl Iterator<Item = (F, &'a [u8])>,
@@ -229,79 +228,6 @@ pub(crate) fn encode_row_iter<'a, F: Field>(
     }
     if !accumulate {
         out.fill(0);
-    }
-}
-
-/// A borrowed read-only stripe: `n` equal-length payload lanes over
-/// caller-owned storage, plus a present/missing mask.
-///
-/// Missing lanes still have backing storage (their contents are simply
-/// meaningless); the mask records which lanes carry real data.
-#[derive(Debug)]
-pub struct StripeView<'a> {
-    lanes: &'a [&'a [u8]],
-    present: LaneMask,
-}
-
-impl<'a> StripeView<'a> {
-    /// A view with every lane present. Fails on ragged lane lengths.
-    pub fn new(lanes: &'a [&'a [u8]]) -> Result<Self> {
-        Self::with_missing(lanes, &[])
-    }
-
-    /// A view whose `missing` lane indices carry no data.
-    ///
-    /// Fails on ragged lane lengths or out-of-range indices.
-    pub fn with_missing(lanes: &'a [&'a [u8]], missing: &[usize]) -> Result<Self> {
-        check_lane_shape(lanes.iter().map(|l| l.len()), lanes.len())?;
-        let mut present = LaneMask::full(lanes.len());
-        for &i in missing {
-            if i >= lanes.len() {
-                return Err(CodeError::InvalidParameters(format!(
-                    "missing lane {i} out of range for {} lanes",
-                    lanes.len()
-                )));
-            }
-            present.clear(i);
-        }
-        Ok(Self { lanes, present })
-    }
-
-    /// Number of lanes (the stripe blocklength `n`).
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Shared payload length in bytes.
-    pub fn lane_len(&self) -> usize {
-        self.lanes.first().map_or(0, |l| l.len())
-    }
-
-    /// Lane `i`'s payload (meaningless when the lane is missing).
-    pub fn lane(&self, i: usize) -> &[u8] {
-        self.lanes[i]
-    }
-
-    /// All lanes, in stripe order.
-    pub fn lanes(&self) -> &[&'a [u8]] {
-        self.lanes
-    }
-
-    /// Whether lane `i` carries real data.
-    pub fn is_present(&self, i: usize) -> bool {
-        self.present.get(i)
-    }
-
-    /// The present/missing mask.
-    pub fn present_mask(&self) -> &LaneMask {
-        &self.present
-    }
-
-    /// The missing lane indices, ascending.
-    pub fn missing_lanes(&self) -> Vec<usize> {
-        (0..self.lanes.len())
-            .filter(|&i| !self.present.get(i))
-            .collect()
     }
 }
 
@@ -385,21 +311,6 @@ impl<'s, 'l> StripeViewMut<'s, 'l> {
             .collect()
     }
 
-    /// Simultaneous `(&mut dst, &src)` access to two distinct lanes —
-    /// the split borrow every `dst ^= c · src` decode step needs.
-    ///
-    /// Panics if `dst == src`.
-    pub fn lane_pair_mut(&mut self, dst: usize, src: usize) -> (&mut [u8], &[u8]) {
-        assert_ne!(dst, src, "decode step reads and writes one lane");
-        if dst < src {
-            let (head, tail) = self.lanes.split_at_mut(src);
-            (&mut *head[dst], &*tail[0])
-        } else {
-            let (head, tail) = self.lanes.split_at_mut(dst);
-            (&mut *tail[0], &*head[src])
-        }
-    }
-
     /// Split borrow for fused row kernels: mutable access to lane `dst`
     /// plus shared access to every other lane, exposed as the lanes
     /// before `dst` and the lanes after it. A source lane `i ≠ dst`
@@ -462,7 +373,7 @@ impl RepairTask {
 /// schedules one network/compute task per entry in `tasks`, and the
 /// reliability model uses plans to derive expected repair traffic per
 /// Markov state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairPlan {
     /// Indices of the missing blocks this plan repairs.
     pub missing: Vec<usize>,
@@ -477,24 +388,38 @@ impl RepairPlan {
         self.tasks.iter().all(|t| t.light)
     }
 
-    /// Number of *distinct* blocks read across all tasks.
-    ///
-    /// Computed with a lane bitset — no sorting, and no heap traffic for
+    /// The blocks the plan reads, deduplicated across tasks, as two
+    /// disjoint lane bitsets: those some task reads whole, and those
+    /// only ever read as half-lanes. No sorting, and no heap traffic for
     /// stripes up to 256 blocks.
-    pub fn blocks_read(&self) -> usize {
+    fn read_lanes(&self) -> (LaneMask, LaneMask) {
         let width = self
             .tasks
             .iter()
             .flat_map(|t| t.reads.iter())
             .max()
             .map_or(0, |&m| m + 1);
-        let mut seen = LaneMask::empty(width);
+        let mut full = LaneMask::empty(width);
+        let mut half = LaneMask::empty(width);
         for task in &self.tasks {
             for &r in &task.reads {
-                seen.set(r);
+                if task.half_reads.contains(&r) {
+                    half.set(r);
+                } else {
+                    full.set(r);
+                }
             }
         }
-        seen.count_ones()
+        for i in full.indices() {
+            half.clear(i);
+        }
+        (full, half)
+    }
+
+    /// Number of *distinct* blocks read across all tasks.
+    pub fn blocks_read(&self) -> usize {
+        let (full, half) = self.read_lanes();
+        full.count_ones() + half.count_ones()
     }
 
     /// Total block-read events, counting a block once per task that reads
@@ -510,54 +435,16 @@ impl RepairPlan {
     /// for whole-lane codecs it equals [`RepairPlan::blocks_read`], and
     /// the piggybacked RS's single-data-loss advantage shows up here.
     pub fn read_volume(&self) -> f64 {
-        let width = self
-            .tasks
-            .iter()
-            .flat_map(|t| t.reads.iter())
-            .max()
-            .map_or(0, |&m| m + 1);
-        let mut full = LaneMask::empty(width);
-        let mut half = LaneMask::empty(width);
-        for task in &self.tasks {
-            for &r in &task.reads {
-                if task.half_reads.contains(&r) {
-                    half.set(r);
-                } else {
-                    full.set(r);
-                }
-            }
-        }
-        let mut volume = full.count_ones() as f64;
-        for i in half.indices() {
-            if !full.get(i) {
-                volume += 0.5;
-            }
-        }
-        volume
+        let (full, half) = self.read_lanes();
+        full.count_ones() as f64 + 0.5 * half.count_ones() as f64
     }
 
     /// Per-block read fractions for the plan, deduplicated across tasks:
     /// `(block, fraction)` with fraction 1.0 for whole-lane reads and
     /// 0.5 for blocks only ever read as half-lanes. Ascending by block.
     pub fn read_fractions(&self) -> Vec<(usize, f64)> {
-        let width = self
-            .tasks
-            .iter()
-            .flat_map(|t| t.reads.iter())
-            .max()
-            .map_or(0, |&m| m + 1);
-        let mut full = LaneMask::empty(width);
-        let mut half = LaneMask::empty(width);
-        for task in &self.tasks {
-            for &r in &task.reads {
-                if task.half_reads.contains(&r) {
-                    half.set(r);
-                } else {
-                    full.set(r);
-                }
-            }
-        }
-        (0..width)
+        let (full, half) = self.read_lanes();
+        (0..full.lanes())
             .filter_map(|i| {
                 if full.get(i) {
                     Some((i, 1.0))
@@ -828,6 +715,25 @@ pub(crate) fn normalize_indices(indices: &[usize], n: usize) -> Result<Vec<usize
     Ok(v)
 }
 
+/// The prelude every `repair_plan_for` shares: both index lists sorted,
+/// deduplicated and range-checked against blocklength `n`, and
+/// `targets ⊆ unavailable` enforced (a codec must never plan to read
+/// the lane it repairs). Returns `(unavailable, targets)`.
+pub(crate) fn normalize_repair_request(
+    unavailable: &[usize],
+    targets: &[usize],
+    n: usize,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let unavailable = normalize_indices(unavailable, n)?;
+    let targets = normalize_indices(targets, n)?;
+    if let Some(&bad) = targets.iter().find(|t| !unavailable.contains(t)) {
+        return Err(CodeError::InvalidParameters(format!(
+            "target block {bad} is not among the unavailable blocks"
+        )));
+    }
+    Ok((unavailable, targets))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,43 +841,28 @@ mod tests {
     }
 
     #[test]
-    fn stripe_view_rejects_ragged_lanes() {
-        let a = [1u8, 2, 3];
-        let b = [4u8, 5];
-        let lanes: Vec<&[u8]> = vec![&a, &b];
+    fn stripe_view_mut_rejects_ragged_lanes() {
+        let mut a = [1u8, 2, 3];
+        let mut b = [4u8, 5];
+        let mut lanes: Vec<&mut [u8]> = vec![&mut a, &mut b];
         assert!(matches!(
-            StripeView::new(&lanes),
+            StripeViewMut::new(&mut lanes, &[]),
             Err(CodeError::ShardSizeMismatch)
         ));
     }
 
     #[test]
-    fn stripe_view_tracks_missing() {
-        let a = [1u8, 2];
-        let b = [3u8, 4];
-        let lanes: Vec<&[u8]> = vec![&a, &b];
-        let v = StripeView::with_missing(&lanes, &[1]).unwrap();
+    fn stripe_view_mut_tracks_missing() {
+        let mut a = [1u8, 2];
+        let mut b = [3u8, 4];
+        let mut lanes: Vec<&mut [u8]> = vec![&mut a, &mut b];
+        assert!(StripeViewMut::new(&mut lanes, &[2]).is_err());
+        let mut v = StripeViewMut::new(&mut lanes, &[1]).unwrap();
         assert!(v.is_present(0) && !v.is_present(1));
         assert_eq!(v.missing_lanes(), vec![1]);
         assert_eq!(v.lane_len(), 2);
-        assert!(StripeView::with_missing(&lanes, &[2]).is_err());
-    }
-
-    #[test]
-    fn stripe_view_mut_lane_pair_splits_both_ways() {
-        let mut a = vec![1u8, 1];
-        let mut b = vec![2u8, 2];
-        let mut lanes: Vec<&mut [u8]> = vec![&mut a, &mut b];
-        let mut v = StripeViewMut::new(&mut lanes, &[0]).unwrap();
-        {
-            let (dst, src) = v.lane_pair_mut(0, 1);
-            dst.copy_from_slice(src);
-        }
-        v.mark_present(0);
-        assert!(v.is_present(0));
-        assert_eq!(v.lane(0), &[2, 2]);
-        let (dst, src) = v.lane_pair_mut(1, 0);
-        assert_eq!(dst.len(), src.len());
+        v.mark_present(1);
+        assert!(v.is_present(1));
     }
 
     #[test]

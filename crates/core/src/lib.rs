@@ -73,9 +73,7 @@ mod replication;
 mod session;
 mod spec;
 
-pub use codec::{
-    ErasureCodec, LaneMask, RepairPlan, RepairReport, RepairTask, StripeView, StripeViewMut,
-};
+pub use codec::{ErasureCodec, LaneMask, RepairPlan, RepairReport, RepairTask, StripeViewMut};
 pub use error::{CodeError, Result};
 pub use handle::Codec;
 pub use linear::decode_solve_count;

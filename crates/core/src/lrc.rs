@@ -23,7 +23,7 @@ use xorbas_linalg::Matrix;
 
 use crate::codec::{
     check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row, encode_row_iter,
-    normalize_indices, ErasureCodec, RepairPlan, RepairTask,
+    normalize_indices, normalize_repair_request, ErasureCodec, RepairPlan, RepairTask,
 };
 use crate::error::{CodeError, Result};
 use crate::linear;
@@ -242,13 +242,7 @@ impl<F: Field> Lrc<F> {
         targets: &[usize],
     ) -> Result<(Vec<PeelStep<F>>, Option<(Vec<usize>, Vec<usize>)>)> {
         let n = self.total_blocks();
-        let unavailable = normalize_indices(unavailable, n)?;
-        let targets = normalize_indices(targets, n)?;
-        if let Some(&bad) = targets.iter().find(|t| !unavailable.contains(t)) {
-            return Err(CodeError::InvalidParameters(format!(
-                "target block {bad} is not among the unavailable blocks"
-            )));
-        }
+        let (unavailable, targets) = normalize_repair_request(unavailable, targets, n)?;
         let mut avail = vec![true; n];
         for &u in &unavailable {
             avail[u] = false;

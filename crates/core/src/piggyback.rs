@@ -40,7 +40,7 @@ use xorbas_gf::{Field, Gf256};
 
 use crate::codec::{
     check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row_iter,
-    normalize_indices, ErasureCodec, RepairPlan, RepairTask,
+    normalize_repair_request, ErasureCodec, RepairPlan, RepairTask,
 };
 use crate::error::{CodeError, Result};
 use crate::session::{CompiledStep, RepairSession};
@@ -348,18 +348,9 @@ impl<F: Field> ErasureCodec for PiggybackRs<F> {
 
     fn repair_plan_for(&self, unavailable: &[usize], targets: &[usize]) -> Result<RepairPlan> {
         let n = self.total_blocks();
-        let unavailable = normalize_indices(unavailable, n)?;
-        let targets = normalize_indices(targets, n)?;
-        if let Some(&bad) = targets.iter().find(|t| !unavailable.contains(t)) {
-            return Err(CodeError::InvalidParameters(format!(
-                "target block {bad} is not among the unavailable blocks"
-            )));
-        }
+        let (unavailable, targets) = normalize_repair_request(unavailable, targets, n)?;
         if targets.is_empty() {
-            return Ok(RepairPlan {
-                missing: vec![],
-                tasks: vec![],
-            });
+            return Ok(RepairPlan::default());
         }
         // The piggyback dividend: exactly one lane lost, and it is data.
         if let [i] = unavailable[..] {

@@ -20,8 +20,8 @@ use xorbas_gf::{Field, Gf256};
 use xorbas_linalg::{special, Matrix};
 
 use crate::codec::{
-    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row, normalize_indices,
-    ErasureCodec, RepairPlan, RepairTask,
+    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row,
+    normalize_repair_request, ErasureCodec, RepairPlan, RepairTask,
 };
 use crate::error::{CodeError, Result};
 use crate::session::RepairSession;
@@ -188,18 +188,9 @@ impl<F: Field> ErasureCodec for ReedSolomon<F> {
 
     fn repair_plan_for(&self, unavailable: &[usize], targets: &[usize]) -> Result<RepairPlan> {
         let n = self.total_blocks();
-        let unavailable = normalize_indices(unavailable, n)?;
-        let targets = normalize_indices(targets, n)?;
-        if let Some(&bad) = targets.iter().find(|t| !unavailable.contains(t)) {
-            return Err(CodeError::InvalidParameters(format!(
-                "target block {bad} is not among the unavailable blocks"
-            )));
-        }
+        let (unavailable, targets) = normalize_repair_request(unavailable, targets, n)?;
         if targets.is_empty() {
-            return Ok(RepairPlan {
-                missing: vec![],
-                tasks: vec![],
-            });
+            return Ok(RepairPlan::default());
         }
         let available: Vec<usize> = (0..n).filter(|i| !unavailable.contains(i)).collect();
         let selection = self.select_decode_columns(&available)?;

@@ -7,7 +7,8 @@
 //! RS and LRC stripes instead of a private branch each.
 
 use crate::codec::{
-    check_data_lanes, check_parity_lanes, normalize_indices, ErasureCodec, RepairPlan, RepairTask,
+    check_data_lanes, check_parity_lanes, normalize_indices, normalize_repair_request,
+    ErasureCodec, RepairPlan, RepairTask,
 };
 use crate::error::{CodeError, Result};
 use crate::session::{CompiledStep, RepairSession};
@@ -58,20 +59,11 @@ impl ErasureCodec for Replication {
     /// One light task per target, each reading the first surviving
     /// replica. Targets keep the caller's order.
     fn repair_plan_for(&self, unavailable: &[usize], targets: &[usize]) -> Result<RepairPlan> {
-        if let Some(bad) = unavailable
-            .iter()
-            .chain(targets)
-            .find(|&&i| i >= self.replicas)
-        {
-            return Err(CodeError::InvalidParameters(format!(
-                "block index {bad} out of range for {} replicas",
-                self.replicas
-            )));
-        }
+        let (unavailable, _) = normalize_repair_request(unavailable, targets, self.replicas)?;
         let survivor = (0..self.replicas)
             .find(|p| !unavailable.contains(p))
-            .ok_or_else(|| CodeError::Unrecoverable {
-                erased: unavailable.to_vec(),
+            .ok_or(CodeError::Unrecoverable {
+                erased: unavailable,
             })?;
         Ok(RepairPlan {
             missing: targets.to_vec(),

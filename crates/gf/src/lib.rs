@@ -18,7 +18,7 @@
 //! (split-nibble `PSHUFB`/`VPSHUFB` on x86) with a portable scalar
 //! fallback — see the [`slice_ops`] module docs for the selection story,
 //! and the repository's `docs/ARCHITECTURE.md` for the
-//! `XORBAS_KERNEL_BACKEND` / `XORBAS_FORCE_SCALAR` override knobs.
+//! `XORBAS_KERNEL_BACKEND` override knob.
 //!
 //! # Module map (paper section → module)
 //!

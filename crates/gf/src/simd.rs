@@ -8,20 +8,20 @@
 //! exactly what `PSHUFB`/`VPSHUFB` compute for a whole vector of bytes
 //! per instruction.
 //!
-//! Three backends implement the same [`KernelSuite`] contract:
+//! Three backends implement the same [`KernelSuite`] contract — three
+//! fused multi-source row kernels, the only shape the codecs issue:
 //!
 //! * **scalar** — portable Rust: 256-entry product-row lookups (the
 //!   nibble tables expanded once per call) and a `u64`-wide XOR. The
-//!   universal fallback, always available, and the reference the SIMD
-//!   paths are property-tested against.
+//!   universal fallback, always available.
 //! * **ssse3** — 128-bit `PSHUFB` kernels.
 //! * **avx2** — 256-bit `VPSHUFB` kernels (the 16-entry tables broadcast
 //!   to both 128-bit lanes).
 //!
 //! Selection happens once per process (see [`KernelBackend::active`])
-//! via `is_x86_feature_detected!`, overridable with environment
-//! variables for testing — the full story is documented on
-//! [`crate::slice_ops`].
+//! via `is_x86_feature_detected!`, overridable with the
+//! `XORBAS_KERNEL_BACKEND` environment variable for testing — the full
+//! story is documented on [`crate::slice_ops`].
 //!
 //! # Safety model
 //!
@@ -73,7 +73,7 @@ impl MulTables {
 
     /// Expands to the classic 256-entry product row (`row[x] = c·x`),
     /// the representation the scalar kernels stream through.
-    pub(crate) fn expand_row(&self) -> [u8; 256] {
+    fn expand_row(&self) -> [u8; 256] {
         let mut row = [0u8; 256];
         for (x, slot) in row.iter_mut().enumerate() {
             *slot = self.lo[x & 0xF] ^ self.hi[x >> 4];
@@ -204,33 +204,18 @@ pub(crate) type XorMultiFn = for<'a> fn(&mut [u8], &[&'a [u8]], bool);
 /// the `bool` is `accumulate`. At most [`WIDE16_FUSE`] sources.
 pub(crate) type Mul16MultiFn = for<'a> fn(&mut [u8], &[(Nibble16Tables, &'a [u8])], bool);
 
-/// One implementation of the byte-payload kernel set. All function
+/// One implementation of the fused-row kernel set. All function
 /// pointers are safe to call with any slice arguments (equal lengths are
 /// the caller's contract, checked by the public wrappers); feature-gated
 /// suites are only reachable through [`suite_for`] after detection.
 pub(crate) struct KernelSuite {
     pub(crate) backend: KernelBackend,
-    /// `dst = c·src` (`accumulate = false`) given prebuilt tables.
-    pub(crate) mul_into: fn(&mut [u8], &[u8], &MulTables),
-    /// `dst ^= c·src` given prebuilt tables.
-    pub(crate) mul_acc: fn(&mut [u8], &[u8], &MulTables),
-    /// In-place `data = c·data` given prebuilt tables.
-    pub(crate) scale: fn(&mut [u8], &MulTables),
-    /// `dst ^= src`.
-    pub(crate) xor_into: fn(&mut [u8], &[u8]),
     /// Fused `dst = [dst ^] Σ cᵢ·srcᵢ` over at most [`MAX_FUSE`] sources:
     /// one pass over `dst` however many sources there are. With no
     /// sources and `accumulate == false` the destination is zero-filled.
     pub(crate) mul_multi: MulMultiFn,
     /// Fused `dst = [dst ^] Σ srcᵢ` over at most [`MAX_FUSE`] sources.
     pub(crate) xor_multi: XorMultiFn,
-    /// GF(2^16) `dst = c·src` over two-byte little-endian symbols
-    /// (`dst.len()` must be even, shared with `src`).
-    pub(crate) mul16_into: fn(&mut [u8], &[u8], &Nibble16Tables),
-    /// GF(2^16) `dst ^= c·src`.
-    pub(crate) mul16_acc: fn(&mut [u8], &[u8], &Nibble16Tables),
-    /// GF(2^16) in-place `data = c·data`.
-    pub(crate) scale16: fn(&mut [u8], &Nibble16Tables),
     /// GF(2^16) fused `dst = [dst ^] Σ cᵢ·srcᵢ` over at most
     /// [`WIDE16_FUSE`] sources: one pass over `dst`. With no sources and
     /// `accumulate == false` the destination is zero-filled.
@@ -241,9 +226,9 @@ pub(crate) struct KernelSuite {
 ///
 /// [`KernelBackend::active`] reports the process-wide choice; the
 /// methods on this enum (defined in [`crate::slice_ops`]) run a specific
-/// backend's kernels directly, which is how the benchmarks compare
-/// scalar against dispatched code and how the equivalence tests pin
-/// SIMD/scalar bit-identity in a single process.
+/// backend's fused rows directly, which is how the benchmarks compare
+/// scalar against dispatched code and how the equivalence tests check
+/// every backend against field arithmetic in a single process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
     /// Portable Rust: product-row lookups and `u64`-wide XOR.
@@ -333,12 +318,9 @@ pub(crate) fn active_suite() -> &'static KernelSuite {
     ACTIVE.get_or_init(select_suite)
 }
 
-/// Applies the environment overrides, then picks the best supported
-/// backend.
+/// Applies the `XORBAS_KERNEL_BACKEND` override, else picks the best
+/// supported backend.
 fn select_suite() -> &'static KernelSuite {
-    if std::env::var("XORBAS_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
-        return &scalar::SUITE;
-    }
     if let Ok(name) = std::env::var("XORBAS_KERNEL_BACKEND") {
         match KernelBackend::parse(&name) {
             Some(requested) => return suite_for(requested),
@@ -370,38 +352,10 @@ pub(crate) mod scalar {
 
     pub(crate) static SUITE: KernelSuite = KernelSuite {
         backend: KernelBackend::Scalar,
-        mul_into,
-        mul_acc,
-        scale,
-        xor_into,
         mul_multi,
         xor_multi,
-        mul16_into,
-        mul16_acc,
-        scale16,
         mul16_multi,
     };
-
-    fn mul_into(dst: &mut [u8], src: &[u8], t: &MulTables) {
-        let row = t.expand_row();
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = row[*s as usize];
-        }
-    }
-
-    fn mul_acc(dst: &mut [u8], src: &[u8], t: &MulTables) {
-        let row = t.expand_row();
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= row[*s as usize];
-        }
-    }
-
-    fn scale(data: &mut [u8], t: &MulTables) {
-        let row = t.expand_row();
-        for d in data.iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
 
     /// Little-endian `u64` load from an 8-byte chunk (as produced by
     /// `chunks_exact(8)`).
@@ -412,7 +366,7 @@ pub(crate) mod scalar {
         u64::from_le_bytes(a)
     }
 
-    pub(super) fn xor_into(dst: &mut [u8], src: &[u8]) {
+    fn xor_into(dst: &mut [u8], src: &[u8]) {
         let mut s = src.chunks_exact(8);
         let mut d = dst.chunks_exact_mut(8);
         for (dc, sc) in (&mut d).zip(&mut s) {
@@ -488,30 +442,13 @@ pub(crate) mod scalar {
 
     /// `dst = [dst ^] c·src` over little-endian 16-bit symbols via the
     /// expanded split input-byte rows — two table reads per symbol.
-    pub(super) fn wide16_mul_rows(dst: &mut [u8], src: &[u8], r: &Wide16Rows, accumulate: bool) {
+    fn wide16_mul_rows(dst: &mut [u8], src: &[u8], r: &Wide16Rows, accumulate: bool) {
         debug_assert_eq!(dst.len() % 2, 0);
         for (dc, sc) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
             let mut p = r.lo[sc[0] as usize] ^ r.hi[sc[1] as usize];
             if accumulate {
                 p ^= u16::from_le_bytes([dc[0], dc[1]]);
             }
-            dc.copy_from_slice(&p.to_le_bytes());
-        }
-    }
-
-    fn mul16_into(dst: &mut [u8], src: &[u8], t: &Nibble16Tables) {
-        wide16_mul_rows(dst, src, &t.expand_rows(), false);
-    }
-
-    fn mul16_acc(dst: &mut [u8], src: &[u8], t: &Nibble16Tables) {
-        wide16_mul_rows(dst, src, &t.expand_rows(), true);
-    }
-
-    fn scale16(data: &mut [u8], t: &Nibble16Tables) {
-        let r = t.expand_rows();
-        debug_assert_eq!(data.len() % 2, 0);
-        for dc in data.chunks_exact_mut(2) {
-            let p = r.lo[dc[0] as usize] ^ r.hi[dc[1] as usize];
             dc.copy_from_slice(&p.to_le_bytes());
         }
     }
@@ -572,42 +509,14 @@ mod x86 {
 
     pub(super) static SSSE3_SUITE: KernelSuite = KernelSuite {
         backend: KernelBackend::Ssse3,
-        mul_into: |d, s, t| {
+        mul_multi: |d, s, acc| {
             // SAFETY: this suite is only reachable via `suite_for`, which
             // verified is_x86_feature_detected!("ssse3").
-            unsafe { ssse3_mul(d, s, t, false) }
-        },
-        mul_acc: |d, s, t| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_mul(d, s, t, true) }
-        },
-        scale: |d, t| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_scale(d, t) }
-        },
-        xor_into: |d, s| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_xor(d, s) }
-        },
-        mul_multi: |d, s, acc| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
             unsafe { ssse3_mul_multi(d, s, acc) }
         },
         xor_multi: |d, s, acc| {
             // SAFETY: as above — SSSE3 presence verified by `suite_for`.
             unsafe { ssse3_xor_multi(d, s, acc) }
-        },
-        mul16_into: |d, s, t| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_mul16(d, s, t, false) }
-        },
-        mul16_acc: |d, s, t| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_mul16(d, s, t, true) }
-        },
-        scale16: |d, t| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_scale16(d, t) }
         },
         mul16_multi: |d, s, acc| {
             // SAFETY: as above — SSSE3 presence verified by `suite_for`.
@@ -617,42 +526,14 @@ mod x86 {
 
     pub(super) static AVX2_SUITE: KernelSuite = KernelSuite {
         backend: KernelBackend::Avx2,
-        mul_into: |d, s, t| {
+        mul_multi: |d, s, acc| {
             // SAFETY: this suite is only reachable via `suite_for`, which
             // verified is_x86_feature_detected!("avx2").
-            unsafe { avx2_mul(d, s, t, false) }
-        },
-        mul_acc: |d, s, t| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_mul(d, s, t, true) }
-        },
-        scale: |d, t| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_scale(d, t) }
-        },
-        xor_into: |d, s| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_xor(d, s) }
-        },
-        mul_multi: |d, s, acc| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
             unsafe { avx2_mul_multi(d, s, acc) }
         },
         xor_multi: |d, s, acc| {
             // SAFETY: as above — AVX2 presence verified by `suite_for`.
             unsafe { avx2_xor_multi(d, s, acc) }
-        },
-        mul16_into: |d, s, t| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_mul16(d, s, t, false) }
-        },
-        mul16_acc: |d, s, t| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_mul16(d, s, t, true) }
-        },
-        scale16: |d, t| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_scale16(d, t) }
         },
         mul16_multi: |d, s, acc| {
             // SAFETY: as above — AVX2 presence verified by `suite_for`.
@@ -673,87 +554,6 @@ mod x86 {
         _mm_xor_si128(l, h)
     }
 
-    /// `dst = [dst ^] c·src` over 16-byte vectors, scalar nibble tail.
-    ///
-    /// # Safety
-    /// Requires SSSE3. `dst` and `src` must not overlap (guaranteed by
-    /// the `&mut`/`&` borrows) and have equal length (checked by the
-    /// public wrappers).
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_mul(dst: &mut [u8], src: &[u8], t: &MulTables, accumulate: bool) {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: caller guarantees SSSE3; all pointer arithmetic stays
-        // within `dst`/`src` because `i + 16 <= n == len` at every load
-        // and store, and `loadu`/`storeu` have no alignment requirement.
-        unsafe {
-            let lo = _mm_loadu_si128(t.lo.as_ptr().cast());
-            let hi = _mm_loadu_si128(t.hi.as_ptr().cast());
-            let mask = _mm_set1_epi8(0x0F);
-            let n = dst.len();
-            let mut i = 0;
-            while i + 16 <= n {
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let mut r = mul_vec128(s, lo, hi, mask);
-                if accumulate {
-                    r = _mm_xor_si128(r, _mm_loadu_si128(dst.as_ptr().add(i).cast()));
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), r);
-                i += 16;
-            }
-            for j in i..n {
-                let p = t.mul_byte(src[j]);
-                dst[j] = if accumulate { dst[j] ^ p } else { p };
-            }
-        }
-    }
-
-    /// In-place `data = c·data`.
-    ///
-    /// # Safety
-    /// Requires SSSE3.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_scale(data: &mut [u8], t: &MulTables) {
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul`.
-        unsafe {
-            let lo = _mm_loadu_si128(t.lo.as_ptr().cast());
-            let hi = _mm_loadu_si128(t.hi.as_ptr().cast());
-            let mask = _mm_set1_epi8(0x0F);
-            let n = data.len();
-            let mut i = 0;
-            while i + 16 <= n {
-                let v = _mm_loadu_si128(data.as_ptr().add(i).cast());
-                _mm_storeu_si128(data.as_mut_ptr().add(i).cast(), mul_vec128(v, lo, hi, mask));
-                i += 16;
-            }
-            for b in data[i..].iter_mut() {
-                *b = t.mul_byte(*b);
-            }
-        }
-    }
-
-    /// `dst ^= src` over 16-byte vectors.
-    ///
-    /// # Safety
-    /// Requires SSSE3 (SSE2 strictly, kept uniform with its suite).
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_xor(dst: &mut [u8], src: &[u8]) {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul`.
-        unsafe {
-            let n = dst.len();
-            let mut i = 0;
-            while i + 16 <= n {
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let d = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), _mm_xor_si128(d, s));
-                i += 16;
-            }
-            for j in i..n {
-                dst[j] ^= src[j];
-            }
-        }
-    }
-
     /// Fused row: one load/store of each `dst` vector regardless of the
     /// number of sources; the per-source tables stay L1-resident.
     ///
@@ -769,8 +569,10 @@ mod x86 {
             }
             return;
         }
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul`, for
-        // every source (all sources share `dst`'s length).
+        // SAFETY: caller guarantees SSSE3; all pointer arithmetic stays
+        // within `dst` and every source (they share `dst`'s length)
+        // because `i + 16 <= n == len` at every load and store, and
+        // `loadu`/`storeu` have no alignment requirement.
         unsafe {
             let mask = _mm_set1_epi8(0x0F);
             let n = dst.len();
@@ -813,7 +615,7 @@ mod x86 {
             }
             return;
         }
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul`.
+        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul_multi`.
         unsafe {
             let n = dst.len();
             let mut i = 0;
@@ -915,87 +717,6 @@ mod x86 {
         (plo, phi)
     }
 
-    /// GF(2^16) `dst = [dst ^] c·src` over 32-byte blocks (16 symbols):
-    /// deinterleave, eight `PSHUFB` lookups, reinterleave; remaining
-    /// symbols run the nibble tail.
-    ///
-    /// # Safety
-    /// Requires SSSE3. Equal, even `dst`/`src` lengths (checked by the
-    /// public wrappers).
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_mul16(dst: &mut [u8], src: &[u8], t: &Nibble16Tables, accumulate: bool) {
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len() % 2, 0);
-        // SAFETY: caller guarantees SSSE3; pointer arithmetic stays in
-        // bounds because `i + 32 <= n == len` at every load and store.
-        unsafe {
-            let tabs = load_tables16(t);
-            let mask = _mm_set1_epi8(0x0F);
-            let even = _mm_loadu_si128(GATHER_EVEN.as_ptr().cast());
-            let odd = _mm_loadu_si128(GATHER_ODD.as_ptr().cast());
-            let n = dst.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let va = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let vb = _mm_loadu_si128(src.as_ptr().add(i + 16).cast());
-                let (lo, hi) = deinterleave128(va, vb, even, odd);
-                let (plo, phi) = mul16_vec128(lo, hi, &tabs, mask);
-                let mut outa = _mm_unpacklo_epi8(plo, phi);
-                let mut outb = _mm_unpackhi_epi8(plo, phi);
-                if accumulate {
-                    outa = _mm_xor_si128(outa, _mm_loadu_si128(dst.as_ptr().add(i).cast()));
-                    outb = _mm_xor_si128(outb, _mm_loadu_si128(dst.as_ptr().add(i + 16).cast()));
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), outa);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i + 16).cast(), outb);
-                i += 32;
-            }
-            while i + 2 <= n {
-                let mut p = t.mul_symbol(u16::from_le_bytes([src[i], src[i + 1]]));
-                if accumulate {
-                    p ^= u16::from_le_bytes([dst[i], dst[i + 1]]);
-                }
-                dst[i..i + 2].copy_from_slice(&p.to_le_bytes());
-                i += 2;
-            }
-        }
-    }
-
-    /// GF(2^16) in-place `data = c·data`.
-    ///
-    /// # Safety
-    /// Requires SSSE3. Even `data` length.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_scale16(data: &mut [u8], t: &Nibble16Tables) {
-        debug_assert_eq!(data.len() % 2, 0);
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul16`.
-        unsafe {
-            let tabs = load_tables16(t);
-            let mask = _mm_set1_epi8(0x0F);
-            let even = _mm_loadu_si128(GATHER_EVEN.as_ptr().cast());
-            let odd = _mm_loadu_si128(GATHER_ODD.as_ptr().cast());
-            let n = data.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let va = _mm_loadu_si128(data.as_ptr().add(i).cast());
-                let vb = _mm_loadu_si128(data.as_ptr().add(i + 16).cast());
-                let (lo, hi) = deinterleave128(va, vb, even, odd);
-                let (plo, phi) = mul16_vec128(lo, hi, &tabs, mask);
-                _mm_storeu_si128(data.as_mut_ptr().add(i).cast(), _mm_unpacklo_epi8(plo, phi));
-                _mm_storeu_si128(
-                    data.as_mut_ptr().add(i + 16).cast(),
-                    _mm_unpackhi_epi8(plo, phi),
-                );
-                i += 32;
-            }
-            while i + 2 <= n {
-                let p = t.mul_symbol(u16::from_le_bytes([data[i], data[i + 1]]));
-                data[i..i + 2].copy_from_slice(&p.to_le_bytes());
-                i += 2;
-            }
-        }
-    }
-
     /// GF(2^16) fused row: one load/store of each `dst` vector pair
     /// regardless of the number of sources; all eight tables per source
     /// stay L1-resident.
@@ -1016,8 +737,9 @@ mod x86 {
             }
             return;
         }
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul16`,
-        // for every source (all sources share `dst`'s length).
+        // SAFETY: caller guarantees SSSE3; pointer arithmetic stays in
+        // bounds of `dst` and every source (they share `dst`'s length)
+        // because `i + 32 <= n == len` at every load and store.
         unsafe {
             let mask = _mm_set1_epi8(0x0F);
             let even = _mm_loadu_si128(GATHER_EVEN.as_ptr().cast());
@@ -1087,85 +809,6 @@ mod x86 {
         unsafe { _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast())) }
     }
 
-    /// `dst = [dst ^] c·src` over 32-byte vectors, scalar nibble tail.
-    ///
-    /// # Safety
-    /// Requires AVX2. Equal `dst`/`src` lengths (checked by wrappers).
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_mul(dst: &mut [u8], src: &[u8], t: &MulTables, accumulate: bool) {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: caller guarantees AVX2; all pointer arithmetic stays
-        // within `dst`/`src` because `i + 32 <= n == len` at every load
-        // and store, and `loadu`/`storeu` have no alignment requirement.
-        unsafe {
-            let lo = broadcast_table(&t.lo);
-            let hi = broadcast_table(&t.hi);
-            let mask = _mm256_set1_epi8(0x0F);
-            let n = dst.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let mut r = mul_vec256(s, lo, hi, mask);
-                if accumulate {
-                    r = _mm256_xor_si256(r, _mm256_loadu_si256(dst.as_ptr().add(i).cast()));
-                }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), r);
-                i += 32;
-            }
-            for j in i..n {
-                let p = t.mul_byte(src[j]);
-                dst[j] = if accumulate { dst[j] ^ p } else { p };
-            }
-        }
-    }
-
-    /// In-place `data = c·data`.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_scale(data: &mut [u8], t: &MulTables) {
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul`.
-        unsafe {
-            let lo = broadcast_table(&t.lo);
-            let hi = broadcast_table(&t.hi);
-            let mask = _mm256_set1_epi8(0x0F);
-            let n = data.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let v = _mm256_loadu_si256(data.as_ptr().add(i).cast());
-                _mm256_storeu_si256(data.as_mut_ptr().add(i).cast(), mul_vec256(v, lo, hi, mask));
-                i += 32;
-            }
-            for b in data[i..].iter_mut() {
-                *b = t.mul_byte(*b);
-            }
-        }
-    }
-
-    /// `dst ^= src` over 32-byte vectors.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_xor(dst: &mut [u8], src: &[u8]) {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul`.
-        unsafe {
-            let n = dst.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, s));
-                i += 32;
-            }
-            for j in i..n {
-                dst[j] ^= src[j];
-            }
-        }
-    }
-
     /// Fused row over 32-byte vectors: one load/store of each `dst`
     /// vector regardless of the number of sources.
     ///
@@ -1180,8 +823,10 @@ mod x86 {
             }
             return;
         }
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul`, for
-        // every source (all sources share `dst`'s length).
+        // SAFETY: caller guarantees AVX2; all pointer arithmetic stays
+        // within `dst` and every source (they share `dst`'s length)
+        // because `i + 32 <= n == len` at every load and store, and
+        // `loadu`/`storeu` have no alignment requirement.
         unsafe {
             let mask = _mm256_set1_epi8(0x0F);
             let n = dst.len();
@@ -1304,83 +949,6 @@ mod x86 {
         )
     }
 
-    /// GF(2^16) `dst = [dst ^] c·src` over 64-byte blocks (32 symbols).
-    ///
-    /// # Safety
-    /// Requires AVX2. Equal, even `dst`/`src` lengths (checked by the
-    /// public wrappers).
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_mul16(dst: &mut [u8], src: &[u8], t: &Nibble16Tables, accumulate: bool) {
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len() % 2, 0);
-        // SAFETY: caller guarantees AVX2; pointer arithmetic stays in
-        // bounds because `i + 64 <= n == len` at every load and store.
-        unsafe {
-            let tabs = load_tables16_256(t);
-            let mask = _mm256_set1_epi8(0x0F);
-            let even = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_EVEN.as_ptr().cast()));
-            let odd = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_ODD.as_ptr().cast()));
-            let n = dst.len();
-            let mut i = 0;
-            while i + 64 <= n {
-                let va = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let vb = _mm256_loadu_si256(src.as_ptr().add(i + 32).cast());
-                let (lo, hi) = deinterleave256(va, vb, even, odd);
-                let (plo, phi) = mul16_vec256(lo, hi, &tabs, mask);
-                let (mut outa, mut outb) = interleave256(plo, phi);
-                if accumulate {
-                    outa = _mm256_xor_si256(outa, _mm256_loadu_si256(dst.as_ptr().add(i).cast()));
-                    outb =
-                        _mm256_xor_si256(outb, _mm256_loadu_si256(dst.as_ptr().add(i + 32).cast()));
-                }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), outa);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i + 32).cast(), outb);
-                i += 64;
-            }
-            while i + 2 <= n {
-                let mut p = t.mul_symbol(u16::from_le_bytes([src[i], src[i + 1]]));
-                if accumulate {
-                    p ^= u16::from_le_bytes([dst[i], dst[i + 1]]);
-                }
-                dst[i..i + 2].copy_from_slice(&p.to_le_bytes());
-                i += 2;
-            }
-        }
-    }
-
-    /// GF(2^16) in-place `data = c·data`.
-    ///
-    /// # Safety
-    /// Requires AVX2. Even `data` length.
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2_scale16(data: &mut [u8], t: &Nibble16Tables) {
-        debug_assert_eq!(data.len() % 2, 0);
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul16`.
-        unsafe {
-            let tabs = load_tables16_256(t);
-            let mask = _mm256_set1_epi8(0x0F);
-            let even = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_EVEN.as_ptr().cast()));
-            let odd = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_ODD.as_ptr().cast()));
-            let n = data.len();
-            let mut i = 0;
-            while i + 64 <= n {
-                let va = _mm256_loadu_si256(data.as_ptr().add(i).cast());
-                let vb = _mm256_loadu_si256(data.as_ptr().add(i + 32).cast());
-                let (lo, hi) = deinterleave256(va, vb, even, odd);
-                let (plo, phi) = mul16_vec256(lo, hi, &tabs, mask);
-                let (outa, outb) = interleave256(plo, phi);
-                _mm256_storeu_si256(data.as_mut_ptr().add(i).cast(), outa);
-                _mm256_storeu_si256(data.as_mut_ptr().add(i + 32).cast(), outb);
-                i += 64;
-            }
-            while i + 2 <= n {
-                let p = t.mul_symbol(u16::from_le_bytes([data[i], data[i + 1]]));
-                data[i..i + 2].copy_from_slice(&p.to_le_bytes());
-                i += 2;
-            }
-        }
-    }
-
     /// GF(2^16) fused row over 64-byte blocks: one load/store of each
     /// `dst` vector pair regardless of the number of sources.
     ///
@@ -1396,8 +964,9 @@ mod x86 {
             }
             return;
         }
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul16`, for
-        // every source (all sources share `dst`'s length).
+        // SAFETY: caller guarantees AVX2; pointer arithmetic stays in
+        // bounds of `dst` and every source (they share `dst`'s length)
+        // because `i + 64 <= n == len` at every load and store.
         unsafe {
             let mask = _mm256_set1_epi8(0x0F);
             let even = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_EVEN.as_ptr().cast()));
@@ -1455,7 +1024,7 @@ mod x86 {
             }
             return;
         }
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul`.
+        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul_multi`.
         unsafe {
             let n = dst.len();
             let mut i = 0;

@@ -1,57 +1,62 @@
 //! Bulk kernels over block payloads, with runtime-dispatched SIMD.
 //!
 //! Erasure coding a 64 MB HDFS block is a long stream of
-//! `dst ^= c * src` operations over GF(2^8) bytes. These kernels are the
-//! hot path of the codecs, and they come in two shapes:
+//! `dst ^= c * src` operations over GF(2^8) bytes. Every piece of that
+//! arithmetic is a *row*: an encode or a compiled heavy repair combines
+//! `k` sources into one output lane, a light repair XORs a 5-block
+//! group (§3.1.2). So the kernels come in exactly **one shape**, the
+//! fused multi-source row `dst = [dst ^] Σ cᵢ·srcᵢ` computed in **one
+//! pass over `dst`** — [`payload_mul_into_multi`] /
+//! [`payload_mul_acc_multi`] for any field, their GF(2^8) spellings
+//! [`mul_into_multi`] / [`mul_acc_multi`], and [`xor_into_multi`] for
+//! the all-ones row. Issuing a row as one fused call instead of `k`
+//! accumulate calls divides the `dst` memory traffic by `k`, which is
+//! where most of the non-SIMD time went (cf. Uezato, SC 2021).
 //!
-//! * **single-source** — [`xor_into`], [`mul_into`], [`mul_acc`],
-//!   [`scale`] and their generic [`payload_mul_into`] /
-//!   [`payload_mul_acc`] / [`payload_scale`] counterparts;
-//! * **fused multi-source** — [`xor_into_multi`], [`mul_into_multi`],
-//!   [`mul_acc_multi`] and the generic [`payload_mul_into_multi`] /
-//!   [`payload_mul_acc_multi`], which compute a whole row
-//!   `dst = Σ cᵢ·srcᵢ` in **one pass over `dst`**. A `(k, m)` encode or
-//!   a compiled heavy repair combines `k` sources per output lane;
-//!   issuing the row as one fused call instead of `k` accumulate calls
-//!   divides the `dst` memory traffic by `k`, which is where most of the
-//!   non-SIMD time went.
+//! Three single-source functions remain — [`xor_into`], [`mul_acc`] and
+//! [`payload_mul_acc`] — as one-line conveniences that pass a
+//! one-element source list to the same fused entry point; they are not a
+//! second kernel family. A one-source fused call measures 0.85–0.89× a
+//! dedicated single-source kernel (AVX2, 1 MiB lanes: the fused loops
+//! reload the per-source tables from L1 for every vector). That is
+//! accepted: no codec, repair session, node or simulator path issues a
+//! one-source row, and a dedicated fast path would be the duplicate
+//! kernel family this design removed.
 //!
 //! # Kernel selection
 //!
-//! Three interchangeable backends implement the byte kernels (see
+//! Three interchangeable backends implement the kernels (see
 //! [`KernelBackend`]): portable **scalar** code (256-entry product-row
 //! lookups, `u64`-wide XOR), **ssse3** (128-bit `PSHUFB` split-nibble),
 //! and **avx2** (256-bit `VPSHUFB`). The module-level functions dispatch
 //! through a process-wide suite chosen once, on first use:
 //!
-//! 1. If `XORBAS_FORCE_SCALAR` is set to a non-empty value other than
-//!    `"0"`, the scalar fallback is used unconditionally — this is how
-//!    CI keeps the portable path exercised.
-//! 2. Otherwise, if `XORBAS_KERNEL_BACKEND` names a backend (`scalar`,
-//!    `ssse3`, `avx2`), that backend is used when the CPU supports it
-//!    (silently falling back to scalar when it does not).
-//! 3. Otherwise the best backend the CPU supports wins, probed with
+//! 1. If `XORBAS_KERNEL_BACKEND` names a backend (`scalar`, `ssse3`,
+//!    `avx2`), that backend is used when the CPU supports it (silently
+//!    falling back to scalar when it does not) — `scalar` is how CI
+//!    keeps the portable path exercised.
+//! 2. Otherwise the best backend the CPU supports wins, probed with
 //!    `is_x86_feature_detected!`: avx2, then ssse3, then scalar.
 //!
-//! [`KernelBackend::active`] reports the outcome, and every kernel is
+//! [`KernelBackend::active`] reports the outcome, and the fused rows are
 //! also callable on an explicit backend (e.g.
-//! [`KernelBackend::mul_acc`]) so benchmarks and equivalence tests can
-//! compare implementations inside one process.
+//! [`KernelBackend::payload_mul_acc_multi`]) so benchmarks and
+//! equivalence tests can compare implementations inside one process.
 //!
-//! To add a backend (NEON is the obvious next one): implement the
-//! `KernelSuite` function set in the crate's private `simd` module
-//! behind the appropriate `target_arch` gate, add a [`KernelBackend`]
-//! variant with its detection
-//! (`std::arch::is_aarch64_feature_detected!`), and extend `suite_for`
-//! — the dispatch, override plumbing, equivalence tests and benches
-//! pick it up from [`KernelBackend::ALL`].
+//! To add a backend (NEON is the obvious next one): implement the three
+//! `KernelSuite` kernels (`mul_multi`, `xor_multi`, `mul16_multi`) in
+//! the crate's private `simd` module behind the appropriate
+//! `target_arch` gate, add a [`KernelBackend`] variant with its
+//! detection (`std::arch::is_aarch64_feature_detected!`), and extend
+//! `suite_for` — the dispatch, override plumbing, equivalence tests and
+//! benches pick it up from [`KernelBackend::ALL`].
 //!
 //! # Field widths
 //!
 //! Byte-wide fields (GF(2^8), and GF(2^4) with one symbol per byte —
 //! source bytes are truncated to the field like `Field::from_index`,
 //! accumulation is bytewise XOR) run the dispatched byte kernels.
-//! GF(2^16) payloads run dedicated two-byte-symbol kernels, dispatched
+//! GF(2^16) payloads run a dedicated two-byte-symbol kernel, dispatched
 //! like the byte kernels: the **scalar** backend streams two 256-entry
 //! split `u16` tables (`c·lo` and `c·(hi·256)`), while **ssse3** and
 //! **avx2** decompose each symbol into four nibbles and look all four
@@ -61,8 +66,9 @@
 //! symbols). Wider or odd-sized fields fall back to a symbol-at-a-time
 //! loop.
 //!
-//! Generic symbol-slice variants (`gf_*`) are provided for matrices and
-//! codecs instantiated over other fields.
+//! [`gf_mul_acc`] is the same operation over symbol slices, one field
+//! multiplication at a time: the reference the kernels are tested
+//! against.
 
 // Hot-path module: every index must be justified. The fused `combine_*`
 // batchers carry audited allows (batch counters are flushed at capacity,
@@ -85,10 +91,9 @@ pub use crate::simd::KernelBackend;
 ///
 /// This is the entirety of the paper's *light decoder* arithmetic: local
 /// parities use coefficients `c_i = 1`, so single-failure repair "performs
-/// a simple XOR" (§3.1.2).
+/// a simple XOR" (§3.1.2). A one-source [`xor_into_multi`].
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "payload length mismatch");
-    (active_suite().xor_into)(dst, src);
+    xor_into_multi(dst, &[src]);
 }
 
 /// Fused `dst ^= src₀ ^ src₁ ^ …` in one pass over `dst`.
@@ -96,34 +101,13 @@ pub fn xor_into(dst: &mut [u8], src: &[u8]) {
 /// Panics if any source length differs from `dst`. An empty source list
 /// is a no-op.
 pub fn xor_into_multi(dst: &mut [u8], srcs: &[&[u8]]) {
-    for s in srcs {
-        assert_eq!(dst.len(), s.len(), "payload length mismatch");
-    }
-    let suite = active_suite();
-    for batch in srcs.chunks(MAX_FUSE) {
-        (suite.xor_multi)(dst, batch, true);
-    }
+    xor_combine(active_suite(), dst, srcs);
 }
 
-/// The product row of a coefficient: `row[x] = c * x` for every byte `x`.
-///
-/// This is the representation the scalar kernels stream through; the
-/// SIMD backends use the two 16-entry nibble tables it expands from.
-#[inline]
-pub fn product_row(c: Gf256) -> [u8; 256] {
-    MulTables::build(c).expand_row()
-}
-
-/// `dst[i] = c * src[i]` for all `i`. Panics if lengths differ.
-pub fn mul_into(dst: &mut [u8], src: &[u8], c: Gf256) {
-    assert_eq!(dst.len(), src.len(), "payload length mismatch");
-    byte_mul(active_suite(), dst, src, c, false);
-}
-
-/// `dst[i] ^= c * src[i]` for all `i`. Panics if lengths differ.
+/// `dst[i] ^= c * src[i]` for all `i`. Panics if lengths differ. A
+/// one-source [`mul_acc_multi`].
 pub fn mul_acc(dst: &mut [u8], src: &[u8], c: Gf256) {
-    assert_eq!(dst.len(), src.len(), "payload length mismatch");
-    byte_mul(active_suite(), dst, src, c, true);
+    mul_acc_multi(dst, &[(c, src)]);
 }
 
 /// Fused row `dst = Σ cᵢ·srcᵢ` over GF(2^8) in one pass over `dst`.
@@ -141,20 +125,8 @@ pub fn mul_acc_multi(dst: &mut [u8], srcs: &[(Gf256, &[u8])]) {
     payload_mul_acc_multi(dst, srcs);
 }
 
-/// In-place scaling: `data[i] *= c`.
-pub fn scale(data: &mut [u8], c: Gf256) {
-    byte_scale(active_suite(), data, c);
-}
-
-/// Generic-field variant of [`xor_into`] over symbol slices.
-pub fn gf_add_assign<F: Field>(dst: &mut [F], src: &[F]) {
-    assert_eq!(dst.len(), src.len(), "symbol length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += *s;
-    }
-}
-
-/// Generic-field variant of [`mul_acc`] over symbol slices.
+/// `dst[i] += c * src[i]` over symbol slices, one field multiplication
+/// per symbol: the reference the payload kernels are tested against.
 pub fn gf_mul_acc<F: Field>(dst: &mut [F], src: &[F], c: F) {
     assert_eq!(dst.len(), src.len(), "symbol length mismatch");
     if c.is_zero() {
@@ -165,125 +137,28 @@ pub fn gf_mul_acc<F: Field>(dst: &mut [F], src: &[F], c: F) {
     }
 }
 
-/// Generic-field variant of [`scale`] over symbol slices.
-pub fn gf_scale<F: Field>(data: &mut [F], c: F) {
-    for d in data.iter_mut() {
-        *d *= c;
-    }
-}
-
-/// `dst = c * src` over *byte payloads* for any field.
-///
-/// The overwrite counterpart of [`payload_mul_acc`]: encode and compiled
-/// repair steps start each output lane with this, skipping the zero-fill
-/// pass an accumulate-only kernel would need. Byte-wide fields run the
-/// dispatched byte kernels; GF(2^16) runs the split-table kernels (the
-/// payload length must then be a multiple of the symbol width); other
-/// widths fall back to a symbol-at-a-time loop.
-pub fn payload_mul_into<F: Field>(dst: &mut [u8], src: &[u8], c: F) {
-    payload_mul_into_in(active_suite(), dst, src, c);
-}
-
-fn payload_mul_into_in<F: Field>(suite: &KernelSuite, dst: &mut [u8], src: &[u8], c: F) {
-    assert_eq!(dst.len(), src.len(), "payload length mismatch");
-    if c.is_zero() {
-        dst.fill(0);
-        return;
-    }
-    if F::SYMBOL_BYTES == 1 {
-        byte_mul_payload(suite, dst, src, c, false);
-        return;
-    }
-    check_symbol_multiple::<F>(dst.len());
-    if c == F::ONE {
-        dst.copy_from_slice(src);
-        return;
-    }
-    if F::BITS == 16 {
-        (suite.mul16_into)(dst, src, &Nibble16Tables::build(c));
-        return;
-    }
-    let b = F::SYMBOL_BYTES;
-    for (dc, sc) in dst.chunks_exact_mut(b).zip(src.chunks_exact(b)) {
-        (c * F::read_symbol(sc)).write_symbol(dc);
-    }
-}
-
-/// `dst ^= c * src` over *byte payloads* for any field.
-///
-/// Byte-wide fields run the dispatched byte kernels; GF(2^16) runs the
-/// split-table kernels (the payload length must then be a multiple of
-/// the symbol width); other widths fall back to a symbol-at-a-time loop.
+/// `dst ^= c * src` over *byte payloads* for any field. Panics if
+/// lengths differ. A one-source [`payload_mul_acc_multi`].
 pub fn payload_mul_acc<F: Field>(dst: &mut [u8], src: &[u8], c: F) {
-    payload_mul_acc_in(active_suite(), dst, src, c);
-}
-
-fn payload_mul_acc_in<F: Field>(suite: &KernelSuite, dst: &mut [u8], src: &[u8], c: F) {
-    assert_eq!(dst.len(), src.len(), "payload length mismatch");
-    if c.is_zero() {
-        return;
-    }
-    if F::SYMBOL_BYTES == 1 {
-        byte_mul_payload(suite, dst, src, c, true);
-        return;
-    }
-    check_symbol_multiple::<F>(dst.len());
-    if c == F::ONE {
-        // Addition is XOR in every GF(2^m), whatever the symbol width.
-        (suite.xor_into)(dst, src);
-        return;
-    }
-    if F::BITS == 16 {
-        (suite.mul16_acc)(dst, src, &Nibble16Tables::build(c));
-        return;
-    }
-    let b = F::SYMBOL_BYTES;
-    for (dc, sc) in dst.chunks_exact_mut(b).zip(src.chunks_exact(b)) {
-        let v = F::read_symbol(dc) + c * F::read_symbol(sc);
-        v.write_symbol(dc);
-    }
-}
-
-/// In-place byte-payload scaling `data *= c` for any field.
-pub fn payload_scale<F: Field>(data: &mut [u8], c: F) {
-    payload_scale_in(active_suite(), data, c);
-}
-
-fn payload_scale_in<F: Field>(suite: &KernelSuite, data: &mut [u8], c: F) {
-    if c == F::ONE {
-        return;
-    }
-    if c.is_zero() {
-        data.fill(0);
-        return;
-    }
-    if F::SYMBOL_BYTES == 1 {
-        byte_scale_payload(suite, data, c);
-        return;
-    }
-    check_symbol_multiple::<F>(data.len());
-    if F::BITS == 16 {
-        (suite.scale16)(data, &Nibble16Tables::build(c));
-        return;
-    }
-    let b = F::SYMBOL_BYTES;
-    for dc in data.chunks_exact_mut(b) {
-        let v = F::read_symbol(dc) * c;
-        v.write_symbol(dc);
-    }
+    payload_mul_acc_multi(dst, &[(c, src)]);
 }
 
 /// Fused row `dst = Σ cᵢ·srcᵢ` over byte payloads for any field, one
 /// pass over `dst`.
 ///
 /// Overwrites `dst` entirely (zero-filling it when no source has a
-/// nonzero coefficient). Panics if any source length differs from `dst`.
+/// nonzero coefficient). Byte-wide fields run the dispatched byte
+/// kernels; GF(2^16) runs the two-byte-symbol kernel (the payload length
+/// must then be a multiple of the symbol width); other widths fall back
+/// to a symbol-at-a-time loop. Panics if any source length differs from
+/// `dst`.
 pub fn payload_mul_into_multi<F: Field>(dst: &mut [u8], srcs: &[(F, &[u8])]) {
     payload_combine(active_suite(), dst, srcs, false);
 }
 
 /// Fused row `dst ^= Σ cᵢ·srcᵢ` over byte payloads for any field, one
-/// pass over `dst`.
+/// pass over `dst`; the accumulating counterpart of
+/// [`payload_mul_into_multi`].
 ///
 /// Panics if any source length differs from `dst`.
 pub fn payload_mul_acc_multi<F: Field>(dst: &mut [u8], srcs: &[(F, &[u8])]) {
@@ -291,63 +166,10 @@ pub fn payload_mul_acc_multi<F: Field>(dst: &mut [u8], srcs: &[(F, &[u8])]) {
 }
 
 impl KernelBackend {
-    /// [`xor_into`] on this backend (scalar fallback when unsupported).
-    pub fn xor_into(self, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "payload length mismatch");
-        (suite_for(self).xor_into)(dst, src);
-    }
-
-    /// [`xor_into_multi`] on this backend.
+    /// [`xor_into_multi`] on this backend (scalar fallback when
+    /// unsupported).
     pub fn xor_into_multi(self, dst: &mut [u8], srcs: &[&[u8]]) {
-        for s in srcs {
-            assert_eq!(dst.len(), s.len(), "payload length mismatch");
-        }
-        let suite = suite_for(self);
-        for batch in srcs.chunks(MAX_FUSE) {
-            (suite.xor_multi)(dst, batch, true);
-        }
-    }
-
-    /// [`mul_into`] on this backend.
-    pub fn mul_into(self, dst: &mut [u8], src: &[u8], c: Gf256) {
-        assert_eq!(dst.len(), src.len(), "payload length mismatch");
-        byte_mul(suite_for(self), dst, src, c, false);
-    }
-
-    /// [`mul_acc`] on this backend.
-    pub fn mul_acc(self, dst: &mut [u8], src: &[u8], c: Gf256) {
-        assert_eq!(dst.len(), src.len(), "payload length mismatch");
-        byte_mul(suite_for(self), dst, src, c, true);
-    }
-
-    /// [`scale`] on this backend.
-    pub fn scale(self, data: &mut [u8], c: Gf256) {
-        byte_scale(suite_for(self), data, c);
-    }
-
-    /// [`mul_into_multi`] on this backend.
-    pub fn mul_into_multi(self, dst: &mut [u8], srcs: &[(Gf256, &[u8])]) {
-        payload_combine(suite_for(self), dst, srcs, false);
-    }
-
-    /// [`mul_acc_multi`] on this backend.
-    pub fn mul_acc_multi(self, dst: &mut [u8], srcs: &[(Gf256, &[u8])]) {
-        payload_combine(suite_for(self), dst, srcs, true);
-    }
-
-    /// [`payload_mul_into`] on this backend.
-    pub fn payload_mul_into<F: Field>(self, dst: &mut [u8], src: &[u8], c: F) {
-        payload_mul_into_in(suite_for(self), dst, src, c);
-    }
-
-    /// [`payload_mul_acc`] on this backend.
-    pub fn payload_mul_acc<F: Field>(self, dst: &mut [u8], src: &[u8], c: F) {
-        payload_mul_acc_in(suite_for(self), dst, src, c);
-    }
-
-    /// [`payload_scale`] on this backend.
-    pub fn payload_scale<F: Field>(self, data: &mut [u8], c: F) {
-        payload_scale_in(suite_for(self), data, c);
+        xor_combine(suite_for(self), dst, srcs);
     }
 
     /// [`payload_mul_into_multi`] on this backend.
@@ -361,6 +183,16 @@ impl KernelBackend {
     }
 }
 
+/// All-ones row `dst ^= Σ srcᵢ`, batched to the kernel's [`MAX_FUSE`].
+fn xor_combine(suite: &KernelSuite, dst: &mut [u8], srcs: &[&[u8]]) {
+    for s in srcs {
+        assert_eq!(dst.len(), s.len(), "payload length mismatch");
+    }
+    for batch in srcs.chunks(MAX_FUSE) {
+        (suite.xor_multi)(dst, batch, true);
+    }
+}
+
 /// Whether the `c == ONE` byte-XOR shortcut is sound for `F`: only for
 /// true 8-bit fields. Sub-byte fields (GF(2^4)) must still truncate
 /// source bytes through the tables, which raw XOR would skip.
@@ -368,67 +200,12 @@ fn one_is_xor<F: Field>() -> bool {
     F::BITS == 8
 }
 
-/// Single-source byte-payload multiply for any byte-wide field.
-fn byte_mul_payload<F: Field>(
-    suite: &KernelSuite,
-    dst: &mut [u8],
-    src: &[u8],
-    c: F,
-    accumulate: bool,
-) {
-    debug_assert_eq!(F::SYMBOL_BYTES, 1);
-    if c == F::ONE && one_is_xor::<F>() {
-        if accumulate {
-            (suite.xor_into)(dst, src);
-        } else {
-            dst.copy_from_slice(src);
-        }
-        return;
-    }
-    let t = MulTables::build(c);
-    if accumulate {
-        (suite.mul_acc)(dst, src, &t);
-    } else {
-        (suite.mul_into)(dst, src, &t);
-    }
-}
-
-/// GF(2^8) single-source multiply with the zero/one shortcuts.
-fn byte_mul(suite: &KernelSuite, dst: &mut [u8], src: &[u8], c: Gf256, accumulate: bool) {
-    if c == Gf256::ZERO {
-        if !accumulate {
-            dst.fill(0);
-        }
-        return;
-    }
-    byte_mul_payload(suite, dst, src, c, accumulate);
-}
-
-/// GF(2^8) in-place scale with the zero/one shortcuts.
-fn byte_scale(suite: &KernelSuite, data: &mut [u8], c: Gf256) {
-    if c == Gf256::ONE {
-        return;
-    }
-    if c == Gf256::ZERO {
-        data.fill(0);
-        return;
-    }
-    (suite.scale)(data, &MulTables::build(c));
-}
-
-/// In-place scale for any byte-wide field (the zero and one shortcuts
-/// are handled by the caller).
-fn byte_scale_payload<F: Field>(suite: &KernelSuite, data: &mut [u8], c: F) {
-    debug_assert_eq!(F::SYMBOL_BYTES, 1);
-    (suite.scale)(data, &MulTables::build(c));
-}
-
 /// Fused-row engine: partitions the sources into unit-coefficient XOR
 /// batches and general multiply batches (each at most
 /// [`MAX_FUSE`] wide, so per-source table state stays on the stack and
 /// in L1) and issues them so `dst` is overwritten exactly once when
-/// `accumulate` is false. This is the single entry point every
-/// multi-source payload call funnels through, whatever the field width.
+/// `accumulate` is false. This is the single entry point every payload
+/// multiply funnels through, whatever the field width or source count.
 fn payload_combine<F: Field>(
     suite: &KernelSuite,
     dst: &mut [u8],
@@ -448,20 +225,17 @@ fn payload_combine<F: Field>(
         return;
     }
     // Odd-width fallback: symbol-at-a-time accumulation.
-    let mut wrote = accumulate;
+    if !accumulate {
+        dst.fill(0);
+    }
+    let b = F::SYMBOL_BYTES;
     for &(c, s) in srcs {
         if c.is_zero() {
             continue;
         }
-        if !wrote {
-            payload_mul_into_in(suite, dst, s, c);
-            wrote = true;
-        } else {
-            payload_mul_acc_in(suite, dst, s, c);
+        for (dc, sc) in dst.chunks_exact_mut(b).zip(s.chunks_exact(b)) {
+            (F::read_symbol(dc) + c * F::read_symbol(sc)).write_symbol(dc);
         }
-    }
-    if !wrote {
-        dst.fill(0);
     }
 }
 
@@ -625,20 +399,17 @@ mod tests {
     }
 
     #[test]
-    fn mul_into_by_one_copies_and_zero_clears() {
-        let src = vec![5u8, 0, 77, 128];
-        let mut dst = vec![1u8; 4];
-        mul_into(&mut dst, &src, Gf256::ONE);
-        assert_eq!(dst, src);
-        mul_into(&mut dst, &src, Gf256::ZERO);
-        assert_eq!(dst, vec![0u8; 4]);
-    }
-
-    #[test]
     #[should_panic(expected = "payload length mismatch")]
     fn mismatched_lengths_panic() {
         let mut dst = vec![0u8; 3];
         xor_into(&mut dst, &[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload length mismatch")]
+    fn mismatched_mul_acc_lengths_panic() {
+        let mut dst = vec![0u8; 3];
+        mul_acc(&mut dst, &[1, 2], Gf256::ZERO);
     }
 
     #[test]
@@ -651,20 +422,19 @@ mod tests {
     }
 
     #[test]
-    fn product_row_matches_field_multiplication() {
-        let c = Gf256::from_index(0x8E);
-        let row = product_row(c);
-        for x in 0..256u32 {
-            assert_eq!(row[x as usize], (c * Gf256::from_index(x)).raw());
-        }
-    }
-
-    #[test]
     fn active_backend_is_supported() {
         let b = KernelBackend::active();
         assert!(b.is_supported());
         assert!(KernelBackend::supported().any(|s| s == b));
         assert_eq!(KernelBackend::parse(b.name()), Some(b));
+        // A per-backend CI pass must run the backend it names, not a
+        // silent fallback.
+        let requested = std::env::var("XORBAS_KERNEL_BACKEND")
+            .ok()
+            .and_then(|name| KernelBackend::parse(&name));
+        if let Some(requested) = requested.filter(|r| r.is_supported()) {
+            assert_eq!(b, requested, "XORBAS_KERNEL_BACKEND was not honoured");
+        }
     }
 
     #[test]
@@ -679,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_multi_matches_mul_acc_loop_over_many_sources() {
+    fn mul_acc_multi_matches_field_arithmetic_over_many_sources() {
         // More sources than MAX_FUSE forces batching; mixed zero, one,
         // and general coefficients exercise all three partitions.
         let n = 4097; // not a multiple of any vector width
@@ -692,17 +462,23 @@ mod tests {
             .collect();
         let coeffs: Vec<Gf256> = (0..40).map(|i| Gf256::from_index(i * 7 % 256)).collect();
         let mut fused = vec![0x5Au8; n];
-        let mut looped = fused.clone();
+        let want: Vec<u8> = (0..n)
+            .map(|j| {
+                let sum: Gf256 = coeffs
+                    .iter()
+                    .zip(&srcs)
+                    .map(|(&c, s)| c * Gf256::new(s[j]))
+                    .sum();
+                (Gf256::new(0x5A) + sum).raw()
+            })
+            .collect();
         let pairs: Vec<(Gf256, &[u8])> = coeffs
             .iter()
             .zip(&srcs)
             .map(|(&c, s)| (c, s.as_slice()))
             .collect();
         mul_acc_multi(&mut fused, &pairs);
-        for (c, s) in &pairs {
-            mul_acc(&mut looped, s, *c);
-        }
-        assert_eq!(fused, looped);
+        assert_eq!(fused, want);
     }
 
     #[test]
@@ -713,13 +489,13 @@ mod tests {
         let c = Gf16::new(0x7);
         let src = [0xF3u8, 0x0A, 0x90];
         let mut dst = [0u8; 3];
-        payload_mul_into(&mut dst, &src, c);
+        payload_mul_into_multi(&mut dst, &[(c, &src)]);
         for (d, s) in dst.iter().zip(src) {
             assert_eq!(*d, (c * Gf16::new(s & 0xF)).raw());
         }
         // ONE is not a raw-XOR shortcut for sub-byte fields.
         let mut dst = [0u8; 3];
-        payload_mul_into(&mut dst, &src, Gf16::ONE);
+        payload_mul_into_multi(&mut dst, &[(Gf16::ONE, &src)]);
         assert_eq!(dst, [0x3, 0xA, 0x0]);
     }
 
@@ -761,63 +537,6 @@ mod tests {
         }
 
         #[test]
-        fn scale_matches_scalar_loop(
-            data in proptest::collection::vec(any::<u8>(), 0..512),
-            c in 0u32..256,
-        ) {
-            let c = Gf256::from_index(c);
-            let mut fast = data.clone();
-            scale(&mut fast, c);
-            let slow: Vec<u8> =
-                data.iter().map(|&d| (c * Gf256::new(d)).raw()).collect();
-            prop_assert_eq!(fast, slow);
-        }
-
-        #[test]
-        fn payload_mul_acc_gf256_matches_specialized(
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-            src in proptest::collection::vec(any::<u8>(), 0..256),
-            c in 0u32..256,
-        ) {
-            let n = data.len().min(src.len());
-            let c = Gf256::from_index(c);
-            let mut generic = data[..n].to_vec();
-            payload_mul_acc(&mut generic, &src[..n], c);
-            let mut specialized = data[..n].to_vec();
-            mul_acc(&mut specialized, &src[..n], c);
-            prop_assert_eq!(generic, specialized);
-        }
-
-        #[test]
-        fn payload_mul_into_matches_mul_into_gf256(
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-            src in proptest::collection::vec(any::<u8>(), 0..256),
-            c in 0u32..256,
-        ) {
-            let n = data.len().min(src.len());
-            let c = Gf256::from_index(c);
-            let mut generic = data[..n].to_vec();
-            payload_mul_into(&mut generic, &src[..n], c);
-            let mut specialized = data[..n].to_vec();
-            mul_into(&mut specialized, &src[..n], c);
-            prop_assert_eq!(generic, specialized);
-        }
-
-        #[test]
-        fn payload_mul_into_matches_acc_over_zeroed_gf65536(
-            src in proptest::collection::vec(any::<u8>(), 0..64),
-            c in 0u32..65536,
-        ) {
-            let n = (src.len() / 2) * 2;
-            let c = Gf65536::from_index(c);
-            let mut direct = vec![0xFFu8; n]; // stale contents must not leak
-            payload_mul_into(&mut direct, &src[..n], c);
-            let mut acc = vec![0u8; n];
-            payload_mul_acc(&mut acc, &src[..n], c);
-            prop_assert_eq!(direct, acc);
-        }
-
-        #[test]
         fn payload_mul_acc_gf65536_matches_symbol_ops(
             data in proptest::collection::vec(any::<u8>(), 0..64),
             src in proptest::collection::vec(any::<u8>(), 0..64),
@@ -831,33 +550,6 @@ mod tests {
             let mut syms: Vec<Gf65536> = bytes_to_symbols(&data[..n]);
             let src_syms: Vec<Gf65536> = bytes_to_symbols(&src[..n]);
             gf_mul_acc(&mut syms, &src_syms, c);
-            prop_assert_eq!(bytes, symbols_to_bytes(&syms));
-        }
-
-        #[test]
-        fn payload_scale_matches_scale(
-            data in proptest::collection::vec(any::<u8>(), 0..128),
-            c in 0u32..256,
-        ) {
-            let c = Gf256::from_index(c);
-            let mut generic = data.clone();
-            payload_scale(&mut generic, c);
-            let mut specialized = data;
-            scale(&mut specialized, c);
-            prop_assert_eq!(generic, specialized);
-        }
-
-        #[test]
-        fn payload_scale_gf65536_matches_symbol_ops(
-            data in proptest::collection::vec(any::<u8>(), 0..64),
-            c in 0u32..65536,
-        ) {
-            let n = (data.len() / 2) * 2;
-            let c = Gf65536::from_index(c);
-            let mut bytes = data[..n].to_vec();
-            payload_scale(&mut bytes, c);
-            let mut syms: Vec<Gf65536> = bytes_to_symbols(&data[..n]);
-            gf_scale(&mut syms, c);
             prop_assert_eq!(bytes, symbols_to_bytes(&syms));
         }
 
@@ -877,28 +569,6 @@ mod tests {
             gf_mul_acc(&mut syms, &src_syms, c);
             let sym_bytes: Vec<u8> = syms.iter().map(|s| s.raw()).collect();
             prop_assert_eq!(bytes, sym_bytes);
-        }
-
-        #[test]
-        fn payload_mul_acc_multi_gf65536_matches_loop(
-            data in proptest::collection::vec(any::<u8>(), 0..96),
-            srcs in proptest::collection::vec(
-                (0u32..65536, proptest::collection::vec(any::<u8>(), 96..97)),
-                0..12,
-            ),
-        ) {
-            let n = (data.len() / 2) * 2;
-            let pairs: Vec<(Gf65536, &[u8])> = srcs
-                .iter()
-                .map(|(c, s)| (Gf65536::from_index(*c), &s[..n]))
-                .collect();
-            let mut fused = data[..n].to_vec();
-            payload_mul_acc_multi(&mut fused, &pairs);
-            let mut looped = data[..n].to_vec();
-            for (c, s) in &pairs {
-                payload_mul_acc(&mut looped, s, *c);
-            }
-            prop_assert_eq!(fused, looped);
         }
     }
 }

@@ -1,23 +1,33 @@
-//! SIMD/scalar bit-identity for every byte kernel, on every backend the
-//! running CPU supports, across adversarial payload shapes: empty
-//! slices, lengths below one vector, lengths that are not a multiple of
-//! any vector width, and misaligned sub-slices. The scalar backend is
-//! the reference; the fused multi-source kernels are additionally
-//! checked against a loop of their single-source counterparts. The
-//! GF(2^16) lanes pin the nibble-table `PSHUFB`/`VPSHUFB` kernels
-//! against the scalar split-table path (and a symbol-at-a-time field
-//! reference) on the same adversarial shapes, two-byte-symbol edition:
-//! even lengths straddling the 32/64-byte vector blocks, with
-//! `&buf[1..]` misaligning every vector load.
+//! Every backend's fused-row kernels against field arithmetic, across
+//! adversarial payload shapes: empty slices, lengths below one vector,
+//! lengths that are not a multiple of any vector width, and misaligned
+//! sub-slices; source counts straddling the fuse-batch limits; overwrite
+//! and accumulate; coefficient mixes containing 0 (dropped) and 1 (XOR
+//! partition). The oracle is one field multiplication per symbol
+//! (`gf_mul_acc` over `bytes_to_symbols`) — no kernel is checked against
+//! another kernel. The three single-source wrappers are pinned to a
+//! one-source fused call bit for bit.
 
 use proptest::prelude::*;
 use xorbas_gf::slice_ops::{self, KernelBackend};
-use xorbas_gf::{Field, Gf256, Gf65536};
+use xorbas_gf::{Field, Gf16, Gf256, Gf65536};
 
-/// Payload lengths chosen to straddle every kernel boundary: empty, a
-/// lone byte, just under/over the 16-byte SSSE3 and 32-byte AVX2 vector
-/// widths, an odd prime, and a few vectors plus a ragged tail.
+/// Payload lengths chosen to straddle every byte-kernel boundary: empty,
+/// a lone byte, just under/over the 16-byte SSSE3 and 32-byte AVX2
+/// vector widths, an odd prime, and a few vectors plus a ragged tail.
 const ADVERSARIAL_LENS: [usize; 12] = [0, 1, 7, 15, 16, 17, 31, 32, 33, 97, 128, 1000];
+
+/// Even payload lengths straddling every GF(2^16) kernel boundary:
+/// empty, one symbol, just under/over the 32-byte SSSE3 and 64-byte
+/// AVX2 symbol blocks, and a long non-multiple tail.
+const ADVERSARIAL_LENS16: [usize; 11] = [0, 2, 6, 30, 32, 34, 62, 64, 66, 94, 1000];
+
+/// Source counts straddling the byte kernels' 16-source batch.
+const SOURCE_COUNTS: [usize; 7] = [0, 1, 2, 15, 16, 17, 33];
+
+/// Source counts straddling the GF(2^16) kernels' 8-source batch and the
+/// 16-source XOR batch its unit coefficients go to.
+const SOURCE_COUNTS16: [usize; 6] = [0, 1, 7, 8, 9, 17];
 
 /// Deterministic pseudo-random payload, distinct per (seed, len).
 fn payload(seed: u64, len: usize) -> Vec<u8> {
@@ -38,215 +48,170 @@ fn backends() -> Vec<KernelBackend> {
     all
 }
 
-#[test]
-fn single_source_kernels_match_scalar_on_adversarial_shapes() {
-    let coeffs = [0u32, 1, 2, 0x1D, 0x8E, 255];
-    for backend in backends() {
-        for &len in &ADVERSARIAL_LENS {
-            // One leading byte so `&buf[1..]` misaligns every vector.
-            let src_buf = payload(len as u64 + 1, len + 1);
-            let dst_buf = payload(len as u64 + 1000, len + 1);
-            let src = &src_buf[1..];
-            for &ci in &coeffs {
-                let c = Gf256::from_index(ci);
-
-                let mut got = dst_buf[1..].to_vec();
-                backend.mul_acc(&mut got, src, c);
-                let mut want = dst_buf[1..].to_vec();
-                KernelBackend::Scalar.mul_acc(&mut want, src, c);
-                assert_eq!(got, want, "{backend:?} mul_acc len {len} c {ci}");
-
-                let mut got = dst_buf[1..].to_vec();
-                backend.mul_into(&mut got, src, c);
-                let mut want = dst_buf[1..].to_vec();
-                KernelBackend::Scalar.mul_into(&mut want, src, c);
-                assert_eq!(got, want, "{backend:?} mul_into len {len} c {ci}");
-
-                let mut got = dst_buf[1..].to_vec();
-                backend.scale(&mut got, c);
-                let mut want = dst_buf[1..].to_vec();
-                KernelBackend::Scalar.scale(&mut want, c);
-                assert_eq!(got, want, "{backend:?} scale len {len} c {ci}");
-            }
-            let mut got = dst_buf[1..].to_vec();
-            backend.xor_into(&mut got, src);
-            let mut want = dst_buf[1..].to_vec();
-            KernelBackend::Scalar.xor_into(&mut want, src);
-            assert_eq!(got, want, "{backend:?} xor_into len {len}");
+/// `[dst0 ^] Σ cᵢ·srcᵢ` by field arithmetic, one symbol at a time.
+/// Addition in GF(2^m) is XOR of the representation, which is also how
+/// the row lands on stale high bits of a sub-byte field's `dst`.
+fn oracle<F: Field>(dst0: &[u8], srcs: &[(F, &[u8])], accumulate: bool) -> Vec<u8> {
+    let mut sum = vec![F::ZERO; dst0.len() / F::SYMBOL_BYTES];
+    for &(c, s) in srcs {
+        slice_ops::gf_mul_acc(&mut sum, &slice_ops::bytes_to_symbols::<F>(s), c);
+    }
+    let mut out = slice_ops::symbols_to_bytes(&sum);
+    if accumulate {
+        for (o, d) in out.iter_mut().zip(dst0) {
+            *o ^= d;
         }
     }
+    out
 }
 
-#[test]
-fn mul_acc_multi_matches_a_loop_of_mul_acc_on_every_backend() {
-    // 0, 1, and MAX_FUSE-straddling source counts; coefficient mix of
-    // zero (dropped), one (XOR partition), and general values.
+/// Runs every supported backend's fused row over `lens × counts ×
+/// {overwrite, accumulate} × {aligned, misaligned}` with three rotations
+/// of a `[general, 0, 1, general']` coefficient mix (so a one-source row
+/// sees a general coefficient, 0 and 1), against the oracle.
+fn check_fused_rows<F: Field>(lens: &[usize], counts: &[usize], general: impl Fn(usize) -> F) {
     for backend in backends() {
-        for &len in &ADVERSARIAL_LENS {
-            for n_srcs in [0usize, 1, 2, 5, 16, 17, 35] {
-                let srcs: Vec<Vec<u8>> = (0..n_srcs)
-                    .map(|i| payload((i * 7 + 3) as u64, len + 1))
-                    .collect();
-                let pairs: Vec<(Gf256, &[u8])> = srcs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (Gf256::from_index((i as u32 * 37) % 256), &s[1..]))
-                    .collect();
-                let dst0 = payload(99, len + 1)[1..].to_vec();
-
-                let mut fused = dst0.clone();
-                backend.mul_acc_multi(&mut fused, &pairs);
-                let mut looped = dst0.clone();
-                for &(c, s) in &pairs {
-                    KernelBackend::Scalar.mul_acc(&mut looped, s, c);
+        for &len in lens {
+            for &n_srcs in counts {
+                for skip in [0usize, 1] {
+                    // `skip = 1` misaligns every vector load and store
+                    // while the slices stay whole symbols.
+                    let bufs: Vec<Vec<u8>> = (0..n_srcs)
+                        .map(|i| payload((i * 7 + 3) as u64, len + skip))
+                        .collect();
+                    let dst_buf = payload(99, len + skip);
+                    for rot in 0..3 {
+                        let pairs: Vec<(F, &[u8])> = bufs
+                            .iter()
+                            .enumerate()
+                            .map(|(i, s)| {
+                                let c = match (i + rot) % 4 {
+                                    1 => F::ZERO,
+                                    2 => F::ONE,
+                                    _ => general(i),
+                                };
+                                (c, &s[skip..])
+                            })
+                            .collect();
+                        for accumulate in [false, true] {
+                            let want = oracle(&dst_buf[skip..], &pairs, accumulate);
+                            let mut got = dst_buf.clone();
+                            if accumulate {
+                                backend.payload_mul_acc_multi(&mut got[skip..], &pairs);
+                            } else {
+                                backend.payload_mul_into_multi(&mut got[skip..], &pairs);
+                            }
+                            assert_eq!(
+                                &got[skip..],
+                                want,
+                                "{backend:?} GF(2^{}) len {len} n {n_srcs} skip {skip} \
+                                 rot {rot} accumulate {accumulate}",
+                                F::BITS
+                            );
+                            assert_eq!(got[..skip], dst_buf[..skip], "wrote before dst");
+                        }
+                    }
                 }
-                assert_eq!(fused, looped, "{backend:?} acc_multi len {len} n {n_srcs}");
-
-                let mut fused_into = dst0.clone();
-                backend.mul_into_multi(&mut fused_into, &pairs);
-                let mut looped_into = vec![0u8; len];
-                for &(c, s) in &pairs {
-                    KernelBackend::Scalar.mul_acc(&mut looped_into, s, c);
-                }
-                assert_eq!(
-                    fused_into, looped_into,
-                    "{backend:?} into_multi len {len} n {n_srcs}"
-                );
             }
         }
     }
 }
 
 #[test]
-fn xor_into_multi_matches_a_loop_of_xor_into_on_every_backend() {
+fn gf256_fused_rows_match_field_arithmetic_on_every_backend() {
+    check_fused_rows(&ADVERSARIAL_LENS, &SOURCE_COUNTS, |i| {
+        Gf256::from_index((i as u32 * 37 + 0x1D) % 256)
+    });
+}
+
+#[test]
+fn gf16_fused_rows_match_field_arithmetic_on_every_backend() {
+    // One symbol per byte: dirty high nibbles in the sources must be
+    // truncated, and ONE must not take the raw-XOR shortcut.
+    check_fused_rows(&ADVERSARIAL_LENS, &SOURCE_COUNTS, |i| {
+        Gf16::from_index((i as u32 * 5 + 7) % 16)
+    });
+}
+
+#[test]
+fn gf65536_fused_rows_match_field_arithmetic_on_every_backend() {
+    // General coefficients include values lighting every nibble table.
+    check_fused_rows(&ADVERSARIAL_LENS16, &SOURCE_COUNTS16, |i| {
+        Gf65536::from_index((i as u32 * 9973 + 0x8E2B) % 65536)
+    });
+}
+
+#[test]
+fn xor_rows_match_bytewise_xor_on_every_backend() {
     for backend in backends() {
         for &len in &ADVERSARIAL_LENS {
-            for n_srcs in [0usize, 1, 3, 16, 17] {
+            for &n_srcs in &SOURCE_COUNTS {
                 let srcs: Vec<Vec<u8>> = (0..n_srcs)
                     .map(|i| payload((i + 11) as u64, len + 1))
                     .collect();
                 let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[1..]).collect();
-                let dst0 = payload(7, len + 1)[1..].to_vec();
-
-                let mut fused = dst0.clone();
-                backend.xor_into_multi(&mut fused, &refs);
-                let mut looped = dst0.clone();
-                for s in &refs {
-                    KernelBackend::Scalar.xor_into(&mut looped, s);
-                }
-                assert_eq!(fused, looped, "{backend:?} xor_multi len {len} n {n_srcs}");
+                let dst_buf = payload(7, len + 1);
+                let want: Vec<u8> = (0..len)
+                    .map(|j| refs.iter().fold(dst_buf[1 + j], |acc, s| acc ^ s[j]))
+                    .collect();
+                let mut got = dst_buf.clone();
+                backend.xor_into_multi(&mut got[1..], &refs);
+                assert_eq!(&got[1..], want, "{backend:?} xor len {len} n {n_srcs}");
             }
         }
     }
 }
 
 #[test]
-fn module_level_kernels_agree_with_the_active_backend() {
+fn single_source_wrappers_equal_a_one_source_fused_call() {
     let active = KernelBackend::active();
-    let src = payload(5, 777);
-    let mut via_module = payload(6, 777);
-    let mut via_backend = via_module.clone();
-    let c = Gf256::from_index(0xB7);
-    slice_ops::mul_acc(&mut via_module, &src, c);
-    active.mul_acc(&mut via_backend, &src, c);
-    assert_eq!(via_module, via_backend);
+    for &len in &ADVERSARIAL_LENS16 {
+        let src = &payload(5, len + 1)[1..];
+        let dst0 = payload(6, len);
+
+        let mut wrapped = dst0.clone();
+        slice_ops::xor_into(&mut wrapped, src);
+        let mut fused = dst0.clone();
+        active.xor_into_multi(&mut fused, &[src]);
+        assert_eq!(wrapped, fused, "xor_into len {len}");
+
+        for ci in [0u32, 1, 0xB7] {
+            let c = Gf256::from_index(ci);
+            let mut wrapped = dst0.clone();
+            slice_ops::mul_acc(&mut wrapped, src, c);
+            let mut generic = dst0.clone();
+            slice_ops::payload_mul_acc(&mut generic, src, c);
+            let mut fused = dst0.clone();
+            active.payload_mul_acc_multi(&mut fused, &[(c, src)]);
+            assert_eq!(wrapped, fused, "mul_acc len {len} c {ci}");
+            assert_eq!(generic, fused, "payload_mul_acc<Gf256> len {len} c {ci}");
+        }
+        for ci in [0u32, 1, 0x1021] {
+            let c = Gf65536::from_index(ci);
+            let mut wrapped = dst0.clone();
+            slice_ops::payload_mul_acc(&mut wrapped, src, c);
+            let mut fused = dst0.clone();
+            active.payload_mul_acc_multi(&mut fused, &[(c, src)]);
+            assert_eq!(
+                wrapped, fused,
+                "payload_mul_acc<Gf65536> len {len} c {ci:#x}"
+            );
+        }
+    }
 }
 
 #[test]
 fn unsupported_backends_fall_back_to_scalar_results() {
     // Even if a backend is unsupported on this CPU, calling it must be
-    // safe and bit-identical (it silently runs the scalar suite).
+    // safe and correct (it silently runs the scalar suite).
     let src = payload(1, 100);
-    let c = Gf256::from_index(0x53);
-    let mut want = payload(2, 100);
-    KernelBackend::Scalar.mul_acc(&mut want, &src, c);
+    let pairs = [(Gf256::from_index(0x53), src.as_slice())];
+    let dst0 = payload(2, 100);
+    let want = oracle(&dst0, &pairs, true);
     for backend in KernelBackend::ALL {
-        let mut got = payload(2, 100);
-        backend.mul_acc(&mut got, &src, c);
+        let mut got = dst0.clone();
+        backend.payload_mul_acc_multi(&mut got, &pairs);
         assert_eq!(got, want, "{backend:?}");
-    }
-}
-
-/// Even payload lengths straddling every GF(2^16) kernel boundary:
-/// empty, one symbol, just under/over the 32-byte SSSE3 and 64-byte
-/// AVX2 symbol blocks, and a long non-multiple tail.
-const ADVERSARIAL_LENS16: [usize; 11] = [0, 2, 6, 30, 32, 34, 62, 64, 66, 94, 1000];
-
-#[test]
-fn gf65536_single_source_kernels_match_scalar_on_adversarial_shapes() {
-    // Coefficient mix: zero (early-out), one (XOR/copy shortcut), the
-    // primitive-polynomial tail, and values lighting every nibble table.
-    let coeffs = [0u32, 1, 2, 0x1021, 0x8E2B, 0xFFFF];
-    for backend in backends() {
-        for &len in &ADVERSARIAL_LENS16 {
-            // One leading byte so `&buf[1..]` misaligns every vector
-            // load while the slice itself stays whole symbols.
-            let src_buf = payload(len as u64 + 7, len + 1);
-            let dst_buf = payload(len as u64 + 3000, len + 1);
-            let src = &src_buf[1..];
-            for &ci in &coeffs {
-                let c = Gf65536::from_index(ci);
-
-                let mut got = dst_buf[1..].to_vec();
-                backend.payload_mul_acc(&mut got, src, c);
-                let mut want = dst_buf[1..].to_vec();
-                KernelBackend::Scalar.payload_mul_acc(&mut want, src, c);
-                assert_eq!(got, want, "{backend:?} mul16_acc len {len} c {ci:#x}");
-
-                let mut got = dst_buf[1..].to_vec();
-                backend.payload_mul_into(&mut got, src, c);
-                let mut want = dst_buf[1..].to_vec();
-                KernelBackend::Scalar.payload_mul_into(&mut want, src, c);
-                assert_eq!(got, want, "{backend:?} mul16_into len {len} c {ci:#x}");
-
-                let mut got = dst_buf[1..].to_vec();
-                backend.payload_scale(&mut got, c);
-                let mut want = dst_buf[1..].to_vec();
-                KernelBackend::Scalar.payload_scale(&mut want, c);
-                assert_eq!(got, want, "{backend:?} scale16 len {len} c {ci:#x}");
-            }
-        }
-    }
-}
-
-#[test]
-fn gf65536_multi_matches_a_loop_of_single_source_on_every_backend() {
-    // Source counts straddling WIDE16_FUSE (8) and the ones-partition
-    // MAX_FUSE (16); coefficients mix zero (dropped), one (XOR
-    // partition), and general values (nibble-table partition).
-    for backend in backends() {
-        for &len in &ADVERSARIAL_LENS16 {
-            for n_srcs in [0usize, 1, 2, 7, 8, 9, 20] {
-                let srcs: Vec<Vec<u8>> = (0..n_srcs)
-                    .map(|i| payload((i * 13 + 5) as u64, len + 1))
-                    .collect();
-                let pairs: Vec<(Gf65536, &[u8])> = srcs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (Gf65536::from_index((i as u32 * 9973) % 65536), &s[1..]))
-                    .collect();
-                let dst0 = payload(271, len + 1)[1..].to_vec();
-
-                let mut fused = dst0.clone();
-                backend.payload_mul_acc_multi(&mut fused, &pairs);
-                let mut looped = dst0.clone();
-                for &(c, s) in &pairs {
-                    KernelBackend::Scalar.payload_mul_acc(&mut looped, s, c);
-                }
-                assert_eq!(fused, looped, "{backend:?} acc16 len {len} n {n_srcs}");
-
-                let mut fused_into = dst0.clone();
-                backend.payload_mul_into_multi(&mut fused_into, &pairs);
-                let mut looped_into = vec![0u8; len];
-                for &(c, s) in &pairs {
-                    KernelBackend::Scalar.payload_mul_acc(&mut looped_into, s, c);
-                }
-                assert_eq!(
-                    fused_into, looped_into,
-                    "{backend:?} into16 len {len} n {n_srcs}"
-                );
-            }
-        }
     }
 }
 
@@ -258,7 +223,7 @@ fn gf65536_odd_byte_lengths_panic_in_the_payload_kernels() {
     for backend in backends() {
         let result = std::panic::catch_unwind(|| {
             let mut dst = vec![0u8; 5];
-            backend.payload_mul_acc(&mut dst, &src, Gf65536::from_index(3));
+            backend.payload_mul_acc_multi(&mut dst, &[(Gf65536::from_index(3), src.as_slice())]);
         });
         assert!(result.is_err(), "{backend:?} accepted an odd length");
     }
@@ -266,98 +231,53 @@ fn gf65536_odd_byte_lengths_panic_in_the_payload_kernels() {
 
 proptest! {
     #[test]
-    fn randomized_mul_acc_bit_identity_across_backends(
-        data in proptest::collection::vec(any::<u8>(), 0..300),
-        src in proptest::collection::vec(any::<u8>(), 0..300),
-        c in 0u32..256,
-        skip in 0usize..3,
-    ) {
-        let m = data.len().min(src.len());
-        let skip = skip.min(m);
-        let n = m - skip;
-        let c = Gf256::from_index(c);
-        let mut want = data[skip..skip + n].to_vec();
-        KernelBackend::Scalar.mul_acc(&mut want, &src[skip..skip + n], c);
-        for backend in backends() {
-            let mut got = data[skip..skip + n].to_vec();
-            backend.mul_acc(&mut got, &src[skip..skip + n], c);
-            prop_assert_eq!(&got, &want, "{:?}", backend);
-        }
-    }
-
-    #[test]
-    fn randomized_multi_bit_identity_across_backends(
+    fn randomized_gf256_rows_match_field_arithmetic(
         dst in proptest::collection::vec(any::<u8>(), 0..200),
         srcs in proptest::collection::vec(
             (0u32..256, proptest::collection::vec(any::<u8>(), 200..201)),
             0..20,
         ),
+        skip in 0usize..3,
     ) {
-        let n = dst.len();
+        let skip = skip.min(dst.len());
+        let n = dst.len() - skip;
         let pairs: Vec<(Gf256, &[u8])> = srcs
             .iter()
-            .map(|(c, s)| (Gf256::from_index(*c), &s[..n]))
+            .map(|(c, s)| (Gf256::from_index(*c), &s[skip..skip + n]))
             .collect();
-        let mut want = dst.clone();
-        for &(c, s) in &pairs {
-            KernelBackend::Scalar.mul_acc(&mut want, s, c);
-        }
+        let want = oracle(&dst[skip..], &pairs, true);
         for backend in backends() {
             let mut got = dst.clone();
-            backend.mul_acc_multi(&mut got, &pairs);
-            prop_assert_eq!(&got, &want, "{:?}", backend);
+            backend.payload_mul_acc_multi(&mut got[skip..], &pairs);
+            prop_assert_eq!(&got[skip..], &want[..], "{:?}", backend);
         }
     }
 
     #[test]
-    fn randomized_gf65536_mul_acc_bit_identity_across_backends(
-        data in proptest::collection::vec(any::<u8>(), 0..300),
-        src in proptest::collection::vec(any::<u8>(), 0..300),
-        c in 0u32..65536,
-        skip in 0usize..2,
-    ) {
-        // `skip = 1` starts the slices at an odd address: vector loads
-        // misalign while the slices stay whole two-byte symbols.
-        let m = data.len().min(src.len());
-        let skip = skip.min(m);
-        let n = ((m - skip) / 2) * 2;
-        let c = Gf65536::from_index(c);
-        let mut want = data[skip..skip + n].to_vec();
-        KernelBackend::Scalar.payload_mul_acc(&mut want, &src[skip..skip + n], c);
-        for backend in backends() {
-            let mut got = data[skip..skip + n].to_vec();
-            backend.payload_mul_acc(&mut got, &src[skip..skip + n], c);
-            prop_assert_eq!(&got, &want, "{:?}", backend);
-        }
-    }
-
-    #[test]
-    fn randomized_gf65536_multi_matches_symbolwise_reference(
+    fn randomized_gf65536_rows_match_field_arithmetic(
         dst in proptest::collection::vec(any::<u8>(), 0..128),
         srcs in proptest::collection::vec(
             (0u32..65536, proptest::collection::vec(any::<u8>(), 128..129)),
             0..10,
         ),
+        skip in 0usize..2,
     ) {
-        let n = (dst.len() / 2) * 2;
+        // `skip = 1` starts the slices at an odd address: vector loads
+        // misalign while the slices stay whole two-byte symbols.
+        let skip = skip.min(dst.len());
+        let n = ((dst.len() - skip) / 2) * 2;
         let pairs: Vec<(Gf65536, &[u8])> = srcs
             .iter()
-            .map(|(c, s)| (Gf65536::from_index(*c), &s[..n]))
+            .map(|(c, s)| (Gf65536::from_index(*c), &s[skip..skip + n]))
             .collect();
-        // Reference: symbol-at-a-time field arithmetic.
-        let mut want: Vec<Gf65536> = slice_ops::bytes_to_symbols(&dst[..n]);
-        for &(c, s) in &pairs {
-            let syms: Vec<Gf65536> = slice_ops::bytes_to_symbols(s);
-            slice_ops::gf_mul_acc(&mut want, &syms, c);
-        }
-        let want_bytes = slice_ops::symbols_to_bytes(&want);
-        let mut got = dst[..n].to_vec();
+        let want = oracle(&dst[skip..skip + n], &pairs, true);
+        let mut got = dst[skip..skip + n].to_vec();
         slice_ops::payload_mul_acc_multi(&mut got, &pairs);
-        prop_assert_eq!(&got, &want_bytes);
+        prop_assert_eq!(&got, &want);
         for backend in backends() {
-            let mut got = dst[..n].to_vec();
-            backend.payload_mul_acc_multi(&mut got, &pairs);
-            prop_assert_eq!(&got, &want_bytes, "{:?}", backend);
+            let mut got = dst.clone();
+            backend.payload_mul_acc_multi(&mut got[skip..skip + n], &pairs);
+            prop_assert_eq!(&got[skip..skip + n], &want[..], "{:?}", backend);
         }
     }
 }

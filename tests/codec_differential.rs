@@ -13,14 +13,17 @@
 //!   `k` lanes, the LRC light decoder reads its 5-lane local group,
 //!   a piggyback single-data-lane repair moves strictly fewer than
 //!   `k` lane-volumes (the ISSUE's ~30% byte saving) while touching
-//!   `k + 1` lanes, and replication copies one surviving replica.
+//!   `k + 1` lanes, and replication copies one surviving replica;
+//! * a repair target that is not unavailable is the same typed error in
+//!   every family.
 //!
 //! CI runs this harness under both native kernel dispatch and
-//! `XORBAS_FORCE_SCALAR=1`, so a SIMD-only or scalar-only regression in
-//! any family cannot hide.
+//! `XORBAS_KERNEL_BACKEND=scalar`, so a SIMD-only or scalar-only
+//! regression in any family cannot hide.
 
 use xorbas::codes::{
-    encode_into_parallel, ErasureCodec, Lrc, PiggybackRs, ReedSolomon, Replication, StripeViewMut,
+    encode_into_parallel, CodeError, ErasureCodec, Lrc, PiggybackRs, ReedSolomon, Replication,
+    StripeViewMut,
 };
 
 /// Deterministic pseudo-random payloads from a seed.
@@ -101,8 +104,9 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
     }
 }
 
-/// The generic suite: assorted-length roundtrips, then every single and
-/// every double erasure pattern at a fixed mid-size payload.
+/// The generic suite: assorted-length roundtrips, every single and
+/// every double erasure pattern at a fixed mid-size payload, then the
+/// shared repair-request validation.
 fn differential_suite<C: ErasureCodec + Sync>(codec: &C, name: &str) {
     let sb = codec.symbol_bytes();
     let n = codec.total_blocks();
@@ -127,6 +131,16 @@ fn differential_suite<C: ErasureCodec + Sync>(codec: &C, name: &str) {
             assert_all_paths_agree(codec, name, &data, &[a, b], 2);
         }
     }
+
+    // A target that is not unavailable is a typed error in every
+    // family: no plan may read the lane it repairs.
+    assert!(
+        matches!(
+            codec.repair_plan_for(&[0], &[1]),
+            Err(CodeError::InvalidParameters(_))
+        ),
+        "{name}: planned a repair of an available lane"
+    );
 }
 
 #[test]
