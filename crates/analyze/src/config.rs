@@ -91,7 +91,7 @@ impl Default for Config {
                     "serve-read".to_owned(),
                 ),
                 (
-                    "crates/node/src/repair.rs".to_owned(),
+                    "crates/node/src/stripe_io.rs".to_owned(),
                     "repair-stream".to_owned(),
                 ),
                 (

@@ -388,10 +388,12 @@ impl RepairPlan {
         self.tasks.iter().all(|t| t.light)
     }
 
-    /// The blocks the plan reads, deduplicated across tasks, as two
-    /// disjoint lane bitsets: those some task reads whole, and those
-    /// only ever read as half-lanes. No sorting, and no heap traffic for
-    /// stripes up to 256 blocks.
+    /// The blocks the plan's tasks read, deduplicated across tasks, as
+    /// two disjoint lane bitsets: those some task reads whole, and those
+    /// only ever read as half-lanes. This is the per-task view behind
+    /// `blocks_read` / `read_volume` / `read_fractions` — it is not
+    /// peel-aware (see [`RepairPlan::fetch_lanes`]). No sorting, and no
+    /// heap traffic for stripes up to 256 blocks.
     fn read_lanes(&self) -> (LaneMask, LaneMask) {
         let width = self
             .tasks
@@ -416,7 +418,43 @@ impl RepairPlan {
         (full, half)
     }
 
-    /// Number of *distinct* blocks read across all tasks.
+    /// The lanes one in-memory executor must fetch to replay the whole
+    /// plan, ascending: every lane some task reads that no *earlier*
+    /// task of the plan repaired. This is the peel-aware set — a lane a
+    /// first task rebuilds and a second then reads is already in the
+    /// executor's memory — so it never meets the missing lanes, and it
+    /// is what the node's one fetch loop and the simulator's degraded
+    /// reads pull. For LRC(10,6,5) losing {P1, S1} it is 9 lanes where
+    /// [`RepairPlan::blocks_read`] says 10: S1 is rebuilt by the first
+    /// task and only then read by the second.
+    pub fn fetch_lanes(&self) -> impl Iterator<Item = usize> {
+        let width = self
+            .tasks
+            .iter()
+            .flat_map(|t| t.reads.iter().chain(&t.repairs))
+            .max()
+            .map_or(0, |&m| m + 1);
+        let mut fetch = LaneMask::empty(width);
+        let mut repaired = LaneMask::empty(width);
+        for task in &self.tasks {
+            for &r in &task.reads {
+                if !repaired.get(r) {
+                    fetch.set(r);
+                }
+            }
+            for &r in &task.repairs {
+                repaired.set(r);
+            }
+        }
+        (0..width).filter(move |&i| fetch.get(i))
+    }
+
+    /// Number of *distinct* blocks read across all tasks, each task
+    /// counted as its own reader (the per-task HDFS-counter view: a
+    /// block an earlier task rebuilt and a later task reads still
+    /// counts, because that later map task opens a stream for it). What
+    /// one executor holding the stripe in memory pulls is
+    /// [`RepairPlan::fetch_lanes`].
     pub fn blocks_read(&self) -> usize {
         let (full, half) = self.read_lanes();
         full.count_ones() + half.count_ones()
@@ -475,13 +513,7 @@ pub struct RepairReport {
 
 impl RepairReport {
     pub(crate) fn from_plan(plan: &RepairPlan) -> Self {
-        let mut reads: Vec<usize> = plan
-            .tasks
-            .iter()
-            .flat_map(|t| t.reads.iter().copied())
-            .collect();
-        reads.sort_unstable();
-        reads.dedup();
+        let reads: Vec<usize> = plan.read_fractions().iter().map(|&(b, _)| b).collect();
         RepairReport {
             repaired: plan.missing.clone(),
             blocks_read: reads.len(),

@@ -255,38 +255,11 @@ impl<F: Field> ErasureCodec for PiggybackRs<F> {
     }
 
     fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
+        // The whole lane is the shard at offset 0 whose parity buffers
+        // are as long as the data lanes.
         let len = check_data_lanes(data, self.k)?;
         check_parity_lanes(parity, self.m, len)?;
-        check_symbol_alignment(len, 2 * F::SYMBOL_BYTES)?;
-        let half = len / 2;
-        let gen = self.base.generator();
-        let groups = self.m - 1;
-        for (j, out) in parity.iter_mut().enumerate() {
-            let col = self.k + j;
-            let (pa, pb) = out.split_at_mut(half);
-            // Substripe A: a clean RS row over the data A-halves.
-            encode_row_iter(
-                pa,
-                data.iter()
-                    .enumerate()
-                    .map(|(i, d)| (gen[(i, col)], &d[..half])),
-            );
-            // Substripe B: the RS row over the B-halves, plus — on the
-            // piggybacked parities j ≥ 1 — group j's A-halves.
-            encode_row_iter(
-                pb,
-                data.iter()
-                    .enumerate()
-                    .map(|(i, d)| (gen[(i, col)], &d[half..]))
-                    .chain(
-                        data.iter()
-                            .enumerate()
-                            .filter(move |&(i, _)| j >= 1 && i % groups == j - 1)
-                            .map(move |(_, d)| (F::ONE, &d[..half])),
-                    ),
-            );
-        }
-        Ok(())
+        self.encode_range_into(data, parity, 0)
     }
 
     fn encode_range_into(

@@ -187,48 +187,11 @@ impl RepairSession {
                 ));
             }
         }
-        if self.sublanes == 1 {
-            for step in &self.steps {
-                let (dst, head, tail) = stripe.lane_split_mut(step.target);
-                let mut accumulate = false;
-                for chunk in step.sources.chunks(ROW_FUSE) {
-                    let mut batch: [(u32, &[u8]); ROW_FUSE] = [(0, &[]); ROW_FUSE];
-                    for (slot, &(lane, c)) in batch.iter_mut().zip(chunk) {
-                        let src: &[u8] = if lane < step.target {
-                            &*head[lane]
-                        } else {
-                            &*tail[lane - step.target - 1]
-                        };
-                        *slot = (c, src);
-                    }
-                    (self.apply_row)(dst, &batch[..chunk.len()], accumulate);
-                    accumulate = true;
-                }
-                if step.sources.is_empty() {
-                    // A target with no sources decodes to the zero payload.
-                    dst.fill(0);
-                }
-                stripe.mark_present(step.target);
-            }
-        } else {
-            self.repair_sublanes(stripe);
-            // A sublane step writes one slice of a lane; the compiler
-            // emits every slice of every missing lane, so the pattern is
-            // whole again only once the full step list has run.
-            for &i in &self.missing {
-                stripe.mark_present(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// The sublane replay loop: each step targets one substripe slice of
-    /// a lane and may source any slice of any *other* lane — or a sibling
-    /// slice of its own lane (the piggyback peel reads the just-repaired
-    /// other half). Same fused-batch kernel discipline as the whole-lane
-    /// loop; allocates nothing.
-    // xlint::hot-path(session-replay)
-    fn repair_sublanes(&self, stripe: &mut StripeViewMut<'_, '_>) {
+        // One replay loop for every codec: a step targets one of the
+        // `sublanes` equal slices of a lane (the whole lane when
+        // `sublanes == 1`) and may source any slice of any *other* lane
+        // — or a sibling slice of its own lane (the piggyback peel reads
+        // the just-repaired other half).
         let sub = self.sublanes;
         let sub_len = stripe.lane_len() / sub;
         for step in &self.steps {
@@ -262,8 +225,16 @@ impl RepairSession {
                 accumulate = true;
             }
             if step.sources.is_empty() {
+                // A target with no sources decodes to the zero payload.
                 mine.fill(0);
             }
         }
+        // A step may write only one slice of a lane; the compiler emits
+        // every slice of every missing lane, so the pattern is whole
+        // again only once the full step list has run.
+        for &i in &self.missing {
+            stripe.mark_present(i);
+        }
+        Ok(())
     }
 }

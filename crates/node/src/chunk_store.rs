@@ -18,6 +18,7 @@
 //! budget) and verifies it on every read, so corruption surfaces exactly
 //! where the degraded-read machinery can route around it.
 
+use crate::cursor::Cursor;
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
 use crate::protocol::{chunk_digest, MAX_CHUNK};
@@ -32,7 +33,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 const MAGIC: [u8; 4] = *b"XBCK";
 const VERSION: u32 = 1;
-const HEADER_LEN: usize = 36;
+pub(crate) const HEADER_LEN: usize = 36;
 
 /// One server's chunk directory.
 #[derive(Debug)]
@@ -157,21 +158,8 @@ impl ChunkStore {
         let corrupt = || NodeError::ChunkCorrupt { stripe, lane };
         let mut header = [0u8; HEADER_LEN];
         read_exact_or(&mut file, &mut header).ok_or_else(corrupt)?;
-        if header[..4] != MAGIC {
-            return Err(corrupt());
-        }
-        if le_u32(&header[4..8]) != VERSION {
-            return Err(corrupt());
-        }
-        if le_u64(&header[8..16]) != stripe || le_u32(&header[16..20]) != lane {
-            return Err(corrupt());
-        }
-        let digest = le_u64(&header[20..28]);
-        let len = le_u64(&header[28..36]);
-        if len > MAX_CHUNK as u64 {
-            return Err(corrupt());
-        }
-        out.resize(len as usize, 0);
+        let (digest, len) = parse_header(&header, stripe, lane).map_err(|_| corrupt())?;
+        out.resize(len, 0);
         read_exact_or(&mut file, out).ok_or_else(corrupt)?;
         if chunk_digest(out) != digest {
             return Err(corrupt());
@@ -254,16 +242,26 @@ fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8]) -> Option<()> {
     Some(())
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    let mut w = [0u8; 4];
-    w.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(w)
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(w)
+/// Parses the header of the chunk file written for `(stripe, lane)`
+/// into `(payload digest, payload length)`. A short or foreign header,
+/// another chunk's, or a length past [`MAX_CHUNK`] is an error the
+/// caller reports as corruption.
+pub(crate) fn parse_header(header: &[u8], stripe: u64, lane: u32) -> Result<(u64, usize)> {
+    const DAMAGED: &str = "chunk header damaged";
+    let mut c = Cursor::new(header, DAMAGED);
+    let magic = c.take(4)?;
+    let (version, for_stripe, for_lane) = (c.u32()?, c.u64()?, c.u32()?);
+    let (digest, len) = (c.u64()?, c.u64()?);
+    c.finish(DAMAGED)?;
+    if magic != MAGIC
+        || version != VERSION
+        || for_stripe != stripe
+        || for_lane != lane
+        || len > MAX_CHUNK as u64
+    {
+        return Err(NodeError::Malformed(DAMAGED));
+    }
+    Ok((digest, len as usize))
 }
 
 #[cfg(test)]

@@ -10,12 +10,14 @@
 //! **Get** reads data lanes straight from their servers, verifying the
 //! digest end to end. Any failure — connection refused, a dead server
 //! mid-read, a digest mismatch — flips the stripe to the *degraded*
-//! path: the failure pattern is looked up in a [`SessionCache`] (one
-//! [`RepairSession`] compile per pattern, replayed allocation-free
-//! thereafter), only the lanes the session's plan actually reads are
-//! fetched (an LRC light pattern touches one local group, the paper's
-//! §3.2 repair-locality argument applied to reads), and the missing
-//! lanes are reconstructed in place.
+//! path, which is the executor the repair agent runs too
+//! (`stripe_io`): the failure pattern is looked up in a
+//! [`SessionCache`] (one [`RepairSession`] compile per pattern, replayed
+//! allocation-free thereafter), only the lanes the session's plan
+//! actually needs are fetched (an LRC light pattern touches one local
+//! group, the paper's §3.2 repair-locality argument applied to reads),
+//! and the missing lanes are reconstructed in place. This module keeps
+//! the retry loop around it and the byte extraction.
 
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
@@ -26,12 +28,13 @@ use crate::protocol::{
     chunk_digest, write_bare, write_locator, write_put, Deadline, ErrCode, Frame, FrameReader,
     ReadEnd, OP_DELETE, OP_GET, OP_PING,
 };
+use crate::stripe_io::StripeIo;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xorbas_core::{Codec, RepairSession, StripeViewMut};
+use xorbas_core::{Codec, RepairSession};
 use xorbas_sim::fasthash::FastMap;
 
 /// How hard to try when a connection does not come up at once.
@@ -241,7 +244,7 @@ fn remote_err(code: ErrCode, stripe: u64, lane: u32) -> NodeError {
 /// deadline counts: a peer too slow to answer inside the budget is
 /// failed over exactly like a dead one (the Rashmi-et-al. observation
 /// that most "failures" are slowness, operationally).
-fn is_transport(e: &NodeError) -> bool {
+pub(crate) fn is_transport(e: &NodeError) -> bool {
     matches!(
         e,
         NodeError::Io(_)
@@ -329,14 +332,7 @@ struct BufSet {
 
 /// The cluster-facing client.
 pub struct ClusterClient {
-    codec: Codec,
-    chunk_bytes: usize,
-    directory: Arc<Mutex<Directory>>,
-    retry: RetryPolicy,
-    conns: Vec<Option<NodeConn>>,
-    sessions: SessionCache,
-    stripe_scratch: Vec<Vec<u8>>,
-    unavailable_scratch: Vec<usize>,
+    io: StripeIo,
 }
 
 impl ClusterClient {
@@ -349,30 +345,23 @@ impl ClusterClient {
         sessions: SessionCache,
     ) -> Self {
         Self {
-            codec,
-            chunk_bytes,
-            directory,
-            retry,
-            conns: Vec::new(),
-            sessions,
-            stripe_scratch: Vec::new(),
-            unavailable_scratch: Vec::new(),
+            io: StripeIo::new(codec, chunk_bytes, directory, retry, sessions),
         }
     }
 
     /// The shared placement directory.
     pub fn directory(&self) -> &Arc<Mutex<Directory>> {
-        &self.directory
+        &self.io.directory
     }
 
     /// The shared repair-session cache.
     pub fn sessions(&self) -> &SessionCache {
-        &self.sessions
+        &self.io.sessions
     }
 
     /// The codec this client stripes with.
     pub fn codec(&self) -> &Codec {
-        &self.codec
+        &self.io.codec
     }
 
     /// Registers a manifest's stripes with the directory (a fresh
@@ -381,7 +370,7 @@ impl ClusterClient {
     /// not the one this client stripes with.
     pub fn register_manifest(&self, manifest: &Manifest) -> Result<()> {
         self.check_manifest(manifest)?;
-        let mut dir = lock(&self.directory);
+        let mut dir = lock(&self.io.directory);
         for entry in &manifest.stripes {
             dir.register_stripe(entry.id, entry.servers.clone());
         }
@@ -393,12 +382,12 @@ impl ClusterClient {
     /// repair, and extraction geometry all assume they agree. Anything
     /// else would silently misread, so it is a typed error instead.
     fn check_manifest(&self, manifest: &Manifest) -> Result<()> {
-        if manifest.spec != self.codec.spec() {
+        if manifest.spec != self.io.codec.spec() {
             return Err(NodeError::ManifestMismatch(
                 "manifest code spec differs from the client's codec",
             ));
         }
-        if manifest.chunk_bytes != self.chunk_bytes as u64 {
+        if manifest.chunk_bytes != self.io.chunk_bytes as u64 {
             return Err(NodeError::ManifestMismatch(
                 "manifest chunk size differs from the client's",
             ));
@@ -410,10 +399,10 @@ impl ClusterClient {
     /// pipelined encoder thread while the previous stripe's chunks are
     /// on the wire. Returns the manifest needed to read it back.
     pub fn put(&mut self, data: &[u8]) -> Result<Manifest> {
-        let spec = self.codec.spec();
+        let spec = self.io.codec.spec();
         let k = spec.data_blocks();
         let n = spec.total_blocks();
-        let cb = self.chunk_bytes;
+        let cb = self.io.chunk_bytes;
         let stripe_payload = k * cb;
         let stripe_count = if data.is_empty() {
             0
@@ -427,10 +416,10 @@ impl ClusterClient {
             let _ = free_tx.send(BufSet::default());
         }
 
-        let codec = &self.codec;
-        let conns = &mut self.conns;
-        let dir = &self.directory;
-        let retry = &self.retry;
+        let codec = &self.io.codec;
+        let conns = &mut self.io.conns;
+        let dir = &self.io.directory;
+        let retry = &self.io.retry;
 
         let entries = std::thread::scope(|s| {
             s.spawn(move || {
@@ -457,7 +446,10 @@ impl ClusterClient {
                         let mut d = lock(dir);
                         d.place_stripe(n)?.0
                     };
-                    let servers = put_stripe(conns, dir, retry, stripe_id, &set)?;
+                    // A put that dies mid-stripe must not leave the
+                    // half-written stripe behind for the repair agent.
+                    let servers = put_stripe(conns, dir, retry, stripe_id, &set)
+                        .inspect_err(|_| lock(dir).forget_stripe(stripe_id))?;
                     entries.push(StripeEntry {
                         id: stripe_id,
                         servers,
@@ -481,7 +473,7 @@ impl ClusterClient {
         // Acknowledge durably: with a WAL-backed directory the manifest
         // is on disk before the caller sees Ok, so a restarted cluster
         // can hand the file back. (No-op for an in-memory directory.)
-        lock(&self.directory).log_manifest(&manifest)?;
+        lock(&self.io.directory).log_manifest(&manifest)?;
         Ok(manifest)
     }
 
@@ -500,8 +492,9 @@ impl ClusterClient {
         let targets: Vec<usize> = (0..k).collect();
         for entry in &manifest.stripes {
             report.stripes += 1;
-            if !self.try_direct_stripe(entry.id, k) {
-                self.fetch_stripe_degraded(entry.id, &targets)?;
+            let direct = (0..k).all(|lane| self.io.read_lane(entry.id, lane).is_ok());
+            if !direct {
+                self.reconstruct_with_retry(entry.id, &targets)?;
                 report.degraded_stripes += 1;
             }
             for lane in 0..k {
@@ -510,7 +503,8 @@ impl ClusterClient {
                 }
                 let take = remaining.min(cb);
                 let chunk = self
-                    .stripe_scratch
+                    .io
+                    .lanes
                     .get(lane)
                     .ok_or(NodeError::Malformed("stripe scratch underfilled"))?;
                 let bytes = chunk
@@ -536,12 +530,13 @@ impl ClusterClient {
         lane: u32,
         out: &mut Vec<u8>,
     ) -> Result<ReadKind> {
-        if self.read_chunk_direct(stripe, lane, out).is_ok() {
+        if self.io.read_chunk(stripe, lane, out).is_ok() {
             return Ok(ReadKind::Direct);
         }
-        let light = self.fetch_stripe_degraded(stripe, &[lane as usize])?;
+        let light = self.reconstruct_with_retry(stripe, &[lane as usize])?;
         let chunk = self
-            .stripe_scratch
+            .io
+            .lanes
             .get(lane as usize)
             .ok_or(NodeError::Malformed("lane out of range after repair"))?;
         out.clear();
@@ -549,74 +544,12 @@ impl ClusterClient {
         Ok(ReadKind::Degraded { light })
     }
 
-    /// Direct read of `(stripe, lane)` from its assigned server,
-    /// updating the directory (dead server / corrupt chunk) on failure
-    /// so the caller can fall back to the degraded path.
-    fn read_chunk_direct(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<()> {
-        let (sid, addr) = {
-            let d = lock(&self.directory);
-            let servers = d
-                .servers_of(stripe)
-                .ok_or(NodeError::UnknownStripe(stripe))?;
-            let sid = *servers
-                .get(lane as usize)
-                .ok_or(NodeError::Malformed("lane out of range for stripe"))?;
-            if d.is_corrupt(stripe, lane) {
-                return Err(NodeError::ChunkCorrupt { stripe, lane });
-            }
-            let addr = d
-                .addr_of(sid)
-                .ok_or(NodeError::Malformed("server id out of roster"))?;
-            if !d.is_alive(sid) {
-                return Err(NodeError::ConnectFailed { addr, attempts: 0 });
-            }
-            (sid, addr)
-        };
-        let outcome = ensure_conn(&mut self.conns, sid, addr, &self.retry)
-            .and_then(|conn| conn.get_chunk(stripe, lane, out))
-            .map(|_digest| ());
-        if let Err(e) = &outcome {
-            if is_transport(e) {
-                if let Some(slot) = self.conns.get_mut(sid) {
-                    *slot = None;
-                }
-                lock(&self.directory).mark_dead(sid);
-            } else if matches!(
-                e,
-                NodeError::ChunkCorrupt { .. } | NodeError::ChunkNotFound { .. }
-            ) {
-                lock(&self.directory).report_corrupt(stripe, lane);
-            }
-        }
-        outcome
-    }
-
-    /// Fills `stripe_scratch[0..k]` via direct reads; `false` means at
-    /// least one lane failed and the stripe needs the degraded path.
-    fn try_direct_stripe(&mut self, stripe: u64, k: usize) -> bool {
-        self.ensure_scratch();
-        for lane in 0..k {
-            let mut buf = std::mem::take(&mut self.stripe_scratch[lane]);
-            let res = self.read_chunk_direct(stripe, lane as u32, &mut buf);
-            self.stripe_scratch[lane] = buf;
-            if res.is_err() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Serves a stripe degraded: compile (or reuse) the repair session
-    /// for the current failure pattern, fetch the lanes its plan reads
-    /// plus any `targets` the plan does not cover, and reconstruct the
-    /// missing lanes in place in `stripe_scratch`. On `Ok`, every lane
-    /// in `targets` holds fresh bytes — a light plan only reads one
-    /// local group, so lanes the caller needs outside it are fetched
-    /// directly rather than left stale. Returns whether the repair ran
-    /// entirely on the light decoder.
-    fn fetch_stripe_degraded(&mut self, stripe: u64, targets: &[usize]) -> Result<bool> {
-        let n = self.codec.total_blocks();
-        self.ensure_scratch();
+    /// The degraded path's retry loop around the shared executor's
+    /// [`StripeIo::reconstruct`]. On `Ok`, every lane in `targets`
+    /// holds fresh bytes in the executor's scratch; the value is whether
+    /// the repair ran entirely on the light decoder.
+    fn reconstruct_with_retry(&mut self, stripe: u64, targets: &[usize]) -> Result<bool> {
+        let n = self.io.codec.total_blocks();
         let mut last_err = NodeError::Malformed("degraded read did not converge");
         // The failure pattern can grow while we fetch (another server
         // dies); every directory update feeds back into the next turn.
@@ -628,70 +561,16 @@ impl ClusterClient {
             if attempt > 0 {
                 std::thread::sleep(Duration::from_millis(4 * (attempt as u64).min(10)));
             }
-            let mut unavailable = std::mem::take(&mut self.unavailable_scratch);
-            lock(&self.directory).unavailable_lanes(stripe, &mut unavailable)?;
-
-            let session = match self.sessions.get_or_compile(&self.codec, &unavailable) {
-                Ok(Some(s)) => s,
-                Ok(None) => {
-                    self.unavailable_scratch = unavailable;
-                    return Err(NodeError::Malformed("codec has no repair session"));
-                }
-                Err(e) => {
-                    self.unavailable_scratch = unavailable;
-                    return Err(e);
-                }
-            };
-
-            // Fetch what the plan reads plus the caller's targets the
-            // plan does not cover; missing lanes are reconstructed
-            // locally, lanes neither read nor targeted are never
-            // touched (and stay stale — callers must not read them).
-            let mut fetch_ok = true;
-            for lane in 0..n {
-                let needed = (session.plan().tasks.iter().any(|t| t.reads.contains(&lane))
-                    || targets.contains(&lane))
-                    && !session.missing().contains(&lane);
-                if !needed {
-                    continue;
-                }
-                let mut buf = std::mem::take(&mut self.stripe_scratch[lane]);
-                let res = self.read_chunk_direct(stripe, lane as u32, &mut buf);
-                self.stripe_scratch[lane] = buf;
-                if let Err(e) = res {
-                    last_err = e;
-                    fetch_ok = false;
-                    break;
-                }
+            match self.io.reconstruct(stripe, targets) {
+                Ok((session, _fetched)) => return Ok(session.plan().is_light()),
+                // The directory does not know the stripe, or the codec
+                // cannot decode the pattern: fetching again changes
+                // neither.
+                Err(e @ (NodeError::UnknownStripe(_) | NodeError::Code(_))) => return Err(e),
+                Err(e) => last_err = e,
             }
-            self.unavailable_scratch = unavailable;
-            if !fetch_ok {
-                continue;
-            }
-
-            // All source lanes are in place: reconstruct the pattern.
-            for lane in &mut self.stripe_scratch {
-                lane.resize(self.chunk_bytes, 0);
-            }
-            let mut refs: Vec<&mut [u8]> = self
-                .stripe_scratch
-                .iter_mut()
-                .map(Vec::as_mut_slice)
-                .collect();
-            let mut view = StripeViewMut::new(&mut refs, session.missing())?;
-            session.repair(&mut view)?;
-            return Ok(session.plan().is_light());
         }
         Err(last_err)
-    }
-
-    /// Sizes the stripe scratch to the codec's geometry.
-    fn ensure_scratch(&mut self) {
-        let n = self.codec.total_blocks();
-        self.stripe_scratch.resize_with(n, Vec::new);
-        for lane in &mut self.stripe_scratch {
-            lane.resize(self.chunk_bytes, 0);
-        }
     }
 }
 
@@ -776,8 +655,9 @@ fn put_stripe(
     };
     for lane in 0..set.lanes.len() {
         // Fault site: the put pipeline dies mid-stripe, as if the
-        // writer thread was killed. The file is never acknowledged —
-        // the stripes already placed are harmless WAL ghosts.
+        // writer thread was killed. The file is never acknowledged;
+        // its whole stripes stay repairable, and `put` drops this
+        // half-written one from the directory.
         if fault::hit(Site::CrashPut) {
             return Err(NodeError::Injected("crash-put"));
         }

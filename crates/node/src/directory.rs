@@ -141,6 +141,14 @@ impl Directory {
                 WalRecord::Manifest(m) => manifests.push(m),
             }
         }
+        // A placement no acknowledged manifest references never
+        // finished its put (see `forget_stripe`).
+        let acked: FastSet<u64> = manifests
+            .iter()
+            .flat_map(|m| m.stripes.iter().map(|e| e.id))
+            .collect();
+        dir.stripes.retain(|stripe, _| acked.contains(stripe));
+        dir.corrupt.retain(|(stripe, _)| acked.contains(stripe));
         dir.wal = Some(DirectoryWal::open_append(wal_path)?);
         Ok((dir, manifests))
     }
@@ -266,6 +274,16 @@ impl Directory {
         let entry = self.stripes.entry(id).or_default();
         *entry = out;
         Ok((id, entry))
+    }
+
+    /// Drops a stripe whose put failed part-way. Only some of its lanes
+    /// ever reached a server, so left in place it would look like lost
+    /// data to the repair agent and could never be rebuilt. In memory
+    /// only: the WAL keeps the placement record, and replay drops it
+    /// again because no manifest references it.
+    pub(crate) fn forget_stripe(&mut self, stripe: u64) {
+        self.stripes.remove(&stripe);
+        self.corrupt.retain(|&(s, _)| s != stripe);
     }
 
     /// The lane→server assignment of `stripe`.
@@ -475,6 +493,8 @@ mod tests {
             }],
         };
         dir.log_manifest(&manifest).unwrap();
+        // A placement whose put never reached its manifest.
+        let (unacked, _) = dir.place_stripe(16).unwrap();
         drop(dir);
 
         // Restart: same roster identity, fresh addresses.
@@ -490,9 +510,10 @@ mod tests {
         assert_eq!(dir.servers_of(id).unwrap(), expect.as_slice());
         // The reassign cleared the corrupt flag before the restart.
         assert!(!dir.is_corrupt(id, 3));
-        // The id allocator stays ahead of the replayed stripe.
+        // The unacknowledged placement is gone, its id still burned.
+        assert!(dir.servers_of(unacked).is_none());
         let (id2, _) = dir.place_stripe(4).unwrap();
-        assert!(id2 > id);
+        assert!(id2 > unacked);
         // Re-registering a replayed manifest is a no-op (no log bloat).
         let len_before = std::fs::metadata(&wal_path).unwrap().len();
         dir.register_stripe(id, expect.clone());

@@ -12,6 +12,8 @@
 //! | [`chunk_store`] | per-server on-disk chunk files with digest verification |
 //! | [`server`] | the chunk-server daemon: accept loop, per-connection threads, kill switch |
 //! | [`client`] | connection with retry/backoff, streaming put (encode pipelined against socket writes), direct + degraded get |
+//! | `stripe_io` (private) | the one plan → fetch → replay executor under degraded get and background repair; the only direct chunk read and the one place a read failure is reported to the directory |
+//! | `cursor` (private) | the bounds-checked little-endian reader behind the frame, manifest, WAL and chunk-header decoders |
 //! | [`manifest`] | the binary stripe manifest a put returns and a get consumes |
 //! | [`directory`] | the placement directory: rack-aware chunk→server map, liveness, loss scan — WAL-backed when opened persistent |
 //! | [`wal`] | the directory's append-only checksummed log: placements, repairs, manifests; torn-tail-tolerant replay |
@@ -34,6 +36,7 @@
 
 pub mod chunk_store;
 pub mod client;
+mod cursor;
 pub mod directory;
 pub mod error;
 pub mod fault;
@@ -41,6 +44,7 @@ pub mod manifest;
 pub mod protocol;
 pub mod repair;
 pub mod server;
+mod stripe_io;
 pub mod wal;
 
 pub use chunk_store::ChunkStore;

@@ -23,6 +23,7 @@
 //! sanity-checked during decode, so downstream geometry arithmetic
 //! cannot overflow.
 
+use crate::cursor::Cursor;
 use crate::directory::ServerId;
 use crate::error::{NodeError, Result};
 use crate::protocol::MAX_CHUNK;
@@ -106,7 +107,7 @@ impl Manifest {
     /// Parses the binary format, validating every length against the
     /// bytes actually present.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut c = Dec { b: bytes, pos: 0 };
+        let mut c = Cursor::new(bytes, "manifest truncated");
         if c.take(4)? != MAGIC {
             return Err(NodeError::Malformed("bad manifest magic"));
         }
@@ -169,61 +170,13 @@ impl Manifest {
             }
             stripes.push(StripeEntry { id, servers });
         }
-        if c.remaining() != 0 {
-            return Err(NodeError::Malformed("trailing bytes in manifest"));
-        }
+        c.finish("trailing bytes in manifest")?;
         Ok(Self {
             spec,
             chunk_bytes,
             file_len,
             stripes,
         })
-    }
-}
-
-/// Bounds-checked little-endian decoder.
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn remaining(&self) -> usize {
-        self.b.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .b
-            .get(self.pos..self.pos + n)
-            .ok_or(NodeError::Malformed("manifest truncated"))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let s = self.take(2)?;
-        let mut w = [0u8; 2];
-        w.copy_from_slice(s);
-        Ok(u16::from_le_bytes(w))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        let mut w = [0u8; 4];
-        w.copy_from_slice(s);
-        Ok(u32::from_le_bytes(w))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        let mut w = [0u8; 8];
-        w.copy_from_slice(s);
-        Ok(u64::from_le_bytes(w))
     }
 }
 

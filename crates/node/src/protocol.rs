@@ -24,6 +24,7 @@
 //! short bodies yield [`NodeError::Malformed`] — the reader never
 //! panics and never allocates beyond the cap.
 
+use crate::cursor::Cursor;
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
 use std::io::{ErrorKind, Read, Write};
@@ -358,60 +359,10 @@ fn fill<R: Read>(
     Ok(Fill::Full)
 }
 
-/// A bounds-checked little-endian cursor over a frame body.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn u8(&mut self) -> Result<u8> {
-        let v = *self
-            .b
-            .get(self.pos)
-            .ok_or(NodeError::Malformed("frame body too short"))?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self
-            .b
-            .get(self.pos..self.pos + 4)
-            .ok_or(NodeError::Malformed("frame body too short"))?;
-        self.pos += 4;
-        let mut w = [0u8; 4];
-        w.copy_from_slice(s);
-        Ok(u32::from_le_bytes(w))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self
-            .b
-            .get(self.pos..self.pos + 8)
-            .ok_or(NodeError::Malformed("frame body too short"))?;
-        self.pos += 8;
-        let mut w = [0u8; 8];
-        w.copy_from_slice(s);
-        Ok(u64::from_le_bytes(w))
-    }
-
-    fn rest(self) -> &'a [u8] {
-        self.b.get(self.pos..).unwrap_or(&[])
-    }
-
-    fn finish(self) -> Result<()> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(NodeError::Malformed("trailing bytes in frame body"))
-        }
-    }
-}
-
 /// Parses a complete frame body.
-fn parse_body(body: &[u8]) -> Result<Frame<'_>> {
-    let mut c = Cur { b: body, pos: 0 };
+pub(crate) fn parse_body(body: &[u8]) -> Result<Frame<'_>> {
+    const TRAILING: &str = "trailing bytes in frame body";
+    let mut c = Cursor::new(body, "frame body too short");
     match c.u8()? {
         OP_PUT => {
             let stripe = c.u64()?;
@@ -427,21 +378,21 @@ fn parse_body(body: &[u8]) -> Result<Frame<'_>> {
         OP_GET => {
             let stripe = c.u64()?;
             let lane = c.u32()?;
-            c.finish()?;
+            c.finish(TRAILING)?;
             Ok(Frame::Get { stripe, lane })
         }
         OP_DELETE => {
             let stripe = c.u64()?;
             let lane = c.u32()?;
-            c.finish()?;
+            c.finish(TRAILING)?;
             Ok(Frame::Delete { stripe, lane })
         }
         OP_PING => {
-            c.finish()?;
+            c.finish(TRAILING)?;
             Ok(Frame::Ping)
         }
         OP_OK => {
-            c.finish()?;
+            c.finish(TRAILING)?;
             Ok(Frame::Ok)
         }
         OP_CHUNK => {
@@ -453,7 +404,7 @@ fn parse_body(body: &[u8]) -> Result<Frame<'_>> {
         }
         OP_ERR => {
             let code = c.u8()?;
-            c.finish()?;
+            c.finish(TRAILING)?;
             let code = ErrCode::from_u8(code).ok_or(NodeError::Malformed("unknown error code"))?;
             Ok(Frame::Err { code })
         }

@@ -1,10 +1,13 @@
 //! The background repair agent: scan → plan → stream → re-place.
 //!
 //! A polling thread scans the directory for lost chunks (dead servers,
-//! corrupt reports), groups them by stripe, and repairs each stripe by
-//! replaying a cached [`RepairSession`](xorbas_core::RepairSession): fetch exactly the lanes the
-//! session's plan reads, reconstruct the missing ones, and push them to
-//! replacement servers chosen by the rack-aware placement policy. For
+//! corrupt reports), groups them by stripe, and repairs each stripe
+//! through the same executor a degraded get runs (`stripe_io`): fetch
+//! exactly the lanes the cached session's plan needs, reconstruct the
+//! missing ones, then push them to replacement servers chosen by the
+//! rack-aware placement policy. A source lane that turns out dead or
+//! rotten is reported to the directory by that executor, so the next
+//! round plans around it instead of retrying the same fetch. For
 //! LRC stripes with a single loss this is the paper's *light* repair —
 //! the agent fetches one local group (5 chunks for LRC(10,6,5)) instead
 //! of the `k = 10` an RS code needs, and the stats it keeps
@@ -23,12 +26,13 @@ use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
 use crate::lock;
 use crate::protocol::chunk_digest;
+use crate::stripe_io::StripeIo;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xorbas_core::{Codec, StripeViewMut};
+use xorbas_core::Codec;
 
 /// Tunables for the agent.
 #[derive(Debug, Clone)]
@@ -306,16 +310,14 @@ fn agent_loop(
             std::thread::scope(|s| {
                 for &stripe in batch {
                     s.spawn(move || {
-                        let mut worker = RepairWorker {
-                            codec,
-                            dir,
-                            sessions,
-                            cfg,
-                            scratch: Vec::new(),
-                            conns: Vec::new(),
-                            unavailable: Vec::new(),
-                        };
-                        match worker.repair_stripe(stripe) {
+                        let mut io = StripeIo::new(
+                            codec.clone(),
+                            cfg.chunk_bytes,
+                            Arc::clone(dir),
+                            cfg.retry.clone(),
+                            sessions.clone(),
+                        );
+                        match repair_stripe(&mut io, stripe) {
                             Ok(Some(outcome)) => {
                                 stats
                                     .chunks_repaired
@@ -469,133 +471,50 @@ struct RepairOutcome {
     light: bool,
 }
 
-/// Per-stripe repair executor (one per in-flight repair).
-struct RepairWorker<'a> {
-    codec: &'a Codec,
-    dir: &'a Arc<Mutex<Directory>>,
-    sessions: &'a SessionCache,
-    cfg: &'a RepairAgentConfig,
-    scratch: Vec<Vec<u8>>,
-    conns: Vec<Option<crate::client::NodeConn>>,
-    unavailable: Vec<usize>,
-}
-
-impl RepairWorker<'_> {
-    /// Repairs every lost lane of `stripe`. `Ok(None)` means the
-    /// stripe healed on its own (nothing lost by the time we looked).
-    fn repair_stripe(&mut self, stripe: u64) -> Result<Option<RepairOutcome>> {
-        let n = self.codec.total_blocks();
-        let mut unavailable = std::mem::take(&mut self.unavailable);
-        lock(self.dir).unavailable_lanes(stripe, &mut unavailable)?;
-        if unavailable.is_empty() {
-            self.unavailable = unavailable;
-            return Ok(None);
-        }
-
-        let session = match self.sessions.get_or_compile(self.codec, &unavailable)? {
-            Some(s) => s,
-            None => {
-                self.unavailable = unavailable;
-                return Err(NodeError::Malformed("codec has no repair session"));
-            }
-        };
-        self.scratch.resize_with(n, Vec::new);
-        for lane in &mut self.scratch {
-            lane.resize(self.cfg.chunk_bytes, 0);
-        }
-
-        let mut fetched = 0u64;
-        // xlint::hot-path(repair-stream) begin
-        // Stream-in: fetch exactly the lanes the plan reads. Buffers
-        // and connections are reused; this loop must not allocate.
-        for lane in 0..n {
-            let needed = session.plan().tasks.iter().any(|t| t.reads.contains(&lane))
-                && !session.missing().contains(&lane);
-            if !needed {
-                continue;
-            }
-            let mut buf = std::mem::take(&mut self.scratch[lane]);
-            let res = self.fetch_lane(stripe, lane as u32, &mut buf);
-            self.scratch[lane] = buf;
-            res?;
-            fetched += self.cfg.chunk_bytes as u64;
-        }
-        // xlint::hot-path(repair-stream) end
-
-        let mut refs: Vec<&mut [u8]> = self.scratch.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut view = StripeViewMut::new(&mut refs, session.missing())?;
-        session.repair(&mut view)?;
-
-        let mut written = 0u64;
-        let mut repaired = 0u64;
-        for &lane in session.missing() {
-            // Fault site: the repair worker dies between reconstruct
-            // and re-place. The lane stays lost and a later round
-            // retries — repairs must be idempotent.
-            if fault::hit(Site::CrashRepair) {
-                self.unavailable = unavailable;
-                return Err(NodeError::Injected("crash-repair"));
-            }
-            let new_sid = {
-                let mut d = lock(self.dir);
-                d.choose_replacement(stripe)?
-            };
-            let addr = {
-                lock(self.dir)
-                    .addr_of(new_sid)
-                    .ok_or(NodeError::Malformed("server id out of roster"))?
-            };
-            let payload = self
-                .scratch
-                .get(lane)
-                .ok_or(NodeError::Malformed("repaired lane missing"))?;
-            let digest = chunk_digest(payload);
-            crate::client::ensure_conn(&mut self.conns, new_sid, addr, &self.cfg.retry)?.put(
-                stripe,
-                lane as u32,
-                digest,
-                payload,
-            )?;
-            lock(self.dir).reassign(stripe, lane as u32, new_sid)?;
-            written += self.cfg.chunk_bytes as u64;
-            repaired += 1;
-        }
-        self.unavailable = unavailable;
-        Ok(Some(RepairOutcome {
-            chunks: repaired,
-            bytes_fetched: fetched,
-            bytes_written: written,
-            light: session.plan().is_light(),
-        }))
+/// Repairs every lost lane of `stripe` on a worker's private executor:
+/// [`StripeIo::reconstruct`] rebuilds the lanes, this re-places them.
+/// `Ok(None)` means the stripe healed on its own (nothing lost by the
+/// time we looked).
+fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>> {
+    let (session, fetched) = io.reconstruct(stripe, &[])?;
+    if session.missing().is_empty() {
+        return Ok(None);
     }
-
-    /// Fetches one lane from its assigned server into `out`.
-    // xlint::hot-path(repair-fetch)
-    fn fetch_lane(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<()> {
-        let (sid, addr) = {
-            let d = lock(self.dir);
-            let servers = d
-                .servers_of(stripe)
-                .ok_or(NodeError::UnknownStripe(stripe))?;
-            let sid = *servers
-                .get(lane as usize)
-                .ok_or(NodeError::Malformed("lane out of range for stripe"))?;
+    let chunk_bytes = io.chunk_bytes as u64;
+    let mut repaired = 0u64;
+    for &lane in session.missing() {
+        // Fault site: the repair worker dies between reconstruct
+        // and re-place. The lane stays lost and a later round
+        // retries — repairs must be idempotent.
+        if fault::hit(Site::CrashRepair) {
+            return Err(NodeError::Injected("crash-repair"));
+        }
+        let (new_sid, addr) = {
+            let mut d = lock(&io.directory);
+            let sid = d.choose_replacement(stripe)?;
             let addr = d
                 .addr_of(sid)
                 .ok_or(NodeError::Malformed("server id out of roster"))?;
-            if !d.is_alive(sid) {
-                return Err(NodeError::ConnectFailed { addr, attempts: 0 });
-            }
             (sid, addr)
         };
-        let res = crate::client::ensure_conn(&mut self.conns, sid, addr, &self.cfg.retry)
-            .and_then(|c| c.get_chunk(stripe, lane, out))
-            .map(|_| ());
-        if res.is_err() {
-            if let Some(slot) = self.conns.get_mut(sid) {
-                *slot = None;
-            }
-        }
-        res
+        let payload = io
+            .lanes
+            .get(lane)
+            .ok_or(NodeError::Malformed("repaired lane missing"))?;
+        let digest = chunk_digest(payload);
+        crate::client::ensure_conn(&mut io.conns, new_sid, addr, &io.retry)?.put(
+            stripe,
+            lane as u32,
+            digest,
+            payload,
+        )?;
+        lock(&io.directory).reassign(stripe, lane as u32, new_sid)?;
+        repaired += 1;
     }
+    Ok(Some(RepairOutcome {
+        chunks: repaired,
+        bytes_fetched: fetched as u64 * chunk_bytes,
+        bytes_written: repaired * chunk_bytes,
+        light: session.plan().is_light(),
+    }))
 }

@@ -25,6 +25,7 @@
 //! path, so the fsync cost is noise next to the chunk writes they
 //! describe.
 
+use crate::cursor::Cursor;
 use crate::directory::ServerId;
 use crate::error::{NodeError, Result};
 use crate::manifest::Manifest;
@@ -35,7 +36,7 @@ use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"XBWL";
 const VERSION: u32 = 1;
-const HEADER_LEN: usize = 24;
+pub(crate) const HEADER_LEN: usize = 24;
 /// Largest record body replay will accept; anything bigger is treated
 /// as a torn/garbage tail. Bounds replay allocation the same way
 /// [`crate::protocol::MAX_BODY`] bounds the wire.
@@ -231,97 +232,67 @@ impl DirectoryWal {
     }
 }
 
-fn decode_header(bytes: &[u8]) -> Result<WalHeader> {
-    let h = bytes
-        .get(..HEADER_LEN)
-        .ok_or(NodeError::Malformed("wal shorter than its header"))?;
-    if h[..4] != MAGIC {
+pub(crate) fn decode_header(bytes: &[u8]) -> Result<WalHeader> {
+    let mut c = Cursor::new(bytes, "wal shorter than its header");
+    if c.take(4)? != MAGIC {
         return Err(NodeError::Malformed("bad wal magic"));
     }
-    if le_u32(&h[4..8]) != VERSION {
+    if c.u32()? != VERSION {
         return Err(NodeError::Malformed("unsupported wal version"));
     }
     Ok(WalHeader {
-        servers: le_u32(&h[8..12]),
-        racks: le_u32(&h[12..16]),
-        seed: le_u64(&h[16..24]),
+        servers: c.u32()?,
+        racks: c.u32()?,
+        seed: c.u64()?,
     })
 }
+
+/// What a record cursor calls running out of bytes (never surfaced:
+/// [`decode_record`] folds every failure into `None`).
+const TORN: &str = "wal record torn";
 
 /// Decodes the record at `pos`. `None` means "no intact record here" —
 /// clean end of log and torn tail look the same to the caller, which
 /// truncates whatever follows the last `Some`.
-fn decode_record(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
-    let len_bytes = bytes.get(pos..pos + 4)?;
-    let body_len = le_u32(len_bytes) as usize;
+pub(crate) fn decode_record(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
+    let mut c = Cursor::new(bytes.get(pos..)?, TORN);
+    let body_len = c.u32().ok()? as usize;
     if body_len == 0 || body_len > MAX_RECORD {
         return None;
     }
-    let body = bytes.get(pos + 4..pos + 4 + body_len)?;
-    let digest_bytes = bytes.get(pos + 4 + body_len..pos + 12 + body_len)?;
-    if chunk_digest(body) != le_u64(digest_bytes) {
+    let body = c.take(body_len).ok()?;
+    if chunk_digest(body) != c.u64().ok()? {
         return None;
     }
-    let rec = decode_body(body)?;
+    let rec = decode_body(body).ok()?;
     Some((rec, pos + 12 + body_len))
 }
 
-fn decode_body(body: &[u8]) -> Option<WalRecord> {
-    let (&tag, rest) = body.split_first()?;
-    match tag {
+fn decode_body(body: &[u8]) -> Result<WalRecord> {
+    let mut c = Cursor::new(body, TORN);
+    let rec = match c.u8()? {
         REC_STRIPE => {
-            let stripe = le_u64(rest.get(..8)?);
-            let count = le_u16(rest.get(8..10)?) as usize;
-            let lanes = rest.get(10..)?;
-            if lanes.len() != count * 4 {
-                return None;
-            }
-            let servers = lanes
-                .chunks_exact(4)
-                .map(|c| le_u32(c) as ServerId)
-                .collect();
-            Some(WalRecord::Stripe { stripe, servers })
+            let stripe = c.u64()?;
+            let count = c.u16()? as usize;
+            let servers = (0..count)
+                .map(|_| c.u32().map(|sid| sid as ServerId))
+                .collect::<Result<_>>()?;
+            WalRecord::Stripe { stripe, servers }
         }
-        REC_REASSIGN => {
-            if rest.len() != 16 {
-                return None;
-            }
-            Some(WalRecord::Reassign {
-                stripe: le_u64(rest.get(..8)?),
-                lane: le_u32(rest.get(8..12)?),
-                server: le_u32(rest.get(12..16)?) as ServerId,
-            })
-        }
-        REC_CORRUPT => {
-            if rest.len() != 12 {
-                return None;
-            }
-            Some(WalRecord::Corrupt {
-                stripe: le_u64(rest.get(..8)?),
-                lane: le_u32(rest.get(8..12)?),
-            })
-        }
-        REC_MANIFEST => Manifest::decode(rest).ok().map(WalRecord::Manifest),
-        _ => None,
-    }
-}
-
-fn le_u16(b: &[u8]) -> u16 {
-    let mut w = [0u8; 2];
-    w.copy_from_slice(&b[..2]);
-    u16::from_le_bytes(w)
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    let mut w = [0u8; 4];
-    w.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(w)
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(w)
+        REC_REASSIGN => WalRecord::Reassign {
+            stripe: c.u64()?,
+            lane: c.u32()?,
+            server: c.u32()? as ServerId,
+        },
+        REC_CORRUPT => WalRecord::Corrupt {
+            stripe: c.u64()?,
+            lane: c.u32()?,
+        },
+        REC_MANIFEST => return Manifest::decode(c.rest()).map(WalRecord::Manifest),
+        _ => return Err(NodeError::Malformed("unknown wal record type")),
+    };
+    c.finish("trailing bytes in wal record")?;
+    Ok(rec)
 }
 
 #[cfg(test)]

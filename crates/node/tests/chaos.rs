@@ -180,6 +180,51 @@ fn scrubber_finds_every_rotted_chunk_in_one_cycle_and_repair_heals_them() {
     cluster.teardown();
 }
 
+/// A put that dies mid-stripe must not leave its half-written stripe in
+/// the directory. Left there it is harmless only until a server holding
+/// one of its lanes dies: then the repair agent takes it for lost data,
+/// finds the never-written lanes missing, and can neither rebuild the
+/// stripe nor ever report the cluster repaired.
+#[test]
+fn crashed_put_leaves_no_half_written_stripe_for_the_agent() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot(5, "crashput");
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let data = test_file(spec.data_blocks() * CHUNK);
+    let manifest = client.put(&data).unwrap();
+
+    // A second put crashes somewhere inside its only stripe.
+    fault::arm(FaultPlan::new(7).with(Site::CrashPut, 150));
+    assert!(client.put(&data).is_err(), "16 draws at 15% must hit");
+    fault::disarm();
+    let mut stripes = Vec::new();
+    cluster.lock_dir().stripe_ids(&mut stripes);
+    assert_eq!(stripes, [manifest.stripes[0].id], "only the acked stripe");
+
+    // Every server holds lanes of every 16-lane stripe, so this kill
+    // would have put the half-written one on the agent's list.
+    cluster.servers[0].kill();
+    let agent = RepairAgent::start(
+        Codec::build(spec).unwrap(),
+        Arc::clone(&cluster.directory),
+        cluster.sessions.clone(),
+        RepairAgentConfig::new(CHUNK),
+    )
+    .unwrap();
+    assert!(
+        agent.wait_until_repaired(Duration::from_secs(30)),
+        "{:?}",
+        agent.stats()
+    );
+    agent.shutdown();
+    let mut buf = Vec::new();
+    client.get(&manifest, &mut buf).unwrap();
+    assert_eq!(buf, data);
+    cluster.teardown();
+}
+
 #[test]
 fn armed_fault_plan_returns_only_correct_bytes() {
     let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);

@@ -66,6 +66,17 @@ impl Cluster {
         .unwrap()
     }
 
+    /// Flips a payload byte of `lane`'s stored chunk behind its
+    /// server's back.
+    fn rot_chunk(&self, entry: &xorbas_node::manifest::StripeEntry, lane: usize) {
+        let path = self.data_dirs[entry.servers[lane]]
+            .join(format!("s{:016x}_l{lane:08x}.chunk", entry.id));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let payload_at = bytes.len() - CHUNK + 17;
+        bytes[payload_at] ^= 0xFF;
+        std::fs::write(&path, bytes).unwrap();
+    }
+
     fn lock_dir(&self) -> std::sync::MutexGuard<'_, Directory> {
         self.directory
             .lock()
@@ -208,15 +219,9 @@ fn checksum_mismatch_routes_into_degraded_read() {
     let manifest = client.put(&data).unwrap();
     let stripe = manifest.stripes[0].id;
 
-    // Flip a payload byte of lane 0's stored chunk behind the server's
-    // back. The server detects the digest mismatch on read and answers
-    // with a typed Corrupt error; the client treats it as an erasure.
-    let holder = manifest.stripes[0].servers[0];
-    let path = cluster.data_dirs[holder].join(format!("s{stripe:016x}_l{:08x}.chunk", 0));
-    let mut bytes = std::fs::read(&path).unwrap();
-    let payload_at = bytes.len() - CHUNK + 17;
-    bytes[payload_at] ^= 0xFF;
-    std::fs::write(&path, bytes).unwrap();
+    // The server detects the digest mismatch on read and answers with
+    // a typed Corrupt error; the client treats it as an erasure.
+    cluster.rot_chunk(&manifest.stripes[0], 0);
 
     let mut buf = Vec::new();
     let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
@@ -238,6 +243,55 @@ fn checksum_mismatch_routes_into_degraded_read() {
     assert!(matches!(kind, ReadKind::Direct));
     assert_eq!(&buf[..], &data[..CHUNK]);
 
+    cluster.teardown();
+}
+
+/// Regression: the agent's own fetch must tell the directory about a
+/// bad *source* lane. Lane 0 is flagged lost, lane 1 of the same local
+/// group has silently rotted, and nothing else — no scrubber, no client
+/// traffic — will ever notice lane 1. Before the agent read through the
+/// shared executor it retried the same light plan every scan round,
+/// failed on lane 1 every time, and never converged.
+#[test]
+fn repair_agent_routes_around_a_rotten_source_lane() {
+    let spec = CodeSpec::LRC_10_6_5;
+    let cluster = Cluster::boot(5, "wedge");
+    let mut client = cluster.client(spec);
+    let data = test_file(spec.data_blocks() * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    let stripe = manifest.stripes[0].id;
+    cluster.lock_dir().report_corrupt(stripe, 0);
+    cluster.rot_chunk(&manifest.stripes[0], 1);
+    drop(client);
+
+    let agent = cluster.agent(spec);
+    assert!(
+        agent.wait_until_repaired(Duration::from_secs(10)),
+        "the agent must flag the rotten source and repair both lanes: {:?}",
+        agent.stats()
+    );
+    // The directory converges an instant before the worker's counters do.
+    let settle = Instant::now() + Duration::from_secs(5);
+    while agent.stats().chunks_repaired < 2 && Instant::now() < settle {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = agent.stats();
+    agent.shutdown();
+    assert_eq!(stats.chunks_repaired, 2, "{stats:?}");
+    // Lanes 0 and 1 share a local group: two losses there are heavy.
+    assert_eq!((stats.light_repairs, stats.heavy_repairs), (0, 1));
+    // One probing attempt found the rot; not one failure per scan round.
+    assert!((1..=3).contains(&stats.failed_attempts), "{stats:?}");
+    assert!(!cluster.lock_dir().is_corrupt(stripe, 1));
+
+    let mut fresh = cluster.client(spec);
+    let mut buf = Vec::new();
+    for lane in 0..2u32 {
+        let kind = fresh.read_data_chunk(stripe, lane, &mut buf).unwrap();
+        assert!(matches!(kind, ReadKind::Direct), "lane {lane}: {kind:?}");
+        let at = lane as usize * CHUNK;
+        assert_eq!(&buf[..], &data[at..at + CHUNK], "lane {lane}");
+    }
     cluster.teardown();
 }
 

@@ -379,25 +379,15 @@ impl Simulation {
         }
     }
 
-    /// [`Codec::repair_plan_for`] through the pattern memo:
-    /// recoverable plans are cached once and shared out by `Rc`;
+    /// [`Codec::repair_plan_for`] through the pattern memo, plus
+    /// whether the lookup hit it (the serving path charges a
+    /// plan-compile latency penalty on cold failure patterns).
+    /// Recoverable plans are cached once and shared out by `Rc`;
     /// unrecoverable patterns stay uncached (they abandon the stripe
     /// exactly once). Hits allocate nothing: the key is encoded into a
     /// reused scratch buffer (`usize::MAX` separates the two index
     /// lists, which never contain it) and looked up as a slice.
     fn plan_cached(
-        &mut self,
-        unavailable: &[usize],
-        targets: &[usize],
-    ) -> Result<Rc<RepairPlan>, CodeError> {
-        self.plan_cached_with_hit(unavailable, targets)
-            .map(|(p, _)| p)
-    }
-
-    /// [`Simulation::plan_cached`] that also reports whether the lookup
-    /// hit the memo — the serving path charges a plan-compile latency
-    /// penalty on cold failure patterns.
-    fn plan_cached_with_hit(
         &mut self,
         unavailable: &[usize],
         targets: &[usize],
@@ -424,6 +414,48 @@ impl Simulation {
                 self.plan_key_scratch = key;
                 Err(e)
             }
+        }
+    }
+
+    /// What rebuilding `stripe`'s position `pos` in memory fetches: the
+    /// real blocks behind the plan's
+    /// [`fetch_lanes`](RepairPlan::fetch_lanes) (virtual positions read
+    /// for free), whether the plan is all-light, and whether the memo
+    /// hit. `draining` plans around `pos` although it is still readable
+    /// (a scheduled-repair drain never touches the draining node).
+    fn degraded_read_plan(
+        &mut self,
+        stripe: StripeId,
+        pos: usize,
+        draining: bool,
+    ) -> Result<(Vec<BlockId>, bool, bool), CodeError> {
+        let mut unavailable = std::mem::take(&mut self.pos_scratch);
+        self.hdfs
+            .unavailable_positions_into(stripe, &mut unavailable);
+        if draining {
+            unavailable.push(pos);
+            unavailable.sort_unstable();
+        }
+        let plan = self.plan_cached(&unavailable, &[pos]);
+        self.pos_scratch = unavailable;
+        let (plan, cache_hit) = plan?;
+        let positions = self.hdfs.positions(stripe);
+        let read_blocks = plan
+            .fetch_lanes()
+            .filter_map(|p| match positions[p] {
+                Position::Real(b) => Some(b),
+                Position::Virtual => None,
+            })
+            .collect();
+        Ok((read_blocks, plan.is_light(), cache_hit))
+    }
+
+    /// Decode throughput of a light (XOR) or heavy (RS solve) repair.
+    fn decode_bps(&self, light: bool) -> f64 {
+        if light {
+            self.cfg.compute.xor_bps
+        } else {
+            self.cfg.compute.rs_decode_bps
         }
     }
 
@@ -571,27 +603,6 @@ impl Simulation {
                         .then(|| payload_table.get(&sid).map(|s| s[pos].clone()))
                         .flatten()
                 },
-            )
-            .expect("cluster has capacity for the file")
-    }
-
-    /// Loads a replicated (un-RAIDed) file.
-    pub fn load_replicated_file(
-        &mut self,
-        name: &str,
-        data_blocks: usize,
-        replicas: usize,
-    ) -> FileId {
-        let block_bytes = self.cfg.cluster.block_bytes;
-        self.hdfs
-            .create_replicated_file(
-                name,
-                data_blocks,
-                replicas,
-                block_bytes,
-                &self.placement,
-                &self.alive,
-                &mut self.rng,
             )
             .expect("cluster has capacity for the file")
     }
@@ -1121,7 +1132,7 @@ impl Simulation {
             let plan = self.plan_cached(&unavailable, &targets);
             self.pos_scratch = unavailable;
             let plan = match plan {
-                Ok(plan) => plan,
+                Ok((plan, _)) => plan,
                 Err(_) => {
                     self.abandon_stripe(stripe);
                     continue;
@@ -1307,31 +1318,20 @@ impl Simulation {
                     .push(self.clock);
             }
             ServePolicy::Degraded => {
-                let plan = self.plan_cached_with_hit(&unavailable, &[meta.pos]);
                 self.pos_scratch = unavailable;
-                let (plan, cache_hit) = match plan {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Unrecoverable pattern the fixer has not seen
-                        // yet: abandon (exactly-once) and fail the read.
-                        self.abandon_stripe(stripe);
-                        self.metrics.serving.failed_reads += 1;
-                        return;
-                    }
+                let Ok((read_blocks, light, cache_hit)) =
+                    self.degraded_read_plan(stripe, meta.pos, false)
+                else {
+                    // Unrecoverable pattern the fixer has not seen
+                    // yet: abandon (exactly-once) and fail the read.
+                    self.abandon_stripe(stripe);
+                    self.metrics.serving.failed_reads += 1;
+                    return;
                 };
-                let mut positions = std::mem::take(&mut self.stripe_scratch);
-                positions.clear();
-                positions.extend_from_slice(self.hdfs.positions(stripe));
-                let (read_blocks, light) = plan_reads(&plan, &positions);
-                self.stripe_scratch = positions;
                 // Range-read the same offsets of every surviving lane in
                 // the plan, stream them over the client NIC, decode.
                 let fetched = read_blocks.len().max(1) as f64 * cfg.read_bytes as f64;
-                let decode_bps = if light {
-                    self.cfg.compute.xor_bps
-                } else {
-                    self.cfg.compute.rs_decode_bps
-                };
+                let decode_bps = self.decode_bps(light);
                 let mut latency_ms = cfg.base_latency_ms
                     + fetched / cfg.client_read_bps * 1e3
                     + fetched / decode_bps * 1e3;
@@ -1471,25 +1471,14 @@ impl Simulation {
                     // The planned light reads were fixed at scan time; they
                     // remain exactly the repair group, re-derived here.
                     let plan = match self.plan_cached(&unavailable, &still_lost) {
-                        Ok(p) => p,
+                        Ok((p, _)) => p,
                         Err(_) => {
                             self.pos_scratch = unavailable;
                             self.stripe_scratch = positions;
                             return None;
                         }
                     };
-                    let mut reads: Vec<usize> = Vec::new();
-                    let mut repaired: Vec<usize> = Vec::new();
-                    for t in &plan.tasks {
-                        for &r in &t.reads {
-                            if !repaired.contains(&r) && !reads.contains(&r) {
-                                reads.push(r);
-                            }
-                        }
-                        repaired.extend(t.repairs.iter().copied());
-                    }
-                    reads.sort_unstable();
-                    reads.into_iter().map(|p| (p, 1.0)).collect()
+                    plan.fetch_lanes().map(|p| (p, 1.0)).collect()
                 } else {
                     match self.cfg.read_policy {
                         ReadPolicy::Deployed => (0..positions.len())
@@ -1498,7 +1487,7 @@ impl Simulation {
                             .collect(),
                         ReadPolicy::Minimal => {
                             let plan = match self.plan_cached(&unavailable, &still_lost) {
-                                Ok(p) => p,
+                                Ok((p, _)) => p,
                                 Err(_) => {
                                     self.pos_scratch = unavailable;
                                     self.stripe_scratch = positions;
@@ -1521,13 +1510,8 @@ impl Simulation {
                         Position::Virtual => None,
                     })
                     .collect();
-                let rate = if light {
-                    self.cfg.compute.xor_bps
-                } else {
-                    self.cfg.compute.rs_decode_bps
-                };
                 let read_volume: f64 = read_blocks.iter().map(|&(_, f)| f).sum();
-                let compute = read_volume * block_bytes / rate;
+                let compute = read_volume * block_bytes / self.decode_bps(light);
                 let restores: Vec<(usize, BlockId)> = still_lost
                     .iter()
                     .filter_map(|&p| match positions[p] {
@@ -1548,30 +1532,13 @@ impl Simulation {
                     return Some((vec![(block, 1.0)], wordcount, vec![]));
                 }
                 // Degraded read: reconstruct the block in memory first.
-                let stripe = meta.stripe;
-                let mut unavailable = std::mem::take(&mut self.pos_scratch);
-                self.hdfs
-                    .unavailable_positions_into(stripe, &mut unavailable);
-                let plan = self.plan_cached(&unavailable, &[meta.pos]);
-                self.pos_scratch = unavailable;
-                let plan = match plan {
-                    Ok(p) => p,
-                    Err(_) => {
-                        self.abandon_stripe(stripe);
-                        return None;
-                    }
+                let Ok((read_blocks, light, _)) =
+                    self.degraded_read_plan(meta.stripe, meta.pos, false)
+                else {
+                    self.abandon_stripe(meta.stripe);
+                    return None;
                 };
-                let mut positions = std::mem::take(&mut self.stripe_scratch);
-                positions.clear();
-                positions.extend_from_slice(self.hdfs.positions(stripe));
-                let (read_blocks, light) = plan_reads(&plan, &positions);
-                self.stripe_scratch = positions;
-                let rate = if light {
-                    self.cfg.compute.xor_bps
-                } else {
-                    self.cfg.compute.rs_decode_bps
-                };
-                let decode = read_blocks.len() as f64 * block_bytes / rate;
+                let decode = read_blocks.len() as f64 * block_bytes / self.decode_bps(light);
                 // Degraded map reads stream whole blocks (the wordcount
                 // consumes the payload anyway), so every fraction is 1.0.
                 let reads = read_blocks.into_iter().map(|b| (b, 1.0)).collect();
@@ -1588,26 +1555,9 @@ impl Simulation {
                 }
                 // Scheduled-repair drain: rebuild from peers, never
                 // touching the draining node.
-                let stripe = meta.stripe;
-                let mut unavailable = std::mem::take(&mut self.pos_scratch);
-                self.hdfs
-                    .unavailable_positions_into(stripe, &mut unavailable);
-                unavailable.push(pos);
-                unavailable.sort_unstable();
-                let plan = self.plan_cached(&unavailable, &[pos]);
-                self.pos_scratch = unavailable;
-                let plan = plan.ok()?;
-                let mut positions = std::mem::take(&mut self.stripe_scratch);
-                positions.clear();
-                positions.extend_from_slice(self.hdfs.positions(stripe));
-                let (read_blocks, light) = plan_reads(&plan, &positions);
-                self.stripe_scratch = positions;
-                let rate = if light {
-                    self.cfg.compute.xor_bps
-                } else {
-                    self.cfg.compute.rs_decode_bps
-                };
-                let compute = read_blocks.len() as f64 * block_bytes / rate;
+                let (read_blocks, light, _) =
+                    self.degraded_read_plan(meta.stripe, pos, true).ok()?;
+                let compute = read_blocks.len() as f64 * block_bytes / self.decode_bps(light);
                 let reads = read_blocks.into_iter().map(|b| (b, 1.0)).collect();
                 Some((reads, compute, vec![(pos, block)]))
             }
@@ -2002,33 +1952,6 @@ impl Simulation {
     }
 }
 
-/// Distinct read blocks of a multi-step repair plan, honouring peeling
-/// order (an intermediate repaired by an earlier step is not re-read),
-/// plus whether every step used the light decoder.
-fn plan_reads(plan: &xorbas_core::RepairPlan, positions: &[Position]) -> (Vec<BlockId>, bool) {
-    let mut reads: Vec<usize> = Vec::new();
-    let mut repaired: Vec<usize> = Vec::new();
-    let mut light = true;
-    for t in &plan.tasks {
-        light &= t.light;
-        for &r in &t.reads {
-            if !repaired.contains(&r) && !reads.contains(&r) {
-                reads.push(r);
-            }
-        }
-        repaired.extend(t.repairs.iter().copied());
-    }
-    reads.sort_unstable();
-    let read_blocks: Vec<BlockId> = reads
-        .iter()
-        .filter_map(|&p| match positions[p] {
-            Position::Real(b) => Some(b),
-            Position::Virtual => None,
-        })
-        .collect();
-    (read_blocks, light)
-}
-
 /// Deterministic verify-mode payload for a (stripe, position).
 fn deterministic_payload(stripe: usize, pos: usize, len: usize) -> Vec<u8> {
     let mut state = (stripe as u64)
@@ -2119,14 +2042,10 @@ mod tests {
             let mut cfg = small_cfg(CodeSpec::REPLICATION_3);
             cfg.verify_payloads = verify;
             let mut sim = Simulation::new(cfg);
-            if verify {
-                // Through the RAID loader replication is the [3,1] code:
-                // every replica carries the payload, and each repair is
-                // replayed through a compiled session and compared.
-                sim.load_raided_file("r", 30);
-            } else {
-                sim.load_replicated_file("r", 30, 3); // stores no payloads
-            }
+            // Replication is the [3,1] code through the one loader. In
+            // verify mode every replica carries the payload, and each
+            // repair is replayed through a compiled session and compared.
+            sim.load_raided_file("r", 30);
             let victim = sim.node_with_block_count_near(5).unwrap();
             let lost = sim.hdfs.blocks_on(victim).len();
             assert!(lost > 0);

@@ -364,57 +364,6 @@ impl Hdfs {
         Some(file_id)
     }
 
-    /// Creates an `f`-way replicated file: one stripe per logical block,
-    /// holding `f` replicas on distinct nodes.
-    #[allow(clippy::too_many_arguments)] // mirrors create_raided_file's shape
-    pub fn create_replicated_file<R: Rng>(
-        &mut self,
-        name: &str,
-        data_blocks: usize,
-        replicas: usize,
-        block_bytes: u64,
-        placement: &Placement,
-        alive: &[bool],
-        rng: &mut R,
-    ) -> Option<FileId> {
-        let file_id = self.files.len();
-        let stripe_start = self.stripes.len();
-        let mut nodes = Vec::with_capacity(replicas);
-        for _ in 0..data_blocks {
-            let stripe_id = self.stripes.len();
-            placement.place_many(replicas, alive, &[], rng, &mut nodes)?;
-            let pos_start = self.position_arena.len();
-            for (pos, &node) in nodes.iter().enumerate() {
-                let bid = self.add_block(
-                    file_id,
-                    stripe_id,
-                    pos,
-                    BlockKind::Data,
-                    block_bytes,
-                    node,
-                    None,
-                );
-                self.position_arena.push(Position::Real(bid));
-            }
-            self.stripes.push(StripeMeta {
-                id: stripe_id,
-                file: file_id,
-                code: CodeSpec::Replication { replicas },
-                real_data: 1,
-                unrecoverable: false,
-                pos_start,
-                pos_len: replicas,
-            });
-        }
-        self.files.push(FileMeta {
-            id: file_id,
-            name: name.to_string(),
-            data_blocks,
-            stripes: stripe_start..self.stripes.len(),
-        });
-        Some(file_id)
-    }
-
     /// Marks every block on `node` as lost; returns the lost block ids.
     pub fn kill_node(&mut self, node: NodeId) -> Vec<BlockId> {
         let lost = std::mem::take(&mut self.node_blocks[node]);
@@ -487,16 +436,8 @@ impl Hdfs {
     }
 
     /// The stripe positions (codec indices) of `stripe` that are real and
-    /// currently unavailable.
-    pub fn unavailable_positions(&self, stripe: StripeId) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.unavailable_positions_into(stripe, &mut out);
-        out
-    }
-
-    /// Like [`Hdfs::unavailable_positions`], but appends into a
-    /// caller-reused buffer (cleared first) — the allocation-free variant
-    /// for per-event scan loops.
+    /// currently unavailable, into a caller-reused buffer (cleared
+    /// first) — allocation-free for per-event scan loops.
     pub fn unavailable_positions_into(&self, stripe: StripeId, out: &mut Vec<usize>) {
         out.clear();
         for (pos, p) in self.positions(stripe).iter().enumerate() {
@@ -509,15 +450,8 @@ impl Hdfs {
     }
 
     /// Nodes currently hosting blocks of `stripe` (for placement
-    /// exclusion: never two blocks of a stripe on one node).
-    pub fn stripe_nodes(&self, stripe: StripeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.stripe_nodes_into(stripe, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Hdfs::stripe_nodes`] (buffer is
-    /// cleared first; duplicates are not added).
+    /// exclusion: never two blocks of a stripe on one node), into a
+    /// caller-reused buffer (cleared first; duplicates are not added).
     pub fn stripe_nodes_into(&self, stripe: StripeId, out: &mut Vec<NodeId>) {
         out.clear();
         let s = &self.stripes[stripe];
@@ -738,8 +672,9 @@ mod tests {
         assert_eq!(fs.files()[f].stripes.len(), 2);
         assert_eq!(fs.block_count(), 28);
         // No two blocks of a stripe share a node.
+        let mut nodes = Vec::new();
         for s in fs.stripes() {
-            let nodes = fs.stripe_nodes(s.id);
+            fs.stripe_nodes_into(s.id, &mut nodes);
             assert_eq!(nodes.len(), 14);
         }
     }
@@ -750,17 +685,27 @@ mod tests {
         let placement = Placement::new(10, 2);
         let alive = vec![true; 10];
         let mut rng = StdRng::seed_from_u64(2);
-        fs.create_replicated_file("r", 4, 3, 64, &placement, &alive, &mut rng)
-            .unwrap();
+        // Replication is the [3,1] code: one stripe per logical block.
+        let code = CodeSpec::REPLICATION_3;
+        fs.create_raided_file(
+            "r",
+            4,
+            code,
+            64,
+            &placement,
+            &alive,
+            &mut rng,
+            full_mask(code),
+            |_, _| None,
+        )
+        .unwrap();
         assert_eq!(fs.block_count(), 12);
+        let mut nodes = Vec::new();
         for s in fs.stripes() {
-            assert_eq!(fs.stripe_nodes(s.id).len(), 3);
+            fs.stripe_nodes_into(s.id, &mut nodes);
+            assert_eq!(nodes.len(), 3);
             // 3 replicas over 2 racks: both racks used.
-            let racks: HashSet<usize> = fs
-                .stripe_nodes(s.id)
-                .iter()
-                .map(|&n| placement.rack_of(n))
-                .collect();
+            let racks: HashSet<usize> = nodes.iter().map(|&n| placement.rack_of(n)).collect();
             assert_eq!(racks.len(), 2);
         }
     }
@@ -789,9 +734,9 @@ mod tests {
         assert!(!lost.is_empty());
         assert_eq!(fs.lost_blocks().len(), lost.len());
         let stripe = fs.block(lost[0]).stripe;
-        assert!(fs
-            .unavailable_positions(stripe)
-            .contains(&fs.block(lost[0]).pos));
+        let mut unavailable = Vec::new();
+        fs.unavailable_positions_into(stripe, &mut unavailable);
+        assert!(unavailable.contains(&fs.block(lost[0]).pos));
         fs.restore_block(lost[0], victim);
         assert!(!fs.lost_blocks().contains(&lost[0]));
     }

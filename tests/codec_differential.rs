@@ -14,6 +14,10 @@
 //!   a piggyback single-data-lane repair moves strictly fewer than
 //!   `k` lane-volumes (the ISSUE's ~30% byte saving) while touching
 //!   `k + 1` lanes, and replication copies one surviving replica;
+//! * the session replay sees garbage in every lane outside
+//!   `RepairPlan::fetch_lanes`, so the fetch set the node and the
+//!   simulator pull is proven sufficient for every pattern, and it never
+//!   meets the missing lanes;
 //! * a repair target that is not unavailable is the same typed error in
 //!   every family.
 //!
@@ -83,9 +87,22 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
     let session = codec
         .repair_session(erased)
         .unwrap_or_else(|e| panic!("{name}: session compile for {erased:?}: {e}"));
+    // The session sees only what an executor holding the stripe in
+    // memory would have fetched: every lane outside the plan's fetch set
+    // is garbage, so a fetch set one lane short (the PR 7 stale-lane bug
+    // class) rebuilds wrong bytes here.
+    let fetch: Vec<usize> = session.plan().fetch_lanes().collect();
+    assert!(
+        fetch.iter().all(|lane| !erased.contains(lane)),
+        "{name}: fetch set {fetch:?} meets the erased lanes {erased:?}"
+    );
     let mut lanes = stripe.clone();
-    for &e in erased {
-        lanes[e].fill(0xEE);
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        if erased.contains(&i) {
+            lane.fill(0xEE);
+        } else if !fetch.contains(&i) {
+            lane.fill(0xA5);
+        }
     }
     let mut lane_refs: Vec<&mut [u8]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
     let mut view = StripeViewMut::new(&mut lane_refs, erased).unwrap();
@@ -94,12 +111,14 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
     for (i, s) in shards.iter().enumerate() {
         assert_eq!(
             s.as_ref().unwrap(),
-            &lanes[i],
-            "{name}: lane {i} owned-vs-session for {erased:?}"
+            &stripe[i],
+            "{name}: lane {i} owned round trip for {erased:?}"
         );
+    }
+    for &i in erased.iter().chain(&fetch) {
         assert_eq!(
             &lanes[i], &stripe[i],
-            "{name}: lane {i} round trip for {erased:?}"
+            "{name}: lane {i} after a replay from the fetch set {fetch:?} alone for {erased:?}"
         );
     }
 }
@@ -170,11 +189,14 @@ fn replication_passes_the_differential_suite() {
 /// Repair-read costs pinned exactly, per family, for every lane.
 #[test]
 fn repair_read_costs_are_exact_per_family() {
-    // RS: every repair is a heavy k-lane read at full volume.
+    // RS: every repair is a heavy k-lane read at full volume. (For a
+    // single loss no task reads a rebuilt lane, so what one executor
+    // fetches is what the per-task counters add up to — in every family.)
     let rs: ReedSolomon = ReedSolomon::new(10, 4).unwrap();
     for lost in 0..rs.total_blocks() {
         let plan = rs.repair_plan(&[lost]).unwrap();
         assert_eq!(plan.blocks_read(), 10, "rs lane {lost}");
+        assert_eq!(plan.fetch_lanes().count(), 10, "rs lane {lost}");
         assert_eq!(plan.read_volume(), 10.0, "rs lane {lost}");
         assert!(!plan.tasks[0].light, "rs lane {lost}");
     }
@@ -184,15 +206,25 @@ fn repair_read_costs_are_exact_per_family() {
     for lost in 0..lrc.total_blocks() {
         let plan = lrc.repair_plan(&[lost]).unwrap();
         assert_eq!(plan.blocks_read(), 5, "lrc lane {lost}");
+        assert_eq!(plan.fetch_lanes().count(), 5, "lrc lane {lost}");
         assert_eq!(plan.read_volume(), 5.0, "lrc lane {lost}");
         assert!(plan.tasks[0].light, "lrc lane {lost}");
     }
+    // Where the two counts part: losing P1 (lane 10) and S1 (lane 14),
+    // the first task rebuilds S1 and the second reads it to rebuild P1.
+    // Per-task counters see 10 distinct lanes read; an executor holding
+    // the stripe in memory fetches 9.
+    let plan = lrc.repair_plan(&[10, 14]).unwrap();
+    assert_eq!(plan.blocks_read(), 10);
+    assert_eq!(plan.fetch_lanes().count(), 9);
+    assert!(plan.fetch_lanes().all(|lane| lane != 14));
 
     // Replication: every loss copies one surviving replica, light.
     let rep = Replication::new(3).unwrap();
     for lost in 0..rep.total_blocks() {
         let plan = rep.repair_plan(&[lost]).unwrap();
         assert_eq!(plan.blocks_read(), 1, "replica {lost}");
+        assert_eq!(plan.fetch_lanes().count(), 1, "replica {lost}");
         assert_eq!(plan.read_volume(), 1.0, "replica {lost}");
         assert!(plan.tasks[0].light, "replica {lost}");
     }
@@ -206,6 +238,7 @@ fn repair_read_costs_are_exact_per_family() {
     for lost in 0..k {
         let plan = pb.repair_plan(&[lost]).unwrap();
         assert_eq!(plan.blocks_read(), k + 1, "pb data lane {lost}");
+        assert_eq!(plan.fetch_lanes().count(), k + 1, "pb data lane {lost}");
         let volume = plan.read_volume();
         assert!(
             volume < k as f64,
@@ -221,6 +254,7 @@ fn repair_read_costs_are_exact_per_family() {
     for lost in k..pb.total_blocks() {
         let plan = pb.repair_plan(&[lost]).unwrap();
         assert_eq!(plan.blocks_read(), 10, "pb parity lane {lost}");
+        assert_eq!(plan.fetch_lanes().count(), 10, "pb parity lane {lost}");
         assert_eq!(plan.read_volume(), 10.0, "pb parity lane {lost}");
     }
 }

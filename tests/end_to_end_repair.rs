@@ -108,10 +108,8 @@ fn repairs_also_verify_under_minimal_read_policy() {
 
 #[test]
 fn replication_cluster_round_trips() {
-    let mut cfg = verified_config(CodeSpec::REPLICATION_3, 12, 6);
-    cfg.verify_payloads = false; // replication loader carries no payloads
-    let mut sim = Simulation::new(cfg);
-    sim.load_replicated_file("rep", 40, 3);
+    let mut sim = Simulation::new(verified_config(CodeSpec::REPLICATION_3, 12, 6));
+    sim.load_raided_file("rep", 40);
     let victim = sim.pick_victims(1)[0];
     sim.kill_node_at(SimTime::from_secs(5), victim);
     sim.run_until_idle(SimTime::from_mins(100_000));
