@@ -1,20 +1,12 @@
 //! The [`ErasureCodec`] trait, borrowed stripe views, and repair
 //! accounting types.
 //!
-//! # The zero-copy surface
-//!
 //! The codecs operate on *borrowed* stripe storage: the caller owns the
 //! lane buffers (one per stripe position) and the codec reads and writes
-//! through slices. The owned-`Vec` methods remain as thin wrappers so
-//! existing call sites keep working, but every hot path should move to
-//! the slice-first API:
-//!
-//! | old call (owned)                               | new call (zero-copy)                              |
-//! |------------------------------------------------|---------------------------------------------------|
-//! | `encode_stripe(&[Vec<u8>]) -> Vec<Vec<u8>>`    | [`ErasureCodec::encode_into`] into caller buffers |
-//! | `encode_stripe` + a thread pool                | [`crate::encode_into_parallel`]                   |
-//! | `reconstruct(&mut [Option<Vec<u8>>])` per call | [`ErasureCodec::repair_session`] compiled once, then [`crate::RepairSession::repair`] on a [`StripeViewMut`] |
-//! | `verify_stripe(&[Vec<u8>])` (full re-encode + full compare) | still `verify_stripe`, now re-encoding parity only into scratch and comparing parity lanes |
+//! through slices — [`ErasureCodec::encode_into`] into caller parity
+//! buffers ([`crate::encode_into_parallel`] to shard that over threads),
+//! [`ErasureCodec::repair_session`] compiled once per failure pattern,
+//! then [`crate::RepairSession::repair`] on a [`StripeViewMut`].
 //!
 //! A [`RepairSession`](crate::RepairSession) caches the compiled decode
 //! (the inverted submatrix folded into per-target coefficient rows), so
@@ -496,34 +488,6 @@ impl RepairPlan {
     }
 }
 
-/// Outcome of an executed reconstruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Indices that were missing and have been restored.
-    pub repaired: Vec<usize>,
-    /// Distinct blocks that were read.
-    pub reads: Vec<usize>,
-    /// Number of distinct blocks read (`reads.len()`).
-    pub blocks_read: usize,
-    /// Total block-read events counting per-task multiplicity.
-    pub read_events: usize,
-    /// Whether the light decoder handled the whole repair.
-    pub used_light_decoder: bool,
-}
-
-impl RepairReport {
-    pub(crate) fn from_plan(plan: &RepairPlan) -> Self {
-        let reads: Vec<usize> = plan.read_fractions().iter().map(|&(b, _)| b).collect();
-        RepairReport {
-            repaired: plan.missing.clone(),
-            blocks_read: reads.len(),
-            read_events: plan.read_events(),
-            reads,
-            used_light_decoder: plan.is_light(),
-        }
-    }
-}
-
 /// A systematic erasure codec operating on equal-length block payloads.
 ///
 /// Block indices are stripe positions: `0..k` are data blocks, the rest
@@ -532,15 +496,9 @@ impl RepairReport {
 /// explains why exact/systematic repair is required for MapReduce
 /// workloads) and derives only the parity lanes.
 ///
-/// Implementors provide the borrowed-buffer core ([`encode_into`],
-/// [`repair_session`]); the owned-`Vec` methods are default wrappers
-/// over it:
-///
-/// | old call (owned)                            | new call (zero-copy)                            |
-/// |---------------------------------------------|-------------------------------------------------|
-/// | `encode_stripe(&[Vec<u8>]) -> Vec<Vec<u8>>` | [`encode_into`] into caller buffers             |
-/// | `encode_stripe` + a thread pool             | [`crate::encode_into_parallel`]                 |
-/// | `reconstruct(&mut [Option<Vec<u8>>])`       | [`repair_session`] once, then [`crate::RepairSession::repair`] on a [`StripeViewMut`] |
+/// The whole surface is borrowed buffers ([`encode_into`],
+/// [`repair_session`]); [`crate::owned`] wraps it for callers that want
+/// a stripe as `Vec<Vec<u8>>`.
 ///
 /// [`encode_into`]: ErasureCodec::encode_into
 /// [`repair_session`]: ErasureCodec::repair_session
@@ -620,118 +578,6 @@ pub trait ErasureCodec {
     /// further solves and no allocation — compile once per pattern, reuse
     /// across stripes.
     fn repair_session(&self, unavailable: &[usize]) -> Result<RepairSession>;
-
-    /// Convenience wrapper: encodes `k` owned data payloads into all `n`
-    /// stored payloads (data lanes copied through bit-identically).
-    ///
-    /// Allocates the output stripe; hot paths should hold reusable
-    /// buffers and call [`ErasureCodec::encode_into`] directly.
-    fn encode_stripe(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let len = check_data(data, self.data_blocks())?;
-        let m = self.total_blocks() - self.data_blocks();
-        let mut parity = vec![vec![0u8; len]; m];
-        {
-            let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-            let mut parity_refs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
-            self.encode_into(&data_refs, &mut parity_refs)?;
-        }
-        let mut stripe = data.to_vec();
-        stripe.extend(parity);
-        Ok(stripe)
-    }
-
-    /// Convenience wrapper: restores every `None` shard in place and
-    /// reports what was read.
-    ///
-    /// `shards` must have length `n`; present shards must share one size.
-    /// Compiles a fresh [`RepairSession`] per call; repeated repairs of
-    /// one pattern should compile once and reuse the session.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<RepairReport> {
-        let len = check_shards(shards, self.total_blocks())?;
-        let missing: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
-        let session = self.repair_session(&missing)?;
-        if missing.is_empty() {
-            return Ok(session.report());
-        }
-        for &b in &missing {
-            shards[b] = Some(vec![0u8; len]);
-        }
-        // Every lane is `Some` here (missing ones were just zero-filled);
-        // if one were not, the lane count would shrink and the view
-        // constructor below would reject the stripe with a typed error.
-        let mut lane_refs: Vec<&mut [u8]> = shards
-            .iter_mut()
-            .filter_map(|s| s.as_mut().map(Vec::as_mut_slice))
-            .collect();
-        let mut view = StripeViewMut::new(&mut lane_refs, &missing)?;
-        session.repair(&mut view)?;
-        Ok(session.report())
-    }
-
-    /// Convenience: verifies a full stripe round-trips through encoding.
-    ///
-    /// Re-derives only the parity lanes (into scratch buffers) and
-    /// compares them against the stored parity — the data half is
-    /// systematic by construction and is neither cloned nor compared.
-    fn verify_stripe(&self, stripe: &[Vec<u8>]) -> Result<bool> {
-        let k = self.data_blocks();
-        let n = self.total_blocks();
-        if stripe.len() != n {
-            return Err(CodeError::ShardCountMismatch {
-                expected: n,
-                got: stripe.len(),
-            });
-        }
-        let data_refs: Vec<&[u8]> = stripe[..k].iter().map(Vec::as_slice).collect();
-        let len = check_data_lanes(&data_refs, k)?;
-        let mut parity = vec![vec![0u8; len]; n - k];
-        {
-            let mut parity_refs: Vec<&mut [u8]> =
-                parity.iter_mut().map(Vec::as_mut_slice).collect();
-            self.encode_into(&data_refs, &mut parity_refs)?;
-        }
-        Ok(parity
-            .iter()
-            .zip(&stripe[k..])
-            .all(|(re, stored)| re == stored))
-    }
-}
-
-/// Validates shard shape: `n` entries, consistent payload length.
-///
-/// Returns the common payload length (0 when everything is missing).
-pub(crate) fn check_shards(shards: &[Option<Vec<u8>>], expected: usize) -> Result<usize> {
-    if shards.len() != expected {
-        return Err(CodeError::ShardCountMismatch {
-            expected,
-            got: shards.len(),
-        });
-    }
-    let mut len = None;
-    for s in shards.iter().flatten() {
-        match len {
-            None => len = Some(s.len()),
-            Some(l) if l != s.len() => return Err(CodeError::ShardSizeMismatch),
-            _ => {}
-        }
-    }
-    Ok(len.unwrap_or(0))
-}
-
-/// Validates encode input: exactly `k` payloads of one shared length.
-pub(crate) fn check_data(data: &[Vec<u8>], k: usize) -> Result<usize> {
-    if data.len() != k {
-        return Err(CodeError::ShardCountMismatch {
-            expected: k,
-            got: data.len(),
-        });
-    }
-    let len = data.first().map_or(0, Vec::len);
-    if data.iter().any(|d| d.len() != len) {
-        return Err(CodeError::ShardSizeMismatch);
-    }
-    Ok(len)
 }
 
 /// Sorted, deduplicated copy of an index list; rejects out-of-range.
@@ -769,8 +615,7 @@ pub(crate) fn normalize_repair_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ErasureCodec, Lrc, ReedSolomon};
-    use xorbas_gf::Gf256;
+    use crate::{ErasureCodec, Lrc};
 
     #[test]
     fn lane_mask_inline_set_get_count() {
@@ -895,21 +740,5 @@ mod tests {
         assert_eq!(v.lane_len(), 2);
         v.mark_present(1);
         assert!(v.is_present(1));
-    }
-
-    #[test]
-    fn verify_stripe_checks_parity_lanes_only() {
-        let rs: ReedSolomon<Gf256> = ReedSolomon::new(4, 2).unwrap();
-        let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 8]).collect();
-        let mut stripe = rs.encode_stripe(&data).unwrap();
-        assert!(rs.verify_stripe(&stripe).unwrap());
-        stripe[5][0] ^= 0xFF; // corrupt a parity lane
-        assert!(!rs.verify_stripe(&stripe).unwrap());
-        stripe[5][0] ^= 0xFF;
-        stripe.pop();
-        assert!(matches!(
-            rs.verify_stripe(&stripe),
-            Err(CodeError::ShardCountMismatch { .. })
-        ));
     }
 }

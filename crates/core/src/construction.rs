@@ -148,7 +148,6 @@ pub fn exhaustive_search_small<F: Field>(k: usize, m: usize) -> Result<ReedSolom
 mod tests {
     use super::*;
     use crate::analysis::code_locality;
-    use crate::codec::ErasureCodec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xorbas_gf::{Gf16, Gf256};
@@ -196,14 +195,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let lrc = random_lrc::<Gf256, _>(spec, 3, &mut rng, 8).unwrap();
         let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 * 13 + 1; 8]).collect();
-        let stripe = lrc.encode_stripe(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[1] = None;
-        shards[5] = None;
-        lrc.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &stripe[i]);
-        }
+        let stripe = crate::owned::encode(&lrc, &data).unwrap();
+        let mut lanes = stripe.clone();
+        crate::owned::repair(&lrc, &mut lanes, &[1, 5]).unwrap();
+        assert_eq!(lanes, stripe);
     }
 
     #[test]

@@ -96,28 +96,14 @@ impl Codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StripeViewMut;
+    use crate::owned;
 
-    /// Encodes `data` through the handle, erases `lost`, replays the
-    /// compiled session, and checks every lane came back.
+    /// Encodes `data` with the codec behind the handle, erases `lost`,
+    /// replays the compiled session, and checks every lane came back.
     fn round_trip(codec: &Codec, data: &[Vec<u8>], lost: &[usize]) {
-        let len = data[0].len();
-        let mut stripe = data.to_vec();
-        stripe.resize(codec.total_blocks(), vec![0u8; len]);
-        {
-            let (d, p) = stripe.split_at_mut(data.len());
-            let d: Vec<&[u8]> = d.iter().map(Vec::as_slice).collect();
-            let mut p: Vec<&mut [u8]> = p.iter_mut().map(Vec::as_mut_slice).collect();
-            codec.encode_into(&d, &mut p).unwrap();
-        }
+        let stripe = owned::encode(&*codec.0, data).unwrap();
         let mut lanes = stripe.clone();
-        for &l in lost {
-            lanes[l].fill(0xEE);
-        }
-        let session = codec.repair_session(lost).unwrap().unwrap();
-        let mut refs: Vec<&mut [u8]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut view = StripeViewMut::new(&mut refs, lost).unwrap();
-        session.repair(&mut view).unwrap();
+        owned::repair(&*codec.0, &mut lanes, lost).unwrap();
         assert_eq!(lanes, stripe, "{}", codec.spec().name());
     }
 

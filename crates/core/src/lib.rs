@@ -28,8 +28,8 @@
 //! |---|---|---|
 //! | §2.1 / App. D codes | [`Lrc`], [`ReedSolomon`] | the two contenders, Appendix-D constructions |
 //! | §4 baseline, any spec | [`Replication`], [`Codec`] | replication as a code; one object per [`CodeSpec`] |
-//! | §3.1.2 decoders | [`ErasureCodec`], [`peeling`] | light/heavy repair planning and execution |
-//! | §3.1.2 hot path | [`ErasureCodec::encode_into`], [`RepairSession`], [`StripeViewMut`] | the zero-copy surface (see `docs/ARCHITECTURE.md`) |
+//! | §3.1.2 decoder | `linear` (private), [`peeling`] | the one light-then-heavy decoder: RS plans through it with zero equations, the LRC with its repair groups |
+//! | §3.1.2 hot path | [`ErasureCodec::encode_into`], [`RepairSession`], [`StripeViewMut`] | the codec surface (see `docs/ARCHITECTURE.md`); [`owned`] wraps it in `Vec<Vec<u8>>` for tests and docs |
 //! | Defs. 1–2 | [`analysis`] | brute-force distance / locality ground truth |
 //! | Thms. 1–2, Fig. 8 | [`bounds`] | bound formulas and certificates |
 //! | Thm. 4 | [`construction`] | randomized/deterministic constructions |
@@ -65,6 +65,7 @@ mod error;
 mod handle;
 mod linear;
 mod lrc;
+pub mod owned;
 mod parallel;
 pub mod peeling;
 mod piggyback;
@@ -73,7 +74,7 @@ mod replication;
 mod session;
 mod spec;
 
-pub use codec::{ErasureCodec, LaneMask, RepairPlan, RepairReport, RepairTask, StripeViewMut};
+pub use codec::{ErasureCodec, LaneMask, RepairPlan, RepairTask, StripeViewMut};
 pub use error::{CodeError, Result};
 pub use handle::Codec;
 pub use linear::decode_solve_count;

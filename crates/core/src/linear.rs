@@ -1,19 +1,37 @@
-//! Shared generator-matrix decode compilation.
+//! The decoder — the only one in the crate.
 //!
-//! Both codecs express a stripe as `y = x · G` (row vector of `k` data
-//! payloads times a `k × n` generator). Heavy decoding picks `k`
-//! independent surviving columns `S`, inverts `G_S`, and recovers
-//! `x = y_S · G_S⁻¹`; any block `b` is then `y_b = x · g_b`. The
-//! compiler below folds those two products into one coefficient row per
-//! target — `y_b = y_S · (G_S⁻¹ · g_b)` — so executing a repair is pure
-//! slice arithmetic with no matrix work left.
+//! Every linear codec here expresses a stripe as `y = x · G` (row vector
+//! of `k` data payloads times a `k × n` generator), optionally with XOR
+//! equations `Σ cᵢ · y_i = 0` over the stored blocks (the LRC's repair
+//! groups). Repair is §3.1.2's "light decoder first, heavy fallback",
+//! as a function of `(generator, equations)`:
+//!
+//! 1. **Light.** Peel the equations ([`crate::peeling`]); keep only the
+//!    steps the targets need.
+//! 2. **Heavy.** For whatever peeling left unresolved, take the first
+//!    `k` independent surviving columns `S` in ascending lane order
+//!    ([`select_decode_columns`]), invert `G_S` once, and recover
+//!    `x = y_S · G_S⁻¹`; a block `b` is then `y_b = x · g_b`.
+//!    [`compile_combination_steps`] folds the two products into one
+//!    coefficient row per target — `y_b = y_S · (G_S⁻¹ · g_b)` — so
+//!    executing a repair is pure slice arithmetic with no matrix work
+//!    left.
+//!
+//! [`plan_for`] renders that decision as a [`RepairPlan`], [`session`]
+//! compiles it into a [`RepairSession`]. The LRC calls them with its
+//! equations; Reed-Solomon *is* the LRC with no local equations (the
+//! paper's heavy decoder is HDFS-RAID's RS decoder) and calls them with
+//! `&[]`, so nothing peels and every request is one heavy task.
 
 use std::cell::Cell;
 
 use xorbas_gf::Field;
 use xorbas_linalg::Matrix;
 
-use crate::session::CompiledStep;
+use crate::codec::{normalize_repair_request, RepairPlan, RepairTask};
+use crate::error::{CodeError, Result};
+use crate::peeling::{peel, PeelStep, XorEquation};
+use crate::session::{CompiledStep, RepairSession};
 
 thread_local! {
     static DECODE_SOLVES: Cell<u64> = const { Cell::new(0) };
@@ -32,7 +50,7 @@ pub fn decode_solve_count() -> u64 {
 /// Greedily selects independent columns from `candidates` (in order)
 /// until `gen.rows()` of them are found. Returns `None` if the candidate
 /// columns do not span the row space.
-pub(crate) fn select_independent_columns<F: Field>(
+fn select_independent_columns<F: Field>(
     gen: &Matrix<F>,
     candidates: &[usize],
 ) -> Option<Vec<usize>> {
@@ -42,6 +60,158 @@ pub(crate) fn select_independent_columns<F: Field>(
         return None;
     }
     Some(pivots.into_iter().map(|p| candidates[p]).collect())
+}
+
+/// The heavy decoder's column choice: the first `k` independent columns
+/// among the lanes outside `unavailable` (sorted), in ascending lane
+/// order. Data lanes are `0..k` in every layout, so ascending order
+/// already reads surviving data first — identity columns keep the solve
+/// cheap, and HDFS-RAID prefers the same streams. Fails with
+/// [`CodeError::Unrecoverable`] when the survivors do not span the code.
+fn select_decode_columns<F: Field>(gen: &Matrix<F>, unavailable: &[usize]) -> Result<Vec<usize>> {
+    let surviving: Vec<usize> = (0..gen.cols())
+        .filter(|i| !unavailable.contains(i))
+        .collect();
+    select_independent_columns(gen, &surviving).ok_or_else(|| CodeError::Unrecoverable {
+        erased: unavailable.to_vec(),
+    })
+}
+
+/// Keeps only the steps needed (transitively) to repair `targets`,
+/// preserving dependency order.
+fn prune_steps<F>(steps: Vec<PeelStep<F>>, targets: &[usize]) -> Vec<PeelStep<F>> {
+    let mut needed: Vec<usize> = targets.to_vec();
+    let mut keep = vec![false; steps.len()];
+    for (i, step) in steps.iter().enumerate().rev() {
+        if needed.contains(&step.repaired) {
+            keep[i] = true;
+            needed.extend(step.sources.iter().map(|&(s, _)| s));
+        }
+    }
+    steps
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(s, k)| k.then_some(s))
+        .collect()
+}
+
+/// What the decoder decided for one request, before it is rendered as a
+/// plan or compiled into steps.
+struct Decode<F> {
+    /// The request's targets, sorted and deduplicated.
+    targets: Vec<usize>,
+    /// Light steps in dependency order.
+    light: Vec<PeelStep<F>>,
+    /// The heavy remainder: the targets peeling left unresolved and the
+    /// `k` columns they decode from. `None` when the light decoder
+    /// handled everything (or there was nothing to repair).
+    heavy: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+fn decode<F: Field>(
+    gen: &Matrix<F>,
+    equations: &[XorEquation<F>],
+    unavailable: &[usize],
+    targets: &[usize],
+) -> Result<Decode<F>> {
+    let (unavailable, targets) = normalize_repair_request(unavailable, targets, gen.cols())?;
+    let mut avail = vec![true; gen.cols()];
+    for &u in &unavailable {
+        avail[u] = false;
+    }
+    let outcome = peel(equations, &avail, &targets);
+    let peeled: Vec<usize> = targets
+        .iter()
+        .copied()
+        .filter(|t| !outcome.unresolved.contains(t))
+        .collect();
+    let light = prune_steps(outcome.steps, &peeled);
+    // The heavy decoder reads originally available lanes only, never one
+    // a light step rebuilt.
+    let heavy = if outcome.unresolved.is_empty() {
+        None
+    } else {
+        let selection = select_decode_columns(gen, &unavailable)?;
+        Some((outcome.unresolved, selection))
+    };
+    Ok(Decode {
+        targets,
+        light,
+        heavy,
+    })
+}
+
+impl<F: Field> Decode<F> {
+    /// One light task per peel step, then the heavy task if any.
+    fn plan(&self) -> RepairPlan {
+        let mut tasks: Vec<RepairTask> = self
+            .light
+            .iter()
+            .map(|s| RepairTask {
+                repairs: vec![s.repaired],
+                reads: s.sources.iter().map(|&(i, _)| i).collect(),
+                half_reads: vec![],
+                light: true,
+            })
+            .collect();
+        if let Some((unresolved, selection)) = &self.heavy {
+            tasks.push(RepairTask {
+                repairs: unresolved.clone(),
+                reads: selection.clone(),
+                half_reads: vec![],
+                light: false,
+            });
+        }
+        RepairPlan {
+            missing: self.targets.clone(),
+            tasks,
+        }
+    }
+}
+
+/// Plans reconstruction of `targets ⊆ unavailable` for the code
+/// `(gen, equations)`: light tasks first, then at most one heavy task
+/// rebuilding every unresolved target from the same `k` streams. An
+/// empty target list is the empty plan, whatever is unavailable.
+pub(crate) fn plan_for<F: Field>(
+    gen: &Matrix<F>,
+    equations: &[XorEquation<F>],
+    unavailable: &[usize],
+    targets: &[usize],
+) -> Result<RepairPlan> {
+    Ok(decode(gen, equations, unavailable, targets)?.plan())
+}
+
+/// Compiles the repair of every lane in `unavailable` for the code
+/// `(gen, equations)`: peel steps translate one-to-one into compiled
+/// steps, and a heavy remainder costs the session's one elimination.
+pub(crate) fn session<F: Field>(
+    gen: &Matrix<F>,
+    equations: &[XorEquation<F>],
+    unavailable: &[usize],
+) -> Result<RepairSession> {
+    let decoded = decode(gen, equations, unavailable, unavailable)?;
+    let plan = decoded.plan();
+    let mut steps: Vec<CompiledStep> = decoded
+        .light
+        .iter()
+        .map(|s| CompiledStep {
+            target: s.repaired,
+            sources: s.sources.iter().map(|&(i, c)| (i, c.index())).collect(),
+        })
+        .collect();
+    let mut solves = 0;
+    if let Some((unresolved, selection)) = &decoded.heavy {
+        steps.extend(compile_combination_steps(gen, selection, unresolved)?);
+        solves = 1;
+    }
+    Ok(RepairSession::from_parts::<F>(
+        gen.cols(),
+        decoded.targets,
+        plan,
+        steps,
+        solves,
+    ))
 }
 
 /// Compiles the heavy decode of `targets` from the shards at `selection`
@@ -58,12 +228,12 @@ pub(crate) fn compile_combination_steps<F: Field>(
     gen: &Matrix<F>,
     selection: &[usize],
     targets: &[usize],
-) -> crate::Result<Vec<CompiledStep>> {
+) -> Result<Vec<CompiledStep>> {
     let k = gen.rows();
     debug_assert_eq!(selection.len(), k);
     let sub = gen.select_columns(selection);
     let Some(inv) = sub.invert() else {
-        return Err(crate::CodeError::ConstructionFailed(format!(
+        return Err(CodeError::ConstructionFailed(format!(
             "selected columns {selection:?} are not independent"
         )));
     };

@@ -23,12 +23,12 @@ use xorbas_linalg::Matrix;
 
 use crate::codec::{
     check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row, encode_row_iter,
-    normalize_indices, normalize_repair_request, ErasureCodec, RepairPlan, RepairTask,
+    ErasureCodec, RepairPlan,
 };
 use crate::error::{CodeError, Result};
 use crate::linear;
-use crate::peeling::{peel, PeelStep, XorEquation};
-use crate::session::{CompiledStep, RepairSession};
+use crate::peeling::XorEquation;
+use crate::session::RepairSession;
 use crate::spec::{CodeSpec, LrcSpec};
 use crate::ReedSolomon;
 
@@ -215,89 +215,6 @@ impl<F: Field> Lrc<F> {
     pub fn local_parity_index(&self, t: usize) -> usize {
         self.spec.k + self.spec.global_parities + t
     }
-
-    /// Keeps only the steps needed (transitively) to repair `targets`,
-    /// preserving dependency order.
-    fn prune_steps(steps: Vec<PeelStep<F>>, targets: &[usize]) -> Vec<PeelStep<F>> {
-        let mut needed: Vec<usize> = targets.to_vec();
-        let mut keep = vec![false; steps.len()];
-        for (i, step) in steps.iter().enumerate().rev() {
-            if needed.contains(&step.repaired) {
-                keep[i] = true;
-                needed.extend(step.sources.iter().map(|&(s, _)| s));
-            }
-        }
-        steps
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(s, k)| k.then_some(s))
-            .collect()
-    }
-
-    /// Light steps + optional heavy remainder for a repair request.
-    #[allow(clippy::type_complexity)] // (steps, Option<(unresolved, selection)>)
-    fn plan_internal(
-        &self,
-        unavailable: &[usize],
-        targets: &[usize],
-    ) -> Result<(Vec<PeelStep<F>>, Option<(Vec<usize>, Vec<usize>)>)> {
-        let n = self.total_blocks();
-        let (unavailable, targets) = normalize_repair_request(unavailable, targets, n)?;
-        let mut avail = vec![true; n];
-        for &u in &unavailable {
-            avail[u] = false;
-        }
-        let outcome = peel(&self.equations, &avail, &targets);
-        let steps = Self::prune_steps(
-            outcome.steps,
-            &targets
-                .iter()
-                .copied()
-                .filter(|t| !outcome.unresolved.contains(t))
-                .collect::<Vec<_>>(),
-        );
-        if outcome.unresolved.is_empty() {
-            return Ok((steps, None));
-        }
-        // Heavy decoder: k independent columns among originally available
-        // blocks, data-first (mirrors the RS decoder's stream choice).
-        let available: Vec<usize> = (0..n).filter(|&i| avail[i]).collect();
-        let (data, parity): (Vec<usize>, Vec<usize>) =
-            available.iter().partition(|&&i| i < self.spec.k);
-        let ordered: Vec<usize> = data.into_iter().chain(parity).collect();
-        let selection = linear::select_independent_columns(&self.generator, &ordered).ok_or(
-            CodeError::Unrecoverable {
-                erased: unavailable,
-            },
-        )?;
-        Ok((steps, Some((outcome.unresolved, selection))))
-    }
-
-    /// Assembles the public [`RepairPlan`] from a planner outcome.
-    fn assemble_plan(
-        missing: Vec<usize>,
-        steps: &[PeelStep<F>],
-        heavy: Option<&(Vec<usize>, Vec<usize>)>,
-    ) -> RepairPlan {
-        let mut tasks: Vec<RepairTask> = steps
-            .iter()
-            .map(|s| RepairTask {
-                repairs: vec![s.repaired],
-                reads: s.sources.iter().map(|&(i, _)| i).collect(),
-                half_reads: vec![],
-                light: true,
-            })
-            .collect();
-        if let Some((unresolved, selection)) = heavy {
-            tasks.push(RepairTask {
-                repairs: unresolved.clone(),
-                reads: selection.clone(),
-                half_reads: vec![],
-                light: false,
-            });
-        }
-        RepairPlan { missing, tasks }
-    }
 }
 
 impl<F: Field> ErasureCodec for Lrc<F> {
@@ -347,49 +264,18 @@ impl<F: Field> ErasureCodec for Lrc<F> {
     }
 
     fn repair_plan_for(&self, unavailable: &[usize], targets: &[usize]) -> Result<RepairPlan> {
-        let (steps, heavy) = self.plan_internal(unavailable, targets)?;
-        Ok(Self::assemble_plan(
-            normalize_indices(targets, self.total_blocks())?,
-            &steps,
-            heavy.as_ref(),
-        ))
+        linear::plan_for(&self.generator, &self.equations, unavailable, targets)
     }
 
     fn repair_session(&self, unavailable: &[usize]) -> Result<RepairSession> {
-        let missing = normalize_indices(unavailable, self.total_blocks())?;
-        let (steps, heavy) = self.plan_internal(&missing, &missing)?;
-        let plan = Self::assemble_plan(missing.clone(), &steps, heavy.as_ref());
-        // Light peeling steps translate one-to-one into compiled steps.
-        let mut compiled: Vec<CompiledStep> = steps
-            .iter()
-            .map(|s| CompiledStep {
-                target: s.repaired,
-                sources: s.sources.iter().map(|&(i, c)| (i, c.index())).collect(),
-            })
-            .collect();
-        let mut solves = 0;
-        if let Some((unresolved, selection)) = &heavy {
-            compiled.extend(linear::compile_combination_steps(
-                &self.generator,
-                selection,
-                unresolved,
-            )?);
-            solves = 1;
-        }
-        Ok(RepairSession::from_parts::<F>(
-            self.total_blocks(),
-            missing,
-            plan,
-            compiled,
-            solves,
-        ))
+        linear::session(&self.generator, &self.equations, unavailable)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StripeViewMut;
+    use crate::{owned, StripeViewMut};
     use xorbas_gf::slice_ops::xor_into;
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -411,7 +297,7 @@ mod tests {
         let lrc = xorbas();
         assert_eq!(lrc.total_blocks(), 16);
         let data = sample_data(10, 32);
-        let stripe = lrc.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&lrc, &data).unwrap();
         // Systematic prefix.
         assert_eq!(&stripe[..10], &data[..]);
         // S1 = X1+..+X5, S2 = X6+..+X10 (unit coefficients = XOR).
@@ -431,7 +317,7 @@ mod tests {
     fn implied_parity_identity_holds() {
         // S1 + S2 = P1 + P2 + P3 + P4 — the stored S3 is redundant.
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 64)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(10, 64)).unwrap();
         let mut lhs = stripe[14].clone();
         xor_into(&mut lhs, &stripe[15]);
         let mut rhs = vec![0u8; 64];
@@ -445,14 +331,13 @@ mod tests {
     fn every_single_failure_light_decodes_reading_5_blocks() {
         // The headline property: locality 5 for all 16 blocks.
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 16)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(10, 16)).unwrap();
         for lost in 0..16 {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            shards[lost] = None;
-            let report = lrc.reconstruct(&mut shards).unwrap();
-            assert!(report.used_light_decoder, "block {lost} went heavy");
-            assert_eq!(report.blocks_read, 5, "block {lost} read != 5");
-            assert_eq!(shards[lost].as_ref().unwrap(), &stripe[lost]);
+            let mut lanes = stripe.clone();
+            let session = owned::repair(&lrc, &mut lanes, &[lost]).unwrap();
+            assert!(session.plan().is_light(), "block {lost} went heavy");
+            assert_eq!(session.plan().blocks_read(), 5, "block {lost} read != 5");
+            assert_eq!(lanes[lost], stripe[lost]);
         }
     }
 
@@ -470,29 +355,25 @@ mod tests {
     #[test]
     fn double_failure_in_different_groups_stays_light() {
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 16)).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[2] = None; // group 1
-        shards[7] = None; // group 2
-        let report = lrc.reconstruct(&mut shards).unwrap();
-        assert!(report.used_light_decoder);
-        assert_eq!(report.read_events, 10); // two tasks x 5 streams
-        assert_eq!(shards[2].as_ref().unwrap(), &stripe[2]);
-        assert_eq!(shards[7].as_ref().unwrap(), &stripe[7]);
+        let stripe = owned::encode(&lrc, &sample_data(10, 16)).unwrap();
+        let mut lanes = stripe.clone();
+        // Lane 2 is in group 1, lane 7 in group 2.
+        let session = owned::repair(&lrc, &mut lanes, &[2, 7]).unwrap();
+        assert!(session.plan().is_light());
+        assert_eq!(session.plan().read_events(), 10); // two tasks x 5 streams
+        assert_eq!(lanes, stripe);
     }
 
     #[test]
     fn double_failure_in_same_group_goes_heavy() {
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 16)).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[2] = None;
-        shards[3] = None; // same local group as 2
-        let report = lrc.reconstruct(&mut shards).unwrap();
-        assert!(!report.used_light_decoder);
-        assert_eq!(report.blocks_read, 10);
-        assert_eq!(shards[2].as_ref().unwrap(), &stripe[2]);
-        assert_eq!(shards[3].as_ref().unwrap(), &stripe[3]);
+        let stripe = owned::encode(&lrc, &sample_data(10, 16)).unwrap();
+        let mut lanes = stripe.clone();
+        // Lanes 2 and 3 share a local group.
+        let session = owned::repair(&lrc, &mut lanes, &[2, 3]).unwrap();
+        assert!(!session.plan().is_light());
+        assert_eq!(session.plan().blocks_read(), 10);
+        assert_eq!(lanes, stripe);
     }
 
     #[test]
@@ -501,31 +382,24 @@ mod tests {
         // actually S1): repair S1 from its data group, which unlocks the
         // parity-group equation for P1.
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 16)).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[14] = None; // S1
-        shards[10] = None; // P1
-        let report = lrc.reconstruct(&mut shards).unwrap();
-        assert!(report.used_light_decoder);
-        assert_eq!(shards[14].as_ref().unwrap(), &stripe[14]);
-        assert_eq!(shards[10].as_ref().unwrap(), &stripe[10]);
+        let stripe = owned::encode(&lrc, &sample_data(10, 16)).unwrap();
+        let mut lanes = stripe.clone();
+        // Lane 10 is P1, lane 14 is S1.
+        let session = owned::repair(&lrc, &mut lanes, &[10, 14]).unwrap();
+        assert!(session.plan().is_light());
+        assert_eq!(lanes, stripe);
     }
 
     #[test]
     fn all_four_erasure_patterns_recover() {
         // d = 5: any 4 erasures must decode (exhaustive, C(16,4) = 1820).
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 4)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(10, 4)).unwrap();
         for pattern in crate::analysis::combinations(16, 4) {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            for &i in &pattern {
-                shards[i] = None;
-            }
-            lrc.reconstruct(&mut shards)
+            let mut lanes = stripe.clone();
+            owned::repair(&lrc, &mut lanes, &pattern)
                 .unwrap_or_else(|e| panic!("pattern {pattern:?} failed: {e}"));
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &stripe[i], "pattern {pattern:?}");
-            }
+            assert_eq!(lanes, stripe, "pattern {pattern:?}");
         }
     }
 
@@ -535,14 +409,10 @@ mod tests {
         // Erasing a whole local group (5 data blocks + … here: the 5
         // blocks X1..X4 + S1 leaves group 1 with rank deficit).
         let lrc = xorbas();
-        let stripe = lrc.encode_stripe(&sample_data(10, 4)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(10, 4)).unwrap();
         let mut found_failure = false;
         for pattern in crate::analysis::combinations(16, 5) {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            for &i in &pattern {
-                shards[i] = None;
-            }
-            if lrc.reconstruct(&mut shards).is_err() {
+            if owned::repair(&lrc, &mut stripe.clone(), &pattern).is_err() {
                 found_failure = true;
                 break;
             }
@@ -558,7 +428,7 @@ mod tests {
         };
         let lrc: Lrc<Gf256> = Lrc::new(spec).unwrap();
         assert_eq!(lrc.total_blocks(), 17);
-        let stripe = lrc.encode_stripe(&sample_data(10, 16)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(10, 16)).unwrap();
         let mut s3 = vec![0u8; 16];
         for p in &stripe[10..14] {
             xor_into(&mut s3, p);
@@ -597,13 +467,12 @@ mod tests {
             })
             .collect();
         let lrc = Lrc::with_base(spec, rs, coeffs).unwrap();
-        let stripe = lrc.encode_stripe(&sample_data(10, 16)).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[3] = None;
-        let report = lrc.reconstruct(&mut shards).unwrap();
-        assert!(report.used_light_decoder);
-        assert_eq!(report.blocks_read, 5);
-        assert_eq!(shards[3].as_ref().unwrap(), &stripe[3]);
+        let stripe = owned::encode(&lrc, &sample_data(10, 16)).unwrap();
+        let mut lanes = stripe.clone();
+        let session = owned::repair(&lrc, &mut lanes, &[3]).unwrap();
+        assert!(session.plan().is_light());
+        assert_eq!(session.plan().blocks_read(), 5);
+        assert_eq!(lanes[3], stripe[3]);
     }
 
     #[test]
@@ -663,7 +532,7 @@ mod tests {
         };
         let lrc: Lrc<Gf256> = Lrc::new(spec).unwrap();
         assert_eq!(lrc.total_blocks(), 19);
-        let stripe = lrc.encode_stripe(&sample_data(12, 8)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(12, 8)).unwrap();
         // Single data failure reads 4; parity failure reads g-1 + 3 = 6.
         let plan = lrc.repair_plan(&[1]).unwrap();
         assert_eq!(plan.blocks_read(), 4);
@@ -671,14 +540,9 @@ mod tests {
         assert_eq!(plan.blocks_read(), 6);
         assert!(plan.is_light());
         // Round-trip a triple failure.
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        for i in [0, 4, 16] {
-            shards[i] = None;
-        }
-        lrc.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &stripe[i]);
-        }
+        let mut lanes = stripe.clone();
+        owned::repair(&lrc, &mut lanes, &[0, 4, 16]).unwrap();
+        assert_eq!(lanes, stripe);
     }
 
     #[test]
@@ -688,18 +552,13 @@ mod tests {
         // divide the table-kernel stride, and block-sized payloads.
         let lrc = xorbas();
         for len in [1, 7, 64, 1000] {
-            let stripe = lrc.encode_stripe(&sample_data(10, len)).unwrap();
+            let stripe = owned::encode(&lrc, &sample_data(10, len)).unwrap();
             for lost in 0..16 {
-                let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-                shards[lost] = None;
-                let report = lrc.reconstruct(&mut shards).unwrap();
-                assert!(report.used_light_decoder, "len {len} block {lost}");
-                assert_eq!(report.blocks_read, 5, "len {len} block {lost}");
-                assert_eq!(
-                    shards[lost].as_ref().unwrap(),
-                    &stripe[lost],
-                    "len {len} block {lost}"
-                );
+                let mut lanes = stripe.clone();
+                let session = owned::repair(&lrc, &mut lanes, &[lost]).unwrap();
+                assert!(session.plan().is_light(), "len {len} block {lost}");
+                assert_eq!(session.plan().blocks_read(), 5, "len {len} block {lost}");
+                assert_eq!(lanes[lost], stripe[lost], "len {len} block {lost}");
             }
         }
     }
@@ -713,7 +572,7 @@ mod tests {
         assert_eq!(lrc.total_blocks(), 260);
         assert_eq!(lrc.symbol_bytes(), 2);
         let data = sample_data(200, 8);
-        let stripe = lrc.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&lrc, &data).unwrap();
         assert_eq!(&stripe[..200], &data[..]);
 
         // Single data failure: light, reads its 10-lane group.
@@ -728,15 +587,8 @@ mod tests {
 
         // Session replay round-trips a light and a heavy pattern.
         for pattern in [vec![7usize], vec![3, 4]] {
-            let session = lrc.repair_session(&pattern).unwrap();
             let mut lanes = stripe.clone();
-            for &i in &pattern {
-                lanes[i].fill(0xEE);
-            }
-            let mut refs: Vec<&mut [u8]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
-            let mut view = StripeViewMut::new(&mut refs, &pattern).unwrap();
-            session.repair(&mut view).unwrap();
-            drop(refs);
+            owned::repair(&lrc, &mut lanes, &pattern).unwrap();
             for &i in &pattern {
                 assert_eq!(lanes[i], stripe[i], "lane {i} of {pattern:?}");
             }
@@ -758,7 +610,7 @@ mod tests {
         let lrc: Lrc<Gf65536> = Lrc::new(spec).unwrap();
         let data = sample_data(4, 7);
         assert!(matches!(
-            lrc.encode_stripe(&data),
+            owned::encode(&lrc, &data),
             Err(CodeError::PayloadNotSymbolAligned {
                 symbol_bytes: 2,
                 len: 7
@@ -766,7 +618,7 @@ mod tests {
         ));
         // Even lengths encode; replaying a session against odd lanes is
         // rejected by the same check.
-        let stripe = lrc.encode_stripe(&sample_data(4, 8)).unwrap();
+        let stripe = owned::encode(&lrc, &sample_data(4, 8)).unwrap();
         let session = lrc.repair_session(&[1]).unwrap();
         let mut odd_lanes = vec![vec![0u8; 7]; stripe.len()];
         let mut refs: Vec<&mut [u8]> = odd_lanes.iter_mut().map(Vec::as_mut_slice).collect();
@@ -780,7 +632,7 @@ mod tests {
         ));
         // Byte-symbol codecs are unaffected: odd lengths stay valid.
         let narrow = xorbas();
-        assert!(narrow.encode_stripe(&sample_data(10, 7)).is_ok());
+        assert!(owned::encode(&narrow, &sample_data(10, 7)).is_ok());
     }
 
     #[test]
@@ -796,7 +648,7 @@ mod tests {
                 implied_parity: true,
             };
             let lrc: Lrc<Gf256> = Lrc::new(spec).unwrap();
-            let stripe = lrc.encode_stripe(&sample_data(k, 48)).unwrap();
+            let stripe = owned::encode(&lrc, &sample_data(k, 48)).unwrap();
             let mut locals_xor = vec![0u8; 48];
             for s in &stripe[k + g..] {
                 xor_into(&mut locals_xor, s);

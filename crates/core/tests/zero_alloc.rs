@@ -4,14 +4,14 @@
 //!   buffers exist (measured with a counting global allocator);
 //! * a compiled [`RepairSession`] repairs repeated stripes of one
 //!   failure pattern with **zero allocations** and **zero further
-//!   linear solves** (the `decode_solve_count` hook), while the legacy
-//!   owned-`Vec` `reconstruct` re-solves every call.
+//!   linear solves** (the `decode_solve_count` hook), while compiling
+//!   a session per call (`owned::repair`) re-solves every call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xorbas_core::{
-    decode_solve_count, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon, Replication,
+    decode_solve_count, owned, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon, Replication,
     StripeViewMut,
 };
 use xorbas_gf::{Gf256, Gf65536};
@@ -83,8 +83,8 @@ fn assert_encode_into_allocates_nothing<C: ErasureCodec>(codec: &C, label: &str)
         0,
         "{label}: encode_into allocated on the steady state"
     );
-    // The lanes really were encoded: compare against the owned path.
-    let stripe = codec.encode_stripe(&data).unwrap();
+    // The lanes really were encoded: compare against the owned helper.
+    let stripe = owned::encode(codec, &data).unwrap();
     assert_eq!(&stripe[k..], &parity[..], "{label}: parity mismatch");
 }
 
@@ -100,7 +100,7 @@ fn encode_into_is_allocation_free_after_warmup() {
 fn session_repair_is_allocation_free_and_solve_free() {
     let rs: ReedSolomon<Gf256> = ReedSolomon::new(10, 4).unwrap();
     const LEN: usize = 2048;
-    let stripe = rs.encode_stripe(&sample_data(10, LEN)).unwrap();
+    let stripe = owned::encode(&rs, &sample_data(10, LEN)).unwrap();
 
     // Compiling the session runs the one Gaussian elimination.
     let solves_before_compile = decode_solve_count();
@@ -139,15 +139,13 @@ fn session_repair_is_allocation_free_and_solve_free() {
     assert_eq!(lanes[3], stripe[3]);
     assert_eq!(lanes[7], stripe[7]);
 
-    // Contrast: the legacy owned-Vec path re-solves on every call.
-    let solves_before_legacy = decode_solve_count();
+    // Contrast: compiling a session per call, as the owned helper does,
+    // re-solves every time.
+    let solves_before_owned = decode_solve_count();
     for _ in 0..5 {
-        let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-        shards[3] = None;
-        shards[7] = None;
-        rs.reconstruct(&mut shards).unwrap();
+        owned::repair(&rs, &mut stripe.clone(), &[3, 7]).unwrap();
     }
-    assert_eq!(decode_solve_count() - solves_before_legacy, 5);
+    assert_eq!(decode_solve_count() - solves_before_owned, 5);
 }
 
 #[test]
@@ -160,7 +158,7 @@ fn gf65536_session_repair_is_allocation_free_and_solve_free() {
     let rs: ReedSolomon<Gf65536> = ReedSolomon::new(12, 4).unwrap();
     assert_encode_into_allocates_nothing(&rs, "rs(12,4)/gf65536");
     const LEN: usize = 2048;
-    let stripe = rs.encode_stripe(&sample_data(12, LEN)).unwrap();
+    let stripe = owned::encode(&rs, &sample_data(12, LEN)).unwrap();
     let solves_before_compile = decode_solve_count();
     let session = rs.repair_session(&[1, 9]).unwrap();
     assert_eq!(decode_solve_count(), solves_before_compile + 1);
@@ -203,7 +201,7 @@ fn gf65536_session_repair_is_allocation_free_and_solve_free() {
     };
     let lrc: Lrc<Gf65536> = Lrc::new(spec).unwrap();
     assert_encode_into_allocates_nothing(&lrc, "lrc(8,5,4)/gf65536");
-    let stripe = lrc.encode_stripe(&sample_data(8, LEN)).unwrap();
+    let stripe = owned::encode(&lrc, &sample_data(8, LEN)).unwrap();
     let session = lrc.repair_session(&[2]).unwrap();
     assert_eq!(session.solve_count(), 0);
     let mut lanes = stripe.clone();
@@ -280,7 +278,7 @@ fn piggyback_session_repair_is_allocation_free_and_solve_free() {
     let pb: PiggybackRs<Gf256> = PiggybackRs::new(10, 4).unwrap();
     assert_encode_into_allocates_nothing(&pb, "pb(10,4)");
     const LEN: usize = 2048;
-    let stripe = pb.encode_stripe(&sample_data(10, LEN)).unwrap();
+    let stripe = owned::encode(&pb, &sample_data(10, LEN)).unwrap();
 
     // The fast path: one data lane, decoded from k+1 lanes' halves.
     assert_piggyback_replay_is_free(&pb, &stripe, &[4], "fast path");
@@ -299,9 +297,7 @@ fn assert_solve_free_replay<C: ErasureCodec>(codec: &C, missing: &[usize], label
     assert_eq!(decode_solve_count(), before, "{label}");
 
     const LEN: usize = 1024;
-    let stripe = codec
-        .encode_stripe(&sample_data(codec.data_blocks(), LEN))
-        .unwrap();
+    let stripe = owned::encode(codec, &sample_data(codec.data_blocks(), LEN)).unwrap();
     let mut lanes = stripe.clone();
     for &e in missing {
         lanes[e].fill(0xEE);

@@ -36,6 +36,12 @@ pub struct ServerInfo {
     pub alive: bool,
 }
 
+/// The largest stripe id the directory accepts. The allocator keeps
+/// itself one past every id it has seen, so `u64::MAX` has no
+/// successor; [`crate::Manifest::decode`] and WAL replay refuse larger
+/// ids at the boundary, where they arrive from outside the program.
+pub(crate) const MAX_STRIPE_ID: u64 = u64::MAX - 1;
+
 /// The chunk→server map plus liveness and loss bookkeeping.
 #[derive(Debug)]
 pub struct Directory {
@@ -222,11 +228,15 @@ impl Directory {
         self.servers.get(id).is_some_and(|s| s.alive)
     }
 
-    /// Allocates a fresh stripe id.
-    pub fn next_stripe_id(&mut self) -> u64 {
+    /// Allocates a fresh stripe id, or fails once the id space is used
+    /// up (only a directly registered id near `u64::MAX` gets there).
+    pub fn next_stripe_id(&mut self) -> Result<u64> {
         let id = self.next_stripe;
-        self.next_stripe += 1;
-        id
+        if id > MAX_STRIPE_ID {
+            return Err(NodeError::Malformed("stripe id out of range"));
+        }
+        self.next_stripe = id + 1;
+        Ok(id)
     }
 
     /// Registers a stripe with a known lane→server assignment (manifest
@@ -247,7 +257,10 @@ impl Directory {
     }
 
     fn register_stripe_unlogged(&mut self, stripe: u64, lane_servers: Vec<ServerId>) {
-        self.next_stripe = self.next_stripe.max(stripe + 1);
+        // Saturating: an id past MAX_STRIPE_ID handed straight to
+        // `register_stripe` parks the allocator at its refusing end
+        // instead of overflowing.
+        self.next_stripe = self.next_stripe.max(stripe.saturating_add(1));
         self.stripes.insert(stripe, lane_servers);
     }
 
@@ -263,7 +276,7 @@ impl Directory {
         self.placement
             .place_best_effort(lanes, &self.alive_scratch, &[], &mut self.rng, &mut out)
             .ok_or(NodeError::NoPlacement)?;
-        let id = self.next_stripe_id();
+        let id = self.next_stripe_id()?;
         // Log before committing: if the append fails the put aborts and
         // the stripe id is simply burned (a crash between the append
         // and the chunk writes leaves the same harmless ghost record —
@@ -526,6 +539,28 @@ mod tests {
             NodeError::Malformed("wal roster size mismatch")
         ));
         let _ = std::fs::remove_file(&wal_path);
+    }
+
+    #[test]
+    fn registering_the_last_stripe_id_cannot_overflow_the_allocator() {
+        // `stripe + 1` on an id from outside the program: u64::MAX used
+        // to panic here (debug) or wrap the allocator to 0 (release).
+        let mut dir = Directory::new(&addrs(3), 1, 1);
+        dir.register_stripe(u64::MAX, vec![0, 1, 2]);
+        assert_eq!(dir.servers_of(u64::MAX).unwrap(), [0, 1, 2]);
+        // The id space is used up: placing is a typed error, and the
+        // registered stripe keeps its assignment.
+        assert!(matches!(
+            dir.place_stripe(3).unwrap_err(),
+            NodeError::Malformed("stripe id out of range")
+        ));
+        assert_eq!(dir.servers_of(u64::MAX).unwrap(), [0, 1, 2]);
+
+        // One below the end still leaves exactly one id to hand out.
+        let mut dir = Directory::new(&addrs(3), 1, 1);
+        dir.register_stripe(u64::MAX - 2, vec![0, 1, 2]);
+        assert_eq!(dir.place_stripe(3).unwrap().0, u64::MAX - 1);
+        assert!(dir.place_stripe(3).is_err());
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! interleaving may map them to different wall-clock moments, which is
 //! exactly the nondeterminism a chaos harness should absorb).
 //!
-//! A plan is armed programmatically with [`arm`] or from the
-//! `XORBAS_NODE_FAULTS` environment knob via [`arm_from_env`] using a
-//! spec like `seed=42;connect-refuse=5;serve-stall=3:40;bit-flip=10`
-//! (per-site rates in permille, an optional `:param` carrying
-//! site-specific meaning such as a stall in milliseconds).
+//! A plan is armed programmatically — [`arm`] a [`FaultPlan`] built
+//! with [`FaultPlan::new`] and [`FaultPlan::with`] / [`FaultPlan::with_param`]
+//! (per-site rates in permille, the param carrying site-specific
+//! meaning such as a stall in milliseconds). Nothing in the environment
+//! can arm one, so a timed run cannot inherit faults.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,7 +76,7 @@ impl Site {
         Site::Extra,
     ];
 
-    /// The spec/telemetry name of the site.
+    /// The telemetry name of the site.
     pub fn name(self) -> &'static str {
         match self {
             Site::ConnectRefuse => "connect-refuse",
@@ -88,10 +88,6 @@ impl Site {
             Site::CrashRepair => "crash-repair",
             Site::Extra => "extra",
         }
-    }
-
-    fn from_name(name: &str) -> Option<Site> {
-        Site::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -109,10 +105,9 @@ struct SiteCfg {
 
 /// A seeded set of per-site firing rates.
 ///
-/// Build one with [`FaultPlan::new`] + [`FaultPlan::with`] (or parse a
-/// spec string with [`FaultPlan::parse`]), then [`arm`] it. Rates are
-/// permille per *call* at the site, decided deterministically from
-/// `(seed, site, call index)`.
+/// Build one with [`FaultPlan::new`] + [`FaultPlan::with`], then
+/// [`arm`] it. Rates are permille per *call* at the site, decided
+/// deterministically from `(seed, site, call index)`.
 pub struct FaultPlan {
     seed: u64,
     sites: [SiteCfg; SITE_COUNT],
@@ -138,33 +133,6 @@ impl FaultPlan {
         cfg.permille = permille.min(1000);
         cfg.param = param;
         self
-    }
-
-    /// Parses a `seed=N;site=permille[:param];…` spec (the
-    /// `XORBAS_NODE_FAULTS` format). Unknown site names and malformed
-    /// clauses are rejected so a typo can't silently disable chaos.
-    pub fn parse(spec: &str) -> std::result::Result<FaultPlan, &'static str> {
-        let mut plan = FaultPlan::new(0);
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (key, value) = clause.split_once('=').ok_or("clause missing `=`")?;
-            let (key, value) = (key.trim(), value.trim());
-            if key == "seed" {
-                plan.seed = value.parse().map_err(|_| "bad seed value")?;
-                continue;
-            }
-            let site = Site::from_name(key).ok_or("unknown site name")?;
-            let (rate, param) = match value.split_once(':') {
-                Some((r, p)) => (r, p.parse().map_err(|_| "bad site param")?),
-                None => (value, 0u64),
-            };
-            let permille: u32 = rate.parse().map_err(|_| "bad permille value")?;
-            plan = plan.with_param(site, permille, param);
-        }
-        Ok(plan)
     }
 
     /// The plan's seed.
@@ -232,24 +200,6 @@ pub fn arm(plan: FaultPlan) -> Arc<FaultPlan> {
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     *crate::lock(&PLAN) = None;
-}
-
-/// Arms a plan from the `XORBAS_NODE_FAULTS` environment knob if it is
-/// set, non-empty, and parseable (see [`FaultPlan::parse`] for the
-/// format). Does nothing when a plan is already armed. Returns the
-/// armed plan, if any.
-pub fn arm_from_env() -> Option<Arc<FaultPlan>> {
-    if ARMED.load(Ordering::SeqCst) {
-        return crate::lock(&PLAN).clone();
-    }
-    let spec = std::env::var("XORBAS_NODE_FAULTS").ok()?;
-    if spec.trim().is_empty() {
-        return None;
-    }
-    match FaultPlan::parse(&spec) {
-        Ok(plan) => Some(arm(plan)),
-        Err(_) => None,
-    }
 }
 
 fn with_plan<T>(f: impl FnOnce(&FaultPlan) -> T) -> Option<T> {
@@ -340,22 +290,6 @@ mod tests {
         let ra: Vec<bool> = (0..256).map(|_| a.roll(Site::CrashPut).is_some()).collect();
         let rb: Vec<bool> = (0..256).map(|_| b.roll(Site::CrashPut).is_some()).collect();
         assert_ne!(ra, rb);
-    }
-
-    #[test]
-    fn parse_round_trips_the_env_format() {
-        let plan =
-            FaultPlan::parse("seed=99; connect-refuse=5; serve-stall=3:40; bit-flip=1000").unwrap();
-        assert_eq!(plan.seed(), 99);
-        assert_eq!(plan.sites[Site::ConnectRefuse as usize].permille, 5);
-        assert_eq!(plan.sites[Site::ServeStall as usize].permille, 3);
-        assert_eq!(plan.sites[Site::ServeStall as usize].param, 40);
-        // 1000‰ always fires.
-        assert!(plan.roll(Site::BitFlip).is_some());
-        assert!(FaultPlan::parse("seed=x").is_err());
-        assert!(FaultPlan::parse("no-such-site=5").is_err());
-        assert!(FaultPlan::parse("bit-flip").is_err());
-        assert!(FaultPlan::parse("bit-flip=5:zz").is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! cannot overflow.
 
 use crate::cursor::Cursor;
-use crate::directory::ServerId;
+use crate::directory::{ServerId, MAX_STRIPE_ID};
 use crate::error::{NodeError, Result};
 use crate::protocol::MAX_CHUNK;
 use xorbas_core::{CodeSpec, LrcSpec};
@@ -155,6 +155,9 @@ impl Manifest {
         let mut stripes = Vec::with_capacity(stripe_count);
         for _ in 0..stripe_count {
             let id = c.u64()?;
+            if id > MAX_STRIPE_ID {
+                return Err(NodeError::Malformed("stripe id out of range"));
+            }
             let lane_count = c.u16()? as usize;
             if lane_count != spec.total_blocks() {
                 return Err(NodeError::Malformed(
@@ -323,6 +326,18 @@ mod tests {
                 NodeError::Malformed("invalid code spec parameters")
             ));
         }
+
+        // A stripe id the directory's allocator has no successor for
+        // (registering it used to overflow `stripe + 1`); the largest
+        // id that has one still decodes.
+        let mut m = sample(CodeSpec::ReedSolomon { k: 10, m: 4 });
+        m.stripes[0].id = u64::MAX;
+        assert!(matches!(
+            Manifest::decode(&m.encode()).unwrap_err(),
+            NodeError::Malformed("stripe id out of range")
+        ));
+        m.stripes[0].id = u64::MAX - 1;
+        assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
 
         // A stripe whose lane count disagrees with the spec's geometry.
         let mut m = sample(CodeSpec::ReedSolomon { k: 10, m: 4 });

@@ -90,17 +90,12 @@ pub struct ScrubConfig {
 }
 
 impl ScrubConfig {
-    /// A config scrubbing `stores`, with the rate taken from the
-    /// `XORBAS_NODE_SCRUB_MIBPS` environment knob (MiB/s, default 64).
+    /// A config scrubbing `stores` with the defaults: 64 MiB/s, a
+    /// 50 ms pause between cycles.
     pub fn new(stores: Vec<(ServerId, PathBuf)>) -> Self {
-        let mibps = std::env::var("XORBAS_NODE_SCRUB_MIBPS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(64);
         Self {
             stores,
-            rate_bytes_per_sec: mibps.saturating_mul(1024 * 1024),
+            rate_bytes_per_sec: 64 << 20,
             cycle_pause: Duration::from_millis(50),
         }
     }

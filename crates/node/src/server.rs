@@ -11,7 +11,7 @@
 //! view it is indistinguishable from a machine going dark.
 //!
 //! Concurrency is bounded by a counting gate (mutex + condvar) sized
-//! by the `XORBAS_NODE_THREADS` knob, mirroring how a DataNode caps
+//! by [`ServerConfig::max_conn_threads`], mirroring how a DataNode caps
 //! its transceiver threads.
 
 use crate::chunk_store::ChunkStore;
@@ -33,8 +33,7 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Directory the chunk files live in (created if absent).
     pub data_dir: PathBuf,
-    /// Cap on concurrent connection-handler threads. Defaults to the
-    /// `XORBAS_NODE_THREADS` environment knob, falling back to 8.
+    /// Cap on concurrent connection-handler threads (default 8).
     pub max_conn_threads: usize,
     /// Socket read timeout; also the granularity at which handlers and
     /// the accept loop notice a stop request.
@@ -42,17 +41,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A config storing chunks under `data_dir`, with the thread cap
-    /// taken from `XORBAS_NODE_THREADS` (default 8).
+    /// A config storing chunks under `data_dir` with the defaults: 8
+    /// handler threads, a 10 ms poll interval.
     pub fn new(data_dir: PathBuf) -> Self {
-        let max_conn_threads = std::env::var("XORBAS_NODE_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(8);
         Self {
             data_dir,
-            max_conn_threads,
+            max_conn_threads: 8,
             poll_interval: Duration::from_millis(10),
         }
     }
@@ -108,10 +102,6 @@ pub struct ChunkServer {
 impl ChunkServer {
     /// Binds an ephemeral loopback port and starts serving.
     pub fn start(cfg: ServerConfig) -> Result<ChunkServer> {
-        // Chaos entry point: a `XORBAS_NODE_FAULTS` plan set in the
-        // environment arms itself the first time a server boots (no-op
-        // when unset or when a plan is already armed programmatically).
-        let _ = fault::arm_from_env();
         let store = Arc::new(ChunkStore::open(&cfg.data_dir)?);
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         listener.set_nonblocking(true)?;

@@ -26,7 +26,7 @@
 //! describe.
 
 use crate::cursor::Cursor;
-use crate::directory::ServerId;
+use crate::directory::{ServerId, MAX_STRIPE_ID};
 use crate::error::{NodeError, Result};
 use crate::manifest::Manifest;
 use crate::protocol::chunk_digest;
@@ -273,6 +273,9 @@ fn decode_body(body: &[u8]) -> Result<WalRecord> {
     let rec = match c.u8()? {
         REC_STRIPE => {
             let stripe = c.u64()?;
+            if stripe > MAX_STRIPE_ID {
+                return Err(NodeError::Malformed("stripe id out of range"));
+            }
             let count = c.u16()? as usize;
             let servers = (0..count)
                 .map(|_| c.u32().map(|sid| sid as ServerId))
@@ -448,6 +451,35 @@ mod tests {
         let flip_at = first_end as usize + 6; // inside record 2's body
         bytes[flip_at] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
+
+        let mut seen = Vec::new();
+        let (_, stats) = DirectoryWal::replay(&path, |r| seen.push(r)).unwrap();
+        assert_eq!(stats.records, 1);
+        assert!(stats.dropped_tail_bytes > 0);
+        assert_eq!(
+            seen,
+            vec![WalRecord::Stripe {
+                stripe: 1,
+                servers: vec![0, 1]
+            }]
+        );
+        assert_eq!(fs::metadata(&path).unwrap().len(), first_end);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_range_stripe_id_is_dropped_like_any_undecodable_record() {
+        // The record is intact (its digest matches) but names a stripe
+        // id the directory's allocator has no successor for; applying
+        // it used to overflow `stripe + 1`. Replay refuses it where it
+        // decodes and truncates from there, as for a torn record.
+        let path = scratch_path("maxid");
+        let mut wal = DirectoryWal::create(&path, header()).unwrap();
+        wal.append_stripe(1, &[0, 1]).unwrap();
+        let first_end = fs::metadata(&path).unwrap().len();
+        wal.append_stripe(u64::MAX, &[2, 3]).unwrap();
+        wal.append_stripe(3, &[4, 0]).unwrap();
+        drop(wal);
 
         let mut seen = Vec::new();
         let (_, stats) = DirectoryWal::replay(&path, |r| seen.push(r)).unwrap();

@@ -1,11 +1,10 @@
 //! Preallocated stripe lane storage for the simulator's hot paths.
 //!
 //! Verify-mode repair checks run once per repaired block — thousands of
-//! times per simulated month — and previously allocated a fresh
-//! `Vec<Option<Vec<u8>>>` stripe each time. A [`StripeArena`] keeps one
-//! set of lane buffers alive for the whole simulation and hands out
-//! `&mut [Vec<u8>]` slices sized to the stripe at hand, so the steady
-//! state does no payload allocation at all.
+//! times per simulated month. A [`StripeArena`] keeps one set of lane
+//! buffers alive for the whole simulation and hands out `&mut [Vec<u8>]`
+//! slices sized to the stripe at hand, so the steady state does no
+//! payload allocation at all.
 
 /// Reusable lane buffers for one stripe's worth of payloads.
 #[derive(Debug, Default)]

@@ -1,7 +1,7 @@
 //! Quickstart: encode a stripe with the (10,6,5) LRC, lose blocks,
-//! repair them, and see why locality matters — all on the zero-copy
-//! codec surface (`encode_into` / `RepairSession` / `StripeViewMut`)
-//! that the simulator and benches use.
+//! repair them, and see why locality matters — all on the codec
+//! surface (`encode_into` / `RepairSession` / `StripeViewMut`) that the
+//! simulator and benches use.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -10,7 +10,7 @@ use xorbas::codes::{encode_into_parallel, ErasureCodec, Lrc, ReedSolomon, Stripe
 /// Encodes `data` into a freshly-allocated full stripe using the
 /// zero-copy path: parity lanes are caller-owned buffers that
 /// `encode_into` fills in place (here sharded over 4 threads).
-fn encode_stripe_zero_copy(codec: &(dyn ErasureCodec + Sync), data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+fn encode_zero_copy(codec: &(dyn ErasureCodec + Sync), data: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let lane_len = data[0].len();
     let parity_lanes = codec.total_blocks() - codec.data_blocks();
     let mut stripe: Vec<Vec<u8>> = data.to_vec();
@@ -40,8 +40,8 @@ fn repair_in_place(
     let mut lane_refs: Vec<&mut [u8]> = stripe.iter_mut().map(Vec::as_mut_slice).collect();
     let mut view = StripeViewMut::new(&mut lane_refs, missing).expect("consistent lanes");
     session.repair(&mut view).expect("replayable repair");
-    let report = session.report();
-    (report.blocks_read, report.used_light_decoder)
+    let plan = session.plan();
+    (plan.blocks_read(), plan.is_light())
 }
 
 fn main() {
@@ -79,8 +79,8 @@ fn main() {
     println!();
 
     // Encode once with each scheme (zero-copy, parallel across threads).
-    let rs_stripe = encode_stripe_zero_copy(&rs, &data);
-    let lrc_stripe = encode_stripe_zero_copy(&lrc, &data);
+    let rs_stripe = encode_zero_copy(&rs, &data);
+    let lrc_stripe = encode_zero_copy(&lrc, &data);
 
     // Lose data block 3 and repair it in place.
     let mut work = rs_stripe.clone();

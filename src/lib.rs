@@ -21,21 +21,32 @@
 //! # Quickstart
 //!
 //! ```
-//! use xorbas::codes::{ErasureCodec, Lrc};
+//! use xorbas::codes::{ErasureCodec, Lrc, StripeViewMut};
 //!
 //! // The (10,6,5) LRC deployed in HDFS-Xorbas: 10 data blocks, 4
 //! // Reed-Solomon parities, 2 stored local XOR parities (plus one
 //! // implied), block locality 5, minimum distance 5.
 //! let lrc = Lrc::xorbas_10_6_5().expect("construction is deterministic");
-//! let data: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8; 64]).collect();
-//! let stripe = lrc.encode_stripe(&data).expect("encode");
 //!
-//! // Lose a data block; light-decode it back from its 5-block repair group.
-//! let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-//! shards[3] = None;
-//! let report = lrc.reconstruct(&mut shards).expect("repair");
-//! assert_eq!(shards[3].as_deref(), Some(&stripe[3][..]));
-//! assert_eq!(report.blocks_read, 5); // vs 10+ for Reed-Solomon
+//! // The caller owns the 16 lanes; the codec writes the 6 parity lanes.
+//! let mut stripe: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 64]).collect();
+//! let (data, parity) = stripe.split_at_mut(10);
+//! let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+//! let mut parity: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+//! lrc.encode_into(&data, &mut parity).expect("encode");
+//!
+//! // Lose a data block: compile the repair of that pattern once, then
+//! // replay it over the lanes — light-decoded from its 5-block repair
+//! // group.
+//! let original = stripe[3].clone();
+//! stripe[3].fill(0);
+//! let session = lrc.repair_session(&[3]).expect("recoverable");
+//! let mut lanes: Vec<&mut [u8]> = stripe.iter_mut().map(Vec::as_mut_slice).collect();
+//! session
+//!     .repair(&mut StripeViewMut::new(&mut lanes, &[3]).expect("equal-length lanes"))
+//!     .expect("repair");
+//! assert_eq!(stripe[3], original);
+//! assert_eq!(session.plan().blocks_read(), 5); // vs 10+ for Reed-Solomon
 //! ```
 //!
 //! See `examples/` for cluster-scale scenarios (start with
@@ -43,8 +54,8 @@
 //! simulated year on the 3000-node warehouse fleet), `crates/bench` for
 //! the harnesses that regenerate every table and figure of the paper,
 //! and the repository's `README.md` / `docs/ARCHITECTURE.md` for the
-//! workspace tour — including the zero-copy codec surface and the SIMD
-//! kernel dispatch layer.
+//! workspace tour — including the codec surface and the SIMD kernel
+//! dispatch layer.
 
 #![forbid(unsafe_code)]
 
@@ -57,7 +68,7 @@ pub use xorbas_sim as sim;
 
 /// Commonly used items, importable with `use xorbas::prelude::*`.
 pub mod prelude {
-    pub use xorbas_core::{CodeSpec, ErasureCodec, Lrc, LrcSpec, ReedSolomon, RepairReport};
+    pub use xorbas_core::{CodeSpec, ErasureCodec, Lrc, LrcSpec, ReedSolomon};
     pub use xorbas_gf::{Field, Gf256};
     pub use xorbas_linalg::Matrix;
 }

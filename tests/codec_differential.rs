@@ -6,9 +6,8 @@
 //! * roundtrip at assorted symbol-aligned lengths (including the
 //!   byte-scale odd tails the serial fallback handles);
 //! * **every** single- and double-erasure pattern repaired
-//!   bit-identically via all four surfaces: the owned-`Vec`
-//!   `reconstruct`, the zero-copy `RepairSession` replay,
-//!   `encode_into`, and `encode_into_parallel`;
+//!   bit-identically through `encode_into`, `encode_into_parallel` and
+//!   the `RepairSession` replay;
 //! * repair-read costs asserted *exactly* per family: RS always reads
 //!   `k` lanes, the LRC light decoder reads its 5-lane local group,
 //!   a piggyback single-data-lane repair moves strictly fewer than
@@ -25,9 +24,10 @@
 //! `XORBAS_KERNEL_BACKEND=scalar`, so a SIMD-only or scalar-only
 //! regression in any family cannot hide.
 
+use xorbas::codes::analysis::combinations;
 use xorbas::codes::{
-    encode_into_parallel, CodeError, ErasureCodec, Lrc, PiggybackRs, ReedSolomon, Replication,
-    StripeViewMut,
+    encode_into_parallel, owned, CodeError, ErasureCodec, Lrc, PiggybackRs, ReedSolomon,
+    Replication, StripeViewMut,
 };
 
 /// Deterministic pseudo-random payloads from a seed.
@@ -53,8 +53,8 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
     let n = codec.total_blocks();
     let len = data[0].len();
 
-    // Encode: owned wrapper vs encode_into vs encode_into_parallel.
-    let stripe = codec.encode_stripe(data).unwrap();
+    // Encode: owned helper vs encode_into vs encode_into_parallel.
+    let stripe = owned::encode(codec, data).unwrap();
     assert_eq!(&stripe[..k], data, "{name}: systematic prefix");
     let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
     let mut parity = vec![vec![0xA5u8; len]; n - k];
@@ -75,15 +75,8 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
         return;
     }
 
-    // Repair: owned reconstruct vs compiled session over borrowed
-    // lanes whose stale contents must be fully overwritten.
-    let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-    for &e in erased {
-        shards[e] = None;
-    }
-    codec
-        .reconstruct(&mut shards)
-        .unwrap_or_else(|e| panic!("{name}: owned reconstruct of {erased:?}: {e}"));
+    // Repair: the compiled session over borrowed lanes whose stale
+    // contents must be fully overwritten.
     let session = codec
         .repair_session(erased)
         .unwrap_or_else(|e| panic!("{name}: session compile for {erased:?}: {e}"));
@@ -108,13 +101,6 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
     let mut view = StripeViewMut::new(&mut lane_refs, erased).unwrap();
     session.repair(&mut view).unwrap();
     drop(lane_refs);
-    for (i, s) in shards.iter().enumerate() {
-        assert_eq!(
-            s.as_ref().unwrap(),
-            &stripe[i],
-            "{name}: lane {i} owned round trip for {erased:?}"
-        );
-    }
     for &i in erased.iter().chain(&fetch) {
         assert_eq!(
             &lanes[i], &stripe[i],
@@ -257,4 +243,93 @@ fn repair_read_costs_are_exact_per_family() {
         assert_eq!(plan.fetch_lanes().count(), 10, "pb parity lane {lost}");
         assert_eq!(plan.read_volume(), 10.0, "pb parity lane {lost}");
     }
+}
+
+/// Asserts every 1..=`m` erasure pattern of an MDS `(k, m)` codec, for
+/// every non-empty target subset, plans as exactly one heavy task that
+/// repairs the targets from the first `k` surviving lanes, ascending.
+/// `skip` exempts the patterns a family plans differently.
+fn assert_heavy_selection_is_first_k_survivors<C: ErasureCodec>(
+    codec: &C,
+    name: &str,
+    skip: impl Fn(&[usize]) -> bool,
+) {
+    let k = codec.data_blocks();
+    let n = codec.total_blocks();
+    for erasures in 1..=n - k {
+        for pattern in combinations(n, erasures).filter(|p| !skip(p)) {
+            let first_k: Vec<usize> = (0..n).filter(|i| !pattern.contains(i)).take(k).collect();
+            for subset in 1u32..1 << erasures {
+                let targets: Vec<usize> = (0..erasures)
+                    .filter(|b| subset & (1 << b) != 0)
+                    .map(|b| pattern[b])
+                    .collect();
+                let plan = codec.repair_plan_for(&pattern, &targets).unwrap();
+                let ctx = format!("{name}: {targets:?} of {pattern:?}");
+                assert_eq!(plan.missing, targets, "{ctx}");
+                assert_eq!(plan.tasks.len(), 1, "{ctx}");
+                let task = &plan.tasks[0];
+                assert!(!task.light, "{ctx}");
+                assert_eq!(task.repairs, targets, "{ctx}");
+                assert_eq!(task.reads, first_k, "{ctx}");
+                assert!(task.half_reads.is_empty(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Which lanes the one decoder's heavy task reads, pinned for every
+/// family that reaches it.
+#[test]
+fn heavy_selection_is_the_first_k_surviving_lanes_ascending() {
+    let rs_6_3: ReedSolomon = ReedSolomon::new(6, 3).unwrap();
+    assert_heavy_selection_is_first_k_survivors(&rs_6_3, "rs(6,3)", |_| false);
+    let rs: ReedSolomon = ReedSolomon::new(10, 4).unwrap();
+    assert_heavy_selection_is_first_k_survivors(&rs, "rs(10,4)", |_| false);
+    // A single lost data lane is the piggyback's own fast path.
+    let pb: PiggybackRs = PiggybackRs::new(10, 4).unwrap();
+    assert_heavy_selection_is_first_k_survivors(&pb, "pb(10,4)", |p| p.len() == 1 && p[0] < 10);
+
+    // LRC: whenever peeling leaves a remainder, the light tasks come
+    // first and the one heavy task reads k surviving lanes, ascending.
+    // (Not always the first k: the LRC is not MDS, so the greedy choice
+    // skips a survivor that depends on the lanes before it.)
+    let lrc = Lrc::xorbas_10_6_5().unwrap();
+    let mut heavy_patterns = 0;
+    for erasures in 2..=4 {
+        for pattern in combinations(16, erasures) {
+            let plan = lrc.repair_plan(&pattern).unwrap();
+            let Some((last, before)) = plan.tasks.split_last() else {
+                panic!("lrc: empty plan for {pattern:?}");
+            };
+            assert!(before.iter().all(|t| t.light), "lrc: {pattern:?}");
+            if last.light {
+                continue;
+            }
+            heavy_patterns += 1;
+            assert_eq!(last.reads.len(), 10, "lrc: {pattern:?}");
+            assert!(
+                last.reads.windows(2).all(|w| w[0] < w[1]),
+                "lrc: {pattern:?} reads {:?} not ascending",
+                last.reads
+            );
+            assert!(
+                last.reads.iter().all(|r| !pattern.contains(r)),
+                "lrc: {pattern:?} reads an unavailable lane: {:?}",
+                last.reads
+            );
+        }
+    }
+    assert!(heavy_patterns > 0);
+
+    // Nothing to repair is the empty plan, even with more lanes
+    // unavailable than the code could ever recover.
+    let gone = [0, 1, 2, 3, 4, 5, 6];
+    assert!(matches!(
+        rs.repair_plan(&gone),
+        Err(CodeError::Unrecoverable { .. })
+    ));
+    assert!(rs.repair_plan_for(&gone, &[]).unwrap().tasks.is_empty());
+    assert!(pb.repair_plan_for(&gone, &[]).unwrap().tasks.is_empty());
+    assert!(lrc.repair_plan_for(&gone, &[]).unwrap().tasks.is_empty());
 }

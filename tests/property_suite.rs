@@ -11,8 +11,7 @@ use xorbas::codes::analysis::{combinations, minimum_distance};
 use xorbas::codes::bounds::lrc_distance_bound;
 use xorbas::codes::peeling::{peel, XorEquation};
 use xorbas::codes::{
-    encode_into_parallel, CodeError, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon,
-    StripeViewMut,
+    encode_into_parallel, owned, CodeError, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon,
 };
 use xorbas::gf::{Field, Gf256, Gf65536};
 use xorbas::linalg::{special, Matrix};
@@ -35,8 +34,8 @@ fn seeded_data(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
     (0..k).map(|_| (0..len).map(|_| next()).collect()).collect()
 }
 
-/// Asserts the owned-Vec API and the zero-copy API produce bit-identical
-/// stripes and repairs for one codec and erasure pattern.
+/// Asserts the owned helpers and the zero-copy surface produce
+/// bit-identical stripes and repairs for one codec and erasure pattern.
 fn assert_apis_agree<C: ErasureCodec + Sync>(
     codec: &C,
     data: &[Vec<u8>],
@@ -46,8 +45,8 @@ fn assert_apis_agree<C: ErasureCodec + Sync>(
     let k = codec.data_blocks();
     let n = codec.total_blocks();
     let len = data[0].len();
-    // Encode: owned wrapper vs encode_into vs encode_into_parallel.
-    let stripe = codec.encode_stripe(data).unwrap();
+    // Encode: owned helper vs encode_into vs encode_into_parallel.
+    let stripe = owned::encode(codec, data).unwrap();
     prop_assert_eq!(&stripe[..k], data, "systematic prefix");
     let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
     let mut parity = vec![vec![0xA5u8; len]; n - k];
@@ -63,26 +62,18 @@ fn assert_apis_agree<C: ErasureCodec + Sync>(
         encode_into_parallel(codec, &data_refs, &mut parity_refs, threads).unwrap();
     }
     prop_assert_eq!(&parity, &par_parity, "parallel parity");
-    // Repair: owned reconstruct vs compiled session over borrowed lanes.
-    let mut shards: Vec<Option<Vec<u8>>> = stripe.iter().cloned().map(Some).collect();
-    for &e in erased {
-        shards[e] = None;
-    }
-    let owned_ok = codec.reconstruct(&mut shards).is_ok();
-    let session = codec.repair_session(erased);
-    prop_assert_eq!(owned_ok, session.is_ok(), "recoverability agrees");
-    let Ok(session) = session else { return Ok(()) };
+    // Repair: the compiled session replays over lanes whose stale
+    // (poisoned) bytes must be fully overwritten, and the planner and
+    // the session compiler agree on which patterns are recoverable.
     let mut lanes = stripe.clone();
-    for &e in erased {
-        lanes[e].fill(0xEE); // stale bytes must be fully overwritten
-    }
-    let mut lane_refs: Vec<&mut [u8]> = lanes.iter_mut().map(Vec::as_mut_slice).collect();
-    let mut view = StripeViewMut::new(&mut lane_refs, erased).unwrap();
-    session.repair(&mut view).unwrap();
-    drop(lane_refs);
-    for (i, s) in shards.iter().enumerate() {
-        prop_assert_eq!(s.as_ref().unwrap(), &lanes[i], "lane {} repair", i);
-        prop_assert_eq!(&lanes[i], &stripe[i], "lane {} round trip", i);
+    let repaired = owned::repair(codec, &mut lanes, erased);
+    prop_assert_eq!(
+        codec.repair_plan(erased).is_ok(),
+        repaired.is_ok(),
+        "recoverability agrees"
+    );
+    if repaired.is_ok() {
+        prop_assert_eq!(&lanes, &stripe, "round trip of {:?}", erased);
     }
     Ok(())
 }
@@ -153,14 +144,12 @@ proptest! {
         };
         let data: Vec<Vec<u8>> =
             (0..spec.k).map(|_| (0..24).map(|_| next()).collect()).collect();
-        let stripe = lrc.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&lrc, &data).unwrap();
         for lost in 0..lrc.total_blocks() {
-            let mut shards: Vec<Option<Vec<u8>>> =
-                stripe.iter().cloned().map(Some).collect();
-            shards[lost] = None;
-            let report = lrc.reconstruct(&mut shards).unwrap();
-            prop_assert!(report.used_light_decoder, "block {lost} went heavy");
-            prop_assert_eq!(shards[lost].as_ref().unwrap(), &stripe[lost]);
+            let mut lanes = stripe.clone();
+            let session = owned::repair(&lrc, &mut lanes, &[lost]).unwrap();
+            prop_assert!(session.plan().is_light(), "block {lost} went heavy");
+            prop_assert_eq!(&lanes[lost], &stripe[lost]);
         }
     }
 
@@ -191,26 +180,20 @@ proptest! {
         let rs = ReedSolomon::<Gf256>::new(k, m).unwrap();
         let data: Vec<Vec<u8>> =
             (0..k).map(|i| vec![(i * 41 + 3) as u8; len]).collect();
-        let stripe = rs.encode_stripe(&data).unwrap();
+        let stripe = owned::encode(&rs, &data).unwrap();
         // Deterministically pick an erasure pattern of size <= m.
         let mut rng = StdRng::seed_from_u64(pattern_seed);
         use rand::seq::SliceRandom;
         let mut idx: Vec<usize> = (0..k + m).collect();
         idx.shuffle(&mut rng);
         let erased = &idx[..m];
-        let mut shards: Vec<Option<Vec<u8>>> =
-            stripe.iter().cloned().map(Some).collect();
-        for &e in erased {
-            shards[e] = None;
-        }
-        let report = rs.reconstruct(&mut shards).unwrap();
-        prop_assert_eq!(report.blocks_read, k);
-        for (i, s) in shards.iter().enumerate() {
-            prop_assert_eq!(s.as_ref().unwrap(), &stripe[i]);
-        }
+        let mut lanes = stripe.clone();
+        let session = owned::repair(&rs, &mut lanes, erased).unwrap();
+        prop_assert_eq!(session.plan().blocks_read(), k);
+        prop_assert_eq!(lanes, stripe);
     }
 
-    /// The owned-Vec API and the zero-copy API (encode_into /
+    /// The owned helpers and the zero-copy surface (encode_into /
     /// encode_into_parallel / RepairSession) are bit-identical for
     /// random RS geometries, payload lengths, and erasure patterns.
     #[test]
@@ -259,8 +242,8 @@ proptest! {
         assert_apis_agree(&lrc, &data, &erased, threads)?;
     }
 
-    /// Same equivalence for random piggybacked-RS geometries: owned,
-    /// zero-copy, parallel encode, and session replay (both the fast
+    /// Same equivalence for random piggybacked-RS geometries: the owned
+    /// helpers, serial and parallel encode, and session replay (both the fast
     /// single-data-loss path and the general path) are bit-identical.
     /// Payloads are even — two substripes of 1-byte GF(2^8) symbols.
     #[test]
@@ -317,8 +300,8 @@ proptest! {
     // pattern mix, not volume.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Wide-stripe equivalence at n = 260 > 255: the owned API, the
-    /// zero-copy API, serial and parallel encode, and `RepairSession`
+    /// Wide-stripe equivalence at n = 260 > 255: the owned helpers,
+    /// serial and parallel encode, and `RepairSession`
     /// replay agree bit-for-bit over GF(2^16) for failure patterns
     /// spanning the light decoder (cross-group), the heavy decoder
     /// (same-group pairs), and parity losses.
@@ -357,7 +340,7 @@ proptest! {
     }
 
     /// Wide RS at the same blocklength: any pattern within the erasure
-    /// tolerance round-trips through the same four surfaces (every RS
+    /// tolerance round-trips through the same surfaces (every RS
     /// repair is a heavy 200-column solve).
     #[test]
     fn wide_rs_owned_and_zero_copy_apis_agree(
@@ -380,7 +363,7 @@ proptest! {
     }
 
     /// Wide piggybacked RS (200, 60) over GF(2^16): the 2-substripe
-    /// layout at 260 lanes round-trips through all four surfaces. Half
+    /// layout at 260 lanes round-trips through the same surfaces. Half
     /// the cases force the fast single-data-lane session path; the
     /// rest exercise the general multi-loss path.
     #[test]
