@@ -79,7 +79,7 @@ impl Default for Config {
                 ),
                 ("crates/gf/src/simd.rs".to_owned(), "x86-kernels".to_owned()),
                 (
-                    "crates/sim/src/engine.rs".to_owned(),
+                    "crates/sim/src/engine/mod.rs".to_owned(),
                     "event-loop".to_owned(),
                 ),
                 (

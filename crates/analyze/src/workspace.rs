@@ -60,11 +60,13 @@ impl SourceFile {
     }
 
     /// Whether the file lives under a `tests/` or `benches/` directory
-    /// (integration tests and benches, as opposed to library source).
+    /// (integration tests and benches, as opposed to library source) or
+    /// is a `tests.rs` — the out-of-line body of a `#[cfg(test)] mod
+    /// tests;`.
     pub fn is_test_or_bench_path(&self) -> bool {
         self.rel
             .split('/')
-            .any(|seg| seg == "tests" || seg == "benches")
+            .any(|seg| seg == "tests" || seg == "benches" || seg == "tests.rs")
     }
 
     /// Whether the file is library source: `crates/<x>/src/…` or the
@@ -270,6 +272,14 @@ mod tests {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
         let f = SourceFile::from_source("x.rs".into(), src);
         assert_eq!(f.test_lines, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn out_of_line_test_modules_are_test_paths() {
+        let path = |rel: &str| SourceFile::from_source(rel.into(), "").is_test_or_bench_path();
+        assert!(path("crates/sim/src/engine/tests.rs"));
+        assert!(path("crates/sim/tests/golden_trace.rs"));
+        assert!(!path("crates/sim/src/engine/mod.rs"));
     }
 
     #[test]

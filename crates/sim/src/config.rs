@@ -192,6 +192,17 @@ pub struct ComputeRates {
     pub wordcount_bps: f64,
 }
 
+impl ComputeRates {
+    /// Decode throughput of a light (XOR) or heavy (RS solve) repair.
+    pub(crate) fn decode_bps(&self, light: bool) -> f64 {
+        if light {
+            self.xor_bps
+        } else {
+            self.rs_decode_bps
+        }
+    }
+}
+
 impl Default for ComputeRates {
     fn default() -> Self {
         Self {
