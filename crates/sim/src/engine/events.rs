@@ -19,7 +19,9 @@ pub(super) enum ControlEvent {
     DropBlocks(Vec<BlockId>),
     FixerScan,
     SubmitWordcount(FileId),
-    ComputeDone(TaskId),
+    /// A task's compute phase ends; the tag names the run that
+    /// scheduled it, so the event of an aborted run matches nothing.
+    ComputeDone(TaskId, u32),
     /// The next client-read arrival of the serving-plane workload.
     ClientRead,
     Decommission {

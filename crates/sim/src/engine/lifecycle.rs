@@ -198,23 +198,20 @@ impl Simulation {
             return;
         };
         task.state = TaskState::Computing;
+        task.run += 1;
         let done = self.clock + SimTime::from_secs_f64(task.compute_secs);
+        self.events
+            .push(done, ControlEvent::ComputeDone(tid, task.run));
         self.tasks.computing_slots += 1;
-        self.events.push(done, ControlEvent::ComputeDone(tid));
     }
 
-    pub(super) fn on_compute_done(&mut self, tid: TaskId) {
-        if let Some(stale) = self.cancelled.get_mut(&tid) {
-            *stale -= 1;
-            if *stale == 0 {
-                self.cancelled.remove(&tid);
-            }
-            return;
-        }
+    pub(super) fn on_compute_done(&mut self, tid: TaskId, run: u32) {
         let Some(task) = self.tasks.get_mut(tid) else {
             return;
         };
-        if task.state != TaskState::Computing {
+        // An aborted run's event outlives it: the task may since have
+        // been requeued, or be computing again under a later run.
+        if task.state != TaskState::Computing || task.run != run {
             return;
         }
         let Some(node) = task.node else {
@@ -366,9 +363,6 @@ impl Simulation {
         }
         if state == TaskState::Computing {
             self.tasks.computing_slots -= 1;
-            // Exactly one stale ComputeDone event is in flight; mark it
-            // to be swallowed.
-            *self.cancelled.entry(tid).or_insert(0) += 1;
         }
         self.tasks.unindex(tid);
         if requeue {

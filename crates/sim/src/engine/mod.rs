@@ -62,7 +62,6 @@ use rand::SeedableRng;
 use xorbas_core::Codec;
 
 use crate::config::SimConfig;
-use crate::fasthash::FastMap;
 use crate::hdfs::{BlockId, FileId, Hdfs, NodeId};
 use crate::metrics::Metrics;
 use crate::network::{Flow, FlowId, Network};
@@ -104,11 +103,6 @@ pub struct Simulation {
     events_processed: u64,
     /// Reused scratch for per-step flow-completion batches.
     completed_scratch: Vec<(FlowId, Flow)>,
-    /// Tasks aborted while computing, with a count per task: each abort
-    /// leaves exactly one stale ComputeDone event in flight, and a task
-    /// can be aborted-while-computing more than once across requeues, so
-    /// a set would under-swallow and complete a later run early.
-    cancelled: FastMap<TaskId, u32>,
     planner: Planner,
     verifier: Verifier,
     fleet: Fleet,
@@ -130,7 +124,6 @@ impl Simulation {
             events: EventQueue::default(),
             events_processed: 0,
             completed_scratch: Vec::new(),
-            cancelled: FastMap::default(),
             planner: Planner::new(Codec::build(cfg.code).expect("valid code spec")),
             verifier: Verifier::default(),
             fleet: Fleet::new(nodes, cfg.cluster.racks),
@@ -403,7 +396,7 @@ impl Simulation {
             }
             ControlEvent::FixerScan => self.on_fixer_scan(),
             ControlEvent::SubmitWordcount(file) => self.on_submit_wordcount(file),
-            ControlEvent::ComputeDone(task) => self.on_compute_done(task),
+            ControlEvent::ComputeDone(task, run) => self.on_compute_done(task, run),
             ControlEvent::ClientRead => self.on_client_read(),
             ControlEvent::Decommission { node, via_repair } => {
                 self.on_decommission(node, via_repair)

@@ -58,6 +58,8 @@ pub(super) struct Task {
     /// The task is done writing when the list drains.
     pub(super) write_queue: Vec<(FlowId, BlockId, NodeId)>,
     pub(super) compute_secs: f64,
+    /// How many times the task has entered its compute phase.
+    pub(super) run: u32,
 }
 
 impl Task {
@@ -73,6 +75,7 @@ impl Task {
             restores: Vec::new(),
             write_queue: Vec::new(),
             compute_secs: 0.0,
+            run: 0,
         }
     }
 }

@@ -1,5 +1,6 @@
 use super::*;
 use crate::config::ReadPolicy;
+use crate::hdfs::Position;
 use crate::workload::{ServePolicy, WorkloadConfig};
 use xorbas_core::CodeSpec;
 
@@ -515,4 +516,42 @@ fn network_traffic_roughly_doubles_bytes_read() {
     let s = sim.metrics.snapshot();
     assert!(s.network_bytes > s.hdfs_bytes_read * 0.8);
     assert!(s.network_bytes < s.hdfs_bytes_read * 1.5);
+}
+
+#[test]
+fn requeued_run_is_not_swallowed_by_its_aborted_runs_compute_done() {
+    // A map task is aborted while computing a slow degraded read, then
+    // reruns as a fast direct read. The rerun's ComputeDone arrives
+    // long before the aborted run's stale one and must complete the
+    // task — not be mistaken for the stale event.
+    let mut cfg = small_cfg(CodeSpec::LRC_10_6_5);
+    cfg.detection_delay_secs = 1e7; // no repair interferes
+    cfg.compute.xor_bps = 1e4; // degraded read: ~4 200 s of decode
+    cfg.compute.wordcount_bps = 8e4; // direct read: ~105 s of wordcount
+    let mut sim = Simulation::new(cfg);
+    let f = sim.load_raided_file("words", 10);
+    let Position::Real(block) = sim.hdfs.positions(0)[0] else {
+        panic!("full stripes have no virtual positions");
+    };
+    let holder = sim.hdfs.block(block).location.unwrap();
+    sim.kill_node_at(SimTime::ZERO, holder);
+    sim.submit_wordcount_at(SimTime::from_secs(1), f);
+    sim.run_until(SimTime::from_secs(50));
+    let is_the_degraded_map = |tid| {
+        let task = sim.tasks.get(tid).unwrap();
+        matches!(task.kind, TaskKind::Map { block: b } if b == block)
+            && task.state == TaskState::Computing
+    };
+    let runner = (0..20)
+        .find(|&n| sim.tasks.running_on(n).any(is_the_degraded_map))
+        .expect("the lost block's map task is computing its degraded read");
+    // The block comes back with its node; then the degraded run dies.
+    sim.restore_node_at(SimTime::from_secs(100), holder);
+    sim.kill_node_at(SimTime::from_secs(200), runner);
+    sim.run_until_idle(SimTime::from_secs(30_000_000));
+    let job_secs = sim.metrics.workload_jobs[0].duration().as_secs_f64();
+    assert!(
+        (300.0..320.0).contains(&job_secs),
+        "rerun at t=200 s plus ~105 s of wordcount, got {job_secs} s"
+    );
 }
