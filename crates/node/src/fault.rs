@@ -3,7 +3,7 @@
 //! The paper's reliability argument (§2, §5) is about how a storage
 //! system behaves under the *messy* failures a warehouse actually sees —
 //! transient unavailability, torn writes, silent bit rot — not just the
-//! clean server kill `load_gen` has always staged. This module gives the
+//! clean server kill the smoke tests stage. This module gives the
 //! whole crate one seeded, process-global [`FaultPlan`]: code paths call
 //! [`hit`]/[`hit_value`]/[`maybe_stall`] at labeled sites, and those
 //! calls are a single relaxed atomic load (a branch, no lock) when no

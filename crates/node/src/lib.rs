@@ -23,14 +23,14 @@
 //!
 //! The paper's argument is that repair *network traffic* is the binding
 //! constraint of erasure-coded storage (§1, §5); this crate turns that
-//! from a simulator output into a wire measurement. `cargo run --release
-//! -p xorbas_node --bin load_gen` boots N servers over loopback, streams
-//! erasure-coded puts through [`client::ClusterClient`], hammers reads
-//! while a server dies mid-run, and reports GiB/s plus p50/p99/p999
-//! latency — degraded reads served through cached
-//! [`RepairSession`](xorbas_core::RepairSession)s, lost chunks restored
-//! by the [`repair::RepairAgent`] (LRC light repairs fetch only the
-//! local group, the §3.2 story).
+//! from a simulator output into a wire measurement: erasure-coded puts
+//! streamed through [`client::ClusterClient`], degraded reads served
+//! through cached [`RepairSession`](xorbas_core::RepairSession)s while a
+//! server is down, lost chunks restored by the [`repair::RepairAgent`]
+//! (LRC light repairs fetch only the local group, the §3.2 story).
+//! `tests/loopback_smoke.rs` pins the chunk counts, `benchmark/` measures
+//! throughput and latency, and `cargo run --release -p xorbas_node --bin
+//! load_gen -- --chaos` runs the same traffic under a seeded fault plan.
 
 #![forbid(unsafe_code)]
 

@@ -190,6 +190,11 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
 }
 
 #[test]
+fn kill_one_server_round_trips_under_reed_solomon() {
+    kill_one_server_round_trip(CodeSpec::RS_10_4, "kill_rs");
+}
+
+#[test]
 fn kill_one_server_round_trips_under_replication() {
     kill_one_server_round_trip(CodeSpec::REPLICATION_3, "kill_rep");
 }

@@ -128,11 +128,12 @@ impl Simulation {
     pub(super) fn on_fixer_scan(&mut self) {
         // Group the lost-block index by stripe: sort (stripe, position)
         // pairs and walk runs.
-        let mut pairs: Vec<(StripeId, usize)> = Vec::new();
-        pairs.extend(self.hdfs.lost_blocks().iter().map(|&b| {
+        let stripe_pos = |&b| {
             let meta = self.hdfs.block(b);
             (meta.stripe, meta.pos)
-        }));
+        };
+        let mut pairs: Vec<(StripeId, usize)> =
+            self.hdfs.lost_blocks().iter().map(stripe_pos).collect();
         pairs.sort_unstable();
         let mut specs: Vec<(TaskKind, Option<NodeId>)> = Vec::new();
         for positions in pairs.chunk_by(|a, b| a.0 == b.0) {

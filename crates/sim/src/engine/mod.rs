@@ -23,13 +23,16 @@
 //! scan-bound:
 //!
 //! * the control-event queue is a slab-indexed binary heap (no hashing,
-//!   payload slots recycled);
+//!   payload slots recycled) — `events.rs`;
 //! * the BlockFixer scans the incremental lost-block index
-//!   ([`Hdfs::lost_blocks`]), never the namespace;
+//!   ([`Hdfs::lost_blocks`]), never the namespace — `fixer.rs`;
 //! * finished tasks are retired from the task table immediately — the
-//!   table holds the working set, not history;
+//!   table holds the working set, not history — `tasks.rs`;
 //! * the fair scheduler picks jobs from a `jobs_with_work` index and
-//!   nodes from a free-slot bucket index (no O(cluster) scans per task);
+//!   nodes from a free-slot bucket index (no O(cluster) scans per task)
+//!   — `scheduler.rs`;
+//! * repair plans are memoized by failure pattern and shared by `Rc`,
+//!   so a lookup that hits allocates nothing — `planner.rs`;
 //! * unrecoverable stripes are abandoned exactly once and withdrawn
 //!   from scanning ([`Hdfs::mark_unrecoverable`]);
 //! * per-event scratch buffers are owned by the subsystem that fills
@@ -39,22 +42,16 @@
 //!
 //! [`Simulation`] keeps the loop's own state (clock, configuration,
 //! namespace, network, metrics, RNG, event queue) and holds one plain
-//! struct per concern; each owns its state and is called with explicit
-//! borrows of whatever else it reads (`self.planner.scan(&self.hdfs,
-//! stripe)`), so a handler that needs two subsystems names both:
-//!
-//! | File | Struct | Owns | Handlers defined beside it |
-//! |---|---|---|---|
-//! | `mod.rs` | [`Simulation`] | clock, cfg, hdfs, network, metrics, rng, events | setup and scenario API, `step` / `advance_to`, the event `match` |
-//! | `events.rs` | `EventQueue` | the `(time, seq)` heap and payload slab | — |
-//! | `planner.rs` | `Planner` | codec, plan memo, unavailable-position scratch | — |
-//! | `verifier.rs` | `Verifier` | lane arena, compiled sessions | — |
-//! | `fleet.rs` | `Fleet` | alive / draining / placeable, placement, dead nodes' disks | — |
-//! | `scheduler.rs` | `Scheduler` | jobs, queues, free-slot index, repair throttle | — |
-//! | `tasks.rs` | `TaskTable` | live tasks, park index, in-flight repair targets | — |
-//! | `serving.rs` | `Serving` | the client workload, parked reads | `ClientRead` |
-//! | `fixer.rs` | — | — | `KillNode`, `ReviveNode`, `RestoreNode`, `Decommission`, `FixerScan`, `SubmitWordcount` |
-//! | `lifecycle.rs` | — | — | `ComputeDone`, flow completions, start / abort / complete |
+//! struct per concern — `Planner`, `Verifier`, `Fleet`, `Scheduler`,
+//! `TaskTable`, `Serving`, each in the file of its name. Each owns its
+//! state and is called with explicit borrows of whatever else it reads
+//! (`self.planner.scan(&self.hdfs, stripe)`), so a handler that needs
+//! two subsystems names both. Handlers that span subsystems are `impl
+//! Simulation` blocks: `fixer.rs` (failures, returns, decommissioning,
+//! BlockFixer scans, job submission), `lifecycle.rs` (schedule, start,
+//! compute, write-back, abort, complete) and `serving.rs` (client
+//! reads). The full ownership table — state, event kinds, callers — is
+//! in `docs/ARCHITECTURE.md`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -16,7 +16,7 @@
 //!
 //! | Paper | Module | What it reproduces |
 //! |---|---|---|
-//! | §3 system model | [`engine`] | BlockFixer, fair scheduler, degraded reads, decommissioning |
+//! | §3 system model | [`engine`] | a directory module split by state ownership: BlockFixer and failures (`fixer.rs`), fair scheduler (`scheduler.rs`), task lifecycle and degraded reads (`lifecycle.rs`, `tasks.rs`), plan memo (`planner.rs`), fleet and decommissioning (`fleet.rs`), client reads (`serving.rs`), verify mode (`verifier.rs`) |
 //! | §3.1.1 placement | [`hdfs`] | namespace, stripe-aware random placement, zero padding |
 //! | §5.2.3 network effects | [`network`] | max-min fair flows behind a saturable core |
 //! | §5.1 metrics | [`metrics`] | bytes read / network traffic / repair duration, Fig.-5 series |

@@ -174,8 +174,8 @@ impl BucketSeries {
 }
 
 /// Exact order statistics over a recorded sample set: the shared
-/// tail-latency helper behind both the simulator's repair-duration
-/// summaries and `xorbas-node`'s `load_gen` wire measurements.
+/// tail-latency helper behind the simulator's repair-duration and
+/// serving-latency summaries.
 ///
 /// Quantiles use the *nearest-rank* definition: for `0 < q <= 1` over
 /// `n` ascending samples, the quantile is the sample at 1-based rank
