@@ -464,7 +464,8 @@ fn chaos_json(r: &ChaosResult) -> String {
         j,
         "\"killed_server\":{killed},\"restarted\":{},\"wal_replayed_manifests\":{},\
          \"repair_converged\":{},\"chunks_repaired\":{},\"light_repairs\":{},\
-         \"heavy_repairs\":{},\"failed_repair_attempts\":{},\"scrub_cycles\":{},\
+         \"heavy_repairs\":{},\"failed_repair_attempts\":{},\"connections_dialed\":{},\
+         \"scrub_cycles\":{},\
          \"scrub_chunks\":{},\"scrub_bytes\":{},\"scrub_corruptions\":{},\
          \"bit_identical\":{},\"injected\":{{",
         r.restarted,
@@ -474,6 +475,7 @@ fn chaos_json(r: &ChaosResult) -> String {
         r.repair.light_repairs,
         r.repair.heavy_repairs,
         r.repair.failed_attempts,
+        r.repair.connections_dialed,
         r.repair.scrub_cycles,
         r.repair.scrub_chunks,
         r.repair.scrub_bytes,
@@ -509,12 +511,14 @@ fn print_chaos_summary(r: &ChaosResult) {
         r.write_ops, r.put_retries, r.killed_server, r.restarted
     );
     println!(
-        "  repair: converged={} ({} chunks, {} light / {} heavy, {} failed attempts)",
+        "  repair: converged={} ({} chunks, {} light / {} heavy, {} failed attempts, \
+         {} connections dialed)",
         r.repair_converged,
         r.repair.chunks_repaired,
         r.repair.light_repairs,
         r.repair.heavy_repairs,
         r.repair.failed_attempts,
+        r.repair.connections_dialed,
     );
     println!(
         "  scrub: {} cycles, {} chunks, {:.1} MiB, {} corruptions flagged",

@@ -441,46 +441,4 @@ mod tests {
         assert_eq!(parse_chunk_name("garbage"), None);
         let _ = fs::remove_dir_all(&dir);
     }
-
-    /// The torn-write fault site leaves a `.tmp` and fails the put; the
-    /// bit-flip site silently rots an acked chunk for the digest check
-    /// to catch. Serialized against other fault-plan users by running
-    /// in this dedicated process-global-plan test.
-    #[test]
-    fn fault_sites_tear_and_rot_as_specified() {
-        use crate::fault::{self, FaultPlan, Site};
-        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
-        let dir = scratch_dir("faults");
-        let store = ChunkStore::open(&dir).unwrap();
-        let payload = vec![0x77u8; 1024];
-        let digest = chunk_digest(&payload);
-
-        fault::arm(FaultPlan::new(5).with(Site::TornWrite, 1000));
-        let err = store.put(21, 0, digest, &payload).unwrap_err();
-        assert!(matches!(err, NodeError::Injected("torn-write")), "{err:?}");
-        assert!(!store.exists(21, 0), "torn put never renamed into place");
-
-        fault::arm(FaultPlan::new(5).with(Site::BitFlip, 1000));
-        store.put(22, 0, digest, &payload).unwrap();
-        fault::disarm();
-        let mut out = Vec::new();
-        assert!(matches!(
-            store.get_into(22, 0, &mut out).unwrap_err(),
-            NodeError::ChunkCorrupt {
-                stripe: 22,
-                lane: 0
-            }
-        ));
-        // Reopening sweeps the torn temp left by the first put.
-        drop(store);
-        let store = ChunkStore::open(&dir).unwrap();
-        let mut locs = Vec::new();
-        store.list_chunks(&mut locs).unwrap();
-        assert_eq!(locs, vec![(22, 0)]);
-        assert!(fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .all(|e| e.path().extension().is_some_and(|x| x == "chunk")));
-        let _ = fs::remove_dir_all(&dir);
-    }
 }

@@ -7,7 +7,8 @@
 //! ([`Codec::encode_into`]) and digested. Two recycled buffer
 //! sets bound memory at two stripes regardless of file size.
 //!
-//! **Get** reads data lanes straight from their servers, verifying the
+//! **Get** reads a stripe's data lanes straight from their servers —
+//! every GET goes out before the first reply is read — verifying the
 //! digest end to end. Any failure — connection refused, a dead server
 //! mid-read, a digest mismatch — flips the stripe to the *degraded*
 //! path, which is the executor the repair agent runs too
@@ -17,7 +18,9 @@
 //! actually needs are fetched (an LRC light pattern touches one local
 //! group, the paper's §3.2 repair-locality argument applied to reads),
 //! and the missing lanes are reconstructed in place. This module keeps
-//! the retry loop around it and the byte extraction.
+//! the retry loop around it and the byte extraction, and owns the
+//! connection pool (`ConnPool`) every executor reads and writes
+//! through.
 
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
@@ -137,6 +140,10 @@ pub struct NodeConn {
     reader: FrameReader,
     /// Total budget for one request's reply (from [`RetryPolicy`]).
     op_timeout: Duration,
+    /// Whether a reply has ever been read off this socket. One that
+    /// answered before and now dies is a stale pooled socket, not a
+    /// dead server (see [`ConnPool`]).
+    answered: bool,
 }
 
 impl NodeConn {
@@ -158,6 +165,7 @@ impl NodeConn {
             stream,
             reader: FrameReader::new(),
             op_timeout: policy.op_timeout,
+            answered: false,
         })
     }
 
@@ -166,10 +174,14 @@ impl NodeConn {
             stream,
             reader,
             op_timeout,
+            answered,
         } = self;
         let mut rd = &*stream;
         match reader.read_deadline(&mut rd, None, Some(Deadline::after(*op_timeout)))? {
-            Ok(frame) => Ok(frame),
+            Ok(frame) => {
+                *answered = true;
+                Ok(frame)
+            }
             Err(ReadEnd::CleanEof | ReadEnd::Stopped) => Err(NodeError::Truncated { missing: 0 }),
             Err(ReadEnd::Disconnected) => Err(NodeError::Disconnected),
         }
@@ -185,17 +197,24 @@ impl NodeConn {
         }
     }
 
-    /// Fetches one chunk into `out` and verifies its digest end to end.
+    /// Fetches one chunk into `out` and verifies its digest end to end:
+    /// the send half and the receive half, back to back.
     pub fn get_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
-        write_locator(&mut (&self.stream), OP_GET, stripe, lane)?;
-        let Self {
-            stream,
-            reader,
-            op_timeout,
-        } = self;
-        let mut rd = &*stream;
-        match reader.read_deadline(&mut rd, None, Some(Deadline::after(*op_timeout)))? {
-            Ok(Frame::Chunk { digest, payload }) => {
+        self.send_get(stripe, lane)?;
+        self.recv_chunk(stripe, lane, out)
+    }
+
+    /// The send half of a GET. A connection may carry several before
+    /// the first reply is read; the server answers in request order.
+    pub(crate) fn send_get(&mut self, stripe: u64, lane: u32) -> Result<()> {
+        write_locator(&mut (&self.stream), OP_GET, stripe, lane)
+    }
+
+    /// The receive half of a GET: the oldest outstanding request's
+    /// reply into `out`, digest verified.
+    pub(crate) fn recv_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
+        match self.read_reply()? {
+            Frame::Chunk { digest, payload } => {
                 out.clear();
                 out.extend_from_slice(payload);
                 if chunk_digest(out) != digest {
@@ -203,10 +222,8 @@ impl NodeConn {
                 }
                 Ok(digest)
             }
-            Ok(Frame::Err { code }) => Err(remote_err(code, stripe, lane)),
-            Ok(_) => Err(NodeError::Malformed("unexpected reply to GET")),
-            Err(ReadEnd::Disconnected) => Err(NodeError::Disconnected),
-            Err(_) => Err(NodeError::Truncated { missing: 0 }),
+            Frame::Err { code } => Err(remote_err(code, stripe, lane)),
+            _ => Err(NodeError::Malformed("unexpected reply to GET")),
         }
     }
 
@@ -255,6 +272,123 @@ pub(crate) fn is_transport(e: &NodeError) -> bool {
             | NodeError::FrameTooLarge { .. }
             | NodeError::Remote(ErrCode::Unavailable)
     )
+}
+
+/// Whether a transport error says that *this socket* died — the peer
+/// hung up or reset it, between frames or in the middle of one, or a
+/// write hit a closed pipe. A blown deadline does not count: that
+/// socket stayed open and the server behind it did not answer.
+fn is_lost_socket(e: &NodeError) -> bool {
+    matches!(
+        e,
+        NodeError::Io(_) | NodeError::Disconnected | NodeError::Truncated { .. }
+    )
+}
+
+/// The connections one executor keeps open, one slot per server, and
+/// the one statement of **the pooled-connection rule**: a socket that
+/// has answered before and now dies is not evidence of a dead server (a
+/// restarted server's old sockets look exactly like that, and so does
+/// one reply cut short). The connection is redialed once at the
+/// directory's current address and what it owed is asked for again; the
+/// redial is the probe. Only a failed dial, or a failure on a connection
+/// that has not answered since it was dialed, or a blown deadline, lets
+/// the caller close the slot and mark the server dead
+/// ([`ConnPool::declare_dead`]).
+pub(crate) struct ConnPool {
+    directory: Arc<Mutex<Directory>>,
+    retry: RetryPolicy,
+    /// Indexed by server id.
+    slots: Vec<Option<NodeConn>>,
+    dialed: u64,
+}
+
+impl ConnPool {
+    pub(crate) fn new(directory: Arc<Mutex<Directory>>, retry: RetryPolicy) -> Self {
+        Self {
+            directory,
+            retry,
+            slots: Vec::new(),
+            dialed: 0,
+        }
+    }
+
+    /// Connections established over the pool's lifetime.
+    pub(crate) fn dialed(&self) -> u64 {
+        self.dialed
+    }
+
+    /// The connection to `sid`, dialed at the directory's current
+    /// address when the slot is empty.
+    pub(crate) fn conn(&mut self, sid: ServerId) -> Result<&mut NodeConn> {
+        if !matches!(self.slots.get(sid), Some(Some(_))) {
+            // The roster bounds `sid` before the slots grow to hold it.
+            let addr = lock(&self.directory)
+                .addr_of(sid)
+                .ok_or(NodeError::Malformed("server id out of roster"))?;
+            let conn = NodeConn::connect(addr, &self.retry)?;
+            if self.slots.len() <= sid {
+                self.slots.resize_with(sid + 1, || None);
+            }
+            if let Some(slot) = self.slots.get_mut(sid) {
+                *slot = Some(conn);
+                self.dialed += 1;
+            }
+        }
+        self.slots
+            .get_mut(sid)
+            .and_then(Option::as_mut)
+            .ok_or(NodeError::Malformed("connection slot empty"))
+    }
+
+    /// Closes the connection to `sid` without a verdict on the server:
+    /// for a socket still owed a reply nobody will read.
+    pub(crate) fn drop_conn(&mut self, sid: ServerId) {
+        if let Some(slot) = self.slots.get_mut(sid) {
+            *slot = None;
+        }
+    }
+
+    /// Closes the connection to `sid` and marks the server dead.
+    pub(crate) fn declare_dead(&mut self, sid: ServerId) {
+        self.drop_conn(sid);
+        lock(&self.directory).mark_dead(sid);
+    }
+
+    /// Applies the rule to `e`, just returned by the connection to
+    /// `sid`. `true` means the socket was stale and its slot is now
+    /// empty: resend whatever that connection still owed, and the next
+    /// [`ConnPool::conn`] redials. Never `true` twice in a row, because
+    /// a fresh connection has not answered yet.
+    pub(crate) fn redial_on(&mut self, sid: ServerId, e: &NodeError) -> bool {
+        let stale = is_lost_socket(e)
+            && self
+                .slots
+                .get(sid)
+                .and_then(Option::as_ref)
+                .is_some_and(|c| c.answered);
+        if stale {
+            self.drop_conn(sid);
+        }
+        stale
+    }
+
+    /// Stores one chunk on `sid` over its pooled connection, under the
+    /// rule. The caller decides what a returned error means for `sid`.
+    pub(crate) fn put(
+        &mut self,
+        sid: ServerId,
+        stripe: u64,
+        lane: u32,
+        digest: u64,
+        payload: &[u8],
+    ) -> Result<()> {
+        let mut put = |conn: &mut NodeConn| conn.put(stripe, lane, digest, payload);
+        match self.conn(sid).and_then(&mut put) {
+            Err(e) if self.redial_on(sid, &e) => self.conn(sid).and_then(put),
+            done => done,
+        }
+    }
 }
 
 /// Compile-once cache of [`RepairSession`]s keyed by failure pattern,
@@ -417,9 +551,8 @@ impl ClusterClient {
         }
 
         let codec = &self.io.codec;
-        let conns = &mut self.io.conns;
+        let pool = &mut self.io.pool;
         let dir = &self.io.directory;
-        let retry = &self.io.retry;
 
         let entries = std::thread::scope(|s| {
             s.spawn(move || {
@@ -448,7 +581,7 @@ impl ClusterClient {
                     };
                     // A put that dies mid-stripe must not leave the
                     // half-written stripe behind for the repair agent.
-                    let servers = put_stripe(conns, dir, retry, stripe_id, &set)
+                    let servers = put_stripe(pool, dir, stripe_id, &set)
                         .inspect_err(|_| lock(dir).forget_stripe(stripe_id))?;
                     entries.push(StripeEntry {
                         id: stripe_id,
@@ -492,8 +625,7 @@ impl ClusterClient {
         let targets: Vec<usize> = (0..k).collect();
         for entry in &manifest.stripes {
             report.stripes += 1;
-            let direct = (0..k).all(|lane| self.io.read_lane(entry.id, lane).is_ok());
-            if !direct {
+            if self.io.fetch(entry.id, 0..k).is_err() {
                 self.reconstruct_with_retry(entry.id, &targets)?;
                 report.degraded_stripes += 1;
             }
@@ -537,10 +669,12 @@ impl ClusterClient {
         let chunk = self
             .io
             .lanes
-            .get(lane as usize)
+            .get_mut(lane as usize)
             .ok_or(NodeError::Malformed("lane out of range after repair"))?;
-        out.clear();
-        out.extend_from_slice(chunk);
+        // The rebuilt lane leaves by swap, not by copy: the scratch
+        // keeps whatever `out` held, and the next fetch or reconstruct
+        // resizes every lane it touches anyway.
+        std::mem::swap(out, chunk);
         Ok(ReadKind::Degraded { light })
     }
 
@@ -617,33 +751,12 @@ fn fill_and_encode(
     Ok(())
 }
 
-/// Returns (creating if needed) the cached connection to `sid`.
-pub(crate) fn ensure_conn<'a>(
-    conns: &'a mut Vec<Option<NodeConn>>,
-    sid: ServerId,
-    addr: SocketAddr,
-    retry: &RetryPolicy,
-) -> Result<&'a mut NodeConn> {
-    if conns.len() <= sid {
-        conns.resize_with(sid + 1, || None);
-    }
-    let slot = conns
-        .get_mut(sid)
-        .ok_or(NodeError::Malformed("server id out of roster"))?;
-    if slot.is_none() {
-        *slot = Some(NodeConn::connect(addr, retry)?);
-    }
-    slot.as_mut()
-        .ok_or(NodeError::Malformed("connection slot empty"))
-}
-
 /// Streams one encoded stripe to its assigned servers, failing over to
 /// a replacement placement when a server dies mid-put. Returns the
 /// final lane→server assignment.
 fn put_stripe(
-    conns: &mut Vec<Option<NodeConn>>,
+    pool: &mut ConnPool,
     dir: &Arc<Mutex<Directory>>,
-    retry: &RetryPolicy,
     stripe: u64,
     set: &BufSet,
 ) -> Result<Vec<ServerId>> {
@@ -674,13 +787,7 @@ fn put_stripe(
             let sid = *assigned
                 .get(lane)
                 .ok_or(NodeError::Malformed("assignment missing for lane"))?;
-            let addr = {
-                lock(dir)
-                    .addr_of(sid)
-                    .ok_or(NodeError::Malformed("server id out of roster"))?
-            };
-            let attempt = ensure_conn(conns, sid, addr, retry)
-                .and_then(|c| c.put(stripe, lane as u32, digest, payload));
+            let attempt = pool.put(sid, stripe, lane as u32, digest, payload);
             // A server that answered "I/O error" (e.g. a torn chunk
             // write) is alive but could not take the chunk: fail the
             // lane over to another server without declaring it dead.
@@ -688,13 +795,10 @@ fn put_stripe(
             match attempt {
                 Ok(()) => break,
                 Err(e) if is_transport(&e) || disk_failed => {
-                    let mut d = lock(dir);
                     if !disk_failed {
-                        if let Some(slot) = conns.get_mut(sid) {
-                            *slot = None;
-                        }
-                        d.mark_dead(sid);
+                        pool.declare_dead(sid);
                     }
+                    let mut d = lock(dir);
                     failovers += 1;
                     if failovers > d.server_count() {
                         return Err(e);

@@ -11,8 +11,8 @@
 //! | [`protocol`] | frame layout, opcodes, bounded-allocation frame reader, chunk digests |
 //! | [`chunk_store`] | per-server on-disk chunk files with digest verification |
 //! | [`server`] | the chunk-server daemon: accept loop, per-connection threads, kill switch |
-//! | [`client`] | connection with retry/backoff, streaming put (encode pipelined against socket writes), direct + degraded get |
-//! | `stripe_io` (private) | the one plan → fetch → replay executor under degraded get and background repair; the only direct chunk read and the one place a read failure is reported to the directory |
+//! | [`client`] | connection with retry/backoff, the connection pool and its stale-socket rule, streaming put (encode pipelined against socket writes), direct + degraded get |
+//! | `stripe_io` (private) | the one plan → fetch → replay executor under get, degraded get and background repair: a direct read split into issue and collect, the one pipelined fetch built on them, and the one place a read failure is reported to the directory |
 //! | `cursor` (private) | the bounds-checked little-endian reader behind the frame, manifest, WAL and chunk-header decoders |
 //! | [`manifest`] | the binary stripe manifest a put returns and a get consumes |
 //! | [`directory`] | the placement directory: rack-aware chunk→server map, liveness, loss scan — WAL-backed when opened persistent |

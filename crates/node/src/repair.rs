@@ -15,12 +15,17 @@
 //! measured number rather than a simulated one.
 //!
 //! Concurrency is throttled: at most `max_concurrent_repairs` stripes
-//! are in flight at once (scoped worker threads, each with its own
-//! connections and scratch), mirroring the simulator's repair-slot
-//! model and HDFS-RAID's bounded reconstruction parallelism.
+//! are in flight at once, mirroring the simulator's repair-slot model
+//! and HDFS-RAID's bounded reconstruction parallelism. That many
+//! executors are built once and live as long as the agent, so a
+//! worker's connections, frame readers and lane scratch are reused from
+//! stripe to stripe and from round to round
+//! ([`RepairStatsSnapshot::connections_dialed`] counts the dials); each
+//! round its workers claim stripes from a shared cursor until the
+//! round's list is empty.
 
 use crate::chunk_store::ChunkStore;
-use crate::client::{RetryPolicy, SessionCache};
+use crate::client::{is_transport, RetryPolicy, SessionCache};
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
@@ -28,7 +33,7 @@ use crate::lock;
 use crate::protocol::chunk_digest;
 use crate::stripe_io::StripeIo;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -39,8 +44,8 @@ use xorbas_core::Codec;
 pub struct RepairAgentConfig {
     /// How often the directory is scanned for losses.
     pub scan_interval: Duration,
-    /// Stripes repaired concurrently per round (the repair-traffic
-    /// throttle; the simulator's `max_concurrent_repairs` analogue).
+    /// Stripes repaired concurrently (the repair-traffic throttle; the
+    /// simulator's `max_concurrent_repairs` analogue).
     pub max_concurrent_repairs: usize,
     /// Chunk size of the stripes being repaired.
     pub chunk_bytes: usize,
@@ -111,6 +116,7 @@ struct RepairStats {
     bytes_written: AtomicU64,
     failed_attempts: AtomicU64,
     rounds: AtomicU64,
+    connections_dialed: AtomicU64,
     scrub_cycles: AtomicU64,
     scrub_chunks: AtomicU64,
     scrub_bytes: AtomicU64,
@@ -134,6 +140,10 @@ pub struct RepairStatsSnapshot {
     pub failed_attempts: u64,
     /// Scan rounds completed.
     pub rounds: u64,
+    /// Connections the repair workers opened to chunk servers. Workers
+    /// keep their connections, so this grows with the servers touched,
+    /// not with the stripes repaired.
+    pub connections_dialed: u64,
     /// Full scrub passes over every configured store.
     pub scrub_cycles: u64,
     /// Chunks whose digest the scrubber re-verified.
@@ -209,13 +219,14 @@ impl RepairAgent {
     pub fn stats(&self) -> RepairStatsSnapshot {
         let s = &self.stats;
         RepairStatsSnapshot {
-            chunks_repaired: s.chunks_repaired.load(Ordering::Relaxed),
+            chunks_repaired: s.chunks_repaired.load(Ordering::Acquire),
             light_repairs: s.light_repairs.load(Ordering::Relaxed),
             heavy_repairs: s.heavy_repairs.load(Ordering::Relaxed),
             bytes_fetched: s.bytes_fetched.load(Ordering::Relaxed),
             bytes_written: s.bytes_written.load(Ordering::Relaxed),
             failed_attempts: s.failed_attempts.load(Ordering::Relaxed),
             rounds: s.rounds.load(Ordering::Relaxed),
+            connections_dialed: s.connections_dialed.load(Ordering::Relaxed),
             scrub_cycles: s.scrub_cycles.load(Ordering::Relaxed),
             scrub_chunks: s.scrub_chunks.load(Ordering::Relaxed),
             scrub_bytes: s.scrub_bytes.load(Ordering::Relaxed),
@@ -273,6 +284,18 @@ fn agent_loop(
     stop: &AtomicBool,
     stats: &RepairStats,
 ) {
+    // One executor per repair slot, for the agent's lifetime.
+    let mut workers: Vec<StripeIo> = (0..cfg.max_concurrent_repairs.max(1))
+        .map(|_| {
+            StripeIo::new(
+                codec.clone(),
+                cfg.chunk_bytes,
+                Arc::clone(dir),
+                cfg.retry.clone(),
+                sessions.clone(),
+            )
+        })
+        .collect();
     let mut lost: Vec<(u64, u32)> = Vec::new();
     let mut stripes: Vec<u64> = Vec::new();
     let mut round = 0u64;
@@ -291,55 +314,58 @@ fn agent_loop(
                 stripes.push(stripe);
             }
         }
-        if stripes.is_empty() {
-            stats.rounds.fetch_add(1, Ordering::Relaxed);
-            sleep_with_stop(cfg.scan_interval, stop);
-            continue;
-        }
-        // Throttled fan-out: at most `max_concurrent_repairs` stripes
-        // in flight, each worker with private scratch and connections.
-        for batch in stripes.chunks(cfg.max_concurrent_repairs.max(1)) {
-            if stop.load(Ordering::SeqCst) {
-                break;
+        // Throttled fan-out: each worker takes the next unclaimed
+        // stripe until the round's list is empty, so a slow stripe
+        // holds up one worker, not the round.
+        let next = AtomicUsize::new(0);
+        let (stripes, next) = (&stripes, &next);
+        std::thread::scope(|s| {
+            for io in workers.iter_mut().take(stripes.len()) {
+                s.spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        let claimed = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&stripe) = stripes.get(claimed) else {
+                            break;
+                        };
+                        let dialed = io.pool.dialed();
+                        let outcome = repair_stripe(io, stripe);
+                        stats
+                            .connections_dialed
+                            .fetch_add(io.pool.dialed() - dialed, Ordering::Relaxed);
+                        stats.record(outcome);
+                    }
+                });
             }
-            std::thread::scope(|s| {
-                for &stripe in batch {
-                    s.spawn(move || {
-                        let mut io = StripeIo::new(
-                            codec.clone(),
-                            cfg.chunk_bytes,
-                            Arc::clone(dir),
-                            cfg.retry.clone(),
-                            sessions.clone(),
-                        );
-                        match repair_stripe(&mut io, stripe) {
-                            Ok(Some(outcome)) => {
-                                stats
-                                    .chunks_repaired
-                                    .fetch_add(outcome.chunks, Ordering::Relaxed);
-                                stats
-                                    .bytes_fetched
-                                    .fetch_add(outcome.bytes_fetched, Ordering::Relaxed);
-                                stats
-                                    .bytes_written
-                                    .fetch_add(outcome.bytes_written, Ordering::Relaxed);
-                                if outcome.light {
-                                    stats.light_repairs.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    stats.heavy_repairs.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(_) => {
-                                stats.failed_attempts.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            });
-        }
+        });
         stats.rounds.fetch_add(1, Ordering::Relaxed);
         sleep_with_stop(cfg.scan_interval, stop);
+    }
+}
+
+impl RepairStats {
+    fn record(&self, outcome: Result<Option<RepairOutcome>>) {
+        match outcome {
+            Ok(Some(outcome)) => {
+                self.bytes_fetched
+                    .fetch_add(outcome.bytes_fetched, Ordering::Relaxed);
+                self.bytes_written
+                    .fetch_add(outcome.bytes_written, Ordering::Relaxed);
+                if outcome.light {
+                    self.light_repairs.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.heavy_repairs.fetch_add(1, Ordering::Relaxed);
+                }
+                // Last, and `Release`: a caller that waits for this
+                // count (loaded first, `Acquire`, by `stats`) then reads
+                // the counters above complete.
+                self.chunks_repaired
+                    .fetch_add(outcome.chunks, Ordering::Release);
+            }
+            Ok(None) => {}
+            Err(_) => {
+                self.failed_attempts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -484,25 +510,19 @@ fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>
         if fault::hit(Site::CrashRepair) {
             return Err(NodeError::Injected("crash-repair"));
         }
-        let (new_sid, addr) = {
-            let mut d = lock(&io.directory);
-            let sid = d.choose_replacement(stripe)?;
-            let addr = d
-                .addr_of(sid)
-                .ok_or(NodeError::Malformed("server id out of roster"))?;
-            (sid, addr)
-        };
+        let new_sid = lock(&io.directory).choose_replacement(stripe)?;
         let payload = io
             .lanes
             .get(lane)
             .ok_or(NodeError::Malformed("repaired lane missing"))?;
         let digest = chunk_digest(payload);
-        crate::client::ensure_conn(&mut io.conns, new_sid, addr, &io.retry)?.put(
-            stripe,
-            lane as u32,
-            digest,
-            payload,
-        )?;
+        io.pool
+            .put(new_sid, stripe, lane as u32, digest, payload)
+            .inspect_err(|e| {
+                if is_transport(e) {
+                    io.pool.declare_dead(new_sid);
+                }
+            })?;
         lock(&io.directory).reassign(stripe, lane as u32, new_sid)?;
         repaired += 1;
     }

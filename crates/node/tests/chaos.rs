@@ -1,7 +1,7 @@
-//! Fault-injection integration: the scrubber finds every rotted chunk
-//! within one cycle and routes it through the ordinary repair
-//! pipeline; client traffic under an armed fault plan never returns a
-//! wrong byte.
+//! Fault-injection integration: the storage fault sites tear and rot
+//! as specified, the scrubber finds every rotted chunk within one cycle
+//! and routes it through the ordinary repair pipeline, and client
+//! traffic under an armed fault plan never returns a wrong byte.
 //!
 //! The fault plan is process-global, so the tests in this binary
 //! serialize on `PLAN_GATE` — one armed plan at a time.
@@ -10,11 +10,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use xorbas_core::{CodeSpec, Codec};
-use xorbas_node::client::SessionCache;
+use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::repair::ScrubConfig;
 use xorbas_node::{
-    fault, ChunkServer, ClusterClient, Directory, FaultPlan, RepairAgent, RepairAgentConfig,
-    RetryPolicy, ServerConfig, Site,
+    chunk_digest, fault, ChunkServer, ChunkStore, ClusterClient, Directory, FaultPlan, NodeError,
+    RepairAgent, RepairAgentConfig, RetryPolicy, ServerConfig, Site,
 };
 
 const CHUNK: usize = 64 * 1024;
@@ -120,6 +120,50 @@ fn rot_chunk_on_disk(cluster: &Cluster, stripe: u64, lane: u32) {
     std::fs::write(&path, bytes).unwrap();
 }
 
+/// The torn-write fault site leaves a `.tmp` and fails the put; the
+/// bit-flip site silently rots an acked chunk for the digest check to
+/// catch. It arms both sites at 1000‰, so it lives here, behind the
+/// gate, and not among the chunk store's unit tests: those share one
+/// process with every other unit test that reaches a fault site.
+#[test]
+fn fault_sites_tear_and_rot_as_specified() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let dir = std::env::temp_dir().join(format!("xorbas_chaos_{}_sites", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ChunkStore::open(&dir).unwrap();
+    let payload = vec![0x77u8; 1024];
+    let digest = chunk_digest(&payload);
+
+    fault::arm(FaultPlan::new(5).with(Site::TornWrite, 1000));
+    let err = store.put(21, 0, digest, &payload).unwrap_err();
+    assert!(matches!(err, NodeError::Injected("torn-write")), "{err:?}");
+    assert!(!store.exists(21, 0), "torn put never renamed into place");
+
+    fault::arm(FaultPlan::new(5).with(Site::BitFlip, 1000));
+    store.put(22, 0, digest, &payload).unwrap();
+    fault::disarm();
+    let mut out = Vec::new();
+    assert!(matches!(
+        store.get_into(22, 0, &mut out).unwrap_err(),
+        NodeError::ChunkCorrupt {
+            stripe: 22,
+            lane: 0
+        }
+    ));
+    // Reopening sweeps the torn temp left by the first put.
+    drop(store);
+    let store = ChunkStore::open(&dir).unwrap();
+    let mut locs = Vec::new();
+    store.list_chunks(&mut locs).unwrap();
+    assert_eq!(locs, vec![(22, 0)]);
+    assert!(std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .all(|e| e.path().extension().is_some_and(|x| x == "chunk")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn scrubber_finds_every_rotted_chunk_in_one_cycle_and_repair_heals_them() {
     let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
@@ -177,6 +221,55 @@ fn scrubber_finds_every_rotted_chunk_in_one_cycle_and_repair_heals_them() {
     assert_eq!(buf, data);
 
     agent.shutdown();
+    cluster.teardown();
+}
+
+/// The pooled-connection rule under a reply cut short. `serve-reset`
+/// sends half a chunk and drops the connection; the server itself stays
+/// up. A client whose connection had answered before redials, asks
+/// again, and is served directly — the server is never marked dead, so
+/// no agent re-places its healthy chunks. The same cut on a connection
+/// dialed for that very request is still taken as the server's death.
+#[test]
+fn a_reply_cut_short_on_a_pooled_connection_is_not_a_dead_server() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot(5, "cut");
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let data = test_file(spec.data_blocks() * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    let (stripe, lane) = (manifest.stripes[0].id, 4u32);
+    let holder = manifest.stripes[0].servers[lane as usize];
+    let want = &data[lane as usize * CHUNK..][..CHUNK];
+
+    // A plan that cuts the first CHUNK reply and none of the next 20.
+    let cut_once = |seed| FaultPlan::new(seed).with(Site::ServeReset, 100);
+    let seed = (0u64..)
+        .find(|&seed| {
+            fault::arm(cut_once(seed));
+            fault::hit(Site::ServeReset) && !(0..20).any(|_| fault::hit(Site::ServeReset))
+        })
+        .unwrap();
+
+    let plan = fault::arm(cut_once(seed));
+    let mut buf = Vec::new();
+    let kind = client.read_data_chunk(stripe, lane, &mut buf).unwrap();
+    assert_eq!(
+        plan.counters()[Site::ServeReset as usize],
+        ("serve-reset", 2, 1)
+    );
+    assert_eq!(kind, ReadKind::Direct);
+    assert!(buf == want);
+    assert!(cluster.lock_dir().is_alive(holder));
+
+    fault::arm(cut_once(seed));
+    let mut fresh = cluster.client(spec);
+    let kind = fresh.read_data_chunk(stripe, lane, &mut buf).unwrap();
+    fault::disarm();
+    assert!(matches!(kind, ReadKind::Degraded { .. }), "{kind:?}");
+    assert!(buf == want);
+    assert!(!cluster.lock_dir().is_alive(holder));
     cluster.teardown();
 }
 

@@ -12,7 +12,7 @@ use xorbas_core::{CodeSpec, Codec};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{
     ChunkServer, ClusterClient, Directory, NodeConn, NodeError, RepairAgent, RepairAgentConfig,
-    RetryPolicy, ServerConfig,
+    RepairStatsSnapshot, RetryPolicy, ServerConfig,
 };
 
 const CHUNK: usize = 64 * 1024;
@@ -91,6 +91,18 @@ impl Cluster {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
+}
+
+/// The agent's counters once they show `chunks` repaired. The directory
+/// converges an instant before the worker that converged it counts the
+/// stripe, so stats read straight after `wait_until_repaired` can miss
+/// the last one.
+fn settled_stats(agent: &RepairAgent, chunks: u64) -> RepairStatsSnapshot {
+    let settle = Instant::now() + Duration::from_secs(5);
+    while agent.stats().chunks_repaired < chunks && Instant::now() < settle {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    agent.stats()
 }
 
 /// Position-dependent filler. The shift matters: `>> 7` would make the
@@ -241,7 +253,7 @@ fn checksum_mismatch_routes_into_degraded_read() {
     // then reads directly again.
     let agent = cluster.agent(CodeSpec::LRC_10_6_5);
     assert!(agent.wait_until_repaired(Duration::from_secs(30)));
-    assert_eq!(agent.stats().light_repairs, 1);
+    assert_eq!(settled_stats(&agent, 1).light_repairs, 1);
     agent.shutdown();
     assert!(!cluster.lock_dir().is_corrupt(stripe, 0));
     let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
@@ -275,12 +287,7 @@ fn repair_agent_routes_around_a_rotten_source_lane() {
         "the agent must flag the rotten source and repair both lanes: {:?}",
         agent.stats()
     );
-    // The directory converges an instant before the worker's counters do.
-    let settle = Instant::now() + Duration::from_secs(5);
-    while agent.stats().chunks_repaired < 2 && Instant::now() < settle {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let stats = agent.stats();
+    let stats = settled_stats(&agent, 2);
     agent.shutdown();
     assert_eq!(stats.chunks_repaired, 2, "{stats:?}");
     // Lanes 0 and 1 share a local group: two losses there are heavy.
@@ -296,6 +303,135 @@ fn repair_agent_routes_around_a_rotten_source_lane() {
         assert!(matches!(kind, ReadKind::Direct), "lane {lane}: {kind:?}");
         let at = lane as usize * CHUNK;
         assert_eq!(&buf[..], &data[at..at + CHUNK], "lane {lane}");
+    }
+    cluster.teardown();
+}
+
+/// The failure edge of the pipelined fetch. On five servers the lanes
+/// of a stripe share connections, so the GETs of one fetch queue up on
+/// one socket. Lane 0 is rotten, and so is lane 3 — a source in the
+/// middle of lane 0's light fetch set {1, 2, 3, 4, 10}. The degraded
+/// read of lane 0 finds lane 3 bad with the replies for lanes 4 and 10
+/// still owed; those connections must be closed, or the retry's first
+/// GET on them is answered with lane 4's bytes — a whole chunk whose
+/// digest matches, for the wrong lane. Everything read afterwards
+/// through the same client must be exact.
+#[test]
+fn a_failure_mid_fetch_leaves_no_reply_for_a_later_request() {
+    let spec = CodeSpec::LRC_10_6_5;
+    let cluster = Cluster::boot(5, "midfetch");
+    let mut client = cluster.client(spec);
+    let k = spec.data_blocks();
+    let data = test_file(3 * k * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    let hit = &manifest.stripes[1];
+    let rotten = [0usize, 3];
+    for lane in rotten {
+        cluster.rot_chunk(hit, lane);
+    }
+
+    let mut buf = Vec::new();
+    let kind = client.read_data_chunk(hit.id, 0, &mut buf).unwrap();
+    // Lanes 0 and 3 share a local group: the second attempt is heavy.
+    assert_eq!(kind, ReadKind::Degraded { light: false });
+    assert!(
+        buf == data[k * CHUNK..(k + 1) * CHUNK],
+        "lane 0 rebuilt from another lane's reply"
+    );
+    assert!(cluster.lock_dir().is_corrupt(hit.id, 3));
+
+    for (pos, stripe) in manifest.stripes.iter().enumerate() {
+        for lane in 0..k {
+            let kind = client
+                .read_data_chunk(stripe.id, lane as u32, &mut buf)
+                .unwrap();
+            let direct = !(stripe.id == hit.id && rotten.contains(&lane));
+            assert_eq!(
+                matches!(kind, ReadKind::Direct),
+                direct,
+                "stripe {pos} lane {lane}: {kind:?}"
+            );
+            let at = (pos * k + lane) * CHUNK;
+            assert!(buf == data[at..at + CHUNK], "stripe {pos} lane {lane}");
+        }
+    }
+    let report = client.get(&manifest, &mut buf).unwrap();
+    assert!(buf == data, "whole file");
+    assert_eq!(report.degraded_stripes, 1);
+    cluster.teardown();
+}
+
+/// Repair workers keep their connections. Eight stripes each lose one
+/// lane; the default two workers may dial each of the five servers
+/// once, however many stripes they repair. (An executor per stripe
+/// dialed every source and the target anew: five or six per stripe.)
+#[test]
+fn repair_workers_reuse_their_connections_across_stripes() {
+    let spec = CodeSpec::LRC_10_6_5;
+    let cluster = Cluster::boot(5, "dials");
+    let mut client = cluster.client(spec);
+    let data = test_file(8 * spec.data_blocks() * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    assert_eq!(manifest.stripes.len(), 8);
+    for stripe in &manifest.stripes {
+        cluster.lock_dir().report_corrupt(stripe.id, 0);
+    }
+
+    let agent = cluster.agent(spec);
+    assert!(agent.wait_until_repaired(Duration::from_secs(30)));
+    let stats = settled_stats(&agent, 8);
+    agent.shutdown();
+    assert_eq!((stats.chunks_repaired, stats.light_repairs), (8, 8));
+    assert!((1..=2 * 5).contains(&stats.connections_dialed), "{stats:?}");
+
+    let mut buf = Vec::new();
+    let report = client.get(&manifest, &mut buf).unwrap();
+    assert_eq!(buf, data);
+    assert_eq!(report.degraded_stripes, 0);
+    cluster.teardown();
+}
+
+/// A degraded `read_data_chunk` hands the rebuilt lane out by swapping
+/// it with the caller's buffer, so the executor's scratch inherits
+/// whatever the caller passed in — here buffers of the wrong lengths.
+/// Reads after it, direct and degraded, must still come back with the
+/// right bytes at the right length.
+#[test]
+fn reads_after_a_degraded_read_are_exact_whatever_buffer_it_was_given() {
+    let spec = CodeSpec::LRC_10_6_5;
+    let cluster = Cluster::boot(5, "swap");
+    let mut client = cluster.client(spec);
+    let k = spec.data_blocks();
+    let data = test_file(2 * k * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    let chunk = |pos: usize, lane: usize| {
+        let at = (pos * k + lane) * CHUNK;
+        &data[at..at + CHUNK]
+    };
+    cluster.rot_chunk(&manifest.stripes[0], 1);
+    cluster.rot_chunk(&manifest.stripes[1], 6);
+
+    for mut buf in [Vec::new(), vec![0xAAu8; 3], vec![0x55u8; 2 * CHUNK + 1]] {
+        let kind = client
+            .read_data_chunk(manifest.stripes[0].id, 1, &mut buf)
+            .unwrap();
+        assert_eq!(kind, ReadKind::Degraded { light: true });
+        assert_eq!(&buf[..], chunk(0, 1));
+        // Direct, into the buffer the swap left behind…
+        let kind = client
+            .read_data_chunk(manifest.stripes[1].id, 1, &mut buf)
+            .unwrap();
+        assert_eq!(kind, ReadKind::Direct);
+        assert_eq!(&buf[..], chunk(1, 1));
+        // …degraded in the other local group, over the swapped scratch…
+        let kind = client
+            .read_data_chunk(manifest.stripes[1].id, 6, &mut buf)
+            .unwrap();
+        assert_eq!(kind, ReadKind::Degraded { light: true });
+        assert_eq!(&buf[..], chunk(1, 6));
+        // …and the whole file.
+        client.get(&manifest, &mut buf).unwrap();
+        assert_eq!(buf, data);
     }
     cluster.teardown();
 }
@@ -318,7 +454,7 @@ fn lrc_light_repair_moves_fewer_bytes_than_rs() {
         cluster.lock_dir().report_corrupt(stripe, 0);
         let agent = cluster.agent(spec);
         assert!(agent.wait_until_repaired(Duration::from_secs(30)));
-        let stats = agent.stats();
+        let stats = settled_stats(&agent, 1);
         assert_eq!(stats.chunks_repaired, 1);
         agent.shutdown();
         // The wire moves exactly the lanes the plan names, whole.
