@@ -17,7 +17,7 @@
 //! | Fig. 7 / Table 2 workload | `fig7_workload` |
 //! | Table 3 Facebook cluster | `table3_facebook` |
 //! | §1.1 decommissioning | `decommission` |
-//! | kernel throughput per backend | `gf_kernels`, `archival_stripes` (codec lanes: `benchmark/`, `core.*` metrics) |
+//! | wide archival stripes | `archival_stripes` (kernel and codec throughput: `benchmark/`, `gf.*` / `core.*` metrics) |
 //! | simulator scaling (PR 4) | `sim_scale` |
 //! | ablations | `ablation_implied_parity`, `ablation_locality_sweep` |
 //!

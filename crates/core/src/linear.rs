@@ -102,10 +102,17 @@ struct Decode<F> {
     targets: Vec<usize>,
     /// Light steps in dependency order.
     light: Vec<PeelStep<F>>,
-    /// The heavy remainder: the targets peeling left unresolved and the
-    /// `k` columns they decode from. `None` when the light decoder
-    /// handled everything (or there was nothing to repair).
-    heavy: Option<(Vec<usize>, Vec<usize>)>,
+    /// `None` when the light decoder handled everything (or there was
+    /// nothing to repair).
+    heavy: Option<HeavyRemainder>,
+}
+
+/// What is left for the heavy decoder.
+struct HeavyRemainder {
+    /// The targets peeling left unresolved.
+    unresolved: Vec<usize>,
+    /// The `k` columns they decode from.
+    selection: Vec<usize>,
 }
 
 fn decode<F: Field>(
@@ -131,8 +138,10 @@ fn decode<F: Field>(
     let heavy = if outcome.unresolved.is_empty() {
         None
     } else {
-        let selection = select_decode_columns(gen, &unavailable)?;
-        Some((outcome.unresolved, selection))
+        Some(HeavyRemainder {
+            selection: select_decode_columns(gen, &unavailable)?,
+            unresolved: outcome.unresolved,
+        })
     };
     Ok(Decode {
         targets,
@@ -154,10 +163,10 @@ impl<F: Field> Decode<F> {
                 light: true,
             })
             .collect();
-        if let Some((unresolved, selection)) = &self.heavy {
+        if let Some(heavy) = &self.heavy {
             tasks.push(RepairTask {
-                repairs: unresolved.clone(),
-                reads: selection.clone(),
+                repairs: heavy.unresolved.clone(),
+                reads: heavy.selection.clone(),
                 half_reads: vec![],
                 light: false,
             });
@@ -200,11 +209,10 @@ pub(crate) fn session<F: Field>(
             sources: s.sources.iter().map(|&(i, c)| (i, c.index())).collect(),
         })
         .collect();
-    let mut solves = 0;
-    if let Some((unresolved, selection)) = &decoded.heavy {
-        steps.extend(compile_combination_steps(gen, selection, unresolved)?);
-        solves = 1;
+    if let Some(h) = &decoded.heavy {
+        steps.extend(compile_combination_steps(gen, &h.selection, &h.unresolved)?);
     }
+    let solves = usize::from(decoded.heavy.is_some());
     Ok(RepairSession::from_parts::<F>(
         gen.cols(),
         decoded.targets,

@@ -47,7 +47,7 @@
 ///
 /// 32 bytes — cheap enough to build per kernel call (30 field
 /// multiplications) and small enough to live in two vector registers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MulTables {
     pub(crate) lo: [u8; 16],
     pub(crate) hi: [u8; 16],
@@ -102,7 +102,7 @@ impl MulTables {
 ///
 /// 128 bytes — cheap to build per kernel call (64 field multiplications)
 /// and small enough for all eight tables to live in vector registers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Nibble16Tables {
     /// `lo[j][x]` = low byte of `c · (x << 4j)`.
     pub(crate) lo: [[u8; 16]; 4],
@@ -193,16 +193,19 @@ pub(crate) const MAX_FUSE: usize = 16;
 /// stack) and the SIMD backends' live table state (8 × 128 B).
 pub(crate) const WIDE16_FUSE: usize = 8;
 
-/// Fused multi-source multiply kernel: `dst = [dst ^] Σ cᵢ·srcᵢ` with
-/// prebuilt per-source tables; the `bool` is `accumulate`.
-pub(crate) type MulMultiFn = for<'a> fn(&mut [u8], &[(MulTables, &'a [u8])], bool);
+/// A fused multi-source multiply kernel over per-source tables of type
+/// `T`: `dst = [dst ^] Σ cᵢ·srcᵢ`; the `bool` is `accumulate`.
+pub(crate) type FusedMulFn<T> = for<'a> fn(&mut [u8], &[(T, &'a [u8])], bool);
+
+/// The byte-wide fused multiply kernel. At most [`MAX_FUSE`] sources.
+pub(crate) type MulMultiFn = FusedMulFn<MulTables>;
 
 /// Fused multi-source XOR kernel: `dst = [dst ^] Σ srcᵢ`.
 pub(crate) type XorMultiFn = for<'a> fn(&mut [u8], &[&'a [u8]], bool);
 
-/// Fused multi-source GF(2^16) multiply kernel over two-byte symbols;
-/// the `bool` is `accumulate`. At most [`WIDE16_FUSE`] sources.
-pub(crate) type Mul16MultiFn = for<'a> fn(&mut [u8], &[(Nibble16Tables, &'a [u8])], bool);
+/// The GF(2^16) fused multiply kernel over two-byte symbols. At most
+/// [`WIDE16_FUSE`] sources.
+pub(crate) type Mul16MultiFn = FusedMulFn<Nibble16Tables>;
 
 /// One implementation of the fused-row kernel set. All function
 /// pointers are safe to call with any slice arguments (equal lengths are

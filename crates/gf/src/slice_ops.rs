@@ -70,13 +70,14 @@
 //! multiplication at a time: the reference the kernels are tested
 //! against.
 
-// Hot-path module: every index must be justified. The fused `combine_*`
-// batchers carry audited allows (batch counters are flushed at capacity,
-// so they never reach the array length).
+// Hot-path module: every index must be justified. The fused-row batcher
+// carries an audited allow (batch counters are flushed at capacity, so
+// they never reach the array length).
 #![warn(clippy::indexing_slicing)]
 
 use crate::simd::{
-    active_suite, suite_for, KernelSuite, MulTables, Nibble16Tables, MAX_FUSE, WIDE16_FUSE,
+    active_suite, suite_for, FusedMulFn, KernelSuite, MulTables, Nibble16Tables, MAX_FUSE,
+    WIDE16_FUSE,
 };
 use crate::{Field, Gf256};
 
@@ -194,10 +195,11 @@ fn xor_combine(suite: &KernelSuite, dst: &mut [u8], srcs: &[&[u8]]) {
 }
 
 /// Whether the `c == ONE` byte-XOR shortcut is sound for `F`: only for
-/// true 8-bit fields. Sub-byte fields (GF(2^4)) must still truncate
-/// source bytes through the tables, which raw XOR would skip.
+/// fields whose symbols fill their bytes. Sub-byte fields (GF(2^4)) must
+/// still truncate source bytes through the tables, which raw XOR would
+/// skip.
 fn one_is_xor<F: Field>() -> bool {
-    F::BITS == 8
+    F::BITS as usize == 8 * F::SYMBOL_BYTES
 }
 
 /// Fused-row engine: partitions the sources into unit-coefficient XOR
@@ -216,12 +218,28 @@ fn payload_combine<F: Field>(
         assert_eq!(dst.len(), s.len(), "payload length mismatch");
     }
     if F::SYMBOL_BYTES == 1 {
-        combine_bytes(suite, dst, srcs, accumulate);
+        // Byte-wide: split-nibble tables.
+        combine_batched::<F, MulTables, MAX_FUSE>(
+            suite,
+            dst,
+            srcs,
+            accumulate,
+            MulTables::build,
+            suite.mul_multi,
+        );
         return;
     }
     check_symbol_multiple::<F>(dst.len());
     if F::BITS == 16 {
-        combine_wide16(suite, dst, srcs, accumulate);
+        // GF(2^16): the fused two-byte-symbol kernel.
+        combine_batched::<F, Nibble16Tables, WIDE16_FUSE>(
+            suite,
+            dst,
+            srcs,
+            accumulate,
+            Nibble16Tables::build,
+            suite.mul16_multi,
+        );
         return;
     }
     // Odd-width fallback: symbol-at-a-time accumulation.
@@ -239,26 +257,27 @@ fn payload_combine<F: Field>(
     }
 }
 
-/// Byte-wide fused row: nibble-table batches + XOR batches.
-// Batch counters flush at MAX_FUSE, so `ones[n_ones]` / `muls[n_muls]`
-// stay in bounds.
+/// The fused-row batcher, for either table type: coefficient tables of
+/// type `T` are built per source and handed to `mul_multi` at most
+/// `FUSE` at a time, unit coefficients go to the XOR kernel at most
+/// [`MAX_FUSE`] at a time, and `dst` is overwritten by the first batch
+/// issued (zero-filled when there is none). Both batch arrays live on
+/// the stack.
+// Batch counters flush at MAX_FUSE / FUSE, so the batch-array indexing
+// stays in bounds.
 #[allow(clippy::indexing_slicing)]
-fn combine_bytes<F: Field>(
+fn combine_batched<F: Field, T: Copy + Default, const FUSE: usize>(
     suite: &KernelSuite,
     dst: &mut [u8],
     srcs: &[(F, &[u8])],
     accumulate: bool,
+    build: impl Fn(F) -> T,
+    mul_multi: FusedMulFn<T>,
 ) {
     let mut wrote = accumulate;
     let mut ones: [&[u8]; MAX_FUSE] = [&[]; MAX_FUSE];
     let mut n_ones = 0;
-    let mut muls: [(MulTables, &[u8]); MAX_FUSE] = [(
-        MulTables {
-            lo: [0; 16],
-            hi: [0; 16],
-        },
-        &[],
-    ); MAX_FUSE];
+    let mut muls: [(T, &[u8]); FUSE] = [(T::default(), &[]); FUSE];
     let mut n_muls = 0;
     for &(c, s) in srcs {
         if c.is_zero() {
@@ -273,73 +292,17 @@ fn combine_bytes<F: Field>(
                 n_ones = 0;
             }
         } else {
-            muls[n_muls] = (MulTables::build(c), s);
+            muls[n_muls] = (build(c), s);
             n_muls += 1;
-            if n_muls == MAX_FUSE {
-                (suite.mul_multi)(dst, &muls[..n_muls], wrote);
+            if n_muls == FUSE {
+                mul_multi(dst, &muls[..n_muls], wrote);
                 wrote = true;
                 n_muls = 0;
             }
         }
     }
     if n_muls > 0 {
-        (suite.mul_multi)(dst, &muls[..n_muls], wrote);
-        wrote = true;
-    }
-    if n_ones > 0 {
-        (suite.xor_multi)(dst, &ones[..n_ones], wrote);
-        wrote = true;
-    }
-    if !wrote {
-        dst.fill(0);
-    }
-}
-
-/// GF(2^16) fused row: nibble-table batches + XOR batches, handed to
-/// the backend's fused two-byte-symbol kernel so `dst` is streamed
-/// through memory once.
-// Batch counters flush at MAX_FUSE / WIDE16_FUSE, so the batch-array
-// indexing stays in bounds.
-#[allow(clippy::indexing_slicing)]
-fn combine_wide16<F: Field>(
-    suite: &KernelSuite,
-    dst: &mut [u8],
-    srcs: &[(F, &[u8])],
-    accumulate: bool,
-) {
-    const EMPTY16: Nibble16Tables = Nibble16Tables {
-        lo: [[0; 16]; 4],
-        hi: [[0; 16]; 4],
-    };
-    let mut wrote = accumulate;
-    let mut ones: [&[u8]; MAX_FUSE] = [&[]; MAX_FUSE];
-    let mut n_ones = 0;
-    let mut muls: [(Nibble16Tables, &[u8]); WIDE16_FUSE] = [(EMPTY16, &[]); WIDE16_FUSE];
-    let mut n_muls = 0;
-    for &(c, s) in srcs {
-        if c.is_zero() {
-            continue;
-        }
-        if c == F::ONE {
-            ones[n_ones] = s;
-            n_ones += 1;
-            if n_ones == MAX_FUSE {
-                (suite.xor_multi)(dst, &ones[..n_ones], wrote);
-                wrote = true;
-                n_ones = 0;
-            }
-        } else {
-            muls[n_muls] = (Nibble16Tables::build(c), s);
-            n_muls += 1;
-            if n_muls == WIDE16_FUSE {
-                (suite.mul16_multi)(dst, &muls[..n_muls], wrote);
-                wrote = true;
-                n_muls = 0;
-            }
-        }
-    }
-    if n_muls > 0 {
-        (suite.mul16_multi)(dst, &muls[..n_muls], wrote);
+        mul_multi(dst, &muls[..n_muls], wrote);
         wrote = true;
     }
     if n_ones > 0 {

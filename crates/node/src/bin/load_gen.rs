@@ -10,10 +10,12 @@
 //! redundancy afterwards.
 //!
 //! ```text
-//! cargo run --release -p xorbas_node --bin load_gen -- \
-//!     --chaos --servers 5 --chunk-kib 256 --files 2 --file-mib 2 \
-//!     --ops 200 --seed 20130826 --chaos-runs 2
+//! cargo run --release -p xorbas_node --bin load_gen -- --seed 20130826 --chaos-runs 2
 //! ```
+//!
+//! The run's shape is fixed — 5 servers in 5 racks, 256 KiB chunks, two
+//! 2 MiB files, 200 ops of which 10% are writes, a 5 s read deadline;
+//! the flags are a seed sweep and a path.
 //!
 //! This is an acceptance driver, not the performance record: throughput,
 //! latency and repair traffic are measured (with gates) by the
@@ -41,50 +43,32 @@ use xorbas_node::{
 
 type AnyError = Box<dyn Error>;
 
+const SERVERS: usize = 5;
+const CHUNK_BYTES: usize = 256 << 10;
+const FILES: usize = 2;
+const FILE_BYTES: usize = 2 << 20;
+const OPS: usize = 200;
+const WRITE_MIX_PCT: u64 = 10;
+/// Budget one read call may spend before it counts as stuck.
+const READ_DEADLINE: Duration = Duration::from_secs(5);
+
 #[derive(Debug, Clone)]
 struct Args {
-    servers: usize,
-    racks: usize,
-    chunk_kib: usize,
-    files: usize,
-    file_mib: usize,
-    ops: usize,
-    write_mix_pct: u32,
-    json: Option<PathBuf>,
     seed: u64,
     /// Where server data dirs live (e.g. a tmpfs such as /dev/shm).
     data_root: PathBuf,
     /// How many runs (seeds `seed..seed+N`) to execute.
     chaos_runs: usize,
-    /// Budget one read call may spend before it counts as stuck.
-    deadline_ms: u64,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            servers: 5,
-            racks: 5,
-            chunk_kib: 1024,
-            files: 2,
-            file_mib: 64,
-            ops: 400,
-            write_mix_pct: 10,
-            json: None,
-            seed: 20130826, // the VLDB'13 proceedings date
-            data_root: std::env::temp_dir(),
-            chaos_runs: 1,
-            deadline_ms: 5000,
-        }
-    }
-}
-
-const USAGE: &str = "usage: load_gen [--chaos] [--servers N] [--racks N] \
-[--chunk-kib N] [--files N] [--file-mib N] [--ops N] [--write-mix PCT] \
-[--json PATH] [--seed N] [--data-root DIR] [--chaos-runs N] [--deadline-ms N]";
+const USAGE: &str = "usage: load_gen [--seed N] [--chaos-runs N] [--data-root DIR]";
 
 fn parse_args() -> Result<Args, AnyError> {
-    let mut args = Args::default();
+    let mut args = Args {
+        seed: 20130826, // the VLDB'13 proceedings date
+        data_root: std::env::temp_dir(),
+        chaos_runs: 1,
+    };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut take = |name: &str| -> Result<String, AnyError> {
@@ -92,29 +76,13 @@ fn parse_args() -> Result<Args, AnyError> {
                 .ok_or_else(|| format!("{name} needs a value\n{USAGE}").into())
         };
         match flag.as_str() {
-            "--servers" => args.servers = take("--servers")?.parse()?,
-            "--racks" => args.racks = take("--racks")?.parse()?,
-            "--chunk-kib" => args.chunk_kib = take("--chunk-kib")?.parse()?,
-            "--files" => args.files = take("--files")?.parse()?,
-            "--file-mib" => args.file_mib = take("--file-mib")?.parse()?,
-            "--ops" => args.ops = take("--ops")?.parse()?,
-            "--write-mix" => args.write_mix_pct = take("--write-mix")?.parse()?,
-            "--json" => args.json = Some(PathBuf::from(take("--json")?)),
             "--seed" => args.seed = take("--seed")?.parse()?,
             "--data-root" => args.data_root = PathBuf::from(take("--data-root")?),
-            // Chaos is the only mode; the flag is kept so existing
-            // command lines keep working.
-            "--chaos" => {}
             "--chaos-runs" => args.chaos_runs = take("--chaos-runs")?.parse()?,
-            "--deadline-ms" => args.deadline_ms = take("--deadline-ms")?.parse()?,
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}").into()),
         }
     }
-    if args.servers == 0 || args.files == 0 || args.chunk_kib == 0 {
-        return Err(format!("--servers, --files and --chunk-kib must be positive\n{USAGE}").into());
-    }
-    args.racks = args.racks.clamp(1, args.servers);
     Ok(args)
 }
 
@@ -166,16 +134,13 @@ struct ChaosResult {
     failed_reads: u64,
     /// Reads that returned bytes differing from the regenerated truth.
     corrupt_reads: u64,
-    /// Read calls whose single invocation blew the `--deadline-ms` budget.
+    /// Read calls whose single invocation blew [`READ_DEADLINE`].
     deadline_misses: u64,
     put_retries: u64,
-    killed_server: Option<usize>,
-    restarted: bool,
     repair_converged: bool,
     bit_identical: bool,
     injected: Vec<(&'static str, u64, u64)>,
     repair: RepairStatsSnapshot,
-    wal_replayed_manifests: u64,
 }
 
 impl ChaosResult {
@@ -230,7 +195,6 @@ fn put_acked(
 fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
     let seed = args.seed + run_idx as u64;
     let spec = CodeSpec::LRC_10_6_5;
-    let chunk_bytes = args.chunk_kib * 1024;
     let k = spec.data_blocks();
 
     let root = args
@@ -239,10 +203,10 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
     let _ = std::fs::remove_dir_all(&root);
 
     // Boot servers; slots are Options so the victim can be replaced.
-    let mut servers: Vec<Option<ChunkServer>> = Vec::with_capacity(args.servers);
-    let mut dirs = Vec::with_capacity(args.servers);
-    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(args.servers);
-    for i in 0..args.servers {
+    let mut servers: Vec<Option<ChunkServer>> = Vec::with_capacity(SERVERS);
+    let mut dirs = Vec::with_capacity(SERVERS);
+    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(SERVERS);
+    for i in 0..SERVERS {
         let dir = root.join(format!("srv{i}"));
         let server = ChunkServer::start(ServerConfig::new(dir.clone()))?;
         addrs.push(server.addr());
@@ -253,7 +217,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
     // Crash-safe directory: placements, repairs, corruption reports and
     // manifests all land in the WAL before they are acknowledged.
     let wal_path = root.join("directory.wal");
-    let (directory, prior) = Directory::open_persistent(&wal_path, &addrs, args.racks, seed)?;
+    let (directory, _) = Directory::open_persistent(&wal_path, &addrs, SERVERS, seed)?;
     let directory = Arc::new(Mutex::new(directory));
 
     // Keep the Arc: counters are read from it after disarm.
@@ -262,7 +226,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
     let sessions = xorbas_node::client::SessionCache::default();
     let mut client = ClusterClient::new(
         Codec::build(spec)?,
-        chunk_bytes,
+        CHUNK_BYTES,
         Arc::clone(&directory),
         RetryPolicy::default(),
         sessions.clone(),
@@ -270,25 +234,23 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
 
     let mut result = ChaosResult {
         seed,
-        wal_replayed_manifests: prior.len() as u64,
         ..ChaosResult::default()
     };
 
     // ---- Put phase: acked files stay resident for verification. ----
-    let file_len = args.file_mib << 20;
     let mut file_data: Vec<Vec<u8>> = Vec::new();
     let mut manifests: Vec<Manifest> = Vec::new();
-    for file_idx in 0..args.files {
+    for file_idx in 0..FILES {
         let fseed = seed ^ ((file_idx as u64 + 1) << 32);
         let mut data = Vec::new();
-        fill_deterministic(fseed, file_len, &mut data);
+        fill_deterministic(fseed, FILE_BYTES, &mut data);
         let manifest = put_acked(&mut client, &data, &mut result.put_retries)?;
         file_data.push(data);
         manifests.push(manifest);
     }
 
     // Scrubber + repair agent over every store, including the victim's.
-    let mut agent_cfg = RepairAgentConfig::new(chunk_bytes);
+    let mut agent_cfg = RepairAgentConfig::new(CHUNK_BYTES);
     agent_cfg.probe_rounds = 4;
     agent_cfg.scrub = Some(ScrubConfig::new(
         dirs.iter().cloned().enumerate().collect::<Vec<_>>(),
@@ -311,17 +273,15 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
     let mut rng = MiniRng(seed | 1);
     let mut buf = Vec::new();
     let mut expect = Vec::new();
-    let deadline = Duration::from_millis(args.deadline_ms.max(100));
-    let kill_at = args.ops * 2 / 5;
-    let restart_at = args.ops * 7 / 10;
-    let victim = args.servers - 1;
+    let kill_at = OPS * 2 / 5;
+    let restart_at = OPS * 7 / 10;
+    let victim = SERVERS - 1;
 
-    for op in 0..args.ops {
+    for op in 0..OPS {
         if op == kill_at {
             if let Some(s) = servers[victim].as_ref() {
                 s.kill();
             }
-            result.killed_server = Some(victim);
         }
         if op == restart_at {
             // Restart the victim on the same data dir: a new ephemeral
@@ -334,17 +294,13 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
                 d.mark_alive(victim);
             }
             servers[victim] = Some(server);
-            result.restarted = true;
         }
 
-        let is_write = args.write_mix_pct > 0
-            && rng.below(100) < args.write_mix_pct as u64
-            && op != kill_at
-            && op != restart_at;
+        let is_write = rng.below(100) < WRITE_MIX_PCT && op != kill_at && op != restart_at;
         if is_write {
             let fseed = seed ^ 0xABCD ^ ((result.write_ops + 1) << 40);
             let mut data = Vec::new();
-            fill_deterministic(fseed, k * chunk_bytes, &mut data);
+            fill_deterministic(fseed, k * CHUNK_BYTES, &mut data);
             let manifest = put_acked(&mut client, &data, &mut result.put_retries)?;
             let fi = file_data.len();
             for (pos, s) in manifest.stripes.iter().enumerate() {
@@ -363,7 +319,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
         loop {
             let t0 = Instant::now();
             let res = client.read_data_chunk(stripe, lane, &mut buf);
-            if t0.elapsed() > deadline {
+            if t0.elapsed() > READ_DEADLINE {
                 result.deadline_misses += 1;
             }
             match res {
@@ -372,7 +328,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
                     break;
                 }
                 Err(_) => {
-                    if op_start.elapsed() >= deadline {
+                    if op_start.elapsed() >= READ_DEADLINE {
                         break;
                     }
                     result.retried_reads += 1;
@@ -395,7 +351,7 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
         // Byte-for-byte verification against the kept file contents:
         // the chunk is the file slice at (pos*k + lane), zero-padded.
         let file = &file_data[fi];
-        let off = (pos * k + lane as usize) * chunk_bytes;
+        let off = (pos * k + lane as usize) * CHUNK_BYTES;
         expect.clear();
         expect.resize(buf.len(), 0);
         if off < file.len() {
@@ -438,60 +394,6 @@ fn run_chaos(args: &Args, run_idx: usize) -> Result<ChaosResult, AnyError> {
     Ok(result)
 }
 
-fn chaos_json(r: &ChaosResult) -> String {
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\"seed\":{},\"read_ops\":{},\"write_ops\":{},\"direct_reads\":{},\
-         \"degraded_reads\":{},\"degraded_light\":{},\"retried_reads\":{},\"failed_reads\":{},\
-         \"corrupt_reads\":{},\"deadline_misses\":{},\"put_retries\":{},",
-        r.seed,
-        r.read_ops,
-        r.write_ops,
-        r.direct_reads,
-        r.degraded_reads,
-        r.degraded_light,
-        r.retried_reads,
-        r.failed_reads,
-        r.corrupt_reads,
-        r.deadline_misses,
-        r.put_retries,
-    );
-    let killed = r
-        .killed_server
-        .map_or("null".to_string(), |v| v.to_string());
-    let _ = write!(
-        j,
-        "\"killed_server\":{killed},\"restarted\":{},\"wal_replayed_manifests\":{},\
-         \"repair_converged\":{},\"chunks_repaired\":{},\"light_repairs\":{},\
-         \"heavy_repairs\":{},\"failed_repair_attempts\":{},\"connections_dialed\":{},\
-         \"scrub_cycles\":{},\
-         \"scrub_chunks\":{},\"scrub_bytes\":{},\"scrub_corruptions\":{},\
-         \"bit_identical\":{},\"injected\":{{",
-        r.restarted,
-        r.wal_replayed_manifests,
-        r.repair_converged,
-        r.repair.chunks_repaired,
-        r.repair.light_repairs,
-        r.repair.heavy_repairs,
-        r.repair.failed_attempts,
-        r.repair.connections_dialed,
-        r.repair.scrub_cycles,
-        r.repair.scrub_chunks,
-        r.repair.scrub_bytes,
-        r.repair.scrub_corruptions,
-        r.bit_identical,
-    );
-    for (i, (site, calls, fired)) in r.injected.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        let _ = write!(j, "\"{site}\":{{\"calls\":{calls},\"fired\":{fired}}}");
-    }
-    let _ = write!(j, "}},\"passed\":{}}}", r.passed());
-    j
-}
-
 fn print_chaos_summary(r: &ChaosResult) {
     println!("== chaos seed {} ==", r.seed);
     println!(
@@ -507,8 +409,8 @@ fn print_chaos_summary(r: &ChaosResult) {
         r.deadline_misses,
     );
     println!(
-        "  writes: {} ops, {} put retries; kill={:?} restarted={}",
-        r.write_ops, r.put_retries, r.killed_server, r.restarted
+        "  writes: {} ops, {} put retries",
+        r.write_ops, r.put_retries
     );
     println!(
         "  repair: converged={} ({} chunks, {} light / {} heavy, {} failed attempts, \
@@ -543,40 +445,13 @@ fn print_chaos_summary(r: &ChaosResult) {
 
 fn run() -> Result<(), AnyError> {
     let args = parse_args()?;
-    let mut results = Vec::new();
+    let mut all_passed = true;
     for run_idx in 0..args.chaos_runs.max(1) {
         let r = run_chaos(&args, run_idx)?;
         print_chaos_summary(&r);
-        results.push(r);
+        all_passed &= r.passed();
     }
-    if let Some(path) = &args.json {
-        let mut json = String::new();
-        let _ = write!(
-            json,
-            "{{\"bench\":\"xorbas-node load_gen --chaos\",\"servers\":{},\"racks\":{},\
-             \"chunk_kib\":{},\"files\":{},\"file_mib\":{},\"ops\":{},\"write_mix_pct\":{},\
-             \"seed\":{},\"deadline_ms\":{},\"runs\":[",
-            args.servers,
-            args.racks,
-            args.chunk_kib,
-            args.files,
-            args.file_mib,
-            args.ops,
-            args.write_mix_pct,
-            args.seed,
-            args.deadline_ms,
-        );
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&chaos_json(r));
-        }
-        json.push_str("]}\n");
-        std::fs::write(path, json)?;
-        println!("wrote {}", path.display());
-    }
-    if results.iter().all(ChaosResult::passed) {
+    if all_passed {
         Ok(())
     } else {
         Err("chaos acceptance failed (failed/corrupt/stuck reads, repair, or bit-identity)".into())

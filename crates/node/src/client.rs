@@ -5,7 +5,11 @@
 //! over a scoped encoder thread: while stripe `i` streams to the chunk
 //! servers, stripe `i+1` is being filled, encoded
 //! ([`Codec::encode_into`]) and digested. Two recycled buffer
-//! sets bound memory at two stripes regardless of file size.
+//! sets bound memory at two stripes regardless of file size. Every
+//! chunk is written by the pool's one store-with-failover
+//! (`ConnPool::store`, **the write rule**), which the repair agent's
+//! re-placement calls too: what a failed write does to the directory is
+//! decided there and nowhere else.
 //!
 //! **Get** reads a stripe's data lanes straight from their servers —
 //! every GET goes out before the first reply is read — verifying the
@@ -295,8 +299,14 @@ fn is_lost_socket(e: &NodeError) -> bool {
 /// that has not answered since it was dialed, or a blown deadline, lets
 /// the caller close the slot and mark the server dead
 /// ([`ConnPool::declare_dead`]).
+///
+/// Next to it, the one statement of **the write rule**
+/// ([`ConnPool::store`]): what a failed chunk write does to the
+/// directory, for the client's put and the agent's re-placement alike.
 pub(crate) struct ConnPool {
-    directory: Arc<Mutex<Directory>>,
+    /// The one directory handle an executor holds: the pool dials from
+    /// it, `StripeIo` plans and reports through it.
+    pub(crate) directory: Arc<Mutex<Directory>>,
     retry: RetryPolicy,
     /// Indexed by server id.
     slots: Vec<Option<NodeConn>>,
@@ -373,20 +383,64 @@ impl ConnPool {
         stale
     }
 
-    /// Stores one chunk on `sid` over its pooled connection, under the
-    /// rule. The caller decides what a returned error means for `sid`.
-    pub(crate) fn put(
+    /// Stores lane `lane` of `stripe` and returns the server that
+    /// acknowledged it. `placed` is the server the directory already
+    /// assigns the lane to, tried first (a client put, straight after
+    /// `place_stripe`); `None` means the lane is lost and a fresh
+    /// replacement is chosen (a repair).
+    ///
+    /// **The write rule**, for both:
+    ///
+    /// * a transport error the pooled-connection rule does not absorb
+    ///   closes the connection and marks the server dead;
+    /// * `Remote(Io)` — the server answered that its disk could not take
+    ///   the chunk, e.g. a torn write — passes no verdict on the server;
+    /// * either way the lane fails over to a replacement chosen by the
+    ///   placement policy, at most roster-size times; any other error is
+    ///   returned as it is;
+    /// * the directory is told (`reassign`, one WAL record) only after a
+    ///   server has acknowledged the chunk, and only when that server is
+    ///   not `placed`: an undisturbed put takes no lock and logs nothing
+    ///   here, and a replacement that fails in its turn leaves no record
+    ///   behind.
+    pub(crate) fn store(
         &mut self,
-        sid: ServerId,
         stripe: u64,
         lane: u32,
+        placed: Option<ServerId>,
         digest: u64,
         payload: &[u8],
-    ) -> Result<()> {
-        let mut put = |conn: &mut NodeConn| conn.put(stripe, lane, digest, payload);
-        match self.conn(sid).and_then(&mut put) {
-            Err(e) if self.redial_on(sid, &e) => self.conn(sid).and_then(put),
-            done => done,
+    ) -> Result<ServerId> {
+        let mut choice = placed;
+        let mut failovers = 0usize;
+        loop {
+            let sid = match choice.take() {
+                Some(sid) => sid,
+                None => lock(&self.directory).choose_replacement(stripe)?,
+            };
+            let mut put = |conn: &mut NodeConn| conn.put(stripe, lane, digest, payload);
+            let sent = match self.conn(sid).and_then(&mut put) {
+                Err(e) if self.redial_on(sid, &e) => self.conn(sid).and_then(put),
+                done => done,
+            };
+            let e = match sent {
+                Ok(()) => {
+                    if placed != Some(sid) {
+                        lock(&self.directory).reassign(stripe, lane, sid)?;
+                    }
+                    return Ok(sid);
+                }
+                Err(e) => e,
+            };
+            if is_transport(&e) {
+                self.declare_dead(sid);
+            } else if !matches!(e, NodeError::Remote(ErrCode::Io)) {
+                return Err(e);
+            }
+            failovers += 1;
+            if failovers > lock(&self.directory).server_count() {
+                return Err(e);
+            }
         }
     }
 }
@@ -485,7 +539,7 @@ impl ClusterClient {
 
     /// The shared placement directory.
     pub fn directory(&self) -> &Arc<Mutex<Directory>> {
-        &self.io.directory
+        &self.io.pool.directory
     }
 
     /// The shared repair-session cache.
@@ -504,7 +558,7 @@ impl ClusterClient {
     /// not the one this client stripes with.
     pub fn register_manifest(&self, manifest: &Manifest) -> Result<()> {
         self.check_manifest(manifest)?;
-        let mut dir = lock(&self.io.directory);
+        let mut dir = lock(&self.io.pool.directory);
         for entry in &manifest.stripes {
             dir.register_stripe(entry.id, entry.servers.clone());
         }
@@ -552,7 +606,6 @@ impl ClusterClient {
 
         let codec = &self.io.codec;
         let pool = &mut self.io.pool;
-        let dir = &self.io.directory;
 
         let entries = std::thread::scope(|s| {
             s.spawn(move || {
@@ -575,18 +628,32 @@ impl ClusterClient {
                             return Err(NodeError::Malformed("encoder pipeline closed early"))
                         }
                     };
-                    let stripe_id = {
-                        let mut d = lock(dir);
-                        d.place_stripe(n)?.0
+                    // The placement is read under the lock that made it.
+                    let (id, mut servers) = {
+                        let mut d = lock(&pool.directory);
+                        let (id, placed) = d.place_stripe(n)?;
+                        (id, placed.to_vec())
+                    };
+                    let mut store_lanes = || -> Result<()> {
+                        for ((lane, sid), (payload, &digest)) in (0u32..)
+                            .zip(&mut servers)
+                            .zip(set.lanes.iter().zip(&set.digests))
+                        {
+                            // Fault site: the put pipeline dies mid-stripe,
+                            // as if the writer thread was killed. The file
+                            // is never acknowledged; its whole stripes stay
+                            // repairable.
+                            if fault::hit(Site::CrashPut) {
+                                return Err(NodeError::Injected("crash-put"));
+                            }
+                            *sid = pool.store(id, lane, Some(*sid), digest, payload)?;
+                        }
+                        Ok(())
                     };
                     // A put that dies mid-stripe must not leave the
                     // half-written stripe behind for the repair agent.
-                    let servers = put_stripe(pool, dir, stripe_id, &set)
-                        .inspect_err(|_| lock(dir).forget_stripe(stripe_id))?;
-                    entries.push(StripeEntry {
-                        id: stripe_id,
-                        servers,
-                    });
+                    store_lanes().inspect_err(|_| lock(&pool.directory).forget_stripe(id))?;
+                    entries.push(StripeEntry { id, servers });
                     let _ = free_tx.send(set);
                 }
                 Ok(entries)
@@ -606,7 +673,7 @@ impl ClusterClient {
         // Acknowledge durably: with a WAL-backed directory the manifest
         // is on disk before the caller sees Ok, so a restarted cluster
         // can hand the file back. (No-op for an in-memory directory.)
-        lock(&self.io.directory).log_manifest(&manifest)?;
+        lock(&self.io.pool.directory).log_manifest(&manifest)?;
         Ok(manifest)
     }
 
@@ -751,67 +818,66 @@ fn fill_and_encode(
     Ok(())
 }
 
-/// Streams one encoded stripe to its assigned servers, failing over to
-/// a replacement placement when a server dies mid-put. Returns the
-/// final lane→server assignment.
-fn put_stripe(
-    pool: &mut ConnPool,
-    dir: &Arc<Mutex<Directory>>,
-    stripe: u64,
-    set: &BufSet,
-) -> Result<Vec<ServerId>> {
-    let mut assigned: Vec<ServerId> = {
-        let d = lock(dir);
-        d.servers_of(stripe)
-            .map(<[ServerId]>::to_vec)
-            .ok_or(NodeError::UnknownStripe(stripe))?
-    };
-    for lane in 0..set.lanes.len() {
-        // Fault site: the put pipeline dies mid-stripe, as if the
-        // writer thread was killed. The file is never acknowledged;
-        // its whole stripes stay repairable, and `put` drops this
-        // half-written one from the directory.
-        if fault::hit(Site::CrashPut) {
-            return Err(NodeError::Injected("crash-put"));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{ChunkServer, ServerConfig};
+
+    /// The write rule on a three-server roster whose server 0 is a
+    /// closed port, under a WAL-backed directory.
+    #[test]
+    fn store_fails_over_after_a_refusal_and_logs_nothing_for_an_undisturbed_put() {
+        let root = std::env::temp_dir().join(format!("xorbas_store_rule_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let live: Vec<ChunkServer> = (1..3)
+            .map(|i| ChunkServer::start(ServerConfig::new(root.join(format!("srv{i}")))).unwrap())
+            .collect();
+        let closed = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let addrs = [closed, live[0].addr(), live[1].addr()];
+        let wal = root.join("directory.wal");
+        let wal_len = || std::fs::metadata(&wal).unwrap().len();
+        let (dir, _) = Directory::open_persistent(&wal, &addrs, 3, 7).unwrap();
+        let dir = Arc::new(Mutex::new(dir));
+        let stripe = lock(&dir).place_stripe(3).unwrap().0;
+        let assigned = lock(&dir).servers_of(stripe).unwrap().to_vec();
+        let lane_on = |sid| assigned.iter().position(|&s| s == sid).unwrap() as u32;
+        let mut pool = ConnPool::new(Arc::clone(&dir), RetryPolicy::default());
+        let payload = vec![0x5Au8; 4096];
+        let digest = chunk_digest(&payload);
+
+        // The assigned, healthy server takes the chunk: the directory is
+        // not touched, the WAL not appended to.
+        let before = wal_len();
+        let lane = lane_on(1);
+        assert_eq!(
+            pool.store(stripe, lane, Some(1), digest, &payload).unwrap(),
+            1
+        );
+        assert_eq!(wal_len(), before);
+        assert_eq!(lock(&dir).servers_of(stripe).unwrap(), assigned);
+
+        // The first choice refuses the dial: dead, and the lane moves to
+        // a live server, which holds the chunk before the directory says so.
+        let lane = lane_on(0);
+        let moved_to = pool.store(stripe, lane, Some(0), digest, &payload).unwrap();
+        assert_ne!(moved_to, 0);
+        assert!(!lock(&dir).is_alive(0));
+        assert_eq!(lock(&dir).alive_count(), 2);
+        assert_eq!(
+            lock(&dir).servers_of(stripe).unwrap()[lane as usize],
+            moved_to
+        );
+        assert!(wal_len() > before, "the move is one WAL record");
+        let mut out = Vec::new();
+        let conn = pool.conn(moved_to).unwrap();
+        assert_eq!(conn.get_chunk(stripe, lane, &mut out).unwrap(), digest);
+        assert_eq!(out, payload);
+
+        for server in live {
+            server.shutdown();
         }
-        let digest = *set
-            .digests
-            .get(lane)
-            .ok_or(NodeError::Malformed("digest missing for lane"))?;
-        let payload = set
-            .lanes
-            .get(lane)
-            .ok_or(NodeError::Malformed("payload missing for lane"))?;
-        let mut failovers = 0usize;
-        loop {
-            let sid = *assigned
-                .get(lane)
-                .ok_or(NodeError::Malformed("assignment missing for lane"))?;
-            let attempt = pool.put(sid, stripe, lane as u32, digest, payload);
-            // A server that answered "I/O error" (e.g. a torn chunk
-            // write) is alive but could not take the chunk: fail the
-            // lane over to another server without declaring it dead.
-            let disk_failed = matches!(attempt, Err(NodeError::Remote(ErrCode::Io)));
-            match attempt {
-                Ok(()) => break,
-                Err(e) if is_transport(&e) || disk_failed => {
-                    if !disk_failed {
-                        pool.declare_dead(sid);
-                    }
-                    let mut d = lock(dir);
-                    failovers += 1;
-                    if failovers > d.server_count() {
-                        return Err(e);
-                    }
-                    let new_sid = d.choose_replacement(stripe)?;
-                    d.reassign(stripe, lane as u32, new_sid)?;
-                    if let Some(slot) = assigned.get_mut(lane) {
-                        *slot = new_sid;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let _ = std::fs::remove_dir_all(&root);
     }
-    Ok(assigned)
 }

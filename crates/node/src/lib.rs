@@ -11,7 +11,7 @@
 //! | [`protocol`] | frame layout, opcodes, bounded-allocation frame reader, chunk digests |
 //! | [`chunk_store`] | per-server on-disk chunk files with digest verification |
 //! | [`server`] | the chunk-server daemon: accept loop, per-connection threads, kill switch |
-//! | [`client`] | connection with retry/backoff, the connection pool and its stale-socket rule, streaming put (encode pipelined against socket writes), direct + degraded get |
+//! | [`client`] | connection with retry/backoff, the connection pool with its stale-socket rule and the one store-with-failover (the write rule) under client put and repair re-placement, streaming put (encode pipelined against socket writes), direct + degraded get |
 //! | `stripe_io` (private) | the one plan → fetch → replay executor under get, degraded get and background repair: a direct read split into issue and collect, the one pipelined fetch built on them, and the one place a read failure is reported to the directory |
 //! | `cursor` (private) | the bounds-checked little-endian reader behind the frame, manifest, WAL and chunk-header decoders |
 //! | [`manifest`] | the binary stripe manifest a put returns and a get consumes |
@@ -30,7 +30,7 @@
 //! (LRC light repairs fetch only the local group, the §3.2 story).
 //! `tests/loopback_smoke.rs` pins the chunk counts, `benchmark/` measures
 //! throughput and latency, and `cargo run --release -p xorbas_node --bin
-//! load_gen -- --chaos` runs the same traffic under a seeded fault plan.
+//! load_gen -- --seed N` runs the same traffic under a seeded fault plan.
 
 #![forbid(unsafe_code)]
 

@@ -5,16 +5,18 @@
 //! through the same executor a degraded get runs (`stripe_io`): fetch
 //! exactly the lanes the cached session's plan needs, reconstruct the
 //! missing ones, then push them to replacement servers chosen by the
-//! rack-aware placement policy. A source lane that turns out dead or
-//! rotten is reported to the directory by that executor, so the next
-//! round plans around it instead of retrying the same fetch. For
-//! LRC stripes with a single loss this is the paper's *light* repair —
-//! the agent fetches one local group (5 chunks for LRC(10,6,5)) instead
-//! of the `k = 10` an RS code needs, and the stats it keeps
-//! ([`RepairStatsSnapshot::bytes_fetched`]) make that difference a
-//! measured number rather than a simulated one.
+//! rack-aware placement policy — through the same store-with-failover a
+//! client put writes through, so a replacement that refuses or tears
+//! the write costs a failover, not the attempt. A source lane that
+//! turns out dead or rotten is reported to the directory by that
+//! executor, so the next round plans around it instead of retrying the
+//! same fetch. For LRC stripes with a single loss this is the paper's
+//! *light* repair — the agent fetches one local group (5 chunks for
+//! LRC(10,6,5)) instead of the `k = 10` an RS code needs, and the stats
+//! it keeps ([`RepairStatsSnapshot::bytes_fetched`]) make that
+//! difference a measured number rather than a simulated one.
 //!
-//! Concurrency is throttled: at most `max_concurrent_repairs` stripes
+//! Concurrency is throttled: at most `MAX_CONCURRENT_REPAIRS` stripes
 //! are in flight at once, mirroring the simulator's repair-slot model
 //! and HDFS-RAID's bounded reconstruction parallelism. That many
 //! executors are built once and live as long as the agent, so a
@@ -25,7 +27,7 @@
 //! round's list is empty.
 
 use crate::chunk_store::ChunkStore;
-use crate::client::{is_transport, RetryPolicy, SessionCache};
+use crate::client::{RetryPolicy, SessionCache};
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
@@ -39,18 +41,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xorbas_core::Codec;
 
-/// Tunables for the agent.
+/// What the agent must be told; its pacing (25 ms scans, 2 concurrent
+/// repairs, the default [`RetryPolicy`]) is fixed beside `agent_loop`.
 #[derive(Debug, Clone)]
 pub struct RepairAgentConfig {
-    /// How often the directory is scanned for losses.
-    pub scan_interval: Duration,
-    /// Stripes repaired concurrently (the repair-traffic throttle; the
-    /// simulator's `max_concurrent_repairs` analogue).
-    pub max_concurrent_repairs: usize,
     /// Chunk size of the stripes being repaired.
     pub chunk_bytes: usize,
-    /// Connection policy for repair traffic.
-    pub retry: RetryPolicy,
     /// Liveness-probe cadence: one probe sweep every this many scan
     /// rounds. The sweep both declares unreachable servers dead and
     /// revives restarted ones whose listener answers again.
@@ -61,21 +57,18 @@ pub struct RepairAgentConfig {
 }
 
 impl RepairAgentConfig {
-    /// Defaults: 25 ms scans, 2 concurrent repairs, probes every 8
-    /// rounds, no scrubber.
+    /// Defaults: probes every 8 rounds, no scrubber.
     pub fn new(chunk_bytes: usize) -> Self {
         Self {
-            scan_interval: Duration::from_millis(25),
-            max_concurrent_repairs: 2,
             chunk_bytes,
-            retry: RetryPolicy::default(),
             probe_rounds: 8,
             scrub: None,
         }
     }
 }
 
-/// Tunables for the background CRC scrubber.
+/// What the background CRC scrubber walks; its throttle (64 MiB/s, a
+/// 50 ms pause between cycles) is fixed beside `scrub_loop`.
 ///
 /// The scrubber is colocated with the servers in this prototype (one
 /// process hosts the whole cluster), so it reads chunk files straight
@@ -86,23 +79,12 @@ impl RepairAgentConfig {
 pub struct ScrubConfig {
     /// `(server id, chunk-store root)` pairs the scrubber walks.
     pub stores: Vec<(ServerId, PathBuf)>,
-    /// Verification byte-rate cap. After each chunk the scrubber
-    /// sleeps `chunk_len / rate` so a full cycle over `B` stored bytes
-    /// takes at least `B / rate` seconds.
-    pub rate_bytes_per_sec: u64,
-    /// Pause between full cycles over every store.
-    pub cycle_pause: Duration,
 }
 
 impl ScrubConfig {
-    /// A config scrubbing `stores` with the defaults: 64 MiB/s, a
-    /// 50 ms pause between cycles.
+    /// A config scrubbing `stores`.
     pub fn new(stores: Vec<(ServerId, PathBuf)>) -> Self {
-        Self {
-            stores,
-            rate_bytes_per_sec: 64 << 20,
-            cycle_pause: Duration::from_millis(50),
-        }
+        Self { stores }
     }
 }
 
@@ -254,11 +236,15 @@ impl RepairAgent {
 
     /// Stops the scan and scrub threads and joins them.
     pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scrub_handle.take() {
+        for h in [self.handle.take(), self.scrub_handle.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = h.join();
         }
     }
@@ -266,15 +252,16 @@ impl RepairAgent {
 
 impl Drop for RepairAgent {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scrub_handle.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
+
+/// How often the directory is scanned for losses.
+const SCAN_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Stripes repaired concurrently: the repair-traffic throttle, the
+/// simulator's `max_concurrent_repairs` analogue.
+const MAX_CONCURRENT_REPAIRS: usize = 2;
 
 fn agent_loop(
     codec: &Codec,
@@ -285,13 +272,13 @@ fn agent_loop(
     stats: &RepairStats,
 ) {
     // One executor per repair slot, for the agent's lifetime.
-    let mut workers: Vec<StripeIo> = (0..cfg.max_concurrent_repairs.max(1))
+    let mut workers: Vec<StripeIo> = (0..MAX_CONCURRENT_REPAIRS)
         .map(|_| {
             StripeIo::new(
                 codec.clone(),
                 cfg.chunk_bytes,
                 Arc::clone(dir),
-                cfg.retry.clone(),
+                RetryPolicy::default(),
                 sessions.clone(),
             )
         })
@@ -338,7 +325,7 @@ fn agent_loop(
             }
         });
         stats.rounds.fetch_add(1, Ordering::Relaxed);
-        sleep_with_stop(cfg.scan_interval, stop);
+        sleep_with_stop(SCAN_INTERVAL, stop);
     }
 }
 
@@ -394,10 +381,18 @@ fn probe_liveness(dir: &Arc<Mutex<Directory>>) {
     }
 }
 
+/// Verification byte-rate cap. After each chunk the scrubber sleeps
+/// `chunk_len / rate`, so a full cycle over `B` stored bytes takes at
+/// least `B / rate` seconds.
+const SCRUB_BYTES_PER_SEC: u64 = 64 << 20;
+
+/// Pause between full scrub cycles over every store.
+const SCRUB_CYCLE_PAUSE: Duration = Duration::from_millis(50);
+
 /// The scrubber thread: walk every configured chunk store, re-verify
 /// each chunk's digest, flag rot into the directory's corrupt set
 /// (where the next `scan_lost` turns it into a repair), and throttle
-/// to the configured byte rate.
+/// to [`SCRUB_BYTES_PER_SEC`].
 fn scrub_loop(
     cfg: &ScrubConfig,
     dir: &Arc<Mutex<Directory>>,
@@ -410,7 +405,6 @@ fn scrub_loop(
             stores.push((*sid, s));
         }
     }
-    let rate = cfg.rate_bytes_per_sec.max(1);
     let mut chunks: Vec<(u64, u32)> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
@@ -461,8 +455,8 @@ fn scrub_loop(
                 }
                 // Throttle: a chunk of `L` bytes buys `L / rate`
                 // seconds of sleep, so sustained read bandwidth stays
-                // at or under `rate_bytes_per_sec`.
-                let nanos = (buf.len() as u64).saturating_mul(1_000_000_000) / rate;
+                // at or under the cap.
+                let nanos = (buf.len() as u64).saturating_mul(1_000_000_000) / SCRUB_BYTES_PER_SEC;
                 if nanos > 0 {
                     sleep_with_stop(Duration::from_nanos(nanos), stop);
                 }
@@ -470,7 +464,7 @@ fn scrub_loop(
             // xlint::hot-path(scrub-stream) end
         }
         stats.scrub_cycles.fetch_add(1, Ordering::Relaxed);
-        sleep_with_stop(cfg.cycle_pause, stop);
+        sleep_with_stop(SCRUB_CYCLE_PAUSE, stop);
     }
 }
 
@@ -493,7 +487,8 @@ struct RepairOutcome {
 }
 
 /// Repairs every lost lane of `stripe` on a worker's private executor:
-/// [`StripeIo::reconstruct`] rebuilds the lanes, this re-places them.
+/// [`StripeIo::reconstruct`] rebuilds the lanes, the pool's `store`
+/// re-places each on a fresh replacement under the write rule.
 /// `Ok(None)` means the stripe healed on its own (nothing lost by the
 /// time we looked).
 fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>> {
@@ -510,20 +505,12 @@ fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>
         if fault::hit(Site::CrashRepair) {
             return Err(NodeError::Injected("crash-repair"));
         }
-        let new_sid = lock(&io.directory).choose_replacement(stripe)?;
         let payload = io
             .lanes
             .get(lane)
             .ok_or(NodeError::Malformed("repaired lane missing"))?;
-        let digest = chunk_digest(payload);
         io.pool
-            .put(new_sid, stripe, lane as u32, digest, payload)
-            .inspect_err(|e| {
-                if is_transport(e) {
-                    io.pool.declare_dead(new_sid);
-                }
-            })?;
-        lock(&io.directory).reassign(stripe, lane as u32, new_sid)?;
+            .store(stripe, lane as u32, None, chunk_digest(payload), payload)?;
         repaired += 1;
     }
     Ok(Some(RepairOutcome {

@@ -157,20 +157,21 @@ impl ChunkServer {
     /// Graceful stop: raise the flag, join the accept loop, wait for
     /// handler threads to drain.
     pub fn shutdown(mut self) {
+        self.stop_and_join();
+        self.gate.wait_idle(self.poll_interval);
+    }
+
+    fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        self.gate.wait_idle(self.poll_interval);
     }
 }
 
 impl Drop for ChunkServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 

@@ -56,7 +56,6 @@ use xorbas_core::{Codec, RepairSession, StripeViewMut};
 pub(crate) struct StripeIo {
     pub(crate) codec: Codec,
     pub(crate) chunk_bytes: usize,
-    pub(crate) directory: Arc<Mutex<Directory>>,
     pub(crate) sessions: SessionCache,
     pub(crate) pool: ConnPool,
     /// One buffer per lane of the stripe being read or rebuilt. After
@@ -82,8 +81,7 @@ impl StripeIo {
             lanes: vec![Vec::new(); codec.total_blocks()],
             codec,
             chunk_bytes,
-            pool: ConnPool::new(Arc::clone(&directory), retry),
-            directory,
+            pool: ConnPool::new(directory, retry),
             sessions,
             unavailable: Vec::new(),
             pending: Vec::new(),
@@ -140,7 +138,7 @@ impl StripeIo {
     /// byte is sent for any lane.
     fn resolve(&mut self, stripe: u64, wanted: impl Iterator<Item = usize>) -> Result<()> {
         self.pending.clear();
-        let d = lock(&self.directory);
+        let d = lock(&self.pool.directory);
         let servers = d
             .servers_of(stripe)
             .ok_or(NodeError::UnknownStripe(stripe))?;
@@ -227,7 +225,7 @@ impl StripeIo {
                 e,
                 NodeError::ChunkCorrupt { .. } | NodeError::ChunkNotFound { .. }
             ) {
-                lock(&self.directory).report_corrupt(stripe, lane as u32);
+                lock(&self.pool.directory).report_corrupt(stripe, lane as u32);
             }
         }
         for &(_, sid) in self.pending.get(owed).unwrap_or_default() {
@@ -250,7 +248,7 @@ impl StripeIo {
         extra_lanes: &[usize],
     ) -> Result<(Arc<RepairSession>, usize)> {
         let mut unavailable = std::mem::take(&mut self.unavailable);
-        let listed = lock(&self.directory).unavailable_lanes(stripe, &mut unavailable);
+        let listed = lock(&self.pool.directory).unavailable_lanes(stripe, &mut unavailable);
         let session = listed.and_then(|()| self.sessions.get_or_compile(&self.codec, &unavailable));
         self.unavailable = unavailable;
         let session = session?.ok_or(NodeError::Malformed("codec has no repair session"))?;

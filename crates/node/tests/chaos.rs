@@ -6,18 +6,14 @@
 //! The fault plan is process-global, so the tests in this binary
 //! serialize on `PLAN_GATE` — one armed plan at a time.
 
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-use xorbas_core::{CodeSpec, Codec};
-use xorbas_node::client::{ReadKind, SessionCache};
-use xorbas_node::repair::ScrubConfig;
-use xorbas_node::{
-    chunk_digest, fault, ChunkServer, ChunkStore, ClusterClient, Directory, FaultPlan, NodeError,
-    RepairAgent, RepairAgentConfig, RetryPolicy, ServerConfig, Site,
-};
+mod common;
 
-const CHUNK: usize = 64 * 1024;
+use common::{settled_stats, test_file, Cluster, CHUNK};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
+use xorbas_core::CodeSpec;
+use xorbas_node::client::ReadKind;
+use xorbas_node::{chunk_digest, fault, ChunkStore, FaultPlan, NodeError, Site};
 
 static PLAN_GATE: Mutex<()> = Mutex::new(());
 
@@ -29,95 +25,6 @@ impl Drop for DisarmOnDrop {
     fn drop(&mut self) {
         fault::disarm();
     }
-}
-
-struct Cluster {
-    servers: Vec<ChunkServer>,
-    dirs: Vec<PathBuf>,
-    directory: Arc<Mutex<Directory>>,
-    sessions: SessionCache,
-}
-
-impl Cluster {
-    fn boot(n: usize, tag: &str) -> Self {
-        let mut servers = Vec::new();
-        let mut dirs = Vec::new();
-        let mut addrs = Vec::new();
-        for i in 0..n {
-            let dir =
-                std::env::temp_dir().join(format!("xorbas_chaos_{}_{tag}_{i}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let server = ChunkServer::start(ServerConfig::new(dir.clone())).unwrap();
-            addrs.push(server.addr());
-            servers.push(server);
-            dirs.push(dir);
-        }
-        Self {
-            servers,
-            dirs,
-            directory: Arc::new(Mutex::new(Directory::new(&addrs, n, 7))),
-            sessions: SessionCache::default(),
-        }
-    }
-
-    fn client(&self, spec: CodeSpec) -> ClusterClient {
-        ClusterClient::new(
-            Codec::build(spec).unwrap(),
-            CHUNK,
-            Arc::clone(&self.directory),
-            RetryPolicy::default(),
-            self.sessions.clone(),
-        )
-    }
-
-    fn scrubbing_agent(&self, spec: CodeSpec) -> RepairAgent {
-        let mut cfg = RepairAgentConfig::new(CHUNK);
-        cfg.scrub = Some(ScrubConfig::new(
-            self.dirs.iter().cloned().enumerate().collect(),
-        ));
-        RepairAgent::start(
-            Codec::build(spec).unwrap(),
-            Arc::clone(&self.directory),
-            self.sessions.clone(),
-            cfg,
-        )
-        .unwrap()
-    }
-
-    fn lock_dir(&self) -> std::sync::MutexGuard<'_, Directory> {
-        self.directory
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn teardown(self) {
-        for server in self.servers {
-            server.shutdown();
-        }
-        for dir in &self.dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn test_file(len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i.wrapping_mul(2654435761) >> 16) as u8)
-        .collect()
-}
-
-/// XORs one payload byte of the on-disk chunk file for `(stripe, lane)`
-/// on whatever server the directory maps it to — silent bit rot.
-fn rot_chunk_on_disk(cluster: &Cluster, stripe: u64, lane: u32) {
-    let sid = {
-        let d = cluster.lock_dir();
-        d.servers_of(stripe).unwrap()[lane as usize]
-    };
-    let path = cluster.dirs[sid].join(format!("s{stripe:016x}_l{lane:08x}.chunk"));
-    let mut bytes = std::fs::read(&path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    std::fs::write(&path, bytes).unwrap();
 }
 
 /// The torn-write fault site leaves a `.tmp` and fails the put; the
@@ -184,7 +91,7 @@ fn scrubber_finds_every_rotted_chunk_in_one_cycle_and_repair_heals_them() {
         .map(|(i, s)| (s.id, (i * 3) as u32))
         .collect();
     for &(stripe, lane) in &rotted {
-        rot_chunk_on_disk(&cluster, stripe, lane);
+        cluster.rot_chunk(stripe, lane as usize);
     }
 
     // No client ever touches the rotted chunks: only the scrubber can
@@ -273,6 +180,86 @@ fn a_reply_cut_short_on_a_pooled_connection_is_not_a_dead_server() {
     cluster.teardown();
 }
 
+/// The write rule under a torn re-placement. One server of five is
+/// dead, and the first chunk the agent writes back is torn by its
+/// replacement's disk, which answers `Remote(Io)`. That is no verdict on
+/// the replacement and no reason to throw away the reads behind the
+/// rebuilt lane: the shared store fails the lane over, as a client put
+/// does, and the attempt succeeds. (An agent with its own re-placement
+/// loop gave up the attempt and came back a scan round later.)
+#[test]
+fn a_torn_replacement_write_fails_over_inside_the_repair_attempt() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot(5, "tornrepair");
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let data = test_file(2 * spec.data_blocks() * CHUNK);
+    let manifest = client.put(&data).unwrap();
+
+    // Dead for certain before the agent's first liveness sweep: the
+    // listener is gone and the directory knows.
+    let victim = 2;
+    let lost = manifest
+        .stripes
+        .iter()
+        .flat_map(|s| &s.servers)
+        .filter(|&&sid| sid == victim)
+        .count() as u64;
+    cluster.servers[victim].kill();
+    while std::net::TcpStream::connect(cluster.servers[victim].addr()).is_ok() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.lock_dir().mark_dead(victim);
+
+    // A plan that tears the first chunk write and none of the next 20
+    // (the repair writes `lost` + 1 chunks, at most 9).
+    let tear_once = |seed| FaultPlan::new(seed).with(Site::TornWrite, 100);
+    let seed = (0u64..)
+        .find(|&seed| {
+            fault::arm(tear_once(seed));
+            fault::hit(Site::TornWrite) && !(0..20).any(|_| fault::hit(Site::TornWrite))
+        })
+        .unwrap();
+
+    let plan = fault::arm(tear_once(seed));
+    let agent = cluster.agent(spec);
+    assert!(
+        agent.wait_until_repaired(Duration::from_secs(30)),
+        "{:?}",
+        agent.stats()
+    );
+    let stats = settled_stats(&agent, lost);
+    agent.shutdown();
+    fault::disarm();
+    assert_eq!(stats.failed_attempts, 0, "{stats:?}");
+    assert_eq!(stats.chunks_repaired, lost, "{stats:?}");
+    let (_, calls, fired) = plan.counters()[Site::TornWrite as usize];
+    assert!(
+        calls >= 2 && fired == 1,
+        "torn-write {calls} calls, {fired} fired"
+    );
+
+    // The server that tore the write kept its `.tmp` and its good name.
+    let tore: Vec<usize> = (0..5)
+        .filter(|&sid| {
+            std::fs::read_dir(cluster.servers[sid].data_dir())
+                .unwrap()
+                .flatten()
+                .any(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        })
+        .collect();
+    assert_eq!(tore.len(), 1, "{tore:?}");
+    assert!(cluster.lock_dir().is_alive(tore[0]));
+    assert_eq!(cluster.lock_dir().alive_count(), 4);
+
+    let mut buf = Vec::new();
+    let report = client.get(&manifest, &mut buf).unwrap();
+    assert_eq!(buf, data);
+    assert_eq!(report.degraded_stripes, 0);
+    cluster.teardown();
+}
+
 /// A put that dies mid-stripe must not leave its half-written stripe in
 /// the directory. Left there it is harmless only until a server holding
 /// one of its lanes dies: then the repair agent takes it for lost data,
@@ -299,13 +286,7 @@ fn crashed_put_leaves_no_half_written_stripe_for_the_agent() {
     // Every server holds lanes of every 16-lane stripe, so this kill
     // would have put the half-written one on the agent's list.
     cluster.servers[0].kill();
-    let agent = RepairAgent::start(
-        Codec::build(spec).unwrap(),
-        Arc::clone(&cluster.directory),
-        cluster.sessions.clone(),
-        RepairAgentConfig::new(CHUNK),
-    )
-    .unwrap();
+    let agent = cluster.agent(spec);
     assert!(
         agent.wait_until_repaired(Duration::from_secs(30)),
         "{:?}",

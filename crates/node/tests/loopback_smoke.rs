@@ -4,117 +4,15 @@
 //! agent restoring redundancy — and the paper's headline measured as
 //! an assertion: LRC single-loss repair moves fewer bytes than RS.
 
-use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+mod common;
+
+use common::{settled_stats, test_file, Cluster, CHUNK};
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xorbas_core::{CodeSpec, Codec};
-use xorbas_node::client::{ReadKind, SessionCache};
-use xorbas_node::{
-    ChunkServer, ClusterClient, Directory, NodeConn, NodeError, RepairAgent, RepairAgentConfig,
-    RepairStatsSnapshot, RetryPolicy, ServerConfig,
-};
-
-const CHUNK: usize = 64 * 1024;
-
-struct Cluster {
-    servers: Vec<ChunkServer>,
-    data_dirs: Vec<PathBuf>,
-    directory: Arc<Mutex<Directory>>,
-    sessions: SessionCache,
-}
-
-impl Cluster {
-    fn boot(n: usize, tag: &str) -> Self {
-        let mut servers = Vec::new();
-        let mut data_dirs = Vec::new();
-        let mut addrs: Vec<SocketAddr> = Vec::new();
-        for i in 0..n {
-            let dir =
-                std::env::temp_dir().join(format!("xorbas_smoke_{}_{tag}_{i}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let server = ChunkServer::start(ServerConfig::new(dir.clone())).unwrap();
-            addrs.push(server.addr());
-            servers.push(server);
-            data_dirs.push(dir);
-        }
-        Self {
-            servers,
-            data_dirs,
-            directory: Arc::new(Mutex::new(Directory::new(&addrs, n, 7))),
-            sessions: SessionCache::default(),
-        }
-    }
-
-    fn client(&self, spec: CodeSpec) -> ClusterClient {
-        ClusterClient::new(
-            Codec::build(spec).unwrap(),
-            CHUNK,
-            Arc::clone(&self.directory),
-            RetryPolicy::default(),
-            self.sessions.clone(),
-        )
-    }
-
-    fn agent(&self, spec: CodeSpec) -> RepairAgent {
-        RepairAgent::start(
-            Codec::build(spec).unwrap(),
-            Arc::clone(&self.directory),
-            self.sessions.clone(),
-            RepairAgentConfig::new(CHUNK),
-        )
-        .unwrap()
-    }
-
-    /// Flips a payload byte of `lane`'s stored chunk behind its
-    /// server's back.
-    fn rot_chunk(&self, entry: &xorbas_node::manifest::StripeEntry, lane: usize) {
-        let path = self.data_dirs[entry.servers[lane]]
-            .join(format!("s{:016x}_l{lane:08x}.chunk", entry.id));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let payload_at = bytes.len() - CHUNK + 17;
-        bytes[payload_at] ^= 0xFF;
-        std::fs::write(&path, bytes).unwrap();
-    }
-
-    fn lock_dir(&self) -> std::sync::MutexGuard<'_, Directory> {
-        self.directory
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn teardown(self) {
-        for server in self.servers {
-            server.shutdown();
-        }
-        for dir in &self.data_dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-/// The agent's counters once they show `chunks` repaired. The directory
-/// converges an instant before the worker that converged it counts the
-/// stripe, so stats read straight after `wait_until_repaired` can miss
-/// the last one.
-fn settled_stats(agent: &RepairAgent, chunks: u64) -> RepairStatsSnapshot {
-    let settle = Instant::now() + Duration::from_secs(5);
-    while agent.stats().chunks_repaired < chunks && Instant::now() < settle {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    agent.stats()
-}
-
-/// Position-dependent filler. The shift matters: `>> 7` would make the
-/// byte a function of the offset *within* its 64 KiB chunk only (the
-/// chunk-index term is `c · 512 · M ≡ 0 mod 256`), i.e. every chunk
-/// identical and a stale-lane bug invisible; `>> 16` keeps an odd
-/// multiple of the chunk index in the low byte, so no two chunks match.
-fn test_file(len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i.wrapping_mul(2654435761) >> 16) as u8)
-        .collect()
-}
+use xorbas_node::client::ReadKind;
+use xorbas_node::{ClusterClient, NodeConn, NodeError, RetryPolicy};
 
 /// Kill → degraded reads → repair convergence for one code. Every
 /// family goes through the same plan → session → replay path on both
@@ -238,7 +136,7 @@ fn checksum_mismatch_routes_into_degraded_read() {
 
     // The server detects the digest mismatch on read and answers with
     // a typed Corrupt error; the client treats it as an erasure.
-    cluster.rot_chunk(&manifest.stripes[0], 0);
+    cluster.rot_chunk(stripe, 0);
 
     let mut buf = Vec::new();
     let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
@@ -278,7 +176,7 @@ fn repair_agent_routes_around_a_rotten_source_lane() {
     let manifest = client.put(&data).unwrap();
     let stripe = manifest.stripes[0].id;
     cluster.lock_dir().report_corrupt(stripe, 0);
-    cluster.rot_chunk(&manifest.stripes[0], 1);
+    cluster.rot_chunk(stripe, 1);
     drop(client);
 
     let agent = cluster.agent(spec);
@@ -327,7 +225,7 @@ fn a_failure_mid_fetch_leaves_no_reply_for_a_later_request() {
     let hit = &manifest.stripes[1];
     let rotten = [0usize, 3];
     for lane in rotten {
-        cluster.rot_chunk(hit, lane);
+        cluster.rot_chunk(hit.id, lane);
     }
 
     let mut buf = Vec::new();
@@ -408,8 +306,8 @@ fn reads_after_a_degraded_read_are_exact_whatever_buffer_it_was_given() {
         let at = (pos * k + lane) * CHUNK;
         &data[at..at + CHUNK]
     };
-    cluster.rot_chunk(&manifest.stripes[0], 1);
-    cluster.rot_chunk(&manifest.stripes[1], 6);
+    cluster.rot_chunk(manifest.stripes[0].id, 1);
+    cluster.rot_chunk(manifest.stripes[1].id, 6);
 
     for mut buf in [Vec::new(), vec![0xAAu8; 3], vec![0x55u8; 2 * CHUNK + 1]] {
         let kind = client
@@ -516,8 +414,7 @@ fn whole_file_get_refreshes_lanes_outside_the_light_repair_group() {
     let stripe = manifest.stripes[1].id;
     let lane = 2u32;
     let holder = manifest.stripes[1].servers[lane as usize];
-    let path = cluster.data_dirs[holder].join(format!("s{stripe:016x}_l{lane:08x}.chunk"));
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(cluster.chunk_path(holder, stripe, lane as usize)).unwrap();
 
     let mut buf = Vec::new();
     let report = client.get(&manifest, &mut buf).unwrap();

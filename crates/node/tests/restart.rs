@@ -9,53 +9,26 @@
 //! connections: the client's stale socket must not get the healthy
 //! server declared dead.
 
-use std::collections::HashSet;
-use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
-use xorbas_core::{CodeSpec, Codec};
-use xorbas_node::client::{ReadKind, SessionCache};
-use xorbas_node::{ChunkServer, ClusterClient, Directory, RetryPolicy, ServerConfig};
+mod common;
 
-const CHUNK: usize = 64 * 1024;
+use common::{Cluster, CHUNK};
+use std::collections::HashSet;
+use xorbas_core::CodeSpec;
+use xorbas_node::client::ReadKind;
+
 const N: usize = 5;
+const SPEC: CodeSpec = CodeSpec::LRC_10_6_5;
 
 fn test_file(len: usize, salt: u8) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i.wrapping_mul(2654435761) >> 16) as u8) ^ salt)
-        .collect()
-}
-
-fn client_for(dir: &Arc<Mutex<Directory>>, sessions: &SessionCache) -> ClusterClient {
-    ClusterClient::new(
-        Codec::build(CodeSpec::LRC_10_6_5).unwrap(),
-        CHUNK,
-        Arc::clone(dir),
-        RetryPolicy::default(),
-        sessions.clone(),
-    )
+    let mut file = common::test_file(len);
+    file.iter_mut().for_each(|b| *b ^= salt);
+    file
 }
 
 #[test]
 fn cluster_restarts_from_the_data_root_with_every_acked_byte() {
-    let root = std::env::temp_dir().join(format!("xorbas_restart_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-
-    let mut servers = Vec::new();
-    let mut dirs = Vec::new();
-    let mut addrs: Vec<SocketAddr> = Vec::new();
-    for i in 0..N {
-        let d = root.join(format!("srv{i}"));
-        let s = ChunkServer::start(ServerConfig::new(d.clone())).unwrap();
-        addrs.push(s.addr());
-        servers.push(s);
-        dirs.push(d);
-    }
-    let wal = root.join("directory.wal");
-    let (dir, prior) = Directory::open_persistent(&wal, &addrs, N, 7).unwrap();
-    assert!(prior.is_empty(), "fresh WAL must replay nothing");
-    let dir = Arc::new(Mutex::new(dir));
-    let sessions = SessionCache::default();
-    let mut client = client_for(&dir, &sessions);
+    let mut cluster = Cluster::boot_persistent(N, "wal");
+    let mut client = cluster.client(SPEC);
 
     let k = CodeSpec::LRC_10_6_5.data_blocks();
     let file_a = test_file(2 * k * CHUNK + 777, 0);
@@ -71,29 +44,21 @@ fn cluster_restarts_from_the_data_root_with_every_acked_byte() {
     // …then the coordinator dies (client + directory dropped with no
     // orderly handoff) and one chunk server dies with it.
     drop(client);
-    drop(dir);
-    let victim = servers.pop().unwrap();
-    victim.kill();
-    drop(victim);
+    cluster.servers[N - 1].kill();
 
     // Restart from the data root: the victim re-serves its old chunk
     // dir on a fresh port; the directory replays the WAL against the
     // updated roster. The replayed manifests must be exactly the acked
     // ones, byte for byte.
-    let restarted = ChunkServer::start(ServerConfig::new(dirs[N - 1].clone())).unwrap();
-    let mut addrs2 = addrs.clone();
-    addrs2[N - 1] = restarted.addr();
-    servers.push(restarted);
-    let (dir2, mut replayed) = Directory::open_persistent(&wal, &addrs2, N, 7).unwrap();
+    cluster.restart_server(N - 1);
+    let (cluster, mut replayed) = cluster.restart_coordinator();
     assert_eq!(replayed.len(), 2, "both acked manifests replay");
     let rb = replayed.pop().unwrap();
     let ra = replayed.pop().unwrap();
     assert_eq!(ra.encode(), ma.encode());
     assert_eq!(rb.encode(), mb.encode());
 
-    let dir2 = Arc::new(Mutex::new(dir2));
-    let sessions2 = SessionCache::default();
-    let mut client2 = client_for(&dir2, &sessions2);
+    let mut client2 = cluster.client(SPEC);
 
     // Every acked byte reads back through the replayed state — and
     // since the restarted server kept its chunks, not even degraded.
@@ -123,10 +88,7 @@ fn cluster_restarts_from_the_data_root_with_every_acked_byte() {
     client2.get(&mc, &mut buf).unwrap();
     assert_eq!(buf, file_c);
 
-    for s in servers {
-        s.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&root);
+    cluster.teardown();
 }
 
 /// Regression for the pooled-connection rule. A client that has read
@@ -139,17 +101,8 @@ fn cluster_restarts_from_the_data_root_with_every_acked_byte() {
 /// would have re-replicated a healthy server.
 #[test]
 fn a_restarted_server_is_not_declared_dead_by_a_stale_pooled_connection() {
-    let root = std::env::temp_dir().join(format!("xorbas_restart_{}_pool", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut servers = Vec::new();
-    let mut addrs: Vec<SocketAddr> = Vec::new();
-    for i in 0..N {
-        let s = ChunkServer::start(ServerConfig::new(root.join(format!("srv{i}")))).unwrap();
-        addrs.push(s.addr());
-        servers.push(Some(s));
-    }
-    let dir = Arc::new(Mutex::new(Directory::new(&addrs, N, 7)));
-    let mut client = client_for(&dir, &SessionCache::default());
+    let mut cluster = Cluster::boot(N, "pool");
+    let mut client = cluster.client(SPEC);
 
     let k = CodeSpec::LRC_10_6_5.data_blocks();
     let data = test_file(k * CHUNK, 0x21);
@@ -164,18 +117,11 @@ fn a_restarted_server_is_not_declared_dead_by_a_stale_pooled_connection() {
     assert_eq!(kind, ReadKind::Direct);
     assert_eq!(&buf[..], want);
 
-    // Graceful stop, so every handler thread (and with it the server's
-    // end of the client's pooled socket) is gone before the restart.
-    let restart = |servers: &mut Vec<Option<ChunkServer>>| {
-        let old = servers[s].take().unwrap();
-        let old_addr = old.addr();
-        old.shutdown();
-        let new = ChunkServer::start(ServerConfig::new(root.join(format!("srv{s}")))).unwrap();
-        assert_ne!(new.addr(), old_addr, "the restart must land on a new port");
-        dir.lock().unwrap().set_addr(s, new.addr());
-        servers[s] = Some(new);
+    let restart = |cluster: &mut Cluster| {
+        let addr = cluster.restart_server(s);
+        cluster.lock_dir().set_addr(s, addr);
     };
-    restart(&mut servers);
+    restart(&mut cluster);
 
     buf.clear();
     let kind = client.read_data_chunk(stripe, lane, &mut buf).unwrap();
@@ -187,7 +133,7 @@ fn a_restarted_server_is_not_declared_dead_by_a_stale_pooled_connection() {
     assert_eq!(&buf[..], want);
     let mut lost = Vec::new();
     {
-        let d = dir.lock().unwrap();
+        let d = cluster.lock_dir();
         assert!(d.is_alive(s), "server {s} answered the redial");
         d.scan_lost(&mut lost);
     }
@@ -195,20 +141,17 @@ fn a_restarted_server_is_not_declared_dead_by_a_stale_pooled_connection() {
 
     // The put path pools the same connections under the same rule: a
     // second restart must not push S's lanes onto other servers.
-    restart(&mut servers);
+    restart(&mut cluster);
     let again = client.put(&data).unwrap();
     let on_s = again.stripes[0].servers.iter().filter(|&&x| x == s).count();
     assert!(
         on_s >= 16 / N,
         "S keeps its share of the new stripe, got {on_s}"
     );
-    assert_eq!(dir.lock().unwrap().alive_count(), N);
+    assert_eq!(cluster.lock_dir().alive_count(), N);
     let report = client.get(&again, &mut buf).unwrap();
     assert_eq!(buf, data);
     assert_eq!(report.degraded_stripes, 0);
 
-    for s in servers.into_iter().flatten() {
-        s.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&root);
+    cluster.teardown();
 }

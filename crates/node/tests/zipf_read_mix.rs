@@ -5,20 +5,19 @@
 //! SLO: zero failed reads and a p999 under the configured deadline
 //! even while a fifth of the lanes are being served degraded.
 
-use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+mod common;
+
+use common::{test_file, Cluster, CHUNK};
 use std::time::Instant;
-use xorbas_core::{CodeSpec, Codec};
-use xorbas_node::client::{ReadKind, SessionCache};
-use xorbas_node::{ChunkServer, ClusterClient, Directory, RetryPolicy, ServerConfig};
+use xorbas_core::CodeSpec;
+use xorbas_node::client::ReadKind;
+use xorbas_node::ClusterClient;
 use xorbas_sim::{Percentiles, ZipfSampler};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-const CHUNK: usize = 64 * 1024;
 const STRIPES: usize = 4;
 const WARM_READS: usize = 150;
 const DEGRADED_READS: usize = 850;
@@ -27,37 +26,12 @@ const DEGRADED_READS: usize = 850;
 /// milliseconds on any machine; the slack absorbs CI scheduler noise.
 const P999_DEADLINE_MS: f64 = 1500.0;
 
-fn test_file(len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| (i.wrapping_mul(2654435761) >> 16) as u8)
-        .collect()
-}
-
 #[test]
 fn zipf_read_mix_survives_a_dead_server_within_deadline() {
-    // Boot five chunk servers.
-    let mut servers = Vec::new();
-    let mut data_dirs: Vec<PathBuf> = Vec::new();
-    let mut addrs: Vec<SocketAddr> = Vec::new();
-    for i in 0..5 {
-        let dir = std::env::temp_dir().join(format!("xorbas_zipfmix_{}_{i}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let server = ChunkServer::start(ServerConfig::new(dir.clone())).unwrap();
-        addrs.push(server.addr());
-        servers.push(server);
-        data_dirs.push(dir);
-    }
-    let directory = Arc::new(Mutex::new(Directory::new(&addrs, 5, 7)));
-    let sessions = SessionCache::default();
+    let cluster = Cluster::boot(5, "zipfmix");
     let spec = CodeSpec::LRC_10_6_5;
     let k = spec.data_blocks();
-    let mut client = ClusterClient::new(
-        Codec::build(spec).unwrap(),
-        CHUNK,
-        Arc::clone(&directory),
-        RetryPolicy::default(),
-        sessions,
-    );
+    let mut client = cluster.client(spec);
 
     let data = test_file(STRIPES * k * CHUNK);
     let manifest = client.put(&data).unwrap();
@@ -116,7 +90,7 @@ fn zipf_read_mix_survives_a_dead_server_within_deadline() {
     assert_eq!(degraded, 0, "healthy cluster serves everything directly");
 
     // Kill one server and keep reading the same skewed mix.
-    servers[4].kill();
+    cluster.servers[4].kill();
     for _ in 0..DEGRADED_READS {
         read_one(
             &mut client,
@@ -144,10 +118,5 @@ fn zipf_read_mix_survives_a_dead_server_within_deadline() {
         s.max
     );
 
-    for server in servers {
-        server.shutdown();
-    }
-    for dir in &data_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    cluster.teardown();
 }
