@@ -95,6 +95,10 @@ impl Default for Config {
                     "repair-stream".to_owned(),
                 ),
                 (
+                    "crates/node/src/client.rs".to_owned(),
+                    "put-stream".to_owned(),
+                ),
+                (
                     "crates/node/src/repair.rs".to_owned(),
                     "scrub-stream".to_owned(),
                 ),

@@ -4,12 +4,17 @@
 //! **Put** splits the file into stripes and runs a two-stage pipeline
 //! over a scoped encoder thread: while stripe `i` streams to the chunk
 //! servers, stripe `i+1` is being filled, encoded
-//! ([`Codec::encode_into`]) and digested. Two recycled buffer
-//! sets bound memory at two stripes regardless of file size. Every
-//! chunk is written by the pool's one store-with-failover
-//! (`ConnPool::store`, **the write rule**), which the repair agent's
-//! re-placement calls too: what a failed write does to the directory is
-//! decided there and nowhere else.
+//! ([`Codec::encode_into`]) and digested. Two recycled buffer sets bound
+//! memory at two stripes regardless of file size, and the client keeps
+//! them between puts. A stripe is written by one call of the pool's one
+//! store-with-failover (`ConnPool::store`, **the write rule**), which
+//! the repair agent's re-placement calls too. Like the fetch it is an
+//! issue half and a collect half, run two deep: the PUT of lane `i + 1`
+//! goes out while the server of lane `i` writes its chunk, and the ack
+//! of lane `i` is read before lane `i + 2` is sent, so a lane costs its
+//! bytes or its disk write, whichever is longer, not a round trip that
+//! pays both. What a failed write does to the directory is decided there
+//! and nowhere else; a put that fails forgets every stripe it placed.
 //!
 //! **Get** reads a stripe's data lanes straight from their servers —
 //! every GET goes out before the first reply is read — verifying the
@@ -37,6 +42,7 @@ use crate::protocol::{
 };
 use crate::stripe_io::StripeIo;
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -191,9 +197,30 @@ impl NodeConn {
         }
     }
 
-    /// Stores one chunk.
+    /// Stores one chunk: the send half and the receive half, back to
+    /// back.
     pub fn put(&mut self, stripe: u64, lane: u32, digest: u64, payload: &[u8]) -> Result<()> {
-        write_put(&mut (&self.stream), stripe, lane, digest, payload)?;
+        self.send_put(stripe, lane, digest, payload)?;
+        self.recv_ack(stripe, lane)
+    }
+
+    /// The send half of a PUT. A connection may carry several before
+    /// the first ack is read; the server stores and answers in request
+    /// order.
+    pub(crate) fn send_put(
+        &mut self,
+        stripe: u64,
+        lane: u32,
+        digest: u64,
+        payload: &[u8],
+    ) -> Result<()> {
+        write_put(&mut (&self.stream), stripe, lane, digest, payload)
+    }
+
+    /// The receive half of a PUT: the oldest outstanding request's ack.
+    /// An `OK` frame does not say which PUT it answers; `stripe` and
+    /// `lane` only name the error.
+    pub(crate) fn recv_ack(&mut self, stripe: u64, lane: u32) -> Result<()> {
         match self.read_reply()? {
             Frame::Ok => Ok(()),
             Frame::Err { code } => Err(remote_err(code, stripe, lane)),
@@ -311,6 +338,52 @@ pub(crate) struct ConnPool {
     /// Indexed by server id.
     slots: Vec<Option<NodeConn>>,
     dialed: u64,
+    /// Where each lane of the store in progress stands, in the order
+    /// the lanes were given. Kept, like [`StripeIo`]'s pending list, so
+    /// a stripe costs no allocation here.
+    puts: Vec<PutState>,
+    /// The server that acknowledged each lane of the last store.
+    acked: Vec<ServerId>,
+}
+
+/// How many PUTs of a stripe [`ConnPool::store`] keeps in flight: the
+/// chunk on the wire and the one before it, which its server is writing
+/// to disk meanwhile.
+///
+/// Two, not the whole stripe, by measurement (docs/ARCHITECTURE.md, "Why
+/// two"). With all 16 PUTs out before the first ack is read a put on the
+/// loopback cluster is some 10 ms shorter still, but the servers' file
+/// writes then run beside each other and beside the sends, and a put
+/// shows only 0.6 of every swing in the host's file-write time (22 to
+/// 55 ms for the 64 files of a 40 MiB put, from one minute to the next)
+/// — against 0.8 with two in flight and all of it with one, which is a
+/// round trip per lane. Put time net of the host's own file writes, what
+/// the benchmark states, then moves by 12 ms between identical runs and
+/// `work_per_s` spreads past its bound. A constant, not an option:
+/// nothing but that measurement picks it.
+const PUTS_IN_FLIGHT: usize = 2;
+
+/// One chunk of a stripe on its way to a server.
+pub(crate) struct PutLane<'a> {
+    pub(crate) lane: u32,
+    /// The server the directory already assigns the lane to, tried
+    /// first (a client put, straight after `place_stripe`); `None`
+    /// means the lane is lost and a fresh replacement is chosen (a
+    /// repair).
+    pub(crate) placed: Option<ServerId>,
+    pub(crate) digest: u64,
+    pub(crate) payload: &'a [u8],
+}
+
+/// Where one lane of a [`ConnPool::store`] stands.
+enum PutState {
+    /// No server holds or is being sent the chunk.
+    Unsent,
+    /// The PUT is on the connection to this server, its ack unread.
+    Sent(ServerId),
+    Acked(ServerId),
+    /// The send to this server, or its ack, failed.
+    Failed(ServerId, NodeError),
 }
 
 impl ConnPool {
@@ -320,6 +393,8 @@ impl ConnPool {
             retry,
             slots: Vec::new(),
             dialed: 0,
+            puts: Vec::new(),
+            acked: Vec::new(),
         }
     }
 
@@ -383,63 +458,189 @@ impl ConnPool {
         stale
     }
 
-    /// Stores lane `lane` of `stripe` and returns the server that
-    /// acknowledged it. `placed` is the server the directory already
-    /// assigns the lane to, tried first (a client put, straight after
-    /// `place_stripe`); `None` means the lane is lost and a fresh
-    /// replacement is chosen (a repair).
+    /// Stores the given lanes of `stripe` and returns, in the same
+    /// order, the server that acknowledged each. The write twin of
+    /// [`StripeIo::fetch`], in the same two halves: **issue** sends the
+    /// PUT of a lane that has a first choice on the pooled connection to
+    /// it, **collect** reads the acks in the order the PUTs went out.
+    /// The halves run [`PUTS_IN_FLIGHT`] deep: lane `i + 1` is on the
+    /// wire while the server of lane `i` writes its chunk to disk, and
+    /// the ack of lane `i` is read before lane `i + 2` goes out. Lanes
+    /// in flight that share a server share its connection, which then
+    /// carries both PUTs; the server stores and answers in request
+    /// order. No geometry can wedge the two ends against each other: an
+    /// ack is 5 bytes (an `ERR` 6), so a server never blocks writing
+    /// acks while the client is still writing PUTs.
     ///
-    /// **The write rule**, for both:
+    /// Only when every ack is in is **the write rule** applied, lane by
+    /// lane, to each lane whose send or ack failed and to each that had
+    /// no first choice:
     ///
     /// * a transport error the pooled-connection rule does not absorb
-    ///   closes the connection and marks the server dead;
+    ///   closes the connection and marks the server dead, and every
+    ///   other lane that connection still owed an ack fails over with
+    ///   it;
     /// * `Remote(Io)` — the server answered that its disk could not take
-    ///   the chunk, e.g. a torn write — passes no verdict on the server;
+    ///   the chunk, e.g. a torn write — passes no verdict on the server,
+    ///   and its neighbours on the connection keep their acks;
     /// * either way the lane fails over to a replacement chosen by the
     ///   placement policy, at most roster-size times; any other error is
     ///   returned as it is;
     /// * the directory is told (`reassign`, one WAL record) only after a
     ///   server has acknowledged the chunk, and only when that server is
-    ///   not `placed`: an undisturbed put takes no lock and logs nothing
-    ///   here, and a replacement that fails in its turn leaves no record
-    ///   behind.
-    pub(crate) fn store(
+    ///   not `placed`: an undisturbed stripe takes no lock and logs
+    ///   nothing here, and a replacement that fails in its turn leaves
+    ///   no record behind.
+    ///
+    /// A replacement is written one lane at a time, each chosen after
+    /// the one before it was reassigned, so two lanes of a stripe never
+    /// pick the same spare server blind.
+    pub(crate) fn store(&mut self, stripe: u64, lanes: &[PutLane<'_>]) -> Result<&[ServerId]> {
+        // One state per lane: every `at` below indexes both alike.
+        self.puts.clear();
+        self.puts.resize_with(lanes.len(), || PutState::Unsent);
+        // xlint::hot-path(put-stream) begin
+        // Stream-out, `PUTS_IN_FLIGHT` deep; the second loop reads the
+        // acks the first still left owed. The lane states and the
+        // connections are reused; neither loop may allocate.
+        for (at, lane) in lanes.iter().enumerate() {
+            // A lost lane has no server yet: the write rule picks one.
+            let Some(sid) = lane.placed else { continue };
+            // Fault site: the writer dies between two lane sends, the
+            // last PUTs on the wire and their acks unread. An `OK` frame
+            // does not say which PUT it answers, so every connection
+            // still owed one is closed, without a verdict on its server:
+            // left open, it would hand the stale ack to the next request.
+            if fault::hit(Site::CrashPut) {
+                self.close_owed();
+                return Err(NodeError::Injected("crash-put"));
+            }
+            if at >= PUTS_IN_FLIGHT {
+                self.ack(stripe, lanes, at - PUTS_IN_FLIGHT);
+            }
+            self.issue(stripe, lanes, at, sid);
+        }
+        for at in 0..lanes.len() {
+            self.ack(stripe, lanes, at);
+        }
+        // xlint::hot-path(put-stream) end
+
+        // Every ack is in: no connection owes anything from here on.
+        self.acked.clear();
+        for (at, lane) in lanes.iter().enumerate() {
+            let mut failovers = 0usize;
+            let sid = loop {
+                match std::mem::replace(&mut self.puts[at], PutState::Unsent) {
+                    PutState::Acked(sid) => break sid,
+                    PutState::Failed(sid, e) => {
+                        if is_transport(&e) {
+                            self.declare_dead(sid);
+                        } else if !matches!(e, NodeError::Remote(ErrCode::Io)) {
+                            return Err(e);
+                        }
+                        failovers += 1;
+                        if failovers > lock(&self.directory).server_count() {
+                            return Err(e);
+                        }
+                    }
+                    PutState::Unsent | PutState::Sent(_) => {}
+                }
+                let sid = lock(&self.directory).choose_replacement(stripe)?;
+                self.issue(stripe, lanes, at, sid);
+                self.ack(stripe, lanes, at);
+            };
+            if lane.placed != Some(sid) {
+                lock(&self.directory).reassign(stripe, lane.lane, sid)?;
+            }
+            self.acked.push(sid);
+        }
+        Ok(&self.acked)
+    }
+
+    /// Sends the PUT of every lane in `range` whose ack `sid` owes, over
+    /// its pooled connection (dialed if the slot is empty): the send
+    /// half's one call site.
+    fn send_owed(
         &mut self,
         stripe: u64,
-        lane: u32,
-        placed: Option<ServerId>,
-        digest: u64,
-        payload: &[u8],
-    ) -> Result<ServerId> {
-        let mut choice = placed;
-        let mut failovers = 0usize;
-        loop {
-            let sid = match choice.take() {
-                Some(sid) => sid,
-                None => lock(&self.directory).choose_replacement(stripe)?,
-            };
-            let mut put = |conn: &mut NodeConn| conn.put(stripe, lane, digest, payload);
-            let sent = match self.conn(sid).and_then(&mut put) {
-                Err(e) if self.redial_on(sid, &e) => self.conn(sid).and_then(put),
-                done => done,
-            };
-            let e = match sent {
-                Ok(()) => {
-                    if placed != Some(sid) {
-                        lock(&self.directory).reassign(stripe, lane, sid)?;
-                    }
-                    return Ok(sid);
-                }
-                Err(e) => e,
-            };
-            if is_transport(&e) {
-                self.declare_dead(sid);
-            } else if !matches!(e, NodeError::Remote(ErrCode::Io)) {
-                return Err(e);
+        lanes: &[PutLane<'_>],
+        sid: ServerId,
+        range: Range<usize>,
+    ) -> Result<()> {
+        for at in range {
+            if matches!(self.puts[at], PutState::Sent(s) if s == sid) {
+                let lane = &lanes[at];
+                self.conn(sid)?
+                    .send_put(stripe, lane.lane, lane.digest, lane.payload)?;
             }
-            failovers += 1;
-            if failovers > lock(&self.directory).server_count() {
-                return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Issue half of a store: the PUT of lane `at` goes out on the
+    /// pooled connection to `sid`. A stale connection owes again every
+    /// lane before `at` it was sent and has not acknowledged.
+    // xlint::hot-path(put-stream)
+    fn issue(&mut self, stripe: u64, lanes: &[PutLane<'_>], at: usize, sid: ServerId) {
+        self.puts[at] = PutState::Sent(sid);
+        let sent = match self.send_owed(stripe, lanes, sid, at..at + 1) {
+            Err(e) if self.redial_on(sid, &e) => self.send_owed(stripe, lanes, sid, 0..at + 1),
+            done => done,
+        };
+        if let Err(e) = sent {
+            self.lane_failed(at, sid, e);
+        }
+    }
+
+    /// Collect half of a store (not named `collect`: xlint reads that as
+    /// the allocating iterator call): the ack lane `at` is owed, if it
+    /// still is. Lanes before `at` have been collected, every later one
+    /// sent on the same connection is still owed.
+    // xlint::hot-path(put-stream)
+    fn ack(&mut self, stripe: u64, lanes: &[PutLane<'_>], at: usize) {
+        let PutState::Sent(sid) = self.puts[at] else {
+            return;
+        };
+        let acked = loop {
+            match self
+                .conn(sid)
+                .and_then(|conn| conn.recv_ack(stripe, lanes[at].lane))
+            {
+                Err(e) if self.redial_on(sid, &e) => {
+                    if let Err(e) = self.send_owed(stripe, lanes, sid, at..lanes.len()) {
+                        break Err(e);
+                    }
+                }
+                done => break done,
+            }
+        };
+        match acked {
+            Ok(()) => self.puts[at] = PutState::Acked(sid),
+            Err(e) => self.lane_failed(at, sid, e),
+        }
+    }
+
+    /// Records that the connection to `sid` returned `e` for lane `at`.
+    /// Unless `e` is the server's own `ERR` frame, the stream is out of
+    /// step with its requests: the connection is closed, and every lane
+    /// it still owed an ack has lost it.
+    fn lane_failed(&mut self, at: usize, sid: ServerId, e: NodeError) {
+        if !matches!(e, NodeError::Remote(_)) {
+            self.drop_conn(sid);
+            for state in &mut self.puts {
+                if matches!(state, PutState::Sent(s) if *s == sid) {
+                    *state = PutState::Failed(sid, NodeError::Disconnected);
+                }
+            }
+        }
+        self.puts[at] = PutState::Failed(sid, e);
+    }
+
+    /// Closes, without a verdict, every connection still owed an ack.
+    fn close_owed(&mut self) {
+        for at in 0..self.puts.len() {
+            if let PutState::Sent(sid) = self.puts[at] {
+                self.drop_conn(sid);
             }
         }
     }
@@ -521,6 +722,12 @@ struct BufSet {
 /// The cluster-facing client.
 pub struct ClusterClient {
     io: StripeIo,
+    /// The put pipeline's two buffer sets, kept between puts as the
+    /// executor's lane scratch is: a set allocated, zero-filled and
+    /// first touched per put cost more than the encode it was for. The
+    /// encoder thread hands them back when its scope ends; an aborted
+    /// put may lose one, which the next put makes anew.
+    put_bufs: Vec<BufSet>,
 }
 
 impl ClusterClient {
@@ -534,6 +741,7 @@ impl ClusterClient {
     ) -> Self {
         Self {
             io: StripeIo::new(codec, chunk_bytes, directory, retry, sessions),
+            put_bufs: Vec::new(),
         }
     }
 
@@ -587,6 +795,36 @@ impl ClusterClient {
     /// pipelined encoder thread while the previous stripe's chunks are
     /// on the wire. Returns the manifest needed to read it back.
     pub fn put(&mut self, data: &[u8]) -> Result<Manifest> {
+        let mut manifest = Manifest {
+            spec: self.io.codec.spec(),
+            chunk_bytes: self.io.chunk_bytes as u64,
+            file_len: data.len() as u64,
+            stripes: Vec::new(),
+        };
+        self.put_stripes(data, &mut manifest.stripes)
+            // Acknowledge durably: with a WAL-backed directory the
+            // manifest is on disk before the caller sees Ok, so a
+            // restarted cluster can hand the file back. (No-op for an
+            // in-memory directory.)
+            .and_then(|()| lock(&self.io.pool.directory).log_manifest(&manifest))
+            // A put that is not acknowledged leaves no stripe behind,
+            // whole or half-written: no manifest will ever name one, so
+            // the repair agent would rebuild it for nobody, and a
+            // restart (which keeps only placements a manifest
+            // references) would disagree with the live directory.
+            .inspect_err(|_| {
+                let mut d = lock(&self.io.pool.directory);
+                for entry in &manifest.stripes {
+                    d.forget_stripe(entry.id);
+                }
+            })?;
+        Ok(manifest)
+    }
+
+    /// The put pipeline: places, encodes and stores every stripe of
+    /// `data`. A stripe is listed in `entries` from the moment it is
+    /// placed, so on an error the caller knows every placement made.
+    fn put_stripes(&mut self, data: &[u8], entries: &mut Vec<StripeEntry>) -> Result<()> {
         let spec = self.io.codec.spec();
         let k = spec.data_blocks();
         let n = spec.total_blocks();
@@ -597,29 +835,30 @@ impl ClusterClient {
         } else {
             data.len().div_ceil(stripe_payload)
         };
+        entries.reserve(stripe_count);
 
         let (ready_tx, ready_rx) = mpsc::sync_channel::<Result<BufSet>>(2);
         let (free_tx, free_rx) = mpsc::sync_channel::<BufSet>(2);
         for _ in 0..2 {
-            let _ = free_tx.send(BufSet::default());
+            let _ = free_tx.send(self.put_bufs.pop().unwrap_or_default());
         }
 
         let codec = &self.io.codec;
         let pool = &mut self.io.pool;
+        let put_bufs = &mut self.put_bufs;
 
-        let entries = std::thread::scope(|s| {
-            s.spawn(move || {
+        std::thread::scope(|s| {
+            let encoder = s.spawn(move || {
                 for stripe_idx in 0..stripe_count {
-                    let Ok(mut set) = free_rx.recv() else { return };
+                    let Ok(mut set) = free_rx.recv() else { break };
                     let filled = fill_and_encode(codec, &mut set, data, stripe_idx, k, n, cb);
                     if ready_tx.send(filled.map(|()| set)).is_err() {
-                        return;
+                        break;
                     }
                 }
+                free_rx
             });
-            let free_tx = free_tx;
-            let mut run = || -> Result<Vec<StripeEntry>> {
-                let mut entries = Vec::with_capacity(stripe_count);
+            let mut run = || -> Result<()> {
                 for _ in 0..stripe_count {
                     let set = match ready_rx.recv() {
                         Ok(Ok(set)) => set,
@@ -628,53 +867,27 @@ impl ClusterClient {
                             return Err(NodeError::Malformed("encoder pipeline closed early"))
                         }
                     };
-                    // The placement is read under the lock that made it.
-                    let (id, mut servers) = {
-                        let mut d = lock(&pool.directory);
-                        let (id, placed) = d.place_stripe(n)?;
-                        (id, placed.to_vec())
-                    };
-                    let mut store_lanes = || -> Result<()> {
-                        for ((lane, sid), (payload, &digest)) in (0u32..)
-                            .zip(&mut servers)
-                            .zip(set.lanes.iter().zip(&set.digests))
-                        {
-                            // Fault site: the put pipeline dies mid-stripe,
-                            // as if the writer thread was killed. The file
-                            // is never acknowledged; its whole stripes stay
-                            // repairable.
-                            if fault::hit(Site::CrashPut) {
-                                return Err(NodeError::Injected("crash-put"));
-                            }
-                            *sid = pool.store(id, lane, Some(*sid), digest, payload)?;
-                        }
-                        Ok(())
-                    };
-                    // A put that dies mid-stripe must not leave the
-                    // half-written stripe behind for the repair agent.
-                    store_lanes().inspect_err(|_| lock(&pool.directory).forget_stripe(id))?;
-                    entries.push(StripeEntry { id, servers });
+                    if let Err(e) = place_and_store(pool, &set, entries) {
+                        // Straight home, not through the encoder, which
+                        // would fill it with a stripe nobody will store.
+                        put_bufs.push(set);
+                        return Err(e);
+                    }
                     let _ = free_tx.send(set);
                 }
-                Ok(entries)
+                Ok(())
             };
             let out = run();
-            // Unblock the encoder if we bailed early.
+            // Unblock the encoder if we bailed early; it brings the
+            // free sets back with it.
             drop(free_tx);
+            let Ok(free_rx) = encoder.join() else {
+                return Err(NodeError::Malformed("encoder thread panicked"));
+            };
+            put_bufs.extend(free_rx.try_iter());
+            put_bufs.extend(ready_rx.try_iter().flatten());
             out
-        })?;
-
-        let manifest = Manifest {
-            spec,
-            chunk_bytes: cb as u64,
-            file_len: data.len() as u64,
-            stripes: entries,
-        };
-        // Acknowledge durably: with a WAL-backed directory the manifest
-        // is on disk before the caller sees Ok, so a restarted cluster
-        // can hand the file back. (No-op for an in-memory directory.)
-        lock(&self.io.pool.directory).log_manifest(&manifest)?;
-        Ok(manifest)
+        })
     }
 
     /// Reads a whole file back, bit-identical, serving stripes through
@@ -775,6 +988,40 @@ impl ClusterClient {
     }
 }
 
+/// Places one encoded stripe and stores its lanes, each with its placed
+/// server as first choice. The stripe is listed in `entries` from the
+/// moment it is placed; once stored, with the servers that acknowledged
+/// its chunks.
+fn place_and_store(
+    pool: &mut ConnPool,
+    set: &BufSet,
+    entries: &mut Vec<StripeEntry>,
+) -> Result<()> {
+    // The placement is read under the lock that made it.
+    let (id, servers) = {
+        let mut d = lock(&pool.directory);
+        let (id, placed) = d.place_stripe(set.lanes.len())?;
+        (id, placed.to_vec())
+    };
+    let lanes: Vec<PutLane<'_>> = (0u32..)
+        .zip(&servers)
+        .zip(set.lanes.iter().zip(&set.digests))
+        .map(|((lane, &sid), (payload, &digest))| PutLane {
+            lane,
+            placed: Some(sid),
+            digest,
+            payload,
+        })
+        .collect();
+    entries.push(StripeEntry { id, servers });
+    let acked = pool.store(id, &lanes)?;
+    if let Some(entry) = entries.last_mut() {
+        entry.servers.clear();
+        entry.servers.extend_from_slice(acked);
+    }
+    Ok(())
+}
+
 /// Fills a buffer set with stripe `stripe_idx`'s data (zero-padded),
 /// encodes the parity lanes, and digests every lane. Runs on the
 /// encoder thread of [`ClusterClient::put`].
@@ -824,12 +1071,15 @@ mod tests {
     use crate::server::{ChunkServer, ServerConfig};
 
     /// The write rule on a three-server roster whose server 0 is a
-    /// closed port, under a WAL-backed directory.
+    /// closed port, under a WAL-backed directory: first one lane at a
+    /// time, then an eight-lane stripe on a four-server roster, two
+    /// PUTs in flight, then two lanes of one server, whose connection
+    /// carries both PUTs at once.
     #[test]
     fn store_fails_over_after_a_refusal_and_logs_nothing_for_an_undisturbed_put() {
         let root = std::env::temp_dir().join(format!("xorbas_store_rule_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let live: Vec<ChunkServer> = (1..3)
+        let live: Vec<ChunkServer> = (1..4)
             .map(|i| ChunkServer::start(ServerConfig::new(root.join(format!("srv{i}")))).unwrap())
             .collect();
         let closed = std::net::TcpListener::bind("127.0.0.1:0")
@@ -846,22 +1096,25 @@ mod tests {
         let mut pool = ConnPool::new(Arc::clone(&dir), RetryPolicy::default());
         let payload = vec![0x5Au8; 4096];
         let digest = chunk_digest(&payload);
+        let one = |lane, sid| PutLane {
+            lane,
+            placed: Some(sid),
+            digest,
+            payload: &payload,
+        };
 
         // The assigned, healthy server takes the chunk: the directory is
         // not touched, the WAL not appended to.
         let before = wal_len();
         let lane = lane_on(1);
-        assert_eq!(
-            pool.store(stripe, lane, Some(1), digest, &payload).unwrap(),
-            1
-        );
+        assert_eq!(pool.store(stripe, &[one(lane, 1)]).unwrap(), [1]);
         assert_eq!(wal_len(), before);
         assert_eq!(lock(&dir).servers_of(stripe).unwrap(), assigned);
 
         // The first choice refuses the dial: dead, and the lane moves to
         // a live server, which holds the chunk before the directory says so.
         let lane = lane_on(0);
-        let moved_to = pool.store(stripe, lane, Some(0), digest, &payload).unwrap();
+        let moved_to = pool.store(stripe, &[one(lane, 0)]).unwrap()[0];
         assert_ne!(moved_to, 0);
         assert!(!lock(&dir).is_alive(0));
         assert_eq!(lock(&dir).alive_count(), 2);
@@ -870,10 +1123,86 @@ mod tests {
             moved_to
         );
         assert!(wal_len() > before, "the move is one WAL record");
+        let reassign_record = wal_len() - before;
         let mut out = Vec::new();
         let conn = pool.conn(moved_to).unwrap();
         assert_eq!(conn.get_chunk(stripe, lane, &mut out).unwrap(), digest);
         assert_eq!(out, payload);
+
+        // Eight lanes over three live servers and the closed port, which
+        // holds two neighbouring lanes: both in flight when it refuses.
+        let addrs = [closed, live[0].addr(), live[1].addr(), live[2].addr()];
+        let wal = root.join("directory8.wal");
+        let wal_len = || std::fs::metadata(&wal).unwrap().len();
+        let (dir, _) = Directory::open_persistent(&wal, &addrs, 4, 7).unwrap();
+        let dir = Arc::new(Mutex::new(dir));
+        let stripe = lock(&dir).place_stripe(8).unwrap().0;
+        let assigned = lock(&dir).servers_of(stripe).unwrap().to_vec();
+        let on_closed = assigned.iter().filter(|&&sid| sid == 0).count();
+        assert_eq!(on_closed, 2, "{assigned:?}");
+        assert!(assigned.windows(2).any(|w| w == [0, 0]), "{assigned:?}");
+        let payloads: Vec<Vec<u8>> = (0..8u8).map(|lane| vec![lane; 4096]).collect();
+        let lanes: Vec<PutLane<'_>> = (0u32..)
+            .zip(&assigned)
+            .zip(&payloads)
+            .map(|((lane, &sid), payload)| PutLane {
+                lane,
+                placed: Some(sid),
+                digest: chunk_digest(payload),
+                payload,
+            })
+            .collect();
+        let mut pool = ConnPool::new(Arc::clone(&dir), RetryPolicy::default());
+        let before = wal_len();
+        let stored = pool.store(stripe, &lanes).unwrap().to_vec();
+
+        // The lanes of the closed port moved, each with one REASSIGN
+        // record; every other lane stayed where it was placed and logged
+        // nothing.
+        for (lane, (&to, &from)) in stored.iter().zip(&assigned).enumerate() {
+            assert_eq!(to != from, from == 0, "lane {lane}: {from} -> {to}");
+            assert_ne!(to, 0);
+        }
+        assert_eq!(wal_len() - before, on_closed as u64 * reassign_record);
+        assert_eq!(lock(&dir).servers_of(stripe).unwrap(), stored);
+        assert!(!lock(&dir).is_alive(0));
+        assert_eq!(lock(&dir).alive_count(), 3);
+        for (lane, &sid) in (0u32..).zip(&stored) {
+            pool.conn(sid)
+                .unwrap()
+                .get_chunk(stripe, lane, &mut out)
+                .unwrap();
+            assert_eq!(out, payloads[lane as usize], "lane {lane} on server {sid}");
+        }
+
+        // Two lanes of one live server, as the seam between two rounds
+        // of best-effort placement can deal them: both PUTs are on its
+        // connection before either ack is read, each ack goes to its own
+        // lane, and nothing is logged. (New bytes, so the read-back shows
+        // this store's chunks and not the last one's.)
+        let sid = stored[0];
+        let twin = 1 + stored[1..].iter().position(|&s| s == sid).unwrap();
+        let fresh = [vec![0xA0u8; 4096], vec![0xA1u8; 4096]];
+        let pair: Vec<PutLane<'_>> = [0, twin]
+            .iter()
+            .zip(&fresh)
+            .map(|(&lane, payload)| PutLane {
+                lane: lane as u32,
+                placed: Some(sid),
+                digest: chunk_digest(payload),
+                payload,
+            })
+            .collect();
+        let before = wal_len();
+        assert_eq!(pool.store(stripe, &pair).unwrap(), [sid, sid]);
+        assert_eq!(wal_len(), before);
+        for (&lane, payload) in [0, twin].iter().zip(&fresh) {
+            pool.conn(sid)
+                .unwrap()
+                .get_chunk(stripe, lane as u32, &mut out)
+                .unwrap();
+            assert_eq!(&out, payload, "lane {lane} on server {sid}");
+        }
 
         for server in live {
             server.shutdown();

@@ -289,11 +289,13 @@ impl Directory {
         Ok((id, entry))
     }
 
-    /// Drops a stripe whose put failed part-way. Only some of its lanes
-    /// ever reached a server, so left in place it would look like lost
-    /// data to the repair agent and could never be rebuilt. In memory
-    /// only: the WAL keeps the placement record, and replay drops it
-    /// again because no manifest references it.
+    /// Drops a stripe of a put that failed. The stripe the put died in
+    /// has only some of its lanes on a server, so left in place it would
+    /// look like lost data to the repair agent and could never be
+    /// rebuilt; the stripes before it were stored whole, but no manifest
+    /// will ever name them, and the agent would rebuild them for nobody.
+    /// In memory only: the WAL keeps the placement record, and replay
+    /// drops it again because no manifest references it.
     pub(crate) fn forget_stripe(&mut self, stripe: u64) {
         self.stripes.remove(&stripe);
         self.corrupt.retain(|&(s, _)| s != stripe);

@@ -52,8 +52,9 @@ pub enum Site {
     /// Chunk store: one payload byte is flipped *after* the chunk is
     /// durably renamed — silent bit rot for the scrubber to find.
     BitFlip = 4,
-    /// Client: the put pipeline aborts mid-stripe, as if the writer
-    /// thread died.
+    /// Client: the put pipeline aborts mid-stripe, between two lane
+    /// sends, as if the writer thread died with PUTs on the wire and
+    /// their acks unread.
     CrashPut = 5,
     /// Repair agent: a stripe repair aborts after reconstruction but
     /// before all lanes are re-placed.

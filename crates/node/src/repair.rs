@@ -27,7 +27,7 @@
 //! round's list is empty.
 
 use crate::chunk_store::ChunkStore;
-use crate::client::{RetryPolicy, SessionCache};
+use crate::client::{PutLane, RetryPolicy, SessionCache};
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
@@ -487,8 +487,8 @@ struct RepairOutcome {
 }
 
 /// Repairs every lost lane of `stripe` on a worker's private executor:
-/// [`StripeIo::reconstruct`] rebuilds the lanes, the pool's `store`
-/// re-places each on a fresh replacement under the write rule.
+/// [`StripeIo::reconstruct`] rebuilds the lanes, one call of the pool's
+/// `store` re-places them on fresh replacements under the write rule.
 /// `Ok(None)` means the stripe healed on its own (nothing lost by the
 /// time we looked).
 fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>> {
@@ -496,11 +496,10 @@ fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>
     if session.missing().is_empty() {
         return Ok(None);
     }
-    let chunk_bytes = io.chunk_bytes as u64;
-    let mut repaired = 0u64;
+    let mut rebuilt = Vec::with_capacity(session.missing().len());
     for &lane in session.missing() {
         // Fault site: the repair worker dies between reconstruct
-        // and re-place. The lane stays lost and a later round
+        // and re-place. The lanes stay lost and a later round
         // retries — repairs must be idempotent.
         if fault::hit(Site::CrashRepair) {
             return Err(NodeError::Injected("crash-repair"));
@@ -509,10 +508,15 @@ fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>
             .lanes
             .get(lane)
             .ok_or(NodeError::Malformed("repaired lane missing"))?;
-        io.pool
-            .store(stripe, lane as u32, None, chunk_digest(payload), payload)?;
-        repaired += 1;
+        rebuilt.push(PutLane {
+            lane: lane as u32,
+            placed: None,
+            digest: chunk_digest(payload),
+            payload,
+        });
     }
+    let repaired = io.pool.store(stripe, &rebuilt)?.len() as u64;
+    let chunk_bytes = io.chunk_bytes as u64;
     Ok(Some(RepairOutcome {
         chunks: repaired,
         bytes_fetched: fetched as u64 * chunk_bytes,

@@ -13,7 +13,9 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use xorbas_core::CodeSpec;
 use xorbas_node::client::ReadKind;
-use xorbas_node::{chunk_digest, fault, ChunkStore, FaultPlan, NodeError, Site};
+use xorbas_node::{
+    chunk_digest, fault, ChunkStore, FaultPlan, Manifest, NodeConn, NodeError, RetryPolicy, Site,
+};
 
 static PLAN_GATE: Mutex<()> = Mutex::new(());
 
@@ -24,6 +26,74 @@ struct DisarmOnDrop;
 impl Drop for DisarmOnDrop {
     fn drop(&mut self) {
         fault::disarm();
+    }
+}
+
+/// The first seed whose plan, armed, answers `wanted` with `true`. The
+/// closure draws from the armed plan's sites (`fault::hit`), so it can
+/// ask for a firing at exactly the draws it needs.
+fn seed_where(plan: impl Fn(u64) -> FaultPlan, wanted: impl Fn() -> bool) -> u64 {
+    (0u64..)
+        .find(|&seed| {
+            fault::arm(plan(seed));
+            wanted()
+        })
+        .unwrap()
+}
+
+/// The servers whose chunk store holds a torn `.tmp`.
+fn servers_that_tore_a_write(cluster: &Cluster) -> Vec<usize> {
+    (0..cluster.servers.len())
+        .filter(|&sid| {
+            std::fs::read_dir(cluster.servers[sid].data_dir())
+                .unwrap()
+                .flatten()
+                .any(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        })
+        .collect()
+}
+
+/// Returns once two listings of every server's data dir, 20 ms apart,
+/// agree and hold no temp file: no handler thread is still storing a PUT
+/// that an aborted put left in its socket. Timing only decides which
+/// chunk write an armed plan's next draw falls on, never what a test
+/// may conclude from it.
+fn wait_until_stores_are_quiet(cluster: &Cluster) {
+    let listing = || {
+        let mut files: Vec<_> = cluster
+            .servers
+            .iter()
+            .flat_map(|s| std::fs::read_dir(s.data_dir()).unwrap().flatten())
+            .map(|e| e.path())
+            .collect();
+        files.sort();
+        files
+    };
+    let mut last = listing();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = listing();
+        if now == last && now.iter().all(|p| p.extension().is_none_or(|x| x != "tmp")) {
+            return;
+        }
+        last = now;
+    }
+}
+
+/// Reads every chunk of a one-stripe file over a fresh connection to
+/// the server the manifest names for it: digest-verified by
+/// `get_chunk`, and the data lanes compared with `data`.
+fn read_back_every_chunk(cluster: &Cluster, manifest: &Manifest, data: &[u8]) {
+    let entry = &manifest.stripes[0];
+    let mut buf = Vec::new();
+    for (lane, &sid) in entry.servers.iter().enumerate() {
+        let mut conn =
+            NodeConn::connect(cluster.servers[sid].addr(), &RetryPolicy::default()).unwrap();
+        conn.get_chunk(entry.id, lane as u32, &mut buf)
+            .unwrap_or_else(|e| panic!("lane {lane} is not on server {sid}: {e}"));
+        if let Some(want) = data.chunks(CHUNK).nth(lane) {
+            assert!(buf == want, "lane {lane} on server {sid} holds other bytes");
+        }
     }
 }
 
@@ -152,12 +222,9 @@ fn a_reply_cut_short_on_a_pooled_connection_is_not_a_dead_server() {
 
     // A plan that cuts the first CHUNK reply and none of the next 20.
     let cut_once = |seed| FaultPlan::new(seed).with(Site::ServeReset, 100);
-    let seed = (0u64..)
-        .find(|&seed| {
-            fault::arm(cut_once(seed));
-            fault::hit(Site::ServeReset) && !(0..20).any(|_| fault::hit(Site::ServeReset))
-        })
-        .unwrap();
+    let seed = seed_where(cut_once, || {
+        fault::hit(Site::ServeReset) && !(0..20).any(|_| fault::hit(Site::ServeReset))
+    });
 
     let plan = fault::arm(cut_once(seed));
     let mut buf = Vec::new();
@@ -215,12 +282,9 @@ fn a_torn_replacement_write_fails_over_inside_the_repair_attempt() {
     // A plan that tears the first chunk write and none of the next 20
     // (the repair writes `lost` + 1 chunks, at most 9).
     let tear_once = |seed| FaultPlan::new(seed).with(Site::TornWrite, 100);
-    let seed = (0u64..)
-        .find(|&seed| {
-            fault::arm(tear_once(seed));
-            fault::hit(Site::TornWrite) && !(0..20).any(|_| fault::hit(Site::TornWrite))
-        })
-        .unwrap();
+    let seed = seed_where(tear_once, || {
+        fault::hit(Site::TornWrite) && !(0..20).any(|_| fault::hit(Site::TornWrite))
+    });
 
     let plan = fault::arm(tear_once(seed));
     let agent = cluster.agent(spec);
@@ -241,14 +305,7 @@ fn a_torn_replacement_write_fails_over_inside_the_repair_attempt() {
     );
 
     // The server that tore the write kept its `.tmp` and its good name.
-    let tore: Vec<usize> = (0..5)
-        .filter(|&sid| {
-            std::fs::read_dir(cluster.servers[sid].data_dir())
-                .unwrap()
-                .flatten()
-                .any(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-        })
-        .collect();
+    let tore = servers_that_tore_a_write(&cluster);
     assert_eq!(tore.len(), 1, "{tore:?}");
     assert!(cluster.lock_dir().is_alive(tore[0]));
     assert_eq!(cluster.lock_dir().alive_count(), 4);
@@ -296,6 +353,191 @@ fn crashed_put_leaves_no_half_written_stripe_for_the_agent() {
     let mut buf = Vec::new();
     client.get(&manifest, &mut buf).unwrap();
     assert_eq!(buf, data);
+    cluster.teardown();
+}
+
+/// The write rule in its stripe-wide form, under a torn write among the
+/// PUTs in flight on one connection. Best-effort placement deals sixteen
+/// lanes over five servers in rounds of five and reshuffles between
+/// rounds, so the last lane of a round and the first of the next can
+/// share a server; with two PUTs in flight that server's connection then
+/// carries both before either ack is read. The second of them is torn.
+/// (The store reads lane `i`'s ack before it sends lane `i + 2`, and one
+/// connection's PUTs are stored in order, so the servers draw from the
+/// plan in lane order up to that lane.) Its server answers `Remote(Io)`
+/// behind the `OK` of its neighbour: only that lane fails over, its
+/// server keeps its good name, and every other lane stays where it was
+/// placed.
+#[test]
+fn a_torn_put_behind_another_on_its_connection_fails_over_alone() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot(5, "tornqueued");
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let data = test_file(spec.data_blocks() * CHUNK);
+
+    // Placement is a function of the directory's seed and roster, so a
+    // second directory over the same two says where the put's stripe
+    // will be placed and where the write rule will move a lane.
+    let mut shadow = cluster.shadow_directory();
+    let (shadow_id, placed) = shadow.place_stripe(spec.total_blocks()).unwrap();
+    let placed = placed.to_vec();
+    let replacement = shadow.choose_replacement(shadow_id).unwrap();
+    let torn_lane = (1..placed.len())
+        .find(|&lane| placed[lane - 1] == placed[lane])
+        .expect("two neighbouring lanes on one server");
+
+    let tear_that_one = |seed| FaultPlan::new(seed).with(Site::TornWrite, 50);
+    let seed = seed_where(tear_that_one, || {
+        !(0..torn_lane).any(|_| fault::hit(Site::TornWrite))
+            && fault::hit(Site::TornWrite)
+            && !(0..40).any(|_| fault::hit(Site::TornWrite))
+    });
+    let plan = fault::arm(tear_that_one(seed));
+    let manifest = client.put(&data).unwrap();
+    fault::disarm();
+    assert_eq!(
+        plan.counters()[Site::TornWrite as usize],
+        ("torn-write", 17, 1),
+        "sixteen first choices and one failover"
+    );
+
+    assert_eq!(servers_that_tore_a_write(&cluster), [placed[torn_lane]]);
+    assert_eq!(cluster.lock_dir().alive_count(), 5);
+    let servers = &manifest.stripes[0].servers;
+    let moved: Vec<usize> = (0..placed.len())
+        .filter(|&lane| servers[lane] != placed[lane])
+        .collect();
+    // (The policy may hand the lane back to the server that tore it:
+    // all five hold lanes of the stripe, so any live one qualifies.)
+    if replacement == placed[torn_lane] {
+        assert!(moved.is_empty(), "{moved:?}");
+    } else {
+        assert_eq!(moved, [torn_lane], "only the torn lane moves");
+        assert_eq!(servers[torn_lane], replacement);
+    }
+    assert_eq!(cluster.lock_dir().servers_of(shadow_id).unwrap(), servers);
+
+    read_back_every_chunk(&cluster, &manifest, &data);
+    let mut buf = Vec::new();
+    let report = client.get(&manifest, &mut buf).unwrap();
+    assert_eq!(buf, data);
+    assert_eq!(report.degraded_stripes, 0);
+    cluster.teardown();
+}
+
+/// No ack outlives its request. A put dies between two lane sends with
+/// its last two PUTs on the wire and their acks unread. An `OK` frame
+/// does not say which PUT it answers, so a connection left open would
+/// hand such an ack to the next put — which then believes a chunk stored
+/// that its server refused: here the put dies owing acks on the two
+/// connections the next put's first two lanes will use, the first chunk
+/// write of that put is torn, and the stale `OK` read in place of its
+/// `Remote(Io)` would put the tearing server in the manifest for a chunk
+/// it does not hold. The store closes every connection still owed an ack
+/// before it returns, as `StripeIo::fail` does for CHUNK replies
+/// (`a_failure_mid_fetch_leaves_no_reply_for_a_later_request`).
+#[test]
+fn a_put_aborted_mid_issue_leaves_no_ack_for_a_later_request() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot(5, "staleack");
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let data = test_file(spec.data_blocks() * CHUNK);
+
+    // Where the dying put's stripe and the next put's will be placed.
+    // The next put sends its first two lanes before it reads an ack, so
+    // either of their servers may make the first chunk write: the put
+    // must die right after sending to those two, whose connections then
+    // both owe an ack.
+    let mut shadow = cluster.shadow_directory();
+    let dying = shadow.place_stripe(spec.total_blocks()).unwrap().1.to_vec();
+    let next = shadow.place_stripe(spec.total_blocks()).unwrap().1[..2].to_vec();
+    let sent = (2..dying.len())
+        .find(|&sent| {
+            let owed = [dying[sent - 2], dying[sent - 1]];
+            owed.contains(&next[0]) && owed.contains(&next[1])
+        })
+        .expect("two neighbouring lanes on the next stripe's first two servers");
+
+    // One draw before every lane send: none fires for the first `sent`
+    // lanes, the next one does.
+    let crash_then = |seed| FaultPlan::new(seed).with(Site::CrashPut, 100);
+    let seed = seed_where(crash_then, || {
+        !(0..sent).any(|_| fault::hit(Site::CrashPut)) && fault::hit(Site::CrashPut)
+    });
+    let plan = fault::arm(crash_then(seed));
+    let err = client.put(&data).unwrap_err();
+    fault::disarm();
+    assert!(matches!(err, NodeError::Injected("crash-put")), "{err:?}");
+    let (_, draws, fired) = plan.counters()[Site::CrashPut as usize];
+    assert_eq!((draws, fired), (sent as u64 + 1, 1));
+
+    // The next put on the same client: its first chunk write is torn,
+    // none of the next 40.
+    wait_until_stores_are_quiet(&cluster);
+    let tear_once = |seed| FaultPlan::new(seed).with(Site::TornWrite, 50);
+    let seed = seed_where(tear_once, || {
+        fault::hit(Site::TornWrite) && !(0..40).any(|_| fault::hit(Site::TornWrite))
+    });
+    let plan = fault::arm(tear_once(seed));
+    let manifest = client.put(&data).unwrap();
+    fault::disarm();
+    let (_, _, fired) = plan.counters()[Site::TornWrite as usize];
+    assert!(fired >= 1, "the plan tore nothing");
+
+    read_back_every_chunk(&cluster, &manifest, &data);
+    let tore = servers_that_tore_a_write(&cluster);
+    assert!(tore.len() == 1 && next.contains(&tore[0]), "{tore:?}");
+    assert!(cluster.lock_dir().is_alive(tore[0]));
+    let mut buf = Vec::new();
+    let report = client.get(&manifest, &mut buf).unwrap();
+    assert_eq!(buf, data);
+    assert_eq!(report.degraded_stripes, 0);
+    cluster.teardown();
+}
+
+/// A put that fails forgets every stripe it placed, not only the one in
+/// flight. The stripes before it were stored whole, but no manifest will
+/// ever name them: left in the live directory they are repaired for ever
+/// after a server death — recovery traffic for a file nobody can read —
+/// and a restart, which keeps only placements a manifest references,
+/// drops them, so the live state and its own replay disagree.
+#[test]
+fn a_failed_put_forgets_every_stripe_it_placed() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot_persistent(5, "forget");
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let k = spec.data_blocks();
+    let acked = client.put(&test_file(k * CHUNK)).unwrap();
+
+    // A three-stripe put that crashes in its second stripe: none of the
+    // first stripe's 16 draws fires, one of the second's does.
+    let crash_in_second = |seed| FaultPlan::new(seed).with(Site::CrashPut, 60);
+    let seed = seed_where(crash_in_second, || {
+        !(0..16).any(|_| fault::hit(Site::CrashPut)) && (0..16).any(|_| fault::hit(Site::CrashPut))
+    });
+    let plan = fault::arm(crash_in_second(seed));
+    let err = client.put(&test_file(3 * k * CHUNK)).unwrap_err();
+    fault::disarm();
+    assert!(matches!(err, NodeError::Injected("crash-put")), "{err:?}");
+    let (_, draws, fired) = plan.counters()[Site::CrashPut as usize];
+    assert!((17..=32).contains(&draws) && fired == 1, "{draws} {fired}");
+
+    let mut live = Vec::new();
+    cluster.lock_dir().stripe_ids(&mut live);
+    assert_eq!(live, [acked.stripes[0].id], "only the acked stripe");
+
+    drop(client);
+    let (cluster, manifests) = cluster.restart_coordinator();
+    assert_eq!(manifests, [acked]);
+    let mut replayed = Vec::new();
+    cluster.lock_dir().stripe_ids(&mut replayed);
+    assert_eq!(replayed, live, "replay agrees with the live directory");
     cluster.teardown();
 }
 

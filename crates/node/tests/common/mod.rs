@@ -19,6 +19,9 @@ use xorbas_node::{
 
 pub const CHUNK: usize = 64 * 1024;
 
+/// Seed of every cluster's placement policy.
+const PLACEMENT_SEED: u64 = 7;
+
 /// Position-dependent filler. The shift matters: `>> 7` would make the
 /// byte a function of the offset *within* its 64 KiB chunk only (the
 /// chunk-index term is `c · 512 · M ≡ 0 mod 256`), i.e. every chunk
@@ -58,7 +61,7 @@ impl Cluster {
         Self {
             root,
             servers,
-            directory: Arc::new(Mutex::new(Directory::new(&addrs, n, 7))),
+            directory: Arc::new(Mutex::new(Directory::new(&addrs, n, PLACEMENT_SEED))),
             sessions: SessionCache::default(),
         }
     }
@@ -98,9 +101,13 @@ impl Cluster {
 
     fn open_wal(root: PathBuf, servers: Vec<ChunkServer>) -> (Self, Vec<Manifest>) {
         let addrs: Vec<SocketAddr> = servers.iter().map(ChunkServer::addr).collect();
-        let (dir, manifests) =
-            Directory::open_persistent(&root.join("directory.wal"), &addrs, servers.len(), 7)
-                .unwrap();
+        let (dir, manifests) = Directory::open_persistent(
+            &root.join("directory.wal"),
+            &addrs,
+            servers.len(),
+            PLACEMENT_SEED,
+        )
+        .unwrap();
         let cluster = Self {
             root,
             servers,
@@ -108,6 +115,14 @@ impl Cluster {
             sessions: SessionCache::default(),
         };
         (cluster, manifests)
+    }
+
+    /// A second in-memory directory over the same roster and seed as a
+    /// freshly booted cluster's: it makes the placement decisions the
+    /// cluster's own directory will make, in the same order.
+    pub fn shadow_directory(&self) -> Directory {
+        let addrs: Vec<SocketAddr> = self.servers.iter().map(ChunkServer::addr).collect();
+        Directory::new(&addrs, self.servers.len(), PLACEMENT_SEED)
     }
 
     pub fn client(&self, spec: CodeSpec) -> ClusterClient {
