@@ -15,8 +15,12 @@
 //! digest is the client's [`chunk_digest`]
 //! of the payload; the store records it verbatim on put (the client just
 //! computed it — recomputing server-side would burn the put path's CPU
-//! budget) and verifies it on every read, so corruption surfaces exactly
-//! where the degraded-read machinery can route around it.
+//! budget). [`ChunkStore::get_into`], the scrubber's read, verifies it on
+//! every read. The serving path does not: `open_chunk` checks only the
+//! header and the file's length, and the server streams the payload
+//! behind the stored digest for the reader to check end to end — the
+//! one check a fetched chunk gets, so rot surfaces exactly where the
+//! degraded-read machinery can route around it.
 
 use crate::cursor::Cursor;
 use crate::error::{NodeError, Result};
@@ -39,6 +43,17 @@ pub(crate) const HEADER_LEN: usize = 36;
 #[derive(Debug)]
 pub struct ChunkStore {
     root: PathBuf,
+}
+
+/// A chunk file from [`ChunkStore::open_chunk`]: header and length
+/// checked, positioned at the first payload byte.
+#[derive(Debug)]
+pub(crate) struct OpenChunk {
+    pub(crate) file: fs::File,
+    /// The digest the header records for the payload.
+    pub(crate) digest: u64,
+    /// Payload length in bytes; the file holds exactly this many more.
+    pub(crate) len: usize,
 }
 
 impl ChunkStore {
@@ -145,10 +160,27 @@ impl ChunkStore {
     /// and returns the stored digest after verifying it against the
     /// payload. Header damage, a length lie, or a digest mismatch all
     /// come back as [`NodeError::ChunkCorrupt`]; an absent file is
-    /// [`NodeError::ChunkNotFound`].
+    /// [`NodeError::ChunkNotFound`]. This is the check at rest, the
+    /// scrubber's; the server streams a GET's payload unhashed and
+    /// leaves the digest to the reader.
     pub fn get_into(&self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
-        let path = self.chunk_path(stripe, lane);
-        let mut file = match fs::File::open(&path) {
+        let mut chunk = self.open_chunk(stripe, lane)?;
+        out.resize(chunk.len, 0);
+        read_exact_or(&mut chunk.file, out).ok_or(NodeError::ChunkCorrupt { stripe, lane })?;
+        if chunk_digest(out) != chunk.digest {
+            return Err(NodeError::ChunkCorrupt { stripe, lane });
+        }
+        Ok(chunk.digest)
+    }
+
+    /// Opens a chunk for streaming: the header is checked against the
+    /// locator and the file's length against header plus payload, so a
+    /// truncated or header-damaged file is [`NodeError::ChunkCorrupt`]
+    /// before a payload byte is read; an absent file is
+    /// [`NodeError::ChunkNotFound`]. The payload itself is not read,
+    /// let alone digested.
+    pub(crate) fn open_chunk(&self, stripe: u64, lane: u32) -> Result<OpenChunk> {
+        let mut file = match fs::File::open(self.chunk_path(stripe, lane)) {
             Ok(f) => f,
             Err(e) if e.kind() == ErrorKind::NotFound => {
                 return Err(NodeError::ChunkNotFound { stripe, lane })
@@ -159,12 +191,10 @@ impl ChunkStore {
         let mut header = [0u8; HEADER_LEN];
         read_exact_or(&mut file, &mut header).ok_or_else(corrupt)?;
         let (digest, len) = parse_header(&header, stripe, lane).map_err(|_| corrupt())?;
-        out.resize(len, 0);
-        read_exact_or(&mut file, out).ok_or_else(corrupt)?;
-        if chunk_digest(out) != digest {
+        if file.metadata()?.len() != (HEADER_LEN + len) as u64 {
             return Err(corrupt());
         }
-        Ok(digest)
+        Ok(OpenChunk { file, digest, len })
     }
 
     /// Removes a chunk; `Ok(false)` when it was not there.
@@ -357,24 +387,37 @@ mod tests {
         let payload = vec![9u8; 512];
         store.put(3, 1, chunk_digest(&payload), &payload).unwrap();
 
-        // Truncate mid-payload.
+        // The opener the server streams from refuses what the full read
+        // refuses, before reading a payload byte.
+        let refused_both_ways = |stripe, lane| {
+            let mut out = Vec::new();
+            let read = store.get_into(stripe, lane, &mut out).unwrap_err();
+            let opened = store.open_chunk(stripe, lane).unwrap_err();
+            for err in [read, opened] {
+                assert!(
+                    matches!(err, NodeError::ChunkCorrupt { stripe: s, lane: l } if (s, l) == (stripe, lane)),
+                    "{err:?}"
+                );
+            }
+        };
+        let whole = store.open_chunk(3, 1).unwrap();
+        assert_eq!((whole.digest, whole.len), (chunk_digest(&payload), 512));
+
+        // Truncate mid-payload; then one byte past the payload.
         let path = store.chunk_path(3, 1);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let mut out = Vec::new();
-        assert!(matches!(
-            store.get_into(3, 1, &mut out).unwrap_err(),
-            NodeError::ChunkCorrupt { .. }
-        ));
+        refused_both_ways(3, 1);
+        let mut longer = bytes.clone();
+        longer.push(0);
+        fs::write(&path, &longer).unwrap();
+        refused_both_ways(3, 1);
 
         // A chunk file renamed under the wrong locator fails the
         // header's stripe/lane check.
         store.put(4, 0, chunk_digest(&payload), &payload).unwrap();
         fs::rename(store.chunk_path(4, 0), store.chunk_path(5, 0)).unwrap();
-        assert!(matches!(
-            store.get_into(5, 0, &mut out).unwrap_err(),
-            NodeError::ChunkCorrupt { stripe: 5, lane: 0 }
-        ));
+        refused_both_ways(5, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,8 @@
 //! | Module | Role |
 //! |---|---|
 //! | [`protocol`] | frame layout, opcodes, bounded-allocation frame reader, chunk digests |
-//! | [`chunk_store`] | per-server on-disk chunk files with digest verification |
-//! | [`server`] | the chunk-server daemon: accept loop, per-connection threads, kill switch |
+//! | [`chunk_store`] | per-server on-disk chunk files: header and length checked on every open, digest verified at rest |
+//! | [`server`] | the chunk-server daemon: blocking accept, a parked pool of handler threads, GETs streamed from the file, a kill switch by socket shutdown |
 //! | [`client`] | connection with retry/backoff, the connection pool with its stale-socket rule and the one store-with-failover (the write rule) under client put and repair re-placement, streaming put (encode pipelined against socket writes), direct + degraded get |
 //! | `stripe_io` (private) | the one plan → fetch → replay executor under get, degraded get and background repair: a direct read split into issue and collect, the one pipelined fetch built on them, and the one place a read failure is reported to the directory |
 //! | `cursor` (private) | the bounds-checked little-endian reader behind the frame, manifest, WAL and chunk-header decoders |

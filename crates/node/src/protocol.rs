@@ -112,8 +112,9 @@ impl std::fmt::Display for ErrCode {
 }
 
 /// One parsed frame, borrowing its payload from the reader's scratch
-/// buffer (the hot read path hands payload bytes through without a
-/// copy or an allocation).
+/// buffer — or, from [`FrameReader::read_chunk_into`], from the
+/// caller's — so payload bytes are handed through without a copy or an
+/// allocation.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Frame<'a> {
     /// Store `payload` as `(stripe, lane)` with the client's digest.
@@ -222,8 +223,8 @@ impl FrameReader {
     }
 
     /// Reads one frame. `stop` (when given) is polled whenever the
-    /// underlying stream reports a read timeout, letting a server
-    /// drain its connections on shutdown without a protocol epilogue.
+    /// underlying stream reports a read timeout, so a reader on a
+    /// socket with one can be told to give up between bytes.
     ///
     /// Returns `Ok(Err(ReadEnd::CleanEof))` when the peer closes the
     /// stream *between* frames; a close mid-frame is
@@ -251,32 +252,115 @@ impl FrameReader {
         stop: Option<&AtomicBool>,
         deadline: Option<Deadline>,
     ) -> Result<ReadOutcome<'a>> {
-        let mut len_buf = [0u8; 4];
-        match fill(r, &mut len_buf, stop, deadline)? {
-            Fill::Full => {}
-            Fill::CleanEof => return Ok(Err(ReadEnd::CleanEof)),
-            Fill::Reset => return Ok(Err(ReadEnd::Disconnected)),
-            Fill::Stopped => return Ok(Err(ReadEnd::Stopped)),
-            Fill::Truncated { missing } => return Err(NodeError::Truncated { missing }),
-        }
-        let body_len = u32::from_le_bytes(len_buf) as usize;
-        if body_len == 0 {
-            return Err(NodeError::Malformed("zero-length frame body"));
-        }
-        if body_len > MAX_BODY {
-            return Err(NodeError::FrameTooLarge {
-                len: body_len as u64,
-                max: MAX_BODY as u64,
-            });
-        }
+        let body_len = match read_body_len(r, stop, deadline)? {
+            Ok(len) => len,
+            Err(end) => return Ok(Err(end)),
+        };
         self.scratch.resize(body_len, 0);
-        match fill(r, &mut self.scratch, stop, deadline)? {
-            Fill::Full => {}
-            Fill::CleanEof | Fill::Reset => return Err(NodeError::Truncated { missing: body_len }),
-            Fill::Stopped => return Ok(Err(ReadEnd::Stopped)),
-            Fill::Truncated { missing } => return Err(NodeError::Truncated { missing }),
+        if let Some(end) = body_part(fill(r, &mut self.scratch, stop, deadline)?, body_len, 0)? {
+            return Ok(Err(end));
         }
         parse_body(&self.scratch).map(Ok)
+    }
+
+    /// Reads one reply to a GET, a CHUNK frame's payload straight into
+    /// `out`: resized to exactly the payload once the length prefix has
+    /// passed the [`MAX_BODY`] bound, reusing its capacity, and never
+    /// zero-filled when it already has that length — the one copy the
+    /// client makes of a chunk. The returned [`Frame::Chunk`] borrows
+    /// `out`; its digest is not checked here. Any other frame goes
+    /// through the scratch buffer as in [`FrameReader::read_deadline`]
+    /// and leaves `out` alone, so a reader that only ever receives
+    /// chunks this way keeps a scratch no larger than an `ERR` frame.
+    /// A close or reset mid-frame is [`NodeError::Truncated`] with the
+    /// bytes of the body still missing, exactly as there.
+    // xlint::hot-path(repair-stream)
+    pub fn read_chunk_into<'a, R: Read>(
+        &'a mut self,
+        r: &mut R,
+        out: &'a mut Vec<u8>,
+        deadline: Option<Deadline>,
+    ) -> Result<ReadOutcome<'a>> {
+        let body_len = match read_body_len(r, None, deadline)? {
+            Ok(len) => len,
+            Err(end) => return Ok(Err(end)),
+        };
+        // The opcode and, if the frame is long enough for one, a
+        // CHUNK's digest.
+        let mut head = [0u8; CHUNK_HEAD];
+        let head_len = body_len.min(CHUNK_HEAD);
+        let rest = body_len - head_len;
+        let got = fill(r, &mut head[..head_len], None, deadline)?;
+        if let Some(end) = body_part(got, head_len, rest)? {
+            return Ok(Err(end));
+        }
+        if let (CHUNK_HEAD, [OP_CHUNK, d0, d1, d2, d3, d4, d5, d6, d7]) = (head_len, head) {
+            out.resize(rest, 0);
+            if let Some(end) = body_part(fill(r, out, None, deadline)?, rest, 0)? {
+                return Ok(Err(end));
+            }
+            let digest = u64::from_le_bytes([d0, d1, d2, d3, d4, d5, d6, d7]);
+            return Ok(Ok(Frame::Chunk {
+                digest,
+                payload: out,
+            }));
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&head[..head_len]);
+        self.scratch.resize(body_len, 0);
+        let got = fill(r, &mut self.scratch[head_len..], None, deadline)?;
+        if let Some(end) = body_part(got, rest, 0)? {
+            return Ok(Err(end));
+        }
+        parse_body(&self.scratch).map(Ok)
+    }
+}
+
+/// A CHUNK body's fixed part: opcode and digest.
+const CHUNK_HEAD: usize = 9;
+
+/// Reads a frame's length prefix and bounds it, before anything is
+/// allocated for the body.
+fn read_body_len<R: Read>(
+    r: &mut R,
+    stop: Option<&AtomicBool>,
+    deadline: Option<Deadline>,
+) -> Result<std::result::Result<usize, ReadEnd>> {
+    let mut len_buf = [0u8; 4];
+    match fill(r, &mut len_buf, stop, deadline)? {
+        Fill::Full => {}
+        Fill::CleanEof => return Ok(Err(ReadEnd::CleanEof)),
+        Fill::Reset => return Ok(Err(ReadEnd::Disconnected)),
+        Fill::Stopped => return Ok(Err(ReadEnd::Stopped)),
+        Fill::Truncated { missing } => return Err(NodeError::Truncated { missing }),
+    }
+    let body_len = u32::from_le_bytes(len_buf) as usize;
+    if body_len == 0 {
+        return Err(NodeError::Malformed("zero-length frame body"));
+    }
+    if body_len > MAX_BODY {
+        return Err(NodeError::FrameTooLarge {
+            len: body_len as u64,
+            max: MAX_BODY as u64,
+        });
+    }
+    Ok(Ok(body_len))
+}
+
+/// What filling one `len`-byte part of a frame body, with `after` more
+/// body bytes behind it, means for the frame: `None` when the part is
+/// whole, the read's end when the stop flag was raised, and otherwise
+/// [`NodeError::Truncated`] counting every body byte still missing.
+fn body_part(got: Fill, len: usize, after: usize) -> Result<Option<ReadEnd>> {
+    match got {
+        Fill::Full => Ok(None),
+        Fill::Stopped => Ok(Some(ReadEnd::Stopped)),
+        Fill::CleanEof | Fill::Reset => Err(NodeError::Truncated {
+            missing: len + after,
+        }),
+        Fill::Truncated { missing } => Err(NodeError::Truncated {
+            missing: missing + after,
+        }),
     }
 }
 
@@ -438,32 +522,54 @@ pub fn write_put<W: Write>(
     Ok(())
 }
 
-/// Writes a CHUNK response frame (header, then the payload).
+/// Writes a CHUNK response frame: the header with `digest`, then `len`
+/// payload bytes streamed from `src` through `buf`, one `buf` at a time,
+/// so a chunk of any size costs one bounded buffer and one copy. A
+/// `src` that ends early leaves the frame cut short and is an error:
+/// the connection is out of step and must be closed.
 ///
 /// Fault sites: [`Site::ServeStall`] delays the whole reply by the
 /// plan's param (the client sees a stalled peer); [`Site::ServeReset`]
 /// writes the header plus half the payload and then errors, so the
 /// serving connection is torn down mid-frame (the client sees
 /// [`NodeError::Truncated`]). Both are no-ops when no plan is armed.
-pub fn write_chunk<W: Write>(w: &mut W, digest: u64, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_CHUNK {
+// xlint::hot-path(serve-read)
+pub fn write_chunk<W: Write, R: Read>(
+    w: &mut W,
+    digest: u64,
+    len: usize,
+    src: &mut R,
+    buf: &mut [u8],
+) -> Result<()> {
+    if len > MAX_CHUNK {
         return Err(NodeError::FrameTooLarge {
-            len: payload.len() as u64,
+            len: len as u64,
             max: MAX_CHUNK as u64,
         });
     }
     fault::maybe_stall(Site::ServeStall);
-    let mut h = [0u8; 4 + 9];
-    h[..4].copy_from_slice(&((9 + payload.len()) as u32).to_le_bytes());
+    let mut h = [0u8; 4 + CHUNK_HEAD];
+    h[..4].copy_from_slice(&((CHUNK_HEAD + len) as u32).to_le_bytes());
     h[4] = OP_CHUNK;
     h[5..13].copy_from_slice(&digest.to_le_bytes());
     w.write_all(&h)?;
-    if fault::hit(Site::ServeReset) {
-        w.write_all(payload.get(..payload.len() / 2).unwrap_or(payload))?;
+    let reset = fault::hit(Site::ServeReset);
+    let mut left = if reset { len / 2 } else { len };
+    while left > 0 {
+        let want = left.min(buf.len());
+        let got = match src.read(&mut buf[..want]) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into()),
+            Ok(got) => got,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        w.write_all(&buf[..got])?;
+        left -= got;
+    }
+    if reset {
         let _ = w.flush();
         return Err(NodeError::Injected("serve-reset"));
     }
-    w.write_all(payload)?;
     Ok(())
 }
 
@@ -593,7 +699,15 @@ mod tests {
         write_locator(&mut buf, OP_DELETE, 9, 1).unwrap();
         write_bare(&mut buf, OP_PING).unwrap();
         write_bare(&mut buf, OP_OK).unwrap();
-        write_chunk(&mut buf, digest, &payload).unwrap();
+        // Streamed two bytes at a time.
+        write_chunk(
+            &mut buf,
+            digest,
+            payload.len(),
+            &mut &payload[..],
+            &mut [0; 2],
+        )
+        .unwrap();
         write_err(&mut buf, ErrCode::NotFound).unwrap();
 
         let mut r = FrameReader::new();
@@ -894,6 +1008,131 @@ mod tests {
         );
         let _ = done_tx.send(());
         peer.join().unwrap();
+    }
+
+    /// One CHUNK reply as the server streams it, 64 bytes at a time.
+    fn chunk_reply(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let digest = chunk_digest(payload);
+        write_chunk(
+            &mut wire,
+            digest,
+            payload.len(),
+            &mut &payload[..],
+            &mut [0; 64],
+        )
+        .unwrap();
+        wire
+    }
+
+    #[test]
+    fn a_chunk_reply_lands_in_the_callers_buffer_and_nothing_else_changes() {
+        let chunk = 1000usize;
+        let payload: Vec<u8> = (0..chunk).map(|i| (i * 7 + 3) as u8).collect();
+        let wire = chunk_reply(&payload);
+        let mut r = FrameReader::new();
+        // Empty, short or longer than the payload going in: exactly the
+        // payload coming out.
+        for mut out in [Vec::new(), vec![0xAA; 3], vec![0x55; 2 * chunk + 1]] {
+            match r.read_chunk_into(&mut &wire[..], &mut out, None).unwrap() {
+                Ok(Frame::Chunk { digest, payload: p }) => {
+                    assert_eq!(digest, chunk_digest(&payload));
+                    assert_eq!(p, &payload[..]);
+                }
+                other => panic!("expected a chunk, got {other:?}"),
+            }
+            assert_eq!(out, payload);
+        }
+        assert_eq!(r.scratch.capacity(), 0, "the payload bypassed the scratch");
+
+        // Every other frame decodes as `read` decodes it, through the
+        // scratch, and leaves `out` alone.
+        let mut wire = Vec::new();
+        write_err(&mut wire, ErrCode::Corrupt).unwrap();
+        write_bare(&mut wire, OP_OK).unwrap();
+        write_locator(&mut wire, OP_GET, 5, 6).unwrap();
+        let mut short_chunk = 5u32.to_le_bytes().to_vec();
+        short_chunk.extend_from_slice(&[OP_CHUNK, 1, 2, 3, 4]);
+        wire.extend_from_slice(&short_chunk);
+        let mut cur = &wire[..];
+        let mut out = vec![9u8; 5];
+        let mut next = |out: &mut Vec<u8>| {
+            r.read_chunk_into(&mut cur, out, None)
+                .map(|f| format!("{:?}", f.unwrap()))
+        };
+        assert_eq!(next(&mut out).unwrap(), "Err { code: Corrupt }");
+        assert_eq!(next(&mut out).unwrap(), "Ok");
+        assert_eq!(next(&mut out).unwrap(), "Get { stripe: 5, lane: 6 }");
+        assert!(matches!(next(&mut out), Err(NodeError::Malformed(_))));
+        assert_eq!(out, [9; 5]);
+        assert!(r.scratch.capacity() < 64, "{}", r.scratch.capacity());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_chunk_reply_is_truncated_by_its_exact_count() {
+        let wire = chunk_reply(&[0x5Au8; 40]);
+        let mut r = FrameReader::new();
+        let mut out = Vec::new();
+        assert!(matches!(
+            r.read_chunk_into(&mut &wire[..0], &mut out, None).unwrap(),
+            Err(ReadEnd::CleanEof)
+        ));
+        for cut in 1..wire.len() {
+            // Inside the length prefix, the bytes it lacks; after it,
+            // the bytes of the body — as the scratch reader counts.
+            let missing = if cut < 4 { 4 - cut } else { wire.len() - cut };
+            let err = r
+                .read_chunk_into(&mut &wire[..cut], &mut out, None)
+                .unwrap_err();
+            assert!(
+                matches!(err, NodeError::Truncated { missing: m } if m == missing),
+                "cut at {cut}: {err:?}"
+            );
+            let err = read_one(&wire[..cut]).unwrap_err();
+            assert!(
+                matches!(err, NodeError::Truncated { missing: m } if m == missing),
+                "cut at {cut}, scratch reader: {err:?}"
+            );
+        }
+        // A reset counts the same as a close.
+        let mut s = FailAfter {
+            data: wire[..20].to_vec(),
+            pos: 0,
+            kind: ErrorKind::ConnectionReset,
+        };
+        let err = r.read_chunk_into(&mut s, &mut out, None).unwrap_err();
+        assert!(
+            matches!(err, NodeError::Truncated { missing } if missing == wire.len() - 20),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_oversized_chunk_reply_is_refused_before_out_is_resized() {
+        for len in [MAX_BODY as u32 + 1, u32::MAX] {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[OP_CHUNK; 9]);
+            let mut out = Vec::new();
+            let err = FrameReader::new()
+                .read_chunk_into(&mut &wire[..], &mut out, None)
+                .unwrap_err();
+            assert!(
+                matches!(err, NodeError::FrameTooLarge { len: l, .. } if l == len as u64),
+                "{err:?}"
+            );
+            assert_eq!(out.capacity(), 0);
+        }
+    }
+
+    #[test]
+    fn a_chunk_source_that_ends_early_is_an_error_after_what_it_had() {
+        let mut wire = Vec::new();
+        let err = write_chunk(&mut wire, 1, 10, &mut &[7u8; 4][..], &mut [0; 3]).unwrap_err();
+        assert!(
+            matches!(&err, NodeError::Io(e) if e.kind() == ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+        assert_eq!(wire.len(), 4 + CHUNK_HEAD + 4);
     }
 
     #[test]

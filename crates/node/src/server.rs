@@ -1,18 +1,29 @@
-//! The chunk-server daemon: a TCP accept loop, one handler thread per
-//! connection (capped), and an abrupt kill switch for failure drills.
+//! The chunk-server daemon: one blocking accept loop, a fixed pool of
+//! parked handler threads, and an abrupt kill switch for failure drills.
 //!
-//! Built on blocking `std::net` sockets with short read timeouts: the
-//! accept loop polls a stop flag between non-blocking accepts, and
-//! every handler polls the same flag whenever its socket read times
-//! out, so both [`ChunkServer::shutdown`] (graceful: drain, then join)
-//! and [`ChunkServer::kill`] (abrupt: stop answering mid-request, drop
-//! the listener) converge within one poll interval. `kill` is the
-//! load generator's failure injection — from the client's point of
-//! view it is indistinguishable from a machine going dark.
+//! Built on blocking `std::net` sockets, and nothing in it polls. The
+//! accept loop blocks in `accept` and hands each connection to a queue;
+//! [`ServerConfig::max_conn_threads`] handler threads, spawned at start
+//! and parked on that queue while idle, take one connection at a time
+//! and serve it until the peer hangs up — the cap on concurrent
+//! connections, mirroring how a DataNode caps its transceiver threads.
+//! Connections beyond the cap wait in the queue. A handler keeps its
+//! frame reader and its stream buffer from connection to connection.
 //!
-//! Concurrency is bounded by a counting gate (mutex + condvar) sized
-//! by [`ServerConfig::max_conn_threads`], mirroring how a DataNode caps
-//! its transceiver threads.
+//! Every accepted socket is registered (a clone of it) until its handler
+//! lets go. [`ChunkServer::kill`] raises the stop flag, shuts every
+//! registered socket down in both directions and wakes the accept loop
+//! with a connect of its own, after which the listener is dropped: the
+//! server is gone from the network when `kill` returns — a handler
+//! mid-request fails its next write, an idle pooled connection reads
+//! EOF, a new connect is refused — indistinguishable, to a client, from
+//! a machine going dark. It is the load generator's failure injection.
+//! [`ChunkServer::shutdown`] (and `Drop`) do the same and then join
+//! every thread.
+//!
+//! A GET streams the chunk file behind its stored digest through the
+//! handler's buffer; the reader checks the digest end to end (see
+//! [`crate::chunk_store`]).
 
 use crate::chunk_store::ChunkStore;
 use crate::error::{NodeError, Result};
@@ -21,10 +32,12 @@ use crate::lock;
 use crate::protocol::{
     write_bare, write_chunk, write_err, ErrCode, Frame, FrameReader, ReadEnd, OP_OK,
 };
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -33,16 +46,16 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Directory the chunk files live in (created if absent).
     pub data_dir: PathBuf,
-    /// Cap on concurrent connection-handler threads (default 8).
+    /// Handler threads, and so connections served at once (default 8).
     pub max_conn_threads: usize,
-    /// Socket read timeout; also the granularity at which handlers and
-    /// the accept loop notice a stop request.
+    /// Not read: the server no longer polls. It stays only because the
+    /// frozen `benchmark/` sets it, and goes with that harness's next
+    /// refresh (ROADMAP item 9(1)).
     pub poll_interval: Duration,
 }
 
 impl ServerConfig {
-    /// A config storing chunks under `data_dir` with the defaults: 8
-    /// handler threads, a 10 ms poll interval.
+    /// A config storing chunks under `data_dir` with 8 handler threads.
     pub fn new(data_dir: PathBuf) -> Self {
         Self {
             data_dir,
@@ -52,39 +65,30 @@ impl ServerConfig {
     }
 }
 
-/// Counting gate bounding concurrent handler threads.
+/// The handler's stream buffer: a GET's payload goes from the file to
+/// the socket through it, one piece at a time. 64 KiB measured as well
+/// as a whole chunk's worth and stays in cache.
+const STREAM_BUF: usize = 64 << 10;
+
+/// How long `accept` rests after an error that says the process or host
+/// is out of something, before it tries again.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
+
+/// A connection on its way to a handler, numbered for the registry.
+type Accepted = (u64, TcpStream);
+
+/// What the accept loop and every handler share.
 #[derive(Debug)]
-struct ConnGate {
-    active: Mutex<usize>,
-    freed: Condvar,
-    cap: usize,
+struct Shared {
+    stop: AtomicBool,
+    /// A clone of every accepted socket its handler has not yet let go
+    /// of: what `kill` shuts down.
+    live: Mutex<Vec<Accepted>>,
 }
 
-impl ConnGate {
-    fn acquire(&self) {
-        let mut n = lock(&self.active);
-        while *n >= self.cap {
-            n = self.freed.wait(n).unwrap_or_else(PoisonError::into_inner);
-        }
-        *n += 1;
-    }
-
-    fn release(&self) {
-        let mut n = lock(&self.active);
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.freed.notify_all();
-    }
-
-    fn wait_idle(&self, poll: Duration) {
-        let mut n = lock(&self.active);
-        while *n > 0 {
-            let (guard, _) = self
-                .freed
-                .wait_timeout(n, poll)
-                .unwrap_or_else(PoisonError::into_inner);
-            n = guard;
-        }
+impl Shared {
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
     }
 }
 
@@ -92,10 +96,10 @@ impl ConnGate {
 #[derive(Debug)]
 pub struct ChunkServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    gate: Arc<ConnGate>,
-    accept_handle: Option<JoinHandle<()>>,
-    poll_interval: Duration,
+    shared: Arc<Shared>,
+    /// Taken and joined by the first of `kill`, `shutdown` and `Drop`.
+    accept: Mutex<Option<JoinHandle<()>>>,
+    handlers: Vec<JoinHandle<()>>,
     data_dir: PathBuf,
 }
 
@@ -104,32 +108,39 @@ impl ChunkServer {
     pub fn start(cfg: ServerConfig) -> Result<ChunkServer> {
         let store = Arc::new(ChunkStore::open(&cfg.data_dir)?);
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(ConnGate {
-            active: Mutex::new(0),
-            freed: Condvar::new(),
-            cap: cfg.max_conn_threads.max(1),
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            live: Mutex::new(Vec::new()),
         });
+        let (queue_tx, queue_rx) = mpsc::channel::<Accepted>();
+        let queue_rx = Arc::new(Mutex::new(queue_rx));
 
-        let accept_stop = Arc::clone(&stop);
-        let accept_gate = Arc::clone(&gate);
-        let poll = cfg.poll_interval;
-        let accept_handle = std::thread::Builder::new()
+        let accept_shared = Arc::clone(&shared);
+        let accept = std::thread::Builder::new()
             .name(format!("xorbas-accept-{}", addr.port()))
-            .spawn(move || {
-                accept_loop(listener, store, accept_stop, accept_gate, poll);
-            })?;
-
-        Ok(ChunkServer {
+            .spawn(move || accept_loop(&listener, &accept_shared, &queue_tx))?;
+        // From here on a failed spawn drops `server`, whose `Drop` stops
+        // and joins what did start.
+        let mut server = ChunkServer {
             addr,
-            stop,
-            gate,
-            accept_handle: Some(accept_handle),
-            poll_interval: cfg.poll_interval,
+            shared,
+            accept: Mutex::new(Some(accept)),
+            handlers: Vec::new(),
             data_dir: cfg.data_dir,
-        })
+        };
+        for _ in 0..cfg.max_conn_threads.max(1) {
+            let (shared, queue, store) = (
+                Arc::clone(&server.shared),
+                Arc::clone(&queue_rx),
+                Arc::clone(&store),
+            );
+            let handler = std::thread::Builder::new()
+                .name(format!("xorbas-conn-{}", addr.port()))
+                .spawn(move || handler_loop(&shared, &queue, &store))?;
+            server.handlers.push(handler);
+        }
+        Ok(server)
     }
 
     /// Where the server listens.
@@ -144,94 +155,145 @@ impl ChunkServer {
 
     /// Abrupt failure injection: stop accepting, stop answering, drop
     /// in-flight requests. The process keeps running; the server is
-    /// simply gone from the network within one poll interval.
+    /// gone from the network when this returns (see the module docs).
     pub fn kill(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Under the registry lock, which the accept loop also takes to
+        // register: a connection it accepted as the flag went up is
+        // either registered already, and shut down here, or sees the
+        // flag and is dropped there.
+        for (_, stream) in lock(&self.shared.live).iter() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        if let Some(accept) = lock(&self.accept).take() {
+            // Wake the blocking `accept`, which then sees the flag and
+            // returns, dropping the listener: connects are refused from
+            // here on.
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+            let _ = accept.join();
+        }
     }
 
     /// Whether [`ChunkServer::kill`] (or shutdown) has been requested.
     pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.shared.stopped()
     }
 
-    /// Graceful stop: raise the flag, join the accept loop, wait for
-    /// handler threads to drain.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-        self.gate.wait_idle(self.poll_interval);
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+    /// Stop: [`ChunkServer::kill`], then join every handler thread.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ChunkServer {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.kill();
+        // With the accept loop gone the queue's sender is dropped, and a
+        // handler that finds the queue empty and closed exits.
+        for handler in self.handlers.drain(..) {
+            let _ = handler.join();
+        }
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    store: Arc<ChunkStore>,
-    stop: Arc<AtomicBool>,
-    gate: Arc<ConnGate>,
-    poll: Duration,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                gate.acquire();
-                let store = Arc::clone(&store);
-                let stop = Arc::clone(&stop);
-                let gate2 = Arc::clone(&gate);
-                let spawned = std::thread::Builder::new()
-                    .name("xorbas-conn".into())
-                    .spawn(move || {
-                        let _ = handle_conn(stream, &store, &stop, poll);
-                        gate2.release();
-                    });
-                if spawned.is_err() {
-                    // Spawn failure: give the slot back and drop the
-                    // connection (the client will retry).
-                    gate.release();
+/// What the accept loop does after `accept` fails: nothing but the stop
+/// flag ends it, or one bad connection — or a brief shortage of file
+/// descriptors — would leave a server whose handlers still serve its
+/// pooled connections but that refuses every new one.
+#[derive(Debug, PartialEq, Eq)]
+enum AfterAcceptError {
+    /// The error belonged to one connection (reset or aborted before it
+    /// was accepted, a signal): accept the next at once.
+    Retry,
+    /// Anything else, such as a full descriptor table: retrying at once
+    /// would spin, so rest [`ACCEPT_PAUSE`] first.
+    Pause,
+}
+
+fn after_accept_error(kind: ErrorKind) -> AfterAcceptError {
+    match kind {
+        ErrorKind::ConnectionAborted
+        | ErrorKind::ConnectionReset
+        | ErrorKind::Interrupted
+        | ErrorKind::WouldBlock
+        | ErrorKind::TimedOut => AfterAcceptError::Retry,
+        _ => AfterAcceptError::Pause,
+    }
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Shared, queue: &mpsc::Sender<Accepted>) {
+    let mut next_id = 0u64;
+    while !shared.stopped() {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) => {
+                if after_accept_error(e.kind()) == AfterAcceptError::Pause {
+                    std::thread::sleep(ACCEPT_PAUSE);
                 }
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll.min(Duration::from_millis(1)));
+        };
+        // Without a registered clone `kill` could not reach it; drop it
+        // and let the client retry.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let id = next_id;
+        next_id += 1;
+        {
+            let mut live = lock(&shared.live);
+            if shared.stopped() {
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            live.push((id, clone));
+        }
+        if queue.send((id, stream)).is_err() {
+            // No handler is left to take it.
+            forget(shared, id);
         }
     }
-    // Dropping the listener here closes the port: subsequent connects
-    // are refused, which the client maps to a dead server.
+    // Returning drops the listener, which closes the port, and the
+    // queue's sender, which lets idle handlers exit.
+}
+
+/// Drops the registry's clone of connection `id`.
+fn forget(shared: &Shared, id: u64) {
+    lock(&shared.live).retain(|&(n, _)| n != id);
+}
+
+/// One handler thread: takes connections off the queue, one at a time,
+/// until the queue is closed and empty. A connection still queued when
+/// the stop flag goes up is closed unserved.
+fn handler_loop(shared: &Shared, queue: &Mutex<mpsc::Receiver<Accepted>>, store: &ChunkStore) {
+    let mut reader = FrameReader::new();
+    let mut buf = vec![0u8; STREAM_BUF];
+    loop {
+        let next = lock(queue).recv();
+        let Ok((id, stream)) = next else {
+            return;
+        };
+        if !shared.stopped() {
+            let _ = serve(&stream, store, shared, &mut reader, &mut buf);
+        }
+        // With the clone gone, dropping `stream` closes the socket.
+        forget(shared, id);
+    }
 }
 
 /// Serves one connection until the peer hangs up, a protocol error
-/// desynchronizes the stream, or the stop flag is raised.
-fn handle_conn(
-    stream: TcpStream,
+/// desynchronizes the stream, or the server is killed.
+fn serve(
+    stream: &TcpStream,
     store: &ChunkStore,
-    stop: &AtomicBool,
-    poll: Duration,
+    shared: &Shared,
+    reader: &mut FrameReader,
+    buf: &mut [u8],
 ) -> Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(poll))?;
-    let mut rd = &stream;
-    let mut wr = &stream;
-    let mut reader = FrameReader::new();
-    let mut chunk_buf: Vec<u8> = Vec::new();
+    let mut rd = stream;
+    let mut wr = stream;
     loop {
-        let frame = match reader.read(&mut rd, Some(stop)) {
+        let frame = match reader.read(&mut rd, None) {
             Ok(Ok(frame)) => frame,
             Ok(Err(ReadEnd::CleanEof | ReadEnd::Stopped | ReadEnd::Disconnected)) => return Ok(()),
             Err(NodeError::FrameTooLarge { .. }) => {
@@ -246,17 +308,19 @@ fn handle_conn(
             }
             Err(_) => return Ok(()),
         };
-        if stop.load(Ordering::SeqCst) {
+        if shared.stopped() {
             // Killed mid-stream: go dark without a reply, like a
             // machine losing power.
             return Ok(());
         }
         // xlint::hot-path(serve-read) begin
-        // The steady-state request loop: every arm reuses `chunk_buf`
-        // and the reader's scratch; nothing here may allocate.
+        // The steady-state request loop: every arm reuses `buf` and the
+        // reader's scratch; nothing here may allocate.
         match frame {
-            Frame::Get { stripe, lane } => match store.get_into(stripe, lane, &mut chunk_buf) {
-                Ok(digest) => write_chunk(&mut wr, digest, &chunk_buf)?,
+            Frame::Get { stripe, lane } => match store.open_chunk(stripe, lane) {
+                Ok(mut chunk) => {
+                    write_chunk(&mut wr, chunk.digest, chunk.len, &mut chunk.file, buf)?
+                }
                 Err(NodeError::ChunkNotFound { .. }) => write_err(&mut wr, ErrCode::NotFound)?,
                 Err(NodeError::ChunkCorrupt { .. }) => write_err(&mut wr, ErrCode::Corrupt)?,
                 Err(_) => write_err(&mut wr, ErrCode::Io)?,
@@ -376,6 +440,145 @@ mod tests {
                 code: ErrCode::TooLarge
             }
         );
+        srv.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn ping(stream: &TcpStream) -> Frame<'static> {
+        write_bare(&mut &*stream, crate::protocol::OP_PING).unwrap();
+        read_reply(stream)
+    }
+
+    /// What a client reads from a connection the server has dropped:
+    /// never a frame.
+    fn assert_dark(stream: &TcpStream) {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        match FrameReader::new().read(&mut &*stream, None) {
+            Ok(Err(ReadEnd::CleanEof | ReadEnd::Disconnected)) => {}
+            Err(NodeError::Io(e)) if e.kind() != ErrorKind::WouldBlock => {}
+            other => panic!("a dropped connection answered: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn accept_errors_never_end_the_loop() {
+        use AfterAcceptError::{Pause, Retry};
+        // One connection's trouble: the next accept goes ahead at once.
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::Interrupted,
+        ] {
+            assert_eq!(after_accept_error(kind), Retry, "{kind:?}");
+        }
+        // Out of descriptors (EMFILE, ENFILE) or memory: rest, then go on.
+        for kind in [
+            std::io::Error::from_raw_os_error(24).kind(),
+            std::io::Error::from_raw_os_error(23).kind(),
+            ErrorKind::OutOfMemory,
+            ErrorKind::Other,
+        ] {
+            assert_eq!(after_accept_error(kind), Pause, "{kind:?}");
+        }
+    }
+
+    /// `shutdown` needs no client to hang up and no poll to come round:
+    /// the one handler sits on an idle pooled connection and a second
+    /// connection waits in the queue behind it, unserved.
+    #[test]
+    fn shutdown_is_prompt_past_an_idle_connection_and_a_queued_one() {
+        let dir = scratch_dir("prompt");
+        let mut cfg = ServerConfig::new(dir.clone());
+        cfg.max_conn_threads = 1;
+        let srv = ChunkServer::start(cfg).unwrap();
+        let idle = TcpStream::connect(srv.addr()).unwrap();
+        assert_eq!(ping(&idle), Frame::Ok);
+        let queued = TcpStream::connect(srv.addr()).unwrap();
+        write_bare(&mut &queued, crate::protocol::OP_PING).unwrap();
+        queued
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        let unanswered = std::io::Read::read(&mut &queued, &mut byte).unwrap_err();
+        assert_eq!(unanswered.kind(), ErrorKind::WouldBlock);
+
+        let started = std::time::Instant::now();
+        srv.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+        assert_dark(&idle);
+        assert_dark(&queued);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn after_kill_an_idle_connection_reads_eof_and_connects_are_refused() {
+        let (srv, dir) = start("killidle");
+        let idle = TcpStream::connect(srv.addr()).unwrap();
+        assert_eq!(ping(&idle), Frame::Ok);
+        srv.kill();
+        idle.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert!(matches!(
+            FrameReader::new().read(&mut &idle, None).unwrap(),
+            Err(ReadEnd::CleanEof)
+        ));
+        assert!(TcpStream::connect(srv.addr()).is_err());
+        drop(srv);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A chunk file whose header or length is wrong is refused with
+    /// `ERR Corrupt` before a payload byte is sent — the connection stays
+    /// in step, so the next request on it is answered. A file that is
+    /// whole but rotten is streamed whole, behind the digest it was
+    /// stored with, for the reader to catch.
+    #[test]
+    fn a_damaged_chunk_file_is_refused_and_a_rotten_one_is_sent_whole() {
+        let (srv, dir) = start("damaged");
+        let store = ChunkStore::open(&dir).unwrap();
+        let stream = TcpStream::connect(srv.addr()).unwrap();
+        let payload: Vec<u8> = (0..3000u32).map(|i| (i * 31) as u8).collect();
+        let digest = chunk_digest(&payload);
+        for lane in 0..4 {
+            write_put(&mut &stream, 1, lane, digest, &payload).unwrap();
+            assert_eq!(read_reply(&stream), Frame::Ok);
+        }
+        let edit = |lane, f: fn(&mut Vec<u8>)| {
+            let path = store.chunk_path(1, lane);
+            let mut bytes = std::fs::read(&path).unwrap();
+            f(&mut bytes);
+            std::fs::write(&path, bytes).unwrap();
+        };
+        edit(0, |b| b.truncate(b.len() - 1));
+        edit(1, |b| b.push(0));
+        edit(2, |b| b[0] ^= 1);
+        edit(3, |b| *b.last_mut().unwrap() ^= 1);
+
+        for lane in 0..3 {
+            write_locator(&mut &stream, OP_GET, 1, lane).unwrap();
+            assert_eq!(
+                read_reply(&stream),
+                Frame::Err {
+                    code: ErrCode::Corrupt
+                },
+                "lane {lane}"
+            );
+        }
+        write_locator(&mut &stream, OP_GET, 1, 3).unwrap();
+        match read_reply(&stream) {
+            Frame::Chunk {
+                digest: d,
+                payload: p,
+            } => {
+                assert_eq!(d, digest);
+                assert_eq!(p.len(), payload.len());
+                assert_ne!(chunk_digest(p), digest);
+            }
+            other => panic!("expected the rotten chunk whole, got {other:?}"),
+        }
+        assert_eq!(ping(&stream), Frame::Ok);
         srv.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -167,11 +167,19 @@ impl Cluster {
     /// Flips one payload byte of `(stripe, lane)` behind the back of the
     /// server the directory maps it to — silent bit rot.
     pub fn rot_chunk(&self, stripe: u64, lane: usize) {
+        self.edit_chunk(stripe, lane, |bytes| {
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x01;
+        });
+    }
+
+    /// Rewrites the file of `(stripe, lane)`, header and all, on the
+    /// server the directory maps it to.
+    pub fn edit_chunk(&self, stripe: u64, lane: usize, edit: impl FnOnce(&mut Vec<u8>)) {
         let sid = self.lock_dir().servers_of(stripe).unwrap()[lane];
         let path = self.chunk_path(sid, stripe, lane);
         let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
+        edit(&mut bytes);
         std::fs::write(&path, bytes).unwrap();
     }
 

@@ -125,38 +125,61 @@ fn stripe_user_offset(manifest: &xorbas_node::Manifest, stripe: u64, lane: u32) 
     (idx * k + lane as usize) * CHUNK
 }
 
+/// Rot and damage on a server's disk cost a lane, never the server. A
+/// bit-flipped chunk is streamed whole behind the digest it was stored
+/// with, and the reader's check catches it; a truncated file and one
+/// with a damaged header are refused by the server with `ERR Corrupt`
+/// before a payload byte is sent. Either way the read is degraded, the
+/// directory lists the lane corrupt, and the server stays alive.
+/// (Without the server's length check the truncated chunk is sent
+/// short, the client sees `Truncated`, and a live server is declared
+/// dead.)
 #[test]
 fn checksum_mismatch_routes_into_degraded_read() {
     let cluster = Cluster::boot(5, "corrupt");
-    let mut client = cluster.client(CodeSpec::LRC_10_6_5);
-    let k = CodeSpec::LRC_10_6_5.data_blocks();
-    let data = test_file(k * CHUNK);
+    let spec = CodeSpec::LRC_10_6_5;
+    let mut client = cluster.client(spec);
+    let k = spec.data_blocks();
+    let data = test_file(3 * k * CHUNK);
     let manifest = client.put(&data).unwrap();
-    let stripe = manifest.stripes[0].id;
-
-    // The server detects the digest mismatch on read and answers with
-    // a typed Corrupt error; the client treats it as an erasure.
-    cluster.rot_chunk(stripe, 0);
+    let damage: [fn(&mut Vec<u8>); 3] = [
+        |bytes| *bytes.last_mut().unwrap() ^= 0x01,
+        |bytes| bytes.truncate(bytes.len() - 1),
+        |bytes| bytes[0] ^= 0x01,
+    ];
+    for (stripe, edit) in manifest.stripes.iter().zip(damage) {
+        cluster.edit_chunk(stripe.id, 0, edit);
+    }
 
     let mut buf = Vec::new();
-    let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
-    assert!(
-        matches!(kind, ReadKind::Degraded { light: true }),
-        "a single corrupt LRC data chunk decodes from its local group, got {kind:?}"
-    );
-    assert_eq!(&buf[..], &data[..CHUNK], "reconstructed bytes are exact");
-    assert!(cluster.lock_dir().is_corrupt(stripe, 0));
+    for (pos, stripe) in manifest.stripes.iter().enumerate() {
+        let kind = client.read_data_chunk(stripe.id, 0, &mut buf).unwrap();
+        assert!(
+            matches!(kind, ReadKind::Degraded { light: true }),
+            "stripe {pos}: a single corrupt LRC data chunk decodes from its local group, got {kind:?}"
+        );
+        let at = pos * k * CHUNK;
+        assert!(buf == data[at..at + CHUNK], "stripe {pos}: rebuilt bytes");
+        let d = cluster.lock_dir();
+        let holder = stripe.servers[0];
+        assert!(d.is_alive(holder), "stripe {pos}: server {holder} dead");
+        assert!(d.is_corrupt(stripe.id, 0), "stripe {pos}");
+    }
 
-    // Repair overwrites the bad replica and clears the flag; the chunk
-    // then reads directly again.
-    let agent = cluster.agent(CodeSpec::LRC_10_6_5);
+    // Repair overwrites the bad replicas and clears the flags; the
+    // chunks then read directly again.
+    let agent = cluster.agent(spec);
     assert!(agent.wait_until_repaired(Duration::from_secs(30)));
-    assert_eq!(settled_stats(&agent, 1).light_repairs, 1);
+    assert_eq!(settled_stats(&agent, 3).light_repairs, 3);
     agent.shutdown();
-    assert!(!cluster.lock_dir().is_corrupt(stripe, 0));
-    let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
-    assert!(matches!(kind, ReadKind::Direct));
-    assert_eq!(&buf[..], &data[..CHUNK]);
+    for (pos, stripe) in manifest.stripes.iter().enumerate() {
+        assert!(!cluster.lock_dir().is_corrupt(stripe.id, 0));
+        let kind = client.read_data_chunk(stripe.id, 0, &mut buf).unwrap();
+        assert!(matches!(kind, ReadKind::Direct), "stripe {pos}: {kind:?}");
+        let at = pos * k * CHUNK;
+        assert!(buf == data[at..at + CHUNK], "stripe {pos}");
+    }
+    assert_eq!(cluster.lock_dir().alive_count(), 5);
 
     cluster.teardown();
 }
