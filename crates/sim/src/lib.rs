@@ -35,8 +35,8 @@
 //! lost-block index, a slab-indexed event queue, lazy sparse network
 //! rate recomputation, and bounded self-coarsening metric series. See
 //! the module docs of [`hdfs`], [`engine`], [`network`] and [`metrics`]
-//! for the specific structures, and `benches/sim_scale.rs` in
-//! `xorbas_bench` for measured events/sec.
+//! for the specific structures, and the repository's
+//! `examples/sim_scale.rs` for measured events/sec on repair storms.
 //!
 //! See [`experiment`] for canned §5 scenario builders, and the
 //! repository's `docs/ARCHITECTURE.md` for the cross-crate tour.

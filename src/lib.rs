@@ -51,11 +51,12 @@
 //!
 //! See `examples/` for cluster-scale scenarios (start with
 //! `examples/quickstart.rs`, then `examples/warehouse_year.rs` for a
-//! simulated year on the 3000-node warehouse fleet), `crates/bench` for
-//! the harnesses that regenerate every table and figure of the paper,
-//! and the repository's `README.md` / `docs/ARCHITECTURE.md` for the
-//! workspace tour — including the codec surface and the SIMD kernel
-//! dispatch layer.
+//! simulated year on the 3000-node warehouse fleet),
+//! `tests/claims/mod.rs` for the paper's evaluation as one claim table
+//! (each row the paper's value, ours and a tolerance), and the
+//! repository's `README.md` / `docs/ARCHITECTURE.md` for the workspace
+//! tour — including the codec surface and the SIMD kernel dispatch
+//! layer.
 
 #![forbid(unsafe_code)]
 

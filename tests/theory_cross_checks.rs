@@ -97,34 +97,57 @@ fn theorem2_bound_consistent_between_crates() {
 fn flowgraph_feasibility_matches_constructed_code_distance() {
     // (k=4, g=2, r=2, implied): n = 4 + 2 + 2 = 8, (r+1) | n fails (3 ∤ 8),
     // so use (k=6, g=2, r=2, stored): n = 6 + 2 + 3 + 1 = 12, (r+1) | 12 ✓.
-    let spec = LrcSpec {
+    // Then the locality sweep at k = 12 with 4 global parities: every r
+    // keeps the Theorem-2 bound, and r = 3 (n = 20) meets the gadget's
+    // (r+1) | n assumption.
+    let stored = LrcSpec {
         k: 6,
         global_parities: 2,
         group_size: 2,
         implied_parity: false,
     };
-    let lrc: Lrc = Lrc::new(spec).unwrap();
-    let n = lrc.total_blocks();
-    let k = spec.k;
-    let r = spec.locality();
-    assert_eq!(n % (r + 1), 0, "gadget assumption");
-    let d = minimum_distance(lrc.generator());
-    // Achievability: the gadget must admit the distance our construction
-    // actually reaches…
-    assert!(
-        all_collectors_feasible(GadgetParams { k, n, r, d }),
-        "constructed d = {d} must be feasible"
-    );
-    // …and refuse anything beyond the Theorem-2 bound.
-    let bound = lrc_distance_bound(n, k, r);
-    if bound < n - k + 1 {
-        assert!(!all_collectors_feasible(GadgetParams {
-            k,
-            n,
-            r,
-            d: bound + 1
-        }));
+    let sweep = [2, 3, 4, 6, 12].map(|group_size| LrcSpec {
+        k: 12,
+        global_parities: 4,
+        group_size,
+        implied_parity: true,
+    });
+    let mut gadgets = 0;
+    for spec in std::iter::once(stored).chain(sweep) {
+        let lrc: Lrc = Lrc::new(spec).unwrap();
+        let n = lrc.total_blocks();
+        let k = spec.k;
+        let r = spec.group_size;
+        let d = minimum_distance(lrc.generator());
+        let bound = lrc_distance_bound(n, k, r);
+        assert!(
+            d <= bound,
+            "{spec:?}: d = {d} over the Theorem-2 bound {bound}"
+        );
+        if n % (r + 1) != 0 {
+            continue; // outside the gadget's assumption
+        }
+        gadgets += 1;
+        // Achievability: the gadget must admit the distance our
+        // construction actually reaches…
+        assert!(
+            all_collectors_feasible(GadgetParams { k, n, r, d }),
+            "{spec:?}: constructed d = {d} must be feasible"
+        );
+        // …and refuse anything beyond the Theorem-2 bound.
+        if bound < n - k + 1 {
+            assert!(!all_collectors_feasible(GadgetParams {
+                k,
+                n,
+                r,
+                d: bound + 1
+            }));
+        }
     }
+    assert_eq!(
+        gadgets, 2,
+        "the k = 6 stored code and the k = 12, r = 3 one"
+    );
 }
 
 #[test]
@@ -146,9 +169,23 @@ fn codespec_constants_agree_with_codecs() {
         lrc.repair_plan(&[0]).unwrap().blocks_read(),
         CodeSpec::LRC_10_6_5.single_repair_reads()
     );
-    let rs: ReedSolomon = ReedSolomon::new(10, 4).unwrap();
-    assert_eq!(
-        rs.repair_plan(&[0]).unwrap().blocks_read(),
-        CodeSpec::RS_10_4.single_repair_reads()
-    );
+    // §7's archival stripes: an RS data block reads all k others, an
+    // LRC data block only its 10-block group, however wide the stripe.
+    for k in [10, 20, 50, 100] {
+        let rs: ReedSolomon = ReedSolomon::new(k, 4).unwrap();
+        let reads = rs.repair_plan(&[0]).unwrap().blocks_read();
+        assert_eq!(
+            reads,
+            CodeSpec::ReedSolomon { k, m: 4 }.single_repair_reads()
+        );
+        assert_eq!(reads, k);
+        let lrc: Lrc = Lrc::new(LrcSpec {
+            k,
+            global_parities: 4,
+            group_size: 10,
+            implied_parity: true,
+        })
+        .unwrap();
+        assert_eq!(lrc.repair_plan(&[0]).unwrap().blocks_read(), 10, "k = {k}");
+    }
 }
