@@ -6,10 +6,9 @@
 use std::path::PathBuf;
 
 /// Names of every shipped rule, in reporting order.
-pub const ALL_RULES: [&str; 6] = [
+pub const ALL_RULES: [&str; 5] = [
     "unsafe-containment",
     "safety-comment-coverage",
-    "dispatch-completeness",
     "hot-path-no-alloc",
     "no-panic-in-lib",
     "env-knob-registry",
@@ -26,14 +25,6 @@ pub struct Config {
     pub rules: Vec<&'static str>,
     /// Files allowed to contain `unsafe` (relative, forward slashes).
     pub unsafe_allowlist: Vec<String>,
-    /// The file holding the `KernelSuite`/`KernelBackend` dispatch
-    /// tables that `dispatch-completeness` parses.
-    pub dispatch_file: String,
-    /// `(suite static name fragment, required fn-name prefix)` pairs:
-    /// every field of a suite whose name contains the fragment must
-    /// mention the prefix (catches a backend wired to another backend's
-    /// kernels).
-    pub backend_prefixes: Vec<(String, String)>,
     /// The checked-in no-panic baseline, relative to `root`.
     pub baseline_path: String,
     /// The knob-registry document, relative to `root`.
@@ -56,11 +47,6 @@ impl Default for Config {
                 "crates/gf/src/simd.rs".to_owned(),
                 // The counting global allocator behind the zero-alloc pins.
                 "crates/core/tests/zero_alloc.rs".to_owned(),
-            ],
-            dispatch_file: "crates/gf/src/simd.rs".to_owned(),
-            backend_prefixes: vec![
-                ("SSSE3_SUITE".to_owned(), "ssse3_".to_owned()),
-                ("AVX2_SUITE".to_owned(), "avx2_".to_owned()),
             ],
             baseline_path: "crates/analyze/no_panic_baseline.txt".to_owned(),
             arch_doc: "docs/ARCHITECTURE.md".to_owned(),

@@ -2,15 +2,15 @@
 //!
 //! A std-only, registry-free static analyzer that proves the
 //! project-specific invariants CI otherwise takes on faith: unsafe
-//! containment and safety-contract coverage, kernel-dispatch table
-//! completeness, hot-path allocation freedom, the no-panic burn-down
-//! ratchet, and the env-knob registry. See `docs/ARCHITECTURE.md`
-//! ("Static analysis") for the rule catalog and annotation conventions.
+//! containment and safety-contract coverage, hot-path allocation
+//! freedom, the no-panic burn-down ratchet, and the env-knob registry.
+//! See `docs/ARCHITECTURE.md` ("Static analysis") for the rule catalog
+//! and annotation conventions.
 //!
 //! The engine is deliberately *lexical*: a literal-aware lexer
 //! ([`lexer`]) splits every line into code and comment channels, and
 //! rules match tokens against the code channel (plus light brace-based
-//! structure where needed, e.g. the `KernelSuite` initializer parse).
+//! structure where needed, e.g. the extent of a hot-path item).
 //! No `syn`, no registry dependencies — the analyzer must build in the
 //! same sealed container as the workspace it checks.
 //!
@@ -19,7 +19,7 @@
 //! | [`lexer`] | string/char/comment/raw-string aware line splitter |
 //! | [`workspace`] | file walking, brace matching, `xlint::` directives |
 //! | [`config`] | rule set, allowlists, project anchors |
-//! | [`rules`] | the six shipped rules |
+//! | [`rules`] | the five shipped rules |
 //! | [`diag`] | diagnostics, human and JSON rendering |
 
 #![forbid(unsafe_code)]
@@ -48,7 +48,6 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
                 rules::unsafe_containment::run(&ws, cfg, &mut report)
             }
             rules::safety_comments::NAME => rules::safety_comments::run(&ws, cfg, &mut report),
-            rules::dispatch::NAME => rules::dispatch::run(&ws, cfg, &mut report),
             rules::hot_path::NAME => rules::hot_path::run(&ws, cfg, &mut report),
             rules::no_panic::NAME => rules::no_panic::run(&ws, cfg, &mut report),
             rules::env_knobs::NAME => rules::env_knobs::run(&ws, cfg, &mut report),

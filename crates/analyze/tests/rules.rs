@@ -92,42 +92,6 @@ fn safety_comments_flags_missing_contracts() {
     );
 }
 
-// ----- dispatch-completeness ----------------------------------------
-
-#[test]
-fn dispatch_good_tree_is_clean() {
-    assert_clean(&run_rule("dispatch", "good", "dispatch-completeness"));
-}
-
-#[test]
-fn dispatch_flags_miswired_and_incomplete_tables() {
-    let report = run_rule("dispatch", "bad", "dispatch-completeness");
-    let simd = "crates/gf/src/simd.rs";
-    assert_eq!(
-        keys(&report),
-        vec![
-            ("dispatch-completeness", simd, 16),
-            ("dispatch-completeness", simd, 37),
-            ("dispatch-completeness", simd, 40),
-            ("dispatch-completeness", simd, 40),
-        ]
-    );
-    assert!(report.diagnostics[0]
-        .message
-        .contains("`KernelBackend::ALL` is missing variant `Avx2`"));
-    assert!(report.diagnostics[1]
-        .message
-        .contains("does not reference a `ssse3_*` kernel"));
-    let at_40: Vec<&str> = report.diagnostics[2..]
-        .iter()
-        .map(|d| d.message.as_str())
-        .collect();
-    assert!(at_40.iter().any(|m| m.contains("functional update")));
-    assert!(at_40
-        .iter()
-        .any(|m| m.contains("does not assign `KernelSuite` field `mul_multi`")));
-}
-
 // ----- hot-path-no-alloc --------------------------------------------
 
 #[test]

@@ -14,11 +14,11 @@
 //! as the primitive element `α`, matching the Vandermonde parity-check
 //! construction `[H]_{i,j} = α^{(i-1)(j-1)}` of the paper's Appendix D.
 //!
-//! Payload-slice kernels dispatch at runtime to SIMD implementations
-//! (split-nibble `PSHUFB`/`VPSHUFB` on x86) with a portable scalar
-//! fallback — see the [`slice_ops`] module docs for the selection story,
-//! and the repository's `docs/ARCHITECTURE.md` for the
-//! `XORBAS_KERNEL_BACKEND` override knob.
+//! Payload-slice kernels dispatch at runtime to an AVX2 implementation
+//! (split-nibble `VPSHUFB` on x86) with a portable scalar fallback — see
+//! the [`slice_ops`] module docs for the selection story, and the
+//! repository's `docs/ARCHITECTURE.md` for the `XORBAS_KERNEL_BACKEND`
+//! override knob.
 //!
 //! # Module map (paper section → module)
 //!

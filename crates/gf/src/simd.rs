@@ -8,13 +8,13 @@
 //! exactly what `PSHUFB`/`VPSHUFB` compute for a whole vector of bytes
 //! per instruction.
 //!
-//! Three backends implement the same [`KernelSuite`] contract — three
+//! Two backends implement the same [`KernelSuite`] contract — three
 //! fused multi-source row kernels, the only shape the codecs issue:
 //!
 //! * **scalar** — portable Rust: 256-entry product-row lookups (the
 //!   nibble tables expanded once per call) and a `u64`-wide XOR. The
-//!   universal fallback, always available.
-//! * **ssse3** — 128-bit `PSHUFB` kernels.
+//!   universal fallback, always available, and the reference the
+//!   equivalence tests hold the vector kernels to.
 //! * **avx2** — 256-bit `VPSHUFB` kernels (the 16-entry tables broadcast
 //!   to both 128-bit lanes).
 //!
@@ -190,7 +190,7 @@ pub(crate) const MAX_FUSE: usize = 16;
 
 /// How many general (non-unit) sources a GF(2^16) fused batch carries:
 /// bounds the scalar backend's expanded split rows (8 × 1 KiB on the
-/// stack) and the SIMD backends' live table state (8 × 128 B).
+/// stack) and the AVX2 backend's live table state (8 × 128 B).
 pub(crate) const WIDE16_FUSE: usize = 8;
 
 /// A fused multi-source multiply kernel over per-source tables of type
@@ -236,26 +236,19 @@ pub(crate) struct KernelSuite {
 pub enum KernelBackend {
     /// Portable Rust: product-row lookups and `u64`-wide XOR.
     Scalar,
-    /// 128-bit split-nibble `PSHUFB` kernels (x86/x86_64).
-    Ssse3,
     /// 256-bit split-nibble `VPSHUFB` kernels (x86/x86_64).
     Avx2,
 }
 
 impl KernelBackend {
     /// Every backend this build knows about, portable first.
-    pub const ALL: [KernelBackend; 3] = [
-        KernelBackend::Scalar,
-        KernelBackend::Ssse3,
-        KernelBackend::Avx2,
-    ];
+    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
-    /// The backend's lowercase name (`"scalar"`, `"ssse3"`, `"avx2"`),
-    /// as accepted by the `XORBAS_KERNEL_BACKEND` override.
+    /// The backend's lowercase name (`"scalar"`, `"avx2"`), as accepted
+    /// by the `XORBAS_KERNEL_BACKEND` override.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Ssse3 => "ssse3",
             KernelBackend::Avx2 => "avx2",
         }
     }
@@ -274,8 +267,6 @@ impl KernelBackend {
         match self {
             KernelBackend::Scalar => true,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            KernelBackend::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
             _ => false,
@@ -290,7 +281,7 @@ impl KernelBackend {
     /// The process-wide backend the module-level kernels dispatch to.
     ///
     /// Chosen once, on first use: the best supported backend
-    /// (avx2 → ssse3 → scalar), unless overridden by the environment —
+    /// (avx2, else scalar), unless overridden by the environment —
     /// see the [`crate::slice_ops`] module docs for the variables.
     pub fn active() -> KernelBackend {
         active_suite().backend
@@ -304,10 +295,8 @@ impl KernelBackend {
 pub(crate) fn suite_for(backend: KernelBackend) -> &'static KernelSuite {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
-        match backend {
-            KernelBackend::Avx2 if backend.is_supported() => return &x86::AVX2_SUITE,
-            KernelBackend::Ssse3 if backend.is_supported() => return &x86::SSSE3_SUITE,
-            _ => {}
+        if backend == KernelBackend::Avx2 && backend.is_supported() {
+            return &x86::AVX2_SUITE;
         }
     }
     let _ = backend;
@@ -321,8 +310,8 @@ pub(crate) fn active_suite() -> &'static KernelSuite {
     ACTIVE.get_or_init(select_suite)
 }
 
-/// Applies the `XORBAS_KERNEL_BACKEND` override, else picks the best
-/// supported backend.
+/// Applies the `XORBAS_KERNEL_BACKEND` override, else picks AVX2, which
+/// `suite_for` turns into scalar on a CPU without it.
 fn select_suite() -> &'static KernelSuite {
     if let Ok(name) = std::env::var("XORBAS_KERNEL_BACKEND") {
         match KernelBackend::parse(&name) {
@@ -331,15 +320,12 @@ fn select_suite() -> &'static KernelSuite {
                 // A typo must not silently measure the wrong backend.
                 eprintln!(
                     "xorbas_gf: unrecognized XORBAS_KERNEL_BACKEND {name:?} \
-                     (expected scalar, ssse3, or avx2); using auto-detection"
+                     (expected scalar or avx2); using auto-detection"
                 );
             }
         }
     }
-    let best = KernelBackend::supported()
-        .last()
-        .unwrap_or(KernelBackend::Scalar);
-    suite_for(best)
+    suite_for(KernelBackend::Avx2)
 }
 
 /// Portable fallback kernels: safe Rust throughout, auto-vectorizable
@@ -496,8 +482,7 @@ pub(crate) mod scalar {
     }
 }
 
-/// x86/x86_64 vector kernels: SSSE3 (`PSHUFB`, 128-bit) and AVX2
-/// (`VPSHUFB`, 256-bit).
+/// x86/x86_64 vector kernels: AVX2 (`VPSHUFB`, 256-bit).
 // xlint::hot-path(x86-kernels)
 // Vector kernels slice at multiples of the vector width computed from
 // `len()` and index scalar tails below the asserted common length.
@@ -509,23 +494,6 @@ mod x86 {
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
-
-    pub(super) static SSSE3_SUITE: KernelSuite = KernelSuite {
-        backend: KernelBackend::Ssse3,
-        mul_multi: |d, s, acc| {
-            // SAFETY: this suite is only reachable via `suite_for`, which
-            // verified is_x86_feature_detected!("ssse3").
-            unsafe { ssse3_mul_multi(d, s, acc) }
-        },
-        xor_multi: |d, s, acc| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_xor_multi(d, s, acc) }
-        },
-        mul16_multi: |d, s, acc| {
-            // SAFETY: as above — SSSE3 presence verified by `suite_for`.
-            unsafe { ssse3_mul16_multi(d, s, acc) }
-        },
-    };
 
     pub(super) static AVX2_SUITE: KernelSuite = KernelSuite {
         backend: KernelBackend::Avx2,
@@ -544,247 +512,11 @@ mod x86 {
         },
     };
 
-    /// Split-nibble product of 16 bytes: two `PSHUFB` lookups + XOR.
-    ///
-    /// Safe to define: it only operates on values, so the sole
-    /// obligation — SSSE3 being available — is discharged by every
-    /// caller already running under `#[target_feature(enable = "ssse3")]`.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    fn mul_vec128(v: __m128i, lo: __m128i, hi: __m128i, mask: __m128i) -> __m128i {
-        let l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-        let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64::<4>(v), mask));
-        _mm_xor_si128(l, h)
-    }
-
-    /// Fused row: one load/store of each `dst` vector regardless of the
-    /// number of sources; the per-source tables stay L1-resident.
-    ///
-    /// # Safety
-    /// Requires SSSE3. At most [`MAX_FUSE`] sources, each of `dst`'s
-    /// length (checked by the public wrappers).
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_mul_multi(dst: &mut [u8], srcs: &[(MulTables, &[u8])], accumulate: bool) {
-        debug_assert!(srcs.len() <= MAX_FUSE);
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
-            return;
-        }
-        // SAFETY: caller guarantees SSSE3; all pointer arithmetic stays
-        // within `dst` and every source (they share `dst`'s length)
-        // because `i + 16 <= n == len` at every load and store, and
-        // `loadu`/`storeu` have no alignment requirement.
-        unsafe {
-            let mask = _mm_set1_epi8(0x0F);
-            let n = dst.len();
-            let mut i = 0;
-            while i + 16 <= n {
-                let mut acc = if accumulate {
-                    _mm_loadu_si128(dst.as_ptr().add(i).cast())
-                } else {
-                    _mm_setzero_si128()
-                };
-                for (t, s) in srcs {
-                    let lo = _mm_loadu_si128(t.lo.as_ptr().cast());
-                    let hi = _mm_loadu_si128(t.hi.as_ptr().cast());
-                    let v = _mm_loadu_si128(s.as_ptr().add(i).cast());
-                    acc = _mm_xor_si128(acc, mul_vec128(v, lo, hi, mask));
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 16;
-            }
-            for j in i..n {
-                let mut acc = if accumulate { dst[j] } else { 0 };
-                for (t, s) in srcs {
-                    acc ^= t.mul_byte(s[j]);
-                }
-                dst[j] = acc;
-            }
-        }
-    }
-
-    /// Fused XOR row (all coefficients 1): one `dst` pass.
-    ///
-    /// # Safety
-    /// Requires SSSE3. At most [`MAX_FUSE`] sources of `dst`'s length.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_xor_multi(dst: &mut [u8], srcs: &[&[u8]], accumulate: bool) {
-        debug_assert!(srcs.len() <= MAX_FUSE);
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
-            return;
-        }
-        // SAFETY: caller guarantees SSSE3; bounds as in `ssse3_mul_multi`.
-        unsafe {
-            let n = dst.len();
-            let mut i = 0;
-            while i + 16 <= n {
-                let mut acc = if accumulate {
-                    _mm_loadu_si128(dst.as_ptr().add(i).cast())
-                } else {
-                    _mm_setzero_si128()
-                };
-                for s in srcs {
-                    acc = _mm_xor_si128(acc, _mm_loadu_si128(s.as_ptr().add(i).cast()));
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 16;
-            }
-            for j in i..n {
-                let mut acc = if accumulate { dst[j] } else { 0 };
-                for s in srcs {
-                    acc ^= s[j];
-                }
-                dst[j] = acc;
-            }
-        }
-    }
-
     /// Byte-gather masks deinterleaving 16-bit little-endian symbols:
     /// the even (low) or odd (high) source bytes land in the lower 8
-    /// bytes of the shuffled vector, the rest zero (`-1` lanes).
+    /// bytes of each shuffled 128-bit lane, the rest zero (`-1` lanes).
     const GATHER_EVEN: [i8; 16] = [0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1];
     const GATHER_ODD: [i8; 16] = [1, 3, 5, 7, 9, 11, 13, 15, -1, -1, -1, -1, -1, -1, -1, -1];
-
-    /// The eight nibble tables of one GF(2^16) coefficient in registers:
-    /// `[lo₀..lo₃, hi₀..hi₃]` (see [`Nibble16Tables`]).
-    ///
-    /// # Safety
-    /// Requires SSSE3. Each load reads one 16-byte table of `t`.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn load_tables16(t: &Nibble16Tables) -> [__m128i; 8] {
-        // SAFETY: caller guarantees SSSE3; every pointer covers exactly
-        // one 16-byte table array.
-        unsafe {
-            [
-                _mm_loadu_si128(t.lo[0].as_ptr().cast()),
-                _mm_loadu_si128(t.lo[1].as_ptr().cast()),
-                _mm_loadu_si128(t.lo[2].as_ptr().cast()),
-                _mm_loadu_si128(t.lo[3].as_ptr().cast()),
-                _mm_loadu_si128(t.hi[0].as_ptr().cast()),
-                _mm_loadu_si128(t.hi[1].as_ptr().cast()),
-                _mm_loadu_si128(t.hi[2].as_ptr().cast()),
-                _mm_loadu_si128(t.hi[3].as_ptr().cast()),
-            ]
-        }
-    }
-
-    /// Deinterleaves two loaded payload vectors (32 bytes = 16 symbols)
-    /// into their (low bytes, high bytes) vectors, symbol order kept.
-    ///
-    /// Safe to define: value-only; callers run under SSSE3.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    fn deinterleave128(
-        va: __m128i,
-        vb: __m128i,
-        even: __m128i,
-        odd: __m128i,
-    ) -> (__m128i, __m128i) {
-        let lo = _mm_unpacklo_epi64(_mm_shuffle_epi8(va, even), _mm_shuffle_epi8(vb, even));
-        let hi = _mm_unpacklo_epi64(_mm_shuffle_epi8(va, odd), _mm_shuffle_epi8(vb, odd));
-        (lo, hi)
-    }
-
-    /// Split-nibble GF(2^16) product of 16 symbols given their
-    /// deinterleaved low/high byte vectors: eight `PSHUFB` lookups,
-    /// result still deinterleaved as (low product bytes, high product
-    /// bytes).
-    ///
-    /// Safe to define: value-only; callers run under SSSE3.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    fn mul16_vec128(
-        lo: __m128i,
-        hi: __m128i,
-        t: &[__m128i; 8],
-        mask: __m128i,
-    ) -> (__m128i, __m128i) {
-        let n0 = _mm_and_si128(lo, mask);
-        let n1 = _mm_and_si128(_mm_srli_epi64::<4>(lo), mask);
-        let n2 = _mm_and_si128(hi, mask);
-        let n3 = _mm_and_si128(_mm_srli_epi64::<4>(hi), mask);
-        let plo = _mm_xor_si128(
-            _mm_xor_si128(_mm_shuffle_epi8(t[0], n0), _mm_shuffle_epi8(t[1], n1)),
-            _mm_xor_si128(_mm_shuffle_epi8(t[2], n2), _mm_shuffle_epi8(t[3], n3)),
-        );
-        let phi = _mm_xor_si128(
-            _mm_xor_si128(_mm_shuffle_epi8(t[4], n0), _mm_shuffle_epi8(t[5], n1)),
-            _mm_xor_si128(_mm_shuffle_epi8(t[6], n2), _mm_shuffle_epi8(t[7], n3)),
-        );
-        (plo, phi)
-    }
-
-    /// GF(2^16) fused row: one load/store of each `dst` vector pair
-    /// regardless of the number of sources; all eight tables per source
-    /// stay L1-resident.
-    ///
-    /// # Safety
-    /// Requires SSSE3. At most [`WIDE16_FUSE`] sources, each of `dst`'s
-    /// (even) length.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn ssse3_mul16_multi(
-        dst: &mut [u8],
-        srcs: &[(Nibble16Tables, &[u8])],
-        accumulate: bool,
-    ) {
-        debug_assert!(srcs.len() <= WIDE16_FUSE);
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
-            return;
-        }
-        // SAFETY: caller guarantees SSSE3; pointer arithmetic stays in
-        // bounds of `dst` and every source (they share `dst`'s length)
-        // because `i + 32 <= n == len` at every load and store.
-        unsafe {
-            let mask = _mm_set1_epi8(0x0F);
-            let even = _mm_loadu_si128(GATHER_EVEN.as_ptr().cast());
-            let odd = _mm_loadu_si128(GATHER_ODD.as_ptr().cast());
-            let n = dst.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let (mut acca, mut accb) = if accumulate {
-                    (
-                        _mm_loadu_si128(dst.as_ptr().add(i).cast()),
-                        _mm_loadu_si128(dst.as_ptr().add(i + 16).cast()),
-                    )
-                } else {
-                    (_mm_setzero_si128(), _mm_setzero_si128())
-                };
-                for (t, s) in srcs {
-                    let tabs = load_tables16(t);
-                    let va = _mm_loadu_si128(s.as_ptr().add(i).cast());
-                    let vb = _mm_loadu_si128(s.as_ptr().add(i + 16).cast());
-                    let (lo, hi) = deinterleave128(va, vb, even, odd);
-                    let (plo, phi) = mul16_vec128(lo, hi, &tabs, mask);
-                    acca = _mm_xor_si128(acca, _mm_unpacklo_epi8(plo, phi));
-                    accb = _mm_xor_si128(accb, _mm_unpackhi_epi8(plo, phi));
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), acca);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i + 16).cast(), accb);
-                i += 32;
-            }
-            while i + 2 <= n {
-                let mut acc = if accumulate {
-                    u16::from_le_bytes([dst[i], dst[i + 1]])
-                } else {
-                    0
-                };
-                for (t, s) in srcs {
-                    acc ^= t.mul_symbol(u16::from_le_bytes([s[i], s[i + 1]]));
-                }
-                dst[i..i + 2].copy_from_slice(&acc.to_le_bytes());
-                i += 2;
-            }
-        }
-    }
 
     /// Split-nibble product of 32 bytes via `VPSHUFB` (which looks up
     /// within each 128-bit lane — hence the tables are broadcast to both
@@ -1051,5 +783,83 @@ mod x86 {
                 dst[j] = acc;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{scalar, suite_for, KernelBackend, KernelSuite};
+
+    /// Each variant's successor in declaration order. The `match` is
+    /// exhaustive, so a new variant does not compile until it is placed
+    /// here — and then `ALL` must list it too.
+    fn next_variant(b: KernelBackend) -> Option<KernelBackend> {
+        match b {
+            KernelBackend::Scalar => Some(KernelBackend::Avx2),
+            KernelBackend::Avx2 => None,
+        }
+    }
+
+    #[test]
+    fn all_lists_every_variant_and_each_name_parses_back() {
+        let every: Vec<KernelBackend> =
+            std::iter::successors(Some(KernelBackend::Scalar), |&b| next_variant(b)).collect();
+        assert_eq!(KernelBackend::ALL.to_vec(), every);
+        for b in KernelBackend::ALL {
+            assert_eq!(KernelBackend::parse(b.name()), Some(b));
+            assert_eq!(KernelBackend::parse(&b.name().to_uppercase()), Some(b));
+        }
+        // A retired backend name is unknown: the override warns and
+        // falls back to auto-detection.
+        assert_eq!(KernelBackend::parse("ssse3"), None);
+    }
+
+    #[test]
+    fn suite_for_hands_out_the_suite_it_was_asked_for() {
+        for b in KernelBackend::ALL {
+            let want = if b.is_supported() {
+                b
+            } else {
+                KernelBackend::Scalar
+            };
+            assert_eq!(suite_for(b).backend, want, "suite_for({b:?})");
+        }
+    }
+
+    /// The fields of `suite` that hold the same kernel as the scalar
+    /// suite's field of that name.
+    fn fields_shared_with_scalar(suite: &KernelSuite) -> Vec<&'static str> {
+        let s = &scalar::SUITE;
+        [
+            (
+                "mul_multi",
+                std::ptr::fn_addr_eq(suite.mul_multi, s.mul_multi),
+            ),
+            (
+                "xor_multi",
+                std::ptr::fn_addr_eq(suite.xor_multi, s.xor_multi),
+            ),
+            (
+                "mul16_multi",
+                std::ptr::fn_addr_eq(suite.mul16_multi, s.mul16_multi),
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(name, shared)| shared.then_some(name))
+        .collect()
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn avx2_suite_runs_no_scalar_kernel() {
+        let avx2 = &super::x86::AVX2_SUITE;
+        assert_eq!(avx2.backend, KernelBackend::Avx2);
+        assert_eq!(fields_shared_with_scalar(avx2), Vec::<&str>::new());
+        // The comparison can see a shared kernel at all: the scalar suite
+        // shares every field with itself.
+        assert_eq!(
+            fields_shared_with_scalar(&scalar::SUITE),
+            ["mul_multi", "xor_multi", "mul16_multi"]
+        );
     }
 }

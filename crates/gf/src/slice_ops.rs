@@ -25,31 +25,24 @@
 //!
 //! # Kernel selection
 //!
-//! Three interchangeable backends implement the kernels (see
+//! Two interchangeable backends implement the kernels (see
 //! [`KernelBackend`]): portable **scalar** code (256-entry product-row
-//! lookups, `u64`-wide XOR), **ssse3** (128-bit `PSHUFB` split-nibble),
-//! and **avx2** (256-bit `VPSHUFB`). The module-level functions dispatch
-//! through a process-wide suite chosen once, on first use:
+//! lookups, `u64`-wide XOR) and **avx2** (256-bit `VPSHUFB`
+//! split-nibble). The module-level functions dispatch through a
+//! process-wide suite chosen once, on first use:
 //!
-//! 1. If `XORBAS_KERNEL_BACKEND` names a backend (`scalar`, `ssse3`,
-//!    `avx2`), that backend is used when the CPU supports it (silently
-//!    falling back to scalar when it does not) — `scalar` is how CI
-//!    keeps the portable path exercised.
-//! 2. Otherwise the best backend the CPU supports wins, probed with
-//!    `is_x86_feature_detected!`: avx2, then ssse3, then scalar.
+//! 1. If `XORBAS_KERNEL_BACKEND` names a backend (`scalar`, `avx2`),
+//!    that backend is used when the CPU supports it (silently falling
+//!    back to scalar when it does not) — `scalar` is how CI keeps the
+//!    portable path exercised. An unknown name is reported on stderr
+//!    and ignored.
+//! 2. Otherwise avx2 wins when `is_x86_feature_detected!` finds it,
+//!    scalar when it does not.
 //!
 //! [`KernelBackend::active`] reports the outcome, and the fused rows are
 //! also callable on an explicit backend (e.g.
-//! [`KernelBackend::payload_mul_acc_multi`]) so benchmarks and
-//! equivalence tests can compare implementations inside one process.
-//!
-//! To add a backend (NEON is the obvious next one): implement the three
-//! `KernelSuite` kernels (`mul_multi`, `xor_multi`, `mul16_multi`) in
-//! the crate's private `simd` module behind the appropriate
-//! `target_arch` gate, add a [`KernelBackend`] variant with its
-//! detection (`std::arch::is_aarch64_feature_detected!`), and extend
-//! `suite_for` — the dispatch, override plumbing, equivalence tests and
-//! benches pick it up from [`KernelBackend::ALL`].
+//! [`KernelBackend::payload_mul_acc_multi`]) so equivalence tests can
+//! compare implementations inside one process.
 //!
 //! # Field widths
 //!
@@ -58,10 +51,10 @@
 //! accumulation is bytewise XOR) run the dispatched byte kernels.
 //! GF(2^16) payloads run a dedicated two-byte-symbol kernel, dispatched
 //! like the byte kernels: the **scalar** backend streams two 256-entry
-//! split `u16` tables (`c·lo` and `c·(hi·256)`), while **ssse3** and
-//! **avx2** decompose each symbol into four nibbles and look all four
-//! product contributions up with eight 16-entry `PSHUFB`/`VPSHUFB`
-//! tables per coefficient (deinterleave low/high bytes, eight shuffles,
+//! split `u16` tables (`c·lo` and `c·(hi·256)`), while **avx2**
+//! decomposes each symbol into four nibbles and looks all four product
+//! contributions up with eight 16-entry `VPSHUFB` tables per
+//! coefficient (deinterleave low/high bytes, eight shuffles,
 //! reinterleave — the payload length must be a whole number of 2-byte
 //! symbols). Wider or odd-sized fields fall back to a symbol-at-a-time
 //! loop.
@@ -390,8 +383,8 @@ mod tests {
         assert!(b.is_supported());
         assert!(KernelBackend::supported().any(|s| s == b));
         assert_eq!(KernelBackend::parse(b.name()), Some(b));
-        // A per-backend CI pass must run the backend it names, not a
-        // silent fallback.
+        // A pinned pass (CI's `XORBAS_KERNEL_BACKEND=scalar`) must run
+        // the backend it names, not a silent fallback.
         let requested = std::env::var("XORBAS_KERNEL_BACKEND")
             .ok()
             .and_then(|name| KernelBackend::parse(&name));

@@ -13,13 +13,14 @@ use xorbas_gf::slice_ops::{self, KernelBackend};
 use xorbas_gf::{Field, Gf16, Gf256, Gf65536};
 
 /// Payload lengths chosen to straddle every byte-kernel boundary: empty,
-/// a lone byte, just under/over the 16-byte SSSE3 and 32-byte AVX2
-/// vector widths, an odd prime, and a few vectors plus a ragged tail.
+/// a lone byte, short scalar tails (7, 15–17), just under/over the
+/// 32-byte AVX2 vector width, an odd prime, and a few vectors plus a
+/// ragged tail.
 const ADVERSARIAL_LENS: [usize; 12] = [0, 1, 7, 15, 16, 17, 31, 32, 33, 97, 128, 1000];
 
 /// Even payload lengths straddling every GF(2^16) kernel boundary:
-/// empty, one symbol, just under/over the 32-byte SSSE3 and 64-byte
-/// AVX2 symbol blocks, and a long non-multiple tail.
+/// empty, one symbol, short scalar tails (6, 30–34), just under/over the
+/// 64-byte AVX2 symbol block, and a long non-multiple tail.
 const ADVERSARIAL_LENS16: [usize; 11] = [0, 2, 6, 30, 32, 34, 62, 64, 66, 94, 1000];
 
 /// Source counts straddling the byte kernels' 16-source batch.
