@@ -1,17 +1,16 @@
-//! Analyzer configuration: which rules run, where the project-specific
-//! anchors live, and the escape hatches. The defaults encode this
+//! Analyzer configuration: which rules run, and the project-specific
+//! anchors they check against. The defaults encode this
 //! repository's policy; the fixture tests override `root` and narrow
 //! `rules` to exercise one rule at a time.
 
 use std::path::PathBuf;
 
 /// Names of every shipped rule, in reporting order.
-pub const ALL_RULES: [&str; 5] = [
+pub const ALL_RULES: [&str; 4] = [
     "unsafe-containment",
     "safety-comment-coverage",
     "hot-path-no-alloc",
     "no-panic-in-lib",
-    "env-knob-registry",
 ];
 
 /// Meta-rule name for malformed `xlint::` directives themselves.
@@ -25,16 +24,10 @@ pub struct Config {
     pub rules: Vec<&'static str>,
     /// Files allowed to contain `unsafe` (relative, forward slashes).
     pub unsafe_allowlist: Vec<String>,
-    /// The checked-in no-panic baseline, relative to `root`.
-    pub baseline_path: String,
-    /// The knob-registry document, relative to `root`.
-    pub arch_doc: String,
     /// `(file, marker)` pairs: each file must carry a
     /// `xlint::hot-path(marker)` annotation so the guarantee cannot be
     /// deleted silently.
     pub required_hot_paths: Vec<(String, String)>,
-    /// Rewrite the baseline instead of diffing against it.
-    pub update_baseline: bool,
 }
 
 impl Default for Config {
@@ -48,8 +41,6 @@ impl Default for Config {
                 // The counting global allocator behind the zero-alloc pins.
                 "crates/core/tests/zero_alloc.rs".to_owned(),
             ],
-            baseline_path: "crates/analyze/no_panic_baseline.txt".to_owned(),
-            arch_doc: "docs/ARCHITECTURE.md".to_owned(),
             required_hot_paths: vec![
                 (
                     "crates/core/src/session.rs".to_owned(),
@@ -89,7 +80,6 @@ impl Default for Config {
                     "scrub-stream".to_owned(),
                 ),
             ],
-            update_baseline: false,
         }
     }
 }

@@ -38,7 +38,7 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Violations silenced by inline `xlint::allow` directives.
     pub suppressed: Vec<Suppression>,
-    /// Informational notes (counts, baseline updates).
+    /// Informational notes (counts).
     pub notes: Vec<String>,
 }
 

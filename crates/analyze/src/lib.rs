@@ -3,7 +3,7 @@
 //! A std-only, registry-free static analyzer that proves the
 //! project-specific invariants CI otherwise takes on faith: unsafe
 //! containment and safety-contract coverage, hot-path allocation
-//! freedom, the no-panic burn-down ratchet, and the env-knob registry.
+//! freedom, and no panic-capable call in library code.
 //! See `docs/ARCHITECTURE.md` ("Static analysis") for the rule catalog
 //! and annotation conventions.
 //!
@@ -19,7 +19,7 @@
 //! | [`lexer`] | string/char/comment/raw-string aware line splitter |
 //! | [`workspace`] | file walking, brace matching, `xlint::` directives |
 //! | [`config`] | rule set, allowlists, project anchors |
-//! | [`rules`] | the five shipped rules |
+//! | [`rules`] | the four shipped rules |
 //! | [`diag`] | diagnostics, human and JSON rendering |
 
 #![forbid(unsafe_code)]
@@ -36,11 +36,10 @@ pub use diag::{Diagnostic, Report, Suppression};
 use workspace::{Directive, Workspace};
 
 /// Loads the workspace under `cfg.root` and runs the enabled rules.
-/// Inline `xlint::allow(rule): reason` suppressions are applied here
-/// (they never apply to `no-panic-in-lib`, whose single escape hatch is
-/// the baseline file, nor to the directive meta-rule itself).
+/// Inline `xlint::allow(rule): reason` suppressions are applied here,
+/// to every rule but the directive meta-rule itself.
 pub fn run(cfg: &Config) -> std::io::Result<Report> {
-    let ws = Workspace::load(&cfg.root, &cfg.arch_doc)?;
+    let ws = Workspace::load(&cfg.root)?;
     let mut report = Report::default();
     for rule in &cfg.rules {
         match *rule {
@@ -49,8 +48,7 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
             }
             rules::safety_comments::NAME => rules::safety_comments::run(&ws, cfg, &mut report),
             rules::hot_path::NAME => rules::hot_path::run(&ws, cfg, &mut report),
-            rules::no_panic::NAME => rules::no_panic::run(&ws, cfg, &mut report),
-            rules::env_knobs::NAME => rules::env_knobs::run(&ws, cfg, &mut report),
+            rules::no_panic::NAME => rules::no_panic::run(&ws, &mut report),
             other => report.notes.push(format!("unknown rule `{other}` ignored")),
         }
     }
@@ -102,7 +100,7 @@ fn check_directives(ws: &Workspace, report: &mut Report) {
 fn apply_suppressions(ws: &Workspace, report: &mut Report) {
     let diags = std::mem::take(&mut report.diagnostics);
     for d in diags {
-        if d.rule == rules::no_panic::NAME || d.rule == DIRECTIVE_RULE {
+        if d.rule == DIRECTIVE_RULE {
             report.diagnostics.push(d);
             continue;
         }

@@ -7,11 +7,9 @@ use std::process::ExitCode;
 use xorbas_analyze::Config;
 
 const USAGE: &str = "\
-usage: cargo xlint [--json] [--update-baseline] [--root DIR] [--rule NAME]...
+usage: cargo xlint [--json] [--root DIR] [--rule NAME]...
 
   --json             machine-readable report on stdout
-  --update-baseline  rewrite the no-panic-in-lib baseline from the
-                     current tree (the ratchet commit)
   --root DIR         workspace root (default: the workspace containing
                      this binary's manifest)
   --rule NAME        run only the named rule (repeatable)
@@ -28,7 +26,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--update-baseline" => cfg.update_baseline = true,
             "--root" => match args.next() {
                 Some(dir) => cfg.root = PathBuf::from(dir),
                 None => return usage_error("--root requires a directory"),

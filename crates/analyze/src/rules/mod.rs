@@ -3,7 +3,6 @@
 //! engine in [`crate::run`] decides which run and applies inline
 //! suppressions afterwards.
 
-pub mod env_knobs;
 pub mod hot_path;
 pub mod no_panic;
 pub mod safety_comments;

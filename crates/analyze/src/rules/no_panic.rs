@@ -1,17 +1,11 @@
-//! `no-panic-in-lib`: a ratcheted burn-down of panic-capable calls in
-//! non-test library code.
+//! `no-panic-in-lib`: no panic-capable call in non-test library code.
 //!
-//! Counts `.unwrap()` / `.expect(` / `panic!` / `unreachable!` /
-//! `todo!` / `unimplemented!` per library file (doc comments, strings,
-//! `#[cfg(test)]` items, `tests/` and `benches/` trees excluded) and
-//! diffs against the checked-in baseline. A file exceeding its
-//! allowance fails; a file *under* its allowance also fails until the
-//! baseline is ratcheted down with `--update-baseline` — the count can
-//! only go down, commit by commit. Inline `xlint::allow` does not apply
-//! to this rule: the baseline is the single escape hatch, so the
-//! outstanding debt stays enumerable in one file.
+//! Flags every `.unwrap()` / `.expect(` / `panic!` / `unreachable!` /
+//! `todo!` / `unimplemented!` in a library file (doc comments, strings,
+//! `#[cfg(test)]` items, `tests/` and `benches/` trees excluded). A site
+//! that cannot become a typed error yet carries an inline
+//! `xlint::allow(no-panic-in-lib): reason`, like any other rule's.
 
-use crate::config::Config;
 use crate::diag::{Diagnostic, Report};
 use crate::workspace::Workspace;
 
@@ -26,155 +20,39 @@ const TOKENS: [&str; 6] = [
     "unimplemented!",
 ];
 
-pub fn run(ws: &Workspace, cfg: &Config, report: &mut Report) {
-    // (path, hit line numbers) for every library file with sites.
-    let mut actual: Vec<(String, Vec<usize>)> = Vec::new();
+pub fn run(ws: &Workspace, report: &mut Report) {
+    let mut sites = 0usize;
     let mut indexing_sites = 0usize;
     for f in &ws.files {
         if !f.is_library_source() || f.is_test_or_bench_path() {
             continue;
         }
-        let mut hits = Vec::new();
         for (i, line) in f.lines.iter().enumerate() {
             if f.test_lines[i] {
                 continue;
             }
             for token in TOKENS {
                 for _ in line.code.matches(token) {
-                    hits.push(i + 1);
+                    sites += 1;
+                    report.diagnostics.push(Diagnostic::new(
+                        NAME,
+                        &f.rel,
+                        i,
+                        format!(
+                            "`{token}` in library code; return a typed error instead \
+                             (or `xlint::allow({NAME}): reason` where none is possible yet)"
+                        ),
+                    ));
                 }
             }
             indexing_sites += count_indexing(&line.code);
         }
-        if !hits.is_empty() {
-            actual.push((f.rel.clone(), hits));
-        }
     }
-    actual.sort();
-    let total: usize = actual.iter().map(|(_, h)| h.len()).sum();
     report.notes.push(format!(
-        "no-panic-in-lib: {total} panic-capable call(s) in library code; \
+        "no-panic-in-lib: {sites} panic-capable call(s) in library code; \
          indexing escape report: {indexing_sites} `[...]` site(s) (informational — \
          see the clippy::indexing_slicing gate on the gf hot modules)"
     ));
-
-    let baseline_file = cfg.root.join(&cfg.baseline_path);
-    if cfg.update_baseline {
-        let mut out = String::from(
-            "# no-panic-in-lib baseline: panic-capable calls (.unwrap()/.expect()/\n\
-             # panic!/unreachable!/todo!/unimplemented!) allowed per non-test library\n\
-             # file. xlint fails when a file exceeds its allowance OR improves without\n\
-             # this file being ratcheted down (cargo xlint --update-baseline).\n",
-        );
-        out.push_str(&format!("# entries: {total}\n"));
-        for (path, hits) in &actual {
-            out.push_str(&format!("{}\t{}\n", hits.len(), path));
-        }
-        match std::fs::write(&baseline_file, out) {
-            Ok(()) => report.notes.push(format!(
-                "no-panic-in-lib: baseline rewritten with {total} entr{} across {} file(s)",
-                if total == 1 { "y" } else { "ies" },
-                actual.len()
-            )),
-            Err(e) => report.diagnostics.push(Diagnostic::new(
-                NAME,
-                &cfg.baseline_path,
-                0,
-                format!("failed to write baseline: {e}"),
-            )),
-        }
-        return;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_file) {
-        Ok(text) => parse_baseline(&text),
-        Err(_) => {
-            report.diagnostics.push(Diagnostic::new(
-                NAME,
-                &cfg.baseline_path,
-                0,
-                "baseline file missing; generate it with `cargo xlint --update-baseline`"
-                    .to_owned(),
-            ));
-            return;
-        }
-    };
-
-    for (path, hits) in &actual {
-        let allowed = baseline
-            .iter()
-            .find(|(_, p, _)| p == path)
-            .map_or(0, |(_, _, c)| *c);
-        match hits.len() {
-            n if n > allowed => report.diagnostics.push(Diagnostic::new(
-                NAME,
-                path,
-                hits[0].saturating_sub(1),
-                format!(
-                    "{n} panic-capable call(s) exceed the baseline's {allowed} for this \
-                     file (sites at lines {}); convert them to typed errors instead of \
-                     growing the baseline",
-                    render_lines(hits)
-                ),
-            )),
-            n if n < allowed => report.diagnostics.push(Diagnostic::new(
-                NAME,
-                path,
-                0,
-                format!(
-                    "baseline is stale: {allowed} allowed but only {n} present; \
-                     ratchet down with `cargo xlint --update-baseline`"
-                ),
-            )),
-            _ => {}
-        }
-    }
-    for (bl_line, path, allowed) in &baseline {
-        let present = actual.iter().any(|(p, _)| p == path);
-        if !present && *allowed > 0 {
-            report.diagnostics.push(Diagnostic::new(
-                NAME,
-                &cfg.baseline_path,
-                *bl_line,
-                format!(
-                    "baseline is stale: `{path}` is clean (or gone) but still has an \
-                     allowance of {allowed}; ratchet down with `cargo xlint --update-baseline`"
-                ),
-            ));
-        }
-    }
-}
-
-/// `(0-based baseline line, path, allowed count)` triples.
-fn parse_baseline(text: &str) -> Vec<(usize, String, usize)> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let count = parts.next().and_then(|c| c.parse::<usize>().ok());
-        let path = parts.next();
-        if let (Some(count), Some(path)) = (count, path) {
-            out.push((i, path.to_owned(), count));
-        }
-    }
-    out
-}
-
-fn render_lines(hits: &[usize]) -> String {
-    let mut s = String::new();
-    for (i, h) in hits.iter().take(12).enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&h.to_string());
-    }
-    if hits.len() > 12 {
-        s.push_str(", …");
-    }
-    s
 }
 
 /// Indexing sites: `[` directly preceded by an identifier character,

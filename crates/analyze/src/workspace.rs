@@ -35,9 +35,6 @@ pub struct SourceFile {
     pub rel: String,
     /// Per-line code/comment split.
     pub lines: Vec<Line>,
-    /// Raw line text (needed when a rule must read literal contents,
-    /// e.g. the env-var name inside `env::var("…")`).
-    pub raw: Vec<String>,
     /// `test_lines[i]` is true for lines inside a `#[cfg(test)]` item.
     pub test_lines: Vec<bool>,
     /// Directives, as `(line_index, directive)` pairs (0-based lines).
@@ -47,13 +44,11 @@ pub struct SourceFile {
 impl SourceFile {
     fn from_source(rel: String, src: &str) -> Self {
         let lines = lex(src);
-        let raw: Vec<String> = src.lines().map(str::to_owned).collect();
         let test_lines = mark_test_lines(&lines);
         let directives = collect_directives(&lines);
         Self {
             rel,
             lines,
-            raw,
             test_lines,
             directives,
         }
@@ -77,18 +72,15 @@ impl SourceFile {
     }
 }
 
-/// Every lexed file plus the prose documents some rules cross-check.
+/// Every lexed file of the workspace.
 #[derive(Debug)]
 pub struct Workspace {
     pub files: Vec<SourceFile>,
-    /// The architecture document, when present: `(rel, raw lines)`.
-    pub arch_doc: Option<(String, Vec<String>)>,
 }
 
 impl Workspace {
-    /// Loads every `*.rs` under `root` (skipping `SKIP_DIRS`) plus the
-    /// architecture document named by `arch_doc_rel`.
-    pub fn load(root: &Path, arch_doc_rel: &str) -> std::io::Result<Self> {
+    /// Loads every `*.rs` under `root` (skipping `SKIP_DIRS`).
+    pub fn load(root: &Path) -> std::io::Result<Self> {
         let mut paths: Vec<PathBuf> = Vec::new();
         walk(root, &mut paths)?;
         paths.sort();
@@ -98,15 +90,7 @@ impl Workspace {
             let rel = relative_slash(root, p);
             files.push(SourceFile::from_source(rel, &src));
         }
-        let arch_path = root.join(arch_doc_rel);
-        let arch_doc = match std::fs::read_to_string(&arch_path) {
-            Ok(text) => Some((
-                arch_doc_rel.to_owned(),
-                text.lines().map(str::to_owned).collect(),
-            )),
-            Err(_) => None,
-        };
-        Ok(Self { files, arch_doc })
+        Ok(Self { files })
     }
 
     pub fn file(&self, rel: &str) -> Option<&SourceFile> {

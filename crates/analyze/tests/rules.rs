@@ -120,92 +120,28 @@ fn hot_path_flags_alloc_tokens_and_dangling_markers() {
 // ----- no-panic-in-lib ----------------------------------------------
 
 #[test]
-fn no_panic_good_tree_matches_its_baseline() {
+fn no_panic_good_tree_allows_its_one_site() {
     // Doc-comment, string-literal, and `#[cfg(test)]` unwraps are not
-    // counted; the single real site is covered by the fixture baseline.
-    assert_clean(&run_rule("no_panic", "good", "no-panic-in-lib"));
+    // counted; the single real site carries an allow with a reason.
+    let report = run_rule("no_panic", "good", "no-panic-in-lib");
+    assert_clean(&report);
+    assert_eq!(report.suppressed.len(), 1);
+    assert_eq!(report.suppressed[0].diagnostic.line, 6);
 }
 
 #[test]
-fn no_panic_flags_exceeded_and_stale_allowances() {
+fn no_panic_flags_every_unallowed_site() {
     let report = run_rule("no_panic", "bad", "no-panic-in-lib");
     assert_eq!(
         keys(&report),
         vec![
-            ("no-panic-in-lib", "crates/analyze/no_panic_baseline.txt", 3),
-            ("no-panic-in-lib", "crates/baz/src/lib.rs", 1),
-            ("no-panic-in-lib", "crates/foo/src/lib.rs", 4),
+            ("no-panic-in-lib", "crates/foo/src/lib.rs", 9),
+            ("no-panic-in-lib", "crates/foo/src/lib.rs", 9),
         ]
     );
-    assert!(report.diagnostics[0]
-        .message
-        .contains("`crates/bar/src/lib.rs` is clean"));
-    assert!(report.diagnostics[1]
-        .message
-        .contains("2 allowed but only 1 present"));
-    assert!(report.diagnostics[2]
-        .message
-        .contains("2 panic-capable call(s) exceed the baseline's 1"));
-}
-
-#[test]
-fn no_panic_update_baseline_ratchets() {
-    // Build a throwaway tree, generate its baseline, verify the run is
-    // then clean, and verify new debt fails against it.
-    let root = std::env::temp_dir().join(format!("xlint-ratchet-{}", std::process::id()));
-    let src_dir = root.join("crates/foo/src");
-    std::fs::create_dir_all(&src_dir).expect("fixture tree");
-    std::fs::create_dir_all(root.join("crates/analyze")).expect("fixture tree");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn f(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n",
-    )
-    .expect("fixture file");
-
-    let mut cfg = Config::for_rule(&root, "no-panic-in-lib");
-    cfg.update_baseline = true;
-    assert_clean(&run(&cfg).expect("update run"));
-
-    cfg.update_baseline = false;
-    assert_clean(&run(&cfg).expect("ratcheted run"));
-
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn f(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\npub fn g() {\n    panic!()\n}\n",
-    )
-    .expect("fixture file");
-    let report = run(&cfg).expect("debt run");
-    assert_eq!(
-        keys(&report),
-        vec![("no-panic-in-lib", "crates/foo/src/lib.rs", 2)]
-    );
-
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-// ----- env-knob-registry --------------------------------------------
-
-#[test]
-fn env_knobs_good_tree_is_clean() {
-    assert_clean(&run_rule("env_knobs", "good", "env-knob-registry"));
-}
-
-#[test]
-fn env_knobs_flags_undocumented_and_ghost_knobs() {
-    let report = run_rule("env_knobs", "bad", "env-knob-registry");
-    assert_eq!(
-        keys(&report),
-        vec![
-            ("env-knob-registry", "docs/ARCHITECTURE.md", 3),
-            ("env-knob-registry", "src/knobs.rs", 4),
-        ]
-    );
-    assert!(report.diagnostics[0]
-        .message
-        .contains("`XORBAS_GHOST_KNOB` is documented but never read"));
-    assert!(report.diagnostics[1]
-        .message
-        .contains("`XORBAS_SECRET_TUNING` is read here but not documented"));
+    assert!(report.diagnostics[0].message.contains("`.unwrap()`"));
+    assert!(report.diagnostics[1].message.contains("`.expect(`"));
+    assert_eq!(report.suppressed.len(), 1);
 }
 
 // ----- directive hygiene and suppressions ---------------------------
@@ -244,7 +180,7 @@ fn malformed_directives_are_violations_and_valid_allows_suppress() {
 // ----- the real workspace -------------------------------------------
 
 #[test]
-fn the_shipped_workspace_is_clean_with_zero_suppressions() {
+fn the_shipped_workspace_is_clean_and_allows_only_the_engine_setup_sites() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = run(&Config {
         root,
@@ -252,8 +188,14 @@ fn the_shipped_workspace_is_clean_with_zero_suppressions() {
     })
     .expect("workspace loads");
     assert_clean(&report);
-    assert!(
-        report.suppressed.is_empty(),
-        "the shipped tree must not need inline suppressions"
+    let suppressed: Vec<(&str, &str)> = report
+        .suppressed
+        .iter()
+        .map(|s| (s.diagnostic.rule, s.diagnostic.path.as_str()))
+        .collect();
+    assert_eq!(
+        suppressed,
+        vec![("no-panic-in-lib", "crates/sim/src/engine/mod.rs"); 2],
+        "the only inline suppressions are the two set-up sites in the engine"
     );
 }

@@ -100,20 +100,8 @@ impl LaneMask {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    fn count_ones(&self) -> usize {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether every set bit of `self` is also set in `other`.
-    ///
-    /// Panics if the masks cover different lane counts — a truncated
-    /// word-wise comparison would silently answer wrong.
-    pub fn is_subset_of(&self, other: &Self) -> bool {
-        assert_eq!(self.lanes, other.lanes, "mask width mismatch");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// The set lane indices, ascending.
@@ -291,18 +279,6 @@ impl<'s, 'l> StripeViewMut<'s, 'l> {
         self.present.set(i);
     }
 
-    /// The present/missing mask.
-    pub fn present_mask(&self) -> &LaneMask {
-        &self.present
-    }
-
-    /// The missing lane indices, ascending.
-    pub fn missing_lanes(&self) -> Vec<usize> {
-        (0..self.lanes.len())
-            .filter(|&i| !self.present.get(i))
-            .collect()
-    }
-
     /// Split borrow for fused row kernels: mutable access to lane `dst`
     /// plus shared access to every other lane, exposed as the lanes
     /// before `dst` and the lanes after it. A source lane `i ≠ dst`
@@ -343,19 +319,6 @@ impl RepairTask {
     /// 1.0, a half-lane read 0.5.
     pub fn read_volume(&self) -> f64 {
         self.reads.len() as f64 - 0.5 * self.half_reads.len() as f64
-    }
-
-    /// The fraction of a block fetched when this task reads `lane`
-    /// (1.0, or 0.5 for half-lane reads). Lanes the task does not read
-    /// report 0.0.
-    pub fn read_fraction(&self, lane: usize) -> f64 {
-        if !self.reads.contains(&lane) {
-            0.0
-        } else if self.half_reads.contains(&lane) {
-            0.5
-        } else {
-            1.0
-        }
     }
 }
 
@@ -637,20 +600,7 @@ mod tests {
         m.set(0);
         assert_eq!(m.count_ones(), 2);
         assert!(m.get(299));
-        let full = LaneMask::full(300);
-        assert!(m.is_subset_of(&full));
-        assert!(!full.is_subset_of(&m));
-    }
-
-    #[test]
-    fn lane_mask_subset() {
-        let mut a = LaneMask::empty(64);
-        let mut b = LaneMask::empty(64);
-        a.set(3);
-        b.set(3);
-        b.set(9);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
+        assert_eq!(m.indices().collect::<Vec<_>>(), vec![0, 299]);
     }
 
     #[test]
@@ -712,9 +662,6 @@ mod tests {
         assert_eq!(plan.read_volume(), 2.5);
         assert_eq!(plan.read_fractions(), vec![(0, 1.0), (1, 0.5), (2, 1.0)]);
         assert_eq!(plan.tasks[0].read_volume(), 2.0);
-        assert_eq!(plan.tasks[0].read_fraction(1), 0.5);
-        assert_eq!(plan.tasks[0].read_fraction(0), 1.0);
-        assert_eq!(plan.tasks[0].read_fraction(9), 0.0);
     }
 
     #[test]
@@ -736,7 +683,6 @@ mod tests {
         assert!(StripeViewMut::new(&mut lanes, &[2]).is_err());
         let mut v = StripeViewMut::new(&mut lanes, &[1]).unwrap();
         assert!(v.is_present(0) && !v.is_present(1));
-        assert_eq!(v.missing_lanes(), vec![1]);
         assert_eq!(v.lane_len(), 2);
         v.mark_present(1);
         assert!(v.is_present(1));

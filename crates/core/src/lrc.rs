@@ -18,7 +18,7 @@
 //! Every block has locality 5 and the code has optimal distance 5 for
 //! that locality (Theorem 5); tests verify both by brute force.
 
-use xorbas_gf::{Field, Gf256, Gf65536};
+use xorbas_gf::{Field, Gf256};
 use xorbas_linalg::Matrix;
 
 use crate::codec::{
@@ -54,16 +54,6 @@ impl Lrc<Gf256> {
     /// The explicit (10,6,5) LRC of HDFS-Xorbas over GF(2^8).
     pub fn xorbas_10_6_5() -> Result<Self> {
         Self::new(LrcSpec::XORBAS)
-    }
-}
-
-impl Lrc<Gf65536> {
-    /// The wide-stripe (200, 60, 10)-class LRC over GF(2^16)
-    /// ([`LrcSpec::WIDE`]): 260 stored lanes — past GF(2^8)'s 255-lane
-    /// ceiling — at the same 1.3x storage as RS(200, 60), repairing any
-    /// single data-block failure from 10 lanes instead of 200.
-    pub fn wide_200_60_10() -> Result<Self> {
-        Self::new(LrcSpec::WIDE)
     }
 }
 
@@ -204,17 +194,6 @@ impl<F: Field> Lrc<F> {
     pub fn equations(&self) -> &[XorEquation<F>] {
         &self.equations
     }
-
-    /// The local parity coefficients, one vector per data group.
-    pub fn local_coefficients(&self) -> &[Vec<F>] {
-        &self.local_coeffs
-    }
-
-    /// Stripe index of local parity `S_t` (`t < k/r`, plus the stored
-    /// parity-group parity at `t = k/r` when not implied).
-    pub fn local_parity_index(&self, t: usize) -> usize {
-        self.spec.k + self.spec.global_parities + t
-    }
 }
 
 impl<F: Field> ErasureCodec for Lrc<F> {
@@ -277,6 +256,7 @@ mod tests {
     use super::*;
     use crate::{owned, StripeViewMut};
     use xorbas_gf::slice_ops::xor_into;
+    use xorbas_gf::Gf65536;
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -568,7 +548,7 @@ mod tests {
         // The (200, 60, 10)-class layout over GF(2^16): 260 stored
         // lanes. One construction is shared across every check below —
         // wide generators are the expensive part of this test.
-        let lrc = Lrc::wide_200_60_10().unwrap();
+        let lrc = Lrc::<Gf65536>::new(LrcSpec::WIDE).unwrap();
         assert_eq!(lrc.total_blocks(), 260);
         assert_eq!(lrc.symbol_bytes(), 2);
         let data = sample_data(200, 8);

@@ -87,21 +87,15 @@ impl<F: Field> PiggybackRs<F> {
         self.m
     }
 
-    /// Number of piggyback groups (`m - 1`; parity `j` owns group `j`
-    /// for `j ≥ 1`).
-    pub fn piggyback_groups(&self) -> usize {
-        self.m - 1
-    }
-
     /// The piggyback group data lane `i` feeds: `1 + (i mod (m-1))`,
     /// i.e. the index of the parity carrying its A-half.
-    pub fn group_of(&self, data_lane: usize) -> usize {
+    fn group_of(&self, data_lane: usize) -> usize {
         debug_assert!(data_lane < self.k);
         1 + data_lane % (self.m - 1)
     }
 
     /// The data lanes whose A-halves parity `j ≥ 1` piggybacks.
-    pub fn group_members(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+    fn group_members(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
         debug_assert!((1..self.m).contains(&j));
         (0..self.k).filter(move |i| i % (self.m - 1) == j - 1)
     }
@@ -382,7 +376,6 @@ mod tests {
     #[test]
     fn groups_partition_the_data_lanes() {
         let pb = PiggybackRs::<Gf256>::new(10, 4).unwrap();
-        assert_eq!(pb.piggyback_groups(), 3);
         let sizes: Vec<usize> = (1..4).map(|j| pb.group_members(j).count()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         for i in 0..10 {

@@ -41,17 +41,6 @@ impl LrcSpec {
         implied_parity: true,
     };
 
-    /// A mid-width (50, 20, 10)-class LRC: 5 data groups of 10, 15
-    /// global parities, implied parity — n = 70 at 1.4x storage. Still
-    /// fits GF(2^8); the step between the paper's 16-lane stripe and the
-    /// truly wide [`LrcSpec::WIDE`] layout.
-    pub const WIDE_50_20_10: LrcSpec = LrcSpec {
-        k: 50,
-        global_parities: 15,
-        group_size: 10,
-        implied_parity: true,
-    };
-
     /// A wide-stripe (200, 60, 10)-class LRC beyond GF(2^8)'s 255-lane
     /// ceiling: 20 data groups of 10, 40 global parities, implied
     /// parity — n = 260 stored lanes at 1.3x storage (the same overhead
@@ -87,7 +76,7 @@ impl LrcSpec {
     }
 
     /// Number of stored local parity blocks.
-    pub fn stored_local_parities(&self) -> usize {
+    fn stored_local_parities(&self) -> usize {
         self.data_groups() + usize::from(!self.implied_parity)
     }
 
@@ -374,11 +363,6 @@ mod tests {
         // Repair asymmetry: the whole point of the wide LRC.
         assert_eq!(CodeSpec::RS_200_60.single_repair_reads(), 200);
         assert!(CodeSpec::LRC_WIDE.single_repair_reads() < 60);
-        // The mid-width layout still fits GF(2^8).
-        let m = LrcSpec::WIDE_50_20_10;
-        m.validate().unwrap();
-        assert_eq!(m.total_blocks(), 70);
-        assert_eq!(m.parity_blocks(), 20);
     }
 
     #[test]

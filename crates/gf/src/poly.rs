@@ -54,16 +54,6 @@ pub fn x_is_primitive(poly: u32, bits: u32) -> bool {
     false
 }
 
-/// Evaluates a polynomial with coefficients in GF(2^bits) (lowest degree
-/// first) at point `x`, using Horner's rule over [`clmul_mod`].
-pub fn eval_poly(coeffs: &[u32], x: u32, poly: u32, bits: u32) -> u32 {
-    let mut acc = 0u32;
-    for &c in coeffs.iter().rev() {
-        acc = clmul_mod(acc, x, poly, bits) ^ c;
-    }
-    acc & ((1u32 << bits) - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,14 +96,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn eval_poly_horner_matches_manual() {
-        // p(y) = 3 + 5y + y^2 over GF(2^8), at y = 7.
-        let poly = PRIMITIVE_POLY_8;
-        let y = 7;
-        let manual = 3 ^ clmul_mod(5, y, poly, 8) ^ clmul_mod(clmul_mod(y, y, poly, 8), 1, poly, 8);
-        assert_eq!(eval_poly(&[3, 5, 1], y, poly, 8), manual);
     }
 }

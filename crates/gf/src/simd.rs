@@ -814,6 +814,25 @@ mod tests {
         assert_eq!(KernelBackend::parse("ssse3"), None);
     }
 
+    /// ARCHITECTURE's environment table documents exactly the one knob
+    /// this crate reads, with exactly the names `parse` accepts.
+    #[test]
+    fn the_documented_knob_is_the_one_read_here() {
+        let doc = include_str!("../../../docs/ARCHITECTURE.md");
+        let rows: Vec<&str> = doc
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `XORBAS_"))
+            .collect();
+        let [row] = rows[..] else {
+            panic!("one XORBAS_* knob row, got {rows:?}");
+        };
+        let (name, rest) = row.split_once('=').expect("a `NAME=values` cell");
+        assert_eq!(name, "KERNEL_BACKEND");
+        let values: Vec<&str> = rest.split('`').next().unwrap_or("").split("\\|").collect();
+        let names: Vec<&str> = KernelBackend::ALL.map(KernelBackend::name).to_vec();
+        assert_eq!(values, names);
+    }
+
     #[test]
     fn suite_for_hands_out_the_suite_it_was_asked_for() {
         for b in KernelBackend::ALL {

@@ -7,9 +7,8 @@
 //! group (§3.1.2). So the kernels come in exactly **one shape**, the
 //! fused multi-source row `dst = [dst ^] Σ cᵢ·srcᵢ` computed in **one
 //! pass over `dst`** — [`payload_mul_into_multi`] /
-//! [`payload_mul_acc_multi`] for any field, their GF(2^8) spellings
-//! [`mul_into_multi`] / [`mul_acc_multi`], and [`xor_into_multi`] for
-//! the all-ones row. Issuing a row as one fused call instead of `k`
+//! [`payload_mul_acc_multi`] for any field, the GF(2^8) spelling
+//! [`mul_acc_multi`], and [`xor_into_multi`] for the all-ones row. Issuing a row as one fused call instead of `k`
 //! accumulate calls divides the `dst` memory traffic by `k`, which is
 //! where most of the non-SIMD time went (cf. Uezato, SC 2021).
 //!
@@ -102,14 +101,6 @@ pub fn xor_into_multi(dst: &mut [u8], srcs: &[&[u8]]) {
 /// one-source [`mul_acc_multi`].
 pub fn mul_acc(dst: &mut [u8], src: &[u8], c: Gf256) {
     mul_acc_multi(dst, &[(c, src)]);
-}
-
-/// Fused row `dst = Σ cᵢ·srcᵢ` over GF(2^8) in one pass over `dst`.
-///
-/// Overwrites `dst` entirely (zero-filling it when every coefficient is
-/// zero). Panics if any source length differs from `dst`.
-pub fn mul_into_multi(dst: &mut [u8], srcs: &[(Gf256, &[u8])]) {
-    payload_mul_into_multi(dst, srcs);
 }
 
 /// Fused row `dst ^= Σ cᵢ·srcᵢ` over GF(2^8) in one pass over `dst`.
@@ -394,13 +385,13 @@ mod tests {
     }
 
     #[test]
-    fn mul_into_multi_with_no_live_sources_zero_fills() {
+    fn payload_mul_into_multi_with_no_live_sources_zero_fills() {
         let mut dst = vec![0xAAu8; 9];
-        mul_into_multi(&mut dst, &[]);
+        payload_mul_into_multi::<Gf256>(&mut dst, &[]);
         assert_eq!(dst, vec![0u8; 9]);
-        let src = vec![7u8; 9];
+        let src = [7u8; 9];
         let mut dst = vec![0xAAu8; 9];
-        mul_into_multi(&mut dst, &[(Gf256::ZERO, &src)]);
+        payload_mul_into_multi(&mut dst, &[(Gf256::ZERO, &src[..])]);
         assert_eq!(dst, vec![0u8; 9]);
     }
 

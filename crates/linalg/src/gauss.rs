@@ -57,38 +57,6 @@ impl<F: Field> Matrix<F> {
         Some(reduced.select_columns(&(n..2 * n).collect::<Vec<_>>()))
     }
 
-    /// The determinant (`None` for non-square matrices).
-    ///
-    /// In characteristic 2 the sign bookkeeping of row swaps vanishes,
-    /// so this is a plain elimination product.
-    pub fn determinant(&self) -> Option<F> {
-        if self.rows() != self.cols() {
-            return None;
-        }
-        let mut m = self.clone();
-        let n = m.rows();
-        let mut det = F::ONE;
-        for col in 0..n {
-            let Some(pivot_row) = (col..n).find(|&r| !m[(r, col)].is_zero()) else {
-                return Some(F::ZERO);
-            };
-            m.swap_rows(col, pivot_row);
-            det *= m[(col, col)];
-            // The pivot was selected nonzero just above.
-            let Some(inv) = m[(col, col)].inv() else {
-                debug_assert!(false, "pivot is nonzero");
-                return Some(F::ZERO);
-            };
-            for r in (col + 1)..n {
-                if !m[(r, col)].is_zero() {
-                    let factor = m[(r, col)] * inv;
-                    m.add_scaled_row(r, col, factor);
-                }
-            }
-        }
-        Some(det)
-    }
-
     /// Solves `self * x = b` for a single right-hand-side vector.
     ///
     /// Returns `None` when the system is inconsistent or the solution is
@@ -170,20 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn singular_matrix_has_no_inverse_and_zero_det() {
+    fn singular_matrix_has_no_inverse() {
         let a = m(vec![vec![1, 2], vec![1, 2]]);
         assert!(a.invert().is_none());
-        assert_eq!(a.determinant(), Some(Gf256::ZERO));
-    }
-
-    #[test]
-    fn determinant_of_identity_and_diagonal() {
-        assert_eq!(Matrix::<Gf256>::identity(5).determinant(), Some(Gf256::ONE));
-        let d = m(vec![vec![3, 0], vec![0, 7]]);
-        assert_eq!(
-            d.determinant(),
-            Some(Gf256::from_index(3) * Gf256::from_index(7))
-        );
     }
 
     #[test]
@@ -234,18 +191,6 @@ mod tests {
             } else {
                 prop_assert!(a.rank() < 4);
             }
-        }
-
-        #[test]
-        fn determinant_zero_iff_singular(a in arb_matrix(3)) {
-            let det = a.determinant().unwrap();
-            prop_assert_eq!(det.is_zero(), a.rank() < 3);
-        }
-
-        #[test]
-        fn determinant_is_multiplicative(a in arb_matrix(3), b in arb_matrix(3)) {
-            let ab = a.mul(&b).determinant().unwrap();
-            prop_assert_eq!(ab, a.determinant().unwrap() * b.determinant().unwrap());
         }
 
         #[test]

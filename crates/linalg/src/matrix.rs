@@ -88,7 +88,7 @@ impl<F: Field> Matrix<F> {
 
     /// Mutably borrows row `r` as a slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [F] {
+    fn row_mut(&mut self, r: usize) -> &mut [F] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -128,25 +128,6 @@ impl<F: Field> Matrix<F> {
             .collect()
     }
 
-    /// Row-vector-matrix product `v * self`; panics on dimension mismatch.
-    pub fn vec_mul(&self, v: &[F]) -> Vec<F> {
-        assert_eq!(
-            self.rows,
-            v.len(),
-            "dimension mismatch in vector-matrix multiply"
-        );
-        let mut out = vec![F::ZERO; self.cols];
-        for (i, &coef) in v.iter().enumerate() {
-            if coef.is_zero() {
-                continue;
-            }
-            for (o, &a) in out.iter_mut().zip(self.row(i)) {
-                *o += coef * a;
-            }
-        }
-        out
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -164,26 +145,9 @@ impl<F: Field> Matrix<F> {
         })
     }
 
-    /// Vertical concatenation; panics if column counts differ.
-    pub fn vcat(&self, below: &Self) -> Self {
-        assert_eq!(self.cols, below.cols, "column count mismatch in vcat");
-        Self::from_fn(self.rows + below.rows, self.cols, |r, c| {
-            if r < self.rows {
-                self[(r, c)]
-            } else {
-                below[(r - self.rows, c)]
-            }
-        })
-    }
-
     /// A new matrix keeping only the given columns, in the given order.
     pub fn select_columns(&self, cols: &[usize]) -> Self {
         Self::from_fn(self.rows, cols.len(), |r, c| self[(r, cols[c])])
-    }
-
-    /// A new matrix keeping only the given rows, in the given order.
-    pub fn select_rows(&self, rows: &[usize]) -> Self {
-        Self::from_fn(rows.len(), self.cols, |r, c| self[(rows[r], c)])
     }
 
     /// Appends a column to the right.
@@ -306,22 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_mul_agrees_with_transpose_mul_vec() {
-        let a = m(vec![vec![1, 2, 3], vec![4, 5, 6]]);
-        let v = vec![Gf256::from_index(9), Gf256::from_index(13)];
-        assert_eq!(a.vec_mul(&v), a.transpose().mul_vec(&v));
-    }
-
-    #[test]
-    fn hcat_vcat_shapes_and_content() {
+    fn hcat_shape_and_content() {
         let a = m(vec![vec![1], vec![2]]);
         let b = m(vec![vec![3], vec![4]]);
         let h = a.hcat(&b);
         assert_eq!((h.rows(), h.cols()), (2, 2));
         assert_eq!(h[(1, 1)], Gf256::from_index(4));
-        let v = a.vcat(&b);
-        assert_eq!((v.rows(), v.cols()), (4, 1));
-        assert_eq!(v[(3, 0)], Gf256::from_index(4));
     }
 
     #[test]

@@ -19,35 +19,6 @@ pub fn vandermonde<F: Field>(rows: usize, cols: usize) -> Matrix<F> {
     Matrix::from_fn(rows, cols, |r, c| F::exp((r as u32) * (c as u32)))
 }
 
-/// A Vandermonde matrix on caller-chosen points: `[i][j] = points[j]^i`.
-///
-/// Points must be distinct for the MDS property; that is asserted here.
-pub fn vandermonde_with_points<F: Field>(rows: usize, points: &[F]) -> Matrix<F> {
-    for (i, a) in points.iter().enumerate() {
-        for b in &points[i + 1..] {
-            assert!(a != b, "evaluation points must be distinct");
-        }
-    }
-    Matrix::from_fn(rows, points.len(), |r, c| points[c].pow(r as u64))
-}
-
-/// A Cauchy matrix `[i][j] = 1 / (x_i + y_j)`.
-///
-/// Requires `x_i + y_j != 0` for all pairs (in characteristic 2 this means
-/// the `x` and `y` sets are disjoint) and distinct entries within each set;
-/// all submatrices are then invertible — the other classical MDS family.
-pub fn cauchy<F: Field>(xs: &[F], ys: &[F]) -> Matrix<F> {
-    for x in xs {
-        for y in ys {
-            assert!(!(*x + *y).is_zero(), "x and y sets must be disjoint");
-        }
-    }
-    // Every denominator was just checked nonzero.
-    Matrix::from_fn(xs.len(), ys.len(), |r, c| {
-        (xs[r] + ys[c]).inv().unwrap_or(F::ZERO)
-    })
-}
-
 /// Transforms a `k × n` full-row-rank generator matrix into *systematic*
 /// form: `A · G = [I_k | P]` where `A = (G_{:,0..k})^{-1}`.
 ///
@@ -100,34 +71,6 @@ mod tests {
     #[should_panic(expected = "exceeds the number of distinct evaluation points")]
     fn vandermonde_rejects_oversized_blocklength() {
         let _ = vandermonde::<Gf16>(2, 16);
-    }
-
-    #[test]
-    fn vandermonde_with_points_matches_canonical() {
-        let points: Vec<Gf256> = (0..14).map(Gf256::exp).collect();
-        let a = vandermonde::<Gf256>(4, 14);
-        let b = vandermonde_with_points(4, &points);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "evaluation points must be distinct")]
-    fn vandermonde_with_duplicate_points_panics() {
-        let points = vec![Gf256::ONE, Gf256::ONE];
-        let _ = vandermonde_with_points(2, &points);
-    }
-
-    #[test]
-    fn cauchy_submatrices_invertible() {
-        let xs: Vec<Gf16> = (1..5).map(Gf16::from_index).collect();
-        let ys: Vec<Gf16> = (5..9).map(Gf16::from_index).collect();
-        let c = cauchy(&xs, &ys);
-        assert!(c.invert().is_some());
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!(!c[(i, j)].is_zero());
-            }
-        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl ChunkStore {
 
     /// Removes crash leftovers: every `*.tmp` in the root. Returns how
     /// many files were swept (best-effort; errors are skipped).
-    pub fn sweep_orphan_tmps(&self) -> usize {
+    fn sweep_orphan_tmps(&self) -> usize {
         let Ok(entries) = fs::read_dir(&self.root) else {
             return 0;
         };

@@ -93,7 +93,7 @@ impl RetryPolicy {
     /// `[base_delay, 3·prev]`) when on; capped at `max_delay` either
     /// way. Decorrelation keeps a fleet of clients that failed at the
     /// same instant from re-dialing at the same instant forever.
-    pub fn next_delay(&self, prev: Duration) -> Duration {
+    fn next_delay(&self, prev: Duration) -> Duration {
         if !self.jitter {
             return prev.saturating_mul(2).min(self.max_delay);
         }

@@ -230,7 +230,7 @@ impl Directory {
 
     /// Allocates a fresh stripe id, or fails once the id space is used
     /// up (only a directly registered id near `u64::MAX` gets there).
-    pub fn next_stripe_id(&mut self) -> Result<u64> {
+    fn next_stripe_id(&mut self) -> Result<u64> {
         let id = self.next_stripe;
         if id > MAX_STRIPE_ID {
             return Err(NodeError::Malformed("stripe id out of range"));

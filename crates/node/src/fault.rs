@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Number of injection sites (length of [`Site::ALL`]).
-pub const SITE_COUNT: usize = 8;
+const SITE_COUNT: usize = 8;
 
 /// A labeled fault-injection site.
 ///

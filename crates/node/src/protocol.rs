@@ -39,7 +39,7 @@ pub const MAX_CHUNK: usize = 64 << 20;
 pub const MAX_BODY: usize = MAX_CHUNK + 32;
 
 /// Store a chunk (request).
-pub const OP_PUT: u8 = 0x01;
+const OP_PUT: u8 = 0x01;
 /// Fetch a chunk (request).
 pub const OP_GET: u8 = 0x02;
 /// Drop a chunk (request; used by tests and failure injection).
@@ -49,9 +49,9 @@ pub const OP_PING: u8 = 0x04;
 /// Success, no payload (response).
 pub const OP_OK: u8 = 0x81;
 /// A chunk payload (response to GET).
-pub const OP_CHUNK: u8 = 0x82;
+const OP_CHUNK: u8 = 0x82;
 /// A typed failure (response).
-pub const OP_ERR: u8 = 0xEE;
+const OP_ERR: u8 = 0xEE;
 
 /// Error codes an `ERR` frame can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub enum ErrCode {
 
 impl ErrCode {
     /// Wire encoding.
-    pub fn as_u8(self) -> u8 {
+    fn as_u8(self) -> u8 {
         match self {
             ErrCode::NotFound => 1,
             ErrCode::Corrupt => 2,
@@ -84,7 +84,7 @@ impl ErrCode {
     }
 
     /// Wire decoding; `None` for codes this build does not know.
-    pub fn from_u8(v: u8) -> Option<Self> {
+    fn from_u8(v: u8) -> Option<Self> {
         Some(match v {
             1 => ErrCode::NotFound,
             2 => ErrCode::Corrupt,
@@ -193,12 +193,12 @@ impl Deadline {
     }
 
     /// Has the deadline passed?
-    pub fn expired(&self) -> bool {
+    fn expired(&self) -> bool {
         Instant::now() >= self.at
     }
 
     /// The typed error for this deadline's expiry.
-    pub fn to_error(&self) -> NodeError {
+    fn to_error(self) -> NodeError {
         NodeError::DeadlineExceeded {
             budget_ms: self.budget.as_millis() as u64,
         }

@@ -174,11 +174,6 @@ impl ChunkServer {
         }
     }
 
-    /// Whether [`ChunkServer::kill`] (or shutdown) has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.shared.stopped()
-    }
-
     /// Stop: [`ChunkServer::kill`], then join every handler thread.
     pub fn shutdown(self) {
         drop(self);

@@ -32,21 +32,6 @@ impl BirthDeathChain {
         Self { forward, backward }
     }
 
-    /// Number of transient states (the absorbing state is implicit).
-    pub fn transient_states(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// The failure rates `λ_0..λ_{s-1}`.
-    pub fn forward_rates(&self) -> &[f64] {
-        &self.forward
-    }
-
-    /// The repair rates `ρ_1..ρ_{s-1}`.
-    pub fn backward_rates(&self) -> &[f64] {
-        &self.backward
-    }
-
     /// Mean time (days) from state 0 to absorption — the stripe MTTDL.
     ///
     /// Uses the classical upward-passage decomposition: with

@@ -34,7 +34,7 @@ impl ClusterParams {
     }
 
     /// Repair bandwidth in bytes/day.
-    pub fn gamma_bytes_per_day(&self) -> f64 {
+    fn gamma_bytes_per_day(&self) -> f64 {
         self.cross_rack_bps / 8.0 * 86_400.0
     }
 

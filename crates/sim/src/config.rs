@@ -52,7 +52,7 @@ impl ClusterConfig {
     }
 
     /// The Facebook test cluster of §5.3: 35 nodes, 256 MB blocks.
-    pub fn facebook_test(nodes: usize) -> Self {
+    fn facebook_test(nodes: usize) -> Self {
         Self {
             nodes,
             racks: 5,
@@ -148,12 +148,12 @@ impl ClusterScale {
     }
 
     /// Bytes per simulated block.
-    pub fn sim_block_bytes(&self) -> u64 {
+    fn sim_block_bytes(&self) -> u64 {
         self.physical_block_bytes * self.block_scale
     }
 
     /// Total simulated blocks the namespace holds at `total_bytes`.
-    pub fn sim_blocks_total(&self) -> usize {
+    fn sim_blocks_total(&self) -> usize {
         (self.total_bytes / self.sim_block_bytes()) as usize
     }
 
@@ -166,7 +166,7 @@ impl ClusterScale {
     }
 
     /// The equivalent flat [`ClusterConfig`].
-    pub fn cluster_config(&self) -> ClusterConfig {
+    fn cluster_config(&self) -> ClusterConfig {
         ClusterConfig {
             nodes: self.nodes,
             racks: self.racks,
@@ -226,9 +226,6 @@ pub struct SimConfig {
     pub detection_delay_secs: f64,
     /// Compute model.
     pub compute: ComputeRates,
-    /// Metric time-series bucket width, seconds (the paper plots 5-minute
-    /// resolution).
-    pub series_bucket_secs: u64,
     /// Store local parities even when their whole group is zero padding.
     /// The deployed HDFS-Xorbas did this (which is why §5.3 measured 27%
     /// extra storage on small files instead of the ideal 13%); our
@@ -260,7 +257,6 @@ impl SimConfig {
             pad_local_parities: false,
             detection_delay_secs: 30.0,
             compute: ComputeRates::default(),
-            series_bucket_secs: 300,
             max_concurrent_repairs: 0,
             verify_payloads: false,
             payload_bytes: 64,
@@ -290,7 +286,6 @@ impl SimConfig {
                 rs_decode_bps: base.rs_decode_bps * s,
                 wordcount_bps: base.wordcount_bps * s,
             },
-            series_bucket_secs: 300,
             max_concurrent_repairs: 512,
             verify_payloads: false,
             payload_bytes: 64,
@@ -307,7 +302,6 @@ impl SimConfig {
             pad_local_parities: false,
             detection_delay_secs: 30.0,
             compute: ComputeRates::default(),
-            series_bucket_secs: 300,
             max_concurrent_repairs: 0,
             verify_payloads: false,
             payload_bytes: 64,

@@ -180,8 +180,7 @@ impl Simulation {
                 debug_assert!(false, "read block has a location");
                 continue;
             };
-            self.metrics
-                .record_block_read(self.clock, block_bytes * frac);
+            self.metrics.record_block_read(block_bytes * frac);
             if src != node {
                 let flow = self.network.start_flow(src, node, block_bytes * frac, tid);
                 task.pending_reads.push(flow);
@@ -202,7 +201,6 @@ impl Simulation {
         let done = self.clock + SimTime::from_secs_f64(task.compute_secs);
         self.events
             .push(done, ControlEvent::ComputeDone(tid, task.run));
-        self.tasks.computing_slots += 1;
     }
 
     pub(super) fn on_compute_done(&mut self, tid: TaskId, run: u32) {
@@ -222,7 +220,6 @@ impl Simulation {
         if !restores.is_empty() {
             task.state = TaskState::Writing;
         }
-        self.tasks.computing_slots -= 1;
         // Write phase: place each reconstructed block and ship it.
         let block_bytes = self.cfg.cluster.block_bytes as f64;
         for (_, block) in restores {
@@ -360,9 +357,6 @@ impl Simulation {
         let requeue = !matches!(task.kind, TaskKind::Repair { .. });
         if requeue {
             task.state = TaskState::Queued;
-        }
-        if state == TaskState::Computing {
-            self.tasks.computing_slots -= 1;
         }
         self.tasks.unindex(tid);
         if requeue {

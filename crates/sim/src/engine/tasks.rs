@@ -89,8 +89,6 @@ pub(super) struct TaskTable {
     waiting_on_block: FastMap<BlockId, Vec<TaskId>>,
     /// Stripe positions with an in-flight repair task.
     pub(super) repair_in_flight: FastSet<(StripeId, usize)>,
-    /// Tasks currently in [`TaskState::Computing`] (CPU-busy metric).
-    pub(super) computing_slots: usize,
 }
 
 impl TaskTable {

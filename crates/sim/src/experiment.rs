@@ -42,36 +42,14 @@ pub struct Ec2ExperimentResult {
     /// Per-event measurements, in the §5.2 order (4 single-node,
     /// 2 triple-node, 2 double-node terminations).
     pub events: Vec<FailureEventResult>,
-    /// Network traffic per 5-minute bucket, GB (Fig. 5a).
-    pub network_series_gb: Vec<f64>,
-    /// Disk bytes read per 5-minute bucket, GB (Fig. 5b).
-    pub disk_series_gb: Vec<f64>,
-    /// Mean CPU utilization per bucket, 0..1 (Fig. 5c).
-    pub cpu_series: Vec<f64>,
-}
-
-impl Ec2ExperimentResult {
-    /// `(blocks_lost, hdfs_gb, network_gb, minutes)` tuples for Fig. 6
-    /// scatter plots.
-    pub fn scatter_points(&self) -> Vec<(usize, f64, f64, f64)> {
-        self.events
-            .iter()
-            .map(|e| {
-                (
-                    e.blocks_lost,
-                    e.hdfs_gb_read,
-                    e.network_gb,
-                    e.repair_minutes,
-                )
-            })
-            .collect()
-    }
+    /// Network traffic over the whole run, GB (the total under Fig. 5a).
+    pub network_gb: f64,
 }
 
 /// The §5.2 failure pattern: "the first four failure events consisted of
 /// single DataNodes terminations, the next two were terminations of
 /// triplets of DataNodes and finally two terminations of pairs".
-pub const EC2_FAILURE_PATTERN: [usize; 8] = [1, 1, 1, 1, 3, 3, 2, 2];
+const EC2_FAILURE_PATTERN: [usize; 8] = [1, 1, 1, 1, 3, 3, 2, 2];
 
 /// Pause between failure events (the paper provided "sufficient time
 /// ... to complete the repair process" between events).
@@ -118,26 +96,11 @@ pub fn ec2_experiment(code: CodeSpec, files: usize, seed: u64) -> Ec2ExperimentR
             repair_minutes,
         });
     }
-    let slots = sim.config().cluster.map_slots_per_node * sim.alive_nodes();
     Ec2ExperimentResult {
         scheme: code.name(),
         files,
         events,
-        network_series_gb: sim
-            .metrics
-            .network_series()
-            .values()
-            .iter()
-            .map(|b| b / 1e9)
-            .collect(),
-        disk_series_gb: sim
-            .metrics
-            .disk_series()
-            .values()
-            .iter()
-            .map(|b| b / 1e9)
-            .collect(),
-        cpu_series: sim.metrics.cpu_utilization(slots.max(1)),
+        network_gb: sim.metrics.snapshot().network_bytes / 1e9,
     }
 }
 
@@ -355,8 +318,8 @@ impl ScaleScenario {
     /// failures at the warehouse per-node rate (3000 nodes ≈ 20/day →
     /// 300 nodes ≈ 2/day), machines replaced within 12 hours,
     /// [`ReadPolicy::Minimal`] so per-lost-block reads measure the
-    /// codec's information-theoretic locality. Drive it through
-    /// [`compare_codes`] to pit the paper's (10,6,5) against a wide
+    /// codec's information-theoretic locality. Run it through
+    /// [`monte_carlo`] to pit the paper's (10,6,5) against a wide
     /// layout ([`CodeSpec::LRC_WIDE`], [`CodeSpec::RS_200_60`]): wider
     /// stripes halve the storage overhead (1.3x vs 1.6x) while the LRC's
     /// group structure keeps repair reads bounded by the group, not the
@@ -676,36 +639,6 @@ pub fn monte_carlo(sc: &ScaleScenario, seeds: &[u64]) -> MonteCarloReport {
     }
 }
 
-/// Runs the same scenario template under two redundancy schemes and the
-/// same seeds. Returns both reports and the a-over-b ratio of mean
-/// per-lost-block repair reads.
-pub fn compare_codes(
-    sc_template: &ScaleScenario,
-    code_a: CodeSpec,
-    code_b: CodeSpec,
-    seeds: &[u64],
-) -> (MonteCarloReport, MonteCarloReport, f64) {
-    let mut a = sc_template.clone();
-    a.code = code_a;
-    let mut b = sc_template.clone();
-    b.code = code_b;
-    let a_report = monte_carlo(&a, seeds);
-    let b_report = monte_carlo(&b, seeds);
-    let ratio = a_report.blocks_read_per_lost_block.mean / b_report.blocks_read_per_lost_block.mean;
-    (a_report, b_report, ratio)
-}
-
-/// The headline §5 comparison: RS (10,4) vs LRC (10,6,5) repair traffic
-/// per lost block under the same scenario and seeds. Returns both
-/// reports and the RS/LRC ratio of mean per-lost-block reads (the paper
-/// measures ~11.5 vs ~5.8 blocks — a ~2x saving).
-pub fn compare_repair_traffic(
-    sc_template: &ScaleScenario,
-    seeds: &[u64],
-) -> (MonteCarloReport, MonteCarloReport, f64) {
-    compare_codes(sc_template, CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5, seeds)
-}
-
 /// One row of the cross-family comparison table (the PR-10 three-way
 /// study): the planner's own single-data-loss cost next to the
 /// cluster-measured Monte-Carlo repair traffic.
@@ -753,17 +686,20 @@ pub fn single_data_loss_cost(spec: CodeSpec) -> Result<(f64, f64), CodeError> {
     Ok((volume / k as f64, blocks / k as f64))
 }
 
-/// Builds the comparison table: one [`CodeComparisonRow`] per spec, all
-/// under the same scenario template and seeds. Errors on the first
-/// spec whose planner cannot cost a single data loss.
-pub fn code_comparison_table(
+/// The three-way table: RS (10,4), LRC (10,6,5) and piggybacked
+/// RS (10,4) under one scenario template and the same seeds. RS is the
+/// storage/repair baseline; the LRC buys 2x cheaper repair with 14% more
+/// storage; the piggybacked RS keeps RS storage and MDS distance while
+/// cutting single-data-loss repair *bytes* ~33% (at one extra touched
+/// block). Errors on the first spec whose planner cannot cost a single
+/// data loss.
+pub fn three_way_table(
     sc_template: &ScaleScenario,
-    specs: &[CodeSpec],
     seeds: &[u64],
 ) -> Result<Vec<CodeComparisonRow>, CodeError> {
-    specs
-        .iter()
-        .map(|&spec| {
+    [CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5, CodeSpec::PB_10_4]
+        .into_iter()
+        .map(|spec| {
             let (single_data_loss_volume, single_data_loss_blocks) = single_data_loss_cost(spec)?;
             let mut sc = sc_template.clone();
             sc.code = spec;
@@ -777,22 +713,6 @@ pub fn code_comparison_table(
             })
         })
         .collect()
-}
-
-/// The PR-10 three-way table: RS (10,4), LRC (10,6,5) and piggybacked
-/// RS (10,4) under one scenario template. RS is the storage/repair
-/// baseline; the LRC buys 2x cheaper repair with 14% more storage; the
-/// piggybacked RS keeps RS storage and MDS distance while cutting
-/// single-data-loss repair *bytes* ~33% (at one extra touched block).
-pub fn three_way_table(
-    sc_template: &ScaleScenario,
-    seeds: &[u64],
-) -> Result<Vec<CodeComparisonRow>, CodeError> {
-    code_comparison_table(
-        sc_template,
-        &[CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5, CodeSpec::PB_10_4],
-        seeds,
-    )
 }
 
 #[cfg(test)]
@@ -881,9 +801,13 @@ mod tests {
     /// overhead pays.
     #[test]
     fn wide_stripe_scenario_keeps_repair_local() {
-        let sc = ScaleScenario::wide_stripe_mode(CodeSpec::LRC_WIDE);
-        let (wide, narrow, ratio) =
-            compare_codes(&sc, CodeSpec::LRC_WIDE, CodeSpec::LRC_10_6_5, &[9, 21]);
+        let seeds = [9, 21];
+        let wide = monte_carlo(&ScaleScenario::wide_stripe_mode(CodeSpec::LRC_WIDE), &seeds);
+        let narrow = monte_carlo(
+            &ScaleScenario::wide_stripe_mode(CodeSpec::LRC_10_6_5),
+            &seeds,
+        );
+        let ratio = wide.blocks_read_per_lost_block.mean / narrow.blocks_read_per_lost_block.mean;
         for r in wide.runs.iter().chain(&narrow.runs) {
             assert!(r.failures_injected > 0, "a week must see failures");
             assert!(r.blocks_lost > 0);
@@ -924,34 +848,5 @@ mod tests {
         let (pb_vol, pb_blocks) = single_data_loss_cost(CodeSpec::PB_10_4).unwrap();
         assert!((pb_vol - 6.7).abs() < 1e-12, "piggyback volume {pb_vol}");
         assert_eq!(pb_blocks, 11.0);
-    }
-
-    /// The acceptance gate for the Monte-Carlo driver: the §5 headline
-    /// RS-vs-LRC repair-traffic comparison, in fast mode. The paper
-    /// measures ~11.5 blocks read per lost block for RS (10,4) against
-    /// ~5.8 for LRC (10,6,5) — a ~2x saving.
-    #[test]
-    fn monte_carlo_reproduces_the_2x_repair_traffic_ratio() {
-        let sc = ScaleScenario::fast_mode(CodeSpec::LRC_10_6_5);
-        let (rs, lrc, ratio) = compare_repair_traffic(&sc, &[5, 17, 23]);
-        assert_eq!(rs.runs.len(), 3);
-        assert_eq!(lrc.runs.len(), 3);
-        // Minimal policy: RS heavy repair reads 10 blocks per lost
-        // block, LRC light repair 5 (restarts and multi-loss stripes
-        // blur both slightly).
-        assert!(
-            rs.blocks_read_per_lost_block.mean > 8.5,
-            "RS reads {}",
-            rs.blocks_read_per_lost_block
-        );
-        assert!(
-            lrc.blocks_read_per_lost_block.mean < 6.5,
-            "LRC reads {}",
-            lrc.blocks_read_per_lost_block
-        );
-        assert!(
-            (1.7..=2.5).contains(&ratio),
-            "repair-traffic ratio {ratio} outside the paper's ~2x band"
-        );
     }
 }

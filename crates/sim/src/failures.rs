@@ -36,7 +36,7 @@ impl Default for TraceConfig {
 
 /// Samples a Poisson variate (Knuth's product method; fine for the
 /// small means used here).
-pub fn sample_poisson<R: Rng>(mean: f64, rng: &mut R) -> u32 {
+fn sample_poisson<R: Rng>(mean: f64, rng: &mut R) -> u32 {
     assert!(mean > 0.0, "mean must be positive");
     let l = (-mean).exp();
     let mut k = 0u32;

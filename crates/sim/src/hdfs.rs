@@ -500,11 +500,6 @@ impl Placement {
         }
     }
 
-    /// The rack of a node.
-    pub fn rack_of(&self, node: NodeId) -> usize {
-        self.rack_of[node]
-    }
-
     /// Picks `count` distinct alive nodes avoiding `exclude`, spreading
     /// racks as evenly as the candidate set allows, into `out` (cleared
     /// first). `None` if not enough candidates exist.
@@ -705,7 +700,7 @@ mod tests {
             fs.stripe_nodes_into(s.id, &mut nodes);
             assert_eq!(nodes.len(), 3);
             // 3 replicas over 2 racks: both racks used.
-            let racks: HashSet<usize> = nodes.iter().map(|&n| placement.rack_of(n)).collect();
+            let racks: HashSet<usize> = nodes.iter().map(|&n| placement.rack_of[n]).collect();
             assert_eq!(racks.len(), 2);
         }
     }
@@ -830,7 +825,7 @@ mod tests {
         assert_eq!(out.len(), 14);
         let distinct: HashSet<NodeId> = out.iter().copied().collect();
         assert_eq!(distinct.len(), 14);
-        let racks: HashSet<usize> = out.iter().map(|&c| placement.rack_of(c)).collect();
+        let racks: HashSet<usize> = out.iter().map(|&c| placement.rack_of[c]).collect();
         assert_eq!(racks.len(), 14, "each block on its own rack");
     }
 

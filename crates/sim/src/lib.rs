@@ -10,7 +10,7 @@
 //! *real* codecs from [`xorbas_core`], a fair scheduler, WordCount-style
 //! workloads with degraded reads, failure injection and node
 //! replacement, and the §5.1 metrics (HDFS bytes read, network traffic,
-//! repair duration, plus bounded 5-minute time series).
+//! repair duration) as cumulative totals.
 //!
 //! # Module map (paper section → module)
 //!
@@ -19,7 +19,7 @@
 //! | §3 system model | [`engine`] | a directory module split by state ownership: BlockFixer and failures (`fixer.rs`), fair scheduler (`scheduler.rs`), task lifecycle and degraded reads (`lifecycle.rs`, `tasks.rs`), plan memo (`planner.rs`), fleet and decommissioning (`fleet.rs`), client reads (`serving.rs`), verify mode (`verifier.rs`) |
 //! | §3.1.1 placement | [`hdfs`] | namespace, stripe-aware random placement, zero padding |
 //! | §5.2.3 network effects | [`network`] | max-min fair flows behind a saturable core |
-//! | §5.1 metrics | [`metrics`] | bytes read / network traffic / repair duration, Fig.-5 series |
+//! | §5.1 metrics | [`metrics`] | bytes read / network traffic / repair duration totals |
 //! | §5.2–5.3 experiments | [`experiment`] | Figs. 4–7, Table 2/3 drivers, warehouse Monte-Carlo |
 //! | Fig. 1 failure trace | [`failures`] | overdispersed node-failure process |
 //! | §2.1 / §3.1.2 codecs | [`xorbas_core::Codec`] | the real planners and decoders ([`codecs`] keeps the old `CodecInstance` name) |
@@ -32,10 +32,9 @@
 //! The engine is sized for the warehouse the paper describes (3000
 //! nodes, 30 PB, years of simulated time): arena-indexed namespace
 //! metadata, slab inventories with O(1) membership, an incremental
-//! lost-block index, a slab-indexed event queue, lazy sparse network
-//! rate recomputation, and bounded self-coarsening metric series. See
-//! the module docs of [`hdfs`], [`engine`], [`network`] and [`metrics`]
-//! for the specific structures, and the repository's
+//! lost-block index, a slab-indexed event queue, and lazy sparse network
+//! rate recomputation. See the module docs of [`hdfs`], [`engine`] and
+//! [`network`] for the specific structures, and the repository's
 //! `examples/sim_scale.rs` for measured events/sec on repair storms.
 //!
 //! See [`experiment`] for canned §5 scenario builders, and the
@@ -62,14 +61,11 @@ pub use codecs::CodecInstance;
 pub use config::{ClusterConfig, ClusterScale, ComputeRates, ReadPolicy, SimConfig};
 pub use engine::Simulation;
 pub use experiment::{
-    code_comparison_table, compare_codes, compare_repair_traffic, monte_carlo, run_scale_scenario,
-    single_data_loss_cost, three_way_table, CodeComparisonRow, ConfidenceInterval,
-    MonteCarloReport, ScaleScenario, ScenarioRun,
+    monte_carlo, run_scale_scenario, single_data_loss_cost, three_way_table, CodeComparisonRow,
+    ConfidenceInterval, MonteCarloReport, ScaleScenario, ScenarioRun,
 };
 pub use hdfs::{BlockId, FileId, Hdfs, NodeId, Placement, StripeId};
-pub use metrics::{
-    BucketSeries, Metrics, PercentileSummary, Percentiles, ServingStats, ServingSummary,
-};
+pub use metrics::{Metrics, PercentileSummary, Percentiles, ServingStats, ServingSummary};
 pub use time::SimTime;
 pub use workload::{
     ServePolicy, WorkloadConfig, ZipfSampler, RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION,

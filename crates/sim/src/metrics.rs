@@ -5,26 +5,11 @@
 //!   block write-back), as AWS CloudWatch would report.
 //! * **Repair Duration** — first repair-job launch to last completion.
 //!
-//! Cumulative counters support per-event deltas (Fig. 4); bucketed time
-//! series reproduce the 5-minute-resolution plots of Fig. 5.
-//!
-//! # Bounded time series
-//!
-//! A multi-year warehouse run at 5-minute resolution would grow an
-//! unbounded per-bucket vector (a simulated decade is >1M buckets per
-//! series). [`BucketSeries`] therefore keeps a *fixed maximum number of
-//! buckets*: when a sample lands past the last representable bucket, the
-//! series coarsens itself by merging adjacent bucket pairs and doubling
-//! the bucket width — aggregation happens on the fly, memory stays
-//! `O(max_buckets)`, and totals are preserved exactly. Paper-scale runs
-//! (hours to days at 300 s buckets) never coarsen, so the Fig.-5 plots
-//! are bit-identical to the unbounded implementation.
+//! The counters are cumulative totals, so a caller measures one event
+//! (Fig. 4) or a whole run (Fig. 5's totals) as the difference of two
+//! [`CounterSnapshot`]s.
 
 use crate::time::SimTime;
-
-/// Default cap on buckets per series: 8192 buckets × 300 s ≈ 28 days at
-/// the paper's 5-minute resolution before the first coarsening.
-pub const DEFAULT_MAX_BUCKETS: usize = 8192;
 
 /// A point-in-time snapshot of the cumulative counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -33,8 +18,6 @@ pub struct CounterSnapshot {
     pub hdfs_bytes_read: f64,
     /// Cumulative network bytes moved.
     pub network_bytes: f64,
-    /// Cumulative disk bytes read.
-    pub disk_bytes_read: f64,
     /// Blocks reconstructed so far.
     pub blocks_repaired: u64,
 }
@@ -52,124 +35,6 @@ impl JobSpan {
     /// Wall-clock duration.
     pub fn duration(&self) -> SimTime {
         self.finished - self.submitted
-    }
-}
-
-/// A bounded time series of per-interval totals.
-///
-/// Samples are spread proportionally over the buckets their interval
-/// overlaps. The series starts at the configured resolution and doubles
-/// its bucket width (merging pairs in place) whenever a sample would
-/// need more than `max_buckets` buckets, so memory is bounded however
-/// long the simulation runs. Out-of-order recording is supported: a
-/// sample may land in any bucket at or before the latest one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BucketSeries {
-    bucket_secs: u64,
-    max_buckets: usize,
-    buckets: Vec<f64>,
-    total: f64,
-}
-
-impl BucketSeries {
-    /// An empty series at `bucket_secs` resolution holding at most
-    /// `max_buckets` buckets before coarsening.
-    pub fn new(bucket_secs: u64, max_buckets: usize) -> Self {
-        assert!(bucket_secs > 0, "bucket width must be positive");
-        assert!(max_buckets >= 2, "need at least two buckets to coarsen");
-        Self {
-            bucket_secs,
-            max_buckets,
-            buckets: Vec::new(),
-            total: 0.0,
-        }
-    }
-
-    /// The *current* bucket width in seconds (doubles on coarsening).
-    pub fn bucket_secs(&self) -> u64 {
-        self.bucket_secs
-    }
-
-    /// Per-bucket totals, oldest first.
-    pub fn values(&self) -> &[f64] {
-        &self.buckets
-    }
-
-    /// Number of buckets recorded so far.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Sum over all buckets (preserved exactly across coarsening).
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// The bucket a time currently falls into.
-    pub fn bucket_index(&self, t: SimTime) -> usize {
-        (t.0 / (self.bucket_secs * 1_000_000)) as usize
-    }
-
-    /// Merges adjacent bucket pairs, doubling the bucket width.
-    fn coarsen(&mut self) {
-        let merged: Vec<f64> = self
-            .buckets
-            .chunks(2)
-            .map(|pair| pair.iter().sum())
-            .collect();
-        self.buckets = merged;
-        self.bucket_secs *= 2;
-    }
-
-    /// Grows to cover bucket `idx`, coarsening first if `idx` would
-    /// exceed the bucket cap.
-    fn ensure(&mut self, t_end: SimTime) -> usize {
-        while self.bucket_index(t_end) >= self.max_buckets {
-            self.coarsen();
-        }
-        let idx = self.bucket_index(t_end);
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0.0);
-        }
-        idx
-    }
-
-    /// Adds `amount` spread uniformly over `[start, start + dur_secs]`
-    /// across bucket boundaries. Instantaneous samples (`dur_secs <= 0`)
-    /// land entirely in `start`'s bucket.
-    pub fn add_spread(&mut self, start: SimTime, dur_secs: f64, amount: f64) {
-        if amount <= 0.0 {
-            return;
-        }
-        self.total += amount;
-        if dur_secs <= 0.0 {
-            let idx = self.ensure(start);
-            self.buckets[idx] += amount;
-            return;
-        }
-        let end = SimTime(start.0 + (dur_secs * 1e6) as u64);
-        // The interval is half-open: an end exactly on a bucket edge
-        // puts no mass in (and must not materialize) the next bucket.
-        let last = self.ensure(SimTime(end.0.saturating_sub(1).max(start.0)));
-        // Bucket geometry may have coarsened inside ensure(); recompute
-        // against the final width.
-        let bucket_us = self.bucket_secs as f64 * 1e6;
-        let start_us = start.0 as f64;
-        let end_us = start_us + dur_secs * 1e6;
-        let first = self.bucket_index(start);
-        #[allow(clippy::needless_range_loop)] // idx participates in bucket arithmetic
-        for idx in first..=last {
-            let lo = (idx as f64 * bucket_us).max(start_us);
-            let hi = ((idx + 1) as f64 * bucket_us).min(end_us);
-            if hi > lo {
-                self.buckets[idx] += amount * (hi - lo) / (end_us - start_us);
-            }
-        }
     }
 }
 
@@ -453,12 +318,9 @@ impl ServingStats {
 }
 
 /// The full metric state of a simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: CounterSnapshot,
-    network_series: BucketSeries,
-    disk_series: BucketSeries,
-    cpu_busy_series: BucketSeries,
     /// Completed repair jobs.
     pub repair_jobs: Vec<JobSpan>,
     /// Completed workload (e.g. WordCount) jobs.
@@ -471,68 +333,19 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Metrics with the given series resolution and the default bucket
-    /// cap ([`DEFAULT_MAX_BUCKETS`]).
-    pub fn new(bucket_secs: u64) -> Self {
-        Self::with_max_buckets(bucket_secs, DEFAULT_MAX_BUCKETS)
-    }
-
-    /// Metrics with an explicit per-series bucket cap.
-    pub fn with_max_buckets(bucket_secs: u64, max_buckets: usize) -> Self {
-        Self {
-            counters: CounterSnapshot::default(),
-            network_series: BucketSeries::new(bucket_secs, max_buckets),
-            disk_series: BucketSeries::new(bucket_secs, max_buckets),
-            cpu_busy_series: BucketSeries::new(bucket_secs, max_buckets),
-            repair_jobs: Vec::new(),
-            workload_jobs: Vec::new(),
-            data_loss_stripes: 0,
-            serving: ServingStats::default(),
-        }
-    }
-
-    /// The network series' *current* bucket width in seconds.
-    pub fn bucket_secs(&self) -> u64 {
-        self.network_series.bucket_secs()
-    }
-
     /// Current cumulative counters.
     pub fn snapshot(&self) -> CounterSnapshot {
         self.counters
     }
 
-    /// Network bytes per bucket.
-    pub fn network_series(&self) -> &BucketSeries {
-        &self.network_series
-    }
-
-    /// Disk bytes read per bucket.
-    pub fn disk_series(&self) -> &BucketSeries {
-        &self.disk_series
-    }
-
-    /// Busy slot-seconds per bucket (normalize by slots·bucket for %).
-    pub fn cpu_busy_series(&self) -> &BucketSeries {
-        &self.cpu_busy_series
-    }
-
-    /// Records an HDFS-level block read (also a disk read at the source).
-    pub fn record_block_read(&mut self, t: SimTime, bytes: f64) {
+    /// Records an HDFS-level block read.
+    pub fn record_block_read(&mut self, bytes: f64) {
         self.counters.hdfs_bytes_read += bytes;
-        self.counters.disk_bytes_read += bytes;
-        self.disk_series.add_spread(t, 0.0, bytes);
     }
 
-    /// Records network transfer over an interval (called as flows drain).
-    pub fn record_network(&mut self, start: SimTime, dur_secs: f64, bytes: f64) {
+    /// Records bytes moved over the network (called as flows drain).
+    pub fn record_network(&mut self, bytes: f64) {
         self.counters.network_bytes += bytes;
-        self.network_series.add_spread(start, dur_secs, bytes);
-    }
-
-    /// Records CPU busy time (`slots` busy for `dur_secs` from `start`).
-    pub fn record_cpu_busy(&mut self, start: SimTime, dur_secs: f64, slots: usize) {
-        self.cpu_busy_series
-            .add_spread(start, dur_secs, dur_secs * slots as f64);
     }
 
     /// Records a reconstructed block.
@@ -559,16 +372,6 @@ impl Metrics {
     /// Records an unrecoverable stripe.
     pub fn record_data_loss(&mut self) {
         self.data_loss_stripes += 1;
-    }
-
-    /// CPU utilization per bucket as a fraction of `total_slots`.
-    pub fn cpu_utilization(&self, total_slots: usize) -> Vec<f64> {
-        let cap = (total_slots as f64) * self.cpu_busy_series.bucket_secs() as f64;
-        self.cpu_busy_series
-            .values()
-            .iter()
-            .map(|&busy| (busy / cap).min(1.0))
-            .collect()
     }
 
     /// Order statistics over completed repair-job durations, in minutes:
@@ -599,123 +402,20 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut m = Metrics::new(300);
-        m.record_block_read(SimTime::from_secs(10), 64.0);
-        m.record_block_read(SimTime::from_secs(20), 36.0);
+        let mut m = Metrics::default();
+        m.record_block_read(64.0);
+        m.record_block_read(36.0);
+        m.record_network(50.0);
+        m.record_block_repaired();
         let s = m.snapshot();
         assert_eq!(s.hdfs_bytes_read, 100.0);
-        assert_eq!(s.disk_bytes_read, 100.0);
-    }
-
-    #[test]
-    fn spread_splits_across_buckets_proportionally() {
-        let mut m = Metrics::new(10);
-        // 100 bytes over 20s starting at t=5: buckets get 25/50/25.
-        m.record_network(SimTime::from_secs(5), 20.0, 100.0);
-        let s = m.network_series().values();
-        assert_eq!(s.len(), 3);
-        assert!((s[0] - 25.0).abs() < 1e-9);
-        assert!((s[1] - 50.0).abs() < 1e-9);
-        assert!((s[2] - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn instantaneous_amounts_land_in_one_bucket() {
-        let mut m = Metrics::new(10);
-        m.record_block_read(SimTime::from_secs(25), 7.0);
-        assert_eq!(m.disk_series().len(), 3);
-        assert_eq!(m.disk_series().values()[2], 7.0);
-    }
-
-    #[test]
-    fn boundary_instant_lands_in_the_later_bucket() {
-        // t = exactly one bucket width belongs to bucket 1, not bucket 0
-        // (buckets are half-open [k·w, (k+1)·w)).
-        let mut m = Metrics::new(10);
-        m.record_block_read(SimTime::from_secs(10), 3.0);
-        let s = m.disk_series().values();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0], 0.0);
-        assert_eq!(s[1], 3.0);
-    }
-
-    #[test]
-    fn boundary_aligned_interval_splits_exactly() {
-        // An interval starting and ending exactly on bucket edges puts
-        // exactly half in each bucket, nothing in a third.
-        let mut m = Metrics::new(10);
-        m.record_network(SimTime::from_secs(10), 20.0, 50.0);
-        let s = m.network_series().values();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s[0], 0.0);
-        assert!((s[1] - 25.0).abs() < 1e-9);
-        assert!((s[2] - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn out_of_order_records_accumulate_into_earlier_buckets() {
-        let mut m = Metrics::new(10);
-        m.record_block_read(SimTime::from_secs(55), 1.0);
-        m.record_block_read(SimTime::from_secs(5), 2.0); // earlier than the last
-        m.record_network(SimTime::from_secs(15), 0.0, 4.0);
-        assert_eq!(m.disk_series().len(), 6);
-        assert_eq!(m.disk_series().values()[0], 2.0);
-        assert_eq!(m.disk_series().values()[5], 1.0);
-        assert_eq!(m.network_series().values()[1], 4.0);
-        assert_eq!(m.snapshot().disk_bytes_read, 3.0);
-    }
-
-    #[test]
-    fn series_coarsens_instead_of_growing_unboundedly() {
-        let mut s = BucketSeries::new(10, 4);
-        for k in 0..32 {
-            s.add_spread(SimTime::from_secs(10 * k), 0.0, 1.0);
-        }
-        // 32 * 10s of samples in <= 4 buckets: width coarsened to 80s.
-        assert!(s.len() <= 4);
-        assert_eq!(s.bucket_secs(), 80);
-        assert!((s.total() - 32.0).abs() < 1e-9);
-        assert!((s.values().iter().sum::<f64>() - 32.0).abs() < 1e-9);
-        // Mass distribution: each 80s bucket saw 8 samples.
-        for &v in s.values() {
-            assert!((v - 8.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn coarsening_preserves_spread_mass() {
-        let mut s = BucketSeries::new(10, 4);
-        s.add_spread(SimTime::from_secs(5), 20.0, 100.0);
-        // Force two coarsenings with a far-future instant sample.
-        s.add_spread(SimTime::from_secs(150), 0.0, 1.0);
-        assert!(s.len() <= 4);
-        assert!((s.total() - 101.0).abs() < 1e-9);
-        assert!((s.values().iter().sum::<f64>() - 101.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spread_interval_straddling_a_coarsening_keeps_mass() {
-        let mut s = BucketSeries::new(10, 4);
-        // The interval itself needs bucket 12 at width 10 -> coarsens
-        // inside the same add_spread call.
-        s.add_spread(SimTime::from_secs(100), 25.0, 10.0);
-        assert!((s.total() - 10.0).abs() < 1e-9);
-        assert!((s.values().iter().sum::<f64>() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cpu_utilization_normalizes_by_slots() {
-        let mut m = Metrics::new(10);
-        // 2 slots busy for 5 s in bucket 0, cluster has 4 slots:
-        // utilization = 10 slot-secs / 40 = 0.25.
-        m.record_cpu_busy(SimTime::ZERO, 5.0, 2);
-        let u = m.cpu_utilization(4);
-        assert!((u[0] - 0.25).abs() < 1e-9);
+        assert_eq!(s.network_bytes, 50.0);
+        assert_eq!(s.blocks_repaired, 1);
     }
 
     #[test]
     fn repair_span_since_tracks_new_jobs_only() {
-        let mut m = Metrics::new(10);
+        let mut m = Metrics::default();
         m.record_repair_job(SimTime::from_secs(1), SimTime::from_secs(5));
         let mark = m.repair_jobs.len();
         m.record_repair_job(SimTime::from_secs(10), SimTime::from_secs(20));
@@ -728,10 +428,10 @@ mod tests {
 
     #[test]
     fn repair_span_since_empty_spans() {
-        let m = Metrics::new(10);
+        let m = Metrics::default();
         // No jobs at all.
         assert!(m.repair_span_since(0).is_none());
-        let mut m = Metrics::new(10);
+        let mut m = Metrics::default();
         m.record_repair_job(SimTime::from_secs(1), SimTime::from_secs(2));
         // Mark past the end: the span is empty even though jobs exist.
         assert!(m.repair_span_since(1).is_none());
@@ -808,7 +508,7 @@ mod tests {
 
     #[test]
     fn repair_minutes_percentiles_summarize_jobs() {
-        let mut m = Metrics::new(10);
+        let mut m = Metrics::default();
         for mins in [1u64, 2, 3, 4] {
             m.record_repair_job(SimTime::ZERO, SimTime::from_mins(mins));
         }

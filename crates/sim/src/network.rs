@@ -284,11 +284,6 @@ impl Network {
             .collect()
     }
 
-    /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
     /// A flow by id (with rates brought up to date).
     pub fn flow(&mut self, id: FlowId) -> Option<&Flow> {
         self.ensure_rates();
@@ -771,7 +766,7 @@ mod tests {
         assert!((moved2 - 62.5e6).abs() < 1.0);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.owner, 7);
-        assert_eq!(n.active_flows(), 0);
+        assert_eq!(n.earliest_completion_secs(), None);
     }
 
     #[test]

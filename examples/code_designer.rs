@@ -66,8 +66,6 @@ fn main() {
     design(10, 4, 5);
     println!("— a cheaper-repair variant (smaller groups) —\n");
     design(10, 4, 2);
-    println!("— an archival-leaning design (§7) —\n");
-    design(20, 4, 5);
     println!("— structurally invalid: r must divide k —");
     design(10, 4, 3);
 }

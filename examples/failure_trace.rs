@@ -11,9 +11,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xorbas::codes::CodeSpec;
-use xorbas::sim::experiment::compare_repair_traffic;
 use xorbas::sim::failures::{generate_trace, trace_stats, TraceConfig};
-use xorbas::sim::ScaleScenario;
+use xorbas::sim::{monte_carlo, ScaleScenario};
 
 fn main() {
     // The month behind the claim table's Fig. 1 rows.
@@ -57,8 +56,10 @@ fn main() {
     // against the scaled warehouse model (60-node fast-mode slice, two
     // simulated weeks, three seeds) and measure the ratio for real.
     println!("running the trace-driven simulator (fast mode, 3 seeds per scheme)…");
-    let template = ScaleScenario::fast_mode(CodeSpec::LRC_10_6_5);
-    let (rs, lrc, ratio) = compare_repair_traffic(&template, &[1, 2, 3]);
+    let seeds = [1, 2, 3];
+    let rs = monte_carlo(&ScaleScenario::fast_mode(CodeSpec::RS_10_4), &seeds);
+    let lrc = monte_carlo(&ScaleScenario::fast_mode(CodeSpec::LRC_10_6_5), &seeds);
+    let ratio = rs.blocks_read_per_lost_block.mean / lrc.blocks_read_per_lost_block.mean;
     println!(
         "  RS (10,4):     {} blocks read per lost block",
         rs.blocks_read_per_lost_block
@@ -68,5 +69,4 @@ fn main() {
         lrc.blocks_read_per_lost_block
     );
     println!("  measured repair-traffic ratio: {ratio:.2}x (estimate said 2.0x)");
-    println!("\nsee examples/warehouse_year.rs for the full 3000-node simulated year.");
 }

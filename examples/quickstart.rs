@@ -129,6 +129,6 @@ fn main() {
 
     // …at 14% more storage than RS, which Table 1 shows buys two extra
     // zeros of MTTDL. See examples/reliability_planner.rs, and
-    // examples/warehouse_year.rs for the same story at 3000-node scale.
+    // examples/failure_trace.rs for the same story on a simulated fleet.
     println!("\nall repairs verified bit-exact ✔");
 }

@@ -3,51 +3,16 @@
 //!
 //! Prints the comparison table — storage overhead, distance bound,
 //! plan-level single-data-loss cost (volume and touched blocks), and
-//! the cluster-measured repair traffic per lost block — then the
-//! same table as one `three_way` JSON line. The same scenario and seeds
-//! are pinned in CI by
-//! `crates/sim/tests/three_way_scenario.rs`.
+//! the cluster-measured repair traffic per lost block. The same scenario
+//! and seeds are pinned in CI by `crates/sim/tests/three_way_scenario.rs`.
 //!
 //! Run with: `cargo run --release --example three_way`
 
 use xorbas::codes::CodeSpec;
-use xorbas::sim::{three_way_table, CodeComparisonRow, ConfidenceInterval, ScaleScenario};
+use xorbas::sim::{three_way_table, ScaleScenario};
 
 /// Same seeds as the CI scenario gates.
 const SEEDS: [u64; 3] = [5, 17, 23];
-
-fn ci_json(ci: &ConfidenceInterval) -> String {
-    format!(
-        r#"{{"mean":{:.4},"half_width":{:.4},"n":{}}}"#,
-        ci.mean, ci.half_width, ci.n
-    )
-}
-
-fn row_json(row: &CodeComparisonRow) -> String {
-    let runs: Vec<String> = SEEDS
-        .iter()
-        .zip(&row.cluster.runs)
-        .map(|(seed, r)| {
-            format!(
-                r#"{{"seed":{seed},"blocks_lost":{},"blocks_read_per_lost_block":{:.4},"hdfs_gb_read":{:.3}}}"#,
-                r.blocks_lost,
-                r.blocks_read_per_lost_block,
-                r.hdfs_bytes_read / 1e9,
-            )
-        })
-        .collect();
-    format!(
-        r#"{{"scheme":"{}","storage_overhead":{:.1},"distance_upper_bound":{},"single_data_loss_volume":{:.4},"single_data_loss_blocks":{:.1},"cluster_blocks_read_per_lost_block":{},"cluster_hdfs_gb_read":{},"runs":[{}]}}"#,
-        row.scheme,
-        row.storage_overhead,
-        row.distance_upper_bound,
-        row.single_data_loss_volume,
-        row.single_data_loss_blocks,
-        ci_json(&row.cluster.blocks_read_per_lost_block),
-        ci_json(&row.cluster.hdfs_gb_read),
-        runs.join(","),
-    )
-}
 
 fn main() {
     println!("three-way codec comparison: 60-node fast-mode scenario, two simulated weeks\n");
@@ -89,13 +54,5 @@ fn main() {
     assert!(
         plan_ratio <= 0.75,
         "the committed table must satisfy the gate"
-    );
-
-    let row_lines: Vec<String> = rows.iter().map(row_json).collect();
-    println!(
-        r#"three_way {{"bench":"three-way codec comparison","scenario":"fast_mode","days":14,"nodes":60,"seeds":[5,17,23],"gate":{{"metric":"piggyback_over_rs_single_data_loss_volume","max":0.75,"measured":{:.4}}},"cluster_ratio_piggyback_over_rs":{:.4},"rows":[{}]}}"#,
-        plan_ratio,
-        cluster_ratio,
-        row_lines.join(","),
     );
 }

@@ -50,8 +50,8 @@
 //! ```
 //!
 //! See `examples/` for cluster-scale scenarios (start with
-//! `examples/quickstart.rs`, then `examples/warehouse_year.rs` for a
-//! simulated year on the 3000-node warehouse fleet),
+//! `examples/quickstart.rs`, then `examples/failure_trace.rs` for the
+//! trace-driven warehouse simulator),
 //! `tests/claims/mod.rs` for the paper's evaluation as one claim table
 //! (each row the paper's value, ours and a tolerance), and the
 //! repository's `README.md` / `docs/ARCHITECTURE.md` for the workspace

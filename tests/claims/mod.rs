@@ -394,7 +394,6 @@ pub fn ec2_network_rows() -> Vec<Row> {
         .iter()
         .fold((f64::MAX, f64::MIN), |(lo, hi), &r| (lo.min(r), hi.max(r)));
     let fig5 = CODES.map(|code| ec2_experiment(code, 200, 0x0500));
-    let network = |run: &Ec2ExperimentResult| run.network_series_gb.iter().sum::<f64>();
     vec![
         Row::number(
             "§5.2.2 network per byte read, every event",
@@ -406,7 +405,7 @@ pub fn ec2_network_rows() -> Vec<Row> {
         Row::number(
             "Fig. 5 total network LRC/RS",
             FIG5_NETWORK_RATIO,
-            &[network(&fig5[1]) / network(&fig5[0])],
+            &[fig5[1].network_gb / fig5[0].network_gb],
             0.25,
         )
         .because("the paper says \"roughly half\""),
