@@ -94,8 +94,8 @@ struct ServingTrace {
     fixer_wait_p99_bits: u64,
 }
 
-fn serving_two_days(policy: ServePolicy) -> (Trace, ServingTrace) {
-    let mut sc = ScaleScenario::serving_mode(CodeSpec::LRC_10_6_5);
+fn serving_two_days(code: CodeSpec, policy: ServePolicy) -> (Trace, ServingTrace) {
+    let mut sc = ScaleScenario::serving_mode(code);
     sc.days = 2;
     sc.trace.days = 2;
     sc.workload
@@ -136,7 +136,7 @@ const SERVING_TWO_DAYS: Trace = Trace {
 #[test]
 fn serving_two_days_degraded_policy() {
     assert_eq!(
-        serving_two_days(ServePolicy::Degraded),
+        serving_two_days(CodeSpec::LRC_10_6_5, ServePolicy::Degraded),
         (
             SERVING_TWO_DAYS,
             ServingTrace {
@@ -159,7 +159,7 @@ fn serving_two_days_degraded_policy() {
 #[test]
 fn serving_two_days_wait_for_fixer_policy() {
     assert_eq!(
-        serving_two_days(ServePolicy::WaitForFixer),
+        serving_two_days(CodeSpec::LRC_10_6_5, ServePolicy::WaitForFixer),
         (
             SERVING_TWO_DAYS,
             ServingTrace {
@@ -174,6 +174,40 @@ fn serving_two_days_wait_for_fixer_policy() {
                 degraded_p99_bits: 0,
                 fixer_wait_p50_bits: 4700243672226105626,
                 fixer_wait_p99_bits: 4706631433266001208,
+            }
+        )
+    );
+}
+
+/// The same two days under RS(10,4): every repair reads ten blocks, so
+/// about twice the flows are in flight behind the reads.
+#[test]
+fn serving_two_days_rs() {
+    assert_eq!(
+        serving_two_days(CodeSpec::RS_10_4, ServePolicy::Degraded),
+        (
+            Trace {
+                events: 179_380,
+                blocks_lost: 516,
+                blocks_repaired: 91,
+                hdfs_bytes_read_bits: 4814818592635748352,
+                network_bytes_bits: 4815044404361697937,
+                repair_jobs: 6,
+                repair_minutes_p50_bits: 4634352118256609520,
+                repair_minutes_max_bits: 4638194056822410785,
+            },
+            ServingTrace {
+                reads_issued: 174_282,
+                direct_reads: 173_909,
+                degraded_light: 0,
+                degraded_heavy: 373,
+                fixer_wait_reads: 0,
+                failed_reads: 0,
+                single_loss_recoveries: 248,
+                degraded_p50_bits: 4644684189384106997,
+                degraded_p99_bits: 4644948072174773237,
+                fixer_wait_p50_bits: 0,
+                fixer_wait_p99_bits: 0,
             }
         )
     );
