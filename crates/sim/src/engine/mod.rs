@@ -36,7 +36,27 @@
 //! * unrecoverable stripes are abandoned exactly once and withdrawn
 //!   from scanning ([`Hdfs::mark_unrecoverable`]);
 //! * per-event scratch buffers are owned by the subsystem that fills
-//!   them and reused.
+//!   them and reused;
+//! * **deferred steps** — a step whose stop (the next control event, or
+//!   the run's limit) falls inside the network's quiet window reads and
+//!   writes no flow: it only hands its length to the network
+//!   (`Network::defer`). The window is the earliest completion less 2⁻²⁰
+//!   of it, empty while some flow has under 2 bytes left, and defers at
+//!   most 2¹⁶ steps. Stepping eagerly would subtract from each flow's
+//!   remaining `r` at most 2¹⁶ + 1 times, with float error under
+//!   7.3e-12·r in all, so inside the window every flow keeps at least
+//!   (2⁻²⁰ − 7.3e-12)·r ≥ 1.9e-6 bytes, above the 1e-6-byte completion
+//!   tolerance, and the completion time it would recompute stays after
+//!   the window. So no flow completes and the stop is the one eager
+//!   stepping picks ([`crate::network`]'s "Deferred steps" has the
+//!   bound term by term). The network replays the steps flow by flow,
+//!   with the same arithmetic, on the next flow start, cancel or exact
+//!   step, and [`Simulation::run_until`] / [`Simulation::run_until_idle`]
+//!   settle them before returning; each step's bytes reach
+//!   `Metrics::record_network` in step order, so every pinned value is
+//!   bit-identical. The completion scan of an exact step is the pass
+//!   that opens the window, so a step that cannot defer costs no extra
+//!   pass.
 //!
 //! # Who owns what
 //!
@@ -100,6 +120,9 @@ pub struct Simulation {
     events_processed: u64,
     /// Reused scratch for per-step flow-completion batches.
     completed_scratch: Vec<(FlowId, Flow)>,
+    /// End of the network's quiet window: a step stopping at or before
+    /// it completes no flow and is deferred.
+    quiet_until: SimTime,
     planner: Planner,
     verifier: Verifier,
     fleet: Fleet,
@@ -121,6 +144,7 @@ impl Simulation {
             events: EventQueue::default(),
             events_processed: 0,
             completed_scratch: Vec::new(),
+            quiet_until: SimTime::ZERO,
             // xlint::allow(no-panic-in-lib): the frozen benchmark harness calls `new` as infallible
             planner: Planner::new(Codec::build(cfg.code).expect("valid code spec")),
             verifier: Verifier::default(),
@@ -292,6 +316,7 @@ impl Simulation {
     /// a bug, not a result).
     pub fn run_until_idle(&mut self, limit: SimTime) -> SimTime {
         while self.step(limit) {}
+        self.settle_network();
         assert!(
             self.clock < limit,
             "simulation did not quiesce before {limit}"
@@ -309,6 +334,7 @@ impl Simulation {
         if self.clock < t {
             self.advance_to(t);
         }
+        self.settle_network();
     }
 
     // xlint::hot-path(event-loop) begin
@@ -321,12 +347,27 @@ impl Simulation {
     /// Processes the next event; returns false when idle or past `limit`.
     fn step(&mut self, limit: SimTime) -> bool {
         let next_ctrl = self.events.peek_time();
+        // Inside the quiet window no flow completes, so the stop is the
+        // next control event (or `limit`) and the step is deferred.
+        if let Some(c) = next_ctrl {
+            let stop = c.min(limit);
+            if stop <= self.quiet_until && self.network.defer((stop - self.clock).as_secs_f64()) {
+                self.clock = stop;
+                if c > limit {
+                    return false;
+                }
+                self.handle_due_events();
+                return true;
+            }
+        }
+        let window = self.network.completion_window();
+        self.quiet_until = window.map_or(SimTime(u64::MAX), |(_, quiet)| {
+            self.clock + SimTime::from_secs_f64_floor(quiet)
+        });
         // Ceil to the next microsecond: rounding down would advance the
         // clock by zero and never complete the flow (livelock).
-        let next_flow = self
-            .network
-            .earliest_completion_secs()
-            .map(|s| self.clock + SimTime::from_secs_f64_ceil(s));
+        let next_flow =
+            window.map(|(earliest, _)| self.clock + SimTime::from_secs_f64_ceil(earliest));
         let target = match (next_ctrl, next_flow) {
             (None, None) => return false,
             (Some(c), None) => c,
@@ -337,9 +378,14 @@ impl Simulation {
             self.advance_to(limit);
             return false;
         }
+        // Flow completions at `target` are handled inside advance_to.
         self.advance_to(target);
-        // Flow completions at `target` were handled inside advance_to;
-        // now drain control events due at or before the clock.
+        self.handle_due_events();
+        true
+    }
+
+    /// Handles the control events due at or before the clock.
+    fn handle_due_events(&mut self) {
         while let Some(t) = self.events.peek_time() {
             if t > self.clock {
                 break;
@@ -351,7 +397,13 @@ impl Simulation {
             self.events_processed += 1;
             self.handle_event(ev);
         }
-        true
+    }
+
+    /// Replays the network's deferred steps and counts each one's bytes,
+    /// in step order.
+    fn settle_network(&mut self) {
+        let metrics = &mut self.metrics;
+        self.network.settle(|bytes| metrics.record_network(bytes));
     }
 
     /// Advances the clock, draining network flows and counting the bytes
@@ -360,6 +412,7 @@ impl Simulation {
         debug_assert!(t >= self.clock);
         let dt = (t - self.clock).as_secs_f64();
         if dt > 0.0 {
+            self.settle_network();
             // Swap the completion buffer out so the network can fill it
             // while `on_flow_complete` re-borrows `self` mutably.
             let mut completed = std::mem::take(&mut self.completed_scratch);

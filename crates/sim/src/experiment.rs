@@ -621,22 +621,43 @@ pub struct MonteCarloReport {
     pub probe_job_minutes: ConfidenceInterval,
 }
 
-/// Runs the scenario across `seeds` and aggregates confidence intervals.
+impl MonteCarloReport {
+    /// Aggregates confidence intervals over `runs`, kept in their order.
+    fn of_runs(scheme: String, runs: Vec<ScenarioRun>) -> Self {
+        let collect = |f: fn(&ScenarioRun) -> f64| {
+            ConfidenceInterval::from_samples(&runs.iter().map(f).collect::<Vec<_>>())
+        };
+        Self {
+            scheme,
+            blocks_read_per_lost_block: collect(|r| r.blocks_read_per_lost_block),
+            hdfs_gb_read: collect(|r| r.hdfs_bytes_read / 1e9),
+            network_gb: collect(|r| r.network_bytes / 1e9),
+            data_loss_stripes: collect(|r| r.data_loss_stripes as f64),
+            probe_job_minutes: collect(|r| r.probe_job_minutes),
+            runs,
+        }
+    }
+}
+
+/// Runs the scenario across `seeds`, one thread per seed, and aggregates
+/// confidence intervals. Each run builds its own simulation from `sc` and
+/// its seed alone, so the report is the serial one, in seed order.
 pub fn monte_carlo(sc: &ScaleScenario, seeds: &[u64]) -> MonteCarloReport {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let runs: Vec<ScenarioRun> = seeds.iter().map(|&s| run_scale_scenario(sc, s)).collect();
-    let collect = |f: fn(&ScenarioRun) -> f64| {
-        ConfidenceInterval::from_samples(&runs.iter().map(f).collect::<Vec<_>>())
-    };
-    MonteCarloReport {
-        scheme: sc.code.name(),
-        blocks_read_per_lost_block: collect(|r| r.blocks_read_per_lost_block),
-        hdfs_gb_read: collect(|r| r.hdfs_bytes_read / 1e9),
-        network_gb: collect(|r| r.network_bytes / 1e9),
-        data_loss_stripes: collect(|r| r.data_loss_stripes as f64),
-        probe_job_minutes: collect(|r| r.probe_job_minutes),
-        runs,
-    }
+    let runs = std::thread::scope(|scope| {
+        let workers: Vec<_> = seeds
+            .iter()
+            .map(|&seed| scope.spawn(move || run_scale_scenario(sc, seed)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    MonteCarloReport::of_runs(sc.code.name(), runs)
 }
 
 /// One row of the cross-family comparison table (the PR-10 three-way
@@ -790,6 +811,25 @@ mod tests {
         assert!(a.failures_injected > 0, "two weeks see failures");
         assert_eq!(a.blocks_repaired, a.blocks_lost, "everything repaired");
         assert_eq!(a.data_loss_stripes, 0);
+    }
+
+    #[test]
+    fn monte_carlo_equals_a_serial_map_over_its_seeds() {
+        let sc = ScaleScenario::fast_mode(CodeSpec::LRC_10_6_5);
+        let seeds = [5, 11, 23];
+        // Compared through `Debug`, so a `NaN` field (probes off) equals
+        // itself.
+        let without_wall = |mut report: MonteCarloReport| {
+            for run in &mut report.runs {
+                run.wall_secs = 0.0;
+            }
+            format!("{report:?}")
+        };
+        let serial = seeds.iter().map(|&s| run_scale_scenario(&sc, s)).collect();
+        assert_eq!(
+            without_wall(monte_carlo(&sc, &seeds)),
+            without_wall(MonteCarloReport::of_runs(sc.code.name(), serial))
+        );
     }
 
     /// The wide-stripe scenario gate: the paper's (10,6,5) against the

@@ -47,6 +47,31 @@
 //!   resolve. It does not collapse a storm to one round: the 3000-node
 //!   RS(10,4) 40-day warehouse run averages 13.6 rounds per recompute
 //!   with ~3,900 flows in flight.
+//! * **Deferred steps** — the pass that finds the earliest completion
+//!   also yields a *quiet window*, a span in which no flow can complete
+//!   (`Network::completion_window`). An event-loop step that ends
+//!   inside it only appends its length to a list (`Network::defer`);
+//!   the list is replayed flow by flow when a flow is next started,
+//!   cancelled, read or advanced. The replay does each flow's
+//!   `rate * dt`, `min` and subtraction exactly as [`Network::advance`]
+//!   would, and sums each step's bytes in active-list order, so every
+//!   remaining byte count and every step's byte total is the same bits
+//!   as stepping eagerly. The window is the earliest completion less a
+//!   relative `QUIET_REL` (2⁻²⁰), and empty while any flow has under
+//!   `QUIET_MIN_BYTES` (2) left. Why that suffices: a window covers at
+//!   most `MAX_DEFERRED` (2¹⁶) + 1 subtractions from a flow's remaining `r`
+//!   (the exact step that opened it, then the deferred ones). With
+//!   u = 2⁻⁵³, each subtraction rounds by at most u·r, the products
+//!   `rate * dt` add at most 2u·r together (`dt` and the product each
+//!   round once), and the window's own division, scaling and
+//!   microsecond floor add 4u: under (2¹⁶ + 8)u ≈ 7.3e-12 of `r` in
+//!   all. A window of `(1 − QUIET_REL)` times the earliest completion
+//!   leaves every flow at least `QUIET_REL · r` exactly, so eagerly at
+//!   least `(2⁻²⁰ − 7.3e-12) · 2` ≈ 1.9e-6 bytes, above the 1e-6-byte
+//!   completion tolerance: no deferred step completes a flow. And since
+//!   `QUIET_REL` ≫ 7.3e-12, the completion time an eager loop would
+//!   recompute at each deferred step still lies after the window, so it
+//!   would have stopped at the same control events.
 
 use crate::hdfs::NodeId;
 
@@ -85,6 +110,20 @@ const NOT_ACTIVE: u32 = u32::MAX;
 /// A round freezes the flows of links whose fair share is within this
 /// factor of the round's minimum.
 const BAND: f64 = 1.0 + 1e-3;
+
+/// Most steps one quiet window may defer; bounds the float error the
+/// window must absorb (module docs, "Deferred steps").
+const MAX_DEFERRED: u32 = 1 << 16;
+
+/// The quiet window is the earliest completion times `1 − QUIET_REL`.
+/// This margin is far above the ≈ 7.3e-12 relative error of
+/// `MAX_DEFERRED` + 1 steps, and with [`QUIET_MIN_BYTES`] it keeps every
+/// flow above the 1e-6-byte completion tolerance.
+const QUIET_REL: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// No quiet window while any flow has fewer bytes left than this:
+/// `QUIET_REL` of 2 bytes, less the float error, is still above 1e-6.
+const QUIET_MIN_BYTES: f64 = 2.0;
 
 fn make_id(slot: u32, gen: u32) -> FlowId {
     ((gen as u64) << 32) | slot as u64
@@ -145,6 +184,14 @@ pub struct Network {
     unassigned_scratch: Vec<(u32, [u32; 2])>,
     /// Scratch: completion list for [`Network::advance`].
     done_scratch: Vec<FlowId>,
+    /// Steps the open quiet window may still defer; 0 once a flow
+    /// starts or ends.
+    quiet_steps: u32,
+    /// Lengths (seconds) of the deferred steps, oldest first.
+    deferred: Vec<f64>,
+    /// Bytes moved by each replayed step, oldest first, until
+    /// [`Network::settle`] hands them out.
+    replayed: Vec<f64>,
 }
 
 impl Network {
@@ -174,6 +221,9 @@ impl Network {
             band_scratch: Vec::new(),
             unassigned_scratch: Vec::new(),
             done_scratch: Vec::new(),
+            quiet_steps: 0,
+            deferred: Vec::new(),
+            replayed: Vec::new(),
         }
     }
 
@@ -183,6 +233,7 @@ impl Network {
     pub fn start_flow(&mut self, src: NodeId, dst: NodeId, bytes: f64, owner: u64) -> FlowId {
         assert_ne!(src, dst, "local transfers do not use the network");
         assert!(bytes > 0.0, "flows must carry bytes");
+        self.replay_deferred();
         let flow = Flow {
             src,
             dst,
@@ -220,7 +271,7 @@ impl Network {
         self.nic_links.push(links);
         self.remaining.push(bytes);
         self.rate.push(0.0);
-        self.rates_dirty = true;
+        self.flows_changed();
         make_id(slot, self.slots[slot as usize].gen)
     }
 
@@ -268,9 +319,16 @@ impl Network {
     /// existed.
     pub fn cancel_flow(&mut self, id: FlowId) -> Option<Flow> {
         let slot = self.resolve(id)?;
+        self.replay_deferred();
         let f = self.release(slot);
-        self.rates_dirty = true;
+        self.flows_changed();
         Some(f)
+    }
+
+    /// The flow set changed: rates are stale and the quiet window shut.
+    fn flows_changed(&mut self) {
+        self.rates_dirty = true;
+        self.quiet_steps = 0;
     }
 
     /// Ids of flows touching `node` (as source or destination).
@@ -286,6 +344,7 @@ impl Network {
 
     /// A flow by id (with rates brought up to date).
     pub fn flow(&mut self, id: FlowId) -> Option<&Flow> {
+        self.replay_deferred();
         self.ensure_rates();
         let slot = self.resolve(id)?;
         let e = &mut self.slots[slot as usize];
@@ -296,20 +355,104 @@ impl Network {
     }
 
     // xlint::hot-path(rate-recompute) begin
-    // Per-event-loop-step surface: completion scan, flow advancement,
-    // and the max-min filling pass. All state lives in reused scratch
-    // vectors on `self` (or the caller's buffer); amortized `push` onto
-    // those is the only growth.
+    // Per-event-loop-step surface: completion scan, step deferral and
+    // replay, flow advancement, and the max-min filling pass. All state
+    // lives in reused scratch vectors on `self` (or the caller's
+    // buffer); amortized `push` onto those is the only growth.
 
-    /// Seconds until the earliest flow completes at current rates;
-    /// `None` when idle.
-    pub fn earliest_completion_secs(&mut self) -> Option<f64> {
+    /// Seconds until the earliest flow completes at current rates, and
+    /// the quiet window: seconds from now within which no flow completes,
+    /// however the span is split into deferred steps. Opens the window
+    /// for [`Network::defer`]. `None` when idle (nothing can complete).
+    pub(crate) fn completion_window(&mut self) -> Option<(f64, f64)> {
+        self.replay_deferred();
         self.ensure_rates();
-        self.remaining
-            .iter()
-            .zip(&self.rate)
-            .map(|(bytes, rate)| bytes / rate)
-            .min_by(f64::total_cmp)
+        self.quiet_steps = MAX_DEFERRED;
+        let mut flows = self.remaining.iter().zip(&self.rate);
+        let (&bytes, &rate) = flows.next()?;
+        let (mut earliest, mut least) = (bytes / rate, bytes);
+        for (&bytes, &rate) in flows {
+            let secs = bytes / rate;
+            if secs.total_cmp(&earliest).is_lt() {
+                earliest = secs;
+            }
+            // A compare and select: `f64::min`'s NaN handling would put
+            // three instructions on this loop-carried chain.
+            if bytes < least {
+                least = bytes;
+            }
+        }
+        let quiet = if least >= QUIET_MIN_BYTES {
+            earliest * (1.0 - QUIET_REL)
+        } else {
+            0.0
+        };
+        Some((earliest, quiet))
+    }
+
+    /// Defers a step of `dt` seconds, which the caller guarantees ends
+    /// inside the quiet window of the last
+    /// [`Network::completion_window`]. Returns false, deferring nothing,
+    /// once the window is shut or has deferred [`MAX_DEFERRED`] steps.
+    pub(crate) fn defer(&mut self, dt: f64) -> bool {
+        if self.quiet_steps == 0 {
+            return false;
+        }
+        self.quiet_steps -= 1;
+        if dt > 0.0 {
+            self.deferred.push(dt);
+        }
+        true
+    }
+
+    /// Replays the deferred steps, then hands `record` the bytes each
+    /// replayed step moved, oldest first.
+    pub(crate) fn settle(&mut self, mut record: impl FnMut(f64)) {
+        self.replay_deferred();
+        for &bytes in &self.replayed {
+            record(bytes);
+        }
+        self.replayed.clear();
+    }
+
+    /// Applies the deferred steps to every flow with the arithmetic of
+    /// [`Network::advance`], and queues each step's bytes for
+    /// [`Network::settle`].
+    fn replay_deferred(&mut self) {
+        if self.deferred.is_empty() {
+            return;
+        }
+        let steps = &self.deferred;
+        let first = self.replayed.len();
+        self.replayed.resize(first + steps.len(), 0.0);
+        let moved = &mut self.replayed[first..];
+        // Four flows at a time: their subtraction chains are independent,
+        // and each step still adds its flows' bytes in active-list order.
+        let mut remaining = self.remaining.chunks_exact_mut(4);
+        let mut rates = self.rate.chunks_exact(4);
+        for (rem, rate) in (&mut remaining).zip(&mut rates) {
+            let mut r = [rem[0], rem[1], rem[2], rem[3]];
+            for (m, &dt) in moved.iter_mut().zip(steps) {
+                let s = [rate[0] * dt, rate[1] * dt, rate[2] * dt, rate[3] * dt];
+                *m = *m + s[0].min(r[0]) + s[1].min(r[1]) + s[2].min(r[2]) + s[3].min(r[3]);
+                for (r, s) in r.iter_mut().zip(s) {
+                    *r -= s;
+                }
+            }
+            rem.copy_from_slice(&r);
+        }
+        for (rem, &rate) in remaining.into_remainder().iter_mut().zip(rates.remainder()) {
+            for (m, &dt) in moved.iter_mut().zip(steps) {
+                let s = rate * dt;
+                *m += s.min(*rem);
+                *rem -= s;
+            }
+        }
+        debug_assert!(
+            self.remaining.iter().all(|&r| r > 1e-6),
+            "a deferred step completed a flow"
+        );
+        self.deferred.clear();
     }
 
     /// Advances all flows by `dt` seconds, appending completed flows to
@@ -318,6 +461,7 @@ impl Network {
     /// removed and rates recomputed lazily afterwards.
     pub fn advance(&mut self, dt: f64, completed: &mut Vec<(FlowId, Flow)>) -> f64 {
         completed.clear();
+        self.replay_deferred();
         self.ensure_rates();
         let mut moved = 0.0;
         let mut done = std::mem::take(&mut self.done_scratch);
@@ -345,7 +489,7 @@ impl Network {
         }
         self.done_scratch = done;
         if !completed.is_empty() {
-            self.rates_dirty = true;
+            self.flows_changed();
         }
         moved
     }
@@ -664,7 +808,7 @@ mod tests {
                         n.cancel_flow(id);
                     }
                     _ => {
-                        if let Some(t) = n.earliest_completion_secs() {
+                        if let Some((t, _)) = n.completion_window() {
                             let scale = [0.25, 1.0, 4.0][rng.gen_range(0..3usize)];
                             n.advance(t * scale, &mut done);
                         }
@@ -672,6 +816,152 @@ mod tests {
                 }
                 assert_rates_match_reference(&mut n);
                 assert_kept_loads_match_recount(&n);
+            }
+        }
+    }
+
+    /// One network stepped eagerly and one through deferral, driven by the
+    /// same operations, with the bytes each step moved on each.
+    struct Twin {
+        eager: Network,
+        lazy: Network,
+        eager_bytes: Vec<f64>,
+        lazy_bytes: Vec<f64>,
+        /// The lazy network's quiet window and the seconds already spent
+        /// in it, while it is open.
+        window: Option<(f64, f64)>,
+    }
+
+    impl Twin {
+        /// An exact step of `scale` times the earliest completion: it
+        /// opens a quiet window on the lazy side, as the event loop does.
+        fn exact_step(&mut self, scale: f64) {
+            let lazy_bytes = &mut self.lazy_bytes;
+            self.lazy.settle(|b| lazy_bytes.push(b));
+            let Some((earliest, quiet)) = self.lazy.completion_window() else {
+                self.window = None;
+                return;
+            };
+            assert_eq!(
+                self.eager.completion_window().map(|(e, _)| e.to_bits()),
+                Some(earliest.to_bits())
+            );
+            let dt = earliest * scale;
+            let (mut done_eager, mut done_lazy) = (Vec::new(), Vec::new());
+            self.eager_bytes
+                .push(self.eager.advance(dt, &mut done_eager));
+            self.lazy_bytes.push(self.lazy.advance(dt, &mut done_lazy));
+            let ids = |d: &[(FlowId, Flow)]| d.iter().map(|&(id, _)| id).collect::<Vec<_>>();
+            assert_eq!(ids(&done_eager), ids(&done_lazy));
+            self.window = done_lazy.is_empty().then_some((quiet, dt));
+        }
+
+        /// Spends `frac` of what is left of the quiet window in `pieces`
+        /// deferred steps, checking both sides after each.
+        fn deferred_steps(&mut self, frac: f64, pieces: usize) {
+            let Some((quiet, spent)) = self.window else {
+                return;
+            };
+            let mut at = spent;
+            for i in 1..=pieces {
+                let next = spent + (quiet - spent) * frac * i as f64 / pieces as f64;
+                let dt = next - at;
+                if dt <= 0.0 {
+                    continue;
+                }
+                at = next;
+                assert!(self.lazy.defer(dt), "an open window refused a step");
+                let mut done = Vec::new();
+                self.eager_bytes.push(self.eager.advance(dt, &mut done));
+                assert!(
+                    done.is_empty(),
+                    "a step inside the quiet window completed a flow"
+                );
+                self.assert_equal();
+            }
+            self.window = Some((quiet, at));
+        }
+
+        /// Remaining bytes, rates and every step's bytes bitwise equal;
+        /// a copy of the lazy side is settled, so its deferred steps stay
+        /// pending.
+        fn assert_equal(&self) {
+            let (mut eager, mut lazy) = (self.eager.clone(), self.lazy.clone());
+            let mut lazy_bytes = self.lazy_bytes.clone();
+            lazy.settle(|b| lazy_bytes.push(b));
+            eager.ensure_rates();
+            lazy.ensure_rates();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&lazy.remaining), bits(&eager.remaining), "remaining");
+            assert_eq!(bits(&lazy.rate), bits(&eager.rate), "rates");
+            assert_eq!(bits(&lazy_bytes), bits(&self.eager_bytes), "bytes per step");
+        }
+    }
+
+    #[test]
+    fn deferred_steps_match_eager_stepping_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xde_fe44ed);
+        for _ in 0..300 {
+            let nodes = rng.gen_range(2..12usize);
+            let nic = [1e8, 3.3e8, 1e9][rng.gen_range(0..3usize)];
+            let core = nic * 0.5 * 200f64.powf(rng.gen::<f64>());
+            let net = Network::new(nodes, nic, core);
+            let mut t = Twin {
+                eager: net.clone(),
+                lazy: net,
+                eager_bytes: Vec::new(),
+                lazy_bytes: Vec::new(),
+                window: None,
+            };
+            let mut ids = Vec::new();
+            // 4 in 12 operations start a flow (one in eight of them a
+            // flow of a few bytes, which empties the quiet window), 1 in 12
+            // cancels one, 1 in 12 reads one, 2 in 12 take an exact step,
+            // and 4 in 12 spend part or all of the quiet window in one to
+            // four deferred steps.
+            for _ in 0..200 {
+                match rng.gen_range(0..12u32) {
+                    0..=3 => {
+                        let src = rng.gen_range(0..nodes);
+                        let dst = (src + rng.gen_range(1..nodes)) % nodes;
+                        let bytes = if rng.gen_range(0..8u32) == 0 {
+                            rng.gen_range(1e-3..4.0)
+                        } else {
+                            rng.gen_range(1e3..1e8)
+                        };
+                        let id = t.eager.start_flow(src, dst, bytes, 0);
+                        assert_eq!(t.lazy.start_flow(src, dst, bytes, 0), id);
+                        ids.push(id);
+                        t.window = None;
+                    }
+                    4 if !ids.is_empty() => {
+                        let id = ids.swap_remove(rng.gen_range(0..ids.len()));
+                        let eager = t.eager.cancel_flow(id).map(|f| f.remaining.to_bits());
+                        let lazy = t.lazy.cancel_flow(id).map(|f| f.remaining.to_bits());
+                        assert_eq!(eager, lazy);
+                        if eager.is_some() {
+                            t.window = None;
+                        }
+                    }
+                    5 if !ids.is_empty() => {
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        let eager = t
+                            .eager
+                            .flow(id)
+                            .map(|f| (f.remaining.to_bits(), f.rate.to_bits()));
+                        let lazy = t
+                            .lazy
+                            .flow(id)
+                            .map(|f| (f.remaining.to_bits(), f.rate.to_bits()));
+                        assert_eq!(eager, lazy);
+                    }
+                    6 | 7 => t.exact_step([0.25, 1.0, 4.0][rng.gen_range(0..3usize)]),
+                    _ => {
+                        let frac = [0.25, 0.5, 1.0][rng.gen_range(0..3usize)];
+                        t.deferred_steps(frac, rng.gen_range(1..5usize));
+                    }
+                }
+                t.assert_equal();
             }
         }
     }
@@ -708,7 +998,7 @@ mod tests {
     fn single_flow_gets_nic_rate() {
         let mut n = net();
         n.start_flow(0, 1, 125e6, 0);
-        assert!((n.earliest_completion_secs().unwrap() - 1.0).abs() < 1e-9);
+        assert!((n.completion_window().unwrap().0 - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -766,7 +1056,7 @@ mod tests {
         assert!((moved2 - 62.5e6).abs() < 1.0);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.owner, 7);
-        assert_eq!(n.earliest_completion_secs(), None);
+        assert_eq!(n.completion_window(), None);
     }
 
     #[test]
@@ -777,7 +1067,7 @@ mod tests {
         // Both share downlink 2 at 62.5 MB/s.
         assert!((n.flow(slow).unwrap().rate - 62.5e6).abs() < 1.0);
         // After the small flow drains, the survivor gets the full NIC.
-        let dt = n.earliest_completion_secs().unwrap();
+        let (dt, _) = n.completion_window().unwrap();
         n.advance(dt, &mut Vec::new());
         assert!((n.flow(slow).unwrap().rate - 125e6).abs() < 1.0);
     }

@@ -35,6 +35,12 @@ impl SimTime {
         SimTime((s.max(0.0) * 1e6).ceil() as u64)
     }
 
+    /// From fractional seconds, rounding *down* to a microsecond: for
+    /// bounds that must not be overshot.
+    pub(crate) fn from_secs_f64_floor(s: f64) -> Self {
+        SimTime((s.max(0.0) * 1e6).floor() as u64)
+    }
+
     /// As fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
