@@ -64,6 +64,10 @@ impl Default for Config {
                     "rate-recompute".to_owned(),
                 ),
                 (
+                    "crates/sim/src/network/fill.rs".to_owned(),
+                    "rate-recompute".to_owned(),
+                ),
+                (
                     "crates/node/src/server.rs".to_owned(),
                     "serve-read".to_owned(),
                 ),

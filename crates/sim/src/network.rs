@@ -26,10 +26,16 @@
 //!   the allocation dirty; one progressive-filling pass runs when rates
 //!   are next observed, so a scheduling round that starts hundreds of
 //!   flows pays for one recompute.
-//! * **Kept link loads** — the number of active flows on each NIC link
-//!   and the list of NIC links carrying any are maintained as flows
-//!   start and finish, so a recompute seeds in O(loaded links). The core
-//!   link, which every flow crosses, is two scalars.
+//! * **Kept link lists** — each NIC link keeps its active flows as
+//!   `(active position, other NIC link)` entries, and each flow its
+//!   index in its two lists, so [`Network::flows_touching`] reads two
+//!   lists. The loaded NIC links are listed in two groups, those with
+//!   one flow and those with more; the latter sit beside their seed
+//!   shares `nic / count`, the division the filling starts from, so the
+//!   same bits. Every NIC link's seed state (capacity, flow count, dense
+//!   position) is one array. Flow starts and finishes keep all of it in
+//!   O(1), and a recompute seeds by copying it. The core link, which
+//!   every flow crosses, is two scalars.
 //! * **Banded filling** — each round takes the minimal fair share over
 //!   the loaded links (one pass, which also drops emptied links) and
 //!   marks as bottlenecks the links within 0.1% of it. It then walks the
@@ -47,6 +53,54 @@
 //!   resolve. It does not collapse a storm to one round: the 3000-node
 //!   RS(10,4) 40-day warehouse run averages 13.6 rounds per recompute
 //!   with ~3,900 flows in flight.
+//! * **Order-free rounds** — run as written, the rule visits every
+//!   unassigned flow in every round: the 40-day RS(10,4) warehouse run's
+//!   486,636 rounds made 417M visits to freeze 138.5M flows. A round is
+//!   *order-free* when it freezes exactly the unassigned flows on its
+//!   band links, whatever the visit order. Its rates, capacities and
+//!   shares are then the same bits as the scan's, because each link
+//!   subtracts the same round share once per frozen flow. So a
+//!   recompute first fills by such rounds only (`network/fill.rs`). The
+//!   shares of the links with two or more flows sit in one dense array;
+//!   a round takes their minimum in one vectorised pass, tests them
+//!   eight at a time for band links, and walks only the band links'
+//!   member lists, each freeze updating the flow's other link. A link
+//!   with one flow stays out of that array: its share is the NIC's
+//!   until its flow freezes and empties it. A round costs O(flows on band
+//!   links + loaded links). Three exact checks decide that a round is
+//!   order-free; if one fails, the recompute is redone by the scan from
+//!   its start. Let s be the round's share, the minimum, ε =
+//!   `f64::EPSILON` and u = ε/2. A link's exact share after j of its n
+//!   flows froze, (C − js)/(n − j), is non-decreasing in j, so only
+//!   rounding can lower one. Each subtraction rounds by at most u·C and
+//!   each division by u of the share.
+//!   1. *Band links.* A band link must stay within the cutoff until its
+//!      last flow freezes. `max(C − (n−1)s, s) + (2n+4)·ε·C ≤ cutoff`
+//!      is enough: the shares err by under (n+2)·u·C in all, and
+//!      evaluating the bound by under 4·u·C. Otherwise the n − 1 exact
+//!      subtractions are walked.
+//!   2. *Links outside the band* must never fall within the cutoff:
+//!      each share a freeze writes is compared with it exactly. Only
+//!      rounding can make this check fail.
+//!   3. *The core.* Its subtractions are deferred while a lower bound
+//!      of its share stays above the cutoff: its exact capacity at the
+//!      last sync, minus the float sum of the deferred subtractions,
+//!      minus (count + 2·rounds + 8)·ε·capacity (u·C per subtraction,
+//!      two roundings per deferred round in the sum, the bound's own
+//!      evaluation and division), over its load. The bound less
+//!      s + ε·capacity per freeze is monotone in the round's freezes and
+//!      cannot fall while it exceeds s + ε·capacity, which
+//!      s ≥ 1024·ε·capacity guarantees above a cutoff of s·1.001; so one
+//!      check at the round's start covers the round. Otherwise the
+//!      deferred subtractions are replayed in order. A core within the
+//!      cutoff is *hot* and freezes every flow; that round is order-free
+//!      when check 1's bound (or walk) shows the core stays hot until
+//!      the last one. A core just above the cutoff has the round's
+//!      subtractions walked exactly, each share checked.
+//!
+//!   Every recompute of the 40-day warehouse runs is order-free; of the
+//!   serving week's, 51.5% (RS) and 65.5% (LRC) are, and the rest fail
+//!   check 1.
 //! * **Deferred steps** — the pass that finds the earliest completion
 //!   also yields a *quiet window*, a span in which no flow can complete
 //!   (`Network::completion_window`). An event-loop step that ends
@@ -73,7 +127,10 @@
 //!   recompute at each deferred step still lies after the window, so it
 //!   would have stopped at the same control events.
 
+mod fill;
+
 use crate::hdfs::NodeId;
+use fill::{Filling, Flows, LoadedLinks};
 
 /// Identifies an active flow (slot index in the low 32 bits, slot
 /// generation in the high 32 — stale ids never alias a reused slot).
@@ -107,10 +164,6 @@ struct Slot {
 
 const NOT_ACTIVE: u32 = u32::MAX;
 
-/// A round freezes the flows of links whose fair share is within this
-/// factor of the round's minimum.
-const BAND: f64 = 1.0 + 1e-3;
-
 /// Most steps one quiet window may defer; bounds the float error the
 /// window must absorb (module docs, "Deferred steps").
 const MAX_DEFERRED: u32 = 1 << 16;
@@ -133,17 +186,6 @@ fn split_id(id: FlowId) -> (u32, u32) {
     (id as u32, (id >> 32) as u32)
 }
 
-/// One NIC link's state during a filling.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkFill {
-    /// Capacity not yet given to frozen flows.
-    cap: f64,
-    /// `cap / load` as of the last change: +inf or NaN once `load` is 0.
-    share: f64,
-    /// Unassigned flows crossing the link.
-    load: u32,
-}
-
 /// The network state.
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -163,25 +205,16 @@ pub struct Network {
     rate: Vec<f64>,
     free: Vec<u32>,
     rates_dirty: bool,
-    /// Active flows per NIC link (uplinks `0..n`, downlinks `n..2n`).
-    link_flows: Vec<u32>,
-    /// NIC links with `link_flows > 0`, in no particular order.
-    loaded: Vec<u32>,
-    /// Each NIC link's index in `loaded` (`NOT_ACTIVE` when unloaded).
-    loaded_pos: Vec<u32>,
-    /// Filling scratch: capacity, share and load per NIC link.
-    fill_scratch: Vec<LinkFill>,
-    /// Filling scratch: `load > 0 && cap / load <= cutoff` per NIC link,
-    /// set at each round's start and recomputed at every freeze.
-    bottleneck: Vec<bool>,
-    /// Filling scratch: the loaded NIC links, emptied ones dropped by
-    /// each round's pass.
-    round_links: Vec<u32>,
-    /// Filling scratch: `(link, share)` candidates for the round's band.
-    band_scratch: Vec<(u32, f64)>,
-    /// Filling scratch: `(active position, NIC links)` of unassigned
-    /// flows.
-    unassigned_scratch: Vec<(u32, [u32; 2])>,
+    /// Per NIC link (uplinks `0..n`, downlinks `n..2n`), its active flows
+    /// as `(active position, other NIC link)`, in no particular order.
+    members: Vec<Vec<(u32, u32)>>,
+    /// Parallel to `active`: the flow's index in its uplink's and in its
+    /// downlink's `members` list.
+    member_at: Vec<[u32; 2]>,
+    /// The NIC links with members.
+    loaded: LoadedLinks,
+    /// Filling scratch.
+    filling: Filling,
     /// Scratch: completion list for [`Network::advance`].
     done_scratch: Vec<FlowId>,
     /// Steps the open quiet window may still defer; 0 once a flow
@@ -212,14 +245,10 @@ impl Network {
             rate: Vec::new(),
             free: Vec::new(),
             rates_dirty: false,
-            link_flows: vec![0; 2 * nodes],
-            loaded: Vec::new(),
-            loaded_pos: vec![NOT_ACTIVE; 2 * nodes],
-            fill_scratch: vec![LinkFill::default(); 2 * nodes],
-            bottleneck: vec![false; 2 * nodes],
-            round_links: Vec::new(),
-            band_scratch: Vec::new(),
-            unassigned_scratch: Vec::new(),
+            members: vec![Vec::new(); 2 * nodes],
+            member_at: Vec::new(),
+            loaded: LoadedLinks::new(2 * nodes, nic_bps / 8.0),
+            filling: Filling::new(2 * nodes),
             done_scratch: Vec::new(),
             quiet_steps: 0,
             deferred: Vec::new(),
@@ -259,16 +288,17 @@ impl Network {
             }
         };
         let links = [src as u32, (self.nodes + dst) as u32];
-        for l in links {
-            let l = l as usize;
-            if self.link_flows[l] == 0 {
-                self.loaded_pos[l] = self.loaded.len() as u32;
-                self.loaded.push(l as u32);
-            }
-            self.link_flows[l] += 1;
+        let pos = self.active.len() as u32;
+        let mut at = [0; 2];
+        for (side, &l) in links.iter().enumerate() {
+            let list = &mut self.members[l as usize];
+            at[side] = list.len() as u32;
+            list.push((pos, links[1 - side]));
+            self.loaded.set_count(l as usize, list.len() as u32);
         }
         self.active.push(slot);
         self.nic_links.push(links);
+        self.member_at.push(at);
         self.remaining.push(bytes);
         self.rate.push(0.0);
         self.flows_changed();
@@ -283,29 +313,35 @@ impl Network {
     }
 
     /// Removes a slot from the active list (and its dense arrays and
-    /// link loads) and frees it.
+    /// link lists) and frees it.
     // xlint::hot-path(rate-recompute)
     fn release(&mut self, slot: u32) -> Flow {
         let idx = self.slots[slot as usize].active_idx as usize;
         self.slots[slot as usize].active_idx = NOT_ACTIVE;
+        // Out of its two member lists first, while positions are still
+        // the ones the entries hold. A link is on the same side of all
+        // its flows, so a list's moved entry keeps the side.
+        for (side, &l) in self.nic_links[idx].iter().enumerate() {
+            let at = self.member_at[idx][side] as usize;
+            let list = &mut self.members[l as usize];
+            list.swap_remove(at);
+            if let Some(&(moved, _)) = list.get(at) {
+                self.member_at[moved as usize][side] = at as u32;
+            }
+            self.loaded.set_count(l as usize, list.len() as u32);
+        }
         let removed = self.active.swap_remove(idx);
         debug_assert_eq!(removed, slot);
-        let links = self.nic_links.swap_remove(idx);
+        self.nic_links.swap_remove(idx);
+        self.member_at.swap_remove(idx);
         let remaining = self.remaining.swap_remove(idx);
         let rate = self.rate.swap_remove(idx);
         if let Some(&moved) = self.active.get(idx) {
             self.slots[moved as usize].active_idx = idx as u32;
-        }
-        for l in links {
-            let l = l as usize;
-            self.link_flows[l] -= 1;
-            if self.link_flows[l] == 0 {
-                let pos = self.loaded_pos[l] as usize;
-                self.loaded_pos[l] = NOT_ACTIVE;
-                self.loaded.swap_remove(pos);
-                if let Some(&moved) = self.loaded.get(pos) {
-                    self.loaded_pos[moved as usize] = pos as u32;
-                }
+            for side in 0..2 {
+                let l = self.nic_links[idx][side] as usize;
+                let at = self.member_at[idx][side] as usize;
+                self.members[l][at].0 = idx as u32;
             }
         }
         self.free.push(slot);
@@ -331,13 +367,19 @@ impl Network {
         self.quiet_steps = 0;
     }
 
-    /// Ids of flows touching `node` (as source or destination).
+    /// Ids of flows touching `node` (as source or destination), in
+    /// active-list order.
     pub fn flows_touching(&self, node: NodeId) -> Vec<FlowId> {
-        self.active
+        let mut at: Vec<u32> = self.members[node]
             .iter()
-            .filter_map(|&s| {
-                let e = &self.slots[s as usize];
-                (e.flow.src == node || e.flow.dst == node).then(|| make_id(s, e.gen))
+            .chain(&self.members[self.nodes + node])
+            .map(|&(pos, _)| pos)
+            .collect();
+        at.sort_unstable();
+        at.iter()
+            .map(|&pos| {
+                let s = self.active[pos as usize];
+                make_id(s, self.slots[s as usize].gen)
             })
             .collect()
     }
@@ -506,117 +548,21 @@ impl Network {
     /// module docs for the round rule; rates are exact to it, bit for
     /// bit.
     fn recompute_rates(&mut self) {
-        let Self {
-            nic_bytes_per_sec,
-            core_bytes_per_sec,
-            nic_links,
-            rate,
-            link_flows,
-            loaded,
-            fill_scratch: fill,
-            bottleneck,
-            round_links,
-            band_scratch: band,
-            unassigned_scratch: unassigned,
-            ..
-        } = self;
-        for &l in loaded.iter() {
-            let l = l as usize;
-            let f = &mut fill[l];
-            f.cap = *nic_bytes_per_sec;
-            f.load = link_flows[l];
-            f.share = f.cap / f.load as f64;
-        }
-        round_links.clear();
-        round_links.extend_from_slice(loaded);
-        let mut core_cap = *core_bytes_per_sec;
-        let mut core_load = nic_links.len() as u32;
-        unassigned.clear();
-        unassigned.extend(
-            nic_links
-                .iter()
-                .enumerate()
-                .map(|(idx, &links)| (idx as u32, links)),
-        );
-        while !unassigned.is_empty() {
-            // One pass over the loaded links: drop the emptied ones,
-            // clear every mark, find the minimal fair share, and keep
-            // each link that was within the band of the running minimum
-            // when seen (a superset of the final band). The core link is
-            // loaded while any flow is unassigned.
-            let core_share = core_cap / core_load as f64;
-            let mut share = core_share;
-            let mut cutoff = share * BAND;
-            band.clear();
-            let mut kept = 0;
-            for j in 0..round_links.len() {
-                let l = round_links[j];
-                // An emptied link's share is +inf or NaN: it fails every
-                // comparison and is not kept.
-                let r = fill[l as usize].share;
-                bottleneck[l as usize] = false;
-                if r < share {
-                    let top = r * BAND;
-                    if top < share {
-                        // Every candidate so far is at least the old
-                        // minimum, so above any later cutoff.
-                        band.clear();
-                    }
-                    share = r;
-                    cutoff = top;
-                }
-                if r <= cutoff {
-                    band.push((l, r));
-                }
-                round_links[kept] = l;
-                kept += usize::from(r < f64::INFINITY);
-            }
-            round_links.truncate(kept);
-            for &(l, r) in band.iter() {
-                bottleneck[l as usize] = r <= cutoff;
-            }
-            let mut core_hot = core_share <= cutoff;
-            // Visit in active-list order; a frozen flow's place is taken
-            // by the last one, visited next. Each freeze re-marks the
-            // links it decrements, so a visit sees exactly whether one
-            // of its links is a bottleneck at that moment.
-            let before = unassigned.len();
-            let mut i = 0;
-            while i < unassigned.len() {
-                let (idx, [up, down]) = unassigned[i];
-                let (up, down) = (up as usize, down as usize);
-                if !(bottleneck[up] | bottleneck[down] | core_hot) {
-                    i += 1;
-                    continue;
-                }
-                rate[idx as usize] = share;
-                // A link's last freeze leaves `cap / 0`, +inf or NaN: never
-                // within the cutoff, and dropped by the next pass.
-                for l in [up, down] {
-                    let f = &mut fill[l];
-                    f.cap = (f.cap - share).max(0.0);
-                    f.load -= 1;
-                    f.share = f.cap / f.load as f64;
-                    bottleneck[l] = f.share <= cutoff;
-                }
-                core_cap = (core_cap - share).max(0.0);
-                core_load -= 1;
-                core_hot = core_cap / core_load as f64 <= cutoff;
-                unassigned.swap_remove(i);
-            }
-            // The minimal link's flows always freeze; a round that froze
-            // nothing would mean the kept loads disagree with the flows.
-            if unassigned.len() == before {
-                debug_assert!(false, "a filling round froze no flow");
-                break;
-            }
-        }
+        let flows = Flows {
+            nic: self.nic_bytes_per_sec,
+            core: self.core_bytes_per_sec,
+            loaded: &self.loaded,
+            members: &self.members,
+            nic_links: &self.nic_links,
+        };
+        self.filling.fill(&flows, &mut self.rate);
     }
     // xlint::hot-path(rate-recompute) end
 }
 
 #[cfg(test)]
 mod tests {
+    use super::fill::{FillPath, BAND, SINK};
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -753,71 +699,178 @@ mod tests {
         assert_eq!(got, want, "rates differ from the reference");
     }
 
-    /// Recounts every NIC link's flows and checks the kept counts, the
-    /// loaded-link list and the dense per-flow links against it.
+    /// Recounts every NIC link's flows and checks the kept member lists,
+    /// each flow's index in them, the loaded links' lists with their seed
+    /// shares (bitwise) and seed states, and the dense per-flow links
+    /// against it.
     fn assert_kept_loads_match_recount(n: &Network) {
-        let mut recount = vec![0u32; 2 * n.nodes];
+        let mut recount = vec![Vec::new(); 2 * n.nodes];
+        assert_eq!(n.member_at.len(), n.active.len());
         for (idx, &s) in n.active.iter().enumerate() {
             let e = &n.slots[s as usize];
             assert_eq!(e.active_idx as usize, idx);
             let links = [e.flow.src as u32, (n.nodes + e.flow.dst) as u32];
             assert_eq!(n.nic_links[idx], links);
-            for l in links {
-                recount[l as usize] += 1;
+            for side in 0..2 {
+                let (l, entry) = (links[side] as usize, (idx as u32, links[1 - side]));
+                assert_eq!(n.members[l][n.member_at[idx][side] as usize], entry);
+                recount[l].push(entry);
             }
         }
-        assert_eq!(n.link_flows, recount);
-        for (pos, &l) in n.loaded.iter().enumerate() {
-            assert_eq!(n.loaded_pos[l as usize] as usize, pos);
+        let kept = &n.loaded;
+        for (l, want) in recount.iter().enumerate() {
+            let mut got = n.members[l].clone();
+            got.sort_unstable();
+            assert_eq!(&got, want, "members of link {l}");
+            let seed = kept.seed[l];
+            assert_eq!(seed.cap.to_bits(), n.nic_bytes_per_sec.to_bits());
+            assert_eq!(seed.load as usize, want.len(), "count of link {l}");
+            let at = kept.at[l] as usize;
+            match want.len() {
+                0 => assert_eq!(seed.pos, SINK),
+                1 => {
+                    assert_eq!(kept.single[at] as usize, l);
+                    assert_eq!(seed.pos, SINK);
+                }
+                count => {
+                    assert_eq!(kept.multi[at] as usize, l);
+                    assert_eq!(seed.pos as usize, SINK as usize + 1 + at);
+                    let share = n.nic_bytes_per_sec / count as f64;
+                    assert_eq!(kept.multi_share[at].to_bits(), share.to_bits());
+                }
+            }
         }
-        let mut loaded = n.loaded.clone();
-        loaded.sort_unstable();
-        let want: Vec<u32> = (0..recount.len() as u32)
-            .filter(|&l| recount[l as usize] > 0)
-            .collect();
-        assert_eq!(loaded, want);
+        assert_eq!(kept.multi_share.len(), kept.multi.len());
+        let listed = kept.single.len() + kept.multi.len();
+        assert_eq!(listed, recount.iter().filter(|m| !m.is_empty()).count());
+    }
+
+    /// A random storm's shape.
+    struct Shape {
+        /// Below `in_flight.start` flows every operation starts one; none
+        /// starts one at `in_flight.end`.
+        in_flight: std::ops::Range<usize>,
+        /// Serving-like: node 0 is hot and sends the next flow whenever
+        /// it sends at most `1/m` of those in flight, and the core is `m`
+        /// NICs and a hair (0.01% to 0.1%). So the core's share often
+        /// sits just above the hot uplink's, within the band, and cools
+        /// before the round's last freeze. `None`: any node sends, and
+        /// the core runs from half a NIC (binds on almost every
+        /// recompute) to 100 NICs (never binds).
+        hot: Option<usize>,
+    }
+
+    /// Path counts of the filling, indexed by [`FillPath`].
+    type Counts = [u64; 8];
+
+    /// Runs 300 random operations on a fresh network of `nodes` nodes,
+    /// checking its rates against the reference and its kept state
+    /// against a recount after each, and returns its path counts. Of ten
+    /// draws, six start a flow, one cancels one, and three advance by a
+    /// quarter of, all of or four times the time to the next completion.
+    fn storm(rng: &mut StdRng, nodes: usize, shape: &Shape) -> Counts {
+        let nic = [1e8, 3.3e8, 1e9][rng.gen_range(0..3usize)];
+        let core = match shape.hot {
+            None => nic * 0.5 * 200f64.powf(rng.gen::<f64>()),
+            Some(m) => nic * m as f64 * (1.0 + rng.gen_range(1e-4..1e-3)),
+        };
+        let mut n = Network::new(nodes, nic, core);
+        let mut ids = Vec::new();
+        let mut done = Vec::new();
+        for _ in 0..300 {
+            let live = n.active.len();
+            let op = if live < shape.in_flight.start {
+                0
+            } else {
+                rng.gen_range(0..10u32)
+            };
+            match op {
+                0..=5 if live < shape.in_flight.end => {
+                    let src = match shape.hot {
+                        None => rng.gen_range(0..nodes),
+                        Some(m) if n.members[0].len() * m <= live => 0,
+                        Some(_) => rng.gen_range(1..nodes),
+                    };
+                    let dst = (src + rng.gen_range(1..nodes)) % nodes;
+                    let bytes = rng.gen_range(1e3..1e8);
+                    ids.push(n.start_flow(src, dst, bytes, 0));
+                }
+                6 if !ids.is_empty() => {
+                    // May be a flow that already completed: a stale id
+                    // must change nothing.
+                    let id = ids.swap_remove(rng.gen_range(0..ids.len()));
+                    n.cancel_flow(id);
+                }
+                _ => {
+                    if let Some((t, _)) = n.completion_window() {
+                        let scale = [0.25, 1.0, 4.0][rng.gen_range(0..3usize)];
+                        n.advance(t * scale, &mut done);
+                    }
+                }
+            }
+            assert_rates_match_reference(&mut n);
+            assert_kept_loads_match_recount(&n);
+        }
+        n.filling.stats.counts
+    }
+
+    fn add(sum: &mut Counts, c: Counts) {
+        for (sum, c) in sum.iter_mut().zip(c) {
+            *sum += c;
+        }
     }
 
     #[test]
     fn filling_matches_the_reference_bit_for_bit() {
-        // Random storms on small clusters; the core runs from half a NIC
-        // (binds on almost every recompute) to 100 NICs (never binds).
         let mut rng = StdRng::seed_from_u64(0x0e1e_9a27);
+        // Warehouse-like storms on small clusters.
+        let mut warehouse = [0; 8];
+        let any = Shape {
+            in_flight: 0..usize::MAX,
+            hot: None,
+        };
         for _ in 0..400 {
             let nodes = rng.gen_range(2..12usize);
-            let nic = [1e8, 3.3e8, 1e9][rng.gen_range(0..3usize)];
-            let core = nic * 0.5 * 200f64.powf(rng.gen::<f64>());
-            let mut n = Network::new(nodes, nic, core);
-            let mut ids = Vec::new();
-            let mut done = Vec::new();
-            // 6 in 10 operations start a flow, 1 in 10 cancels one, and
-            // 3 in 10 advance by a quarter of, all of or four times the
-            // time to the next completion.
-            for _ in 0..300 {
-                match rng.gen_range(0..10u32) {
-                    0..=5 => {
-                        let src = rng.gen_range(0..nodes);
-                        let dst = (src + rng.gen_range(1..nodes)) % nodes;
-                        let bytes = rng.gen_range(1e3..1e8);
-                        ids.push(n.start_flow(src, dst, bytes, 0));
-                    }
-                    6 if !ids.is_empty() => {
-                        // May be a flow that already completed: a stale
-                        // id must change nothing.
-                        let id = ids.swap_remove(rng.gen_range(0..ids.len()));
-                        n.cancel_flow(id);
-                    }
-                    _ => {
-                        if let Some((t, _)) = n.completion_window() {
-                            let scale = [0.25, 1.0, 4.0][rng.gen_range(0..3usize)];
-                            n.advance(t * scale, &mut done);
-                        }
-                    }
-                }
-                assert_rates_match_reference(&mut n);
-                assert_kept_loads_match_recount(&n);
-            }
+            add(&mut warehouse, storm(&mut rng, nodes, &any));
         }
+        // Serving-like storms: at most six nodes under 20 to 80 flows, a
+        // hot sender, and a core that often cools mid-round.
+        let mut serving = [0; 8];
+        for _ in 0..100 {
+            let nodes = rng.gen_range(3..7usize);
+            let hot = Shape {
+                in_flight: 20..80,
+                hot: Some(rng.gen_range(2..4usize)),
+            };
+            add(&mut serving, storm(&mut rng, nodes, &hot));
+        }
+        let count = |c: &Counts, path: FillPath| c[path as usize];
+        eprintln!("filling paths: warehouse-like {warehouse:?}, serving-like {serving:?}");
+        let scanned = count(&serving, FillPath::Scanned);
+        let all = scanned + count(&serving, FillPath::OrderFree);
+        assert!(
+            10 * scanned >= all,
+            "{scanned} of {all} serving-like recomputes took the scan"
+        );
+        let mut both = warehouse;
+        add(&mut both, serving);
+        for (path, floor) in [
+            (FillPath::OrderFree, 100_000),
+            (FillPath::Scanned, 4_000),
+            (FillPath::BandWalk, 50),
+            (FillPath::HotCoreWalk, 4_000),
+            (FillPath::HotCore, 50_000),
+            (FillPath::CoreReplay, 10_000),
+        ] {
+            let got = count(&both, path);
+            assert!(got >= floor, "{path:?}: {got} < {floor}");
+        }
+        // Only rounding reaches these two: a core whose share is a few
+        // ulps above the cutoff (`core_just_above_the_cutoff_is_walked`
+        // builds one), and a link outside the band that a freeze brings
+        // within it, which no storm has.
+        assert_eq!(count(&both, FillPath::CoreWalk), 0);
+        assert_eq!(count(&both, FillPath::FreshMark), 0);
     }
 
     /// One network stepped eagerly and one through deferral, driven by the
@@ -987,6 +1040,30 @@ mod tests {
         }
         assert_eq!(n.flow(d).unwrap().rate, 62.725e6);
         assert_rates_match_reference(&mut n);
+    }
+
+    #[test]
+    fn core_just_above_the_cutoff_is_walked() {
+        // 1 Gbps NICs. Uplink 0 carries a and b at the round's share,
+        // 62.5 MB/s; c crosses idle links. The core's share is a few ulps
+        // above the cutoff: cold, but too close for the deferral bound,
+        // so the round's two subtractions from it are walked. The core
+        // rises with each and never enters the band, so the round is
+        // order-free; round 1 gives c what is left of the core.
+        let cutoff = 62.5e6 * BAND;
+        let core = 3.0 * cutoff * (1.0 + 4.0 * f64::EPSILON);
+        let mut n = Network::new(5, 1e9, 8.0 * core);
+        let a = n.start_flow(0, 1, 1e6, 0);
+        let b = n.start_flow(0, 2, 1e6, 1);
+        let c = n.start_flow(3, 4, 1e6, 2);
+        assert_rates_match_reference(&mut n);
+        let counts = n.filling.stats.counts;
+        assert_eq!(counts[FillPath::CoreWalk as usize], 1);
+        assert_eq!(counts[FillPath::OrderFree as usize], 1);
+        for id in [a, b] {
+            assert_eq!(n.flow(id).unwrap().rate, 62.5e6);
+        }
+        assert!((n.flow(c).unwrap().rate - (core - 125e6)).abs() < 1.0);
     }
 
     fn net() -> Network {
