@@ -1,11 +1,17 @@
-//! `xorbas_analyze` — the project lint engine (`cargo xlint`).
+//! `xorbas_analyze` — the project lint engine.
 //!
-//! A std-only, registry-free static analyzer that proves the
-//! project-specific invariants CI otherwise takes on faith: unsafe
-//! containment and safety-contract coverage, hot-path allocation
-//! freedom, and no panic-capable call in library code.
+//! A std-only, registry-free static analyzer for the project-specific
+//! invariants that rustc and clippy cannot check: which files may hold
+//! `unsafe`, the doc contracts on unsafe and `#[target_feature]`
+//! items, and allocation freedom of the annotated hot paths. Panics in
+//! library code and `// SAFETY:` comments on unsafe blocks are clippy's
+//! (each crate root's header and the workspace lint table).
 //! See `docs/ARCHITECTURE.md` ("Static analysis") for the rule catalog
 //! and annotation conventions.
+//!
+//! There is no binary: `tests/rules.rs` runs every rule over the
+//! shipped workspace, so `cargo test -p xorbas_analyze` (and any
+//! `cargo test --workspace`) is the way to run it.
 //!
 //! The engine is deliberately *lexical*: a literal-aware lexer
 //! ([`lexer`]) splits every line into code and comment channels, and
@@ -19,10 +25,21 @@
 //! | [`lexer`] | string/char/comment/raw-string aware line splitter |
 //! | [`workspace`] | file walking, brace matching, `xlint::` directives |
 //! | [`config`] | rule set, allowlists, project anchors |
-//! | [`rules`] | the four shipped rules |
-//! | [`diag`] | diagnostics, human and JSON rendering |
+//! | [`rules`] | the three shipped rules |
+//! | [`diag`] | diagnostics and the human-readable report |
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod config;
 pub mod diag;
@@ -31,13 +48,13 @@ pub mod rules;
 pub mod workspace;
 
 pub use config::{Config, ALL_RULES, DIRECTIVE_RULE};
-pub use diag::{Diagnostic, Report, Suppression};
+pub use diag::{Diagnostic, Report};
 
+use std::io::{Error, ErrorKind};
 use workspace::{Directive, Workspace};
 
-/// Loads the workspace under `cfg.root` and runs the enabled rules.
-/// Inline `xlint::allow(rule): reason` suppressions are applied here,
-/// to every rule but the directive meta-rule itself.
+/// Loads the workspace under `cfg.root` and runs the enabled rules. A
+/// rule name the engine does not know is an error, not a clean run.
 pub fn run(cfg: &Config) -> std::io::Result<Report> {
     let ws = Workspace::load(&cfg.root)?;
     let mut report = Report::default();
@@ -46,94 +63,34 @@ pub fn run(cfg: &Config) -> std::io::Result<Report> {
             rules::unsafe_containment::NAME => {
                 rules::unsafe_containment::run(&ws, cfg, &mut report)
             }
-            rules::safety_comments::NAME => rules::safety_comments::run(&ws, cfg, &mut report),
+            rules::safety_comments::NAME => rules::safety_comments::run(&ws, &mut report),
             rules::hot_path::NAME => rules::hot_path::run(&ws, cfg, &mut report),
-            rules::no_panic::NAME => rules::no_panic::run(&ws, &mut report),
-            other => report.notes.push(format!("unknown rule `{other}` ignored")),
+            other => {
+                return Err(Error::new(
+                    ErrorKind::InvalidInput,
+                    format!("unknown rule `{other}`"),
+                ))
+            }
         }
     }
     check_directives(&ws, &mut report);
-    apply_suppressions(&ws, &mut report);
     report.sort();
     Ok(report)
 }
 
-/// Malformed or unknown `xlint::` markers are violations themselves: a
-/// typo in an escape hatch must not silently disable it.
+/// Unknown `xlint::` markers are violations themselves: a typo in a
+/// hot-path marker must not silently drop its region.
 fn check_directives(ws: &Workspace, report: &mut Report) {
     for f in &ws.files {
         for (i, d) in &f.directives {
-            match d {
-                Directive::AllowMissingReason { rule } => {
-                    report.diagnostics.push(Diagnostic::new(
-                        DIRECTIVE_RULE,
-                        &f.rel,
-                        *i,
-                        format!("`xlint::allow({rule})` requires a reason: append `: <why>`"),
-                    ));
-                }
-                Directive::Allow { rule, .. } if !ALL_RULES.contains(&rule.as_str()) => {
-                    report.diagnostics.push(Diagnostic::new(
-                        DIRECTIVE_RULE,
-                        &f.rel,
-                        *i,
-                        format!("`xlint::allow({rule})` names an unknown rule"),
-                    ));
-                }
-                Directive::Unknown { text } => {
-                    report.diagnostics.push(Diagnostic::new(
-                        DIRECTIVE_RULE,
-                        &f.rel,
-                        *i,
-                        format!("unrecognized xlint directive `xlint::{text}`"),
-                    ));
-                }
-                _ => {}
+            if let Directive::Unknown { text } = d {
+                report.diagnostics.push(Diagnostic::new(
+                    DIRECTIVE_RULE,
+                    &f.rel,
+                    *i,
+                    format!("unrecognized xlint directive `xlint::{text}`"),
+                ));
             }
         }
     }
-}
-
-/// Moves diagnostics silenced by an `xlint::allow(rule): reason` on the
-/// same line, or in the comment run directly above it, into the
-/// suppressed list.
-fn apply_suppressions(ws: &Workspace, report: &mut Report) {
-    let diags = std::mem::take(&mut report.diagnostics);
-    for d in diags {
-        if d.rule == DIRECTIVE_RULE {
-            report.diagnostics.push(d);
-            continue;
-        }
-        match suppression_reason(ws, &d) {
-            Some(reason) => report.suppressed.push(Suppression {
-                diagnostic: d,
-                reason,
-            }),
-            None => report.diagnostics.push(d),
-        }
-    }
-}
-
-fn suppression_reason(ws: &Workspace, d: &Diagnostic) -> Option<String> {
-    let f = ws.file(&d.path)?;
-    let line0 = d.line.checked_sub(1)?;
-    // Candidate directive lines: the diagnostic's own line, then the
-    // contiguous blank/comment run above it.
-    let mut candidates = vec![line0];
-    let mut j = line0;
-    while j > 0 {
-        j -= 1;
-        if !f.lines.get(j)?.is_blank_or_comment() {
-            break;
-        }
-        candidates.push(j);
-    }
-    for (li, dir) in &f.directives {
-        if let Directive::Allow { rule, reason } = dir {
-            if rule == d.rule && candidates.contains(li) {
-                return Some(reason.clone());
-            }
-        }
-    }
-    None
 }

@@ -64,7 +64,7 @@ pub fn run(ws: &Workspace, cfg: &Config, report: &mut Report) {
             }
         }
     }
-    for (rel, marker) in &cfg.required_hot_paths {
+    for &(rel, marker) in cfg.required_hot_paths {
         let Some(f) = ws.file(rel) else {
             report.diagnostics.push(Diagnostic::new(
                 NAME,

@@ -1,10 +1,8 @@
 //! The shipped rules. Each rule is a function from the loaded
 //! [`Workspace`](crate::workspace::Workspace) to diagnostics; the
-//! engine in [`crate::run`] decides which run and applies inline
-//! suppressions afterwards.
+//! engine in [`crate::run`] decides which run.
 
 pub mod hot_path;
-pub mod no_panic;
 pub mod safety_comments;
 pub mod unsafe_containment;
 

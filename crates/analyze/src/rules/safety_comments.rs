@@ -1,23 +1,24 @@
-//! `safety-comment-coverage`: every unsafe site must state its
-//! contract.
+//! `safety-comment-coverage`: every unsafe item must state its
+//! contract where its callers read it.
 //!
-//! * An `unsafe {` block needs a `// SAFETY:` comment on the block's
-//!   line or in the contiguous comment run directly above it.
-//! * An `unsafe fn` / `unsafe impl` / `unsafe trait` needs a doc
+//! * An `unsafe fn` / `unsafe trait` / `unsafe extern` needs a doc
 //!   contract above its attributes: a `# Safety` section (or an
-//!   explicit `SAFETY:` line).
+//!   explicit `SAFETY:` line). Clippy's `missing_safety_doc` covers
+//!   only public fns.
 //! * A `#[target_feature]` function — even a *safe* one — needs the
 //!   same, or a `Safe to …` note explaining why defining it is sound
 //!   (e.g. value-only operations callable only under the feature).
+//!
+//! Unsafe blocks and `unsafe impl`s are clippy's
+//! (`undocumented_unsafe_blocks`, denied workspace-wide).
 
 use super::find_word;
-use crate::config::Config;
 use crate::diag::{Diagnostic, Report};
 use crate::workspace::{SourceFile, Workspace};
 
 pub const NAME: &str = "safety-comment-coverage";
 
-pub fn run(ws: &Workspace, _cfg: &Config, report: &mut Report) {
+pub fn run(ws: &Workspace, report: &mut Report) {
     for f in &ws.files {
         let mut decl_lines: Vec<usize> = Vec::new();
         for (i, line) in f.lines.iter().enumerate() {
@@ -25,10 +26,7 @@ pub fn run(ws: &Workspace, _cfg: &Config, report: &mut Report) {
             while let Some(at) = find_word(&line.code, "unsafe", from) {
                 from = at + "unsafe".len();
                 let rest = line.code[from..].trim_start();
-                if rest.starts_with("fn")
-                    || rest.starts_with("impl")
-                    || rest.starts_with("trait")
-                    || rest.starts_with("extern")
+                if rest.starts_with("fn") || rest.starts_with("trait") || rest.starts_with("extern")
                 {
                     decl_lines.push(i);
                     if !declaration_has_contract(f, i) {
@@ -44,14 +42,6 @@ pub fn run(ws: &Workspace, _cfg: &Config, report: &mut Report) {
                     // One declaration per line; further `unsafe` tokens
                     // on it belong to the same item.
                     break;
-                }
-                if !block_has_contract(f, i) {
-                    report.diagnostics.push(Diagnostic::new(
-                        NAME,
-                        &f.rel,
-                        i,
-                        "unsafe block without a `// SAFETY:` comment directly above it".to_owned(),
-                    ));
                 }
             }
         }
@@ -111,26 +101,6 @@ fn declaration_has_contract(f: &SourceFile, i: usize) -> bool {
             continue;
         }
         break;
-    }
-    false
-}
-
-/// Checks the block's own line and the contiguous comment/blank run
-/// directly above it for a `SAFETY:` comment.
-fn block_has_contract(f: &SourceFile, i: usize) -> bool {
-    if f.lines[i].comment.contains("SAFETY:") {
-        return true;
-    }
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let line = &f.lines[j];
-        if !line.is_blank_or_comment() {
-            break;
-        }
-        if line.comment.contains("SAFETY:") {
-            return true;
-        }
     }
     false
 }

@@ -14,7 +14,7 @@ pub const NAME: &str = "unsafe-containment";
 
 pub fn run(ws: &Workspace, cfg: &Config, report: &mut Report) {
     for f in &ws.files {
-        if cfg.unsafe_allowlist.contains(&f.rel) {
+        if cfg.unsafe_allowlist.contains(&f.rel.as_str()) {
             continue;
         }
         for (i, line) in f.lines.iter().enumerate() {

@@ -13,11 +13,6 @@ const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "node_modu
 /// An `xlint::` directive found in comment text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Directive {
-    /// `xlint::allow(rule): reason` — suppress `rule` on the next code
-    /// line (or the directive's own line). The reason is mandatory.
-    Allow { rule: String, reason: String },
-    /// `xlint::allow(rule)` with no reason — reported as malformed.
-    AllowMissingReason { rule: String },
     /// `xlint::hot-path(name)` — the next braced item is a hot path.
     HotPathItem { name: String },
     /// `xlint::hot-path(name) begin` — opens an explicit hot region.
@@ -52,23 +47,6 @@ impl SourceFile {
             test_lines,
             directives,
         }
-    }
-
-    /// Whether the file lives under a `tests/` or `benches/` directory
-    /// (integration tests and benches, as opposed to library source) or
-    /// is a `tests.rs` — the out-of-line body of a `#[cfg(test)] mod
-    /// tests;`.
-    pub fn is_test_or_bench_path(&self) -> bool {
-        self.rel
-            .split('/')
-            .any(|seg| seg == "tests" || seg == "benches" || seg == "tests.rs")
-    }
-
-    /// Whether the file is library source: `crates/<x>/src/…` or the
-    /// facade `src/…`.
-    pub fn is_library_source(&self) -> bool {
-        let segs: Vec<&str> = self.rel.split('/').collect();
-        matches!(segs.as_slice(), ["src", ..] | ["crates", _, "src", ..])
     }
 }
 
@@ -196,55 +174,30 @@ fn collect_directives(lines: &[Line]) -> Vec<(usize, Directive)> {
             }
         }
         if let Some(tail) = body.trim_start().strip_prefix("xlint::") {
-            let (dir, _) = parse_directive(tail);
-            out.push((i, dir));
+            out.push((i, parse_directive(tail)));
         }
     }
     out
 }
 
-/// Parses one directive body (text after `xlint::`), returning it and
-/// how many bytes were consumed.
-fn parse_directive(tail: &str) -> (Directive, usize) {
-    if let Some(after) = tail.strip_prefix("allow(") {
-        if let Some(close) = after.find(')') {
-            let rule = after[..close].trim().to_owned();
-            let rest = &after[close + 1..];
-            let consumed = "allow(".len() + close + 1;
-            if let Some(colon) = rest.strip_prefix(':') {
-                // The reason runs to the end of the comment line.
-                let reason = colon.trim().to_owned();
-                if !reason.is_empty() {
-                    return (Directive::Allow { rule, reason }, consumed);
-                }
-            }
-            return (Directive::AllowMissingReason { rule }, consumed);
-        }
-    }
+/// Parses one directive body (the text after `xlint::`).
+fn parse_directive(tail: &str) -> Directive {
     if let Some(after) = tail.strip_prefix("hot-path") {
-        let (name, after_name, consumed_name) = if let Some(body) = after.strip_prefix('(') {
-            match body.find(')') {
-                Some(close) => (
-                    body[..close].trim().to_owned(),
-                    &body[close + 1..],
-                    "hot-path".len() + close + 2,
-                ),
-                None => (String::new(), after, "hot-path".len()),
-            }
-        } else {
-            (String::new(), after, "hot-path".len())
+        let (name, after_name) = match after.strip_prefix('(').and_then(|b| b.split_once(')')) {
+            Some((name, rest)) => (name.trim().to_owned(), rest),
+            None => (String::new(), after),
         };
         let trimmed = after_name.trim_start();
         if trimmed.starts_with("begin") {
-            return (Directive::HotPathBegin { name }, consumed_name);
+            return Directive::HotPathBegin { name };
         }
         if trimmed.starts_with("end") {
-            return (Directive::HotPathEnd { name }, consumed_name);
+            return Directive::HotPathEnd { name };
         }
-        return (Directive::HotPathItem { name }, consumed_name);
+        return Directive::HotPathItem { name };
     }
     let text: String = tail.chars().take(40).collect();
-    (Directive::Unknown { text }, tail.len())
+    Directive::Unknown { text }
 }
 
 #[cfg(test)]
@@ -259,44 +212,23 @@ mod tests {
     }
 
     #[test]
-    fn out_of_line_test_modules_are_test_paths() {
-        let path = |rel: &str| SourceFile::from_source(rel.into(), "").is_test_or_bench_path();
-        assert!(path("crates/sim/src/engine/tests.rs"));
-        assert!(path("crates/sim/tests/golden_trace.rs"));
-        assert!(!path("crates/sim/src/engine/mod.rs"));
-    }
-
-    #[test]
     fn directives_parse() {
         let src = "\
-// xlint::allow(no-panic-in-lib): invariant, audited 2026-08\n\
-// xlint::allow(some-rule)\n\
 // xlint::hot-path(replay)\n\
 // xlint::hot-path(ops) begin\n\
-// xlint::hot-path(ops) end\n";
+// xlint::hot-path(ops) end\n\
+// xlint::allow(some-rule): the escape hatch is gone\n";
         let f = SourceFile::from_source("x.rs".into(), src);
         let dirs: Vec<&Directive> = f.directives.iter().map(|(_, d)| d).collect();
         assert_eq!(
             dirs[0],
-            &Directive::Allow {
-                rule: "no-panic-in-lib".into(),
-                reason: "invariant, audited 2026-08".into()
-            }
-        );
-        assert_eq!(
-            dirs[1],
-            &Directive::AllowMissingReason {
-                rule: "some-rule".into()
-            }
-        );
-        assert_eq!(
-            dirs[2],
             &Directive::HotPathItem {
                 name: "replay".into()
             }
         );
-        assert_eq!(dirs[3], &Directive::HotPathBegin { name: "ops".into() });
-        assert_eq!(dirs[4], &Directive::HotPathEnd { name: "ops".into() });
+        assert_eq!(dirs[1], &Directive::HotPathBegin { name: "ops".into() });
+        assert_eq!(dirs[2], &Directive::HotPathEnd { name: "ops".into() });
+        assert!(matches!(dirs[3], Directive::Unknown { text } if text.starts_with("allow(")));
     }
 
     #[test]

@@ -1,13 +1,8 @@
-//! Fixture: directive hygiene and the suppression escape hatch.
-
-// xlint::allow(unsafe-containment)
-pub fn missing_reason() {}
-
-// xlint::allow(not-a-rule): unknown rule names must be flagged
-pub fn unknown_rule() {}
+//! Fixture: directive hygiene. Prose naming `xlint::allow` is not a
+//! directive; a leading one is unknown and suppresses nothing.
 
 // xlint::frobnicate the lexer
 pub fn unknown_directive() {}
 
-// xlint::allow(unsafe-containment): audited fixture escape hatch
+// xlint::allow(unsafe-containment): there is no escape hatch
 pub fn escape(p: *const u8) -> u8 { unsafe { *p } }

@@ -1,15 +1,12 @@
 //! Fixture: seeded safety-contract violations.
 
-pub fn string_trap(p: *const u8) -> u8 {
-    let tag = "SAFETY: a string literal is not a contract";
-    let _ = tag;
-    unsafe { *p }
-}
-
-/// Reads one byte, contract forgotten.
+/// Reads one byte, contract forgotten. The block inside is clippy's.
 pub unsafe fn undocumented(p: *const u8) -> u8 {
     unsafe { *p }
 }
+
+/// Marks types; what implementers promise is never said.
+pub unsafe trait Marker {}
 
 #[target_feature(enable = "avx2")]
 pub fn wide() {}

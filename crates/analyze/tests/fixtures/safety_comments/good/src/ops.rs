@@ -1,4 +1,4 @@
-//! Fixture: every unsafe site states its contract.
+//! Fixture: every unsafe item states its contract.
 
 /// Reads one byte.
 ///
@@ -14,6 +14,6 @@ pub unsafe fn read(p: *const u8) -> u8 {
 #[target_feature(enable = "ssse3")]
 pub fn shuffle() {}
 
-pub fn inline_contract(p: *const u8) -> u8 {
-    unsafe { *p } // SAFETY: `p` derives from a live reference above.
-}
+/// A bare `unsafe impl` is clippy's, not this rule's.
+pub struct Token;
+unsafe impl Send for Token {}

@@ -51,6 +51,17 @@
 #![deny(unsafe_code)]
 #![warn(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod field;
 mod gf16;

@@ -27,6 +27,18 @@
 //! reads, bit-identical files after repair, and full redundancy
 //! restored.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::error::Error;
 use std::fmt::Write as _;
 use std::net::SocketAddr;

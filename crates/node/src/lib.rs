@@ -33,6 +33,17 @@
 //! load_gen -- --seed N` runs the same traffic under a seeded fault plan.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod chunk_store;
 pub mod client;

@@ -133,6 +133,10 @@ pub struct Simulation {
 
 impl Simulation {
     /// A fresh simulation for the given configuration.
+    #[expect(
+        clippy::expect_used,
+        reason = "the frozen benchmark harness calls `new` as infallible"
+    )]
     pub fn new(cfg: SimConfig) -> Self {
         let nodes = cfg.cluster.nodes;
         Self {
@@ -145,7 +149,6 @@ impl Simulation {
             events_processed: 0,
             completed_scratch: Vec::new(),
             quiet_until: SimTime::ZERO,
-            // xlint::allow(no-panic-in-lib): the frozen benchmark harness calls `new` as infallible
             planner: Planner::new(Codec::build(cfg.code).expect("valid code spec")),
             verifier: Verifier::default(),
             fleet: Fleet::new(nodes, cfg.cluster.racks),
@@ -182,6 +185,10 @@ impl Simulation {
     /// Loads a RAIDed file of `data_blocks` blocks. In verify mode every
     /// block receives a deterministic payload and parities are encoded
     /// with the real codec. Panics if placement capacity is exhausted.
+    #[expect(
+        clippy::expect_used,
+        reason = "the frozen benchmark harness ignores this return value"
+    )]
     pub fn load_raided_file(&mut self, name: &str, data_blocks: usize) -> FileId {
         let codec = self.planner.codec();
         let code = codec.spec();
@@ -215,7 +222,6 @@ impl Simulation {
                 },
                 |sid, pos| payloads.get(&sid).map(|s| s[pos].clone()),
             )
-            // xlint::allow(no-panic-in-lib): the frozen benchmark harness ignores this return value
             .expect("cluster has capacity for the file")
     }
 

@@ -112,9 +112,16 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "time went backwards")]
     fn negative_duration_panics() {
         let _ = SimTime::from_secs(1) - SimTime::from_secs(2);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn negative_duration_saturates_to_zero() {
+        assert_eq!(SimTime::from_secs(1) - SimTime::from_secs(2), SimTime::ZERO);
     }
 
     #[test]

@@ -59,6 +59,17 @@
 //! layer.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub use xorbas_core as codes;
 pub use xorbas_flowgraph as flowgraph;
