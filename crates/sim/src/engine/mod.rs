@@ -343,7 +343,6 @@ impl Simulation {
         self.settle_network();
     }
 
-    // xlint::hot-path(event-loop) begin
     // The per-event spin: every simulated event funnels through `step`
     // and `advance_to`, so this surface reuses engine-owned scratch
     // (`completed_scratch`) instead of allocating per step. The event
@@ -435,7 +434,6 @@ impl Simulation {
             self.clock = t;
         }
     }
-    // xlint::hot-path(event-loop) end
 
     fn handle_event(&mut self, ev: ControlEvent) {
         match ev {

@@ -314,7 +314,6 @@ impl Network {
 
     /// Removes a slot from the active list (and its dense arrays and
     /// link lists) and frees it.
-    // xlint::hot-path(rate-recompute)
     fn release(&mut self, slot: u32) -> Flow {
         let idx = self.slots[slot as usize].active_idx as usize;
         self.slots[slot as usize].active_idx = NOT_ACTIVE;
@@ -396,7 +395,6 @@ impl Network {
         Some(&e.flow)
     }
 
-    // xlint::hot-path(rate-recompute) begin
     // Per-event-loop-step surface: completion scan, step deferral and
     // replay, flow advancement, and the max-min filling pass. All state
     // lives in reused scratch vectors on `self` (or the caller's
@@ -557,7 +555,6 @@ impl Network {
         };
         self.filling.fill(&flows, &mut self.rate);
     }
-    // xlint::hot-path(rate-recompute) end
 }
 
 #[cfg(test)]

@@ -74,7 +74,6 @@ impl LoadedLinks {
 
     /// Records that `link` carries `count` flows, one more or one fewer
     /// than before.
-    // xlint::hot-path(rate-recompute)
     pub(super) fn set_count(&mut self, link: usize, count: u32) {
         let was = self.seed[link].load;
         self.seed[link].load = count;
@@ -210,7 +209,6 @@ impl Filling {
     }
 }
 
-// xlint::hot-path(rate-recompute) begin
 // Every recompute runs through here. All state lives in reused scratch
 // vectors; amortized `push` onto those is the only growth.
 
@@ -714,4 +712,3 @@ impl Scan {
         }
     }
 }
-// xlint::hot-path(rate-recompute) end
