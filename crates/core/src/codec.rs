@@ -18,7 +18,7 @@
 use crate::error::{CodeError, Result};
 use crate::session::RepairSession;
 use crate::spec::CodeSpec;
-use xorbas_gf::slice_ops::{payload_mul_acc_multi, payload_mul_into_multi};
+use xorbas_gf::slice_ops::{payload_mul_acc_multi, payload_mul_into_block, payload_mul_into_multi};
 use xorbas_gf::Field;
 
 /// Maximum lane count a [`LaneMask`] stores without heap spill.
@@ -165,12 +165,17 @@ pub(crate) fn check_symbol_alignment(len: usize, symbol_bytes: usize) -> Result<
 /// rows are folded in stack-buffered batches.
 pub(crate) const ENC_FUSE: usize = 16;
 
-/// Fused-row encode of one output lane: `out = Σᵢ coeff(i)·data[i]`.
+/// Fused-block encode of parity lanes: `out[r] = Σᵢ coeff(r, i)·data[i]`.
 ///
-/// Convenience front of [`encode_row_iter`] for the common
-/// coefficient-per-data-lane shape.
-pub(crate) fn encode_row<F: Field>(out: &mut [u8], data: &[&[u8]], coeff: impl Fn(usize) -> F) {
-    encode_row_iter(out, data.iter().enumerate().map(|(i, d)| (coeff(i), *d)));
+/// All the rows go to the kernels as one block, so each data vector is
+/// loaded and split once per batch of rows rather than once per row.
+/// Allocation-free; zero-fills every output lane when `data` is empty.
+pub(crate) fn encode_rows<F: Field>(
+    out: &mut [&mut [u8]],
+    data: &[&[u8]],
+    coeff: impl Fn(usize, usize) -> F,
+) {
+    payload_mul_into_block(out, data, coeff);
 }
 
 /// Fused-row encode of one output lane from any `(coefficient, source)`

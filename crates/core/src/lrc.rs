@@ -22,7 +22,7 @@ use xorbas_gf::{Field, Gf256};
 use xorbas_linalg::Matrix;
 
 use crate::codec::{
-    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row, encode_row_iter,
+    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row_iter, encode_rows,
     ErasureCodec, RepairPlan,
 };
 use crate::error::{CodeError, Result};
@@ -220,19 +220,16 @@ impl<F: Field> ErasureCodec for Lrc<F> {
         check_parity_lanes(parity, self.total_blocks() - k, len)?;
         check_symbol_alignment(len, F::SYMBOL_BYTES)?;
         let (globals, locals) = parity.split_at_mut(g);
-        // Every parity lane is one fused row — a single pass over the
-        // output lane however many sources combine into it (the local
-        // parities' unit coefficients route to the fused-XOR kernel).
-        // Global (Reed-Solomon) parities: columns k..k+g of the generator.
-        for (p, out) in globals.iter_mut().enumerate() {
-            let col = k + p;
-            encode_row(out, data, |i| self.generator[(i, col)]);
-        }
-        // Local parities: Σ cᵢ · Xᵢ over each data group.
+        // Global (Reed-Solomon) parities, columns k..k+g of the
+        // generator, are one fused block: each data vector is split once
+        // for all of them.
+        encode_rows(globals, data, |r, i| self.generator[(i, k + r)]);
+        // Local parities: Σ cᵢ · Xᵢ over each data group, one row each
+        // (unit coefficients route to the fused-XOR kernel).
         for (t, group) in self.local_coeffs.iter().enumerate() {
             let base = t * self.spec.group_size;
             let members = &data[base..base + self.spec.group_size];
-            encode_row(&mut *locals[t], members, |i| group[i]);
+            encode_rows(&mut locals[t..=t], members, |_, i| group[i]);
         }
         // Stored parity-group parity S_p = Σ_j P_j (implied codes omit it).
         if !self.spec.implied_parity {

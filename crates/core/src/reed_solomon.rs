@@ -20,7 +20,7 @@ use xorbas_gf::{Field, Gf256};
 use xorbas_linalg::{special, Matrix};
 
 use crate::codec::{
-    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_row, ErasureCodec,
+    check_data_lanes, check_parity_lanes, check_symbol_alignment, encode_rows, ErasureCodec,
     RepairPlan,
 };
 use crate::error::{CodeError, Result};
@@ -159,14 +159,9 @@ impl<F: Field> ErasureCodec for ReedSolomon<F> {
         let len = check_data_lanes(data, self.k)?;
         check_parity_lanes(parity, self.m, len)?;
         check_symbol_alignment(len, F::SYMBOL_BYTES)?;
-        // One fused-row pass per parity lane: the whole generator column
-        // is gathered (on the stack, in ENC_FUSE batches) and handed to
-        // the multi-source kernels, so each output lane is streamed
-        // through memory once instead of once per data lane.
-        for (p, out) in parity.iter_mut().enumerate() {
-            let col = self.k + p;
-            encode_row(out, data, |i| self.generator[(i, col)]);
-        }
+        // Every parity lane is a row of one fused block: parity lane `r`
+        // is generator column `k + r`.
+        encode_rows(parity, data, |r, i| self.generator[(i, self.k + r)]);
         Ok(())
     }
 

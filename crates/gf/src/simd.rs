@@ -8,15 +8,43 @@
 //! exactly what `PSHUFB`/`VPSHUFB` compute for a whole vector of bytes
 //! per instruction.
 //!
-//! Two backends implement the same [`KernelSuite`] contract — three
-//! fused multi-source row kernels, the only shape the codecs issue:
+//! Two backends implement the same [`KernelSuite`] contract — two fused
+//! multiply *blocks* `dstᵣ = [dstᵣ ^] Σⱼ cᵣⱼ·srcⱼ` (up to [`BLOCK_ROWS`]
+//! rows over the same sources) and one fused XOR row, the only shapes
+//! the codecs issue:
 //!
 //! * **scalar** — portable Rust: 256-entry product-row lookups (the
-//!   nibble tables expanded once per call) and a `u64`-wide XOR. The
-//!   universal fallback, always available, and the reference the
-//!   equivalence tests hold the vector kernels to.
+//!   nibble tables expanded once per row and call), a block being a loop
+//!   over its rows, and a `u64`-wide XOR. The universal fallback, always
+//!   available, and the reference the equivalence tests hold the vector
+//!   kernels to.
 //! * **avx2** — 256-bit `VPSHUFB` kernels (the 16-entry tables broadcast
 //!   to both 128-bit lanes).
+//!
+//! # Why a block
+//!
+//! Splitting a source vector into nibbles does not depend on the
+//! coefficient, so a block splits each source vector once and
+//! multiplies every row from the split form. For GF(2^16), vector ALU
+//! ops per (row, source, 64 bytes):
+//!
+//! | step | row kernel | block |
+//! |---|---|---|
+//! | deinterleave low/high bytes | 8 | 8 / rows |
+//! | split into four nibbles | 6 | 6 / rows |
+//! | eight table shuffles, six XORs to combine | 14 | 14 |
+//! | reinterleave | 4 | 4 / sources |
+//! | accumulate into the row | 2 | 2 |
+//! | **total** | **34** | **16 + 14 / rows + 4 / sources** |
+//!
+//! so a 12-row, 16-source block issues 17.4 ops where the row issued
+//! 34 (the reinterleave now runs once per row, after all its sources).
+//! GF(2^8) goes from 7 ops per (row, source, 32 bytes) to
+//! 4 + 3 / rows. A block of several rows parks its split sources on the
+//! stack for each step and multiplies two rows at a time from them (a
+//! parked vector is loaded once for both); a one-row block keeps them
+//! in registers, so the rows that sessions and light repairs issue pay
+//! nothing for the block shape.
 //!
 //! Selection happens once per process (see [`KernelBackend::active`])
 //! via `is_x86_feature_detected!`, overridable with the
@@ -32,8 +60,8 @@
 //! things, each block with its own `// SAFETY:` line:
 //!
 //! * a pointer load or store, kept inside its slice by the loop bound
-//!   and by the kernel's up-front check that every source is as long as
-//!   `dst`;
+//!   and by [`block_len`], which every kernel calls first: every source
+//!   and every destination of a call has one common length;
 //! * the call into a kernel from a [`KernelSuite`] entry, sound because
 //!   [`suite_for`] hands out the AVX2 suite strictly after
 //!   `is_x86_feature_detected!("avx2")` has passed (and the scalar suite
@@ -66,12 +94,8 @@ impl MulTables {
     /// matching the historical 256-entry product-row semantics).
     pub(crate) fn build<F: crate::Field>(c: F) -> Self {
         debug_assert_eq!(F::SYMBOL_BYTES, 1, "split-nibble tables are byte-wide");
-        let mut lo = [0u8; 16];
-        let mut hi = [0u8; 16];
-        for x in 0..16u32 {
-            lo[x as usize] = (c * F::from_index(x)).index() as u8;
-            hi[x as usize] = (c * F::from_index(x << 4)).index() as u8;
-        }
+        let lo = nibble_products(|x| (c * F::from_index(x)).index()).map(|p| p as u8);
+        let hi = nibble_products(|x| (c * F::from_index(x << 4)).index()).map(|p| p as u8);
         Self { lo, hi }
     }
 
@@ -91,6 +115,28 @@ impl MulTables {
     fn mul_byte(&self, b: u8) -> u8 {
         self.lo[(b & 0xF) as usize] ^ self.hi[(b >> 4) as usize]
     }
+}
+
+/// `[f(0), f(1), …, f(15)]` for a map `f` that is linear over GF(2), as
+/// multiplying by a field constant is (in the polynomial basis, addition
+/// is XOR): four evaluations at the single bits, and every other entry
+/// the XOR of its lowest bit's entry and the rest's. A block of 12 rows
+/// × 16 GF(2^16) sources builds 192 coefficient tables per call, so the
+/// 64 multiplications a table would take otherwise show in a wide
+/// encode.
+// `x ^ low < x` and `low ≤ x < 16`: both entries are filled already.
+#[allow(clippy::indexing_slicing)]
+fn nibble_products(f: impl Fn(u32) -> u32) -> [u32; 16] {
+    let mut p = [0u32; 16];
+    for x in 1..16usize {
+        let low = x & x.wrapping_neg();
+        p[x] = if x == low {
+            f(x as u32)
+        } else {
+            p[low] ^ p[x ^ low]
+        };
+    }
+    p
 }
 
 /// Split-nibble multiplication tables for one GF(2^16) coefficient.
@@ -122,16 +168,11 @@ impl Nibble16Tables {
     /// symbols are two little-endian bytes (`SYMBOL_BYTES == 2`).
     pub(crate) fn build<F: crate::Field>(c: F) -> Self {
         debug_assert_eq!(F::SYMBOL_BYTES, 2, "nibble16 tables are two-byte-wide");
-        let mut t = Self {
-            lo: [[0; 16]; 4],
-            hi: [[0; 16]; 4],
-        };
+        let mut t = Self::default();
         for j in 0..4 {
-            for x in 0..16u32 {
-                let p = (c * F::from_index(x << (4 * j))).index() as u16;
-                t.lo[j][x as usize] = p as u8;
-                t.hi[j][x as usize] = (p >> 8) as u8;
-            }
+            let p = nibble_products(|x| (c * F::from_index(x << (4 * j))).index());
+            t.lo[j] = p.map(|p| p as u8);
+            t.hi[j] = p.map(|p| (p >> 8) as u8);
         }
         t
     }
@@ -187,47 +228,106 @@ pub(crate) struct Wide16Rows {
     pub(crate) hi: [u16; 256],
 }
 
-/// Most sources a fused multi-source kernel call accepts; callers batch
-/// longer rows. Bounds the scalar backend's on-stack expanded rows
-/// (16 × 256 B = 4 KiB) and keeps SIMD table state within L1.
+/// Most sources one kernel call accepts (byte-wide multiply and XOR);
+/// callers batch longer rows. Bounds the scalar backend's on-stack
+/// expanded rows (16 × 256 B = 4 KiB) and the AVX2 block's parked
+/// source nibbles (16 × 64 B).
 pub(crate) const MAX_FUSE: usize = 16;
 
-/// How many general (non-unit) sources a GF(2^16) fused batch carries:
-/// bounds the scalar backend's expanded split rows (8 × 1 KiB on the
-/// stack) and the AVX2 backend's live table state (8 × 128 B).
-pub(crate) const WIDE16_FUSE: usize = 8;
+/// Most sources one GF(2^16) block accepts: bounds the scalar backend's
+/// expanded split rows (16 × 1 KiB on the stack) and the AVX2 block's
+/// parked source nibbles (16 × 128 B).
+pub(crate) const WIDE16_FUSE: usize = 16;
 
-/// A fused multi-source multiply kernel over per-source tables of type
-/// `T`: `dst = [dst ^] Σ cᵢ·srcᵢ`; the `bool` is `accumulate`.
-pub(crate) type FusedMulFn<T> = for<'a> fn(&mut [u8], &[(T, &'a [u8])], bool);
+/// Most rows one multiply block accepts; callers batch taller blocks.
+/// Bounds a block's coefficient tables, which the caller keeps on its
+/// stack and every vector step reads once: a GF(2^16) block of 12 rows
+/// × 16 sources is 24 KiB of tables, half of L1. Swept on a Xeon with
+/// 48 KiB of L1d per core (GF(2^16), 16 sources, 64 KiB lanes; best of
+/// ten runs, ns per (row, source, 64 bytes)): 4 rows 3.55, 8 rows 3.09,
+/// 12 rows 3.05, 16 rows 3.16, 20 rows 3.24, 24 rows 3.34 — slower
+/// with every row past 12, as the tables fill more of L1 (32 KiB at 16
+/// rows, all 48 KiB at 24).
+pub(crate) const BLOCK_ROWS: usize = 12;
 
-/// The byte-wide fused multiply kernel. At most [`MAX_FUSE`] sources.
-pub(crate) type MulMultiFn = FusedMulFn<MulTables>;
+/// A fused multiply block over per-(row, source) tables of type `T`:
+/// `dstᵣ = [dstᵣ ^] Σⱼ cᵣⱼ·srcⱼ` with `cᵣⱼ` in `tables[r·srcs.len() + j]`;
+/// the `bool` is `accumulate`.
+pub(crate) type FusedMulFn<T> = for<'d, 's> fn(&mut [&'d mut [u8]], &[T], &[&'s [u8]], bool);
+
+/// The byte-wide multiply block: at most [`BLOCK_ROWS`] rows and
+/// [`MAX_FUSE`] sources.
+pub(crate) type MulBlockFn = FusedMulFn<MulTables>;
 
 /// Fused multi-source XOR kernel: `dst = [dst ^] Σ srcᵢ`.
 pub(crate) type XorMultiFn = for<'a> fn(&mut [u8], &[&'a [u8]], bool);
 
-/// The GF(2^16) fused multiply kernel over two-byte symbols. At most
-/// [`WIDE16_FUSE`] sources.
-pub(crate) type Mul16MultiFn = FusedMulFn<Nibble16Tables>;
+/// The GF(2^16) multiply block over two-byte symbols: at most
+/// [`BLOCK_ROWS`] rows and [`WIDE16_FUSE`] sources.
+pub(crate) type Mul16BlockFn = FusedMulFn<Nibble16Tables>;
 
-/// One implementation of the fused-row kernel set. All function
-/// pointers are safe to call with any slice arguments: a source shorter
-/// than `dst` panics (the public wrappers check equal lengths first);
-/// feature-gated suites are only reachable through [`suite_for`] after
-/// detection.
+/// One implementation of the fused kernel set. All function pointers
+/// are safe to call with any slice arguments: a block wider or taller
+/// than its caps, a table count other than rows × sources, or a source
+/// or destination whose length differs from the first destination's
+/// panics (see [`block_len`]); feature-gated suites are only reachable
+/// through [`suite_for`] after detection.
 pub(crate) struct KernelSuite {
     pub(crate) backend: KernelBackend,
-    /// Fused `dst = [dst ^] Σ cᵢ·srcᵢ` over at most [`MAX_FUSE`] sources:
-    /// one pass over `dst` however many sources there are. With no
-    /// sources and `accumulate == false` the destination is zero-filled.
-    pub(crate) mul_multi: MulMultiFn,
+    /// Fused block over at most [`BLOCK_ROWS`] rows and [`MAX_FUSE`]
+    /// sources: one pass over each destination and one split of each
+    /// source vector, however many rows and sources there are. With no
+    /// sources and `accumulate == false` every destination is
+    /// zero-filled.
+    pub(crate) mul_block: MulBlockFn,
     /// Fused `dst = [dst ^] Σ srcᵢ` over at most [`MAX_FUSE`] sources.
     pub(crate) xor_multi: XorMultiFn,
-    /// GF(2^16) fused `dst = [dst ^] Σ cᵢ·srcᵢ` over at most
-    /// [`WIDE16_FUSE`] sources: one pass over `dst`. With no sources and
-    /// `accumulate == false` the destination is zero-filled.
-    pub(crate) mul16_multi: Mul16MultiFn,
+    /// GF(2^16) fused block over at most [`BLOCK_ROWS`] rows and
+    /// [`WIDE16_FUSE`] sources. With no sources and
+    /// `accumulate == false` every destination is zero-filled.
+    pub(crate) mul16_block: Mul16BlockFn,
+}
+
+/// Checks a block call's shape and returns its payload length: at most
+/// [`BLOCK_ROWS`] rows and `max_srcs` sources, one table per (row,
+/// source), and every destination and every source as long as the
+/// first destination. The vector kernels load `n` bytes of every source
+/// and store `n` bytes into every destination through raw pointers, so
+/// this check is what keeps them in bounds.
+fn block_len(dsts: &[&mut [u8]], tables: usize, srcs: &[&[u8]], max_srcs: usize) -> usize {
+    assert!(
+        dsts.len() <= BLOCK_ROWS && srcs.len() <= max_srcs,
+        "block larger than its caps"
+    );
+    assert_eq!(
+        tables,
+        dsts.len() * srcs.len(),
+        "one table per (row, source)"
+    );
+    let n = dsts.first().map_or(0, |d| d.len());
+    assert!(
+        dsts.iter().all(|d| d.len() == n),
+        "destination length differs from the first destination"
+    );
+    assert!(
+        srcs.iter().all(|s| s.len() == n),
+        "source length differs from dst"
+    );
+    n
+}
+
+/// A block with no sources: zero-fills every destination unless
+/// accumulating. Returns whether the block was empty.
+fn empty_block(dsts: &mut [&mut [u8]], srcs: &[&[u8]], accumulate: bool) -> bool {
+    if !srcs.is_empty() {
+        return false;
+    }
+    if !accumulate {
+        for d in dsts {
+            d.fill(0);
+        }
+    }
+    true
 }
 
 /// A byte-kernel implementation selectable at runtime.
@@ -334,20 +434,20 @@ fn select_suite() -> &'static KernelSuite {
 }
 
 /// Portable fallback kernels: safe Rust throughout, auto-vectorizable
-/// product-row streams, `u64`-wide XOR.
+/// product-row streams, `u64`-wide XOR. A block is a loop over its rows.
 // Kernel indexing is length-checked up front: `chunks_exact` bodies,
 // remainder tails indexed below the asserted common length, and
 // nibble-masked table lookups.
 #[allow(clippy::indexing_slicing)]
 pub(crate) mod scalar {
-    use super::WIDE16_FUSE;
+    use super::{block_len, empty_block, WIDE16_FUSE};
     use super::{KernelBackend, KernelSuite, MulTables, Nibble16Tables, Wide16Rows, MAX_FUSE};
 
     pub(crate) static SUITE: KernelSuite = KernelSuite {
         backend: KernelBackend::Scalar,
-        mul_multi,
+        mul_block,
         xor_multi,
-        mul16_multi,
+        mul16_block,
     };
 
     /// Little-endian `u64` load from an 8-byte chunk (as produced by
@@ -371,20 +471,23 @@ pub(crate) mod scalar {
         }
     }
 
-    /// Destination-chunked fusion: the expanded rows live on the stack
+    fn mul_block(dsts: &mut [&mut [u8]], tables: &[MulTables], srcs: &[&[u8]], accumulate: bool) {
+        block_len(dsts, tables.len(), srcs, MAX_FUSE);
+        if empty_block(dsts, srcs, accumulate) {
+            return;
+        }
+        for (dst, row) in dsts.iter_mut().zip(tables.chunks_exact(srcs.len())) {
+            mul_row(dst, row, srcs, accumulate);
+        }
+    }
+
+    /// One row, destination-chunked: the expanded rows live on the stack
     /// (hence [`MAX_FUSE`]) and `dst` is walked in L1-sized chunks, each
     /// chunk visited by every source before moving on — one effective
     /// pass of `dst` through memory however many sources there are.
-    fn mul_multi(dst: &mut [u8], srcs: &[(MulTables, &[u8])], accumulate: bool) {
-        assert!(srcs.len() <= MAX_FUSE, "fused row wider than MAX_FUSE");
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
-            return;
-        }
+    fn mul_row(dst: &mut [u8], tables: &[MulTables], srcs: &[&[u8]], accumulate: bool) {
         let mut rows = [[0u8; 256]; MAX_FUSE];
-        for (row, (t, _)) in rows.iter_mut().zip(srcs) {
+        for (row, t) in rows.iter_mut().zip(tables) {
             *row = t.expand_row();
         }
         const CHUNK: usize = 4096;
@@ -392,7 +495,7 @@ pub(crate) mod scalar {
         let mut pos = 0;
         while pos < n {
             let end = (pos + CHUNK).min(n);
-            for (j, (_, s)) in srcs.iter().enumerate() {
+            for (j, s) in srcs.iter().enumerate() {
                 let row = &rows[j];
                 let chunk = &mut dst[pos..end];
                 if j == 0 && !accumulate {
@@ -446,26 +549,31 @@ pub(crate) mod scalar {
         }
     }
 
-    /// GF(2^16) fused row: the expanded split rows live on the stack
-    /// (hence [`WIDE16_FUSE`]) and `dst` is walked in L1-sized chunks,
-    /// each chunk visited by every source before the walk moves on.
-    fn mul16_multi(dst: &mut [u8], srcs: &[(Nibble16Tables, &[u8])], accumulate: bool) {
-        assert!(
-            srcs.len() <= WIDE16_FUSE,
-            "fused row wider than WIDE16_FUSE"
-        );
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
+    fn mul16_block(
+        dsts: &mut [&mut [u8]],
+        tables: &[Nibble16Tables],
+        srcs: &[&[u8]],
+        accumulate: bool,
+    ) {
+        block_len(dsts, tables.len(), srcs, WIDE16_FUSE);
+        if empty_block(dsts, srcs, accumulate) {
             return;
         }
+        for (dst, row) in dsts.iter_mut().zip(tables.chunks_exact(srcs.len())) {
+            mul16_row(dst, row, srcs, accumulate);
+        }
+    }
+
+    /// One GF(2^16) row: the expanded split rows live on the stack
+    /// (hence [`WIDE16_FUSE`]) and `dst` is walked in L1-sized chunks,
+    /// each chunk visited by every source before the walk moves on.
+    fn mul16_row(dst: &mut [u8], tables: &[Nibble16Tables], srcs: &[&[u8]], accumulate: bool) {
         const EMPTY: Wide16Rows = Wide16Rows {
             lo: [0; 256],
             hi: [0; 256],
         };
         let mut rows = [EMPTY; WIDE16_FUSE];
-        for (row, (t, _)) in rows.iter_mut().zip(srcs) {
+        for (row, t) in rows.iter_mut().zip(tables) {
             *row = t.expand_rows();
         }
         const CHUNK: usize = 4096; // multiple of the 2-byte symbol width
@@ -473,7 +581,7 @@ pub(crate) mod scalar {
         let mut pos = 0;
         while pos < n {
             let end = (pos + CHUNK).min(n);
-            for (j, (_, s)) in srcs.iter().enumerate() {
+            for (j, s) in srcs.iter().enumerate() {
                 wide16_mul_rows(
                     &mut dst[pos..end],
                     &s[pos..end],
@@ -492,7 +600,8 @@ pub(crate) mod scalar {
 #[allow(clippy::indexing_slicing)]
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{KernelBackend, KernelSuite, MulTables, Nibble16Tables, MAX_FUSE, WIDE16_FUSE};
+    use super::{block_len, empty_block, KernelBackend, KernelSuite, MulTables, Nibble16Tables};
+    use super::{MAX_FUSE, WIDE16_FUSE};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -500,18 +609,18 @@ mod x86 {
 
     pub(super) static AVX2_SUITE: KernelSuite = KernelSuite {
         backend: KernelBackend::Avx2,
-        mul_multi: |d, s, acc| {
+        mul_block: |d, t, s, acc| {
             // SAFETY: this suite is only reachable via `suite_for`, which
             // verified is_x86_feature_detected!("avx2").
-            unsafe { avx2_mul_multi(d, s, acc) }
+            unsafe { avx2_mul_block(d, t, s, acc) }
         },
         xor_multi: |d, s, acc| {
             // SAFETY: as above — AVX2 presence verified by `suite_for`.
             unsafe { avx2_xor_multi(d, s, acc) }
         },
-        mul16_multi: |d, s, acc| {
+        mul16_block: |d, t, s, acc| {
             // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_mul16_multi(d, s, acc) }
+            unsafe { avx2_mul16_block(d, t, s, acc) }
         },
     };
 
@@ -521,18 +630,8 @@ mod x86 {
     const GATHER_EVEN: [i8; 16] = [0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1];
     const GATHER_ODD: [i8; 16] = [1, 3, 5, 7, 9, 11, 13, 15, -1, -1, -1, -1, -1, -1, -1, -1];
 
-    /// Split-nibble product of 32 bytes via `VPSHUFB` (which looks up
-    /// within each 128-bit lane — hence the tables are broadcast to both
-    /// lanes).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_vec256(v: __m256i, lo: __m256i, hi: __m256i, mask: __m256i) -> __m256i {
-        let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
-        let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask));
-        _mm256_xor_si256(l, h)
-    }
-
-    /// Broadcasts a 16-byte nibble table to both 128-bit lanes.
+    /// Broadcasts a 16-byte nibble table to both 128-bit lanes (`VPSHUFB`
+    /// looks up within each lane).
     #[inline]
     #[target_feature(enable = "avx2")]
     fn broadcast_table(table: &[u8; 16]) -> __m256i {
@@ -546,79 +645,126 @@ mod x86 {
         assert!(lens.all(|len| len == n), "source length differs from dst");
     }
 
-    /// Fused row over 32-byte vectors: one load/store of each `dst`
-    /// vector regardless of the number of sources. At most
-    /// [`MAX_FUSE`] sources, each of `dst`'s length.
+    /// 32 source bytes split into their low and high nibbles: the part
+    /// of a split-nibble multiply that no coefficient changes.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    fn avx2_mul_multi(dst: &mut [u8], srcs: &[(MulTables, &[u8])], accumulate: bool) {
-        debug_assert!(srcs.len() <= MAX_FUSE);
-        let n = dst.len();
-        assert_sources_span(n, srcs.iter().map(|(_, s)| s.len()));
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
+    fn split8(v: __m256i, mask: __m256i) -> [__m256i; 2] {
+        [
+            _mm256_and_si256(v, mask),
+            _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask),
+        ]
+    }
+
+    /// `c·v` for 32 split bytes: two `VPSHUFB` lookups in `c`'s tables.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul8(nib: &[__m256i; 2], t: &MulTables) -> __m256i {
+        _mm256_xor_si256(
+            _mm256_shuffle_epi8(broadcast_table(&t.lo), nib[0]),
+            _mm256_shuffle_epi8(broadcast_table(&t.hi), nib[1]),
+        )
+    }
+
+    /// `dst[i..i + 32]`, or zero when the block overwrites.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn start32(dst: &[u8], i: usize, accumulate: bool) -> __m256i {
+        assert!(i + 32 <= dst.len());
+        if accumulate {
+            // SAFETY: asserted just above.
+            unsafe { _mm256_loadu_si256(dst.as_ptr().add(i).cast()) }
+        } else {
+            _mm256_setzero_si256()
+        }
+    }
+
+    /// Byte-wide block over 32-byte vectors: each source vector is
+    /// loaded and split once per step, each destination vector loaded
+    /// (when accumulating) and stored once. At most [`MAX_FUSE`] sources.
+    #[target_feature(enable = "avx2")]
+    fn avx2_mul_block(
+        dsts: &mut [&mut [u8]],
+        tables: &[MulTables],
+        srcs: &[&[u8]],
+        accumulate: bool,
+    ) {
+        let n = block_len(dsts, tables.len(), srcs, MAX_FUSE);
+        if empty_block(dsts, srcs, accumulate) {
             return;
         }
         let mask = _mm256_set1_epi8(0x0F);
         let mut i = 0;
-        while i + 32 <= n {
-            let mut acc = if accumulate {
-                // SAFETY: `i + 32 <= n`, so the load stays in `dst`.
-                unsafe { _mm256_loadu_si256(dst.as_ptr().add(i).cast()) }
-            } else {
-                _mm256_setzero_si256()
-            };
-            for (t, s) in srcs {
-                let lo = broadcast_table(&t.lo);
-                let hi = broadcast_table(&t.hi);
-                // SAFETY: `s` is `n` bytes long and `i + 32 <= n`.
-                let v = unsafe { _mm256_loadu_si256(s.as_ptr().add(i).cast()) };
-                acc = _mm256_xor_si256(acc, mul_vec256(v, lo, hi, mask));
+        if let [dst] = dsts {
+            // One row: every split source goes straight from registers
+            // into the product.
+            while i + 32 <= n {
+                let mut acc = start32(dst, i, accumulate);
+                for (t, s) in tables.iter().zip(srcs) {
+                    // SAFETY: `s` is `n` bytes long and `i + 32 <= n`.
+                    let v = unsafe { _mm256_loadu_si256(s.as_ptr().add(i).cast()) };
+                    acc = _mm256_xor_si256(acc, mul8(&split8(v, mask), t));
+                }
+                // SAFETY: `dst` is `n` bytes long and `i + 32 <= n`.
+                unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc) };
+                i += 32;
             }
-            // SAFETY: `i + 32 <= n`, so the store stays in `dst`.
-            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc) };
-            i += 32;
+        } else {
+            // Several rows: each step parks its split sources on the
+            // stack, and every row multiplies from them.
+            let mut parked = [[_mm256_setzero_si256(); 2]; MAX_FUSE];
+            while i + 32 <= n {
+                for (p, s) in parked.iter_mut().zip(srcs) {
+                    // SAFETY: `s` is `n` bytes long and `i + 32 <= n`.
+                    let v = unsafe { _mm256_loadu_si256(s.as_ptr().add(i).cast()) };
+                    *p = split8(v, mask);
+                }
+                // Two rows at a time, sharing each parked nibble load; an
+                // odd last row runs as its own twin and is stored once.
+                let ns = srcs.len();
+                for (pair, pt) in dsts.chunks_mut(2).zip(tables.chunks(2 * ns)) {
+                    let (t0, rest) = pt.split_at(ns);
+                    let t1 = if rest.is_empty() { t0 } else { rest };
+                    let mut acc = [_mm256_setzero_si256(); 2];
+                    for ((a, b), nib) in t0.iter().zip(t1).zip(&parked) {
+                        acc[0] = _mm256_xor_si256(acc[0], mul8(nib, a));
+                        acc[1] = _mm256_xor_si256(acc[1], mul8(nib, b));
+                    }
+                    for (dst, acc) in pair.iter_mut().zip(acc) {
+                        let acc = _mm256_xor_si256(acc, start32(dst, i, accumulate));
+                        // SAFETY: `dst` is `n` bytes long and `i + 32 <= n`.
+                        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc) };
+                    }
+                }
+                i += 32;
+            }
         }
-        for j in i..n {
-            let mut acc = if accumulate { dst[j] } else { 0 };
-            for (t, s) in srcs {
-                acc ^= t.mul_byte(s[j]);
+        for (dst, row) in dsts.iter_mut().zip(tables.chunks_exact(srcs.len())) {
+            for j in i..n {
+                let mut acc = if accumulate { dst[j] } else { 0 };
+                for (t, s) in row.iter().zip(srcs) {
+                    acc ^= t.mul_byte(s[j]);
+                }
+                dst[j] = acc;
             }
-            dst[j] = acc;
         }
     }
 
-    /// The eight nibble tables of one GF(2^16) coefficient, each
-    /// broadcast to both 128-bit lanes.
+    /// Splits 64 payload bytes (32 symbols) into the four nibble vectors
+    /// of their symbols, in symbol order: deinterleave the low and high
+    /// bytes, then split each. `VPSHUFB` gathers per lane, so each lane's
+    /// even (or odd) bytes land in its low qword; `unpacklo_epi64` pairs
+    /// the qwords as `[A₀,B₀|A₁,B₁]` and the `permute4x64` restores
+    /// `[A₀,A₁,B₀,B₁]`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn load_tables16_256(t: &Nibble16Tables) -> [__m256i; 8] {
-        [
-            broadcast_table(&t.lo[0]),
-            broadcast_table(&t.lo[1]),
-            broadcast_table(&t.lo[2]),
-            broadcast_table(&t.lo[3]),
-            broadcast_table(&t.hi[0]),
-            broadcast_table(&t.hi[1]),
-            broadcast_table(&t.hi[2]),
-            broadcast_table(&t.hi[3]),
-        ]
-    }
-
-    /// Deinterleaves two loaded payload vectors (64 bytes = 32 symbols)
-    /// into their (low bytes, high bytes) vectors in symbol order.
-    /// `VPSHUFB` gathers per lane, so each lane's even (or odd) bytes
-    /// land in its low qword; `unpacklo_epi64` pairs the qwords as
-    /// `[A₀,B₀|A₁,B₁]` and the `permute4x64` restores `[A₀,A₁,B₀,B₁]`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn deinterleave256(
+    fn split16(
         va: __m256i,
         vb: __m256i,
         even: __m256i,
         odd: __m256i,
-    ) -> (__m256i, __m256i) {
+        mask: __m256i,
+    ) -> [__m256i; 4] {
         let lo = _mm256_permute4x64_epi64::<0b1101_1000>(_mm256_unpacklo_epi64(
             _mm256_shuffle_epi8(va, even),
             _mm256_shuffle_epi8(vb, even),
@@ -627,61 +773,73 @@ mod x86 {
             _mm256_shuffle_epi8(va, odd),
             _mm256_shuffle_epi8(vb, odd),
         ));
-        (lo, hi)
+        let [n0, n1] = split8(lo, mask);
+        let [n2, n3] = split8(hi, mask);
+        [n0, n1, n2, n3]
     }
 
-    /// Split-nibble GF(2^16) product of 32 symbols (deinterleaved form):
-    /// eight `VPSHUFB` lookups.
+    /// GF(2^16) product of 32 split symbols by one coefficient: eight
+    /// `VPSHUFB` lookups, returned as (low bytes, high bytes) vectors.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn mul16_vec256(
-        lo: __m256i,
-        hi: __m256i,
-        t: &[__m256i; 8],
-        mask: __m256i,
-    ) -> (__m256i, __m256i) {
-        let n0 = _mm256_and_si256(lo, mask);
-        let n1 = _mm256_and_si256(_mm256_srli_epi64::<4>(lo), mask);
-        let n2 = _mm256_and_si256(hi, mask);
-        let n3 = _mm256_and_si256(_mm256_srli_epi64::<4>(hi), mask);
+    fn mul16(nib: &[__m256i; 4], t: &Nibble16Tables) -> (__m256i, __m256i) {
+        let look = |table: &[u8; 16], n: __m256i| _mm256_shuffle_epi8(broadcast_table(table), n);
         let plo = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_shuffle_epi8(t[0], n0), _mm256_shuffle_epi8(t[1], n1)),
-            _mm256_xor_si256(_mm256_shuffle_epi8(t[2], n2), _mm256_shuffle_epi8(t[3], n3)),
+            _mm256_xor_si256(look(&t.lo[0], nib[0]), look(&t.lo[1], nib[1])),
+            _mm256_xor_si256(look(&t.lo[2], nib[2]), look(&t.lo[3], nib[3])),
         );
         let phi = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_shuffle_epi8(t[4], n0), _mm256_shuffle_epi8(t[5], n1)),
-            _mm256_xor_si256(_mm256_shuffle_epi8(t[6], n2), _mm256_shuffle_epi8(t[7], n3)),
+            _mm256_xor_si256(look(&t.hi[0], nib[0]), look(&t.hi[1], nib[1])),
+            _mm256_xor_si256(look(&t.hi[2], nib[2]), look(&t.hi[3], nib[3])),
         );
         (plo, phi)
     }
 
-    /// Reinterleaves product byte vectors back into two payload vectors.
-    /// `unpack{lo,hi}_epi8` interleave per lane, leaving the four symbol
-    /// octets as `[s0₋8|s16₋24]` and `[s8₋16|s24₋32]`; the two lane
-    /// permutes reassemble contiguous payload order.
+    /// Reinterleaves a row's product bytes into 64 payload bytes at
+    /// `dst[i..]`, XORed onto them when accumulating. `unpack{lo,hi}_epi8`
+    /// interleave per lane, leaving the four symbol octets as
+    /// `[s0₋8|s16₋24]` and `[s8₋16|s24₋32]`; the two lane permutes
+    /// reassemble contiguous payload order.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn interleave256(plo: __m256i, phi: __m256i) -> (__m256i, __m256i) {
+    fn finish16(dst: &mut [u8], i: usize, plo: __m256i, phi: __m256i, accumulate: bool) {
+        assert!(i + 64 <= dst.len());
         let il = _mm256_unpacklo_epi8(plo, phi);
         let ih = _mm256_unpackhi_epi8(plo, phi);
-        (
-            _mm256_permute2x128_si256::<0x20>(il, ih),
-            _mm256_permute2x128_si256::<0x31>(il, ih),
-        )
+        let mut outa = _mm256_permute2x128_si256::<0x20>(il, ih);
+        let mut outb = _mm256_permute2x128_si256::<0x31>(il, ih);
+        let p = dst.as_mut_ptr();
+        if accumulate {
+            // SAFETY: asserted above: both loads stay in `dst`.
+            let (da, db) = unsafe {
+                (
+                    _mm256_loadu_si256(p.add(i).cast()),
+                    _mm256_loadu_si256(p.add(i + 32).cast()),
+                )
+            };
+            outa = _mm256_xor_si256(outa, da);
+            outb = _mm256_xor_si256(outb, db);
+        }
+        // SAFETY: asserted above: both stores stay in `dst`.
+        unsafe {
+            _mm256_storeu_si256(p.add(i).cast(), outa);
+            _mm256_storeu_si256(p.add(i + 32).cast(), outb);
+        }
     }
 
-    /// GF(2^16) fused row over 64-byte blocks: one load/store of each
-    /// `dst` vector pair regardless of the number of sources. At most
-    /// [`WIDE16_FUSE`] sources, each of `dst`'s (even) length.
+    /// GF(2^16) block over 64-byte steps: each source step is loaded,
+    /// deinterleaved and split once, and each row is reinterleaved and
+    /// stored once, after all its sources. At most [`WIDE16_FUSE`]
+    /// sources, each of the destinations' (even) length.
     #[target_feature(enable = "avx2")]
-    fn avx2_mul16_multi(dst: &mut [u8], srcs: &[(Nibble16Tables, &[u8])], accumulate: bool) {
-        debug_assert!(srcs.len() <= WIDE16_FUSE);
-        let n = dst.len();
-        assert_sources_span(n, srcs.iter().map(|(_, s)| s.len()));
-        if srcs.is_empty() {
-            if !accumulate {
-                dst.fill(0);
-            }
+    fn avx2_mul16_block(
+        dsts: &mut [&mut [u8]],
+        tables: &[Nibble16Tables],
+        srcs: &[&[u8]],
+        accumulate: bool,
+    ) {
+        let n = block_len(dsts, tables.len(), srcs, WIDE16_FUSE);
+        if empty_block(dsts, srcs, accumulate) {
             return;
         }
         let mask = _mm256_set1_epi8(0x0F);
@@ -691,52 +849,76 @@ mod x86 {
         // SAFETY: as above.
         let odd =
             _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(GATHER_ODD.as_ptr().cast()) });
+        let load = |s: &[u8], i: usize| {
+            assert!(i + 64 <= s.len());
+            // SAFETY: asserted just above: both loads stay in `s`.
+            let (va, vb) = unsafe {
+                (
+                    _mm256_loadu_si256(s.as_ptr().add(i).cast()),
+                    _mm256_loadu_si256(s.as_ptr().add(i + 32).cast()),
+                )
+            };
+            split16(va, vb, even, odd, mask)
+        };
         let mut i = 0;
-        while i + 64 <= n {
-            let (mut acca, mut accb) = if accumulate {
-                // SAFETY: `i + 64 <= n`, so both loads stay in `dst`.
-                unsafe {
-                    (
-                        _mm256_loadu_si256(dst.as_ptr().add(i).cast()),
-                        _mm256_loadu_si256(dst.as_ptr().add(i + 32).cast()),
-                    )
+        if let [dst] = dsts {
+            // One row: every split source goes straight from registers
+            // into the product.
+            while i + 64 <= n {
+                let (mut lo, mut hi) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+                for (t, s) in tables.iter().zip(srcs) {
+                    let (plo, phi) = mul16(&load(s, i), t);
+                    lo = _mm256_xor_si256(lo, plo);
+                    hi = _mm256_xor_si256(hi, phi);
                 }
-            } else {
-                (_mm256_setzero_si256(), _mm256_setzero_si256())
-            };
-            for (t, s) in srcs {
-                let tabs = load_tables16_256(t);
-                // SAFETY: `s` is `n` bytes long and `i + 64 <= n`.
-                let (va, vb) = unsafe {
-                    (
-                        _mm256_loadu_si256(s.as_ptr().add(i).cast()),
-                        _mm256_loadu_si256(s.as_ptr().add(i + 32).cast()),
-                    )
-                };
-                let (lo, hi) = deinterleave256(va, vb, even, odd);
-                let (plo, phi) = mul16_vec256(lo, hi, &tabs, mask);
-                let (outa, outb) = interleave256(plo, phi);
-                acca = _mm256_xor_si256(acca, outa);
-                accb = _mm256_xor_si256(accb, outb);
+                finish16(dst, i, lo, hi, accumulate);
+                i += 64;
             }
-            // SAFETY: `i + 64 <= n`, so both stores stay in `dst`.
-            unsafe {
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acca);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i + 32).cast(), accb);
+        } else {
+            // Several rows: each step parks its split sources on the
+            // stack, and every row multiplies from them.
+            let mut parked = [[_mm256_setzero_si256(); 4]; WIDE16_FUSE];
+            while i + 64 <= n {
+                for (p, s) in parked.iter_mut().zip(srcs) {
+                    *p = load(s, i);
+                }
+                // Two rows at a time, sharing each parked nibble load; an
+                // odd last row runs as its own twin and is stored once.
+                let ns = srcs.len();
+                for (pair, pt) in dsts.chunks_mut(2).zip(tables.chunks(2 * ns)) {
+                    let (t0, rest) = pt.split_at(ns);
+                    let t1 = if rest.is_empty() { t0 } else { rest };
+                    let mut acc = [_mm256_setzero_si256(); 4];
+                    for ((a, b), nib) in t0.iter().zip(t1).zip(&parked) {
+                        let (p, q) = mul16(nib, a);
+                        acc[0] = _mm256_xor_si256(acc[0], p);
+                        acc[1] = _mm256_xor_si256(acc[1], q);
+                        let (p, q) = mul16(nib, b);
+                        acc[2] = _mm256_xor_si256(acc[2], p);
+                        acc[3] = _mm256_xor_si256(acc[3], q);
+                    }
+                    let [lo0, hi0, lo1, hi1] = acc;
+                    for (dst, [lo, hi]) in pair.iter_mut().zip([[lo0, hi0], [lo1, hi1]]) {
+                        finish16(dst, i, lo, hi, accumulate);
+                    }
+                }
+                i += 64;
             }
-            i += 64;
         }
-        while i + 2 <= n {
-            let mut acc = if accumulate {
-                u16::from_le_bytes([dst[i], dst[i + 1]])
-            } else {
-                0
-            };
-            for (t, s) in srcs {
-                acc ^= t.mul_symbol(u16::from_le_bytes([s[i], s[i + 1]]));
+        for (dst, row) in dsts.iter_mut().zip(tables.chunks_exact(srcs.len())) {
+            let mut j = i;
+            while j + 2 <= n {
+                let mut acc = if accumulate {
+                    u16::from_le_bytes([dst[j], dst[j + 1]])
+                } else {
+                    0
+                };
+                for (t, s) in row.iter().zip(srcs) {
+                    acc ^= t.mul_symbol(u16::from_le_bytes([s[j], s[j + 1]]));
+                }
+                dst[j..j + 2].copy_from_slice(&acc.to_le_bytes());
+                j += 2;
             }
-            dst[i..i + 2].copy_from_slice(&acc.to_le_bytes());
-            i += 2;
         }
     }
 
@@ -827,24 +1009,47 @@ mod tests {
         assert_eq!(values, names);
     }
 
-    /// A source shorter than `dst` panics in every kernel of every suite
-    /// instead of being read past its end.
+    /// A source shorter than `dst`, or a destination shorter than the
+    /// first, panics in every kernel of every suite instead of being
+    /// read or written past its end.
     #[test]
     fn a_short_source_panics_in_every_kernel() {
         let short = [0u8; 32];
+        let long = [0u8; 128];
         for b in KernelBackend::supported() {
             let s = suite_for(b);
-            for kernel in 0..3 {
-                let call = std::panic::catch_unwind(|| match kernel {
-                    0 => (s.mul_multi)(&mut [0; 64], &[(MulTables::default(), &short)], true),
-                    1 => (s.xor_multi)(&mut [0; 64], &[&short], true),
-                    _ => {
-                        (s.mul16_multi)(&mut [0; 128], &[(Nibble16Tables::default(), &short)], true)
+            for kernel in 0..5 {
+                let call = std::panic::catch_unwind(|| {
+                    let (mut d0, mut d1, mut d2) = ([0u8; 64], [0u8; 128], [0u8; 32]);
+                    match kernel {
+                        0 => {
+                            (s.mul_block)(&mut [&mut d0], &[MulTables::default()], &[&short], true)
+                        }
+                        1 => (s.xor_multi)(&mut d0, &[&short], true),
+                        2 => (s.mul16_block)(
+                            &mut [&mut d1],
+                            &[Nibble16Tables::default()],
+                            &[&short],
+                            true,
+                        ),
+                        // A second row shorter than the first.
+                        3 => (s.mul_block)(
+                            &mut [&mut d0, &mut d2],
+                            &[MulTables::default(); 2],
+                            &[&long[..64]],
+                            true,
+                        ),
+                        _ => (s.mul16_block)(
+                            &mut [&mut d1, &mut d2],
+                            &[Nibble16Tables::default(); 2],
+                            &[&long],
+                            true,
+                        ),
                     }
                 });
                 assert!(
                     call.is_err(),
-                    "{b:?} kernel {kernel} read past a short source"
+                    "{b:?} kernel {kernel} went past a short source or destination"
                 );
             }
         }
@@ -868,16 +1073,16 @@ mod tests {
         let s = &scalar::SUITE;
         [
             (
-                "mul_multi",
-                std::ptr::fn_addr_eq(suite.mul_multi, s.mul_multi),
+                "mul_block",
+                std::ptr::fn_addr_eq(suite.mul_block, s.mul_block),
             ),
             (
                 "xor_multi",
                 std::ptr::fn_addr_eq(suite.xor_multi, s.xor_multi),
             ),
             (
-                "mul16_multi",
-                std::ptr::fn_addr_eq(suite.mul16_multi, s.mul16_multi),
+                "mul16_block",
+                std::ptr::fn_addr_eq(suite.mul16_block, s.mul16_block),
             ),
         ]
         .into_iter()
@@ -895,7 +1100,7 @@ mod tests {
         // shares every field with itself.
         assert_eq!(
             fields_shared_with_scalar(&scalar::SUITE),
-            ["mul_multi", "xor_multi", "mul16_multi"]
+            ["mul_block", "xor_multi", "mul16_block"]
         );
     }
 }

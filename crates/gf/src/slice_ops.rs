@@ -4,13 +4,27 @@
 //! `dst ^= c * src` operations over GF(2^8) bytes. Every piece of that
 //! arithmetic is a *row*: an encode or a compiled heavy repair combines
 //! `k` sources into one output lane, a light repair XORs a 5-block
-//! group (§3.1.2). So the kernels come in exactly **one shape**, the
-//! fused multi-source row `dst = [dst ^] Σ cᵢ·srcᵢ` computed in **one
-//! pass over `dst`** — [`payload_mul_into_multi`] /
-//! [`payload_mul_acc_multi`] for any field, the GF(2^8) spelling
-//! [`mul_acc_multi`], and [`xor_into_multi`] for the all-ones row. Issuing a row as one fused call instead of `k`
-//! accumulate calls divides the `dst` memory traffic by `k`, which is
-//! where most of the non-SIMD time went (cf. Uezato, SC 2021).
+//! group (§3.1.2). A row is computed as a **fused row**
+//! `dst = [dst ^] Σ cᵢ·srcᵢ` in **one pass over `dst`** —
+//! [`payload_mul_into_multi`] / [`payload_mul_acc_multi`] for any
+//! field, the GF(2^8) spelling [`mul_acc_multi`], and
+//! [`xor_into_multi`] for the all-ones row. Issuing a row as one fused
+//! call instead of `k` accumulate calls divides the `dst` memory
+//! traffic by `k`, which is where most of the non-SIMD time went (cf.
+//! Uezato, SC 2021).
+//!
+//! An encode computes *several* rows over the *same* sources — RS(10,4)
+//! four, RS(200,60) sixty — so the multiply kernels take a **fused
+//! block** `dstᵣ = [dstᵣ ^] Σⱼ cᵣⱼ·srcⱼ`
+//! ([`payload_mul_into_block`], [`KernelBackend::payload_mul_acc_block`]): each source
+//! vector is loaded and split into nibbles (for GF(2^16), also
+//! deinterleaved) once for up to twelve rows, instead of once per row.
+//! For GF(2^16) that takes the vector ALU ops per (row, source, 64
+//! bytes) from 34 to 16 + 14 / rows + 4 / sources, 17.4 for a 12-row,
+//! 16-source block; for GF(2^8), per (row, source, 32 bytes), from 7 to
+//! 4 + 3 / rows (the table is in the `simd` module's docs). A fused row
+//! is a one-row block of the same kernels, which keeps its split
+//! sources in registers.
 //!
 //! Three single-source functions remain — [`xor_into`], [`mul_acc`] and
 //! [`payload_mul_acc`] — as one-line conveniences that pass a
@@ -38,9 +52,9 @@
 //! 2. Otherwise avx2 wins when `is_x86_feature_detected!` finds it,
 //!    scalar when it does not.
 //!
-//! [`KernelBackend::active`] reports the outcome, and the fused rows are
-//! also callable on an explicit backend (e.g.
-//! [`KernelBackend::payload_mul_acc_multi`]) so equivalence tests can
+//! [`KernelBackend::active`] reports the outcome, and the fused rows and
+//! blocks are also callable on an explicit backend (e.g.
+//! [`KernelBackend::payload_mul_acc_block`]) so equivalence tests can
 //! compare implementations inside one process.
 //!
 //! # Field widths
@@ -53,10 +67,11 @@
 //! split `u16` tables (`c·lo` and `c·(hi·256)`), while **avx2**
 //! decomposes each symbol into four nibbles and looks all four product
 //! contributions up with eight 16-entry `VPSHUFB` tables per
-//! coefficient (deinterleave low/high bytes, eight shuffles,
-//! reinterleave — the payload length must be a whole number of 2-byte
-//! symbols). Wider or odd-sized fields fall back to a symbol-at-a-time
-//! loop.
+//! coefficient (deinterleave low/high bytes and split once per source
+//! vector, eight shuffles per coefficient, reinterleave once per row —
+//! the payload length must be a whole number of 2-byte symbols). Wider
+//! or odd-sized fields fall back to a symbol-at-a-time loop, row by
+//! row.
 //!
 //! [`gf_mul_acc`] is the same operation over symbol slices, one field
 //! multiplication at a time: the reference the kernels are tested
@@ -68,8 +83,8 @@
 #![warn(clippy::indexing_slicing)]
 
 use crate::simd::{
-    active_suite, suite_for, FusedMulFn, KernelSuite, MulTables, Nibble16Tables, MAX_FUSE,
-    WIDE16_FUSE,
+    active_suite, suite_for, FusedMulFn, KernelSuite, MulTables, Nibble16Tables, BLOCK_ROWS,
+    MAX_FUSE, WIDE16_FUSE,
 };
 use crate::{Field, Gf256};
 
@@ -129,7 +144,7 @@ pub fn payload_mul_acc<F: Field>(dst: &mut [u8], src: &[u8], c: F) {
 }
 
 /// Fused row `dst = Σ cᵢ·srcᵢ` over byte payloads for any field, one
-/// pass over `dst`.
+/// pass over `dst`: a one-row block.
 ///
 /// Overwrites `dst` entirely (zero-filling it when no source has a
 /// nonzero coefficient). Byte-wide fields run the dispatched byte
@@ -138,7 +153,7 @@ pub fn payload_mul_acc<F: Field>(dst: &mut [u8], src: &[u8], c: F) {
 /// to a symbol-at-a-time loop. Panics if any source length differs from
 /// `dst`.
 pub fn payload_mul_into_multi<F: Field>(dst: &mut [u8], srcs: &[(F, &[u8])]) {
-    payload_combine(active_suite(), dst, srcs, false);
+    payload_combine(active_suite(), dst, srcs.iter().copied(), false);
 }
 
 /// Fused row `dst ^= Σ cᵢ·srcᵢ` over byte payloads for any field, one
@@ -147,7 +162,23 @@ pub fn payload_mul_into_multi<F: Field>(dst: &mut [u8], srcs: &[(F, &[u8])]) {
 ///
 /// Panics if any source length differs from `dst`.
 pub fn payload_mul_acc_multi<F: Field>(dst: &mut [u8], srcs: &[(F, &[u8])]) {
-    payload_combine(active_suite(), dst, srcs, true);
+    payload_combine(active_suite(), dst, srcs.iter().copied(), true);
+}
+
+/// Fused block `dstᵣ = Σⱼ coeff(r, j)·srcⱼ` for every row `r` of `dsts`,
+/// over byte payloads for any field.
+///
+/// Every destination is overwritten entirely. Rows are issued twelve
+/// at a time, so each source vector is loaded and split once for all
+/// the rows of a batch instead of once per row; a one-row block is
+/// exactly [`payload_mul_into_multi`]. Panics if any destination or
+/// source length differs from the first destination's.
+pub fn payload_mul_into_block<F: Field>(
+    dsts: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeff: impl Fn(usize, usize) -> F,
+) {
+    block_combine(active_suite(), dsts, srcs, coeff, false);
 }
 
 impl KernelBackend {
@@ -159,12 +190,33 @@ impl KernelBackend {
 
     /// [`payload_mul_into_multi`] on this backend.
     pub fn payload_mul_into_multi<F: Field>(self, dst: &mut [u8], srcs: &[(F, &[u8])]) {
-        payload_combine(suite_for(self), dst, srcs, false);
+        payload_combine(suite_for(self), dst, srcs.iter().copied(), false);
     }
 
     /// [`payload_mul_acc_multi`] on this backend.
     pub fn payload_mul_acc_multi<F: Field>(self, dst: &mut [u8], srcs: &[(F, &[u8])]) {
-        payload_combine(suite_for(self), dst, srcs, true);
+        payload_combine(suite_for(self), dst, srcs.iter().copied(), true);
+    }
+
+    /// [`payload_mul_into_block`] on this backend.
+    pub fn payload_mul_into_block<F: Field>(
+        self,
+        dsts: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+        coeff: impl Fn(usize, usize) -> F,
+    ) {
+        block_combine(suite_for(self), dsts, srcs, coeff, false);
+    }
+
+    /// Fused block `dstᵣ ^= Σⱼ coeff(r, j)·srcⱼ` on this backend; the
+    /// accumulating counterpart of [`payload_mul_into_block`].
+    pub fn payload_mul_acc_block<F: Field>(
+        self,
+        dsts: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+        coeff: impl Fn(usize, usize) -> F,
+    ) {
+        block_combine(suite_for(self), dsts, srcs, coeff, true);
     }
 }
 
@@ -186,21 +238,23 @@ fn one_is_xor<F: Field>() -> bool {
     F::BITS as usize == 8 * F::SYMBOL_BYTES
 }
 
+/// Whether a multiply kernel serves `F`: byte-wide fields and GF(2^16).
+fn has_kernel<F: Field>() -> bool {
+    F::SYMBOL_BYTES == 1 || F::BITS == 16
+}
+
 /// Fused-row engine: partitions the sources into unit-coefficient XOR
 /// batches and general multiply batches (each at most
 /// [`MAX_FUSE`] wide, so per-source table state stays on the stack and
 /// in L1) and issues them so `dst` is overwritten exactly once when
-/// `accumulate` is false. This is the single entry point every payload
-/// multiply funnels through, whatever the field width or source count.
-fn payload_combine<F: Field>(
+/// `accumulate` is false. Every one-row payload multiply funnels
+/// through here, whatever the field width or source count.
+fn payload_combine<'a, F: Field>(
     suite: &KernelSuite,
     dst: &mut [u8],
-    srcs: &[(F, &[u8])],
+    srcs: impl Iterator<Item = (F, &'a [u8])>,
     accumulate: bool,
 ) {
-    for (_, s) in srcs {
-        assert_eq!(dst.len(), s.len(), "payload length mismatch");
-    }
     if F::SYMBOL_BYTES == 1 {
         // Byte-wide: split-nibble tables.
         combine_batched::<F, MulTables, MAX_FUSE>(
@@ -209,12 +263,12 @@ fn payload_combine<F: Field>(
             srcs,
             accumulate,
             MulTables::build,
-            suite.mul_multi,
+            suite.mul_block,
         );
         return;
     }
     check_symbol_multiple::<F>(dst.len());
-    if F::BITS == 16 {
+    if has_kernel::<F>() {
         // GF(2^16): the fused two-byte-symbol kernel.
         combine_batched::<F, Nibble16Tables, WIDE16_FUSE>(
             suite,
@@ -222,7 +276,7 @@ fn payload_combine<F: Field>(
             srcs,
             accumulate,
             Nibble16Tables::build,
-            suite.mul16_multi,
+            suite.mul16_block,
         );
         return;
     }
@@ -231,7 +285,8 @@ fn payload_combine<F: Field>(
         dst.fill(0);
     }
     let b = F::SYMBOL_BYTES;
-    for &(c, s) in srcs {
+    for (c, s) in srcs {
+        assert_eq!(dst.len(), s.len(), "payload length mismatch");
         if c.is_zero() {
             continue;
         }
@@ -242,28 +297,30 @@ fn payload_combine<F: Field>(
 }
 
 /// The fused-row batcher, for either table type: coefficient tables of
-/// type `T` are built per source and handed to `mul_multi` at most
-/// `FUSE` at a time, unit coefficients go to the XOR kernel at most
-/// [`MAX_FUSE`] at a time, and `dst` is overwritten by the first batch
-/// issued (zero-filled when there is none). Both batch arrays live on
-/// the stack.
+/// type `T` are built per source and handed to `mul` as one-row blocks
+/// of at most `FUSE` sources, unit coefficients go to the XOR kernel at
+/// most [`MAX_FUSE`] at a time, and `dst` is overwritten by the first
+/// batch issued (zero-filled when there is none). The batch arrays live
+/// on the stack.
 // Batch counters flush at MAX_FUSE / FUSE, so the batch-array indexing
 // stays in bounds.
 #[allow(clippy::indexing_slicing)]
-fn combine_batched<F: Field, T: Copy + Default, const FUSE: usize>(
+fn combine_batched<'a, F: Field, T: Copy + Default, const FUSE: usize>(
     suite: &KernelSuite,
-    dst: &mut [u8],
-    srcs: &[(F, &[u8])],
+    mut dst: &mut [u8],
+    srcs: impl Iterator<Item = (F, &'a [u8])>,
     accumulate: bool,
     build: impl Fn(F) -> T,
-    mul_multi: FusedMulFn<T>,
+    mul: FusedMulFn<T>,
 ) {
     let mut wrote = accumulate;
     let mut ones: [&[u8]; MAX_FUSE] = [&[]; MAX_FUSE];
     let mut n_ones = 0;
-    let mut muls: [(T, &[u8]); FUSE] = [(T::default(), &[]); FUSE];
+    let mut tables = [T::default(); FUSE];
+    let mut muls: [&[u8]; FUSE] = [&[]; FUSE];
     let mut n_muls = 0;
-    for &(c, s) in srcs {
+    for (c, s) in srcs {
+        assert_eq!(dst.len(), s.len(), "payload length mismatch");
         if c.is_zero() {
             continue;
         }
@@ -276,17 +333,23 @@ fn combine_batched<F: Field, T: Copy + Default, const FUSE: usize>(
                 n_ones = 0;
             }
         } else {
-            muls[n_muls] = (build(c), s);
+            tables[n_muls] = build(c);
+            muls[n_muls] = s;
             n_muls += 1;
             if n_muls == FUSE {
-                mul_multi(dst, &muls[..n_muls], wrote);
+                mul(std::slice::from_mut(&mut dst), &tables, &muls, wrote);
                 wrote = true;
                 n_muls = 0;
             }
         }
     }
     if n_muls > 0 {
-        mul_multi(dst, &muls[..n_muls], wrote);
+        mul(
+            std::slice::from_mut(&mut dst),
+            &tables[..n_muls],
+            &muls[..n_muls],
+            wrote,
+        );
         wrote = true;
     }
     if n_ones > 0 {
@@ -295,6 +358,84 @@ fn combine_batched<F: Field, T: Copy + Default, const FUSE: usize>(
     }
     if !wrote {
         dst.fill(0);
+    }
+}
+
+/// Fused-block engine. A block of one row (or of a field no multiply
+/// kernel serves) runs row by row through [`payload_combine`]; taller
+/// blocks go to the block kernels, [`BLOCK_ROWS`] rows at a time.
+fn block_combine<F: Field>(
+    suite: &KernelSuite,
+    dsts: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeff: impl Fn(usize, usize) -> F,
+    accumulate: bool,
+) {
+    if dsts.len() <= 1 || !has_kernel::<F>() {
+        for (r, dst) in dsts.iter_mut().enumerate() {
+            let row = srcs.iter().enumerate().map(|(j, &s)| (coeff(r, j), s));
+            payload_combine(suite, dst, row, accumulate);
+        }
+        return;
+    }
+    let len = dsts.first().map_or(0, |d| d.len());
+    let mut lens = dsts
+        .iter()
+        .map(|d| d.len())
+        .chain(srcs.iter().map(|s| s.len()));
+    assert!(lens.all(|l| l == len), "payload length mismatch");
+    if F::SYMBOL_BYTES == 1 {
+        block_batched::<F, MulTables, MAX_FUSE, { BLOCK_ROWS * MAX_FUSE }>(
+            suite.mul_block,
+            dsts,
+            srcs,
+            coeff,
+            accumulate,
+            MulTables::build,
+        );
+    } else {
+        check_symbol_multiple::<F>(len);
+        block_batched::<F, Nibble16Tables, WIDE16_FUSE, { BLOCK_ROWS * WIDE16_FUSE }>(
+            suite.mul16_block,
+            dsts,
+            srcs,
+            coeff,
+            accumulate,
+            Nibble16Tables::build,
+        );
+    }
+}
+
+/// The block batcher: for each batch of at most [`BLOCK_ROWS`] rows and
+/// each batch of at most `FUSE` sources, builds the batch's `CELLS =
+/// BLOCK_ROWS · FUSE` coefficient tables on the stack and issues one
+/// kernel call, the first overwriting unless `accumulate`.
+// Row batches hold at most BLOCK_ROWS rows and source batches at most
+// FUSE sources, so a batch's tables fit the CELLS array.
+#[allow(clippy::indexing_slicing)]
+fn block_batched<F: Field, T: Copy + Default, const FUSE: usize, const CELLS: usize>(
+    mul: FusedMulFn<T>,
+    dsts: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+    coeff: impl Fn(usize, usize) -> F,
+    accumulate: bool,
+    build: impl Fn(F) -> T,
+) {
+    debug_assert_eq!(CELLS, BLOCK_ROWS * FUSE);
+    let mut tables = [T::default(); CELLS];
+    for (b, rows) in dsts.chunks_mut(BLOCK_ROWS).enumerate() {
+        if srcs.is_empty() {
+            mul(rows, &[], &[], accumulate);
+        }
+        for (sb, batch) in srcs.chunks(FUSE).enumerate() {
+            let cells = &mut tables[..rows.len() * batch.len()];
+            for (r, row) in cells.chunks_exact_mut(batch.len()).enumerate() {
+                for (j, t) in row.iter_mut().enumerate() {
+                    *t = build(coeff(b * BLOCK_ROWS + r, sb * FUSE + j));
+                }
+            }
+            mul(rows, cells, batch, accumulate || sb > 0);
+        }
     }
 }
 

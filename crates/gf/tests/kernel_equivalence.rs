@@ -3,10 +3,12 @@
 //! lengths that are not a multiple of any vector width, and misaligned
 //! sub-slices; source counts straddling the fuse-batch limits; overwrite
 //! and accumulate; coefficient mixes containing 0 (dropped) and 1 (XOR
-//! partition). The oracle is one field multiplication per symbol
-//! (`gf_mul_acc` over `bytes_to_symbols`) — no kernel is checked against
-//! another kernel. The three single-source wrappers are pinned to a
-//! one-source fused call bit for bit.
+//! partition). Multiply blocks — several rows over the same sources —
+//! are checked row by row against the same oracle, at row and source
+//! counts straddling the block caps. The oracle is one field
+//! multiplication per symbol (`gf_mul_acc` over `bytes_to_symbols`) —
+//! no kernel is checked against another kernel. The three single-source
+//! wrappers are pinned to a one-source fused call bit for bit.
 
 use proptest::prelude::*;
 use xorbas_gf::slice_ops::{self, KernelBackend};
@@ -26,9 +28,9 @@ const ADVERSARIAL_LENS16: [usize; 11] = [0, 2, 6, 30, 32, 34, 62, 64, 66, 94, 10
 /// Source counts straddling the byte kernels' 16-source batch.
 const SOURCE_COUNTS: [usize; 7] = [0, 1, 2, 15, 16, 17, 33];
 
-/// Source counts straddling the GF(2^16) kernels' 8-source batch and the
-/// 16-source XOR batch its unit coefficients go to.
-const SOURCE_COUNTS16: [usize; 6] = [0, 1, 7, 8, 9, 17];
+/// Source counts straddling the GF(2^16) kernels' 16-source batch, which
+/// the XOR batch its unit coefficients go to shares.
+const SOURCE_COUNTS16: [usize; 6] = [0, 1, 15, 16, 17, 33];
 
 /// Deterministic pseudo-random payload, distinct per (seed, len).
 fn payload(seed: u64, len: usize) -> Vec<u8> {
@@ -139,6 +141,95 @@ fn gf65536_fused_rows_match_field_arithmetic_on_every_backend() {
     // General coefficients include values lighting every nibble table.
     check_fused_rows(&ADVERSARIAL_LENS16, &SOURCE_COUNTS16, |i| {
         Gf65536::from_index((i as u32 * 9973 + 0x8E2B) % 65536)
+    });
+}
+
+/// Row counts straddling the multiply blocks' 12-row cap
+/// (`BLOCK_ROWS`): one row (the register path), two (the smallest block
+/// that parks its sources), the cap ± 1.
+const BLOCK_ROW_COUNTS: [usize; 5] = [1, 2, 11, 12, 13];
+
+/// Block lengths: one GF(2^16) symbol, a scalar tail alone, whole
+/// vectors, and whole vectors plus a tail after both the 32- and the
+/// 64-byte steps.
+const BLOCK_LENS: [usize; 4] = [2, 62, 4096, 4130];
+
+/// Runs every supported backend's block over `BLOCK_ROW_COUNTS ×
+/// src_counts × BLOCK_LENS × {overwrite, accumulate}`, every slice
+/// misaligned by one byte, against the oracle row by row. The
+/// coefficients put a 0 and a 1 inside every block with enough cells,
+/// beside general ones; each row must land on its own destination,
+/// and the byte before each destination must stay untouched.
+fn check_blocks<F: Field>(src_counts: &[usize], general: impl Fn(usize, usize) -> F) {
+    let coeff = |r: usize, j: usize| match (r + 2 * j) % 7 {
+        3 => F::ZERO,
+        5 => F::ONE,
+        _ => general(r, j),
+    };
+    for backend in backends() {
+        for &len in &BLOCK_LENS {
+            for &rows in &BLOCK_ROW_COUNTS {
+                for &n_srcs in src_counts {
+                    let bufs: Vec<Vec<u8>> = (0..n_srcs)
+                        .map(|j| payload(j as u64 * 5 + 1, len + 1))
+                        .collect();
+                    let srcs: Vec<&[u8]> = bufs.iter().map(|b| &b[1..]).collect();
+                    let dst0: Vec<Vec<u8>> = (0..rows)
+                        .map(|r| payload(1000 + r as u64, len + 1))
+                        .collect();
+                    for accumulate in [false, true] {
+                        let mut got = dst0.clone();
+                        let mut dsts: Vec<&mut [u8]> =
+                            got.iter_mut().map(|d| &mut d[1..]).collect();
+                        if accumulate {
+                            backend.payload_mul_acc_block(&mut dsts, &srcs, coeff);
+                        } else {
+                            backend.payload_mul_into_block(&mut dsts, &srcs, coeff);
+                        }
+                        for (r, (g, d0)) in got.iter().zip(&dst0).enumerate() {
+                            let pairs: Vec<(F, &[u8])> = srcs
+                                .iter()
+                                .enumerate()
+                                .map(|(j, &s)| (coeff(r, j), s))
+                                .collect();
+                            assert_eq!(
+                                &g[1..],
+                                oracle(&d0[1..], &pairs, accumulate),
+                                "{backend:?} GF(2^{}) block {rows} x {n_srcs} len {len} \
+                                 accumulate {accumulate}: row {r}",
+                                F::BITS
+                            );
+                            assert_eq!(g[0], d0[0], "wrote before row {r}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gf256_blocks_match_field_arithmetic_on_every_backend() {
+    // Sources: none, one, the 16-source cap (`MAX_FUSE`) and one more.
+    check_blocks(&[0, 1, 16, 17], |r, j| {
+        Gf256::from_index(((r * 16 + j) as u32 * 37 + 0x1D) % 256)
+    });
+}
+
+#[test]
+fn gf16_blocks_match_field_arithmetic_on_every_backend() {
+    // In a block ONE goes through the tables too, so dirty high nibbles
+    // must still be truncated.
+    check_blocks(&[0, 1, 16, 17], |r, j| {
+        Gf16::from_index(((r * 3 + j) as u32 * 5 + 7) % 16)
+    });
+}
+
+#[test]
+fn gf65536_blocks_match_field_arithmetic_on_every_backend() {
+    // Sources: none, one, the 16-source cap (`WIDE16_FUSE`) and one more.
+    check_blocks(&[0, 1, 16, 17], |r, j| {
+        Gf65536::from_index(((r * 16 + j) as u32 * 9973 + 0x8E2B) % 65536)
     });
 }
 

@@ -10,8 +10,9 @@
 //!   thread, and a compiled [`RepairSession`](xorbas_core::RepairSession)
 //!   never solves again (the `decode_solve_count` hook), while compiling
 //!   a session per call (`owned::repair`) re-solves every call;
-//! * so do the three fused GF kernels, at full fuse width, with no
-//!   sources, and with a scalar tail;
+//! * so do the three fused GF kernels: the XOR row at full fuse width,
+//!   the two multiply blocks at full height and width, each also with
+//!   no sources and with a scalar tail;
 //! * the simulator's allocations over a fixed seeded window of events
 //!   are pinned;
 //! * on a loopback cluster, a direct read, a degraded read and a
@@ -45,7 +46,7 @@ use xorbas_core::{
     decode_solve_count, owned, CodeSpec, Codec, ErasureCodec, Lrc, LrcSpec, PiggybackRs,
     ReedSolomon, Replication, StripeViewMut,
 };
-use xorbas_gf::slice_ops::{payload_mul_acc_multi, xor_into_multi};
+use xorbas_gf::slice_ops::xor_into_multi;
 use xorbas_gf::{Field, Gf256, Gf65536, KernelBackend};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{
@@ -340,36 +341,40 @@ fn fused_gf_kernels() -> Vec<Budget> {
     if let Some(requested) = requested {
         assert_eq!(backend, requested, "XORBAS_KERNEL_BACKEND was not honoured");
     }
-    // `xorbas_gf`'s `MAX_FUSE` and `WIDE16_FUSE`: the most sources one
-    // kernel call takes.
+    // `xorbas_gf`'s `BLOCK_ROWS`, and its `MAX_FUSE` / `WIDE16_FUSE`: the
+    // most rows and sources one kernel call takes.
+    const BLOCK_ROWS: usize = 12;
     const MAX_FUSE: usize = 16;
-    const WIDE16_FUSE: usize = 8;
+    const WIDE16_FUSE: usize = 16;
     // 4130 leaves a tail after both the 32- and the 64-byte vectors.
     const LENS: [usize; 2] = [4096, 4130];
-    let srcs = sample_data(MAX_FUSE, LENS[1]);
-    let mut dst = vec![0u8; LENS[1]];
+    let srcs = sample_data(MAX_FUSE.max(WIDE16_FUSE), LENS[1]);
+    let mut rows = vec![vec![0u8; LENS[1]]; BLOCK_ROWS];
     let mut budgets = Vec::new();
     for len in LENS {
-        let dst = &mut dst[..len];
+        let mut dsts: Vec<&mut [u8]> = rows.iter_mut().map(|r| &mut r[..len]).collect();
         for width in [0, MAX_FUSE] {
             let xs: Vec<&[u8]> = srcs[..width].iter().map(|s| &s[..len]).collect();
-            let row: Vec<(Gf256, &[u8])> = (0..width)
-                .map(|i| (Gf256::from_index(i as u32 + 2), &srcs[i][..len]))
-                .collect();
-            xor_into_multi(dst, &xs);
-            let xor = counted(|| xor_into_multi(dst, &xs));
-            payload_mul_acc_multi(dst, &row);
-            let mul = counted(|| payload_mul_acc_multi(dst, &row));
+            let coeff = |r: usize, j: usize| Gf256::from_index((r * width + j) as u32 + 2);
+            xor_into_multi(dsts[0], &xs);
+            let xor = counted(|| xor_into_multi(dsts[0], &xs));
+            backend.payload_mul_acc_block(&mut dsts, &xs, coeff);
+            let mul = counted(|| backend.payload_mul_acc_block(&mut dsts, &xs, coeff));
             budgets.push((format!("xor_multi, {width} sources, {len} B"), xor));
-            budgets.push((format!("mul_multi, {width} sources, {len} B"), mul));
+            budgets.push((
+                format!("mul_block, {BLOCK_ROWS} rows x {width} sources, {len} B"),
+                mul,
+            ));
         }
         for width in [0, WIDE16_FUSE] {
-            let row: Vec<(Gf65536, &[u8])> = (0..width)
-                .map(|i| (Gf65536::from_index(i as u32 + 2), &srcs[i][..len]))
-                .collect();
-            payload_mul_acc_multi(dst, &row);
-            let mul16 = counted(|| payload_mul_acc_multi(dst, &row));
-            budgets.push((format!("mul16_multi, {width} sources, {len} B"), mul16));
+            let xs: Vec<&[u8]> = srcs[..width].iter().map(|s| &s[..len]).collect();
+            let coeff = |r: usize, j: usize| Gf65536::from_index((r * width + j) as u32 + 2);
+            backend.payload_mul_acc_block(&mut dsts, &xs, coeff);
+            let mul16 = counted(|| backend.payload_mul_acc_block(&mut dsts, &xs, coeff));
+            budgets.push((
+                format!("mul16_block, {BLOCK_ROWS} rows x {width} sources, {len} B"),
+                mul16,
+            ));
         }
     }
     let name = backend.name();

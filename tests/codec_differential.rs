@@ -1,7 +1,9 @@
 //! Cross-codec differential harness (PR 10): one generic suite driving
 //! all four codec families — RS (10,4), LRC (10,6,5), piggybacked
-//! RS (10,4), and 3-replication as the `[3, 1]` repetition code — through
-//! the identical checks:
+//! RS (10,4), and 3-replication as the `[3, 1]` repetition code — plus
+//! RS (12,4) over GF(2^16), through the identical checks (the wide
+//! GF(2^16) codes, RS (200,60) and the wide LRC, run the assorted
+//! lengths only):
 //!
 //! * roundtrip at assorted symbol-aligned lengths (including the
 //!   byte-scale odd tails the serial fallback handles);
@@ -26,9 +28,10 @@
 
 use xorbas::codes::analysis::combinations;
 use xorbas::codes::{
-    encode_into_parallel, owned, CodeError, ErasureCodec, Lrc, PiggybackRs, ReedSolomon,
-    Replication, StripeViewMut,
+    encode_into_parallel, owned, CodeError, ErasureCodec, Lrc, LrcSpec, PiggybackRs, ReedSolomon,
+    Replication, StripeViewMut, WideLrc, WideReedSolomon,
 };
+use xorbas::gf::Gf65536;
 
 /// Deterministic pseudo-random payloads from a seed.
 fn seeded_data(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -109,6 +112,21 @@ fn assert_all_paths_agree<C: ErasureCodec + Sync>(
     }
 }
 
+/// Assorted lengths, each with a single loss: one symbol, an odd
+/// handful, a fused-kernel span, and a parallel-splitting span. In
+/// symbols, so a GF(2^16) codec meets scalar tails after both the
+/// 32- and the 64-byte vector steps.
+fn assorted_length_suite<C: ErasureCodec + Sync>(codec: &C, name: &str) {
+    let sb = codec.symbol_bytes();
+    let n = codec.total_blocks();
+    let k = codec.data_blocks();
+    for (i, &base) in [1usize, 7, 129, 9001].iter().enumerate() {
+        let len = base * sb;
+        let data = seeded_data(k, len, 0xD1F + base as u64);
+        assert_all_paths_agree(codec, name, &data, &[i % n], 3);
+    }
+}
+
 /// The generic suite: assorted-length roundtrips, every single and
 /// every double erasure pattern at a fixed mid-size payload, then the
 /// shared repair-request validation.
@@ -117,13 +135,7 @@ fn differential_suite<C: ErasureCodec + Sync>(codec: &C, name: &str) {
     let n = codec.total_blocks();
     let k = codec.data_blocks();
 
-    // Assorted lengths: one symbol, an odd handful, a fused-kernel
-    // span, and a parallel-splitting span — each with a single loss.
-    for (i, &base) in [1usize, 7, 129, 9001].iter().enumerate() {
-        let len = base * sb;
-        let data = seeded_data(k, len, 0xD1F + base as u64);
-        assert_all_paths_agree(codec, name, &data, &[i % n], 3);
-    }
+    assorted_length_suite(codec, name);
 
     // Every single- and double-erasure pattern (the coded families
     // have distance 5 and 3-replication distance 3, so every such
@@ -164,6 +176,25 @@ fn lrc_passes_the_differential_suite() {
 fn piggyback_passes_the_differential_suite() {
     let pb: PiggybackRs = PiggybackRs::new(10, 4).unwrap();
     differential_suite(&pb, "pb(10,4)");
+}
+
+#[test]
+fn gf65536_reed_solomon_passes_the_differential_suite() {
+    let rs: ReedSolomon<Gf65536> = ReedSolomon::new(12, 4).unwrap();
+    differential_suite(&rs, "rs(12,4)/gf65536");
+}
+
+/// The wide codes encode through multiply blocks of many rows:
+/// RS(200, 60) issues five full 12-row blocks and a 16-source batch
+/// remainder (200 = 12 · 16 + 8), the wide LRC's 40 global parities
+/// a 4-row remainder block. Every pattern would be ~34k repairs, so
+/// these run the assorted lengths with a single loss each.
+#[test]
+fn wide_codecs_pass_the_assorted_length_suite() {
+    let rs = WideReedSolomon::new(200, 60).unwrap();
+    assorted_length_suite(&rs, "rs(200,60)/gf65536");
+    let lrc = WideLrc::new(LrcSpec::WIDE).unwrap();
+    assorted_length_suite(&lrc, "lrc(200,40,10)/gf65536");
 }
 
 #[test]
