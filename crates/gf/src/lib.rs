@@ -14,8 +14,10 @@
 //! as the primitive element `α`, matching the Vandermonde parity-check
 //! construction `[H]_{i,j} = α^{(i-1)(j-1)}` of the paper's Appendix D.
 //!
-//! Payload-slice kernels dispatch at runtime to an AVX2 implementation
-//! (split-nibble `VPSHUFB` on x86) with a portable scalar fallback — see
+//! Payload-slice kernels dispatch at runtime to a GFNI implementation
+//! (512-bit `vgf2p8affineqb` bit-matrix multiplies on x86 with AVX-512),
+//! else an AVX2 one (split-nibble `VPSHUFB`), with a portable scalar
+//! fallback — see
 //! the [`slice_ops`] module docs for the selection story, and the
 //! repository's `docs/ARCHITECTURE.md` for the `XORBAS_KERNEL_BACKEND`
 //! override knob.

@@ -6,9 +6,12 @@
 //! Coding", SC 2021): since `c·x = c·(x_hi·16) + c·x_lo`, two 16-entry
 //! tables — one for each nibble — suffice, and 16-entry lookups are
 //! exactly what `PSHUFB`/`VPSHUFB` compute for a whole vector of bytes
-//! per instruction.
+//! per instruction. Multiplying by `c` is also a GF(2)-linear map of
+//! the byte's bits, an 8×8 bit matrix, and GFNI's `vgf2p8affineqb`
+//! applies such a matrix to 64 bytes in one instruction: the matrix
+//! Uezato's XOR programs spell out as about 32 XORs per coefficient.
 //!
-//! Two backends implement the same [`KernelSuite`] contract — two fused
+//! Three backends implement the same [`KernelSuite`] contract — two fused
 //! multiply *blocks* `dstᵣ = [dstᵣ ^] Σⱼ cᵣⱼ·srcⱼ` (up to [`BLOCK_ROWS`]
 //! rows over the same sources) and one fused XOR row, the only shapes
 //! the codecs issue:
@@ -20,6 +23,11 @@
 //!   kernels to.
 //! * **avx2** — 256-bit `VPSHUFB` kernels (the 16-entry tables broadcast
 //!   to both 128-bit lanes).
+//! * **gfni** — 512-bit `vgf2p8affineqb` multiply blocks, each
+//!   coefficient's matrices derived from the products of the single
+//!   bits its nibble tables already hold (GF(2^16) needs four: each
+//!   output byte from each input byte), and the AVX2 XOR row. Picked
+//!   when the CPU has AVX2, AVX-512 F/BW/VBMI and GFNI.
 //!
 //! # Why a block
 //!
@@ -28,23 +36,33 @@
 //! multiplies every row from the split form. For GF(2^16), vector ALU
 //! ops per (row, source, 64 bytes):
 //!
-//! | step | row kernel | block |
-//! |---|---|---|
-//! | deinterleave low/high bytes | 8 | 8 / rows |
-//! | split into four nibbles | 6 | 6 / rows |
-//! | eight table shuffles, six XORs to combine | 14 | 14 |
-//! | reinterleave | 4 | 4 / sources |
-//! | accumulate into the row | 2 | 2 |
-//! | **total** | **34** | **16 + 14 / rows + 4 / sources** |
+//! | step | row kernel | block | GFNI block |
+//! |---|---|---|---|
+//! | deinterleave low/high bytes | 8 | 8 / rows | 1 / rows |
+//! | split into four nibbles | 6 | 6 / rows | — |
+//! | eight table shuffles, six XORs to combine | 14 | 14 | 2 affine |
+//! | reinterleave | 4 | 4 / sources | 1 / sources |
+//! | accumulate into the row | 2 | 2 | 1 |
+//! | **total** | **34** | **16 + 14 / rows + 4 / sources** | **3 + 1 / rows + 1 / sources** |
 //!
 //! so a 12-row, 16-source block issues 17.4 ops where the row issued
 //! 34 (the reinterleave now runs once per row, after all its sources).
+//! The GFNI block's steps are 128 bytes: two `vpermt2b` split them into
+//! low and high bytes, four affine ops and two three-way XORs
+//! (`vpternlogq`) multiply-accumulate each (row, source), and two
+//! `vpermt2b` reinterleave each row — 3.15 ops per 64 bytes at 12 × 16,
+//! though only one port runs the 512-bit affine op: on a Xeon of family
+//! 6, model 207, a 12 × 16 block over 64 KiB lanes takes 2.2 ns per
+//! (row, source, 128 bytes) where AVX2 takes 6.6, and RS(200,60)'s
+//! whole 60 × 200 block over 64 KiB lanes runs 2.4–3.0x the AVX2 one.
 //! GF(2^8) goes from 7 ops per (row, source, 32 bytes) to
-//! 4 + 3 / rows. A block of several rows parks its split sources on the
-//! stack for each step and multiplies two rows at a time from them (a
-//! parked vector is loaded once for both); a one-row block keeps them
-//! in registers, so the rows that sessions and light repairs issue pay
-//! nothing for the block shape.
+//! 4 + 3 / rows, and GFNI needs one affine op and one XOR per (row,
+//! source, 64 bytes). A block of several rows parks its split sources on
+//! the stack for each step and multiplies two rows at a time from them
+//! (a parked vector is loaded once for both; the GFNI GF(2^8) block has
+//! nothing to split and loads each source vector once per pair); a
+//! one-row block keeps them in registers, so the rows that sessions and
+//! light repairs issue pay nothing for the block shape.
 //!
 //! Selection happens once per process (see [`KernelBackend::active`])
 //! via `is_x86_feature_detected!`, overridable with the
@@ -55,17 +73,17 @@
 //!
 //! This is the only module in the crate that uses `unsafe` (the crate
 //! root carries `#![deny(unsafe_code)]`; this module opts out locally).
-//! The AVX2 kernels are safe `#[target_feature(enable = "avx2")]` fns:
-//! value intrinsics are safe inside them, so `unsafe` covers only two
-//! things, each block with its own `// SAFETY:` line:
+//! The AVX2 and GFNI kernels are safe `#[target_feature]` fns: value
+//! intrinsics are safe inside them, so `unsafe` covers only two things,
+//! each block with its own `// SAFETY:` line:
 //!
 //! * a pointer load or store, kept inside its slice by the loop bound
 //!   and by [`block_len`], which every kernel calls first: every source
 //!   and every destination of a call has one common length;
 //! * the call into a kernel from a [`KernelSuite`] entry, sound because
-//!   [`suite_for`] hands out the AVX2 suite strictly after
-//!   `is_x86_feature_detected!("avx2")` has passed (and the scalar suite
-//!   otherwise).
+//!   [`suite_for`] hands out a vector suite strictly after
+//!   `is_x86_feature_detected!` has passed for every feature its kernels
+//!   enable (and the scalar suite otherwise).
 
 #![allow(unsafe_code)]
 // Dispatch and table-construction code must justify every index; the
@@ -77,8 +95,9 @@
 /// field: `lo[x] = c·x` for `x < 16` and `hi[x] = c·(x·16)`, so that
 /// `c·b = lo[b & 0xF] ^ hi[b >> 4]` for any byte `b`.
 ///
-/// 32 bytes — cheap enough to build per kernel call (30 field
-/// multiplications) and small enough to live in two vector registers.
+/// 32 bytes — cheap enough to build per kernel call (8 field
+/// multiplications, see [`nibble_products`]) and small enough to live in
+/// two vector registers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MulTables {
     pub(crate) lo: [u8; 16],
@@ -115,6 +134,42 @@ impl MulTables {
     fn mul_byte(&self, b: u8) -> u8 {
         self.lo[(b & 0xF) as usize] ^ self.hi[(b >> 4) as usize]
     }
+
+    /// The GFNI affine matrix of `b ↦ c·b`: the tables are linear in
+    /// their nibble, so the products of the eight single bits are the
+    /// matrix's columns (a GF(2^4) `hi` table is all zero, so its high
+    /// input bits drop out, as `from_index` drops them).
+    #[cfg_attr(
+        not(any(target_arch = "x86", target_arch = "x86_64")),
+        allow(dead_code)
+    )]
+    fn affine(&self) -> u64 {
+        affine_matrix(&self.lo, &self.hi)
+    }
+}
+
+/// The `vgf2p8affineqb` matrix of the GF(2)-linear byte map whose
+/// single-bit images are `lo[1], lo[2], lo[4], lo[8]` (input bits 0–3)
+/// and `hi[1], hi[2], hi[4], hi[8]` (bits 4–7). The instruction's output
+/// bit `i` is the parity of the matrix's byte `7 − i` ANDed with the
+/// input, so byte `7 − i` holds bit `i` of every image: the bit-transpose
+/// of the images packed one per byte, byte-reversed.
+#[cfg_attr(
+    not(any(target_arch = "x86", target_arch = "x86_64")),
+    allow(dead_code)
+)]
+fn affine_matrix(lo: &[u8; 16], hi: &[u8; 16]) -> u64 {
+    let cols = [lo[1], lo[2], lo[4], lo[8], hi[1], hi[2], hi[4], hi[8]];
+    // Byte j, bit i is the matrix entry (i, j); the three swap rounds of
+    // an 8×8 bit transpose (Hacker's Delight, 7–3) move it to byte i, bit j.
+    let mut x = u64::from_le_bytes(cols);
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x.swap_bytes()
 }
 
 /// `[f(0), f(1), …, f(15)]` for a map `f` that is linear over GF(2), as
@@ -150,8 +205,9 @@ fn nibble_products(f: impl Fn(u32) -> u32) -> [u32; 16] {
 /// natural extension of the byte-wide split-nibble scheme; cf. Uezato,
 /// SC 2021, and gf-complete's SPLIT w=16).
 ///
-/// 128 bytes — cheap to build per kernel call (64 field multiplications)
-/// and small enough for all eight tables to live in vector registers.
+/// 128 bytes — cheap to build per kernel call (16 field
+/// multiplications, see [`nibble_products`]) and small enough for all
+/// eight tables to live in vector registers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Nibble16Tables {
     /// `lo[j][x]` = low byte of `c · (x << 4j)`.
@@ -197,6 +253,21 @@ impl Nibble16Tables {
             ]);
         }
         rows
+    }
+
+    /// The four GFNI affine matrices of `s ↦ c·s` between the symbol's
+    /// low and high bytes: low→low, high→low, low→high, high→high.
+    #[cfg_attr(
+        not(any(target_arch = "x86", target_arch = "x86_64")),
+        allow(dead_code)
+    )]
+    fn affine(&self) -> [u64; 4] {
+        [
+            affine_matrix(&self.lo[0], &self.lo[1]),
+            affine_matrix(&self.lo[2], &self.lo[3]),
+            affine_matrix(&self.hi[0], &self.hi[1]),
+            affine_matrix(&self.hi[2], &self.hi[3]),
+        ]
     }
 
     /// Single-symbol product via the nibble tables (vector-kernel tails).
@@ -343,18 +414,27 @@ pub enum KernelBackend {
     Scalar,
     /// 256-bit split-nibble `VPSHUFB` kernels (x86/x86_64).
     Avx2,
+    /// 512-bit GFNI affine-transform multiply blocks beside the AVX2 XOR
+    /// row (x86/x86_64 with AVX2, AVX-512 F/BW/VBMI and GFNI).
+    Gfni,
 }
 
 impl KernelBackend {
-    /// Every backend this build knows about, portable first.
-    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
+    /// Every backend this build knows about, portable first, each later
+    /// one preferred to those before it.
+    pub const ALL: [KernelBackend; 3] = [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2,
+        KernelBackend::Gfni,
+    ];
 
-    /// The backend's lowercase name (`"scalar"`, `"avx2"`), as accepted
-    /// by the `XORBAS_KERNEL_BACKEND` override.
+    /// The backend's lowercase name (`"scalar"`, `"avx2"`, `"gfni"`), as
+    /// accepted by the `XORBAS_KERNEL_BACKEND` override.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2 => "avx2",
+            KernelBackend::Gfni => "gfni",
         }
     }
 
@@ -373,6 +453,14 @@ impl KernelBackend {
             KernelBackend::Scalar => true,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            KernelBackend::Gfni => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512vbmi")
+                    && std::arch::is_x86_feature_detected!("gfni")
+            }
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
             _ => false,
         }
@@ -385,8 +473,8 @@ impl KernelBackend {
 
     /// The process-wide backend the module-level kernels dispatch to.
     ///
-    /// Chosen once, on first use: the best supported backend
-    /// (avx2, else scalar), unless overridden by the environment —
+    /// Chosen once, on first use: the best supported backend (gfni,
+    /// else avx2, else scalar), unless overridden by the environment —
     /// see the [`crate::slice_ops`] module docs for the variables.
     pub fn active() -> KernelBackend {
         active_suite().backend
@@ -400,8 +488,12 @@ impl KernelBackend {
 pub(crate) fn suite_for(backend: KernelBackend) -> &'static KernelSuite {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
-        if backend == KernelBackend::Avx2 && backend.is_supported() {
-            return &x86::AVX2_SUITE;
+        if backend.is_supported() {
+            match backend {
+                KernelBackend::Scalar => {}
+                KernelBackend::Avx2 => return &x86::AVX2_SUITE,
+                KernelBackend::Gfni => return &x86::GFNI_SUITE,
+            }
         }
     }
     let _ = backend;
@@ -415,22 +507,24 @@ pub(crate) fn active_suite() -> &'static KernelSuite {
     ACTIVE.get_or_init(select_suite)
 }
 
-/// Applies the `XORBAS_KERNEL_BACKEND` override, else picks AVX2, which
-/// `suite_for` turns into scalar on a CPU without it.
+/// Applies the `XORBAS_KERNEL_BACKEND` override, else picks the last
+/// backend of [`KernelBackend::ALL`] the CPU supports.
 fn select_suite() -> &'static KernelSuite {
     if let Ok(name) = std::env::var("XORBAS_KERNEL_BACKEND") {
         match KernelBackend::parse(&name) {
             Some(requested) => return suite_for(requested),
             None => {
                 // A typo must not silently measure the wrong backend.
+                let expected = KernelBackend::ALL.map(KernelBackend::name).join(", ");
                 eprintln!(
                     "xorbas_gf: unrecognized XORBAS_KERNEL_BACKEND {name:?} \
-                     (expected scalar or avx2); using auto-detection"
+                     (expected one of {expected}); using auto-detection"
                 );
             }
         }
     }
-    suite_for(KernelBackend::Avx2)
+    let best = KernelBackend::supported().last();
+    suite_for(best.unwrap_or(KernelBackend::Scalar))
 }
 
 /// Portable fallback kernels: safe Rust throughout, auto-vectorizable
@@ -594,14 +688,15 @@ pub(crate) mod scalar {
     }
 }
 
-/// x86/x86_64 vector kernels: AVX2 (`VPSHUFB`, 256-bit).
+/// x86/x86_64 vector kernels: AVX2 (`VPSHUFB`, 256-bit) and GFNI
+/// (`vgf2p8affineqb`, 512-bit).
 // Vector kernels slice at multiples of the vector width computed from
 // `len()` and index scalar tails below the asserted common length.
 #[allow(clippy::indexing_slicing)]
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
     use super::{block_len, empty_block, KernelBackend, KernelSuite, MulTables, Nibble16Tables};
-    use super::{MAX_FUSE, WIDE16_FUSE};
+    use super::{BLOCK_ROWS, MAX_FUSE, WIDE16_FUSE};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -614,15 +709,34 @@ mod x86 {
             // verified is_x86_feature_detected!("avx2").
             unsafe { avx2_mul_block(d, t, s, acc) }
         },
-        xor_multi: |d, s, acc| {
-            // SAFETY: as above — AVX2 presence verified by `suite_for`.
-            unsafe { avx2_xor_multi(d, s, acc) }
-        },
+        xor_multi: xor_multi_avx2,
         mul16_block: |d, t, s, acc| {
             // SAFETY: as above — AVX2 presence verified by `suite_for`.
             unsafe { avx2_mul16_block(d, t, s, acc) }
         },
     };
+
+    pub(super) static GFNI_SUITE: KernelSuite = KernelSuite {
+        backend: KernelBackend::Gfni,
+        mul_block: |d, t, s, acc| {
+            // SAFETY: this suite is only reachable via `suite_for`, which
+            // verified all five features with `is_x86_feature_detected!`.
+            unsafe { gfni_mul_block(d, t, s, acc) }
+        },
+        xor_multi: xor_multi_avx2,
+        mul16_block: |d, t, s, acc| {
+            // SAFETY: as above — all five features verified by `suite_for`.
+            unsafe { gfni_mul16_block(d, t, s, acc) }
+        },
+    };
+
+    /// The XOR row of both vector suites.
+    fn xor_multi_avx2(dst: &mut [u8], srcs: &[&[u8]], accumulate: bool) {
+        // SAFETY: both suites holding this fn are only reachable via
+        // `suite_for`, which verified AVX2 (the GFNI suite's features
+        // include it).
+        unsafe { avx2_xor_multi(dst, srcs, accumulate) }
+    }
 
     /// Byte-gather masks deinterleaving 16-bit little-endian symbols:
     /// the even (low) or odd (high) source bytes land in the lower 8
@@ -922,6 +1036,246 @@ mod x86 {
         }
     }
 
+    /// `vpermt2b` indices gathering the even (`ODD = 0`) or odd
+    /// (`ODD = 1`) bytes of a 128-byte pair of vectors: 128 bytes of
+    /// symbols become their 64 low and 64 high bytes.
+    const fn gather_index<const ODD: u8>() -> [u8; 64] {
+        let mut idx = [0u8; 64];
+        let mut k = 0;
+        while k < 64 {
+            idx[k] = 2 * k as u8 + ODD;
+            k += 1;
+        }
+        idx
+    }
+
+    /// `vpermt2b` indices interleaving symbols `HALF·32 ..` of a low-byte
+    /// and a high-byte vector (`HALF` 0 or 1) back into 64 payload bytes.
+    const fn interleave_index<const HALF: u8>() -> [u8; 64] {
+        let mut idx = [0u8; 64];
+        let mut k = 0;
+        while k < 32 {
+            idx[2 * k] = HALF * 32 + k as u8;
+            idx[2 * k + 1] = 64 + HALF * 32 + k as u8;
+            k += 1;
+        }
+        idx
+    }
+
+    /// One 64-byte vector of the 64-byte array `idx`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_index(idx: &[u8; 64]) -> __m512i {
+        // SAFETY: `idx` is 64 readable bytes; `loadu` needs no alignment.
+        unsafe { _mm512_loadu_si512(idx.as_ptr().cast()) }
+    }
+
+    /// `dst[i..i + 64] = [dst[i..i + 64] ^] v`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store64(dst: &mut [u8], i: usize, v: __m512i, accumulate: bool) {
+        assert!(i + 64 <= dst.len());
+        let p = dst.as_mut_ptr();
+        let v = if accumulate {
+            // SAFETY: asserted above: the load stays in `dst`.
+            _mm512_xor_si512(v, unsafe { _mm512_loadu_si512(p.add(i).cast()) })
+        } else {
+            v
+        };
+        // SAFETY: asserted above: the store stays in `dst`.
+        unsafe { _mm512_storeu_si512(p.add(i).cast(), v) };
+    }
+
+    /// 64 bytes multiplied by the coefficient whose affine matrix is `m`.
+    #[inline]
+    #[target_feature(enable = "avx512f,gfni")]
+    fn affine(v: __m512i, m: &u64) -> __m512i {
+        _mm512_gf2p8affine_epi64_epi8::<0>(v, _mm512_set1_epi64(*m as i64))
+    }
+
+    /// `a ^ b ^ c` in one `vpternlogq`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn xor3(a: __m512i, b: __m512i, c: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi64::<0x96>(a, b, c)
+    }
+
+    /// The sub-slices from byte `i` on of a block's destinations and
+    /// sources, for the AVX2 block to finish what the 512-bit steps
+    /// left.
+    fn tails<'d, 's, const FUSE: usize>(
+        dsts: &'d mut [&mut [u8]],
+        srcs: &[&'s [u8]],
+        i: usize,
+    ) -> ([&'d mut [u8]; BLOCK_ROWS], [&'s [u8]; FUSE]) {
+        let mut d: [&mut [u8]; BLOCK_ROWS] = Default::default();
+        let mut s: [&[u8]; FUSE] = [&[]; FUSE];
+        for (t, dst) in d.iter_mut().zip(dsts.iter_mut()) {
+            *t = &mut dst[i..];
+        }
+        for (t, src) in s.iter_mut().zip(srcs) {
+            *t = &src[i..];
+        }
+        (d, s)
+    }
+
+    /// Byte-wide block over 64-byte steps: one `vgf2p8affineqb` and one
+    /// XOR per (row, source, step), each coefficient's 8×8 bit matrix
+    /// broadcast from memory. A one-row block keeps its sources in
+    /// registers; taller blocks run two rows per pass, sharing each
+    /// source load. The AVX2 block finishes the last `< 64` bytes.
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    fn gfni_mul_block(
+        dsts: &mut [&mut [u8]],
+        tables: &[MulTables],
+        srcs: &[&[u8]],
+        accumulate: bool,
+    ) {
+        let n = block_len(dsts, tables.len(), srcs, MAX_FUSE);
+        if empty_block(dsts, srcs, accumulate) {
+            return;
+        }
+        let mut i = 0;
+        if let [dst] = dsts {
+            let mats: [u64; MAX_FUSE] =
+                std::array::from_fn(|k| tables.get(k).map_or(0, MulTables::affine));
+            while i + 64 <= n {
+                let mut acc = _mm512_setzero_si512();
+                for (m, s) in mats.iter().zip(srcs) {
+                    // SAFETY: `s` is `n` bytes long and `i + 64 <= n`.
+                    let v = unsafe { _mm512_loadu_si512(s.as_ptr().add(i).cast()) };
+                    acc = _mm512_xor_si512(acc, affine(v, m));
+                }
+                store64(dst, i, acc, accumulate);
+                i += 64;
+            }
+        } else {
+            let mats: [u64; BLOCK_ROWS * MAX_FUSE] =
+                std::array::from_fn(|k| tables.get(k).map_or(0, MulTables::affine));
+            let ns = srcs.len();
+            while i + 64 <= n {
+                // Two rows at a time; an odd last row runs as its own
+                // twin and is stored once.
+                for (pair, pm) in dsts.chunks_mut(2).zip(mats[..tables.len()].chunks(2 * ns)) {
+                    let (m0, rest) = pm.split_at(ns);
+                    let m1 = if rest.is_empty() { m0 } else { rest };
+                    let mut acc = [_mm512_setzero_si512(); 2];
+                    for ((a, b), s) in m0.iter().zip(m1).zip(srcs) {
+                        // SAFETY: `s` is `n` bytes long and `i + 64 <= n`.
+                        let v = unsafe { _mm512_loadu_si512(s.as_ptr().add(i).cast()) };
+                        acc[0] = _mm512_xor_si512(acc[0], affine(v, a));
+                        acc[1] = _mm512_xor_si512(acc[1], affine(v, b));
+                    }
+                    for (dst, acc) in pair.iter_mut().zip(acc) {
+                        store64(dst, i, acc, accumulate);
+                    }
+                }
+                i += 64;
+            }
+        }
+        if i < n {
+            let rows = dsts.len();
+            let (mut d, s) = tails::<MAX_FUSE>(dsts, srcs, i);
+            avx2_mul_block(&mut d[..rows], tables, &s[..srcs.len()], accumulate);
+        }
+    }
+
+    /// GF(2^16) block over 128-byte steps: two `vpermt2b` split each
+    /// source step into its 64 symbols' low and high bytes, four affine
+    /// ops and two `vpternlogq` multiply-accumulate one (row, source),
+    /// and two `vpermt2b` reinterleave each row once, after all its
+    /// sources. A one-row block keeps its split sources in registers;
+    /// taller blocks park them on the stack and run two rows per pass.
+    /// The AVX2 block finishes the last `< 128` bytes.
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vbmi,gfni")]
+    fn gfni_mul16_block(
+        dsts: &mut [&mut [u8]],
+        tables: &[Nibble16Tables],
+        srcs: &[&[u8]],
+        accumulate: bool,
+    ) {
+        let n = block_len(dsts, tables.len(), srcs, WIDE16_FUSE);
+        if empty_block(dsts, srcs, accumulate) {
+            return;
+        }
+        let (even, odd) = (
+            load_index(&gather_index::<0>()),
+            load_index(&gather_index::<1>()),
+        );
+        let (first, second) = (
+            load_index(&interleave_index::<0>()),
+            load_index(&interleave_index::<1>()),
+        );
+        let split = |s: &[u8], i: usize| {
+            assert!(i + 128 <= s.len());
+            // SAFETY: asserted just above: `s[i..i + 64]` is in `s`.
+            let va = unsafe { _mm512_loadu_si512(s.as_ptr().add(i).cast()) };
+            // SAFETY: asserted above: `s[i + 64..i + 128]` is in `s`.
+            let vb = unsafe { _mm512_loadu_si512(s.as_ptr().add(i + 64).cast()) };
+            [
+                _mm512_permutex2var_epi8(va, even, vb),
+                _mm512_permutex2var_epi8(va, odd, vb),
+            ]
+        };
+        // `c·s` for one split source step, accumulated into `acc`.
+        let mul_acc = |acc: &mut [__m512i; 2], [lo, hi]: [__m512i; 2], m: &[u64; 4]| {
+            acc[0] = xor3(acc[0], affine(lo, &m[0]), affine(hi, &m[1]));
+            acc[1] = xor3(acc[1], affine(lo, &m[2]), affine(hi, &m[3]));
+        };
+        let finish = |dst: &mut [u8], i: usize, [lo, hi]: [__m512i; 2]| {
+            store64(dst, i, _mm512_permutex2var_epi8(lo, first, hi), accumulate);
+            store64(
+                dst,
+                i + 64,
+                _mm512_permutex2var_epi8(lo, second, hi),
+                accumulate,
+            );
+        };
+        let mut i = 0;
+        if let [dst] = dsts {
+            let mats: [[u64; 4]; WIDE16_FUSE] =
+                std::array::from_fn(|k| tables.get(k).map_or([0; 4], Nibble16Tables::affine));
+            while i + 128 <= n {
+                let mut acc = [_mm512_setzero_si512(); 2];
+                for (m, s) in mats.iter().zip(srcs) {
+                    mul_acc(&mut acc, split(s, i), m);
+                }
+                finish(dst, i, acc);
+                i += 128;
+            }
+        } else {
+            let mats: [[u64; 4]; BLOCK_ROWS * WIDE16_FUSE] =
+                std::array::from_fn(|k| tables.get(k).map_or([0; 4], Nibble16Tables::affine));
+            let ns = srcs.len();
+            let mut parked = [[_mm512_setzero_si512(); 2]; WIDE16_FUSE];
+            while i + 128 <= n {
+                for (p, s) in parked.iter_mut().zip(srcs) {
+                    *p = split(s, i);
+                }
+                // Two rows at a time, sharing each parked load; an odd
+                // last row runs as its own twin and is stored once.
+                for (pair, pm) in dsts.chunks_mut(2).zip(mats[..tables.len()].chunks(2 * ns)) {
+                    let (m0, rest) = pm.split_at(ns);
+                    let m1 = if rest.is_empty() { m0 } else { rest };
+                    let mut acc = [[_mm512_setzero_si512(); 2]; 2];
+                    for ((a, b), &p) in m0.iter().zip(m1).zip(&parked) {
+                        mul_acc(&mut acc[0], p, a);
+                        mul_acc(&mut acc[1], p, b);
+                    }
+                    for (dst, acc) in pair.iter_mut().zip(acc) {
+                        finish(dst, i, acc);
+                    }
+                }
+                i += 128;
+            }
+        }
+        if i < n {
+            let rows = dsts.len();
+            let (mut d, s) = tails::<WIDE16_FUSE>(dsts, srcs, i);
+            avx2_mul16_block(&mut d[..rows], tables, &s[..srcs.len()], accumulate);
+        }
+    }
+
     /// Fused XOR row over 32-byte vectors. At most [`MAX_FUSE`] sources,
     /// each of `dst`'s length.
     #[target_feature(enable = "avx2")]
@@ -965,6 +1319,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::{scalar, suite_for, KernelBackend, KernelSuite, MulTables, Nibble16Tables};
+    use crate::{Field, Gf16, Gf256, Gf65536};
 
     /// Each variant's successor in declaration order. The `match` is
     /// exhaustive, so a new variant does not compile until it is placed
@@ -972,7 +1327,8 @@ mod tests {
     fn next_variant(b: KernelBackend) -> Option<KernelBackend> {
         match b {
             KernelBackend::Scalar => Some(KernelBackend::Avx2),
-            KernelBackend::Avx2 => None,
+            KernelBackend::Avx2 => Some(KernelBackend::Gfni),
+            KernelBackend::Gfni => None,
         }
     }
 
@@ -1102,5 +1458,79 @@ mod tests {
             fields_shared_with_scalar(&scalar::SUITE),
             ["mul_block", "xor_multi", "mul16_block"]
         );
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn gfni_suite_runs_no_scalar_kernel() {
+        let (gfni, avx2) = (&super::x86::GFNI_SUITE, &super::x86::AVX2_SUITE);
+        assert_eq!(gfni.backend, KernelBackend::Gfni);
+        assert_eq!(fields_shared_with_scalar(gfni), Vec::<&str>::new());
+        // The XOR row is the AVX2 suite's; both multiply blocks are its own.
+        assert!(std::ptr::fn_addr_eq(gfni.xor_multi, avx2.xor_multi));
+        assert!(!std::ptr::fn_addr_eq(gfni.mul_block, avx2.mul_block));
+        assert!(!std::ptr::fn_addr_eq(gfni.mul16_block, avx2.mul16_block));
+    }
+
+    /// `vgf2p8affineqb` on one byte, in portable code: output bit `i` is
+    /// the parity of the matrix's byte `7 − i` ANDed with `x`.
+    fn apply_affine(m: u64, x: u8) -> u8 {
+        (0..8).fold(0, |out, i| {
+            let row = (m >> (8 * (7 - i))) as u8;
+            out | (((row & x).count_ones() & 1) as u8) << i
+        })
+    }
+
+    /// A GF(2^16) symbol through the four matrices of
+    /// [`Nibble16Tables::affine`], as the GFNI block combines them.
+    fn apply_affine16(m: &[u64; 4], s: u16) -> u16 {
+        let [lo, hi] = s.to_le_bytes();
+        u16::from_le_bytes([
+            apply_affine(m[0], lo) ^ apply_affine(m[1], hi),
+            apply_affine(m[2], lo) ^ apply_affine(m[3], hi),
+        ])
+    }
+
+    /// The matrices the GFNI kernels derive from the split-nibble tables
+    /// multiply exactly as the field does, checked without the ISA.
+    #[test]
+    fn affine_matrices_multiply_as_the_field_does() {
+        for c in 0..256 {
+            let (c8, c4) = (Gf256::from_index(c), Gf16::from_index(c % 16));
+            let (m8, m4) = (MulTables::build(c8).affine(), MulTables::build(c4).affine());
+            for x in 0..=255u8 {
+                let want = (c8 * Gf256::from_index(x.into())).index();
+                assert_eq!(
+                    u32::from(apply_affine(m8, x)),
+                    want,
+                    "GF(2^8) {c:#x} · {x:#x}"
+                );
+                // The high nibble of a GF(2^4) byte drops out, as in
+                // `from_index`.
+                let want = (c4 * Gf16::from_index(x.into())).index();
+                assert_eq!(
+                    u32::from(apply_affine(m4, x)),
+                    want,
+                    "GF(2^4) {c:#x} · {x:#x}"
+                );
+            }
+        }
+        let coeffs = [0, 1, 2, 0x8000, 0xFFFF]
+            .into_iter()
+            .chain((0..1000u32).map(|k| (k * 9973 + 0x8E2B) % 65536));
+        for c in coeffs {
+            let c = Gf65536::from_index(c);
+            let m = Nibble16Tables::build(c).affine();
+            for k in 0..256u32 {
+                let s = (k * 40503 + k / 16) as u16;
+                let want = (c * Gf65536::from_index(s.into())).index();
+                assert_eq!(
+                    u32::from(apply_affine16(&m, s)),
+                    want,
+                    "GF(2^16) {:#x} · {s:#x}",
+                    c.index()
+                );
+            }
+        }
     }
 }

@@ -22,9 +22,12 @@
 //! For GF(2^16) that takes the vector ALU ops per (row, source, 64
 //! bytes) from 34 to 16 + 14 / rows + 4 / sources, 17.4 for a 12-row,
 //! 16-source block; for GF(2^8), per (row, source, 32 bytes), from 7 to
-//! 4 + 3 / rows (the table is in the `simd` module's docs). A fused row
-//! is a one-row block of the same kernels, which keeps its split
-//! sources in registers.
+//! 4 + 3 / rows. The GFNI blocks apply each coefficient as an 8×8 bit
+//! matrix instead of nibble tables: 3 + 1 / rows + 1 / sources ops per
+//! GF(2^16) (row, source, 64 bytes), and one affine op and one XOR per
+//! GF(2^8) (row, source, 64 bytes) (the table is in the `simd` module's
+//! docs). A fused row is a one-row block of the same kernels, which
+//! keeps its split sources in registers.
 //!
 //! Three single-source functions remain — [`xor_into`], [`mul_acc`] and
 //! [`payload_mul_acc`] — as one-line conveniences that pass a
@@ -38,19 +41,22 @@
 //!
 //! # Kernel selection
 //!
-//! Two interchangeable backends implement the kernels (see
+//! Three interchangeable backends implement the kernels (see
 //! [`KernelBackend`]): portable **scalar** code (256-entry product-row
-//! lookups, `u64`-wide XOR) and **avx2** (256-bit `VPSHUFB`
-//! split-nibble). The module-level functions dispatch through a
+//! lookups, `u64`-wide XOR), **avx2** (256-bit `VPSHUFB` split-nibble)
+//! and **gfni** (512-bit `vgf2p8affineqb` multiply blocks beside the
+//! AVX2 XOR row). The module-level functions dispatch through a
 //! process-wide suite chosen once, on first use:
 //!
-//! 1. If `XORBAS_KERNEL_BACKEND` names a backend (`scalar`, `avx2`),
-//!    that backend is used when the CPU supports it (silently falling
-//!    back to scalar when it does not) — `scalar` is how CI keeps the
-//!    portable path exercised. An unknown name is reported on stderr
+//! 1. If `XORBAS_KERNEL_BACKEND` names a backend (`scalar`, `avx2`,
+//!    `gfni`), that backend is used when the CPU supports it (silently
+//!    falling back to scalar when it does not) — `scalar` and `avx2`
+//!    are how CI keeps the portable path and the AVX2 blocks exercised
+//!    on a runner that has GFNI. An unknown name is reported on stderr
 //!    and ignored.
-//! 2. Otherwise avx2 wins when `is_x86_feature_detected!` finds it,
-//!    scalar when it does not.
+//! 2. Otherwise gfni wins when `is_x86_feature_detected!` finds AVX2,
+//!    AVX-512 F/BW/VBMI and GFNI, then avx2 when it finds AVX2, then
+//!    scalar.
 //!
 //! [`KernelBackend::active`] reports the outcome, and the fused rows and
 //! blocks are also callable on an explicit backend (e.g.
@@ -64,14 +70,16 @@
 //! accumulation is bytewise XOR) run the dispatched byte kernels.
 //! GF(2^16) payloads run a dedicated two-byte-symbol kernel, dispatched
 //! like the byte kernels: the **scalar** backend streams two 256-entry
-//! split `u16` tables (`c·lo` and `c·(hi·256)`), while **avx2**
-//! decomposes each symbol into four nibbles and looks all four product
+//! split `u16` tables (`c·lo` and `c·(hi·256)`), **avx2** decomposes
+//! each symbol into four nibbles and looks all four product
 //! contributions up with eight 16-entry `VPSHUFB` tables per
 //! coefficient (deinterleave low/high bytes and split once per source
-//! vector, eight shuffles per coefficient, reinterleave once per row —
-//! the payload length must be a whole number of 2-byte symbols). Wider
-//! or odd-sized fields fall back to a symbol-at-a-time loop, row by
-//! row.
+//! vector, eight shuffles per coefficient, reinterleave once per row),
+//! and **gfni** deinterleaves 64 symbols into a low-byte and a
+//! high-byte vector and applies four 8×8 bit matrices per coefficient,
+//! one from each input byte to each output byte — the payload length
+//! must be a whole number of 2-byte symbols. Wider or odd-sized fields
+//! fall back to a symbol-at-a-time loop, row by row.
 //!
 //! [`gf_mul_acc`] is the same operation over symbol slices, one field
 //! multiplication at a time: the reference the kernels are tested

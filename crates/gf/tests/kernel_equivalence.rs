@@ -16,14 +16,15 @@ use xorbas_gf::{Field, Gf16, Gf256, Gf65536};
 
 /// Payload lengths chosen to straddle every byte-kernel boundary: empty,
 /// a lone byte, short scalar tails (7, 15–17), just under/over the
-/// 32-byte AVX2 vector width, an odd prime, and a few vectors plus a
-/// ragged tail.
-const ADVERSARIAL_LENS: [usize; 12] = [0, 1, 7, 15, 16, 17, 31, 32, 33, 97, 128, 1000];
+/// 32-byte AVX2 vector width, an odd prime, a few vectors plus a ragged
+/// tail, and whole 64-byte GFNI steps plus a 62-byte tail (190, 4222).
+const ADVERSARIAL_LENS: [usize; 14] = [0, 1, 7, 15, 16, 17, 31, 32, 33, 97, 128, 190, 1000, 4222];
 
 /// Even payload lengths straddling every GF(2^16) kernel boundary:
 /// empty, one symbol, short scalar tails (6, 30–34), just under/over the
-/// 64-byte AVX2 symbol block, and a long non-multiple tail.
-const ADVERSARIAL_LENS16: [usize; 11] = [0, 2, 6, 30, 32, 34, 62, 64, 66, 94, 1000];
+/// 64-byte AVX2 symbol block, a long non-multiple tail, and whole
+/// 128-byte GFNI steps plus a 62- or 126-byte tail (190, 4222).
+const ADVERSARIAL_LENS16: [usize; 13] = [0, 2, 6, 30, 32, 34, 62, 64, 66, 94, 190, 1000, 4222];
 
 /// Source counts straddling the byte kernels' 16-source batch.
 const SOURCE_COUNTS: [usize; 7] = [0, 1, 2, 15, 16, 17, 33];
@@ -150,9 +151,10 @@ fn gf65536_fused_rows_match_field_arithmetic_on_every_backend() {
 const BLOCK_ROW_COUNTS: [usize; 5] = [1, 2, 11, 12, 13];
 
 /// Block lengths: one GF(2^16) symbol, a scalar tail alone, whole
-/// vectors, and whole vectors plus a tail after both the 32- and the
-/// 64-byte steps.
-const BLOCK_LENS: [usize; 4] = [2, 62, 4096, 4130];
+/// vectors, whole vectors plus a tail after both the 32- and the 64-byte
+/// steps, and after the 128-byte steps a 62-byte (190) and a 126-byte
+/// (4222) tail.
+const BLOCK_LENS: [usize; 6] = [2, 62, 190, 4096, 4130, 4222];
 
 /// Runs every supported backend's block over `BLOCK_ROW_COUNTS ×
 /// src_counts × BLOCK_LENS × {overwrite, accumulate}`, every slice
