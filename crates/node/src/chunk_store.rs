@@ -18,9 +18,10 @@
 //! budget). [`ChunkStore::get_into`], the scrubber's read, verifies it on
 //! every read. The serving path does not: `open_chunk` checks only the
 //! header and the file's length, and the server streams the payload
-//! behind the stored digest for the reader to check end to end — the
-//! one check a fetched chunk gets, so rot surfaces exactly where the
-//! degraded-read machinery can route around it.
+//! behind the stored digest for the reader to check end to end, piece
+//! by piece as it lands — the one check a fetched chunk gets, so rot
+//! surfaces exactly where the degraded-read machinery can route around
+//! it.
 
 use crate::cursor::Cursor;
 use crate::error::{NodeError, Result};
@@ -162,7 +163,8 @@ impl ChunkStore {
     /// come back as [`NodeError::ChunkCorrupt`]; an absent file is
     /// [`NodeError::ChunkNotFound`]. This is the check at rest, the
     /// scrubber's; the server streams a GET's payload unhashed and
-    /// leaves the digest to the reader.
+    /// leaves the digest to the client, which folds each piece into it
+    /// as the piece lands and compares at the end.
     pub fn get_into(&self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
         let mut chunk = self.open_chunk(stripe, lane)?;
         out.resize(chunk.len, 0);

@@ -231,17 +231,20 @@ impl NodeConn {
     }
 
     /// The receive half of a GET: the oldest outstanding request's
-    /// reply, read from the socket straight into `out` and digested
-    /// there. The server sends the digest it stored, unchecked, so this
-    /// is the one check a fetched chunk gets: rot on the server's disk
-    /// and damage on the wire both end here as `ChunkCorrupt`.
+    /// reply, read from the socket straight into `out`, each piece
+    /// digested as it lands ([`FrameReader::read_chunk_into`]). The
+    /// server sends the digest it stored, unchecked, so comparing it
+    /// with the digest of what landed is the one check a fetched chunk
+    /// gets: rot on the server's disk and damage on the wire both end
+    /// here as `ChunkCorrupt`. A reply cut short is `Truncated` and is
+    /// never compared.
     pub(crate) fn recv_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
         let mut rd = &self.stream;
         let deadline = Deadline::after(self.op_timeout);
         let read = self.reader.read_chunk_into(&mut rd, out, Some(deadline));
         match reply(read, &mut self.answered)? {
-            Frame::Chunk { digest, payload } if chunk_digest(payload) == digest => Ok(digest),
-            Frame::Chunk { .. } => Err(NodeError::ChunkCorrupt { stripe, lane }),
+            Frame::Landed { digest, landed } if landed == digest => Ok(digest),
+            Frame::Landed { .. } => Err(NodeError::ChunkCorrupt { stripe, lane }),
             Frame::Err { code } => Err(remote_err(code, stripe, lane)),
             _ => Err(NodeError::Malformed("unexpected reply to GET")),
         }
@@ -1067,6 +1070,7 @@ fn fill_and_encode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_chunk;
     use crate::server::{ChunkServer, ServerConfig};
 
     /// The write rule on a three-server roster whose server 0 is a
@@ -1207,5 +1211,57 @@ mod tests {
             server.shutdown();
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The one check a fetched chunk gets, on three replies a peer
+    /// sends to three GETs on one connection: a payload with one byte
+    /// flipped on the way, the payload whole, then the payload cut in
+    /// half as `serve-reset` cuts it (header, half the bytes, hang-up).
+    #[test]
+    fn a_damaged_reply_is_corrupt_and_a_cut_one_is_truncated_unjudged() {
+        let payload: Vec<u8> = (0..64usize << 10).map(|i| (i * 7 + 1) as u8).collect();
+        let (len, digest) = (payload.len(), chunk_digest(&payload));
+        let mut flipped = payload.clone();
+        flipped[len / 2] ^= 0x01;
+        let mut replies = [Vec::new(), Vec::new(), Vec::new()];
+        let mut buf = [0u8; 4096];
+        for (wire, src) in replies
+            .iter_mut()
+            .zip([&flipped[..], &payload, &payload[..len / 2]])
+        {
+            // The cut source ends early, which is the error it reports.
+            let _ = write_chunk(wire, digest, len, &mut &src[..], &mut buf);
+        }
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new();
+            for wire in replies {
+                let get = reader.read(&mut &conn, None).unwrap();
+                assert!(matches!(get, Ok(Frame::Get { stripe: 1, lane: 2 })));
+                std::io::Write::write_all(&mut &conn, &wire).unwrap();
+            }
+        });
+
+        let mut conn = NodeConn::connect(addr, &RetryPolicy::default()).unwrap();
+        let mut out = Vec::new();
+        let err = conn.get_chunk(1, 2, &mut out).unwrap_err();
+        assert!(
+            matches!(err, NodeError::ChunkCorrupt { stripe: 1, lane: 2 }),
+            "{err:?}"
+        );
+        assert_eq!(conn.get_chunk(1, 2, &mut out).unwrap(), digest);
+        assert!(out == payload);
+        // The cut reply's half lands over the same bytes, so `out` reads
+        // as the whole chunk again; a digest of the buffer would pass it.
+        // It is Truncated, and no digest is compared.
+        let err = conn.get_chunk(1, 2, &mut out).unwrap_err();
+        assert!(
+            matches!(err, NodeError::Truncated { missing } if missing == len - len / 2),
+            "{err:?}"
+        );
+        assert!(out == payload);
+        peer.join().unwrap();
     }
 }

@@ -22,8 +22,10 @@
 //! every thread.
 //!
 //! A GET streams the chunk file behind its stored digest through the
-//! handler's buffer; the reader checks the digest end to end (see
-//! [`crate::chunk_store`]).
+//! handler's 256 KiB buffer, unhashed. The client digests each piece of
+//! the reply as it lands and compares that with the stored digest: the
+//! one check end to end (see [`crate::chunk_store`] for the check at
+//! rest).
 
 use crate::chunk_store::ChunkStore;
 use crate::error::{NodeError, Result};
@@ -66,9 +68,12 @@ impl ServerConfig {
 }
 
 /// The handler's stream buffer: a GET's payload goes from the file to
-/// the socket through it, one piece at a time. 64 KiB measured as well
-/// as a whole chunk's worth and stays in cache.
-const STREAM_BUF: usize = 64 << 10;
+/// the socket through it, one piece at a time, four pieces to a 1 MiB
+/// chunk and each well inside L2. Against 64 KiB, six traced `read_mix`
+/// rounds on a 2-vCPU Xeon took `wire.get_chunk_us` from 321 to 276 µs
+/// (scaled to the host's nominal speed), with the client digesting as
+/// the bytes land in both.
+const STREAM_BUF: usize = 256 << 10;
 
 /// How long `accept` rests after an error that says the process or host
 /// is out of something, before it tries again.
@@ -343,7 +348,7 @@ fn serve(
             Frame::Ping => write_bare(&mut wr, OP_OK)?,
             // Response opcodes arriving on the request side are a
             // protocol violation.
-            Frame::Ok | Frame::Chunk { .. } | Frame::Err { .. } => {
+            Frame::Ok | Frame::Chunk { .. } | Frame::Err { .. } | Frame::Landed { .. } => {
                 write_err(&mut wr, ErrCode::Malformed)?;
                 return Ok(());
             }
