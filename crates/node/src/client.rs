@@ -937,7 +937,7 @@ impl ClusterClient {
     }
 
     /// Reads one data chunk, reporting whether the direct or degraded
-    /// path served it. This is the load generator's read op.
+    /// path served it. This is the chaos scenario's read op.
     pub fn read_data_chunk(
         &mut self,
         stripe: u64,

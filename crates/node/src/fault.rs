@@ -19,15 +19,17 @@
 //! A plan is armed programmatically — [`arm`] a [`FaultPlan`] built
 //! with [`FaultPlan::new`] and [`FaultPlan::with`] / [`FaultPlan::with_param`]
 //! (per-site rates in permille, the param carrying site-specific
-//! meaning such as a stall in milliseconds). Nothing in the environment
-//! can arm one, so a timed run cannot inherit faults.
+//! meaning such as a stall in milliseconds), or [`FaultPlan::once`],
+//! which fires one site on exactly one call index so a test can
+//! enumerate single faults. Nothing in the environment can arm one, so
+//! a timed run cannot inherit faults.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Number of injection sites (length of [`Site::ALL`]).
-const SITE_COUNT: usize = 8;
+const SITE_COUNT: usize = 7;
 
 /// A labeled fault-injection site.
 ///
@@ -59,9 +61,6 @@ pub enum Site {
     /// Repair agent: a stripe repair aborts after reconstruction but
     /// before all lanes are re-placed.
     CrashRepair = 6,
-    /// Reserved for harness-specific experiments; never fired by
-    /// library code.
-    Extra = 7,
 }
 
 impl Site {
@@ -74,7 +73,6 @@ impl Site {
         Site::BitFlip,
         Site::CrashPut,
         Site::CrashRepair,
-        Site::Extra,
     ];
 
     /// The telemetry name of the site.
@@ -87,7 +85,6 @@ impl Site {
             Site::BitFlip => "bit-flip",
             Site::CrashPut => "crash-put",
             Site::CrashRepair => "crash-repair",
-            Site::Extra => "extra",
         }
     }
 }
@@ -98,6 +95,8 @@ struct SiteCfg {
     permille: u32,
     /// Site-specific parameter (e.g. stall milliseconds).
     param: u64,
+    /// Set by [`FaultPlan::once`]: the one call index that fires.
+    only_call: Option<u64>,
     /// Per-site call counter; the decision index.
     counter: AtomicU64,
     /// How many calls actually fired.
@@ -136,6 +135,15 @@ impl FaultPlan {
         self
     }
 
+    /// Fires `site` on call index `call` (counting from 0) and on no
+    /// other call.
+    pub fn once(mut self, site: Site, call: u64) -> Self {
+        let cfg = &mut self.sites[site as usize];
+        cfg.permille = 1000;
+        cfg.only_call = Some(call);
+        self
+    }
+
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -155,7 +163,11 @@ impl FaultPlan {
                 ^ (site as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ idx.wrapping_mul(0xbf58_476d_1ce4_e5b9),
         );
-        if h % 1000 < u64::from(cfg.permille) {
+        let fires = match cfg.only_call {
+            Some(call) => idx == call,
+            None => h % 1000 < u64::from(cfg.permille),
+        };
+        if fires {
             cfg.fired.fetch_add(1, Ordering::Relaxed);
             Some(mix64(h))
         } else {
@@ -242,8 +254,7 @@ pub fn maybe_stall(site: Site) {
     }
 }
 
-/// splitmix64: the crate's standard cheap bit mixer (same finalizer the
-/// load generator uses for deterministic payloads).
+/// The splitmix64 finalizer: the crate's standard cheap bit mixer.
 #[inline]
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -301,5 +312,17 @@ mod tests {
         assert_eq!(name, "torn-write");
         assert_eq!(calls, 10);
         assert_eq!(fired, 10);
+    }
+
+    #[test]
+    fn a_once_plan_fires_its_call_index_and_no_other() {
+        let plan = FaultPlan::new(3).once(Site::CrashRepair, 4);
+        let fired: Vec<u64> = (0..64)
+            .filter(|_| plan.roll(Site::CrashRepair).is_some())
+            .collect();
+        assert_eq!(fired, [4]);
+        assert!(plan.roll(Site::TornWrite).is_none());
+        let (_, calls, fired) = plan.counters()[Site::CrashRepair as usize];
+        assert_eq!((calls, fired), (64, 1));
     }
 }

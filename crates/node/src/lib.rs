@@ -29,8 +29,8 @@
 //! server is down, lost chunks restored by the [`repair::RepairAgent`]
 //! (LRC light repairs fetch only the local group, the §3.2 story).
 //! `tests/loopback_smoke.rs` pins the chunk counts, `benchmark/` measures
-//! throughput and latency, and `cargo run --release -p xorbas_node --bin
-//! load_gen -- --seed N` runs the same traffic under a seeded fault plan.
+//! throughput and latency, and `tests/chaos.rs` runs the same traffic
+//! under a seeded fault plan with a server killed and restarted.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

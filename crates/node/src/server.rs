@@ -17,7 +17,7 @@
 //! server is gone from the network when `kill` returns — a handler
 //! mid-request fails its next write, an idle pooled connection reads
 //! EOF, a new connect is refused — indistinguishable, to a client, from
-//! a machine going dark. It is the load generator's failure injection.
+//! a machine going dark. It is the chaos tests' failure injection.
 //! [`ChunkServer::shutdown`] (and `Drop`) do the same and then join
 //! every thread.
 //!
@@ -52,7 +52,7 @@ pub struct ServerConfig {
     pub max_conn_threads: usize,
     /// Not read: the server no longer polls. It stays only because the
     /// frozen `benchmark/` sets it, and goes with that harness's next
-    /// refresh (ROADMAP item 9(1)).
+    /// refresh (ROADMAP item 1(1)).
     pub poll_interval: Duration,
 }
 
