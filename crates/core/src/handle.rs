@@ -70,6 +70,17 @@ impl Codec {
         self.0.symbol_bytes()
     }
 
+    /// Whether this codec's arithmetic commutes with [`crate::digest`]:
+    /// its encode and every repair session combine whole lanes with
+    /// GF(2^8) coefficients, so the lanes' digests, read as 8-byte lanes,
+    /// encode and repair exactly as the lanes do. True for RS and LRC
+    /// over GF(2^8) and for replication (one-byte symbols); false for
+    /// Piggyback, whose steps act on half lanes, and for every GF(2^16)
+    /// codec, whose coefficients are not bytes.
+    pub fn commutes_with_digest(&self) -> bool {
+        self.symbol_bytes() == 1
+    }
+
     /// Zero-copy encode into caller-owned parity lanes (see
     /// [`ErasureCodec::encode_into`]).
     pub fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) -> Result<()> {
@@ -119,6 +130,48 @@ mod tests {
         // lanes from 200 data payloads, a mixed data + global loss.
         let wide: Vec<Vec<u8>> = (0..200).map(|i| vec![(i % 251) as u8 + 1; 16]).collect();
         round_trip(&Codec::build(CodeSpec::LRC_WIDE).unwrap(), &wide, &[0, 230]);
+    }
+
+    /// The digest of `lane`, as the 8-byte lane a codec encodes.
+    fn digest_lane(lane: &[u8]) -> Vec<u8> {
+        let mut acc = [0u8; crate::digest::BLOCK];
+        let mut padded = lane.to_vec();
+        padded.resize(lane.len().div_ceil(acc.len()) * acc.len(), 0);
+        crate::digest::horner(&mut acc, &padded);
+        crate::digest::fold(&acc).to_vec()
+    }
+
+    /// Encoding the data lanes' digests gives the parity lanes' digests
+    /// exactly for the codecs that say they commute with the digest, and
+    /// not for the others.
+    #[test]
+    fn lane_digests_encode_as_the_lanes_do_where_the_codec_commutes() {
+        for spec in [
+            CodeSpec::RS_10_4,
+            CodeSpec::LRC_10_6_5,
+            CodeSpec::REPLICATION_3,
+            CodeSpec::PB_10_4,
+            CodeSpec::LRC_WIDE,
+        ] {
+            let codec = Codec::build(spec).unwrap();
+            let k = spec.data_blocks();
+            let data: Vec<Vec<u8>> = (0..k)
+                .map(|i| {
+                    (0..1000)
+                        .map(|j| (i * 131 + j * 7 + j / 97) as u8)
+                        .collect()
+                })
+                .collect();
+            let stripe = owned::encode(&*codec.0, &data).unwrap();
+            let digests: Vec<Vec<u8>> = stripe.iter().map(|l| digest_lane(l)).collect();
+            let encoded = owned::encode(&*codec.0, &digests[..k]).unwrap();
+            assert_eq!(
+                encoded == digests,
+                codec.commutes_with_digest(),
+                "{}",
+                spec.name()
+            );
+        }
     }
 
     #[test]

@@ -94,6 +94,10 @@ pub use parallel::encode_into_parallel;
 pub use piggyback::PiggybackRs;
 pub use reed_solomon::ReedSolomon;
 pub use replication::Replication;
+/// The GF(2^8)-linear lane digest: under a codec that
+/// [commutes with it](Codec::commutes_with_digest), a stripe's lane
+/// digests, read as 8-byte lanes, encode and repair as the lanes do.
+pub use xorbas_gf::digest;
 
 /// A Reed-Solomon codec over GF(2^16) — for wide stripes past GF(2^8)'s
 /// 255-lane ceiling (e.g. [`CodeSpec::RS_200_60`]).

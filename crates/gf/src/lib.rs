@@ -30,6 +30,7 @@
 //! | App. D `α^{ij}` tables | [`poly`] | primitive-polynomial registry behind the log/antilog tables |
 //! | §3.1.2 block XOR/scale | [`slice_ops`] | whole-payload kernels (fused rows, runtime SIMD dispatch) |
 //! | — | [`KernelBackend`] | per-backend kernel access for tests/benches |
+//! | — | [`digest`] | a GF(2^8)-linear chunk digest, so a stripe's digests obey its code |
 //!
 //! This crate is the bottom of the workspace: `xorbas_linalg` builds its
 //! matrices over [`Field`], `xorbas_core` encodes/repairs payloads
@@ -65,6 +66,7 @@
     )
 )]
 
+pub mod digest;
 mod field;
 mod gf16;
 mod gf256;

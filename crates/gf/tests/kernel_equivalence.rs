@@ -8,9 +8,12 @@
 //! counts straddling the block caps. The oracle is one field
 //! multiplication per symbol (`gf_mul_acc` over `bytes_to_symbols`) —
 //! no kernel is checked against another kernel. The three single-source
-//! wrappers are pinned to a one-source fused call bit for bit.
+//! wrappers are pinned to a one-source fused call bit for bit. The lane
+//! digest's Horner kernel is checked the same way, against one GF(2^16)
+//! multiplication per lane and block.
 
 use proptest::prelude::*;
+use xorbas_gf::digest;
 use xorbas_gf::slice_ops::{self, KernelBackend};
 use xorbas_gf::{Field, Gf16, Gf256, Gf65536};
 
@@ -251,6 +254,51 @@ fn xor_rows_match_bytewise_xor_on_every_backend() {
                 let mut got = dst_buf.clone();
                 backend.xor_into_multi(&mut got[1..], &refs);
                 assert_eq!(&got[1..], want, "{backend:?} xor len {len} n {n_srcs}");
+            }
+        }
+    }
+}
+
+/// One Horner step of the lane digest by the field's definition: each
+/// lane's symbol `lo + hi·X` of GF(2^8)[X]/(X² + X + 0x20) multiplied
+/// by `β = 2X`, then the block's symbol added.
+fn digest_oracle(acc0: &[u8; digest::BLOCK], blocks: &[u8]) -> [u8; digest::BLOCK] {
+    let g = |x: u8| Gf256::from_index(x.into());
+    let byte = |x: Gf256| x.index() as u8;
+    let mut acc = *acc0;
+    for block in blocks.chunks(digest::BLOCK) {
+        for l in 0..64 {
+            // (a₀ + a₁X)(b₀ + b₁X) = a₀b₀ + 0x20·a₁b₁ + (a₀b₁ + a₁b₀ + a₁b₁)X.
+            let (a0, a1, b0, b1) = (g(acc[l]), g(acc[64 + l]), Gf256::ZERO, g(2));
+            let t = a1 * b1;
+            acc[l] = byte(a0 * b0 + g(0x20) * t) ^ block[l];
+            acc[64 + l] = byte(a0 * b1 + a1 * b0 + t) ^ block[64 + l];
+        }
+    }
+    acc
+}
+
+/// Every backend's digest kernel against the field, over every
+/// adversarial length zero-padded to whole blocks and a few longer
+/// runs, from a nonzero start, at aligned and misaligned input.
+#[test]
+fn digest_kernels_match_field_arithmetic_on_every_backend() {
+    let lens = ADVERSARIAL_LENS
+        .iter()
+        .copied()
+        .chain([256, 384, 640, 8192 + 128]);
+    for len in lens {
+        let padded = len.div_ceil(digest::BLOCK) * digest::BLOCK;
+        let mut buf = payload(len as u64, padded + 1);
+        buf[1 + len..].fill(0);
+        let acc0: [u8; digest::BLOCK] = payload(3, digest::BLOCK).try_into().unwrap();
+        let want = digest_oracle(&acc0, &buf[1..]);
+        let aligned = buf[1..].to_vec();
+        for backend in backends() {
+            for (skip, blocks) in [(0, &aligned[..]), (1, &buf[1..])] {
+                let mut got = acc0;
+                backend.digest_horner(&mut got, blocks);
+                assert_eq!(got, want, "{backend:?} len {len} skip {skip}");
             }
         }
     }

@@ -8,6 +8,10 @@
 //! magic "XBCK" | version u32 | stripe u64 | lane u32 | digest u64 | len u64
 //! ```
 //!
+//! Version 2 stores the GF(2^8)-linear [`chunk_digest`]; a version-1 file
+//! (the same layout, under the FxHash-style digest it replaced) is
+//! refused as [`NodeError::UnsupportedVersion`], which is not rot.
+//!
 //! Writes go to a per-writer-unique `.tmp` sibling and are renamed into
 //! place, so a crash mid-put leaves either the old chunk or none — and
 //! concurrent puts of the same chunk from different connection threads
@@ -18,8 +22,9 @@
 //! budget). [`ChunkStore::get_into`], the scrubber's read, verifies it on
 //! every read. The serving path does not: `open_chunk` checks only the
 //! header and the file's length, and the server streams the payload
-//! behind the stored digest for the reader to check end to end, piece
-//! by piece as it lands — the one check a fetched chunk gets, so rot
+//! behind the stored digest for the reader to check end to end — piece
+//! by piece as it lands, or, for a repair source, through the digest of
+//! the lane rebuilt from it — the one check a fetched chunk gets, so rot
 //! surfaces exactly where the degraded-read machinery can route around
 //! it.
 
@@ -37,7 +42,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 const MAGIC: [u8; 4] = *b"XBCK";
-const VERSION: u32 = 1;
+/// 2: the digest is the GF(2^8)-linear [`chunk_digest`] (1 stored the
+/// FxHash-style digest it replaced; the layout is the same).
+const VERSION: u32 = 2;
 pub(crate) const HEADER_LEN: usize = 36;
 
 /// One server's chunk directory.
@@ -161,7 +168,8 @@ impl ChunkStore {
     /// and returns the stored digest after verifying it against the
     /// payload. Header damage, a length lie, or a digest mismatch all
     /// come back as [`NodeError::ChunkCorrupt`]; an absent file is
-    /// [`NodeError::ChunkNotFound`]. This is the check at rest, the
+    /// [`NodeError::ChunkNotFound`], and one of another format version
+    /// [`NodeError::UnsupportedVersion`]. This is the check at rest, the
     /// scrubber's; the server streams a GET's payload unhashed and
     /// leaves the digest to the client, which folds each piece into it
     /// as the piece lands and compares at the end.
@@ -179,8 +187,9 @@ impl ChunkStore {
     /// locator and the file's length against header plus payload, so a
     /// truncated or header-damaged file is [`NodeError::ChunkCorrupt`]
     /// before a payload byte is read; an absent file is
-    /// [`NodeError::ChunkNotFound`]. The payload itself is not read,
-    /// let alone digested.
+    /// [`NodeError::ChunkNotFound`], and one of another format version
+    /// [`NodeError::UnsupportedVersion`]. The payload itself is not
+    /// read, let alone digested.
     pub(crate) fn open_chunk(&self, stripe: u64, lane: u32) -> Result<OpenChunk> {
         let mut file = match fs::File::open(self.chunk_path(stripe, lane)) {
             Ok(f) => f,
@@ -192,7 +201,10 @@ impl ChunkStore {
         let corrupt = || NodeError::ChunkCorrupt { stripe, lane };
         let mut header = [0u8; HEADER_LEN];
         read_exact_or(&mut file, &mut header).ok_or_else(corrupt)?;
-        let (digest, len) = parse_header(&header, stripe, lane).map_err(|_| corrupt())?;
+        let (digest, len) = parse_header(&header, stripe, lane).map_err(|e| match e {
+            e @ NodeError::UnsupportedVersion { .. } => e,
+            _ => corrupt(),
+        })?;
         if file.metadata()?.len() != (HEADER_LEN + len) as u64 {
             return Err(corrupt());
         }
@@ -277,7 +289,8 @@ fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8]) -> Option<()> {
 /// Parses the header of the chunk file written for `(stripe, lane)`
 /// into `(payload digest, payload length)`. A short or foreign header,
 /// another chunk's, or a length past [`MAX_CHUNK`] is an error the
-/// caller reports as corruption.
+/// caller reports as corruption; a whole chunk header of another format
+/// version is [`NodeError::UnsupportedVersion`], which it must not.
 pub(crate) fn parse_header(header: &[u8], stripe: u64, lane: u32) -> Result<(u64, usize)> {
     const DAMAGED: &str = "chunk header damaged";
     let mut c = Cursor::new(header, DAMAGED);
@@ -285,12 +298,13 @@ pub(crate) fn parse_header(header: &[u8], stripe: u64, lane: u32) -> Result<(u64
     let (version, for_stripe, for_lane) = (c.u32()?, c.u64()?, c.u32()?);
     let (digest, len) = (c.u64()?, c.u64()?);
     c.finish(DAMAGED)?;
-    if magic != MAGIC
-        || version != VERSION
-        || for_stripe != stripe
-        || for_lane != lane
-        || len > MAX_CHUNK as u64
-    {
+    if magic == MAGIC && version != VERSION {
+        return Err(NodeError::UnsupportedVersion {
+            format: "chunk",
+            version,
+        });
+    }
+    if magic != MAGIC || for_stripe != stripe || for_lane != lane || len > MAX_CHUNK as u64 {
         return Err(NodeError::Malformed(DAMAGED));
     }
     Ok((digest, len as usize))
@@ -420,6 +434,39 @@ mod tests {
         store.put(4, 0, chunk_digest(&payload), &payload).unwrap();
         fs::rename(store.chunk_path(4, 0), store.chunk_path(5, 0)).unwrap();
         refused_both_ways(5, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A chunk file of format version 1 (the same layout, holding the
+    /// digest this format replaced) is refused by both readers with an
+    /// error that names the version, not reported as corruption.
+    #[test]
+    fn a_version_1_chunk_is_refused_by_version_not_as_rot() {
+        let dir = scratch_dir("v1");
+        let store = ChunkStore::open(&dir).unwrap();
+        let payload = vec![7u8; 300];
+        store.put(6, 1, chunk_digest(&payload), &payload).unwrap();
+        let path = store.chunk_path(6, 1);
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes[4..8], 2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let mut out = Vec::new();
+        for err in [
+            store.get_into(6, 1, &mut out).unwrap_err(),
+            store.open_chunk(6, 1).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    NodeError::UnsupportedVersion {
+                        format: "chunk",
+                        version: 1
+                    }
+                ),
+                "{err:?}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -37,8 +37,8 @@ use crate::fault::{self, Site};
 use crate::lock;
 use crate::manifest::{Manifest, StripeEntry};
 use crate::protocol::{
-    chunk_digest, write_bare, write_locator, write_put, Deadline, ErrCode, Frame, FrameReader,
-    ReadEnd, ReadOutcome, OP_DELETE, OP_GET, OP_PING,
+    chunk_digest, write_bare, write_locator, write_put, ChunkDigest, Deadline, ErrCode, Frame,
+    FrameReader, ReadEnd, ReadOutcome, OP_DELETE, OP_GET, OP_PING,
 };
 use crate::stripe_io::StripeIo;
 use std::net::{SocketAddr, TcpStream};
@@ -221,7 +221,7 @@ impl NodeConn {
     /// the send half and the receive half, back to back.
     pub fn get_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
         self.send_get(stripe, lane)?;
-        self.recv_chunk(stripe, lane, out)
+        self.recv_chunk(stripe, lane, out, true)
     }
 
     /// The send half of a GET. A connection may carry several before
@@ -231,19 +231,34 @@ impl NodeConn {
     }
 
     /// The receive half of a GET: the oldest outstanding request's
-    /// reply, read from the socket straight into `out`, each piece
-    /// digested as it lands ([`FrameReader::read_chunk_into`]). The
-    /// server sends the digest it stored, unchecked, so comparing it
-    /// with the digest of what landed is the one check a fetched chunk
-    /// gets: rot on the server's disk and damage on the wire both end
-    /// here as `ChunkCorrupt`. A reply cut short is `Truncated` and is
-    /// never compared.
-    pub(crate) fn recv_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
+    /// reply, read from the socket straight into `out`
+    /// ([`FrameReader::read_chunk_into`]); returns the digest the server
+    /// stored. With `verify`, each piece is digested as it lands. The
+    /// server sends its stored digest unchecked, so comparing it with the
+    /// digest of what landed is the check a fetched chunk gets: rot on
+    /// the server's disk and damage on the wire both end here as
+    /// `ChunkCorrupt`. Without `verify` the caller checks the bytes
+    /// another way (a repair source, through the lanes rebuilt from it).
+    /// A reply cut short is `Truncated` and is never compared.
+    pub(crate) fn recv_chunk(
+        &mut self,
+        stripe: u64,
+        lane: u32,
+        out: &mut Vec<u8>,
+        verify: bool,
+    ) -> Result<u64> {
         let mut rd = &self.stream;
         let deadline = Deadline::after(self.op_timeout);
-        let read = self.reader.read_chunk_into(&mut rd, out, Some(deadline));
+        let mut landed = ChunkDigest::new();
+        let read = self
+            .reader
+            .read_chunk_into(&mut rd, out, Some(deadline), |piece| {
+                if verify {
+                    landed.update(piece);
+                }
+            });
         match reply(read, &mut self.answered)? {
-            Frame::Landed { digest, landed } if landed == digest => Ok(digest),
+            Frame::Landed { digest } if !verify || landed.finish() == digest => Ok(digest),
             Frame::Landed { .. } => Err(NodeError::ChunkCorrupt { stripe, lane }),
             Frame::Err { code } => Err(remote_err(code, stripe, lane)),
             _ => Err(NodeError::Malformed("unexpected reply to GET")),
@@ -719,6 +734,9 @@ pub struct GetReport {
 struct BufSet {
     lanes: Vec<Vec<u8>>,
     digests: Vec<u64>,
+    /// The lane digests as 8-byte lanes for the code to encode: the
+    /// data lanes' digests, then what the parity lanes' must be.
+    check: Vec<[u8; 8]>,
 }
 
 /// The cluster-facing client.
@@ -979,10 +997,15 @@ impl ClusterClient {
             }
             match self.io.reconstruct(stripe, targets) {
                 Ok((session, _fetched)) => return Ok(session.plan().is_light()),
-                // The directory does not know the stripe, or the codec
-                // cannot decode the pattern: fetching again changes
-                // neither.
-                Err(e @ (NodeError::UnknownStripe(_) | NodeError::Code(_))) => return Err(e),
+                // The directory does not know the stripe, the codec
+                // cannot decode the pattern, or the replay computed
+                // wrong bytes from good sources: fetching again changes
+                // none of them.
+                Err(
+                    e @ (NodeError::UnknownStripe(_)
+                    | NodeError::Code(_)
+                    | NodeError::Inconsistent { .. }),
+                ) => return Err(e),
                 Err(e) => last_err = e,
             }
         }
@@ -1025,8 +1048,9 @@ fn place_and_store(
 }
 
 /// Fills a buffer set with stripe `stripe_idx`'s data (zero-padded),
-/// encodes the parity lanes, and digests every lane. Runs on the
-/// encoder thread of [`ClusterClient::put`].
+/// encodes the parity lanes, and digests and checks every lane
+/// ([`digest_and_check`]). Runs on the encoder thread of
+/// [`ClusterClient::put`].
 fn fill_and_encode(
     codec: &Codec,
     set: &mut BufSet,
@@ -1038,6 +1062,7 @@ fn fill_and_encode(
 ) -> Result<()> {
     set.lanes.resize_with(n, Vec::new);
     set.digests.resize(n, 0);
+    set.check.resize(n, [0; 8]);
     for lane in &mut set.lanes {
         lane.resize(chunk_bytes, 0);
     }
@@ -1061,10 +1086,61 @@ fn fill_and_encode(
     let data_refs: Vec<&[u8]> = data_lanes.iter().map(Vec::as_slice).collect();
     let mut parity_refs: Vec<&mut [u8]> = parity_lanes.iter_mut().map(Vec::as_mut_slice).collect();
     codec.encode_into(&data_refs, &mut parity_refs)?;
-    for (lane, digest) in set.lanes.iter().zip(set.digests.iter_mut()) {
+    digest_and_check(
+        codec,
+        data_refs,
+        parity_refs,
+        &mut set.digests,
+        &mut set.check,
+    )
+}
+
+/// Digests every lane of an encoded stripe, each byte read once, into
+/// `digests`. When the codec commutes with the digest
+/// ([`Codec::commutes_with_digest`]) it then encodes the data lanes'
+/// digests as 8-byte lanes, through `check`, and requires the parity
+/// lanes' digests to come out: a parity lane the encode left stale or
+/// wrong, yet digested faithfully, is refused here as `Inconsistent`,
+/// before the stripe is placed. The lane lists are the encode's own,
+/// reused, so the check allocates nothing.
+fn digest_and_check<'a>(
+    codec: &Codec,
+    mut data_refs: Vec<&'a [u8]>,
+    mut parity_refs: Vec<&'a mut [u8]>,
+    digests: &mut [u64],
+    check: &'a mut [[u8; 8]],
+) -> Result<()> {
+    let lanes = data_refs
+        .iter()
+        .copied()
+        .chain(parity_refs.iter().map(|p| &**p));
+    for (digest, lane) in digests.iter_mut().zip(lanes) {
         *digest = chunk_digest(lane);
     }
-    Ok(())
+    if !codec.commutes_with_digest() {
+        return Ok(());
+    }
+    let k = data_refs.len();
+    let (data_check, parity_check) = check.split_at_mut(k);
+    for (c, d) in data_check.iter_mut().zip(digests.iter()) {
+        *c = d.to_le_bytes();
+    }
+    data_refs.clear();
+    data_refs.extend(data_check.iter().map(|c| c.as_slice()));
+    parity_refs.clear();
+    parity_refs.extend(parity_check.iter_mut().map(|c| c.as_mut_slice()));
+    codec.encode_into(&data_refs, &mut parity_refs)?;
+    let parity_digests = digests.iter().skip(k);
+    match parity_refs
+        .iter()
+        .zip(parity_digests)
+        .position(|(want, got)| **want != got.to_le_bytes())
+    {
+        Some(at) => Err(NodeError::Inconsistent {
+            lane: (k + at) as u32,
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1217,6 +1293,68 @@ mod tests {
     /// sends to three GETs on one connection: a payload with one byte
     /// flipped on the way, the payload whole, then the payload cut in
     /// half as `serve-reset` cuts it (header, half the bytes, hang-up).
+    /// A stripe of `spec` over 3 KiB lanes, filled and encoded as a put
+    /// does it, then digested and checked after `perturb` has had its
+    /// way with the lanes: a stale or miscomputed lane that is digested
+    /// as it stands.
+    fn put_check(spec: xorbas_core::CodeSpec, perturb: impl FnOnce(&mut [Vec<u8>])) -> Result<()> {
+        let codec = Codec::build(spec).unwrap();
+        let (k, n, chunk) = (spec.data_blocks(), spec.total_blocks(), 3 << 10);
+        let data: Vec<u8> = (0..k * chunk - 100)
+            .map(|i| (i * 7 + i / 251) as u8)
+            .collect();
+        let mut set = BufSet::default();
+        fill_and_encode(&codec, &mut set, &data, 0, k, n, chunk)?;
+        perturb(&mut set.lanes);
+        let (data_lanes, parity_lanes) = set.lanes.split_at_mut(k);
+        let data_refs = data_lanes.iter().map(Vec::as_slice).collect();
+        let parity_refs = parity_lanes.iter_mut().map(Vec::as_mut_slice).collect();
+        digest_and_check(
+            &codec,
+            data_refs,
+            parity_refs,
+            &mut set.digests,
+            &mut set.check,
+        )
+    }
+
+    /// A parity lane changed after the encode and before the digest —
+    /// in any parity lane of an LRC or RS stripe, by one byte anywhere —
+    /// is refused, naming the lane, before anything is placed; an
+    /// untouched stripe passes. Replication checks its copies the same
+    /// way. Piggyback and GF(2^16) codes do not commute with the digest
+    /// and are not checked.
+    #[test]
+    fn a_put_refuses_a_parity_lane_its_code_does_not_give() {
+        use xorbas_core::CodeSpec;
+        for spec in [
+            CodeSpec::LRC_10_6_5,
+            CodeSpec::RS_10_4,
+            CodeSpec::REPLICATION_3,
+        ] {
+            let (k, n) = (spec.data_blocks(), spec.total_blocks());
+            put_check(spec, |_| {}).unwrap();
+            for lane in k..n {
+                for at in [0, 1000, (3 << 10) - 1] {
+                    let err = put_check(spec, |lanes| lanes[lane][at] ^= 0x5A).unwrap_err();
+                    assert!(
+                        matches!(err, NodeError::Inconsistent { lane: l } if l as usize == lane),
+                        "{} lane {lane} byte {at}: {err:?}",
+                        spec.name()
+                    );
+                }
+            }
+            // A lane the encode never wrote: still the zeros it was
+            // allocated with.
+            let err = put_check(spec, |lanes| lanes[n - 1].fill(0)).unwrap_err();
+            assert!(matches!(err, NodeError::Inconsistent { .. }), "{err:?}");
+        }
+        for spec in [CodeSpec::PB_10_4, CodeSpec::RS_200_60] {
+            let k = spec.data_blocks();
+            put_check(spec, |lanes| lanes[k][0] ^= 0x5A).unwrap();
+        }
+    }
+
     #[test]
     fn a_damaged_reply_is_corrupt_and_a_cut_one_is_truncated_unjudged() {
         let payload: Vec<u8> = (0..64usize << 10).map(|i| (i * 7 + 1) as u8).collect();

@@ -77,6 +77,23 @@ pub enum NodeError {
         /// The budget that was exhausted, in milliseconds.
         budget_ms: u64,
     },
+    /// A chunk file or directory log written in a format version this
+    /// build does not read. Not corruption: the file is intact, and
+    /// neither rot reports nor torn-tail truncation may touch it.
+    UnsupportedVersion {
+        /// Which format: `"chunk"` or `"wal"`.
+        format: &'static str,
+        /// The version the file declares.
+        version: u32,
+    },
+    /// A lane the client computed disagrees with the digest the code's
+    /// equations give it from the digests of the lanes it was computed
+    /// from: an encode or a repair replay produced wrong bytes, though
+    /// every input passed its own digest check.
+    Inconsistent {
+        /// The lane whose bytes are wrong.
+        lane: u32,
+    },
     /// A failure injected by an armed [`crate::fault::FaultPlan`].
     /// Only ever produced while a plan is armed; carries the site
     /// label so chaos harnesses can tell injected faults from real
@@ -116,6 +133,13 @@ impl fmt::Display for NodeError {
             NodeError::DeadlineExceeded { budget_ms } => {
                 write!(f, "socket operation exceeded its {budget_ms} ms deadline")
             }
+            NodeError::UnsupportedVersion { format, version } => {
+                write!(f, "{format} format version {version} is not supported")
+            }
+            NodeError::Inconsistent { lane } => write!(
+                f,
+                "lane {lane} disagrees with the code's equations over its sources' digests"
+            ),
             NodeError::Injected(site) => write!(f, "injected fault at site `{site}`"),
         }
     }

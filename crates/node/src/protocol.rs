@@ -23,6 +23,12 @@
 //! mid-frame yields [`NodeError::Truncated`], and unknown opcodes or
 //! short bodies yield [`NodeError::Malformed`] — the reader never
 //! panics and never allocates beyond the cap.
+//!
+//! The `digest` fields carry [`chunk_digest`] of the payload, a 64-bit
+//! digest linear over GF(2^8): the digests of a stripe's lanes satisfy
+//! the stripe's code, which is how a put and a degraded read check the
+//! lanes they compute (see [`chunk_digest`]). A frame's length gives the
+//! payload's, which the digest does not include.
 
 use crate::cursor::Cursor;
 use crate::error::{NodeError, Result};
@@ -30,6 +36,7 @@ use crate::fault::{self, Site};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+use xorbas_core::digest;
 
 /// Largest chunk payload a frame may carry (64 MiB).
 pub const MAX_CHUNK: usize = 64 << 20;
@@ -158,13 +165,12 @@ pub enum Frame<'a> {
         code: ErrCode,
     },
     /// A CHUNK frame read by [`FrameReader::read_chunk_into`]: its
-    /// payload is in the caller's buffer and was digested as it landed.
+    /// payload is in the caller's buffer, each piece handed to the
+    /// caller as it landed.
     Landed {
         /// [`chunk_digest`] of the payload as stored, as the frame
         /// carried it.
         digest: u64,
-        /// [`chunk_digest`] of the payload bytes that arrived.
-        landed: u64,
     },
 }
 
@@ -276,21 +282,23 @@ impl FrameReader {
     /// `out`: resized to exactly the payload once the length prefix has
     /// passed the [`MAX_BODY`] bound, reusing its capacity, and never
     /// zero-filled when it already has that length — the one copy the
-    /// client makes of a chunk. Each piece the stream hands over is
-    /// folded into a [`ChunkDigest`] as soon as it lands, while it is
-    /// still in cache, so the payload is never read a second time; the
-    /// returned [`Frame::Landed`] carries that digest beside the stored
-    /// one, for the caller to compare. Any other frame goes through the
-    /// scratch buffer as in [`FrameReader::read_deadline`] and leaves
-    /// `out` alone, so a reader that only ever receives chunks this way
-    /// keeps a scratch no larger than an `ERR` frame. A close or reset
-    /// mid-frame is [`NodeError::Truncated`] with the bytes of the body
-    /// still missing, exactly as there, and no digest comes back.
+    /// client makes of a chunk. Each piece the stream hands over goes to
+    /// `landed` as soon as it lands, while it is still in cache: a
+    /// caller that folds the pieces into a [`ChunkDigest`] never reads
+    /// the payload a second time, and compares the result with the
+    /// stored digest the returned [`Frame::Landed`] carries. Any other
+    /// frame goes through the scratch buffer as in
+    /// [`FrameReader::read_deadline`] and leaves `out` alone, so a reader
+    /// that only ever receives chunks this way keeps a scratch no larger
+    /// than an `ERR` frame. A close or reset mid-frame is
+    /// [`NodeError::Truncated`] with the bytes of the body still missing,
+    /// exactly as there, and no frame comes back.
     pub fn read_chunk_into<R: Read>(
         &mut self,
         r: &mut R,
         out: &mut Vec<u8>,
         deadline: Option<Deadline>,
+        landed: impl FnMut(&[u8]),
     ) -> Result<ReadOutcome<'_>> {
         let body_len = match read_body_len(r, None, deadline)? {
             Ok(len) => len,
@@ -307,14 +315,12 @@ impl FrameReader {
         }
         if let (CHUNK_HEAD, [OP_CHUNK, d0, d1, d2, d3, d4, d5, d6, d7]) = (head_len, head) {
             out.resize(rest, 0);
-            let mut landed = ChunkDigest::new();
-            let got = fill(r, out, None, deadline, |piece| landed.update(piece))?;
+            let got = fill(r, out, None, deadline, landed)?;
             if let Some(end) = body_part(got, rest, 0)? {
                 return Ok(Err(end));
             }
             return Ok(Ok(Frame::Landed {
                 digest: u64::from_le_bytes([d0, d1, d2, d3, d4, d5, d6, d7]),
-                landed: landed.finish(),
             }));
         }
         self.scratch.clear();
@@ -619,44 +625,17 @@ pub fn write_err<W: Write>(w: &mut W, code: ErrCode) -> Result<()> {
     Ok(())
 }
 
-/// The digest's multiplier.
-const DIGEST_M: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// The digest's four starting lanes.
-const DIGEST_SEED: [u64; 4] = [
-    0x243F_6A88_85A3_08D3,
-    0x1319_8A2E_0370_7344,
-    0xA409_3822_299F_31D0,
-    0x082E_FA98_EC4E_6C89,
-];
-
-/// The digest's block: one 8-byte word for each lane.
-const DIGEST_BLOCK: usize = 32;
-
-/// One step of the digest's mix: `word` folded into `acc`.
-#[inline(always)]
-fn mix(acc: u64, word: u64) -> u64 {
-    (acc.rotate_left(5) ^ word).wrapping_mul(DIGEST_M)
-}
-
-#[inline(always)]
-fn le64(b: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(w)
-}
-
 /// The chunk digest computed piece by piece: [`ChunkDigest::update`]
 /// with the bytes in any split, then [`ChunkDigest::finish`], gives
 /// [`chunk_digest`] of their concatenation. A GET reply is digested
 /// this way as it lands, each piece while it is still in cache.
 #[derive(Debug)]
 pub struct ChunkDigest {
-    lanes: [u64; 4],
+    /// The 64 lanes' Horner accumulators.
+    lanes: [u8; digest::BLOCK],
     /// The bytes of a block not yet whole; `pending_len` of them.
-    pending: [u8; DIGEST_BLOCK],
+    pending: [u8; digest::BLOCK],
     pending_len: usize,
-    total: u64,
 }
 
 impl Default for ChunkDigest {
@@ -669,73 +648,56 @@ impl ChunkDigest {
     /// The digest of no bytes, so far.
     pub fn new() -> Self {
         ChunkDigest {
-            lanes: DIGEST_SEED,
-            pending: [0; DIGEST_BLOCK],
+            lanes: [0; digest::BLOCK],
+            pending: [0; digest::BLOCK],
             pending_len: 0,
-            total: 0,
         }
     }
 
     /// Folds `bytes` in after everything before them.
     pub fn update(&mut self, mut bytes: &[u8]) {
-        self.total += bytes.len() as u64;
         if self.pending_len > 0 {
-            let take = bytes.len().min(DIGEST_BLOCK - self.pending_len);
+            let take = bytes.len().min(digest::BLOCK - self.pending_len);
             self.pending[self.pending_len..][..take].copy_from_slice(&bytes[..take]);
             self.pending_len += take;
             bytes = &bytes[take..];
-            if self.pending_len < DIGEST_BLOCK {
+            if self.pending_len < digest::BLOCK {
                 return;
             }
-            self.lanes = mix_blocks(self.lanes, &self.pending);
+            digest::horner(&mut self.lanes, &self.pending);
             self.pending_len = 0;
         }
-        let whole = bytes.len() - bytes.len() % DIGEST_BLOCK;
-        self.lanes = mix_blocks(self.lanes, &bytes[..whole]);
+        let whole = bytes.len() - bytes.len() % digest::BLOCK;
+        digest::horner(&mut self.lanes, &bytes[..whole]);
         let rest = &bytes[whole..];
         self.pending[..rest.len()].copy_from_slice(rest);
         self.pending_len = rest.len();
     }
 
-    /// The digest of every byte folded in: the lanes folded into one,
-    /// then the last partial block's words, its tail and the total
-    /// length.
+    /// The digest of every byte folded in: the last partial block
+    /// zero-padded into the lanes, then the lanes folded into 8 bytes,
+    /// read little-endian.
     pub fn finish(&self) -> u64 {
-        let [a, b, c, d] = self.lanes;
-        let mut acc = mix(mix(mix(a, b), c), d);
-        let mut rest = &self.pending[..self.pending_len];
-        while rest.len() >= 8 {
-            acc = mix(acc, le64(rest));
-            rest = &rest[8..];
+        let mut lanes = self.lanes;
+        if self.pending_len > 0 {
+            let mut last = [0u8; digest::BLOCK];
+            last[..self.pending_len].copy_from_slice(&self.pending[..self.pending_len]);
+            digest::horner(&mut lanes, &last);
         }
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        mix(mix(acc, u64::from_le_bytes(tail)), self.total)
+        u64::from_le_bytes(digest::fold(&lanes))
     }
 }
 
-/// The digest's bulk loop: each whole 32-byte block of `blocks` folded
-/// into the four lanes, one word each. The lanes are independent
-/// (instruction-level parallelism keeps the loop near memory
-/// bandwidth) and live in locals for the whole loop.
-#[inline(always)]
-fn mix_blocks(lanes: [u64; 4], blocks: &[u8]) -> [u64; 4] {
-    let [mut a, mut b, mut c, mut d] = lanes;
-    for block in blocks.chunks_exact(DIGEST_BLOCK) {
-        a = mix(a, le64(&block[0..8]));
-        b = mix(b, le64(&block[8..16]));
-        c = mix(c, le64(&block[16..24]));
-        d = mix(d, le64(&block[24..32]));
-    }
-    [a, b, c, d]
-}
-
-/// A fast 64-bit chunk digest: four independent FxHash-style lanes
-/// folded over 32-byte blocks, the tail and total length mixed in at
-/// the end — [`ChunkDigest`] over the bytes in one piece.
-/// Collision-resistant enough to catch disk or wire corruption; **not**
-/// cryptographic. Chunk headers and WAL records store it, so its value
-/// for given bytes never changes (the known-answer tests pin it).
+/// The 64-bit chunk digest: [`ChunkDigest`] over the bytes in one
+/// piece. It is linear over GF(2^8) ([`xorbas_core::digest`] has the
+/// construction and what it detects): the digests of a stripe's lanes,
+/// read as 8-byte little-endian lanes, satisfy the stripe's code, so a
+/// put and a repair can check what they computed without reading a
+/// byte twice. No length is mixed in (a chunk and its zero-padding
+/// digest alike); chunk headers, CHUNK and PUT frames and WAL records
+/// all carry the length beside it. Chunk headers and WAL records store
+/// the digest, so its value for given bytes never changes (the
+/// known-answer tests pin it).
 pub fn chunk_digest(bytes: &[u8]) -> u64 {
     let mut digest = ChunkDigest::new();
     digest.update(bytes);
@@ -948,12 +910,15 @@ mod tests {
         let b = chunk_digest(b"hello worle");
         assert_ne!(a, b);
         assert_eq!(a, chunk_digest(b"hello world"));
-        // Length is mixed in: a zero block and an empty block differ.
-        assert_ne!(chunk_digest(&[0u8; 64]), chunk_digest(&[0u8; 63]));
-        assert_ne!(chunk_digest(&[]), chunk_digest(&[0u8]));
-        // Tail handling: every length near the 32-byte block boundary
-        // hashes distinctly for distinct data.
-        for len in 24..40 {
+        // No length is mixed in: the digest is linear, so no bytes and
+        // zero bytes digest to 0, and zero-padding changes nothing. The
+        // formats that store a digest store the length beside it.
+        assert_eq!(chunk_digest(&[]), 0);
+        assert_eq!(chunk_digest(&[0u8; 300]), 0);
+        assert_eq!(chunk_digest(b"abc"), chunk_digest(b"abc\0\0"));
+        // Tail handling: at every length near the 128-byte block, a
+        // change to the last byte shows.
+        for len in 120..140 {
             let mut v = vec![0xA5u8; len];
             let base = chunk_digest(&v);
             v[len - 1] ^= 1;
@@ -972,20 +937,180 @@ mod tests {
     #[test]
     fn digest_known_answers_are_pinned() {
         // Chunk headers and WAL records store this digest, so its value
-        // for given bytes is a file format: these literals never change.
-        // Around the 32-byte block: no whole block, exactly one, one and
-        // a byte; then a 1 MiB chunk.
+        // for given bytes is a file format: these literals change only
+        // with the formats' version numbers. Around the 128-byte block:
+        // no bytes, less than a block, a block less one, exactly one,
+        // one and a byte; then a 1 MiB chunk. Checked against a separate
+        // implementation of the construction, one field operation at a
+        // time.
         let pins = [
-            (0, 0x4586_fcf1_d7f5_4f0f_u64),
-            (1, 0xf40a_3b3a_b0d3_447a),
-            (31, 0xc5ba_8e76_be85_0167),
-            (32, 0xe07b_ccc7_1d41_d7fe),
-            (33, 0xe7a0_31a1_3f1b_0611),
-            (1 << 20, 0xf86f_a7f8_5570_265e),
+            (0, 0_u64),
+            (2, 0x0000_0000_dad5_0000),
+            (127, 0x05e5_095b_d7cb_4eb6),
+            (128, 0xf8e5_095b_d7cb_4eb6),
+            (129, 0x3aec_a47a_38e3_4911),
+            (1 << 20, 0x81c8_48df_5769_3d84),
         ];
         // All of them at once, so a failure shows which pins moved.
         let got = pins.map(|(len, _)| (len, chunk_digest(&digest_pattern(len))));
         assert_eq!(got, pins);
+    }
+
+    /// A GF(2^8) product, one shift-and-reduce per bit of `b`.
+    fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+        let mut p = 0;
+        while b != 0 {
+            if b & 1 == 1 {
+                p ^= a;
+            }
+            a = (a << 1) ^ if a & 0x80 != 0 { 0x1D } else { 0 };
+            b >>= 1;
+        }
+        p
+    }
+
+    /// `c·x` bytewise.
+    fn scaled(c: u8, x: &[u8]) -> Vec<u8> {
+        x.iter().map(|&b| gf_mul(c, b)).collect()
+    }
+
+    /// `c·d` on each of the digest's eight bytes.
+    fn scaled_digest(c: u8, d: u64) -> u64 {
+        u64::from_le_bytes(d.to_le_bytes().map(|b| gf_mul(c, b)))
+    }
+
+    /// `chunk_digest` of `bytes`, fed to `ChunkDigest::update` in the
+    /// pieces `cuts` marks.
+    fn digest_in_pieces(bytes: &[u8], cuts: &[usize]) -> u64 {
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut d = ChunkDigest::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            d.update(&bytes[at..cut]);
+            at = cut;
+        }
+        d.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `D(a·x ⊕ b·y) = a·D(x) ⊕ b·D(y)` for random coefficients,
+        /// payloads and lengths around the block, with each side fed
+        /// through `update` in random pieces.
+        #[test]
+        fn the_digest_is_linear_over_gf256(
+            a in 0u8..=255,
+            b in 0u8..=255,
+            len_at in 0usize..7,
+            seed in 0u64..u64::MAX,
+            cuts in proptest::collection::vec(0usize..usize::MAX, 0..6),
+        ) {
+            let len = [0, 1, 127, 128, 129, 4095, 1 << 20][len_at];
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            };
+            let x: Vec<u8> = (0..len).map(|_| next()).collect();
+            let y: Vec<u8> = (0..len).map(|_| next()).collect();
+            let sum: Vec<u8> = scaled(a, &x).iter().zip(scaled(b, &y)).map(|(p, q)| p ^ q).collect();
+            let want = scaled_digest(a, chunk_digest(&x)) ^ scaled_digest(b, chunk_digest(&y));
+            proptest::prop_assert_eq!(digest_in_pieces(&sum, &cuts), want);
+            proptest::prop_assert_eq!(digest_in_pieces(&x, &cuts), chunk_digest(&x));
+        }
+    }
+
+    /// `D(e_p)` for every byte position `p` of a `len`-byte input: the
+    /// digest's columns. By linearity, an error `e` goes unseen exactly
+    /// when the columns of its positions, weighted by its bytes, cancel.
+    fn digest_columns(len: usize) -> Vec<[u8; 8]> {
+        let mut unit = vec![0u8; len];
+        (0..len)
+            .map(|p| {
+                unit[p] = 1;
+                let d = chunk_digest(&unit).to_le_bytes();
+                unit[p] = 0;
+                d
+            })
+            .collect()
+    }
+
+    /// `a⁻¹` in GF(2^8) (0 for 0).
+    fn gf_inv(a: u8) -> u8 {
+        (1..=255u8).find(|&b| gf_mul(a, b) == 1).unwrap_or(0)
+    }
+
+    /// The rank over GF(2^8) of `cols`, by elimination.
+    fn rank(cols: &[[u8; 8]]) -> usize {
+        let mut m: Vec<[u8; 8]> = cols.to_vec();
+        let mut r = 0;
+        for c in 0..8 {
+            let Some(p) = (r..m.len()).find(|&i| m[i][c] != 0) else {
+                continue;
+            };
+            m.swap(r, p);
+            let iv = gf_inv(m[r][c]);
+            m[r] = m[r].map(|x| gf_mul(x, iv));
+            for i in 0..m.len() {
+                if i != r && m[i][c] != 0 {
+                    let f = m[i][c];
+                    let row = m[r];
+                    for (x, y) in m[i].iter_mut().zip(row) {
+                        *x ^= gf_mul(f, y);
+                    }
+                }
+            }
+            r += 1;
+        }
+        r
+    }
+
+    /// What the digest promises, checked over every position of a 4 KiB
+    /// input: every single-byte error (every column nonzero, and a
+    /// nonzero multiple of a nonzero column is nonzero), every error
+    /// within 8 consecutive bytes (any 8 consecutive columns are
+    /// independent), and every two-byte error less than 192 bytes wide
+    /// (no two such columns are proportional).
+    #[test]
+    fn the_digest_sees_every_byte_every_8_byte_burst_and_every_close_pair() {
+        const LEN: usize = 4096;
+        let cols = digest_columns(LEN);
+        let base = digest_pattern(LEN);
+        let d0 = chunk_digest(&base);
+        for (p, col) in cols.iter().enumerate() {
+            assert_ne!(*col, [0; 8], "byte {p} is invisible");
+            // And directly, for one error value per position.
+            let mut v = base.clone();
+            v[p] ^= 1 + (p % 255) as u8;
+            assert_ne!(chunk_digest(&v), d0, "byte {p}");
+        }
+        for (p, w) in cols.windows(8).enumerate() {
+            assert_eq!(rank(w), 8, "a burst at {p}..{} cancels", p + 8);
+        }
+        // Two nonzero columns are proportional exactly when they scale
+        // to the same column with a leading 1.
+        let inv: Vec<u8> = (0..=255).map(gf_inv).collect();
+        let unit: Vec<[u8; 8]> = cols
+            .iter()
+            .map(|c| {
+                let lead = c.iter().copied().find(|&x| x != 0).unwrap_or(0);
+                c.map(|x| gf_mul(x, inv[usize::from(lead)]))
+            })
+            .collect();
+        for p in 0..LEN {
+            for q in p + 1..(p + 192).min(LEN) {
+                assert_ne!(unit[p], unit[q], "bytes {p} and {q} cancel");
+            }
+        }
+        // 192 apart, the lanes collide, as the construction says.
+        let mut pair = vec![0u8; LEN];
+        pair[0] = 1;
+        pair[192] = 2;
+        assert_eq!(chunk_digest(&pair), 0);
     }
 
     /// A stream that hands `data` over in pieces of the sizes `next`
@@ -1033,15 +1158,16 @@ mod tests {
             ];
             for (at, next) in splits.into_iter().enumerate() {
                 let mut src = Pieces { data: &wire, next };
-                let got = r.read_chunk_into(&mut src, &mut out, None).unwrap();
+                let mut landed = ChunkDigest::new();
+                let got = r
+                    .read_chunk_into(&mut src, &mut out, None, |p| landed.update(p))
+                    .unwrap();
                 assert_eq!(
                     got,
-                    Ok(Frame::Landed {
-                        digest: want,
-                        landed: want
-                    }),
+                    Ok(Frame::Landed { digest: want }),
                     "len {len}, split {at}"
                 );
+                assert_eq!(landed.finish(), want, "len {len}, split {at}");
                 assert!(out == payload, "len {len}, split {at}");
                 assert!(src.data.is_empty());
             }
@@ -1052,11 +1178,15 @@ mod tests {
         let mut wire = chunk_reply(&payload);
         let last = wire.len() - 1;
         wire[last] ^= 0x10;
-        match r.read_chunk_into(&mut &wire[..], &mut out, None).unwrap() {
-            Ok(Frame::Landed { digest, landed }) => {
+        let mut landed = ChunkDigest::new();
+        match r
+            .read_chunk_into(&mut &wire[..], &mut out, None, |p| landed.update(p))
+            .unwrap()
+        {
+            Ok(Frame::Landed { digest }) => {
                 assert_eq!(digest, chunk_digest(&payload));
-                assert_eq!(landed, chunk_digest(&out));
-                assert_ne!(landed, digest);
+                assert_eq!(landed.finish(), chunk_digest(&out));
+                assert_ne!(landed.finish(), digest);
             }
             other => panic!("expected a landed chunk, got {other:?}"),
         }
@@ -1233,14 +1363,10 @@ mod tests {
         // payload coming out.
         for mut out in [Vec::new(), vec![0xAA; 3], vec![0x55; 2 * chunk + 1]] {
             let digest = chunk_digest(&payload);
-            let landed = r.read_chunk_into(&mut &wire[..], &mut out, None).unwrap();
-            assert_eq!(
-                landed,
-                Ok(Frame::Landed {
-                    digest,
-                    landed: digest
-                })
-            );
+            let landed = r
+                .read_chunk_into(&mut &wire[..], &mut out, None, |_| {})
+                .unwrap();
+            assert_eq!(landed, Ok(Frame::Landed { digest }));
             assert_eq!(out, payload);
         }
         assert_eq!(r.scratch.capacity(), 0, "the payload bypassed the scratch");
@@ -1257,7 +1383,7 @@ mod tests {
         let mut cur = &wire[..];
         let mut out = vec![9u8; 5];
         let mut next = |out: &mut Vec<u8>| {
-            r.read_chunk_into(&mut cur, out, None)
+            r.read_chunk_into(&mut cur, out, None, |_| {})
                 .map(|f| format!("{:?}", f.unwrap()))
         };
         assert_eq!(next(&mut out).unwrap(), "Err { code: Corrupt }");
@@ -1274,7 +1400,8 @@ mod tests {
         let mut r = FrameReader::new();
         let mut out = Vec::new();
         assert!(matches!(
-            r.read_chunk_into(&mut &wire[..0], &mut out, None).unwrap(),
+            r.read_chunk_into(&mut &wire[..0], &mut out, None, |_| {})
+                .unwrap(),
             Err(ReadEnd::CleanEof)
         ));
         for cut in 1..wire.len() {
@@ -1282,7 +1409,7 @@ mod tests {
             // the bytes of the body — as the scratch reader counts.
             let missing = if cut < 4 { 4 - cut } else { wire.len() - cut };
             let err = r
-                .read_chunk_into(&mut &wire[..cut], &mut out, None)
+                .read_chunk_into(&mut &wire[..cut], &mut out, None, |_| {})
                 .unwrap_err();
             assert!(
                 matches!(err, NodeError::Truncated { missing: m } if m == missing),
@@ -1300,7 +1427,9 @@ mod tests {
             pos: 0,
             kind: ErrorKind::ConnectionReset,
         };
-        let err = r.read_chunk_into(&mut s, &mut out, None).unwrap_err();
+        let err = r
+            .read_chunk_into(&mut s, &mut out, None, |_| {})
+            .unwrap_err();
         assert!(
             matches!(err, NodeError::Truncated { missing } if missing == wire.len() - 20),
             "{err:?}"
@@ -1314,7 +1443,7 @@ mod tests {
             wire.extend_from_slice(&[OP_CHUNK; 9]);
             let mut out = Vec::new();
             let err = FrameReader::new()
-                .read_chunk_into(&mut &wire[..], &mut out, None)
+                .read_chunk_into(&mut &wire[..], &mut out, None, |_| {})
                 .unwrap_err();
             assert!(
                 matches!(err, NodeError::FrameTooLarge { len: l, .. } if l == len as u64),

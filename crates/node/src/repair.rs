@@ -32,11 +32,10 @@ use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
 use crate::lock;
-use crate::protocol::chunk_digest;
 use crate::stripe_io::StripeIo;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xorbas_core::Codec;
@@ -103,6 +102,11 @@ struct RepairStats {
     scrub_chunks: AtomicU64,
     scrub_bytes: AtomicU64,
     scrub_corruptions: AtomicU64,
+    /// Stripe outcomes and round ends so far; bumped under its lock
+    /// with `progressed` notified after each, for
+    /// [`RepairAgent::wait_until_repaired`] to sleep on.
+    progress: Mutex<u64>,
+    progressed: Condvar,
 }
 
 /// A point-in-time copy of the agent's counters.
@@ -218,19 +222,32 @@ impl RepairAgent {
 
     /// Blocks until the directory reports no lost chunks (full
     /// redundancy restored) or `timeout` passes. Returns whether the
-    /// cluster converged.
+    /// cluster converged. The directory is scanned again each time the
+    /// agent finishes a stripe or a round, so the wait ends as soon as
+    /// the last re-placement is in; only the deadline ends it otherwise.
     pub fn wait_until_repaired(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut lost = Vec::new();
+        // Read before each scan: progress made while the scan runs is
+        // seen below, and rescanned.
+        let mut seen = *lock(&self.stats.progress);
         loop {
             lock(&self.directory).scan_lost(&mut lost);
             if lost.is_empty() {
                 return true;
             }
-            if Instant::now() >= deadline {
-                return false;
+            let mut progress = lock(&self.stats.progress);
+            while *progress == seen {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                progress = match self.stats.progressed.wait_timeout(progress, left) {
+                    Ok((guard, _)) => guard,
+                    Err(poisoned) => poisoned.into_inner().0,
+                };
             }
-            std::thread::sleep(Duration::from_millis(5));
+            seen = *progress;
         }
     }
 
@@ -320,16 +337,24 @@ fn agent_loop(
                             .connections_dialed
                             .fetch_add(io.pool.dialed() - dialed, Ordering::Relaxed);
                         stats.record(outcome);
+                        stats.notify_progress();
                     }
                 });
             }
         });
         stats.rounds.fetch_add(1, Ordering::Relaxed);
+        stats.notify_progress();
         sleep_with_stop(SCAN_INTERVAL, stop);
     }
 }
 
 impl RepairStats {
+    /// Wakes every [`RepairAgent::wait_until_repaired`].
+    fn notify_progress(&self) {
+        *lock(&self.progress) += 1;
+        self.progressed.notify_all();
+    }
+
     fn record(&self, outcome: Result<Option<RepairOutcome>>) {
         match outcome {
             Ok(Some(outcome)) => {
@@ -444,7 +469,11 @@ fn scrub_loop(
                             .scrub_bytes
                             .fetch_add(buf.len() as u64, Ordering::Relaxed);
                     }
-                    Err(NodeError::ChunkNotFound { .. }) => continue,
+                    // Gone, or intact in a format this build does not
+                    // read: neither is rot.
+                    Err(NodeError::ChunkNotFound { .. } | NodeError::UnsupportedVersion { .. }) => {
+                        continue
+                    }
                     // Digest mismatch or an unreadable file: either
                     // way this replica cannot be served — flag it.
                     Err(_) => {
@@ -503,14 +532,12 @@ fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>
         if fault::hit(Site::CrashRepair) {
             return Err(NodeError::Injected("crash-repair"));
         }
-        let payload = io
-            .lanes
-            .get(lane)
-            .ok_or(NodeError::Malformed("repaired lane missing"))?;
+        let missing = || NodeError::Malformed("repaired lane missing");
+        let payload = io.lanes.get(lane).ok_or_else(missing)?;
         rebuilt.push(PutLane {
             lane: lane as u32,
             placed: None,
-            digest: chunk_digest(payload),
+            digest: io.rebuilt_digest(lane).ok_or_else(missing)?,
             payload,
         });
     }
@@ -522,4 +549,40 @@ fn repair_stripe(io: &mut StripeIo, stripe: u64) -> Result<Option<RepairOutcome>
         bytes_written: repaired * chunk_bytes,
         light: session.plan().is_light(),
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The waiter rescans when the agent reports progress, and only
+    /// then: a loss that clears while nothing is reported goes unseen
+    /// until the next report, and the report wakes it at once.
+    #[test]
+    fn wait_until_repaired_wakes_on_progress_not_on_a_timer() {
+        let addrs: Vec<std::net::SocketAddr> =
+            (0..3).map(|i| ([127, 0, 0, 1], 1 + i).into()).collect();
+        let mut dir = Directory::new(&addrs, 3, 1);
+        dir.register_stripe(4, vec![0, 1, 2]);
+        dir.mark_dead(1);
+        let agent = RepairAgent {
+            stop: Arc::new(AtomicBool::new(false)),
+            handle: None,
+            scrub_handle: None,
+            stats: Arc::new(RepairStats::default()),
+            directory: Arc::new(Mutex::new(dir)),
+        };
+        assert!(!agent.wait_until_repaired(Duration::from_millis(20)));
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| agent.wait_until_repaired(Duration::from_secs(60)));
+            // Time for the waiter's first scan, which finds the loss.
+            std::thread::sleep(Duration::from_millis(200));
+            assert!(!waiter.is_finished());
+            lock(&agent.directory).mark_alive(1);
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(!waiter.is_finished(), "the waiter polled");
+            agent.stats.notify_progress();
+            assert!(waiter.join().unwrap());
+        });
+    }
 }

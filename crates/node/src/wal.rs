@@ -35,7 +35,9 @@ use std::io::Write;
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"XBWL";
-const VERSION: u32 = 1;
+/// 2: records carry the GF(2^8)-linear [`chunk_digest`] (1 carried the
+/// FxHash-style digest it replaced; the layout is the same).
+const VERSION: u32 = 2;
 pub(crate) const HEADER_LEN: usize = 24;
 /// Largest record body replay will accept; anything bigger is treated
 /// as a torn/garbage tail. Bounds replay allocation the same way
@@ -133,9 +135,12 @@ impl DirectoryWal {
     /// the header and what was kept/dropped. The file is left ready for
     /// [`DirectoryWal::open_append`].
     ///
-    /// A bad header (wrong magic/version, or a file shorter than one)
-    /// is a hard [`NodeError::Malformed`]: that is not a torn tail,
-    /// it is not our log.
+    /// A bad header (wrong magic, or a file shorter than one) is a hard
+    /// [`NodeError::Malformed`], and another format version a hard
+    /// [`NodeError::UnsupportedVersion`]: neither is a torn tail, and
+    /// the file is left as it is. (A version-1 log's records carry the
+    /// old digest, so replaying it would fail the first record and
+    /// truncate the whole log.)
     pub fn replay(
         path: &Path,
         mut visit: impl FnMut(WalRecord),
@@ -237,8 +242,12 @@ pub(crate) fn decode_header(bytes: &[u8]) -> Result<WalHeader> {
     if c.take(4)? != MAGIC {
         return Err(NodeError::Malformed("bad wal magic"));
     }
-    if c.u32()? != VERSION {
-        return Err(NodeError::Malformed("unsupported wal version"));
+    let version = c.u32()?;
+    if version != VERSION {
+        return Err(NodeError::UnsupportedVersion {
+            format: "wal",
+            version,
+        });
     }
     Ok(WalHeader {
         servers: c.u32()?,
@@ -430,6 +439,38 @@ mod tests {
             DirectoryWal::replay(&path, |_| {}).unwrap_err(),
             NodeError::Malformed("wal shorter than its header")
         ));
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A version-1 log (the same layout, records under the digest this
+    /// format replaced) is refused by version, and left alone: its
+    /// first record would fail the new digest, and replaying it as a
+    /// torn tail would truncate the whole log.
+    #[test]
+    fn a_version_1_log_is_refused_not_truncated() {
+        let path = scratch_path("v1");
+        let mut wal = DirectoryWal::create(&path, header()).unwrap();
+        wal.append_stripe(1, &[0, 1]).unwrap();
+        wal.append_manifest(&sample_manifest()).unwrap();
+        drop(wal);
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes[4..8], 2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let mut seen = 0;
+        let err = DirectoryWal::replay(&path, |_| seen += 1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                NodeError::UnsupportedVersion {
+                    format: "wal",
+                    version: 1
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(seen, 0);
+        assert_eq!(fs::read(&path).unwrap(), bytes, "the log was rewritten");
         let _ = fs::remove_file(&path);
     }
 

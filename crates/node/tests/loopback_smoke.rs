@@ -230,13 +230,14 @@ fn repair_agent_routes_around_a_rotten_source_lane() {
 
 /// The failure edge of the pipelined fetch. On five servers the lanes
 /// of a stripe share connections, so the GETs of one fetch queue up on
-/// one socket. Lane 0 is rotten, and so is lane 3 — a source in the
-/// middle of lane 0's light fetch set {1, 2, 3, 4, 10}. The degraded
-/// read of lane 0 finds lane 3 bad with the replies for lanes 4 and 10
-/// still owed; those connections must be closed, or the retry's first
-/// GET on them is answered with lane 4's bytes — a whole chunk whose
-/// digest matches, for the wrong lane. Everything read afterwards
-/// through the same client must be exact.
+/// one socket. Lane 0 is rotten, and lane 3 — a source in the middle of
+/// lane 0's light fetch set {1, 2, 3, 4, 10} — has a damaged header,
+/// which its server refuses with `ERR Corrupt`. The degraded read of
+/// lane 0 finds lane 3 bad with the replies for lanes 4 and 10 still
+/// owed; those connections must be closed, or the retry's first GET on
+/// them is answered with lane 4's bytes — a whole chunk, for the wrong
+/// lane. Everything read afterwards through the same client must be
+/// exact.
 #[test]
 fn a_failure_mid_fetch_leaves_no_reply_for_a_later_request() {
     let spec = CodeSpec::LRC_10_6_5;
@@ -247,9 +248,8 @@ fn a_failure_mid_fetch_leaves_no_reply_for_a_later_request() {
     let manifest = client.put(&data).unwrap();
     let hit = &manifest.stripes[1];
     let rotten = [0usize, 3];
-    for lane in rotten {
-        cluster.rot_chunk(hit.id, lane);
-    }
+    cluster.rot_chunk(hit.id, 0);
+    cluster.edit_chunk(hit.id, 3, |bytes| bytes[0] ^= 0x01);
 
     let mut buf = Vec::new();
     let kind = client.read_data_chunk(hit.id, 0, &mut buf).unwrap();
@@ -279,6 +279,52 @@ fn a_failure_mid_fetch_leaves_no_reply_for_a_later_request() {
     let report = client.get(&manifest, &mut buf).unwrap();
     assert!(buf == data, "whole file");
     assert_eq!(report.degraded_stripes, 1);
+    cluster.teardown();
+}
+
+/// A degraded read does not digest its sources as they land; it checks
+/// the lane it rebuilt against the digest the code gives it from theirs.
+/// A source that rotted at rest, payload only (its server streams it
+/// as it would a good one), spoils that lane. The check then digests
+/// each source against what its server stored, reports the rotten one
+/// corrupt, and the read's next attempt routes around it, returning the
+/// right bytes. So does the repair agent, from the same executor.
+#[test]
+fn a_source_rotted_at_rest_is_located_and_the_degraded_read_succeeds() {
+    let spec = CodeSpec::LRC_10_6_5;
+    let cluster = Cluster::boot(5, "rotsource");
+    let mut client = cluster.client(spec);
+    let k = spec.data_blocks();
+    let data = test_file(k * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    let stripe = manifest.stripes[0].id;
+    // Lane 0 is lost; lane 2 is a source of its light repair.
+    cluster.lock_dir().report_corrupt(stripe, 0);
+    cluster.edit_chunk(stripe, 2, |bytes| bytes[100] ^= 0x20);
+
+    let mut buf = Vec::new();
+    let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
+    // Lanes 0 and 2 share a local group: the second attempt is heavy.
+    assert_eq!(kind, ReadKind::Degraded { light: false });
+    assert!(buf == data[..CHUNK], "rebuilt bytes");
+    let d = cluster.lock_dir();
+    assert!(
+        d.is_corrupt(stripe, 2),
+        "the rotten source was not reported"
+    );
+    let others = (1..spec.total_blocks() as u32).filter(|&l| l != 2);
+    assert!(others.into_iter().all(|l| !d.is_corrupt(stripe, l)));
+    drop(d);
+
+    let agent = cluster.agent(spec);
+    assert!(agent.wait_until_repaired(Duration::from_secs(10)));
+    agent.shutdown();
+    for lane in 0..3u32 {
+        let kind = client.read_data_chunk(stripe, lane, &mut buf).unwrap();
+        assert_eq!(kind, ReadKind::Direct, "lane {lane}");
+        let at = lane as usize * CHUNK;
+        assert!(buf == data[at..at + CHUNK], "lane {lane}");
+    }
     cluster.teardown();
 }
 

@@ -12,7 +12,8 @@
 //!   a session per call (`owned::repair`) re-solves every call;
 //! * so do the three fused GF kernels: the XOR row at full fuse width,
 //!   the two multiply blocks at full height and width, each also with
-//!   no sources and with a scalar tail;
+//!   no sources and with a scalar tail; and so do the lane digest's
+//!   Horner kernel, its fold and a chunk digest with a partial block;
 //! * the simulator's allocations over a fixed seeded window of events
 //!   are pinned;
 //! * on a loopback cluster, a direct read, a degraded read and a
@@ -47,8 +48,9 @@ use xorbas_core::{
     ReedSolomon, Replication, StripeViewMut,
 };
 use xorbas_gf::slice_ops::xor_into_multi;
-use xorbas_gf::{Field, Gf256, Gf65536, KernelBackend};
+use xorbas_gf::{digest, Field, Gf256, Gf65536, KernelBackend};
 use xorbas_node::client::{ReadKind, SessionCache};
+use xorbas_node::protocol::chunk_digest;
 use xorbas_node::{
     ChunkServer, ClusterClient, Directory, RepairAgent, RepairAgentConfig, RetryPolicy,
     ScrubConfig, ServerConfig,
@@ -377,6 +379,28 @@ fn fused_gf_kernels() -> Vec<Budget> {
             ));
         }
     }
+    // The lane digest: the Horner kernel over whole blocks, the fold,
+    // and a chunk digest that ends in a partial block.
+    let mut acc = [0u8; digest::BLOCK];
+    let blocks = &srcs[0][..LENS[0]];
+    backend.digest_horner(&mut acc, blocks);
+    budgets.push((
+        format!("digest_horner, {} B", LENS[0]),
+        counted(|| backend.digest_horner(&mut acc, blocks)),
+    ));
+    budgets.push((
+        "digest fold".to_string(),
+        counted(|| {
+            std::hint::black_box(digest::fold(&acc));
+        }),
+    ));
+    let chunk = &srcs[0][..LENS[1]];
+    budgets.push((
+        format!("chunk_digest, {} B", LENS[1]),
+        counted(|| {
+            std::hint::black_box(chunk_digest(chunk));
+        }),
+    ));
     let name = backend.name();
     budgets
         .into_iter()
